@@ -89,8 +89,11 @@ def conv1d_forward(x: Tensor, p: Conv1DParams):
     if T < k:
         raise ShapeError(f"conv1d needs T >= kernel_size, got T={T}, kernel_size={k}")
     T_out = T - k + 1
-    y = np.broadcast_to(p.b, (n, T_out, p.filters)).copy()
-    for j in range(k):
+    # (x_0 K_0 + b) + x_1 K_1 + ...: the bias joins right after the first
+    # product, which is the same sum as starting from a copy of b.
+    y = x[:, :T_out, :] @ p.K[0]
+    y += p.b
+    for j in range(1, k):
         y += x[:, j:j + T_out, :] @ p.K[j]
     return y, (x, p)
 
@@ -116,29 +119,47 @@ def conv1d_backward(cache, dy: Tensor):
 def maxpool1d_forward(x: Tensor, pool: int):
     """Non-overlapping window max over time; trailing remainder steps dropped.
 
-    x [n, T, c] -> y [n, T // pool, c];  cache = (x.shape, arg, pool) where
-    arg holds the in-window argmax (first index on ties).
+    x [n, T, c] -> y [n, T // pool, c];  cache = (x.shape, mask) where mask is
+    a boolean [n, T // pool, pool, c] marking each window's winner, the first
+    index on ties (as ``argmax`` picks).  The max is a running ``np.maximum``
+    over the strided window view; it keeps its second operand on ties, so a
+    tie between -0.0 and +0.0 also keeps the first one.  A window holding NaN
+    gives NaN and marks no winner.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
+    if x.ndim != 3:
+        raise ShapeError(f"maxpool1d input must be [n, T, c], got {x.shape}")
     n, T, c = x.shape
     if pool > T:
         raise ShapeError(f"pool window {pool} exceeds sequence length {T}")
     T_out = T // pool
     windows = x[:, :T_out * pool, :].reshape(n, T_out, pool, c)
-    arg = windows.argmax(axis=2)
-    y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    return y, (x.shape, arg, pool)
+    y = windows[:, :, 0].copy()
+    for j in range(1, pool):
+        np.maximum(windows[:, :, j], y, out=y)
+    mask = np.empty(windows.shape, dtype=bool)
+    seen = np.zeros(y.shape, dtype=bool)
+    for j in range(pool):
+        hit = mask[:, :, j]
+        np.equal(windows[:, :, j], y, out=hit)
+        hit &= ~seen
+        seen |= hit
+    return y, (x.shape, mask)
 
 
 def maxpool1d_backward(cache, dy: Tensor):
-    """Route dL/dy to each window's argmax position, zeros elsewhere."""
-    shape, arg, pool = cache
-    n, T, c = shape
-    T_out = arg.shape[1]
+    """Copy dL/dy to each window's winner; every other slot, the dropped
+    remainder steps included, stays +0.0."""
+    shape, mask = cache
+    n, T_out, pool, c = mask.shape
     dx = np.zeros(shape, dtype=np.float64)
-    t_idx = np.arange(T_out)[None, :, None] * pool + arg
-    dx[np.arange(n)[:, None, None], t_idx, np.arange(c)[None, None, :]] = dy
+    # Multiplying the raw float64 bit patterns by the 0/1 mask copies each
+    # winner's bits verbatim and leaves all bits clear (+0.0) elsewhere; a
+    # float product would leave -0.0 wherever dy < 0.
+    bits = np.asarray(dy, dtype=np.float64).view(np.uint64)
+    windows = dx[:, :T_out * pool, :].reshape(mask.shape).view(np.uint64)
+    np.multiply(bits[:, :, None, :], mask, out=windows)
     return dx
 
 

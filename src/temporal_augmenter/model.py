@@ -1,9 +1,18 @@
 """The dual-stream ensemble network.
 
-Each stream runs conv1d -> activation -> maxpool -> dropout -> recurrent
+Each stream runs conv1d -> maxpool -> activation -> dropout -> recurrent
 cell; the GRU stream captures short-term structure, the LSTM stream
 long-term structure.  Stream outputs (the last hidden state by default) are
 concatenated and fed through a dense head ending in softmax.
+
+Pooling before the ReLU is the network conv1d -> ReLU -> maxpool, bit for
+bit, on 1/pool_size of the data: ``max(relu(a), relu(b)) == relu(max(a, b))``
+exactly (``np.maximum(-0.0, 0.0)`` is +0.0 either way), and both orders
+send a window's gradient to its first maximal position when that max is
+positive and a zero otherwise.  That zero is -0.0 when the incoming
+gradient is negative, and in a window whose max is <= 0 it may sit at a
+different position; the kernel and bias gradients sum over positions, so
+at most the sign of a kernel gradient entry that is exactly zero can differ.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -165,22 +174,22 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
 
 
 def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
-    conv_y, conv_cache = layers.conv1d_forward(x, sp.conv)
+    y, conv_cache = layers.conv1d_forward(x, sp.conv)
+    y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     if cfg.conv_activation == "relu":
-        act_y, act_cache = layers.relu_forward(conv_y)
+        y, act_cache = layers.relu_forward(y)
     else:
-        act_y, act_cache = conv_y, None
-    pool_y, pool_cache = layers.maxpool1d_forward(act_y, cfg.pool_size)
-    drop_y, drop_cache = layers.dropout_forward(pool_y, cfg.dropout_stream, mode, rng)
+        act_cache = None
+    y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     if sp.kind == "gru":
-        hs, cell_cache = recurrent.gru_forward(drop_y, sp.cell)
+        hs, cell_cache = recurrent.gru_forward(y, sp.cell, mode=mode)
     else:
-        hs, cell_cache = recurrent.lstm_forward(drop_y, sp.cell)
+        hs, cell_cache = recurrent.lstm_forward(y, sp.cell, mode=mode)
     if cfg.return_sequences:
         out = hs.reshape(hs.shape[0], -1)
     else:
         out = hs[:, -1]
-    return out, (conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs.shape)
+    return out, (conv_cache, pool_cache, act_cache, drop_cache, cell_cache, hs.shape)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -212,23 +221,21 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
 
 
 def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> dict:
-    conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs_shape = cache
+    conv_cache, pool_cache, act_cache, drop_cache, cell_cache, hs_shape = cache
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
     else:
         d_hs = np.zeros(hs_shape)
         d_hs[:, -1] = d_out
     if sp.kind == "gru":
-        d_drop, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
+        d, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
     else:
-        d_drop, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    d_pool = layers.dropout_backward(drop_cache, d_drop)
-    d_act = layers.maxpool1d_backward(pool_cache, d_pool)
+        d, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
+    d = layers.dropout_backward(drop_cache, d)
     if cfg.conv_activation == "relu":
-        d_conv = layers.relu_backward(act_cache, d_act)
-    else:
-        d_conv = d_act
-    _, dK, db = layers.conv1d_backward(conv_cache, d_conv)
+        d = layers.relu_backward(act_cache, d)
+    d = layers.maxpool1d_backward(pool_cache, d)
+    _, dK, db = layers.conv1d_backward(conv_cache, d)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     for name, g in cell_grads.items():
         grads[f"{sp.kind}.cell.{name}"] = g

@@ -144,13 +144,16 @@ def gru_step(x_t: Tensor, h: Tensor, p: GRUParams):
 # sequence forward/backward
 # ---------------------------------------------------------------------------
 
-def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor | None = None):
+def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor | None = None,
+                 mode: str = "train"):
     """Unroll over t = 1..T; returns (hs [n, T, u], cache).
 
     The per-gate weights are fused into [d, 4u] / [u, 4u] blocks (gate order
-    f, i, o, g) so each step costs one recurrent matmul.
+    f, i, o, g) so each step costs one recurrent matmul.  In eval mode no
+    backward follows, so no BPTT state is stored and the cache is None.
     """
     n, T, d = _check_seq(x, p)
+    train = _is_train(mode)
     u = p.units
     h = np.zeros((n, u)) if h0 is None else h0
     c = np.zeros((n, u)) if c0 is None else c0
@@ -159,26 +162,31 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
     b = np.concatenate([p.b_f, p.b_i, p.b_o, p.b_g])
     px = (x.reshape(n * T, d) @ W).reshape(n, T, 4 * u)
     hs = np.empty((n, T, u))
-    cs = np.empty((n, T, u))
-    h_prev = np.empty((n, T, u))
-    c_prev = np.empty((n, T, u))
-    gates = np.empty((n, T, 4 * u))  # f, i, o stored as sigmoids, g as tanh
-    tc = np.empty((n, T, u))
+    if train:
+        cs = np.empty((n, T, u))
+        h_prev = np.empty((n, T, u))
+        c_prev = np.empty((n, T, u))
+        gates = np.empty((n, T, 4 * u))  # f, i, o stored as sigmoids, g as tanh
+        tc = np.empty((n, T, u))
     s3 = 3 * u
     for t in range(T):
-        h_prev[:, t] = h
-        c_prev[:, t] = c
+        if train:
+            h_prev[:, t] = h
+            c_prev[:, t] = c
         a = px[:, t] + h @ U + b
         fio = sigmoid(a[:, :s3])
         g = np.tanh(a[:, s3:])
         c = fio[:, :u] * c + fio[:, u:2 * u] * g
         tct = np.tanh(c)
         h = fio[:, 2 * u:] * tct
-        gates[:, t, :s3] = fio
-        gates[:, t, s3:] = g
-        tc[:, t] = tct
         hs[:, t] = h
-        cs[:, t] = c
+        if train:
+            gates[:, t, :s3] = fio
+            gates[:, t, s3:] = g
+            tc[:, t] = tct
+            cs[:, t] = c
+    if not train:
+        return hs, None
     cache = (x, p, hs, cs, h_prev, c_prev, gates, tc, (W, U))
     return hs, cache
 
@@ -224,13 +232,15 @@ def lstm_backward(cache, d_hs: Tensor):
     return dx, grads
 
 
-def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None):
+def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "train"):
     """Unroll over t = 1..T; returns (hs [n, T, u], cache).
 
     Update and reset weights are fused into [., 2u] blocks; the candidate
-    path stays separate because it multiplies the reset-gated state.
+    path stays separate because it multiplies the reset-gated state.  In eval
+    mode no backward follows, so no BPTT state is stored and the cache is None.
     """
     n, T, d = _check_seq(x, p)
+    train = _is_train(mode)
     u = p.units
     h = np.zeros((n, u)) if h0 is None else h0
     W = np.concatenate([p.W_z, p.W_r, p.W_h], axis=1)
@@ -238,21 +248,26 @@ def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None):
     bzr = np.concatenate([p.b_z, p.b_r])
     px = (x.reshape(n * T, d) @ W).reshape(n, T, 3 * u)
     hs = np.empty((n, T, u))
-    h_prev = np.empty((n, T, u))
-    zr = np.empty((n, T, 2 * u))
-    hcs = np.empty((n, T, u))
-    rh = np.empty((n, T, u))
+    if train:
+        h_prev = np.empty((n, T, u))
+        zr = np.empty((n, T, 2 * u))
+        hcs = np.empty((n, T, u))
+        rh = np.empty((n, T, u))
     for t in range(T):
-        h_prev[:, t] = h
+        if train:
+            h_prev[:, t] = h
         zrt = sigmoid(px[:, t, :2 * u] + h @ Uzr + bzr)
         z = zrt[:, :u]
         rht = zrt[:, u:] * h
         hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U_h + p.b_h)
         h = z * h + (1.0 - z) * hc
-        zr[:, t] = zrt
-        rh[:, t] = rht
-        hcs[:, t] = hc
         hs[:, t] = h
+        if train:
+            zr[:, t] = zrt
+            rh[:, t] = rht
+            hcs[:, t] = hc
+    if not train:
+        return hs, None
     cache = (x, p, hs, h_prev, zr, hcs, rh, (W, Uzr))
     return hs, cache
 
@@ -289,6 +304,12 @@ def gru_backward(cache, d_hs: Tensor):
         "U_h": np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1])),
     }
     return dx, grads
+
+
+def _is_train(mode: str) -> bool:
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    return mode == "train"
 
 
 def _check_seq(x: Tensor, p) -> tuple:

@@ -110,9 +110,18 @@ _FNV_PRIME = 0x100000001B3
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, applied in place to the uint64 array ``z``."""
+    shifted = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        np.right_shift(z, np.uint64(30), out=shifted)
+        z ^= shifted
+        z *= _MIX1
+        np.right_shift(z, np.uint64(27), out=shifted)
+        z ^= shifted
+        z *= _MIX2
+        np.right_shift(z, np.uint64(31), out=shifted)
+        z ^= shifted
+    return z
 
 
 def _shape_tuple(shape) -> tuple:
@@ -136,19 +145,20 @@ class Rng:
 
     def next_uint64(self, n: int) -> np.ndarray:
         """Return the next ``n`` raw 64-bit draws."""
-        ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):
-            state = ks * np.uint64(_GAMMA) + np.uint64(self.seed)
-            return _mix64(state)
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self.seed)
+        return _mix64(z)
 
     def uniform(self, shape) -> Tensor:
         """I.i.d. uniform draws on [0, 1) using the top 53 bits of each word."""
         shape = _shape_tuple(shape)
         n = int(np.prod(shape, dtype=np.int64))
         bits = self.next_uint64(max(n, 0))
-        vals = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return vals.reshape(shape)
+        bits >>= np.uint64(11)
+        return np.multiply(bits, 2.0 ** -53).reshape(shape)
 
     def normal(self, shape) -> Tensor:
         """Standard normal draws via the Box-Muller transform."""
@@ -173,9 +183,8 @@ class Rng:
         h = _FNV_OFFSET
         for byte in tag.encode("utf-8"):
             h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-        with np.errstate(over="ignore"):
-            child = _mix64(np.uint64(self.seed ^ h))
-        return Rng(int(child))
+        child = _mix64(np.array([self.seed ^ h], dtype=np.uint64))
+        return Rng(int(child[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,19 @@ class TestConv1D:
             dense_y, _ = dense_forward(x[:, t, :], dense)
             npt.assert_array_equal(conv_y[:, t, :], dense_y)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_bias_first_sum_bitwise(self, k):
+        # reference sum: start from a copy of b, then add each shifted product
+        rng = Rng(24 + k)
+        x = rng.uniform((3, 9, 2)) * 2 - 1
+        p = Conv1DParams(K=rng.uniform((k, 2, 5)) * 2 - 1, b=rng.uniform((5,)) * 2 - 1)
+        T_out = 9 - k + 1
+        ref = np.broadcast_to(p.b, (3, T_out, 5)).copy()
+        for j in range(k):
+            ref += x[:, j:j + T_out, :] @ p.K[j]
+        y, _ = conv1d_forward(x, p)
+        assert y.tobytes() == ref.tobytes()
+
     def test_too_short_sequence(self):
         p = Conv1DParams(K=np.zeros((4, 1, 2)), b=np.zeros(2))
         with pytest.raises(ShapeError):
@@ -70,7 +83,71 @@ class TestConv1D:
         assert gradcheck.check_conv1d(seed=0, trials=20) < 1e-6
 
 
+def reference_maxpool1d_forward(x, pool):
+    """Reference max-pool: argmax per window (first index on ties), values
+    gathered with take_along_axis; cache = (x.shape, arg, pool)."""
+    n, T, c = x.shape
+    T_out = T // pool
+    windows = x[:, :T_out * pool, :].reshape(n, T_out, pool, c)
+    arg = windows.argmax(axis=2)
+    y = np.take_along_axis(windows, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    return y, (x.shape, arg, pool)
+
+
+def reference_maxpool1d_backward(cache, dy):
+    """Scatter dy to each window's argmax position into a zero tensor."""
+    shape, arg, pool = cache
+    n, T, c = shape
+    T_out = arg.shape[1]
+    dx = np.zeros(shape, dtype=np.float64)
+    t_idx = np.arange(T_out)[None, :, None] * pool + arg
+    dx[np.arange(n)[:, None, None], t_idx, np.arange(c)[None, None, :]] = dy
+    return dx
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    npt.assert_array_equal(a, b)
+    npt.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestMaxPool1D:
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    def test_matches_reference_kernel_bitwise(self, pool):
+        rng = Rng(70 + pool)
+        levels = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+        for T in (pool, 3 * pool, 3 * pool + pool - 1, 5 * pool + 1):
+            shape = (3, T, 4)
+            pick = (rng.uniform(shape) * len(levels)).astype(np.int64)
+            inputs = [
+                levels[pick],                   # exact ties
+                levels[2 + pick % 2],           # only -0.0 and +0.0
+                levels[pick % 3],               # windows <= 0 holding -0.0
+                -(rng.uniform(shape) + 0.5),    # all-negative windows
+                rng.uniform(shape) * 2 - 1,     # distinct values
+            ]
+            for x in inputs:
+                y, cache = maxpool1d_forward(x, pool)
+                y_ref, cache_ref = reference_maxpool1d_forward(x, pool)
+                assert_bitwise(y, y_ref)
+                dy = rng.uniform(y.shape) * 2 - 1
+                dy[..., 0] = -0.0
+                dy[..., 1] = 0.0
+                assert_bitwise(maxpool1d_backward(cache, dy),
+                               reference_maxpool1d_backward(cache_ref, dy))
+
+    def test_cache_is_a_winner_mask_not_the_input(self):
+        x = Rng(75).uniform((2, 9, 3))
+        _, (shape, mask) = maxpool1d_forward(x, 2)
+        assert shape == x.shape
+        assert mask.dtype == np.bool_ and mask.shape == (2, 4, 2, 3)
+        assert not np.shares_memory(mask, x)
+        npt.assert_array_equal(mask.sum(axis=2), 1)
+
+    def test_non_3d_input_names_shape(self):
+        with pytest.raises(ShapeError, match=r"\(4, 6\)"):
+            maxpool1d_forward(np.zeros((4, 6)), 2)
+
     def test_window_max(self):
         x = np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1)
         y, _ = maxpool1d_forward(x, 2)

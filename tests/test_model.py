@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from temporal_augmenter import gradcheck, model as model_mod, optim
+from temporal_augmenter import gradcheck, layers, model as model_mod, optim, recurrent
 from temporal_augmenter.model import (
     ModelConfig,
     TraceError,
@@ -210,7 +210,6 @@ class TestBackward:
         _, dlogits = optim.cce_loss(probs, onehot)
         backward(net, trace, dlogits)
 
-        from temporal_augmenter import layers
         dense_cache = trace.head_caches[0][0]
         # recompute the concat gradient independently from the head caches
         da = dlogits
@@ -262,6 +261,77 @@ class TestBackward:
         b = train_steps(cut_slice=True)
         for name in a:
             npt.assert_array_equal(a[name], b[name], err_msg=name)
+
+
+def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
+    """Stream forward in the textbook order conv1d -> ReLU -> maxpool."""
+    y, conv_cache = layers.conv1d_forward(x, sp.conv)
+    act_cache = None
+    if cfg.conv_activation == "relu":
+        y, act_cache = layers.relu_forward(y)
+    y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
+    y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
+    run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
+    hs, cell_cache = run(y, sp.cell)
+    out = hs.reshape(hs.shape[0], -1) if cfg.return_sequences else hs[:, -1]
+    return out, (conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs.shape)
+
+
+def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
+    conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs_shape = cache
+    d_hs = np.zeros(hs_shape)
+    if cfg.return_sequences:
+        d_hs[...] = d_out.reshape(hs_shape)
+    else:
+        d_hs[:, -1] = d_out
+    run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
+    d, cell_grads = run(cell_cache, d_hs)
+    d = layers.dropout_backward(drop_cache, d)
+    d = layers.maxpool1d_backward(pool_cache, d)
+    if cfg.conv_activation == "relu":
+        d = layers.relu_backward(act_cache, d)
+    _, dK, db = layers.conv1d_backward(conv_cache, d)
+    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
+    grads.update({f"{sp.kind}.cell.{k}": g for k, g in cell_grads.items()})
+    return grads
+
+
+class TestStreamOrder:
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("kernel", [1, 2])
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, activation,
+                                                           kernel, pool):
+        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool,
+                           conv_activation=activation, dense_sizes=(8,))
+        net = build(cfg, Rng(80).derive("init"))
+        for name, arr in net.parameters().items():
+            if name.endswith(".b") or ".cell.b_" in name:
+                arr += Rng(81).derive(name).uniform(arr.shape) - 0.5
+        x = Rng(82).uniform((5, 17, 2)) * 2 - 1
+        onehot = np.eye(2)[[0, 1, 1, 0, 1]]
+
+        def step():
+            probs, trace = forward(net, x, mode="train", rng=Rng(83))
+            _, dlogits = optim.cce_loss(probs, onehot)
+            return probs, backward(net, trace, dlogits)
+
+        probs, grads = step()
+        monkeypatch.setattr(model_mod, "_stream_forward", relu_then_pool_stream_forward)
+        monkeypatch.setattr(model_mod, "_stream_backward", relu_then_pool_stream_backward)
+        ref_probs, ref_grads = step()
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    def test_eval_forward_keeps_no_cell_cache(self):
+        net = build(radar_config(), Rng(84))
+        x = Rng(85).uniform((3, 17, 2))
+        _, eval_trace = forward(net, x, mode="eval")
+        _, train_trace = forward(net, x, mode="train", rng=Rng(0))
+        assert all(cache[4] is None for cache in eval_trace.stream_caches)
+        assert all(cache[4] is not None for cache in train_trace.stream_caches)
 
 
 class TestCheckpoint:

@@ -161,6 +161,34 @@ class TestMemoryRetention:
         assert np.linalg.norm(hs[:, -1] - h0) < 1e-8
 
 
+class TestEvalMode:
+    def test_eval_hs_bitwise_equal_and_no_cache(self):
+        rng = Rng(68)
+        x = rng.uniform((4, 9, 3)) * 2 - 1
+        h0 = rng.uniform((4, 5)) * 2 - 1
+        c0 = rng.uniform((4, 5)) * 2 - 1
+        pl = init_lstm_params(3, 5, rng)
+        pg = init_gru_params(3, 5, rng)
+        runs = [
+            lambda mode: lstm_forward(x, pl, mode=mode),
+            lambda mode: lstm_forward(x, pl, h0=h0, c0=c0, mode=mode),
+            lambda mode: gru_forward(x, pg, mode=mode),
+            lambda mode: gru_forward(x, pg, h0=h0, mode=mode),
+        ]
+        for run in runs:
+            hs_train, cache = run("train")
+            hs_eval, eval_cache = run("eval")
+            assert cache is not None and eval_cache is None
+            assert hs_eval.tobytes() == hs_train.tobytes()
+
+    def test_unknown_mode_rejected(self):
+        p = init_gru_params(2, 3, Rng(69))
+        with pytest.raises(ValueError, match="mode"):
+            gru_forward(np.zeros((1, 2, 2)), p, mode="infer")
+        with pytest.raises(ValueError, match="mode"):
+            lstm_forward(np.zeros((1, 2, 2)), init_lstm_params(2, 3, Rng(69)), mode="test")
+
+
 class TestBPTT:
     def test_lstm_matches_fd_all_lengths(self):
         assert gradcheck.check_lstm(seed=0) < 1e-5

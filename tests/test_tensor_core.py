@@ -181,6 +181,59 @@ class TestInitializers:
         npt.assert_array_equal(qa, qb)
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_words(seed: int, count: int) -> list:
+    """Pure-Python SplitMix64 oracle: the first ``count`` words after ``seed``."""
+    state = seed & MASK64
+    words = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        words.append(splitmix64_mix(state))
+    return words
+
+
+class TestRngKnownAnswers:
+    SEEDS = (0, 1, 7, 42, 0xDEADBEEF, 1 << 63, MASK64)
+
+    def test_published_seed0_words(self):
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert splitmix64_words(0, 3) == published
+        assert [int(w) for w in Rng(0).next_uint64(3)] == published
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_next_uint64_matches_pure_python(self, seed):
+        rng = Rng(seed)
+        got = [int(w) for w in rng.next_uint64(25)] + [int(w) for w in rng.next_uint64(15)]
+        assert got == splitmix64_words(seed, 40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniform_is_top_53_bits_and_advances_by_n(self, seed):
+        words = splitmix64_words(seed, 19)
+        rng = Rng(seed)
+        vals = rng.uniform((3, 5))
+        assert vals.shape == (3, 5)
+        assert vals.ravel().tolist() == [(w >> 11) * 2.0 ** -53 for w in words[:15]]
+        assert rng.uniform((0,)).shape == (0,)  # draws nothing
+        assert rng.uniform(()).item() == (words[15] >> 11) * 2.0 ** -53
+        assert [int(w) for w in rng.next_uint64(3)] == words[16:19]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_derive_seeds_child_with_mixed_fnv_hash(self, seed):
+        h = 0xCBF29CE484222325
+        for byte in b"stream":
+            h = ((h ^ byte) * 0x100000001B3) & MASK64
+        child = Rng(seed).derive("stream")
+        assert child.seed == splitmix64_mix(seed ^ h)
+
+
 class TestRng:
     def test_same_seed_same_sequence(self):
         a = Rng(42).uniform((1000,))
