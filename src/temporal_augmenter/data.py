@@ -69,7 +69,7 @@ _ION_PULSES = 17
 
 def _parse_row(fields, row_idx: int, path) -> np.ndarray:
     try:
-        return np.array(fields, dtype=np.float64)
+        values = np.array(fields, dtype=np.float64)
     except ValueError:
         for col, tok in enumerate(fields):
             try:
@@ -78,6 +78,12 @@ def _parse_row(fields, row_idx: int, path) -> np.ndarray:
                 raise DataError(f"{path}: row {row_idx}, column {col}: "
                                 f"non-numeric value {tok!r}") from None
         raise
+    finite = np.isfinite(values)
+    if not finite.all():
+        col = int(np.argmin(finite))
+        raise DataError(f"{path}: row {row_idx}, column {col}: "
+                        f"non-finite value {fields[col]!r}")
+    return values
 
 
 def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset:
@@ -157,8 +163,8 @@ def _load_generic(path, label_col: str) -> Dataset:
         if len(fields) != len(header):
             raise DataError(f"{path}: row {idx}: expected {len(header)} columns, got {len(fields)}")
         tokens.append(fields[label_idx].strip())
-        rest = fields[:label_idx] + fields[label_idx + 1:]
-        feats.append(_parse_row(rest, idx, path))
+        fields[label_idx] = "0"  # placeholder, so errors name the file's column
+        feats.append(np.delete(_parse_row(fields, idx, path), label_idx))
     class_names = sorted(set(tokens))
     index = {name: i for i, name in enumerate(class_names)}
     labels = np.array([index[t] for t in tokens])

@@ -77,12 +77,12 @@ def check_conv1d(seed: int = 0, trials: int = 5) -> float:
         p = layers.Conv1DParams(K=_uniform_pm(rng, (k, c, F)), b=_uniform_pm(rng, (F,)))
         proj = _uniform_pm(rng, (n, T - k + 1, F))
         _, cache = layers.conv1d_forward(x, p)
-        dx, dK, db = layers.conv1d_backward(cache, proj)
+        dK, db = layers.conv1d_backward(cache, proj)
 
         def objective():
             return float(np.sum(layers.conv1d_forward(x, p)[0] * proj))
 
-        for analytic, arr in ((dx, x), (dK, p.K), (db, p.b)):
+        for analytic, arr in ((dK, p.K), (db, p.b)):
             worst = max(worst, max_rel_err(analytic, fd_grad(objective, arr)))
     return worst
 
@@ -205,40 +205,34 @@ def miniature_config() -> ModelConfig:
 
 
 def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:
-    """True when no pre-activation sits within ``band`` of a ReLU kink and no
-    pooling window holds values closer than ``band`` (FD would cross the
-    nondifferentiability otherwise)."""
-    cfg = net.config
-    n = x.shape[0]
-    outs = []
-    for sp in net.streams:
-        pre, _ = layers.conv1d_forward(x, sp.conv)
+    """True when no conv or hidden dense pre-activation sits within ``band`` of
+    a ReLU kink and no pooling window holds two positive conv outputs closer
+    than ``band`` (FD would cross the nondifferentiability otherwise).
+
+    The pre-activations come from one real forward: each conv and dense input
+    is read from its trace and passed through that layer again.
+    """
+    _, trace = model_mod.forward(net, x, mode="train", rng=Rng(0))
+    pool = net.config.pool_size
+    for sp, stream_cache in zip(net.streams, trace.stream_caches):
+        conv_x, _ = stream_cache[0]
+        pre, _ = layers.conv1d_forward(conv_x, sp.conv)
         if np.min(np.abs(pre)) < band:
             return False
-        act = np.maximum(pre, 0.0)
-        t_out = act.shape[1] // cfg.pool_size
-        windows = act[:, :t_out * cfg.pool_size, :].reshape(n, t_out, cfg.pool_size, -1)
-        if cfg.pool_size > 1:
-            # ties among clamped zeros are safe (gradient is zero either way,
-            # and the conv check keeps their pre-activations off the kink);
-            # near-ties among positive values would flip the argmax under FD
-            sorted_w = np.sort(windows, axis=2)
+        if pool > 1:
+            # pooling precedes the ReLU; a near-tie between positive values
+            # would flip the winner under FD, while windows whose max is
+            # clamped to zero pass no gradient either way
+            n, T, c = pre.shape
+            t_out = T // pool
+            sorted_w = np.sort(pre[:, :t_out * pool].reshape(n, t_out, pool, c), axis=2)
             gaps = np.diff(sorted_w, axis=2)
-            positive_pair = sorted_w[:, :, 1:, :] > 0.0
-            if np.any((gaps < band) & positive_pair):
+            if np.any((gaps < band) & (sorted_w[:, :, 1:, :] > 0.0)):
                 return False
-        pooled = windows.max(axis=2)
-        if sp.kind == "gru":
-            hs, _ = recurrent.gru_forward(pooled, sp.cell)
-        else:
-            hs, _ = recurrent.lstm_forward(pooled, sp.cell)
-        outs.append(hs.reshape(n, -1) if cfg.return_sequences else hs[:, -1])
-    a = np.concatenate(outs, axis=1)
-    for dp in net.head[:-1]:
-        pre = a @ dp.W + dp.b
+    for dp, (dense_cache, _, _) in zip(net.head[:-1], trace.head_caches):
+        pre, _ = layers.dense_forward(dense_cache[0], dp)
         if np.min(np.abs(pre)) < band:
             return False
-        a = np.maximum(pre, 0.0)
     return True
 
 

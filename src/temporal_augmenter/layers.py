@@ -99,17 +99,17 @@ def conv1d_forward(x: Tensor, p: Conv1DParams):
 
 
 def conv1d_backward(cache, dy: Tensor):
-    """Return (dx, dK, db) given dL/dy of shape [n, T_out, filters]."""
+    """Return (dK, db) given dL/dy of shape [n, T_out, filters].
+
+    There is no dx: conv1d is only ever the network's first layer.
+    """
     x, p = cache
-    k = p.kernel_size
     T_out = dy.shape[1]
-    dx = np.zeros_like(x)
     dK = np.zeros_like(p.K)
-    for j in range(k):
+    for j in range(p.kernel_size):
         dK[j] = np.tensordot(x[:, j:j + T_out, :], dy, axes=([0, 1], [0, 1]))
-        dx[:, j:j + T_out, :] += dy @ p.K[j].T
     db = dy.sum(axis=(0, 1))
-    return dx, dK, db
+    return dK, db
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,6 @@ def kappa_ci95(kappa: float, se: float) -> tuple:
     return (max(-1.0, kappa - _Z95 * se), min(1.0, kappa + _Z95 * se))
 
 
-def expected_agreement_from_kappa(p_o: float, kappa: float) -> float:
-    """Invert kappa = (p_o - p_e)/(1 - p_e) to recover p_e."""
-    return (p_o - kappa) / (1.0 - kappa)
-
-
 def overall_stats(cm: ConfusionMatrix) -> OverallStats:
     counts = cm.counts
     n = cm.n

@@ -27,11 +27,13 @@ mask per stream, then the head dropout).  Eval-mode forward consumes none.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import layers, recurrent
+from .data import DataError
 from .layers import Conv1DParams, DenseParams
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
 
@@ -235,7 +237,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     if cfg.conv_activation == "relu":
         d = layers.relu_backward(act_cache, d)
     d = layers.maxpool1d_backward(pool_cache, d)
-    _, dK, db = layers.conv1d_backward(conv_cache, d)
+    dK, db = layers.conv1d_backward(conv_cache, d)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     for name, g in cell_grads.items():
         grads[f"{sp.kind}.cell.{name}"] = g
@@ -322,28 +324,52 @@ def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (model, extras, extra_tensors)."""
+    """Returns (model, extras, extra_tensors).
+
+    Any file that is not one whole, valid checkpoint raises DataError naming
+    ``path``: bad magic or version, a cut or unreadable header, a config that
+    ModelConfig rejects, a tensor missing or of the wrong shape, or a length
+    other than the header describes.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        cfg_dict = dict(header["config"])
-        config = ModelConfig(**cfg_dict)
-        tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(np.float64)
-            tensors[entry["name"]] = data.reshape(shape)
+        blob = fh.read()
+    if blob[:8] != _MAGIC:
+        raise DataError(f"{path}: not a checkpoint file (bad magic {blob[:8]!r})")
+    hlen = int.from_bytes(blob[8:16], "little")
+    if len(blob) < 16 or 16 + hlen > len(blob):
+        raise DataError(f"{path}: checkpoint header cut short ({len(blob)} bytes)")
+    try:
+        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("extras", {}), dict):
+        raise DataError(f"{path}: checkpoint header or its extras is not a JSON object")
+    if header.get("version") != 1:
+        raise DataError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    try:
+        config = ModelConfig(**header["config"])
+        entries = [(str(e["name"]), tuple(int(s) for s in e["shape"]))
+                   for e in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: invalid checkpoint header ({exc!r})") from None
+    if any(s < 0 for _, shape in entries for s in shape):
+        raise DataError(f"{path}: negative tensor dimension in checkpoint header")
+    sizes = [math.prod(shape) for _, shape in entries]
+    expected = 16 + hlen + 8 * sum(sizes)
+    if len(blob) != expected:
+        raise DataError(f"{path}: checkpoint is {len(blob)} bytes, its header describes {expected}")
+    tensors, offset = {}, 16 + hlen
+    for (name, shape), size in zip(entries, sizes):
+        tensors[name] = np.frombuffer(blob, "<f8", size, offset).astype(np.float64).reshape(shape)
+        offset += 8 * size
     model = build(config, Rng(0))
-    params = model.parameters()
-    for name, arr in params.items():
+    for name, arr in model.parameters().items():
         if name not in tensors:
-            raise ValueError(f"{path}: checkpoint missing parameter {name!r}")
-        arr[...] = tensors.pop(name)
+            raise DataError(f"{path}: checkpoint missing parameter {name!r}")
+        t = tensors.pop(name)
+        if t.shape != arr.shape:
+            raise DataError(f"{path}: parameter {name!r} has shape {list(t.shape)}, "
+                            f"the model expects {list(arr.shape)}")
+        arr[...] = t
     extra_tensors = {n[len("extra."):]: t for n, t in tensors.items() if n.startswith("extra.")}
     return model, header.get("extras", {}), extra_tensors

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
+from .data import one_hot
 from .tensor_core import Rng, ShapeError, Tensor
 
 
@@ -186,9 +187,7 @@ def predict_probs(model, x: Tensor, batch_size: int = 256) -> Tensor:
 def evaluate(model, x: Tensor, labels: np.ndarray, batch_size: int = 256):
     """Eval-mode (loss, accuracy) over a dataset."""
     probs = predict_probs(model, x, batch_size)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    loss, _ = cce_loss(probs, onehot)
+    loss, _ = cce_loss(probs, one_hot(labels, probs.shape[1]))
     acc = float(np.mean(probs.argmax(axis=1) == labels))
     return float(loss), acc
 
@@ -216,15 +215,15 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng | None = None):
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValueError("datasets must be non-empty")
     k = model.config.num_classes
-    if y_train.max() >= k or y_train.min() < 0:
-        raise ValueError(f"training label out of range for {k} classes")
+    for split, y in (("training", y_train), ("validation", y_val)):
+        if y.max() >= k or y.min() < 0:
+            raise ValueError(f"{split} label out of range for {k} classes")
     if rng is None:
         rng = Rng(cfg.seed)
     params = model.parameters()
     optimizer = cfg.make_optimizer()
     n = x_train.shape[0]
-    onehot_all = np.zeros((n, k))
-    onehot_all[np.arange(n), y_train] = 1.0
+    onehot_all = one_hot(y_train, k)
     log = TrainLog()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)

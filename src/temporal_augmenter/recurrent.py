@@ -16,6 +16,18 @@ GRU step (update gate preserves history)
     hc = tanh(x W_h + (r * h) U_h + b_h)    candidate
     h' = z * h + (1 - z) * hc
 
+Each cell stores its weights once, in fused blocks with one u-column slot per
+gate, so a step costs one recurrent matmul (two for the GRU, whose candidate
+multiplies the reset-gated state):
+
+    LSTMParams   W [d, 4u], U [u, 4u], b [4u]     gates f, i, o, g
+    GRUParams    W [d, 3u], b [3u]                 gates z, r, h
+                 U_zr [u, 2u], U_h [u, u]          gates z, r and h
+
+The per-gate names (``W_f``, ``U_r``, ``b_h``, ...) are views into the
+blocks, mapped by ``_LSTM_VIEWS`` / ``_GRU_VIEWS``.  Their order there is
+the parameter order: model parameter names, checkpoint tensors, init draws.
+
 ``*_forward`` unrolls a [n, T, d] sequence from zero initial state (unless
 given) and returns every hidden state; ``*_backward`` accepts a gradient for
 the full hidden sequence [n, T, u] and accumulates parameter gradients across
@@ -25,119 +37,98 @@ orthogonal, biases zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (
-    Rng,
-    ShapeError,
-    Tensor,
-    init_glorot_uniform,
-    init_orthogonal,
-    sigmoid,
-)
+from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_orthogonal, sigmoid
 
-_LSTM_GATES = ("f", "i", "g", "o")
-_GRU_GATES = ("z", "r", "h")
+# per-gate name -> (stored block, gate slot in that block)
+_LSTM_VIEWS = {f"{m}_{g}": (m, "fiog".index(g)) for m in "WUb" for g in "figo"}
+_GRU_VIEWS = {
+    "W_z": ("W", 0), "W_r": ("W", 1), "W_h": ("W", 2),
+    "U_z": ("U_zr", 0), "U_r": ("U_zr", 1), "U_h": ("U_h", 0),
+    "b_z": ("b", 0), "b_r": ("b", 1), "b_h": ("b", 2),
+}
+
+
+def _gate_view(p, name: str) -> Tensor:
+    """``p.<per-gate name>``: that gate's column slot of its stored block."""
+    try:
+        block, slot = p.VIEWS[name]
+    except KeyError:
+        raise AttributeError(name) from None
+    u = p.units
+    return getattr(p, block)[..., slot * u:(slot + 1) * u]
 
 
 @dataclass
 class LSTMParams:
-    W_f: Tensor
-    W_i: Tensor
-    W_g: Tensor
-    W_o: Tensor
-    U_f: Tensor
-    U_i: Tensor
-    U_g: Tensor
-    U_o: Tensor
-    b_f: Tensor
-    b_i: Tensor
-    b_g: Tensor
-    b_o: Tensor
+    """W [d, 4u], U [u, 4u], b [4u]; gate slots f, i, o, g."""
+    W: Tensor
+    U: Tensor
+    b: Tensor
+
+    VIEWS = _LSTM_VIEWS
+    __getattr__ = _gate_view
 
     @property
     def input_size(self) -> int:
-        return self.W_f.shape[0]
+        return self.W.shape[0]
 
     @property
     def units(self) -> int:
-        return self.W_f.shape[1]
+        return self.U.shape[0]
 
 
 @dataclass
 class GRUParams:
-    W_z: Tensor
-    W_r: Tensor
-    W_h: Tensor
-    U_z: Tensor
-    U_r: Tensor
+    """W [d, 3u], b [3u] with gate slots z, r, h; U_zr [u, 2u] (z, r); U_h [u, u]."""
+    W: Tensor
+    U_zr: Tensor
     U_h: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_h: Tensor
+    b: Tensor
+
+    VIEWS = _GRU_VIEWS
+    __getattr__ = _gate_view
 
     @property
     def input_size(self) -> int:
-        return self.W_z.shape[0]
+        return self.W.shape[0]
 
     @property
     def units(self) -> int:
-        return self.W_z.shape[1]
+        return self.U_h.shape[0]
+
+
+def params_as_dict(p) -> dict:
+    """Per-gate name -> view into the stored blocks, in ``p.VIEWS`` order."""
+    return {name: getattr(p, name) for name in p.VIEWS}
+
+
+def _draw(p, rng: Rng):
+    """Fill each input and recurrent gate view in ``p.VIEWS`` order."""
+    d, u = p.input_size, p.units
+    for name, view in params_as_dict(p).items():
+        if name.startswith("W_"):
+            view[...] = init_glorot_uniform(d, u, (d, u), rng)
+        elif name.startswith("U_"):
+            view[...] = init_orthogonal(u, u, rng)
+    return p
 
 
 def init_lstm_params(input_size: int, units: int, rng: Rng) -> LSTMParams:
     """Draw order: W_f, W_i, W_g, W_o then U_f, U_i, U_g, U_o; biases zero."""
-    ws = {f"W_{g}": init_glorot_uniform(input_size, units, (input_size, units), rng)
-          for g in _LSTM_GATES}
-    us = {f"U_{g}": init_orthogonal(units, units, rng) for g in _LSTM_GATES}
-    bs = {f"b_{g}": np.zeros(units) for g in _LSTM_GATES}
-    return LSTMParams(**ws, **us, **bs)
+    u = units
+    return _draw(LSTMParams(W=np.empty((input_size, 4 * u)), U=np.empty((u, 4 * u)),
+                            b=np.zeros(4 * u)), rng)
 
 
 def init_gru_params(input_size: int, units: int, rng: Rng) -> GRUParams:
     """Draw order: W_z, W_r, W_h then U_z, U_r, U_h; biases zero."""
-    ws = {f"W_{g}": init_glorot_uniform(input_size, units, (input_size, units), rng)
-          for g in _GRU_GATES}
-    us = {f"U_{g}": init_orthogonal(units, units, rng) for g in _GRU_GATES}
-    bs = {f"b_{g}": np.zeros(units) for g in _GRU_GATES}
-    return GRUParams(**ws, **us, **bs)
-
-
-def params_as_dict(p) -> dict:
-    return {f.name: getattr(p, f.name) for f in fields(p)}
-
-
-def _check_step_shapes(kind: str, x_t: Tensor, h: Tensor, p) -> None:
-    if x_t.ndim != 2 or x_t.shape[1] != p.input_size:
-        raise ShapeError(f"{kind} input {x_t.shape} incompatible with input size {p.input_size}")
-    if h.shape != (x_t.shape[0], p.units):
-        raise ShapeError(f"{kind} state {h.shape} incompatible with batch {x_t.shape[0]}, units {p.units}")
-
-
-# ---------------------------------------------------------------------------
-# single steps
-# ---------------------------------------------------------------------------
-
-def lstm_step(x_t: Tensor, h: Tensor, c: Tensor, p: LSTMParams):
-    """One LSTM step; returns (h', c')."""
-    _check_step_shapes("lstm", x_t, h, p)
-    f = sigmoid(x_t @ p.W_f + h @ p.U_f + p.b_f)
-    i = sigmoid(x_t @ p.W_i + h @ p.U_i + p.b_i)
-    g = np.tanh(x_t @ p.W_g + h @ p.U_g + p.b_g)
-    o = sigmoid(x_t @ p.W_o + h @ p.U_o + p.b_o)
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-def gru_step(x_t: Tensor, h: Tensor, p: GRUParams):
-    """One GRU step; returns h'."""
-    _check_step_shapes("gru", x_t, h, p)
-    z = sigmoid(x_t @ p.W_z + h @ p.U_z + p.b_z)
-    r = sigmoid(x_t @ p.W_r + h @ p.U_r + p.b_r)
-    hc = np.tanh(x_t @ p.W_h + (r * h) @ p.U_h + p.b_h)
-    return z * h + (1.0 - z) * hc
+    u = units
+    return _draw(GRUParams(W=np.empty((input_size, 3 * u)), U_zr=np.empty((u, 2 * u)),
+                           U_h=np.empty((u, u)), b=np.zeros(3 * u)), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +139,15 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
                  mode: str = "train"):
     """Unroll over t = 1..T; returns (hs [n, T, u], cache).
 
-    The per-gate weights are fused into [d, 4u] / [u, 4u] blocks (gate order
-    f, i, o, g) so each step costs one recurrent matmul.  In eval mode no
-    backward follows, so no BPTT state is stored and the cache is None.
+    In eval mode no backward follows, so no BPTT state is stored and the
+    cache is None.
     """
     n, T, d = _check_seq(x, p)
     train = _is_train(mode)
     u = p.units
     h = np.zeros((n, u)) if h0 is None else h0
     c = np.zeros((n, u)) if c0 is None else c0
-    W = np.concatenate([p.W_f, p.W_i, p.W_o, p.W_g], axis=1)
-    U = np.concatenate([p.U_f, p.U_i, p.U_o, p.U_g], axis=1)
-    b = np.concatenate([p.b_f, p.b_i, p.b_o, p.b_g])
-    px = (x.reshape(n * T, d) @ W).reshape(n, T, 4 * u)
+    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 4 * u)
     hs = np.empty((n, T, u))
     if train:
         cs = np.empty((n, T, u))
@@ -173,7 +160,7 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
         if train:
             h_prev[:, t] = h
             c_prev[:, t] = c
-        a = px[:, t] + h @ U + b
+        a = px[:, t] + h @ p.U + p.b
         fio = sigmoid(a[:, :s3])
         g = np.tanh(a[:, s3:])
         c = fio[:, :u] * c + fio[:, u:2 * u] * g
@@ -187,16 +174,16 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
             cs[:, t] = c
     if not train:
         return hs, None
-    cache = (x, p, hs, cs, h_prev, c_prev, gates, tc, (W, U))
+    cache = (x, p, hs, cs, h_prev, c_prev, gates, tc)
     return hs, cache
 
 
 def lstm_backward(cache, d_hs: Tensor):
     """BPTT given dL/dhs over the whole sequence [n, T, u].
 
-    Returns (dx, grads) with grads keyed like the LSTMParams fields.
+    Returns (dx, grads) with grads keyed by the per-gate names.
     """
-    x, p, hs, cs, h_prev, c_prev, gates, tc, (W, U) = cache
+    x, p, hs, cs, h_prev, c_prev, gates, tc = cache
     n, T, d = x.shape
     u = p.units
     s3 = 3 * u
@@ -217,36 +204,29 @@ def lstm_backward(cache, d_hs: Tensor):
         dat[:, 2 * u:s3] = dh * tct * o * (1.0 - o)
         dat[:, s3:] = dc * i * (1.0 - g * g)
         dc_carry = dc * f
-        dh_carry = dat @ U.T
+        dh_carry = dat @ p.U.T
     da2 = da.reshape(n * T, 4 * u)
-    dW = x.reshape(n * T, d).T @ da2
-    dU = np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
-    db = da2.sum(axis=0)
-    dx = (da2 @ W.T).reshape(n, T, d)
-    grads = {}
-    for idx, k in enumerate(("f", "i", "o", "g")):
-        sl = slice(idx * u, (idx + 1) * u)
-        grads[f"W_{k}"] = dW[:, sl]
-        grads[f"U_{k}"] = dU[:, sl]
-        grads[f"b_{k}"] = db[sl]
-    return dx, grads
+    dx = (da2 @ p.W.T).reshape(n, T, d)
+    dp = LSTMParams(W=x.reshape(n * T, d).T @ da2,
+                    U=np.tensordot(h_prev, da, axes=([0, 1], [0, 1])),
+                    b=da2.sum(axis=0))
+    # the key order sets the summation order of global-norm clipping
+    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for k in "fiog" for m in "WUb"}
 
 
 def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "train"):
     """Unroll over t = 1..T; returns (hs [n, T, u], cache).
 
-    Update and reset weights are fused into [., 2u] blocks; the candidate
-    path stays separate because it multiplies the reset-gated state.  In eval
-    mode no backward follows, so no BPTT state is stored and the cache is None.
+    In eval mode no backward follows, so no BPTT state is stored and the
+    cache is None.
     """
     n, T, d = _check_seq(x, p)
     train = _is_train(mode)
     u = p.units
     h = np.zeros((n, u)) if h0 is None else h0
-    W = np.concatenate([p.W_z, p.W_r, p.W_h], axis=1)
-    Uzr = np.concatenate([p.U_z, p.U_r], axis=1)
-    bzr = np.concatenate([p.b_z, p.b_r])
-    px = (x.reshape(n * T, d) @ W).reshape(n, T, 3 * u)
+    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
+    bzr = p.b[:2 * u]
+    bh = p.b[2 * u:]
     hs = np.empty((n, T, u))
     if train:
         h_prev = np.empty((n, T, u))
@@ -256,10 +236,10 @@ def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "
     for t in range(T):
         if train:
             h_prev[:, t] = h
-        zrt = sigmoid(px[:, t, :2 * u] + h @ Uzr + bzr)
+        zrt = sigmoid(px[:, t, :2 * u] + h @ p.U_zr + bzr)
         z = zrt[:, :u]
         rht = zrt[:, u:] * h
-        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U_h + p.b_h)
+        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U_h + bh)
         h = z * h + (1.0 - z) * hc
         hs[:, t] = h
         if train:
@@ -268,13 +248,13 @@ def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "
             hcs[:, t] = hc
     if not train:
         return hs, None
-    cache = (x, p, hs, h_prev, zr, hcs, rh, (W, Uzr))
+    cache = (x, p, hs, h_prev, zr, hcs, rh)
     return hs, cache
 
 
 def gru_backward(cache, d_hs: Tensor):
     """BPTT given dL/dhs over the whole sequence [n, T, u]."""
-    x, p, hs, h_prev, zr, hcs, rh, (W, Uzr) = cache
+    x, p, hs, h_prev, zr, hcs, rh = cache
     n, T, d = x.shape
     u = p.units
     da = np.empty((n, T, 3 * u))  # z, r, candidate pre-activation grads
@@ -291,19 +271,15 @@ def gru_backward(cache, d_hs: Tensor):
         dat[:, :u] = dh * (hp - hc) * z * (1.0 - z)
         dat[:, u:2 * u] = drh * hp * r * (1.0 - r)
         dat[:, 2 * u:] = da_h
-        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ Uzr.T
+        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U_zr.T
     da2 = da.reshape(n * T, 3 * u)
-    dW = x.reshape(n * T, d).T @ da2
-    db = da2.sum(axis=0)
-    dx = (da2 @ W.T).reshape(n, T, d)
-    dUzr = np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1]))
-    grads = {
-        "W_z": dW[:, :u], "W_r": dW[:, u:2 * u], "W_h": dW[:, 2 * u:],
-        "b_z": db[:u], "b_r": db[u:2 * u], "b_h": db[2 * u:],
-        "U_z": dUzr[:, :u], "U_r": dUzr[:, u:],
-        "U_h": np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1])),
-    }
-    return dx, grads
+    dx = (da2 @ p.W.T).reshape(n, T, d)
+    dp = GRUParams(W=x.reshape(n * T, d).T @ da2,
+                   U_zr=np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1])),
+                   U_h=np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1])),
+                   b=da2.sum(axis=0))
+    # the key order sets the summation order of global-norm clipping
+    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for m in "WbU" for k in "zrh"}
 
 
 def _is_train(mode: str) -> bool:
@@ -321,28 +297,3 @@ def _check_seq(x: Tensor, p) -> tuple:
     if d != p.input_size:
         raise ShapeError(f"input size {d} does not match parameters ({p.input_size})")
     return n, T, d
-
-
-# ---------------------------------------------------------------------------
-# cell-agnostic unroll returning the final hidden state
-# ---------------------------------------------------------------------------
-
-def unroll(cell: str, x: Tensor, params):
-    """Run the named cell over the sequence; returns (last_h [n, u], cache)."""
-    if cell == "lstm":
-        hs, cache = lstm_forward(x, params)
-    elif cell == "gru":
-        hs, cache = gru_forward(x, params)
-    else:
-        raise ValueError(f"unknown cell {cell!r}")
-    return hs[:, -1], (cell, cache, hs.shape)
-
-
-def unroll_backward(ucache, d_last: Tensor):
-    """Gradients of the final hidden state w.r.t. inputs and all parameters."""
-    cell, cache, hs_shape = ucache
-    d_hs = np.zeros(hs_shape)
-    d_hs[:, -1] = d_last
-    if cell == "lstm":
-        return lstm_backward(cache, d_hs)
-    return gru_backward(cache, d_hs)

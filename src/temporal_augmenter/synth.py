@@ -5,8 +5,7 @@ generators produce format-identical stand-ins sized for a workstation:
 
   * a pure-tone WAV corpus (classes differ only in frequency),
   * a heartbeat-like 187-sample CSV corpus with five imbalanced classes,
-  * a radar-echo-like 17-pulse corpus (coherent decaying echo vs clutter),
-  * a two-token parity task for probing long- vs short-range dependencies.
+  * a radar-echo-like 17-pulse corpus (coherent decaying echo vs clutter).
 
 Each function is deterministic given its Rng.
 """
@@ -54,16 +53,6 @@ def write_tone_corpus(root, rng: Rng, frequencies=(440.0, 880.0, 1320.0),
             samples = amp * np.sin(2.0 * np.pi * freq * t + phase) + noise
             write_wav(os.path.join(root, cls, f"clip{i:04d}.wav"), samples, sample_rate)
     return sorted(names)
-
-
-def make_parity_dataset(n: int, rng: Rng, length: int = 50,
-                        early: int = 2, late: int = 47) -> Dataset:
-    """Random +/-1 token sequences labeled by the parity (XOR) of the tokens
-    at one early and one late position; all other positions are distractors."""
-    bits = (rng.uniform((n, length)) < 0.5).astype(np.float64) * 2.0 - 1.0
-    labels = (bits[:, early] * bits[:, late] < 0).astype(np.int64)
-    return Dataset(features=bits[:, :, None], labels=labels,
-                   class_names=["even", "odd"])
 
 
 # ---------------------------------------------------------------------------

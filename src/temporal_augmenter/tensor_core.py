@@ -18,75 +18,11 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def as_tensor(values) -> Tensor:
-    return np.asarray(values, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# elementwise and linear-algebra kernels
-# ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D tensors with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("add", a, b)
-    return a + b
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    return a - b
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-    return a * b
-
-
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, evaluated on the numerically safe branch per sign."""
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def tanh(x: Tensor) -> Tensor:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def relu(x: Tensor) -> Tensor:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch an elementwise op by name; binary ops require equal shapes."""
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op} is unary")
-        return _UNARY[op](a)
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"{op} is binary")
-        return _BINARY[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def softmax(logits: Tensor) -> Tensor:

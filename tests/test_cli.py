@@ -226,6 +226,24 @@ class TestEvalCommand:
         rc = cli.main(["eval", str(tmp_path / "none.tackpt"), str(radar_csv)])
         assert rc == 3
 
+    def test_corrupt_checkpoint_exit_3(self, trained_run, tmp_path, capsys):
+        out, radar_csv = trained_run
+        blob = (out / "checkpoint.tackpt").read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        end = 16 + hlen
+        bad = [blob[:cut] for cut in (0, 7, 8, 15, 16, end // 2, end - 1, end, end + 13,
+                                      (end + len(blob)) // 2, len(blob) - 1)]
+        bad.append(blob + b"\x00" * 8)
+        bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":1', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
+        bad.append(blob[:16] + b"\xff" + blob[17:])
+        path = tmp_path / "bad.tackpt"
+        for data in bad:
+            path.write_bytes(data)
+            assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+            assert "data error" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):

@@ -44,6 +44,16 @@ class TestMitbihLoader:
         with pytest.raises(DataError, match=r"row 0, column 5"):
             load_csv_signals(path, "mitbih")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_field_names_row_and_column(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        good = [0.1] * 187 + [0.0]
+        row = list(good)
+        row[5] = token
+        write_mitbih_rows(path, [good, row])
+        with pytest.raises(DataError, match=rf"row 1, column 5: non-finite value '{token}'"):
+            load_csv_signals(path, "mitbih")
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "short.csv"
         write_mitbih_rows(path, [[0.1] * 10])
@@ -75,6 +85,14 @@ class TestIonosphereLoader:
         assert ds.features[0, 3, 0] == 0.06
         assert ds.features[0, 3, 1] == 0.07
 
+    def test_non_finite_field_names_row_and_column(self, tmp_path):
+        path = tmp_path / "ion.csv"
+        values = ["0.5"] * 34
+        values[3] = "inf"
+        path.write_text(",".join(values) + ",g\n")
+        with pytest.raises(DataError, match=r"row 0, column 3: non-finite value 'inf'"):
+            load_csv_signals(path, "ionosphere")
+
     def test_unknown_token(self, tmp_path):
         path = tmp_path / "tok.csv"
         with open(path, "w") as fh:
@@ -103,6 +121,16 @@ class TestGenericLoader:
         assert ds.class_names == ["cat", "dog"]
         npt.assert_array_equal(ds.labels, [1, 0])
         npt.assert_array_equal(ds.features[0, :, 0], [1.0, 2.0, 3.0])
+
+    def test_non_finite_field_names_row_and_column(self, tmp_path):
+        # the column index is the file's, counting the label column
+        path = tmp_path / "gen.csv"
+        path.write_text("f1,f2,kind,f3\n1.0,2.0,dog,3.0\n4.0,5.0,cat,nan\n")
+        with pytest.raises(DataError, match=r"row 2, column 3: non-finite value 'nan'"):
+            load_csv_signals(path, "generic", label_col="kind")
+        path.write_text("f1,kind,f2\n1.0,dog,oops\n")
+        with pytest.raises(DataError, match=r"row 1, column 2: non-numeric value 'oops'"):
+            load_csv_signals(path, "generic", label_col="kind")
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "gen.csv"

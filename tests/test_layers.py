@@ -74,6 +74,16 @@ class TestConv1D:
         y, _ = conv1d_forward(x, p)
         assert y.tobytes() == ref.tobytes()
 
+    def test_backward_hand_calculation(self):
+        # y_t = x_t - x_{t+1}; with dy = 1 everywhere dK[j] sums the x rows
+        # each kernel tap saw and db counts the outputs; there is no dx
+        x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)
+        p = Conv1DParams(K=np.array([1.0, -1.0]).reshape(2, 1, 1), b=np.zeros(1))
+        _, cache = conv1d_forward(x, p)
+        dK, db = conv1d_backward(cache, np.ones((1, 2, 1)))
+        npt.assert_array_equal(dK[:, 0, 0], [3.0, 5.0])
+        npt.assert_array_equal(db, [2.0])
+
     def test_too_short_sequence(self):
         p = Conv1DParams(K=np.zeros((4, 1, 2)), b=np.zeros(2))
         with pytest.raises(ShapeError):

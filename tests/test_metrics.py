@@ -12,7 +12,6 @@ from temporal_augmenter.metrics import (
     auc_ovr,
     classification_report,
     confusion,
-    expected_agreement_from_kappa,
     format_class_table,
     format_overall_table,
     format_report,
@@ -28,6 +27,11 @@ from temporal_augmenter.tensor_core import Rng
 # ---------------------------------------------------------------------------
 # independent brute-force oracles (definitional formulas, no shared code)
 # ---------------------------------------------------------------------------
+
+def expected_agreement_from_kappa(p_o: float, kappa: float) -> float:
+    """Invert kappa = (p_o - p_e)/(1 - p_e) to recover p_e."""
+    return (p_o - kappa) / (1.0 - kappa)
+
 
 def brute_per_class(counts):
     n = counts.sum()

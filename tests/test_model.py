@@ -1,10 +1,12 @@
 import copy
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from temporal_augmenter import gradcheck, layers, model as model_mod, optim, recurrent
+from temporal_augmenter.data import DataError
 from temporal_augmenter.model import (
     ModelConfig,
     TraceError,
@@ -290,7 +292,7 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     d = layers.maxpool1d_backward(pool_cache, d)
     if cfg.conv_activation == "relu":
         d = layers.relu_backward(act_cache, d)
-    _, dK, db = layers.conv1d_backward(conv_cache, d)
+    dK, db = layers.conv1d_backward(conv_cache, d)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     grads.update({f"{sp.kind}.cell.{k}": g for k, g in cell_grads.items()})
     return grads
@@ -334,6 +336,71 @@ class TestStreamOrder:
         assert all(cache[4] is not None for cache in train_trace.stream_caches)
 
 
+def miniature_checkpoint_bytes(tmp_path) -> bytes:
+    path = tmp_path / "mini.tackpt"
+    save_checkpoint(path, build(gradcheck.miniature_config(), Rng(44)),
+                    extras={"class_names": ["a", "b", "c"]},
+                    extra_tensors={"scaler_mean": Rng(45).uniform((5, 2))})
+    return path.read_bytes()
+
+
+def split_checkpoint(blob: bytes):
+    """(header dict, [tensor arrays]) of a well-formed checkpoint."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + hlen])
+    flat = np.frombuffer(blob[16 + hlen:], dtype="<f8")
+    arrays, offset = [], 0
+    for entry in header["tensors"]:
+        size = int(np.prod(entry["shape"]))
+        arrays.append(flat[offset:offset + size].reshape(entry["shape"]))
+        offset += size
+    return header, arrays
+
+
+def join_checkpoint(header_bytes: bytes, arrays) -> bytes:
+    return (b"TACKPT01" + len(header_bytes).to_bytes(8, "little") + header_bytes
+            + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays))
+
+
+def _entry(header, name):
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+def _shrink_bias(header, arrays):
+    # a [1] tensor where the model has [3] must not broadcast into it
+    _entry(header, "head.out.b")["shape"] = [1]
+    idx = [e["name"] for e in header["tensors"]].index("head.out.b")
+    arrays[idx] = arrays[idx][:1]
+    return join_checkpoint(json.dumps(header).encode(), arrays)
+
+
+# Each edits the parsed header in place; the file is then re-encoded whole.
+HEADER_EDITS = {
+    "version": lambda h: h.update(version=2),
+    "no_version": lambda h: h.pop("version"),
+    "config_unknown_key": lambda h: h["config"].update(bogus=1),
+    "config_bad_value": lambda h: h["config"].update(pool_size=0),
+    "config_bad_type": lambda h: h["config"].update(dense_sizes="x"),
+    "config_missing": lambda h: h.pop("config"),
+    "extras_not_object": lambda h: h.update(extras=[1]),
+    "tensor_missing": lambda h: _entry(h, "gru.cell.U_r").update(name="gru.cell.U_x"),
+    "tensor_entry_no_shape": lambda h: _entry(h, "head.out.b").pop("shape"),
+    "tensor_negative_dim": lambda h: _entry(h, "extra.scaler_mean").update(shape=[-5, -2]),
+    "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.K")["shape"].reverse(),
+}
+
+# Each maps (header, arrays) of a good checkpoint to the bytes of a bad one.
+RAW_CORRUPTIONS = {
+    "length_past_end": lambda h, a: (b"TACKPT01" + (10 ** 9).to_bytes(8, "little")
+                                     + json.dumps(h).encode()),
+    "not_utf8": lambda h, a: join_checkpoint(json.dumps(h).encode()[:-1] + b"\xff", a),
+    "not_json": lambda h, a: join_checkpoint(json.dumps(h).encode()[1:] + b" ", a),
+    "not_an_object": lambda h, a: join_checkpoint(json.dumps([h]).encode(), a),
+    "tensor_shrunk_to_one": _shrink_bias,
+    "length_short_of_tensors": lambda h, a: join_checkpoint(json.dumps(h).encode(), a[:-1]),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = radar_config(dense_sizes=(12, 6))
@@ -354,7 +421,33 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tackpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(DataError, match="magic"):
+            load_checkpoint(path)
+
+    def test_truncated_at_every_offset_rejected(self, tmp_path):
+        blob = miniature_checkpoint_bytes(tmp_path)
+        path = tmp_path / "cut.tackpt"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="cut.tackpt"):
+                load_checkpoint(path)
+        path.write_bytes(blob + b"\x00" * 8)
+        with pytest.raises(DataError, match="bytes"):
+            load_checkpoint(path)
+        path.write_bytes(blob)
+        load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(HEADER_EDITS) + sorted(RAW_CORRUPTIONS))
+    def test_corrupt_header_rejected(self, tmp_path, case):
+        header, arrays = split_checkpoint(miniature_checkpoint_bytes(tmp_path))
+        if case in HEADER_EDITS:
+            HEADER_EDITS[case](header)
+            blob = join_checkpoint(json.dumps(header).encode(), arrays)
+        else:
+            blob = RAW_CORRUPTIONS[case](header, arrays)
+        path = tmp_path / "bad.tackpt"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="bad.tackpt"):
             load_checkpoint(path)
 
     def test_config_survives(self, tmp_path):

@@ -189,6 +189,17 @@ class TestFit:
         with pytest.raises(ValueError, match="label out of range"):
             fit(tiny_model(k=2), ds, ds, TrainConfig(epochs=1))
 
+    def test_validation_label_out_of_range_rejected(self):
+        ds = tiny_dataset(k=2)
+        wide = Dataset(features=ds.features, labels=ds.labels + 2,
+                       class_names=["0", "1", "2", "3"])
+        with pytest.raises(ValueError, match="validation label out of range"):
+            fit(tiny_model(k=2), ds, wide, TrainConfig(epochs=1))
+        negative = tiny_dataset(k=2)
+        negative.labels[0] = -1  # would select the last one-hot column
+        with pytest.raises(ValueError, match="validation label out of range"):
+            fit(tiny_model(k=2), ds, negative, TrainConfig(epochs=1))
+
     def test_nan_loss_raises_divergence_with_location(self):
         ds = tiny_dataset()
         net = tiny_model()

@@ -5,34 +5,66 @@ import numpy.testing as npt
 import pytest
 
 from temporal_augmenter import gradcheck
+from temporal_augmenter.model import ModelConfig
 from temporal_augmenter.recurrent import (
     GRUParams,
     LSTMParams,
+    gru_backward,
     gru_forward,
-    gru_step,
     init_gru_params,
     init_lstm_params,
     lstm_forward,
-    lstm_step,
     params_as_dict,
-    unroll,
-    unroll_backward,
 )
-from temporal_augmenter.tensor_core import Rng, ShapeError
+from temporal_augmenter.tensor_core import (
+    Rng,
+    ShapeError,
+    init_glorot_uniform,
+    init_orthogonal,
+    sigmoid,
+)
 
 
 def zero_lstm(d, u):
-    z = lambda *s: np.zeros(s)
-    return LSTMParams(W_f=z(d, u), W_i=z(d, u), W_g=z(d, u), W_o=z(d, u),
-                      U_f=z(u, u), U_i=z(u, u), U_g=z(u, u), U_o=z(u, u),
-                      b_f=z(u), b_i=z(u), b_g=z(u), b_o=z(u))
+    return LSTMParams(W=np.zeros((d, 4 * u)), U=np.zeros((u, 4 * u)), b=np.zeros(4 * u))
 
 
 def zero_gru(d, u):
-    z = lambda *s: np.zeros(s)
-    return GRUParams(W_z=z(d, u), W_r=z(d, u), W_h=z(d, u),
-                     U_z=z(u, u), U_r=z(u, u), U_h=z(u, u),
-                     b_z=z(u), b_r=z(u), b_h=z(u))
+    return GRUParams(W=np.zeros((d, 3 * u)), U_zr=np.zeros((u, 2 * u)), U_h=np.zeros((u, u)),
+                     b=np.zeros(3 * u))
+
+
+# ---------------------------------------------------------------------------
+# naive one-step oracles for the fused cells, written gate by gate on the
+# per-gate views
+# ---------------------------------------------------------------------------
+
+def _check_step_shapes(kind, x_t, h, p):
+    if x_t.ndim != 2 or x_t.shape[1] != p.input_size:
+        raise ShapeError(f"{kind} input {x_t.shape} incompatible with input size {p.input_size}")
+    if h.shape != (x_t.shape[0], p.units):
+        raise ShapeError(f"{kind} state {h.shape} incompatible with batch {x_t.shape[0]}, units {p.units}")
+
+
+def lstm_step(x_t, h, c, p):
+    """One LSTM step; returns (h', c')."""
+    _check_step_shapes("lstm", x_t, h, p)
+    f = sigmoid(x_t @ p.W_f + h @ p.U_f + p.b_f)
+    i = sigmoid(x_t @ p.W_i + h @ p.U_i + p.b_i)
+    g = np.tanh(x_t @ p.W_g + h @ p.U_g + p.b_g)
+    o = sigmoid(x_t @ p.W_o + h @ p.U_o + p.b_o)
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new
+
+
+def gru_step(x_t, h, p):
+    """One GRU step; returns h'."""
+    _check_step_shapes("gru", x_t, h, p)
+    z = sigmoid(x_t @ p.W_z + h @ p.U_z + p.b_z)
+    r = sigmoid(x_t @ p.W_r + h @ p.U_r + p.b_r)
+    hc = np.tanh(x_t @ p.W_h + (r * h) @ p.U_h + p.b_h)
+    return z * h + (1.0 - z) * hc
 
 
 class TestLSTMStep:
@@ -77,20 +109,20 @@ class TestUnroll:
         rng = Rng(61)
         p = init_lstm_params(3, 4, rng)
         x = rng.uniform((5, 1, 3)) * 2 - 1
-        last, _ = unroll("lstm", x, p)
+        hs, _ = lstm_forward(x, p)
         h1, _ = lstm_step(x[:, 0, :], np.zeros((5, 4)), np.zeros((5, 4)), p)
-        npt.assert_array_equal(last, h1)
+        npt.assert_array_equal(hs[:, -1], h1)
 
         p2 = init_gru_params(3, 4, rng)
-        last2, _ = unroll("gru", x, p2)
-        npt.assert_array_equal(last2, gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
+        hs2, _ = gru_forward(x, p2)
+        npt.assert_array_equal(hs2[:, -1], gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
 
     def test_zero_params_gru_fixed_point_any_length(self):
         p = zero_gru(2, 3)
         for T in (1, 4, 9):
             x = Rng(62).uniform((3, T, 2)) * 2 - 1
-            last, _ = unroll("gru", x, p)
-            npt.assert_array_equal(last, np.zeros((3, 3)))
+            hs, _ = gru_forward(x, p)
+            npt.assert_array_equal(hs[:, -1], np.zeros((3, 3)))
 
     def test_empty_sequence_rejected(self):
         p = zero_gru(2, 3)
@@ -98,23 +130,77 @@ class TestUnroll:
             gru_forward(np.zeros((3, 0, 2)), p)
 
     def test_unknown_cell(self):
-        with pytest.raises(ValueError):
-            unroll("rnn", np.zeros((1, 1, 2)), zero_gru(2, 3))
+        # the cell name is read from the model config, which takes gru or lstm only
+        with pytest.raises(ValueError, match="streams"):
+            ModelConfig(input_timesteps=4, input_channels=2, num_classes=2, streams=("rnn",))
 
     def test_unroll_gradients_match_fd(self):
         rng = Rng(63)
         p = init_gru_params(2, 3, rng)
         x = rng.uniform((3, 3, 2)) * 2 - 1
         proj = rng.uniform((3, 3)) * 2 - 1
-        last, cache = unroll("gru", x, p)
-        dx, grads = unroll_backward(cache, proj)
+        hs, cache = gru_forward(x, p)
+        d_hs = np.zeros(hs.shape)
+        d_hs[:, -1] = proj
+        dx, grads = gru_backward(cache, d_hs)
 
         def objective():
-            return float(np.sum(unroll("gru", x, p)[0] * proj))
+            return float(np.sum(gru_forward(x, p)[0][:, -1] * proj))
 
         assert gradcheck.max_rel_err(dx, gradcheck.fd_grad(objective, x)) < 1e-4
         for name, arr in params_as_dict(p).items():
             assert gradcheck.max_rel_err(grads[name], gradcheck.fd_grad(objective, arr)) < 1e-4
+
+
+class TestFusedLayout:
+    def test_gate_names_are_views_in_parameter_order(self):
+        p = init_lstm_params(3, 4, Rng(70))
+        assert list(params_as_dict(p)) == [f"{m}_{g}" for m in "WUb" for g in "figo"]
+        for gate, slot in zip("fiog", range(4)):
+            cols = slice(4 * slot, 4 * slot + 4)
+            assert getattr(p, f"W_{gate}").base is p.W
+            npt.assert_array_equal(getattr(p, f"U_{gate}"), p.U[:, cols])
+        p.b_o[:] = 7.0
+        npt.assert_array_equal(p.b, [0.0] * 8 + [7.0] * 4 + [0.0] * 4)
+
+        g = init_gru_params(3, 4, Rng(71))
+        assert list(params_as_dict(g)) == ["W_z", "W_r", "W_h", "U_z", "U_r", "U_h",
+                                           "b_z", "b_r", "b_h"]
+        assert params_as_dict(g)["U_h"] is g.U_h and g.U_r.base is g.U_zr
+        g.W_h[...] = 2.0
+        npt.assert_array_equal(g.W[:, 8:], 2.0)
+        with pytest.raises(AttributeError):
+            g.W_f
+
+    def test_init_draws_each_gate_in_name_order(self):
+        d, u = 3, 4
+        for init, gates in ((init_lstm_params, "figo"), (init_gru_params, "zrh")):
+            p = init(d, u, Rng(72))
+            rng = Rng(72)
+            for g in gates:
+                assert getattr(p, f"W_{g}").tobytes() == \
+                    init_glorot_uniform(d, u, (d, u), rng).tobytes()
+            for g in gates:
+                assert getattr(p, f"U_{g}").tobytes() == init_orthogonal(u, u, rng).tobytes()
+            assert not any(getattr(p, f"b_{g}").any() for g in gates)
+
+    def test_forward_matches_step_oracle_over_time(self):
+        rng = Rng(73)
+        x = rng.uniform((4, 7, 3)) * 2 - 1
+        pl = init_lstm_params(3, 5, rng)
+        pg = init_gru_params(3, 5, rng)
+        for p in (pl, pg):
+            for name, arr in params_as_dict(p).items():
+                if name.startswith("b_"):
+                    arr += rng.uniform(arr.shape) - 0.5
+        h, c, hg = np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((4, 5))
+        hs, _ = lstm_forward(x, pl)
+        hsg, _ = gru_forward(x, pg)
+        for t in range(7):
+            h, c = lstm_step(x[:, t], h, c, pl)
+            hg = gru_step(x[:, t], hg, pg)
+            npt.assert_allclose(hs[:, t], h, rtol=0, atol=1e-14)
+            npt.assert_allclose(hsg[:, t], hg, rtol=0, atol=1e-14)
 
 
 class TestGateRanges:

@@ -4,18 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from temporal_augmenter.layers import DenseParams, dense_forward, relu_forward
 from temporal_augmenter.tensor_core import (
     Rng,
     ShapeError,
-    elementwise,
     init_glorot_uniform,
     init_he_uniform,
     init_orthogonal,
-    matmul,
-    relu,
     sigmoid,
     softmax,
-    tanh,
 )
 
 
@@ -30,6 +27,11 @@ def naive_matmul(a, b):
             for t in range(k):
                 out[i, j] += a[i, t] * b[t, j]
     return out
+
+
+def matmul(a, b):
+    """The engine's shape-checked 2-D product: a dense layer with zero bias."""
+    return dense_forward(a, DenseParams(W=b, b=np.zeros(b.shape[1])))[0]
 
 
 class TestMatmul:
@@ -63,36 +65,12 @@ class TestElementwise:
         assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_relu_definition(self):
-        npt.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_tanh_scalar_table(self):
-        # math.tanh as the independent scalar oracle
-        got = tanh(np.array([0.4]))[0]
-        assert abs(got - math.tanh(0.4)) == 0.0
-        assert abs(got - 0.379949) < 1e-6
+        npt.assert_array_equal(relu_forward(np.array([-1.0, 0.0, 2.0]))[0], [0.0, 0.0, 2.0])
 
     def test_sigmoid_extreme_inputs_finite(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out))
         npt.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-    def test_dispatch(self):
-        npt.assert_array_equal(elementwise("add", np.ones(3), np.ones(3)), np.full(3, 2.0))
-        npt.assert_array_equal(elementwise("sub", np.ones(3), np.ones(3)), np.zeros(3))
-        npt.assert_array_equal(elementwise("mul", np.full(3, 2.0), np.full(3, 3.0)), np.full(3, 6.0))
-        npt.assert_array_equal(elementwise("relu", np.array([-1.0, 1.0])), [0.0, 1.0])
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            elementwise("add", np.ones(3), np.ones(4))
-
-    def test_dispatch_arity_errors(self):
-        with pytest.raises(ValueError):
-            elementwise("sigmoid", np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            elementwise("add", np.ones(2))
-        with pytest.raises(ValueError):
-            elementwise("nope", np.ones(2))
 
 
 class TestSoftmax:
