@@ -18,7 +18,17 @@ import numpy as np
 from . import gradcheck as gradcheck_mod
 from . import metrics, model as model_mod, optim
 from .config import ConfigError, RunConfig, format_config, load_config
-from .data import DataError, Dataset, apply_scaler, fit_scaler, load_csv_signals, load_wav_dir, split
+from .data import (
+    DataError,
+    Dataset,
+    ScalerParams,
+    SplitSpec,
+    apply_scaler,
+    fit_scaler,
+    load_csv_signals,
+    load_wav_dir,
+    split,
+)
 from .model import ModelConfig
 from .optim import TrainingDivergenceError
 from .tensor_core import Rng
@@ -119,13 +129,57 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checked_extras(path, extras: dict, num_classes: int) -> dict:
+    """The checkpoint extras that eval reads, with train's defaults for absent keys.
+
+    A value train could not have written raises DataError naming ``path``
+    and the key, so an edited header exits 3 instead of failing later.
+    """
+    def bad(key, expected, value):
+        return DataError(f"{path}: checkpoint extra {key!r} must be {expected}, got {value!r}")
+
+    schema = extras.get("schema", "generic")
+    target_len = extras.get("target_len", 1024)
+    label_col = extras.get("label_col")
+    names = extras.get("class_names")
+    if not isinstance(schema, str):
+        raise bad("schema", "a string", schema)
+    if type(target_len) is not int or target_len < 1:
+        raise bad("target_len", "a positive integer", target_len)
+    if label_col is not None and not isinstance(label_col, str):
+        raise bad("label_col", "a string or null", label_col)
+    if names is not None and (not isinstance(names, list) or len(names) != num_classes
+                              or not all(isinstance(c, str) for c in names)):
+        raise bad("class_names", f"a list of {num_classes} strings", names)
+    split_info = extras.get("split", {})
+    if not isinstance(split_info, dict):
+        raise bad("split", "an object", split_info)
+    ratios = split_info.get("ratios", [0.6, 0.2, 0.2])
+    seed = split_info.get("seed", 0)
+    stratified = split_info.get("stratified", False)
+    if not isinstance(ratios, list) or not all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios):
+        raise bad("split.ratios", "a list of numbers", ratios)
+    if type(seed) is not int:
+        raise bad("split.seed", "an integer", seed)
+    if type(stratified) is not bool:
+        raise bad("split.stratified", "a boolean", stratified)
+    spec = SplitSpec(ratios=tuple(ratios), seed=seed, stratified=stratified)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise DataError(f"{path}: checkpoint extra 'split.ratios': {exc}") from None
+    return {"schema": schema, "target_len": target_len, "label_col": label_col,
+            "class_names": names, "split": spec}
+
+
 def cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise DataError(f"checkpoint not found: {args.checkpoint}")
     net, extras, extra_tensors = model_mod.load_checkpoint(args.checkpoint)
-    schema = extras.get("schema", "generic")
-    ds = _load_dataset(schema, args.data, extras.get("target_len", 1024),
-                       extras.get("label_col"))
+    settings = _checked_extras(args.checkpoint, extras, net.config.num_classes)
+    ds = _load_dataset(settings["schema"], args.data, settings["target_len"],
+                       settings["label_col"])
     if ds.num_classes != net.config.num_classes:
         raise ConfigError(
             f"class-count mismatch: checkpoint expects {net.config.num_classes} "
@@ -135,20 +189,14 @@ def cmd_eval(args) -> int:
             f"schema mismatch: checkpoint expects inputs "
             f"[{net.config.input_timesteps}, {net.config.input_channels}], data is "
             f"{list(ds.features.shape[1:])}")
-    split_info = extras.get("split", {})
-    from .data import SplitSpec  # local import keeps the module surface tidy
-    spec = SplitSpec(ratios=tuple(split_info.get("ratios", (0.6, 0.2, 0.2))),
-                     seed=int(split_info.get("seed", 0)),
-                     stratified=bool(split_info.get("stratified", False)))
-    parts = dict(zip(("train", "val", "test"), split(ds, spec)))
+    parts = dict(zip(("train", "val", "test"), split(ds, settings["split"])))
     subset = parts[args.split]
     if "scaler_mean" in extra_tensors:
-        from .data import ScalerParams
         subset = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
                                            std=extra_tensors["scaler_std"]), subset)
     probs = optim.predict_probs(net, subset.features)
     report = metrics.classification_report(subset.labels, probs,
-                                           extras.get("class_names", ds.class_names),
+                                           settings["class_names"] or ds.class_names,
                                            split=args.split,
                                            total_params=model_mod.param_count(net))
     print(metrics.format_report(report))

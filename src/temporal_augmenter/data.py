@@ -272,7 +272,7 @@ class SplitSpec:
     stratified: bool = False
 
     def validate(self) -> None:
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
+        if len(self.ratios) != 3 or not all(r > 0 for r in self.ratios):  # NaN fails too
             raise ValueError(f"need three positive ratios, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"ratios must sum to 1, got {self.ratios}")

@@ -8,11 +8,12 @@ All caches are plain tuples documented next to the forward function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Rng, ShapeError, Tensor
+from .tensor_core import Rng, ShapeError, Tensor, is_train_mode
 
 
 @dataclass
@@ -116,7 +117,7 @@ def conv1d_backward(cache, dy: Tensor):
 # max pooling over time
 # ---------------------------------------------------------------------------
 
-def maxpool1d_forward(x: Tensor, pool: int):
+def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
     """Non-overlapping window max over time; trailing remainder steps dropped.
 
     x [n, T, c] -> y [n, T // pool, c];  cache = (x.shape, mask) where mask is
@@ -124,12 +125,13 @@ def maxpool1d_forward(x: Tensor, pool: int):
     index on ties (as ``argmax`` picks).  The max is a running ``np.maximum``
     over the strided window view; it keeps its second operand on ties, so a
     tie between -0.0 and +0.0 also keeps the first one.  A window holding NaN
-    gives NaN and marks no winner.
+    gives NaN and marks no winner.  Eval mode builds no mask; its cache is None.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d input must be [n, T, c], got {x.shape}")
+    train = is_train_mode(mode)
     n, T, c = x.shape
     if pool > T:
         raise ShapeError(f"pool window {pool} exceeds sequence length {T}")
@@ -138,6 +140,8 @@ def maxpool1d_forward(x: Tensor, pool: int):
     y = windows[:, :, 0].copy()
     for j in range(1, pool):
         np.maximum(windows[:, :, j], y, out=y)
+    if not train:
+        return y, None
     mask = np.empty(windows.shape, dtype=bool)
     seen = np.zeros(y.shape, dtype=bool)
     for j in range(pool):
@@ -170,18 +174,27 @@ def maxpool1d_backward(cache, dy: Tensor):
 def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
     """Inverted dropout: keep with probability 1-rate, scale kept values by 1/(1-rate).
 
+    An element is kept when its draw ``u = (w >> 11) * 2**-53`` from the raw
+    word ``w`` is ``>= rate``, as ``rng.uniform`` would give it.  Both
+    ``w >> 11`` and ``rate * 2**53`` are exact, so ``u >= rate`` holds exactly
+    when the integer ``w >> 11`` is ``>= ceil(rate * 2**53)``, that is when
+    ``w >= ceil(rate * 2**53) << 11``.  For rate < 1 that threshold is at most
+    ``(2**53 - 1) << 11 < 2**64``, so the mask is one uint64 comparison of the
+    raw words, with no float conversion.  Draws are taken in C order, one per
+    element, so masks drawn block after block over consecutive rows equal
+    one mask drawn for the whole array.
+
     Eval mode and rate 0 are the identity and consume no rng draws.
     cache = (keep_mask | None, scale).
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if not is_train_mode(mode) or rate == 0.0:
         return x, (None, 1.0)
     if rng is None:
         raise ValueError("train-mode dropout with rate > 0 requires an rng")
-    keep = rng.uniform(x.shape) >= rate
+    threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
+    keep = (rng.next_uint64(x.size) >= threshold).reshape(x.shape)
     scale = 1.0 / (1.0 - rate)
     return x * keep * scale, (keep, scale)
 
@@ -193,9 +206,11 @@ def dropout_backward(cache, dy: Tensor):
     return dy * keep * scale
 
 
-def relu_forward(x: Tensor):
-    """y = max(0, x); cache is the strict positive mask (gradient 0 at x == 0)."""
-    return np.maximum(x, 0.0), x > 0
+def relu_forward(x: Tensor, mode: str = "train"):
+    """y = max(0, x); cache is the strict positive mask (gradient 0 at x == 0),
+    or None in eval mode."""
+    y = np.maximum(x, 0.0)
+    return y, (x > 0 if is_train_mode(mode) else None)
 
 
 def relu_backward(mask, dy: Tensor):

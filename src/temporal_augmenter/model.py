@@ -14,14 +14,32 @@ gradient is negative, and in a window whose max is <= 0 it may sit at a
 different position; the kernel and bias gradients sum over positions, so
 at most the sign of a kernel gradient entry that is exactly zero can differ.
 
+Each stream runs its front-end (conv1d -> maxpool -> activation -> dropout)
+over blocks of batch rows, so a block's intermediates stay in cache instead
+of streaming whole [n, T, F] arrays through memory.  A block holds
+``rows = max(1, _BLOCK_BYTES // (T_conv * F * 8))`` rows, the most whose
+float64 conv output [rows, T_conv, F] fits in ``_BLOCK_BYTES``; the last
+block takes what is left.  Each block's dropout output is written into one
+[n, T_out, F] cell input.  Blocking changes no bit: conv1d computes each
+sample on its own (a per-sample product with K), pooling, the activation and
+the dropout scaling are elementwise, and the dropout draws are counter-based
+SplitMix64 words taken in C order, so drawing block after block in row order
+yields the very words of one draw over the whole array.  The backward runs
+dropout -> activation -> maxpool per block into one [n, T_conv, F] gradient
+and then calls ``conv1d_backward`` once on the whole batch: its kernel and
+bias gradients are sums over every (sample, step) pair, and summing per
+block would change their order.
+
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
 ``config.streams`` order the conv kernel (he-uniform) then the cell
 parameters (glorot-uniform input weights, orthogonal recurrent weights);
 then the head layers first-to-last (glorot-uniform).  Biases are zero.
 
-Train-mode forward consumes rng draws in the same stream order (one dropout
-mask per stream, then the head dropout).  Eval-mode forward consumes none.
+Train-mode forward consumes rng draws in the same stream order: one dropout
+mask per stream, one word per element of the [n, T_out, F] cell input
+(drawn block by block, the same words as one whole-array draw), then the
+head dropout.  Eval-mode forward consumes none.
 """
 
 from __future__ import annotations
@@ -36,6 +54,11 @@ from . import layers, recurrent
 from .data import DataError
 from .layers import Conv1DParams, DenseParams
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
+
+
+# Bytes of one [rows, T_conv, F] conv-output block in the stream front-end:
+# about half an L2 cache, so a block's intermediates stay in cache.
+_BLOCK_BYTES = 512 * 1024
 
 
 class TraceError(RuntimeError):
@@ -176,22 +199,33 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
 
 
 def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
-    y, conv_cache = layers.conv1d_forward(x, sp.conv)
-    y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
-    if cfg.conv_activation == "relu":
-        y, act_cache = layers.relu_forward(y)
-    else:
+    """One stream over the batch; cache = ((x, conv params), blocks, cell cache,
+    hs shape), with one (start, stop, pool, activation, dropout cache) per block."""
+    n, T, _ = x.shape
+    T_conv = T - cfg.conv_kernel + 1
+    F = cfg.conv_filters
+    rows = max(1, _BLOCK_BYTES // (T_conv * F * 8))
+    cell_in = np.empty((n, cfg.recurrent_timesteps, F))
+    blocks = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        y, _ = layers.conv1d_forward(x[start:stop], sp.conv)
+        y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size, mode)
         act_cache = None
-    y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
+        if cfg.conv_activation == "relu":
+            y, act_cache = layers.relu_forward(y, mode)
+        y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
+        cell_in[start:stop] = y
+        blocks.append((start, stop, pool_cache, act_cache, drop_cache))
     if sp.kind == "gru":
-        hs, cell_cache = recurrent.gru_forward(y, sp.cell, mode=mode)
+        hs, cell_cache = recurrent.gru_forward(cell_in, sp.cell, mode=mode)
     else:
-        hs, cell_cache = recurrent.lstm_forward(y, sp.cell, mode=mode)
+        hs, cell_cache = recurrent.lstm_forward(cell_in, sp.cell, mode=mode)
     if cfg.return_sequences:
         out = hs.reshape(hs.shape[0], -1)
     else:
         out = hs[:, -1]
-    return out, (conv_cache, pool_cache, act_cache, drop_cache, cell_cache, hs.shape)
+    return out, ((x, sp.conv), blocks, cell_cache, hs.shape)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -211,7 +245,7 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
     head_caches = []
     for idx, dp in enumerate(model.head[:-1]):
         z, dense_cache = layers.dense_forward(a, dp)
-        a, relu_cache = layers.relu_forward(z)
+        a, relu_cache = layers.relu_forward(z, mode)
         drop_cache = None
         if idx == 0:
             a, drop_cache = layers.dropout_forward(a, cfg.dropout_head, mode, rng)
@@ -223,21 +257,24 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
 
 
 def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> dict:
-    conv_cache, pool_cache, act_cache, drop_cache, cell_cache, hs_shape = cache
+    conv_cache, blocks, cell_cache, hs_shape = cache
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
     else:
         d_hs = np.zeros(hs_shape)
         d_hs[:, -1] = d_out
     if sp.kind == "gru":
-        d, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
+        d_cell, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
     else:
-        d, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    d = layers.dropout_backward(drop_cache, d)
-    if cfg.conv_activation == "relu":
-        d = layers.relu_backward(act_cache, d)
-    d = layers.maxpool1d_backward(pool_cache, d)
-    dK, db = layers.conv1d_backward(conv_cache, d)
+        d_cell, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
+    x = conv_cache[0]
+    d_conv = np.empty((x.shape[0], x.shape[1] - cfg.conv_kernel + 1, cfg.conv_filters))
+    for start, stop, pool_cache, act_cache, drop_cache in blocks:
+        d = layers.dropout_backward(drop_cache, d_cell[start:stop])
+        if cfg.conv_activation == "relu":
+            d = layers.relu_backward(act_cache, d)
+        d_conv[start:stop] = layers.maxpool1d_backward(pool_cache, d)
+    dK, db = layers.conv1d_backward(conv_cache, d_conv)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     for name, g in cell_grads.items():
         grads[f"{sp.kind}.cell.{name}"] = g

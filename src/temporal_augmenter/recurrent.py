@@ -41,7 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_orthogonal, sigmoid
+from .tensor_core import (
+    Rng,
+    ShapeError,
+    Tensor,
+    init_glorot_uniform,
+    init_orthogonal,
+    is_train_mode,
+    sigmoid,
+)
 
 # per-gate name -> (stored block, gate slot in that block)
 _LSTM_VIEWS = {f"{m}_{g}": (m, "fiog".index(g)) for m in "WUb" for g in "figo"}
@@ -143,7 +151,7 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
     cache is None.
     """
     n, T, d = _check_seq(x, p)
-    train = _is_train(mode)
+    train = is_train_mode(mode)
     u = p.units
     h = np.zeros((n, u)) if h0 is None else h0
     c = np.zeros((n, u)) if c0 is None else c0
@@ -207,8 +215,9 @@ def lstm_backward(cache, d_hs: Tensor):
         dh_carry = dat @ p.U.T
     da2 = da.reshape(n * T, 4 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
+    # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
     dp = LSTMParams(W=x.reshape(n * T, d).T @ da2,
-                    U=np.tensordot(h_prev, da, axes=([0, 1], [0, 1])),
+                    U=np.dot(h_prev.reshape(n * T, u).T, da2),
                     b=da2.sum(axis=0))
     # the key order sets the summation order of global-norm clipping
     return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for k in "fiog" for m in "WUb"}
@@ -221,7 +230,7 @@ def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "
     cache is None.
     """
     n, T, d = _check_seq(x, p)
-    train = _is_train(mode)
+    train = is_train_mode(mode)
     u = p.units
     h = np.zeros((n, u)) if h0 is None else h0
     px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
@@ -274,18 +283,13 @@ def gru_backward(cache, d_hs: Tensor):
         dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U_zr.T
     da2 = da.reshape(n * T, 3 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
+    # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
     dp = GRUParams(W=x.reshape(n * T, d).T @ da2,
-                   U_zr=np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1])),
-                   U_h=np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1])),
+                   U_zr=np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
+                   U_h=np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:]),
                    b=da2.sum(axis=0))
     # the key order sets the summation order of global-norm clipping
     return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for m in "WbU" for k in "zrh"}
-
-
-def _is_train(mode: str) -> bool:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return mode == "train"
 
 
 def _check_seq(x: Tensor, p) -> tuple:

@@ -18,6 +18,13 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+def is_train_mode(mode: str) -> bool:
+    """True for "train", False for "eval"; any other mode raises ValueError."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    return mode == "train"
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, evaluated on the numerically safe branch per sign."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,13 +1,23 @@
 import filecmp
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import temporal_augmenter
 from temporal_augmenter import cli, gradcheck, layers
 from temporal_augmenter.config import ConfigError, PRESETS, load_config, parse_config_text, preset_run_config
-from temporal_augmenter.synth import make_radar_dataset, write_radar_csv, write_tone_corpus
+from temporal_augmenter.synth import (
+    make_heartbeat_dataset,
+    make_radar_dataset,
+    write_heartbeat_csv,
+    write_radar_csv,
+    write_tone_corpus,
+)
 from temporal_augmenter.tensor_core import Rng
 
 
@@ -96,6 +106,8 @@ class TestConfigParsing:
     def test_invalid_ratios_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("task = tess\nsplit_train = 0.9\n")
+        with pytest.raises(ConfigError, match="positive ratios"):
+            parse_config_text("task = tess\nsplit_val = nan\n")
 
     def test_custom_requires_label_col(self):
         with pytest.raises(ConfigError, match="label_col"):
@@ -168,6 +180,44 @@ class TestTrainCommand:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out", epochs=1))
         assert cli.main(["train", "--config", str(cfg_path)]) == 4
+
+
+class TestPinnedDigests:
+    def test_heartbeat_run_matches_recorded_digests(self, tmp_path):
+        """A fixed-seed heartbeat run writes the same bytes as the commits before it.
+
+        The two-runs-agree tests cannot see a change that moves bits in both
+        runs; these literals can.  The run has the mitbih shape (T = 187,
+        128 filters), stream and head dropout on, and batches of 7 rows, an
+        odd count, so a batch spans several front-end blocks and ends in a
+        short one.  It runs in a child process with BLAS on one thread:
+        threaded OpenBLAS splits the long inner sum of a skinny product
+        such as the cells' input-weight gradient at this batch size, so the
+        bits depend on the thread count.  The digests were recorded with
+        numpy 2.4.6 on OpenBLAS 0.3.31.  Another BLAS build may order its
+        floating-point sums differently and so legitimately produce other
+        digests.
+        """
+        data = tmp_path / "beats.csv"
+        write_heartbeat_csv(data, make_heartbeat_dataset(60, Rng(900)))
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = mitbih\ndata = {data}\nout = {out}\nseed = 5\n"
+                            f"epochs = 2\nbatch_size = 7\n")
+        src = os.path.dirname(os.path.dirname(temporal_augmenter.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        subprocess.run([sys.executable, "-m", "temporal_augmenter", "train",
+                        "--config", str(cfg_path)], env=env, check=True,
+                       capture_output=True, timeout=300)
+
+        def sha256(name):
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+        assert sha256("checkpoint.tackpt") == (
+            "080886c0d58c4e313bfecf6a07fe01def8994b80c743739a4a9ef1afd10045ef")
+        assert sha256("trainlog.csv") == (
+            "fc116c53cde769271ecc692d36f69a44bebd6aa93c1a156dcce27e35e02d94d2")
 
 
 class TestEvalCommand:
@@ -243,6 +293,31 @@ class TestEvalCommand:
             path.write_bytes(data)
             assert cli.main(["eval", str(path), str(radar_csv)]) == 3
             assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("split", {"ratios": [0.6, 0.2, 0.3], "seed": 11, "stratified": False}),
+        ("split", {"ratios": [0.6, 0.2, 0.2], "seed": "abc", "stratified": False}),
+        ("split", [0.6, 0.2, 0.2]),
+        ("class_names", ["x"]),
+        ("class_names", 5),
+        ("split", {"ratios": [0.6, "0.2", 0.2], "seed": 11, "stratified": False}),
+        ("split", {"ratios": [0.6, 0.2, 0.2], "seed": 11, "stratified": "yes"}),
+        ("target_len", 0),
+        ("label_col", 7),
+    ])
+    def test_edited_extras_exit_3(self, trained_run, tmp_path, capsys, key, value):
+        out, radar_csv = trained_run
+        blob = (out / "checkpoint.tackpt").read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        header["extras"][key] = value
+        edited = json.dumps(header).encode("utf-8")
+        path = tmp_path / "edited.tackpt"
+        path.write_bytes(blob[:8] + len(edited).to_bytes(8, "little") + edited
+                         + blob[16 + hlen:])
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err and key in err
 
 
 class TestGradcheckCommand:

@@ -154,6 +154,15 @@ class TestMaxPool1D:
         assert not np.shares_memory(mask, x)
         npt.assert_array_equal(mask.sum(axis=2), 1)
 
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_eval_mode_same_values_no_cache(self, pool):
+        x = Rng(76).uniform((3, 10, 4)) * 2 - 1
+        x[0, :4, 0] = [-0.0, 0.0, 1.0, 1.0]
+        y_train, cache = maxpool1d_forward(x, pool, "train")
+        y_eval, eval_cache = maxpool1d_forward(x, pool, "eval")
+        assert cache is not None and eval_cache is None
+        assert y_eval.tobytes() == y_train.tobytes()
+
     def test_non_3d_input_names_shape(self):
         with pytest.raises(ShapeError, match=r"\(4, 6\)"):
             maxpool1d_forward(np.zeros((4, 6)), 2)
@@ -197,6 +206,17 @@ class TestMaxPool1D:
         assert gradcheck.check_maxpool1d(seed=0, trials=20) < 1e-6
 
 
+class FixedWords:
+    """Stands in for Rng: hands out the given raw words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def next_uint64(self, n):
+        assert n == self.words.size
+        return self.words.copy()
+
+
 class TestDropout:
     def test_rate_zero_train_is_identity(self):
         x = Rng(41).uniform((5, 7))
@@ -228,6 +248,25 @@ class TestDropout:
         npt.assert_array_equal(dx == 0.0, y == 0.0)
         assert np.allclose(dx[dx != 0], 1.0 / 0.7)
 
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0))])
+    def test_word_threshold_equals_uniform_comparison(self, rate):
+        x = np.ones((40, 25))
+        rng = Rng(47)
+        _, (keep, _) = dropout_forward(x, rate, "train", rng)
+        assert rng._counter == x.size
+        npt.assert_array_equal(keep, Rng(47).uniform(x.shape) >= rate)
+
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0))])
+    def test_word_threshold_exact_at_the_boundary(self, rate):
+        """Words on either side of the cut are kept exactly when their uniform is >= rate."""
+        m = int(rate * 2.0 ** 53)
+        words = np.array([(k << 11) + low for k in (m - 1, m, m + 1, m + 2)
+                          for low in (0, 1, 2047) if k << 11 < 2 ** 64], dtype=np.uint64)
+        uniform = (words >> np.uint64(11)) * 2.0 ** -53
+        _, (keep, _) = dropout_forward(np.ones(words.shape), rate, "train", FixedWords(words))
+        npt.assert_array_equal(keep, uniform >= rate)
+        assert keep.any() and not keep.all()
+
     def test_finite_differences(self):
         assert gradcheck.check_dropout(seed=0, trials=10) < 1e-6
 
@@ -241,6 +280,19 @@ class TestReLU:
         _, cache = relu_forward(np.array([3.0, -3.0, 0.0]))
         dx = relu_backward(cache, np.ones(3))
         npt.assert_array_equal(dx, [1.0, 0.0, 0.0])
+
+    def test_eval_mode_same_values_no_cache(self):
+        x = np.array([[-1.0, -0.0, 0.0, 2.0, 5e-324]])
+        y_train, cache = relu_forward(x, "train")
+        y_eval, eval_cache = relu_forward(x, "eval")
+        assert cache is not None and eval_cache is None
+        assert y_eval.tobytes() == y_train.tobytes()
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            relu_forward(np.zeros(2), "infer")
+        with pytest.raises(ValueError, match="mode"):
+            maxpool1d_forward(np.zeros((1, 2, 1)), 2, "test")
 
     def test_finite_differences(self):
         assert gradcheck.check_relu(seed=0, trials=20) < 1e-6

@@ -332,8 +332,48 @@ class TestStreamOrder:
         x = Rng(85).uniform((3, 17, 2))
         _, eval_trace = forward(net, x, mode="eval")
         _, train_trace = forward(net, x, mode="train", rng=Rng(0))
-        assert all(cache[4] is None for cache in eval_trace.stream_caches)
-        assert all(cache[4] is not None for cache in train_trace.stream_caches)
+        assert all(cache[2] is None for cache in eval_trace.stream_caches)
+        assert all(cache[2] is not None for cache in train_trace.stream_caches)
+
+
+class TestBlockedFrontEnd:
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("pool", [2, 3])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_block_size_changes_no_bit(self, monkeypatch, activation, kernel, pool,
+                                       return_sequences):
+        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool,
+                           conv_activation=activation, dense_sizes=(8,),
+                           return_sequences=return_sequences)
+        net = build(cfg, Rng(90).derive("init"))
+        for name, arr in net.parameters().items():
+            if name.endswith(".b") or ".cell.b_" in name:
+                arr += Rng(91).derive(name).uniform(arr.shape) - 0.5
+        x = Rng(92).uniform((7, 17, 2)) * 2 - 1
+        onehot = np.eye(2)[[0, 1, 1, 0, 1, 0, 0]]
+        row_bytes = (17 - kernel + 1) * cfg.conv_filters * 8
+        runs = []
+        # 1-row blocks; 3-row blocks (3, 3, 1); one block for the whole batch
+        for block_bytes, blocks in ((1, 7), (3 * row_bytes + row_bytes // 2, 3), (1 << 40, 1)):
+            monkeypatch.setattr(model_mod, "_BLOCK_BYTES", block_bytes)
+            rng = Rng(93)
+            probs, trace = forward(net, x, mode="train", rng=rng)
+            assert [len(cache[1]) for cache in trace.stream_caches] == [blocks, blocks]
+            _, dlogits = optim.cce_loss(probs, onehot)
+            grads = backward(net, trace, dlogits)
+            eval_probs, _ = forward(net, x, mode="eval")
+            runs.append((probs, grads, rng._counter, eval_probs))
+        probs, grads, counter, eval_probs = runs[0]
+        # one draw per stream-dropout element, then one per head-dropout element
+        assert counter == 7 * (2 * cfg.recurrent_timesteps * cfg.conv_filters + 8)
+        for other_probs, other_grads, other_counter, other_eval in runs[1:]:
+            assert other_probs.tobytes() == probs.tobytes()
+            assert other_eval.tobytes() == eval_probs.tobytes()
+            assert other_counter == counter
+            assert other_grads.keys() == grads.keys()
+            for name, g in grads.items():
+                assert other_grads[name].tobytes() == g.tobytes(), name
 
 
 def miniature_checkpoint_bytes(tmp_path) -> bytes:

@@ -13,6 +13,7 @@ from temporal_augmenter.recurrent import (
     gru_forward,
     init_gru_params,
     init_lstm_params,
+    lstm_backward,
     lstm_forward,
     params_as_dict,
 )
@@ -289,3 +290,50 @@ class TestBPTT:
         a, _ = lstm_forward(x, p)
         b, _ = lstm_forward(x, p)
         npt.assert_array_equal(a, b)
+
+
+def fused_grads(p, grads: dict) -> dict:
+    """Per-gate gradients put back into blocks shaped like ``p``'s stored ones."""
+    u = p.units
+    blocks = {}
+    for name, (block, slot) in p.VIEWS.items():
+        out = blocks.setdefault(block, np.empty_like(getattr(p, block)))
+        out[..., slot * u:(slot + 1) * u] = grads[name]
+    return blocks
+
+
+class TestRecurrentGradientProducts:
+    """The recurrent-weight gradients equal ``np.tensordot`` over (n, T) bit for bit.
+
+    With input rows that form an identity matrix (d = n * T), the input-weight
+    gradient x^T da is da itself, so the test reads the pre-activation
+    gradients of the cell's own backward from it.
+    """
+
+    @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
+    def test_lstm_U_matches_tensordot(self, n, T, u):
+        rng = Rng(70 + u)
+        p = init_lstm_params(n * T, u, rng)
+        x = np.eye(n * T).reshape(n, T, n * T)
+        _, cache = lstm_forward(x, p)
+        _, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
+        fused = fused_grads(p, grads)
+        da = fused["W"].reshape(n, T, 4 * u)
+        h_prev = cache[4]
+        oracle = np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
+        assert fused["U"].tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
+    def test_gru_U_matches_tensordot(self, n, T, u):
+        rng = Rng(80 + u)
+        p = init_gru_params(n * T, u, rng)
+        x = np.eye(n * T).reshape(n, T, n * T)
+        _, cache = gru_forward(x, p)
+        _, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
+        fused = fused_grads(p, grads)
+        da = fused["W"].reshape(n, T, 3 * u)
+        h_prev, rh = cache[3], cache[6]
+        oracle_zr = np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1]))
+        oracle_h = np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1]))
+        assert fused["U_zr"].tobytes() == oracle_zr.tobytes()
+        assert fused["U_h"].tobytes() == oracle_h.tobytes()
