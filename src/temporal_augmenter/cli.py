@@ -191,7 +191,12 @@ def cmd_eval(args) -> int:
             f"{list(ds.features.shape[1:])}")
     parts = dict(zip(("train", "val", "test"), split(ds, settings["split"])))
     subset = parts[args.split]
-    if "scaler_mean" in extra_tensors:
+    scaler_keys = [key for key in ("scaler_mean", "scaler_std") if key in extra_tensors]
+    if len(scaler_keys) == 1:
+        missing = "scaler_std" if scaler_keys == ["scaler_mean"] else "scaler_mean"
+        raise DataError(f"{args.checkpoint}: checkpoint has tensor 'extra.{scaler_keys[0]}' "
+                        f"but not 'extra.{missing}'")
+    if scaler_keys:
         subset = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
                                            std=extra_tensors["scaler_std"]), subset)
     probs = optim.predict_probs(net, subset.features)

@@ -258,6 +258,8 @@ def fit_scaler(ds: Dataset) -> ScalerParams:
 def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
     if sp.mean.shape != ds.features.shape[1:]:
         raise DataError(f"scaler shape {sp.mean.shape} does not match data {ds.features.shape[1:]}")
+    if sp.std.shape != sp.mean.shape:
+        raise DataError(f"scaler std shape {sp.std.shape} does not match its mean {sp.mean.shape}")
     return replace(ds, features=(ds.features - sp.mean) / sp.std)
 
 

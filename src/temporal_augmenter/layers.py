@@ -92,8 +92,17 @@ def conv1d_forward(x: Tensor, p: Conv1DParams):
     T_out = T - k + 1
     # (x_0 K_0 + b) + x_1 K_1 + ...: the bias joins right after the first
     # product, which is the same sum as starting from a copy of b.
-    y = x[:, :T_out, :] @ p.K[0]
-    y += p.b
+    if p.in_channels == 1:
+        # An inner dimension of 1: the product x_0 K_0 is the broadcast
+        # x * K[0], at a fraction of the matmul's cost.  The two may differ
+        # only in the sign of a zero product, and a bias of b + 0.0, which
+        # holds b except that -0.0 becomes +0.0, leaves both sums with the
+        # same bits.
+        y = x[:, :T_out] * p.K[0]
+        y += p.b + 0.0
+    else:
+        y = x[:, :T_out] @ p.K[0]
+        y += p.b
     for j in range(1, k):
         y += x[:, j:j + T_out, :] @ p.K[j]
     return y, (x, p)
@@ -152,12 +161,14 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
     return y, (x.shape, mask)
 
 
-def maxpool1d_backward(cache, dy: Tensor):
+def maxpool1d_backward(cache, dy: Tensor, out: Tensor | None = None):
     """Copy dL/dy to each window's winner; every other slot, the dropped
-    remainder steps included, stays +0.0."""
+    remainder steps included, is +0.0.  ``out``, if given, receives dL/dx
+    in place of a new array and is returned."""
     shape, mask = cache
     n, T_out, pool, c = mask.shape
-    dx = np.zeros(shape, dtype=np.float64)
+    dx = np.empty(shape) if out is None else out
+    dx[:, T_out * pool:] = 0.0
     # Multiplying the raw float64 bit patterns by the 0/1 mask copies each
     # winner's bits verbatim and leaves all bits clear (+0.0) elsewhere; a
     # float product would leave -0.0 wherever dy < 0.

@@ -25,10 +25,11 @@ sample on its own (a per-sample product with K), pooling, the activation and
 the dropout scaling are elementwise, and the dropout draws are counter-based
 SplitMix64 words taken in C order, so drawing block after block in row order
 yields the very words of one draw over the whole array.  The backward runs
-dropout -> activation -> maxpool per block into one [n, T_conv, F] gradient
-and then calls ``conv1d_backward`` once on the whole batch: its kernel and
-bias gradients are sums over every (sample, step) pair, and summing per
-block would change their order.
+dropout -> activation -> maxpool per block, each block's max-pool backward
+writing in place into its rows of one [n, T_conv, F] gradient (no
+zero-fill, no copy), and then calls ``conv1d_backward`` once on the whole
+batch: its kernel and bias gradients are sums over every (sample, step)
+pair, and summing per block would change their order.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -173,29 +174,48 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
+def _allocate(config: ModelConfig) -> TemporalAugmenterModel:
+    """The network for ``config`` with every parameter zero."""
+    k, d, F = config.conv_kernel, config.input_channels, config.conv_filters
+    streams = [StreamParams(kind=kind, conv=Conv1DParams(K=np.zeros((k, d, F)), b=np.zeros(F)),
+                            cell=recurrent.zero_params(kind, F, config.stream_units(kind)))
+               for kind in config.streams]
+    sizes = (config.concat_width, *config.dense_sizes, config.num_classes)
+    head = [DenseParams(W=np.zeros((i, o)), b=np.zeros(o)) for i, o in zip(sizes, sizes[1:])]
+    return TemporalAugmenterModel(config=config, streams=streams, head=head)
+
+
+def _parameter_shapes(config: ModelConfig) -> dict:
+    """``parameters()`` names -> shapes of the network for ``config``, worked
+    out from its sizes alone, so that nothing is allocated."""
+    k, d, F = config.conv_kernel, config.input_channels, config.conv_filters
+    shapes = {}
+    for kind in config.streams:
+        u = config.stream_units(kind)
+        shapes[f"{kind}.conv.K"] = (k, d, F)
+        shapes[f"{kind}.conv.b"] = (F,)
+        views = recurrent.GRUParams.VIEWS if kind == "gru" else recurrent.LSTMParams.VIEWS
+        for name in views:
+            shapes[f"{kind}.cell.{name}"] = {"W": (F, u), "U": (u, u), "b": (u,)}[name[0]]
+    sizes = (config.concat_width, *config.dense_sizes, config.num_classes)
+    names = [str(idx) for idx in range(len(config.dense_sizes))] + ["out"]
+    for name, i, o in zip(names, sizes, sizes[1:]):
+        shapes[f"head.{name}.W"] = (i, o)
+        shapes[f"head.{name}.b"] = (o,)
+    return shapes
+
+
 def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
     """Instantiate all parameters for the configured architecture."""
     config.validate()
-    k, d, F = config.conv_kernel, config.input_channels, config.conv_filters
-    streams = []
-    for kind in config.streams:
-        K = init_he_uniform(k * d, (k, d, F), rng)
-        conv = Conv1DParams(K=K, b=np.zeros(F))
-        if kind == "gru":
-            cell = recurrent.init_gru_params(F, config.gru_units, rng)
-        else:
-            cell = recurrent.init_lstm_params(F, config.lstm_units, rng)
-        streams.append(StreamParams(kind=kind, conv=conv, cell=cell))
-    head = []
-    in_size = config.concat_width
-    for size in config.dense_sizes:
-        head.append(DenseParams(W=init_glorot_uniform(in_size, size, (in_size, size), rng),
-                                b=np.zeros(size)))
-        in_size = size
-    head.append(DenseParams(W=init_glorot_uniform(in_size, config.num_classes,
-                                                  (in_size, config.num_classes), rng),
-                            b=np.zeros(config.num_classes)))
-    return TemporalAugmenterModel(config=config, streams=streams, head=head)
+    model = _allocate(config)
+    for sp in model.streams:
+        k, d, F = sp.conv.K.shape
+        sp.conv.K[...] = init_he_uniform(k * d, (k, d, F), rng)
+        recurrent.draw_params(sp.cell, rng)
+    for dp in model.head:
+        dp.W[...] = init_glorot_uniform(dp.in_size, dp.out_size, dp.W.shape, rng)
+    return model
 
 
 def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
@@ -273,7 +293,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
         d = layers.dropout_backward(drop_cache, d_cell[start:stop])
         if cfg.conv_activation == "relu":
             d = layers.relu_backward(act_cache, d)
-        d_conv[start:stop] = layers.maxpool1d_backward(pool_cache, d)
+        layers.maxpool1d_backward(pool_cache, d, out=d_conv[start:stop])
     dK, db = layers.conv1d_backward(conv_cache, d_conv)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     for name, g in cell_grads.items():
@@ -391,22 +411,25 @@ def load_checkpoint(path):
         raise DataError(f"{path}: invalid checkpoint header ({exc!r})") from None
     if any(s < 0 for _, shape in entries for s in shape):
         raise DataError(f"{path}: negative tensor dimension in checkpoint header")
+    # every parameter's shape is checked before anything is allocated
+    header_shapes = dict(entries)
+    for name, shape in _parameter_shapes(config).items():
+        if name not in header_shapes:
+            raise DataError(f"{path}: checkpoint missing parameter {name!r}")
+        if header_shapes[name] != shape:
+            raise DataError(f"{path}: parameter {name!r} has shape {list(header_shapes[name])}, "
+                            f"the model expects {list(shape)}")
     sizes = [math.prod(shape) for _, shape in entries]
     expected = 16 + hlen + 8 * sum(sizes)
     if len(blob) != expected:
         raise DataError(f"{path}: checkpoint is {len(blob)} bytes, its header describes {expected}")
     tensors, offset = {}, 16 + hlen
     for (name, shape), size in zip(entries, sizes):
-        tensors[name] = np.frombuffer(blob, "<f8", size, offset).astype(np.float64).reshape(shape)
+        tensors[name] = np.frombuffer(blob, "<f8", size, offset).reshape(shape)
         offset += 8 * size
-    model = build(config, Rng(0))
+    model = _allocate(config)
     for name, arr in model.parameters().items():
-        if name not in tensors:
-            raise DataError(f"{path}: checkpoint missing parameter {name!r}")
-        t = tensors.pop(name)
-        if t.shape != arr.shape:
-            raise DataError(f"{path}: parameter {name!r} has shape {list(t.shape)}, "
-                            f"the model expects {list(arr.shape)}")
-        arr[...] = t
-    extra_tensors = {n[len("extra."):]: t for n, t in tensors.items() if n.startswith("extra.")}
+        arr[...] = tensors.pop(name)
+    extra_tensors = {n[len("extra."):]: t.astype(np.float64)
+                     for n, t in tensors.items() if n.startswith("extra.")}
     return model, header.get("extras", {}), extra_tensors

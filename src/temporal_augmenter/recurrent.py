@@ -33,6 +33,42 @@ given) and returns every hidden state; ``*_backward`` accepts a gradient for
 the full hidden sequence [n, T, u] and accumulates parameter gradients across
 all timesteps.  Input weights are glorot-uniform, recurrent weights
 orthogonal, biases zero.
+
+Time loops.  Each step costs a handful of numpy calls on contiguous [n, k]
+blocks, because at these sizes a step's cost is the number of calls, not
+the arithmetic.  The input projection px = x W is one batch-major GEMM
+before the loop.  Everything a step writes goes in place (``out=``) into
+time-major arrays, so the state before step t is row t of one [T+1, n, u]
+array, and the gates are stored gate-major, so each gate is one [n, u]
+block:
+
+    lstm cache  (x, p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u])
+                G holds sigmoid f, i, o and tanh g; TC holds tanh(c)
+    gru cache   (x, p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u])
+                ZR holds sigmoid z, r; HC the candidate; RH = r * h_prev
+
+``hs`` is the batch-major view ``H[1:].transpose(1, 0, 2)``.  Train and
+eval run the same loop; in eval the per-step arrays are one step's block
+seen at every t through a zero stride (``_per_step``), so nothing but H is
+kept and the cache is None.
+
+The bits are those of one numpy expression per gate, as the cells were
+first written (the oracles in tests/test_recurrent.py), for three reasons:
+
+* Every product keeps its operands.  The step matmuls see the same [n, u]
+  state and [n, k] gradient rows, and the dx, dW and dU GEMMs the same
+  batch-major [n*T, k] operands; an operand's row stride does not change
+  OpenBLAS's sums, and exp and tanh give the same bits at any stride.
+* ``sigmoid`` is evaluated as ``max(z, x >= 0) / (1 + z)`` with
+  ``z = exp(-|x|)``, which is the branch form bit for bit (see its
+  docstring and tests/test_tensor_core.py).
+* Elementwise products are evaluated left to right, as the per-gate
+  expressions did, so only factors that start a product or need no
+  recurrence move.  BPTT computes 1 - f, 1 - i, 1 - o, 1 - g^2, 1 - tanh^2 c,
+  1 - z, 1 - r, 1 - hc^2 and h_prev - hc once over the whole sequence;
+  each is the same operation on the same operands as inside the loop.  A
+  step then multiplies [n, u] and gate-major blocks in the expressions'
+  order, e.g. ((dc * c_prev) * f) * (1 - f) for the forget gate.
 """
 
 from __future__ import annotations
@@ -114,8 +150,18 @@ def params_as_dict(p) -> dict:
     return {name: getattr(p, name) for name in p.VIEWS}
 
 
-def _draw(p, rng: Rng):
-    """Fill each input and recurrent gate view in ``p.VIEWS`` order."""
+def zero_params(kind: str, input_size: int, units: int):
+    """All-zero parameters of a "gru" or "lstm" cell, in the fused layout."""
+    d, u = input_size, units
+    if kind == "gru":
+        return GRUParams(W=np.zeros((d, 3 * u)), U_zr=np.zeros((u, 2 * u)),
+                         U_h=np.zeros((u, u)), b=np.zeros(3 * u))
+    return LSTMParams(W=np.zeros((d, 4 * u)), U=np.zeros((u, 4 * u)), b=np.zeros(4 * u))
+
+
+def draw_params(p, rng: Rng):
+    """Fill each input and recurrent gate view in ``p.VIEWS`` order; biases
+    are left as they are."""
     d, u = p.input_size, p.units
     for name, view in params_as_dict(p).items():
         if name.startswith("W_"):
@@ -127,63 +173,88 @@ def _draw(p, rng: Rng):
 
 def init_lstm_params(input_size: int, units: int, rng: Rng) -> LSTMParams:
     """Draw order: W_f, W_i, W_g, W_o then U_f, U_i, U_g, U_o; biases zero."""
-    u = units
-    return _draw(LSTMParams(W=np.empty((input_size, 4 * u)), U=np.empty((u, 4 * u)),
-                            b=np.zeros(4 * u)), rng)
+    return draw_params(zero_params("lstm", input_size, units), rng)
 
 
 def init_gru_params(input_size: int, units: int, rng: Rng) -> GRUParams:
     """Draw order: W_z, W_r, W_h then U_z, U_r, U_h; biases zero."""
-    u = units
-    return _draw(GRUParams(W=np.empty((input_size, 3 * u)), U_zr=np.empty((u, 2 * u)),
-                           U_h=np.empty((u, u)), b=np.zeros(3 * u)), rng)
+    return draw_params(zero_params("gru", input_size, units), rng)
 
 
 # ---------------------------------------------------------------------------
 # sequence forward/backward
 # ---------------------------------------------------------------------------
 
+def _states(T: int, n: int, u: int, init: Tensor | None, keep: bool) -> Tensor:
+    """Time-major states [T + 1, n, u]: row 0 is ``init`` (zeros when None) and
+    step t writes row t + 1.  With ``keep`` False the rows are one [n, u]
+    block (see ``_per_step``), updated in place."""
+    S = _per_step((T + 1, n, u), keep)
+    S[0] = 0.0 if init is None else init
+    return S
+
+
+def _per_step(shape: tuple, keep: bool) -> Tensor:
+    """A buffer indexed by timestep first.  With ``keep`` (train mode) every
+    step has its own rows, for the backward; otherwise all steps share one
+    block, seen at every t through a zero stride, so nothing per step is
+    stored."""
+    if keep:
+        return np.empty(shape)
+    block = np.empty(shape[1:])
+    return np.lib.stride_tricks.as_strided(block, shape, (0,) + block.strides)
+
+
+def _gate_major(a: Tensor, gates: int) -> Tensor:
+    """[gates, n, u] view of an [n, gates * u] block whose rows are contiguous."""
+    n, width = a.shape
+    return a.reshape(n, gates, width // gates).transpose(1, 0, 2)
+
+
+def _batch_major(a: Tensor) -> Tensor:
+    """C-order [n*T, k] rows, sample by sample, of a time-major [T, n, k] array."""
+    return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
+
+
 def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor | None = None,
                  mode: str = "train"):
     """Unroll over t = 1..T; returns (hs [n, T, u], cache).
 
-    In eval mode no backward follows, so no BPTT state is stored and the
-    cache is None.
+    ``hs`` is a batch-major view of the time-major states.  cache =
+    (x, p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]): row t
+    of H and C is the state before step t, G holds sigmoid f, i, o and tanh g,
+    TC holds tanh(c).  In eval mode no backward follows, so only H is kept
+    and the cache is None.
     """
     n, T, d = _check_seq(x, p)
     train = is_train_mode(mode)
     u = p.units
-    h = np.zeros((n, u)) if h0 is None else h0
-    c = np.zeros((n, u)) if c0 is None else c0
     px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 4 * u)
-    hs = np.empty((n, T, u))
-    if train:
-        cs = np.empty((n, T, u))
-        h_prev = np.empty((n, T, u))
-        c_prev = np.empty((n, T, u))
-        gates = np.empty((n, T, 4 * u))  # f, i, o stored as sigmoids, g as tanh
-        tc = np.empty((n, T, u))
-    s3 = 3 * u
+    H = _states(T, n, u, h0, keep=True)  # hs is H[1:]
+    C = _states(T, n, u, c0, train)
+    G = _per_step((T, 4, n, u), train)
+    TC = _per_step((T, n, u), train)
+    a = np.empty((n, 4 * u))
+    a4 = _gate_major(a, 4)
+    ig = np.empty((n, u))
     for t in range(T):
-        if train:
-            h_prev[:, t] = h
-            c_prev[:, t] = c
-        a = px[:, t] + h @ p.U + p.b
-        fio = sigmoid(a[:, :s3])
-        g = np.tanh(a[:, s3:])
-        c = fio[:, :u] * c + fio[:, u:2 * u] * g
-        tct = np.tanh(c)
-        h = fio[:, 2 * u:] * tct
-        hs[:, t] = h
-        if train:
-            gates[:, t, :s3] = fio
-            gates[:, t, s3:] = g
-            tc[:, t] = tct
-            cs[:, t] = c
+        g = G[t]
+        np.matmul(H[t], p.U, out=a)
+        np.add(px[:, t], a, out=a)
+        np.add(a, p.b, out=a)
+        np.copyto(g, a4)
+        sigmoid(g[:3], out=g[:3])
+        np.tanh(g[3], out=g[3])
+        c = C[t + 1]
+        np.multiply(g[0], C[t], out=c)
+        np.multiply(g[1], g[3], out=ig)
+        np.add(c, ig, out=c)
+        np.tanh(c, out=TC[t])
+        np.multiply(g[2], TC[t], out=H[t + 1])
+    hs = H[1:].transpose(1, 0, 2)
     if not train:
         return hs, None
-    cache = (x, p, hs, cs, h_prev, c_prev, gates, tc)
-    return hs, cache
+    return hs, (x, p, H, C, G, TC)
 
 
 def lstm_backward(cache, d_hs: Tensor):
@@ -191,33 +262,46 @@ def lstm_backward(cache, d_hs: Tensor):
 
     Returns (dx, grads) with grads keyed by the per-gate names.
     """
-    x, p, hs, cs, h_prev, c_prev, gates, tc = cache
+    x, p, H, C, G, TC = cache
     n, T, d = x.shape
     u = p.units
-    s3 = 3 * u
-    da = np.empty((n, T, 4 * u))
+    # factors free of the recurrence, once over the whole sequence:
+    # R = 1 - f, 1 - i, 1 - o, 1 - g*g and K = 1 - tanh(c)^2
+    R = np.subtract(1.0, G)
+    np.multiply(G[:, 3], G[:, 3], out=R[:, 3])
+    np.subtract(1.0, R[:, 3], out=R[:, 3])
+    K = np.multiply(TC, TC)
+    np.subtract(1.0, K, out=K)
+    dY = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
+    da = np.empty((T, n, 4 * u))  # time-major; the GEMMs get it batch-major
+    dh = np.empty((n, u))
+    dc = np.empty((n, u))
+    m = np.empty((4, n, u))
     dh_carry = np.zeros((n, u))
     dc_carry = np.zeros((n, u))
+    UT = p.U.T
     for t in range(T - 1, -1, -1):
-        f = gates[:, t, :u]
-        i = gates[:, t, u:2 * u]
-        o = gates[:, t, 2 * u:s3]
-        g = gates[:, t, s3:]
-        tct = tc[:, t]
-        dh = d_hs[:, t] + dh_carry
-        dc = dc_carry + dh * o * (1.0 - tct * tct)
-        dat = da[:, t]
-        dat[:, :u] = dc * c_prev[:, t] * f * (1.0 - f)
-        dat[:, u:2 * u] = dc * g * i * (1.0 - i)
-        dat[:, 2 * u:s3] = dh * tct * o * (1.0 - o)
-        dat[:, s3:] = dc * i * (1.0 - g * g)
-        dc_carry = dc * f
-        dh_carry = dat @ p.U.T
-    da2 = da.reshape(n * T, 4 * u)
+        g = G[t]
+        np.add(dY[t], dh_carry, out=dh)
+        np.multiply(dh, g[2], out=dc)
+        np.multiply(dc, K[t], out=dc)
+        np.add(dc_carry, dc, out=dc)
+        # da = (first * second * gate) * R per slot: f (dc, c_prev), i (dc, g),
+        # o (dh, tanh c); g is (dc * i) * (1 - g*g)
+        np.multiply(dc, C[t], out=m[0])
+        np.multiply(dc, g[3], out=m[1])
+        np.multiply(dh, TC[t], out=m[2])
+        np.multiply(dc, g[1], out=m[3])
+        np.multiply(m[:3], g[:3], out=m[:3])
+        np.multiply(m, R[t], out=_gate_major(da[t], 4))
+        np.multiply(dc, g[0], out=dc_carry)
+        np.matmul(da[t], UT, out=dh_carry)
+    da2 = _batch_major(da)
     dx = (da2 @ p.W.T).reshape(n, T, d)
+    h_prev = _batch_major(H[:T])
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
     dp = LSTMParams(W=x.reshape(n * T, d).T @ da2,
-                    U=np.dot(h_prev.reshape(n * T, u).T, da2),
+                    U=np.dot(h_prev.T, da2),
                     b=da2.sum(axis=0))
     # the key order sets the summation order of global-norm clipping
     return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for k in "fiog" for m in "WUb"}
@@ -226,67 +310,96 @@ def lstm_backward(cache, d_hs: Tensor):
 def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "train"):
     """Unroll over t = 1..T; returns (hs [n, T, u], cache).
 
-    In eval mode no backward follows, so no BPTT state is stored and the
-    cache is None.
+    ``hs`` is a batch-major view of the time-major states.  cache =
+    (x, p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]): row t
+    of H is the state before step t, ZR holds sigmoid z and r, HC the
+    candidate and RH the reset-gated state r * h.  In eval mode no backward
+    follows, so only H is kept and the cache is None.
     """
     n, T, d = _check_seq(x, p)
     train = is_train_mode(mode)
     u = p.units
-    h = np.zeros((n, u)) if h0 is None else h0
     px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
+    H = _states(T, n, u, h0, keep=True)  # hs is H[1:]
+    ZR = _per_step((T, 2, n, u), train)
+    HC = _per_step((T, n, u), train)
+    RH = _per_step((T, n, u), train)
+    a = np.empty((n, 2 * u))
+    a2 = _gate_major(a, 2)
     bzr = p.b[:2 * u]
     bh = p.b[2 * u:]
-    hs = np.empty((n, T, u))
-    if train:
-        h_prev = np.empty((n, T, u))
-        zr = np.empty((n, T, 2 * u))
-        hcs = np.empty((n, T, u))
-        rh = np.empty((n, T, u))
+    ah = np.empty((n, u))
     for t in range(T):
-        if train:
-            h_prev[:, t] = h
-        zrt = sigmoid(px[:, t, :2 * u] + h @ p.U_zr + bzr)
-        z = zrt[:, :u]
-        rht = zrt[:, u:] * h
-        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U_h + bh)
-        h = z * h + (1.0 - z) * hc
-        hs[:, t] = h
-        if train:
-            zr[:, t] = zrt
-            rh[:, t] = rht
-            hcs[:, t] = hc
+        h, zr, hc = H[t], ZR[t], HC[t]
+        np.matmul(h, p.U_zr, out=a)
+        np.add(px[:, t, :2 * u], a, out=a)
+        np.add(a, bzr, out=a)
+        np.copyto(zr, a2)
+        sigmoid(zr, out=zr)
+        np.multiply(zr[1], h, out=RH[t])
+        np.matmul(RH[t], p.U_h, out=ah)
+        np.add(px[:, t, 2 * u:], ah, out=ah)
+        np.add(ah, bh, out=hc)
+        np.tanh(hc, out=hc)
+        h_new = H[t + 1]
+        np.multiply(zr[0], h, out=h_new)
+        np.subtract(1.0, zr[0], out=ah)
+        np.multiply(ah, hc, out=ah)
+        np.add(h_new, ah, out=h_new)
+    hs = H[1:].transpose(1, 0, 2)
     if not train:
         return hs, None
-    cache = (x, p, hs, h_prev, zr, hcs, rh)
-    return hs, cache
+    return hs, (x, p, H, ZR, HC, RH)
 
 
 def gru_backward(cache, d_hs: Tensor):
     """BPTT given dL/dhs over the whole sequence [n, T, u]."""
-    x, p, hs, h_prev, zr, hcs, rh = cache
+    x, p, H, ZR, HC, RH = cache
     n, T, d = x.shape
     u = p.units
-    da = np.empty((n, T, 3 * u))  # z, r, candidate pre-activation grads
+    # factors free of the recurrence, once over the whole sequence:
+    # OM = 1 - z, 1 - r; KH = 1 - hc^2; DH = h_prev - hc
+    OM = np.subtract(1.0, ZR)
+    KH = np.multiply(HC, HC)
+    np.subtract(1.0, KH, out=KH)
+    DH = np.subtract(H[:T], HC)
+    dY = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
+    # z, r, candidate pre-activation grads, time-major; the GEMMs get them batch-major
+    da = np.empty((T, n, 3 * u))
+    dh = np.empty((n, u))
+    q = np.empty((n, u))
+    s = np.empty((n, u))
+    drh = np.empty((n, u))
+    m = np.empty((2, n, u))
     dh_carry = np.zeros((n, u))
+    U_hT = p.U_h.T
+    U_zrT = p.U_zr.T
     for t in range(T - 1, -1, -1):
-        z = zr[:, t, :u]
-        r = zr[:, t, u:]
-        hc = hcs[:, t]
-        hp = h_prev[:, t]
-        dh = d_hs[:, t] + dh_carry
-        da_h = dh * (1.0 - z) * (1.0 - hc * hc)
-        drh = da_h @ p.U_h.T
-        dat = da[:, t]
-        dat[:, :u] = dh * (hp - hc) * z * (1.0 - z)
-        dat[:, u:2 * u] = drh * hp * r * (1.0 - r)
-        dat[:, 2 * u:] = da_h
-        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U_zr.T
-    da2 = da.reshape(n * T, 3 * u)
+        zr = ZR[t]
+        np.add(dY[t], dh_carry, out=dh)
+        da_h = da[t, :, 2 * u:]
+        np.multiply(dh, OM[t, 0], out=q)
+        np.multiply(q, KH[t], out=da_h)
+        np.matmul(da_h, U_hT, out=drh)
+        # da_z = (dh * (h_prev - hc)) * z * (1 - z), da_r = (drh * h_prev) * r * (1 - r)
+        np.multiply(dh, DH[t], out=m[0])
+        np.multiply(drh, H[t], out=m[1])
+        np.multiply(m, zr, out=m)
+        da_zr = da[t, :, :2 * u]
+        np.multiply(m, OM[t], out=_gate_major(da_zr, 2))
+        np.multiply(dh, zr[0], out=s)
+        np.multiply(drh, zr[1], out=q)
+        np.add(s, q, out=s)
+        np.matmul(da_zr, U_zrT, out=q)
+        np.add(s, q, out=dh_carry)
+    da2 = _batch_major(da)
     dx = (da2 @ p.W.T).reshape(n, T, d)
+    h_prev = _batch_major(H[:T])
+    rh = _batch_major(RH)
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
     dp = GRUParams(W=x.reshape(n * T, d).T @ da2,
-                   U_zr=np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
-                   U_h=np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:]),
+                   U_zr=np.dot(h_prev.T, da2[:, :2 * u]),
+                   U_h=np.dot(rh.T, da2[:, 2 * u:]),
                    b=da2.sum(axis=0))
     # the key order sets the summation order of global-norm clipping
     return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for m in "WbU" for k in "zrh"}

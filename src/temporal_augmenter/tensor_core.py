@@ -25,11 +25,23 @@ def is_train_mode(mode: str) -> bool:
     return mode == "train"
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, evaluated on the numerically safe branch per sign."""
+def sigmoid(x: Tensor, out: Tensor | None = None) -> Tensor:
+    """Logistic function, evaluated on the numerically safe branch per sign.
+
+    With ``z = exp(-|x|)`` the branches are ``1 / (1 + z)`` for ``x >= 0``
+    and ``z / (1 + z)`` below.  ``max(z, x >= 0)`` is their numerator in both
+    cases, since ``0 <= z <= 1``, and a NaN ``z`` survives the max, so one
+    division gives the branch result bit for bit, ±0, ±inf, NaN and
+    subnormal ``z`` included.  ``out`` may be ``x`` itself.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    if out is None:
+        out = np.empty(x.shape)
+    z = np.copysign(x, -1.0, out=np.empty(x.shape))  # -|x|
+    np.exp(z, out=z)
+    np.maximum(z, x >= 0, out=out)
+    z += 1.0
+    return np.divide(out, z, out=out)
 
 
 def softmax(logits: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,42 +183,64 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg_path)]) == 4
 
 
-class TestPinnedDigests:
-    def test_heartbeat_run_matches_recorded_digests(self, tmp_path):
-        """A fixed-seed heartbeat run writes the same bytes as the commits before it.
+def train_in_child(tmp_path, config_text: str) -> dict:
+    """Run ``train`` in a child process with BLAS on one thread; returns the
+    sha256 of the checkpoint, the trainlog and the test report."""
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"out = {out}\n" + config_text)
+    src = os.path.dirname(os.path.dirname(temporal_augmenter.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "temporal_augmenter", "train",
+                    "--config", str(cfg_path)], env=env, check=True,
+                   capture_output=True, timeout=300)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.tackpt", "trainlog.csv", "report_test.json")}
 
-        The two-runs-agree tests cannot see a change that moves bits in both
-        runs; these literals can.  The run has the mitbih shape (T = 187,
-        128 filters), stream and head dropout on, and batches of 7 rows, an
-        odd count, so a batch spans several front-end blocks and ends in a
-        short one.  It runs in a child process with BLAS on one thread:
-        threaded OpenBLAS splits the long inner sum of a skinny product
-        such as the cells' input-weight gradient at this batch size, so the
-        bits depend on the thread count.  The digests were recorded with
-        numpy 2.4.6 on OpenBLAS 0.3.31.  Another BLAS build may order its
-        floating-point sums differently and so legitimately produce other
-        digests.
-        """
+
+class TestPinnedDigests:
+    """Fixed-seed runs write the same bytes as the commits before them.
+
+    The two-runs-agree tests cannot see a change that moves bits in both
+    runs; these literals can.  Each run is a child process with BLAS on one
+    thread: threaded OpenBLAS splits the long inner sum of a skinny product
+    such as the cells' input-weight gradient at these batch sizes, so the
+    bits depend on the thread count.  The digests were recorded with numpy
+    2.4.6 on OpenBLAS 0.3.31.  Another BLAS build may order its
+    floating-point sums differently and so legitimately produce other
+    digests.
+    """
+
+    def test_heartbeat_run_matches_recorded_digests(self, tmp_path):
+        """The mitbih shape (T = 187, 128 filters), stream and head dropout
+        on, and batches of 7 rows, an odd count, so a batch spans several
+        front-end blocks and ends in a short one."""
         data = tmp_path / "beats.csv"
         write_heartbeat_csv(data, make_heartbeat_dataset(60, Rng(900)))
-        out = tmp_path / "run"
-        cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(f"task = mitbih\ndata = {data}\nout = {out}\nseed = 5\n"
-                            f"epochs = 2\nbatch_size = 7\n")
-        src = os.path.dirname(os.path.dirname(temporal_augmenter.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        subprocess.run([sys.executable, "-m", "temporal_augmenter", "train",
-                        "--config", str(cfg_path)], env=env, check=True,
-                       capture_output=True, timeout=300)
-
-        def sha256(name):
-            return hashlib.sha256((out / name).read_bytes()).hexdigest()
-
-        assert sha256("checkpoint.tackpt") == (
+        digests = train_in_child(tmp_path, f"task = mitbih\ndata = {data}\nseed = 5\n"
+                                           f"epochs = 2\nbatch_size = 7\n")
+        assert digests["checkpoint.tackpt"] == (
             "080886c0d58c4e313bfecf6a07fe01def8994b80c743739a4a9ef1afd10045ef")
-        assert sha256("trainlog.csv") == (
+        assert digests["trainlog.csv"] == (
             "fc116c53cde769271ecc692d36f69a44bebd6aa93c1a156dcce27e35e02d94d2")
+
+    def test_tone_run_matches_recorded_digests(self, tmp_path):
+        """The tess shape: WAV clips of T = 1024, so each cell runs 512
+        BPTT steps, RMSProp, and 18 training clips in batches of 5, so the
+        last batch holds three."""
+        data = tmp_path / "tones"
+        write_tone_corpus(data, Rng(901), clips_per_class=8)
+        digests = train_in_child(tmp_path, f"task = tess\ndata = {data}\nseed = 6\n"
+                                           f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
+        assert digests == {
+            "checkpoint.tackpt":
+                "4104b9691f77a0fe499b2b172a1544f130d4635fd21bc21083af38a70c3b9f4e",
+            "trainlog.csv":
+                "bcc212f098a1918dde7d87572c248d195f4e52e1bc5a20eb9afdabcdad1792c1",
+            "report_test.json":
+                "8367ee5d9e938b6c3ce939eae61a096994ecff51ac20ea4b3a991cb7597fea24",
+        }
 
 
 class TestEvalCommand:
@@ -293,6 +316,25 @@ class TestEvalCommand:
             path.write_bytes(data)
             assert cli.main(["eval", str(path), str(radar_csv)]) == 3
             assert "data error" in capsys.readouterr().err
+        # the scaler tensors come last, mean then std: drop std from the
+        # header and the body, then give std the wrong shape
+        header = json.loads(blob[16:end])
+        std_entry = header["tensors"].pop()
+        assert std_entry["name"] == "extra.scaler_std"
+        std_bytes = 8 * math.prod(std_entry["shape"])
+
+        def rewrite(body):
+            text = json.dumps(header).encode("utf-8")
+            return blob[:8] + len(text).to_bytes(8, "little") + text + body
+
+        no_std = rewrite(blob[end:len(blob) - std_bytes])
+        header["tensors"].append(dict(std_entry, shape=[math.prod(std_entry["shape"])]))
+        flat_std = rewrite(blob[end:])
+        for data, named in ((no_std, [str(path), "extra.scaler_std"]), (flat_std, ["std shape"])):
+            path.write_bytes(data)
+            assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+            err = capsys.readouterr().err
+            assert "data error" in err and all(text in err for text in named)
 
     @pytest.mark.parametrize("key,value", [
         ("split", {"ratios": [0.6, 0.2, 0.3], "seed": 11, "stratified": False}),

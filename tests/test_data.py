@@ -8,6 +8,7 @@ import pytest
 from temporal_augmenter.data import (
     DataError,
     Dataset,
+    ScalerParams,
     SplitSpec,
     apply_scaler,
     fit_scaler,
@@ -252,6 +253,14 @@ class TestScaler:
                         class_names=["a"])
         with pytest.raises(DataError):
             apply_scaler(sp, other)
+
+    def test_std_shape_mismatch(self):
+        ds = Dataset(features=np.zeros((4, 3, 1)), labels=np.zeros(4, dtype=np.int64),
+                     class_names=["a"])
+        sp = fit_scaler(ds)
+        for std in (sp.std.reshape(3), sp.std[:1], np.ones((3, 2))):
+            with pytest.raises(DataError, match="std shape"):
+                apply_scaler(ScalerParams(mean=sp.mean, std=std), ds)
 
 
 def toy_dataset(n, k=2, seed=303):

@@ -74,6 +74,26 @@ class TestConv1D:
         y, _ = conv1d_forward(x, p)
         assert y.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_channel_matches_matmul_form_with_signed_zeros(self, k):
+        # one input channel: x_0 K_0 has an inner dimension of 1; the layer
+        # must give the bits of the matmul form for every sign of a zero in
+        # x, K and b, and for products that round to zero
+        x = np.array([0.0, -0.0, 1.5, -2.0, 1e-200, -1e-200, 3.0, np.inf]).reshape(1, 8, 1)
+        x = np.concatenate([x, -x, x[:, ::-1]], axis=0)
+        K0 = np.array([0.0, -0.0, 2.0, -0.5, 1e-200, -1e-200]).reshape(1, 1, 6)
+        K = np.concatenate([K0, -K0])[:k]
+        T_out = 8 - k + 1
+        for b in (np.zeros(6), np.full(6, -0.0), np.tile([0.0, -0.0, 1.0], 2)):
+            p = Conv1DParams(K=K, b=b)
+            with np.errstate(invalid="ignore"):
+                ref = x[:, :T_out] @ K[0]
+                ref += b
+                for j in range(1, k):
+                    ref += x[:, j:j + T_out] @ K[j]
+                y, _ = conv1d_forward(x, p)
+            assert y.tobytes() == ref.tobytes()
+
     def test_backward_hand_calculation(self):
         # y_t = x_t - x_{t+1}; with dy = 1 everywhere dK[j] sums the x rows
         # each kernel tap saw and db counts the outputs; there is no dx

@@ -427,6 +427,8 @@ HEADER_EDITS = {
     "tensor_entry_no_shape": lambda h: _entry(h, "head.out.b").pop("shape"),
     "tensor_negative_dim": lambda h: _entry(h, "extra.scaler_mean").update(shape=[-5, -2]),
     "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.K")["shape"].reverse(),
+    # rejected by the shape check, before a 10**12-filter model is allocated
+    "config_huge_sizes": lambda h: h["config"].update(conv_filters=10 ** 12),
 }
 
 # Each maps (header, arrays) of a good checkpoint to the bytes of a bad one.
@@ -489,6 +491,30 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(DataError, match="bad.tackpt"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"return_sequences": True, "conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
+        {"streams": ("lstm", "gru"), "lstm_units": 1, "gru_units": 2, "dense_sizes": (7,)},
+    ])
+    def test_parameter_shapes_match_built_model(self, overrides):
+        cfg = radar_config(**overrides)
+        built = {name: arr.shape for name, arr in build(cfg, Rng(46)).parameters().items()}
+        assert list(model_mod._parameter_shapes(cfg).items()) == list(built.items())
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        net = build(radar_config(), Rng(47))
+        path = tmp_path / "m.tackpt"
+        save_checkpoint(path, net)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        for module, name in ((model_mod, "init_he_uniform"), (model_mod, "init_glorot_uniform"),
+                             (recurrent, "init_glorot_uniform"), (recurrent, "init_orthogonal")):
+            monkeypatch.setattr(module, name, no_draws)
+        loaded, _, _ = load_checkpoint(path)
+        for name, arr in net.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes()
 
     def test_config_survives(self, tmp_path):
         cfg = radar_config(conv_filters=32, return_sequences=True, streams=("lstm",))

@@ -68,6 +68,128 @@ def gru_step(x_t, h, p):
     return z * h + (1.0 - z) * hc
 
 
+# ---------------------------------------------------------------------------
+# whole-sequence oracles: the cells as they were written before their time
+# loops were fused, one numpy expression per gate.  ``sigmoid`` is pinned
+# bit for bit to its np.where form in test_tensor_core.  The engine's cells
+# must reproduce these bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_lstm_forward(x, p, h0=None, c0=None):
+    n, T, d = x.shape
+    u = p.units
+    h = np.zeros((n, u)) if h0 is None else h0
+    c = np.zeros((n, u)) if c0 is None else c0
+    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 4 * u)
+    hs = np.empty((n, T, u))
+    cs = np.empty((n, T, u))
+    h_prev = np.empty((n, T, u))
+    c_prev = np.empty((n, T, u))
+    gates = np.empty((n, T, 4 * u))
+    tc = np.empty((n, T, u))
+    s3 = 3 * u
+    for t in range(T):
+        h_prev[:, t] = h
+        c_prev[:, t] = c
+        a = px[:, t] + h @ p.U + p.b
+        fio = sigmoid(a[:, :s3])
+        g = np.tanh(a[:, s3:])
+        c = fio[:, :u] * c + fio[:, u:2 * u] * g
+        tct = np.tanh(c)
+        h = fio[:, 2 * u:] * tct
+        hs[:, t] = h
+        gates[:, t, :s3] = fio
+        gates[:, t, s3:] = g
+        tc[:, t] = tct
+        cs[:, t] = c
+    return hs, (x, p, hs, cs, h_prev, c_prev, gates, tc)
+
+
+def reference_lstm_backward(cache, d_hs):
+    x, p, hs, cs, h_prev, c_prev, gates, tc = cache
+    n, T, d = x.shape
+    u = p.units
+    s3 = 3 * u
+    da = np.empty((n, T, 4 * u))
+    dh_carry = np.zeros((n, u))
+    dc_carry = np.zeros((n, u))
+    for t in range(T - 1, -1, -1):
+        f = gates[:, t, :u]
+        i = gates[:, t, u:2 * u]
+        o = gates[:, t, 2 * u:s3]
+        g = gates[:, t, s3:]
+        tct = tc[:, t]
+        dh = d_hs[:, t] + dh_carry
+        dc = dc_carry + dh * o * (1.0 - tct * tct)
+        dat = da[:, t]
+        dat[:, :u] = dc * c_prev[:, t] * f * (1.0 - f)
+        dat[:, u:2 * u] = dc * g * i * (1.0 - i)
+        dat[:, 2 * u:s3] = dh * tct * o * (1.0 - o)
+        dat[:, s3:] = dc * i * (1.0 - g * g)
+        dc_carry = dc * f
+        dh_carry = dat @ p.U.T
+    da2 = da.reshape(n * T, 4 * u)
+    dx = (da2 @ p.W.T).reshape(n, T, d)
+    dp = LSTMParams(W=x.reshape(n * T, d).T @ da2,
+                    U=np.dot(h_prev.reshape(n * T, u).T, da2),
+                    b=da2.sum(axis=0))
+    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for k in "fiog" for m in "WUb"}
+
+
+def reference_gru_forward(x, p, h0=None):
+    n, T, d = x.shape
+    u = p.units
+    h = np.zeros((n, u)) if h0 is None else h0
+    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
+    bzr = p.b[:2 * u]
+    bh = p.b[2 * u:]
+    hs = np.empty((n, T, u))
+    h_prev = np.empty((n, T, u))
+    zr = np.empty((n, T, 2 * u))
+    hcs = np.empty((n, T, u))
+    rh = np.empty((n, T, u))
+    for t in range(T):
+        h_prev[:, t] = h
+        zrt = sigmoid(px[:, t, :2 * u] + h @ p.U_zr + bzr)
+        z = zrt[:, :u]
+        rht = zrt[:, u:] * h
+        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U_h + bh)
+        h = z * h + (1.0 - z) * hc
+        hs[:, t] = h
+        zr[:, t] = zrt
+        rh[:, t] = rht
+        hcs[:, t] = hc
+    return hs, (x, p, hs, h_prev, zr, hcs, rh)
+
+
+def reference_gru_backward(cache, d_hs):
+    x, p, hs, h_prev, zr, hcs, rh = cache
+    n, T, d = x.shape
+    u = p.units
+    da = np.empty((n, T, 3 * u))
+    dh_carry = np.zeros((n, u))
+    for t in range(T - 1, -1, -1):
+        z = zr[:, t, :u]
+        r = zr[:, t, u:]
+        hc = hcs[:, t]
+        hp = h_prev[:, t]
+        dh = d_hs[:, t] + dh_carry
+        da_h = dh * (1.0 - z) * (1.0 - hc * hc)
+        drh = da_h @ p.U_h.T
+        dat = da[:, t]
+        dat[:, :u] = dh * (hp - hc) * z * (1.0 - z)
+        dat[:, u:2 * u] = drh * hp * r * (1.0 - r)
+        dat[:, 2 * u:] = da_h
+        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U_zr.T
+    da2 = da.reshape(n * T, 3 * u)
+    dx = (da2 @ p.W.T).reshape(n, T, d)
+    dp = GRUParams(W=x.reshape(n * T, d).T @ da2,
+                   U_zr=np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
+                   U_h=np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:]),
+                   b=da2.sum(axis=0))
+    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for m in "WbU" for k in "zrh"}
+
+
 class TestLSTMStep:
     def test_zero_params_carry_halves_cell(self):
         # all gates sigmoid(0)=0.5, candidate tanh(0)=0:
@@ -210,15 +332,15 @@ class TestGateRanges:
         p = init_lstm_params(4, 5, rng)
         x = rng.uniform((6, 8, 4)) * 4 - 2
         hs, cache = lstm_forward(x, p)
-        gates = cache[6]  # [n, T, 4u]: sigmoid f, i, o then tanh g
-        fio, g = gates[:, :, :15], gates[:, :, 15:]
+        gates = cache[4]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
+        fio, g = gates[:, :3], gates[:, 3]
         assert np.all(fio > 0) and np.all(fio < 1)
         assert np.all(g > -1) and np.all(g < 1)
         assert np.all(np.abs(hs) <= 1.0)
 
         pg = init_gru_params(4, 5, rng)
         hsg, cacheg = gru_forward(x, pg)
-        zr, hcs = cacheg[4], cacheg[5]
+        zr, hcs = cacheg[3], cacheg[4]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
         assert np.all(zr > 0) and np.all(zr < 1)
         assert np.all(hcs > -1) and np.all(hcs < 1)
         assert np.all(np.abs(hsg) <= 1.0)
@@ -235,8 +357,8 @@ class TestMemoryRetention:
         c0 = rng.uniform((2, 4)) * 2 - 1
         h0 = np.zeros((2, 4))
         _, cache = lstm_forward(x, p, h0=h0, c0=c0)
-        cs = cache[3]
-        assert np.linalg.norm(cs[:, -1] - c0) < 1e-8
+        cs = cache[3]  # [T + 1, n, u]: c0, then the cell state after each step
+        assert np.linalg.norm(cs[-1] - c0) < 1e-8
 
     def test_gru_saturated_update_gate_preserves_state(self):
         rng = Rng(66)
@@ -305,6 +427,9 @@ def fused_grads(p, grads: dict) -> dict:
 class TestRecurrentGradientProducts:
     """The recurrent-weight gradients equal ``np.tensordot`` over (n, T) bit for bit.
 
+    ``tensordot`` takes its BLAS path from the operand's memory layout, so the
+    time-major state caches are handed to it as C-order [n, T, u] blocks.
+
     With input rows that form an identity matrix (d = n * T), the input-weight
     gradient x^T da is da itself, so the test reads the pre-activation
     gradients of the cell's own backward from it.
@@ -319,7 +444,8 @@ class TestRecurrentGradientProducts:
         _, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
         fused = fused_grads(p, grads)
         da = fused["W"].reshape(n, T, 4 * u)
-        h_prev = cache[4]
+        # the states before each step, batch-major [n, T, u] as one C-order block
+        h_prev = np.ascontiguousarray(cache[2][:-1].transpose(1, 0, 2))
         oracle = np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
         assert fused["U"].tobytes() == oracle.tobytes()
 
@@ -332,8 +458,86 @@ class TestRecurrentGradientProducts:
         _, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
         fused = fused_grads(p, grads)
         da = fused["W"].reshape(n, T, 3 * u)
-        h_prev, rh = cache[3], cache[6]
+        # the states before each step and r * h_prev, batch-major [n, T, u]
+        # as C-order blocks
+        h_prev = np.ascontiguousarray(cache[2][:-1].transpose(1, 0, 2))
+        rh = np.ascontiguousarray(cache[5].transpose(1, 0, 2))
         oracle_zr = np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1]))
         oracle_h = np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1]))
         assert fused["U_zr"].tobytes() == oracle_zr.tobytes()
         assert fused["U_h"].tobytes() == oracle_h.tobytes()
+
+
+class TestCellsMatchOracles:
+    """Forward states, input gradients and every parameter gradient equal the
+    oracles above bit for bit, over unit counts, batch sizes and lengths."""
+
+    @staticmethod
+    def _inputs(n, T, u, seed):
+        rng = Rng(seed)
+        d = 5
+        x = rng.uniform((n, T, d)) * 4 - 2
+        d_hs = rng.uniform((n, T, u)) - 0.5
+        pl = init_lstm_params(d, u, rng)
+        pg = init_gru_params(d, u, rng)
+        for p in (pl, pg):
+            p.b[...] = rng.uniform(p.b.shape) - 0.5
+        h0 = rng.uniform((n, u)) * 2 - 1
+        c0 = rng.uniform((n, u)) * 2 - 1
+        return x, d_hs, pl, pg, h0, c0
+
+    @staticmethod
+    def _assert_same(got, want, d_hs):
+        """``got`` and ``want`` are each ((hs, cache), backward)."""
+        ((hs, cache), backward), ((ref_hs, ref_cache), ref_backward) = got, want
+        assert hs.shape == ref_hs.shape and hs.tobytes() == ref_hs.tobytes()
+        dx, grads = backward(cache, d_hs)
+        ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
+        assert dx.tobytes() == ref_dx.tobytes()
+        assert list(grads) == list(ref_grads)
+        for name in ref_grads:
+            assert grads[name].shape == ref_grads[name].shape, name
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("u", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("T", [1, 8, 93])
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_lstm_bitwise(self, u, n, T, with_state):
+        x, d_hs, p, _, h0, c0 = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T)
+        state = {"h0": h0, "c0": c0} if with_state else {}
+        self._assert_same((lstm_forward(x, p, **state), lstm_backward),
+                          (reference_lstm_forward(x, p, **state), reference_lstm_backward), d_hs)
+        hs_eval, cache_eval = lstm_forward(x, p, mode="eval", **state)
+        assert cache_eval is None
+        assert hs_eval.tobytes() == reference_lstm_forward(x, p, **state)[0].tobytes()
+
+    @pytest.mark.parametrize("u", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("T", [1, 8, 93])
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_gru_bitwise(self, u, n, T, with_state):
+        x, d_hs, _, p, h0, _ = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T)
+        state = {"h0": h0} if with_state else {}
+        self._assert_same((gru_forward(x, p, **state), gru_backward),
+                          (reference_gru_forward(x, p, **state), reference_gru_backward), d_hs)
+        hs_eval, cache_eval = gru_forward(x, p, mode="eval", **state)
+        assert cache_eval is None
+        assert hs_eval.tobytes() == reference_gru_forward(x, p, **state)[0].tobytes()
+
+    def test_saturated_and_signed_zero_inputs(self):
+        """Pre-activations far past the sigmoid's and tanh's saturation, and
+        exact zeros of both signs, in the inputs and the incoming gradient."""
+        n, T, u = 4, 6, 3
+        x, d_hs, pl, pg, h0, c0 = self._inputs(n, T, u, 3000)
+        x = x * 400.0
+        x[0] = 0.0
+        x[1] = -0.0
+        d_hs[:, ::2] = -0.0
+        for p in (pl, pg):
+            p.b[::3] = -0.0
+        self._assert_same((lstm_forward(x, pl, h0=h0, c0=c0), lstm_backward),
+                          (reference_lstm_forward(x, pl, h0=h0, c0=c0), reference_lstm_backward),
+                          d_hs)
+        self._assert_same((gru_forward(x, pg, h0=h0), gru_backward),
+                          (reference_gru_forward(x, pg, h0=h0), reference_gru_backward), d_hs)
