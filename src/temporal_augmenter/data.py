@@ -1,20 +1,20 @@
 """Dataset ingestion, standardization, splits, and label encoding.
 
 Supported sources:
-  * ``mitbih`` CSV schema: no header, 187 numeric feature columns followed
-    by a numeric label in 0..4; rows become [187, 1] sequences.
-  * ``ionosphere`` CSV schema: no header, 34 numeric attributes (two per
-    radar pulse, 17 pulses) followed by a 'b'/'g' token (decoded 0/1); rows
-    become [17, 2] sequences.
-  * ``generic`` CSV schema: header row, one named label column, remaining
-    columns numeric; rows become [d, 1] sequences and label tokens map to
-    indices in sorted token order.
+  * CSV tables, read by ``load_csv_signals``: the header-less ``mitbih`` and
+    ``ionosphere`` layouts of ``CSV_SCHEMAS``, whose rows end in the label,
+    and ``generic`` tables, whose first non-blank line is a header naming
+    the columns, one of them the label; generic rows become [d, 1] and label
+    tokens map to indices in sorted token order.  An error names a row by
+    its 0-based line index in the file, blank lines and header included,
+    and a field by its 0-based column in the file.
   * WAV directories: one subdirectory per class (sorted alphabetically for
     index stability) of RIFF PCM files, 8- or 16-bit, mono or stereo.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import wave
 from dataclasses import dataclass, field, replace
@@ -59,12 +59,33 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV loaders
+# CSV loader
 # ---------------------------------------------------------------------------
 
-_MITBIH_FEATURES = 187
-_ION_ATTRS = 34
-_ION_PULSES = 17
+@dataclass(frozen=True)
+class CsvSchema:
+    """A CSV layout: one row's feature shape, in C order, and its classes."""
+    shape: tuple
+    class_names: tuple
+    label_tokens: tuple | None = None  # None: the label is a numeric class index
+
+    def class_index(self, token: str) -> int | None:
+        """The class index that a label field names, or None."""
+        if self.label_tokens is not None:
+            return self.label_tokens.index(token) if token in self.label_tokens else None
+        try:
+            value = float(token)
+        except ValueError:
+            return None
+        return int(value) if value.is_integer() and 0 <= value < len(self.class_names) else None
+
+
+CSV_SCHEMAS = {
+    "mitbih": CsvSchema(shape=(187, 1), class_names=("N", "S", "V", "F", "Q")),
+    # two attributes per radar pulse: consecutive pairs -> [17 pulses, 2]
+    "ionosphere": CsvSchema(shape=(17, 2), class_names=("bad", "good"),
+                            label_tokens=("b", "g")),
+}
 
 
 def _parse_row(fields, row_idx: int, path) -> np.ndarray:
@@ -86,22 +107,8 @@ def _parse_row(fields, row_idx: int, path) -> np.ndarray:
     return values
 
 
-def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset:
-    """Load a signal table; ``schema`` is 'mitbih', 'ionosphere', or 'generic'."""
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
-    if schema == "mitbih":
-        return _load_mitbih(path)
-    if schema == "ionosphere":
-        return _load_ionosphere(path)
-    if schema == "generic":
-        if not label_col:
-            raise DataError("generic schema requires a label column name")
-        return _load_generic(path, label_col)
-    raise DataError(f"unknown schema {schema!r}")
-
-
 def _read_rows(path):
+    """Yield (0-based line index, fields) for each non-blank line."""
     with open(path, newline="") as fh:
         for idx, line in enumerate(fh):
             line = line.strip()
@@ -110,65 +117,51 @@ def _read_rows(path):
             yield idx, line.split(",")
 
 
-def _load_mitbih(path) -> Dataset:
-    feats, labels = [], []
-    for idx, fields in _read_rows(path):
-        if len(fields) != _MITBIH_FEATURES + 1:
-            raise DataError(f"{path}: row {idx}: expected {_MITBIH_FEATURES + 1} "
-                            f"columns, got {len(fields)}")
-        values = _parse_row(fields, idx, path)
-        label = int(values[-1])
-        if label != values[-1] or not 0 <= label <= 4:
-            raise DataError(f"{path}: row {idx}: label {values[-1]} not an integer in 0..4")
-        feats.append(values[:-1])
-        labels.append(label)
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    features = np.stack(feats)[:, :, None]
-    return Dataset(features=features, labels=np.array(labels),
-                   class_names=["N", "S", "V", "F", "Q"])
-
-
-def _load_ionosphere(path) -> Dataset:
-    feats, labels = [], []
-    for idx, fields in _read_rows(path):
-        if len(fields) != _ION_ATTRS + 1:
-            raise DataError(f"{path}: row {idx}: expected {_ION_ATTRS + 1} "
-                            f"columns, got {len(fields)}")
-        token = fields[-1].strip()
-        if token not in ("b", "g"):
-            raise DataError(f"{path}: row {idx}: unknown label token {token!r}")
-        values = _parse_row(fields[:-1], idx, path)
-        # two attributes per pulse: consecutive pairs -> [17 pulses, 2]
-        feats.append(values.reshape(_ION_PULSES, 2))
-        labels.append(0 if token == "b" else 1)
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    return Dataset(features=np.stack(feats), labels=np.array(labels),
-                   class_names=["bad", "good"])
-
-
-def _load_generic(path, label_col: str) -> Dataset:
-    with open(path, newline="") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if label_col not in header:
-        raise DataError(f"{path}: label column {label_col!r} not in header {header}")
-    label_idx = header.index(label_col)
-    feats, tokens = [], []
-    for idx, line in enumerate(lines[1:], start=1):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise DataError(f"{path}: row {idx}: expected {len(header)} columns, got {len(fields)}")
+def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset:
+    """Load a signal table; ``schema`` is 'generic' or a key of ``CSV_SCHEMAS``."""
+    if not os.path.exists(path):
+        raise DataError(f"data file not found: {path}")
+    spec = CSV_SCHEMAS.get(schema)
+    rows = _read_rows(path)
+    if spec is not None:  # header-less: the features, then the label
+        shape, label_idx = spec.shape, math.prod(spec.shape)
+        columns = label_idx + 1
+    elif schema != "generic":
+        raise DataError(f"unknown schema {schema!r}")
+    elif not label_col:
+        raise DataError("generic schema requires a label column name")
+    else:
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in first[1]]
+        if label_col not in header:
+            raise DataError(f"{path}: label column {label_col!r} not in header {header}")
+        columns, label_idx, shape = len(header), header.index(label_col), (len(header) - 1, 1)
+    keep = np.delete(np.arange(columns), label_idx)  # the feature columns
+    feats, tokens, lines = [], [], []
+    for idx, fields in rows:
+        if len(fields) != columns:
+            raise DataError(f"{path}: row {idx}: expected {columns} columns, got {len(fields)}")
         tokens.append(fields[label_idx].strip())
         fields[label_idx] = "0"  # placeholder, so errors name the file's column
-        feats.append(np.delete(_parse_row(fields, idx, path), label_idx))
-    class_names = sorted(set(tokens))
-    index = {name: i for i, name in enumerate(class_names)}
-    labels = np.array([index[t] for t in tokens])
-    return Dataset(features=np.stack(feats)[:, :, None], labels=labels, class_names=class_names)
+        feats.append(_parse_row(fields, idx, path)[keep])
+        lines.append(idx)
+    if not feats:
+        raise DataError(f"{path}: no data rows")
+    if spec is None:  # generic: the classes are the sorted distinct tokens
+        names = tuple(sorted(set(tokens)))
+        spec = CsvSchema(shape, names, label_tokens=names)
+    index = {token: spec.class_index(token) for token in set(tokens)}
+    labels = [index[token] for token in tokens]
+    if None in labels:
+        row = labels.index(None)
+        expected = (f"one of {list(spec.label_tokens)}" if spec.label_tokens is not None
+                    else f"an integer in 0..{len(spec.class_names) - 1}")
+        raise DataError(f"{path}: row {lines[row]}: unknown label token {tokens[row]!r}, "
+                        f"not {expected}")
+    return Dataset(features=np.stack(feats).reshape((len(feats),) + shape),
+                   labels=np.array(labels), class_names=list(spec.class_names))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +253,10 @@ def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
         raise DataError(f"scaler shape {sp.mean.shape} does not match data {ds.features.shape[1:]}")
     if sp.std.shape != sp.mean.shape:
         raise DataError(f"scaler std shape {sp.std.shape} does not match its mean {sp.mean.shape}")
+    if not np.isfinite(sp.mean).all():
+        raise DataError("scaler mean has a non-finite value")
+    if not (np.isfinite(sp.std) & (sp.std > 0)).all():
+        raise DataError("scaler std must be finite and positive")
     return replace(ds, features=(ds.features - sp.mean) / sp.std)
 
 

@@ -163,12 +163,11 @@ def _check_cell(kind: str, seed: int) -> float:
     worst = 0.0
     for T in (1, 2, 5):
         n, d, u = 3, 4, 3
+        params = recurrent.draw_params(recurrent.zero_params(kind, d, u), rng)
         if kind == "lstm":
-            params = recurrent.init_lstm_params(d, u, rng)
             run = recurrent.lstm_forward
             run_back = recurrent.lstm_backward
         else:
-            params = recurrent.init_gru_params(d, u, rng)
             run = recurrent.gru_forward
             run_back = recurrent.gru_backward
         pdict = recurrent.params_as_dict(params)

@@ -45,10 +45,6 @@ class Conv1DParams:
     def in_channels(self) -> int:
         return self.K.shape[1]
 
-    @property
-    def filters(self) -> int:
-        return self.K.shape[2]
-
 
 # ---------------------------------------------------------------------------
 # dense

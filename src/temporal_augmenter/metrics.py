@@ -17,7 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,7 +213,6 @@ class Report:
     per_class: list
     split: str = "test"
     total_params: int | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def classification_report(true_labels, probs: np.ndarray, class_names,
@@ -273,7 +272,6 @@ def report_to_dict(report: Report) -> dict:
            "class_names": list(report.class_names)}
     if report.total_params is not None:
         out["total_params"] = report.total_params
-    out.update(report.extra)
     return out
 
 

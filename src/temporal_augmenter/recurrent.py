@@ -171,16 +171,6 @@ def draw_params(p, rng: Rng):
     return p
 
 
-def init_lstm_params(input_size: int, units: int, rng: Rng) -> LSTMParams:
-    """Draw order: W_f, W_i, W_g, W_o then U_f, U_i, U_g, U_o; biases zero."""
-    return draw_params(zero_params("lstm", input_size, units), rng)
-
-
-def init_gru_params(input_size: int, units: int, rng: Rng) -> GRUParams:
-    """Draw order: W_z, W_r, W_h then U_z, U_r, U_h; biases zero."""
-    return draw_params(zero_params("gru", input_size, units), rng)
-
-
 # ---------------------------------------------------------------------------
 # sequence forward/backward
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The real corpora behind the three reference tasks are large downloads; these
 generators produce format-identical stand-ins sized for a workstation:
 
   * a pure-tone WAV corpus (classes differ only in frequency),
-  * a heartbeat-like 187-sample CSV corpus with five imbalanced classes,
-  * a radar-echo-like 17-pulse corpus (coherent decaying echo vs clutter).
+  * a heartbeat-like corpus with five imbalanced classes, in the mitbih layout,
+  * a radar-echo-like corpus (coherent decaying echo vs clutter), in the
+    ionosphere layout; both layouts are entries of ``data.CSV_SCHEMAS``.
 
 Each function is deterministic given its Rng.
 """
@@ -17,7 +18,7 @@ import wave
 
 import numpy as np
 
-from .data import Dataset
+from .data import CSV_SCHEMAS, Dataset
 from .tensor_core import Rng
 
 
@@ -59,7 +60,7 @@ def write_tone_corpus(root, rng: Rng, frequencies=(440.0, 880.0, 1320.0),
 # heartbeat-like corpus
 # ---------------------------------------------------------------------------
 
-_BEAT_LEN = 187
+_BEAT_LEN = CSV_SCHEMAS["mitbih"].shape[0]
 
 # (center, width, amplitude) bumps per class, loosely P/QRS/T shaped; the
 # second class intentionally stays close to the first so the task is not
@@ -85,7 +86,7 @@ def _bumps(t: np.ndarray, spec, shift: float, widen: float) -> np.ndarray:
 
 
 def make_heartbeat_dataset(n: int, rng: Rng) -> Dataset:
-    """Five-class imbalanced beat-shaped sequences, [n, 187, 1] in [0, 1]."""
+    """Five-class imbalanced beat-shaped sequences in the mitbih row shape, values in [0, 1]."""
     counts = [int(round(n * frac)) for frac in _BEAT_MIX]
     counts[0] += n - sum(counts)
     t = np.arange(_BEAT_LEN, dtype=np.float64)
@@ -109,11 +110,11 @@ def make_heartbeat_dataset(n: int, rng: Rng) -> Dataset:
             row += 1
     perm = rng.permutation(n)
     return Dataset(features=feats[perm][:, :, None], labels=labels[perm],
-                   class_names=["N", "S", "V", "F", "Q"])
+                   class_names=list(CSV_SCHEMAS["mitbih"].class_names))
 
 
 def write_heartbeat_csv(path, ds: Dataset) -> None:
-    """Serialize a heartbeat dataset in the header-less 188-column layout."""
+    """Serialize a heartbeat dataset in the header-less mitbih layout."""
     flat = ds.features[:, :, 0]
     with open(path, "w") as fh:
         for row, label in zip(flat, ds.labels):
@@ -124,11 +125,12 @@ def write_heartbeat_csv(path, ds: Dataset) -> None:
 # radar-echo-like corpus
 # ---------------------------------------------------------------------------
 
-_PULSES = 17
+_RADAR = CSV_SCHEMAS["ionosphere"]
+_PULSES = _RADAR.shape[0]
 
 
 def make_radar_dataset(n: int, rng: Rng, good_fraction: float = 0.64) -> Dataset:
-    """Two-class pulse-return sequences, [n, 17, 2], values in [-1, 1].
+    """Two-class pulse-return sequences in the ionosphere row shape, values in [-1, 1].
 
     Good returns carry a coherent decaying complex echo; bad returns are
     clutter (heavy noise, sometimes with a faint fast-decaying echo).
@@ -158,13 +160,13 @@ def make_radar_dataset(n: int, rng: Rng, good_fraction: float = 0.64) -> Dataset
         labels[i] = 1 if good else 0
     feats = np.clip(feats, -1.0, 1.0)
     perm = rng.permutation(n)
-    return Dataset(features=feats[perm], labels=labels[perm], class_names=["bad", "good"])
+    return Dataset(features=feats[perm], labels=labels[perm],
+                   class_names=list(_RADAR.class_names))
 
 
 def write_radar_csv(path, ds: Dataset) -> None:
-    """Serialize a radar dataset in the 34-attributes-plus-b/g-token layout."""
-    flat = ds.features.reshape(ds.n, _PULSES * 2)
+    """Serialize a radar dataset in the header-less ionosphere layout."""
+    flat = ds.features.reshape(ds.n, -1)
     with open(path, "w") as fh:
         for row, label in zip(flat, ds.labels):
-            token = "g" if label == 1 else "b"
-            fh.write(",".join(repr(float(v)) for v in row) + f",{token}\n")
+            fh.write(",".join(repr(float(v)) for v in row) + f",{_RADAR.label_tokens[label]}\n")

@@ -161,6 +161,15 @@ class TestTrainCommand:
         assert rc == 3
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_header_only_csv_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("f1,f2,label\n")
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = custom\nlabel_col = label\ndata = {data}\n"
+                            f"out = {tmp_path / 'out'}\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert "no data rows" in capsys.readouterr().err
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("task = nosuch\n")
@@ -183,15 +192,23 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg_path)]) == 4
 
 
-def train_in_child(tmp_path, config_text: str) -> dict:
-    """Run ``train`` in a child process with BLAS on one thread; returns the
-    sha256 of the checkpoint, the trainlog and the test report."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS")
+
+
+def train_in_child(tmp_path, config_text: str, pin_threads: bool = True) -> dict:
+    """Run ``train`` in a child process; returns the sha256 of the
+    checkpoint, the trainlog and the test report.  With ``pin_threads`` the
+    child's environment sets BLAS to one thread; without it, the child's
+    environment has no BLAS thread variable at all."""
     out = tmp_path / "run"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(f"out = {out}\n" + config_text)
     src = os.path.dirname(os.path.dirname(temporal_augmenter.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = src
+    if pin_threads:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     subprocess.run([sys.executable, "-m", "temporal_augmenter", "train",
                     "--config", str(cfg_path)], env=env, check=True,
                    capture_output=True, timeout=300)
@@ -212,18 +229,30 @@ class TestPinnedDigests:
     digests.
     """
 
+    HEARTBEAT_CHECKPOINT = "080886c0d58c4e313bfecf6a07fe01def8994b80c743739a4a9ef1afd10045ef"
+
+    @staticmethod
+    def heartbeat_config(tmp_path) -> str:
+        data = tmp_path / "beats.csv"
+        write_heartbeat_csv(data, make_heartbeat_dataset(60, Rng(900)))
+        return f"task = mitbih\ndata = {data}\nseed = 5\nepochs = 2\nbatch_size = 7\n"
+
     def test_heartbeat_run_matches_recorded_digests(self, tmp_path):
         """The mitbih shape (T = 187, 128 filters), stream and head dropout
         on, and batches of 7 rows, an odd count, so a batch spans several
         front-end blocks and ends in a short one."""
-        data = tmp_path / "beats.csv"
-        write_heartbeat_csv(data, make_heartbeat_dataset(60, Rng(900)))
-        digests = train_in_child(tmp_path, f"task = mitbih\ndata = {data}\nseed = 5\n"
-                                           f"epochs = 2\nbatch_size = 7\n")
-        assert digests["checkpoint.tackpt"] == (
-            "080886c0d58c4e313bfecf6a07fe01def8994b80c743739a4a9ef1afd10045ef")
+        digests = train_in_child(tmp_path, self.heartbeat_config(tmp_path))
+        assert digests["checkpoint.tackpt"] == self.HEARTBEAT_CHECKPOINT
         assert digests["trainlog.csv"] == (
             "fc116c53cde769271ecc692d36f69a44bebd6aa93c1a156dcce27e35e02d94d2")
+
+    def test_heartbeat_run_without_thread_variables(self, tmp_path):
+        """The package defaults BLAS to one thread, so a child that sets no
+        thread variable writes the pinned checkpoint.  Only on 2 or more
+        cores does this tell the default apart from a threaded BLAS: on one
+        core, threaded OpenBLAS runs one thread and writes the same bits."""
+        digests = train_in_child(tmp_path, self.heartbeat_config(tmp_path), pin_threads=False)
+        assert digests["checkpoint.tackpt"] == self.HEARTBEAT_CHECKPOINT
 
     def test_tone_run_matches_recorded_digests(self, tmp_path):
         """The tess shape: WAV clips of T = 1024, so each cell runs 512
@@ -330,7 +359,14 @@ class TestEvalCommand:
         no_std = rewrite(blob[end:len(blob) - std_bytes])
         header["tensors"].append(dict(std_entry, shape=[math.prod(std_entry["shape"])]))
         flat_std = rewrite(blob[end:])
-        for data, named in ((no_std, [str(path), "extra.scaler_std"]), (flat_std, ["std shape"])):
+        cases = [(no_std, [str(path), "extra.scaler_std"]), (flat_std, ["std shape"])]
+        # overwrite the last float of std (the last tensor), then of the mean before it
+        for at, value, named in ((len(blob) - 8, math.nan, "std"), (len(blob) - 8, 0.0, "std"),
+                                 (len(blob) - 8, -1.0, "std"), (len(blob) - 8, math.inf, "std"),
+                                 (len(blob) - std_bytes - 8, math.nan, "mean")):
+            cases.append((blob[:at] + np.float64(value).astype("<f8").tobytes() + blob[at + 8:],
+                          [f"scaler {named}"]))
+        for data, named in cases:
             path.write_bytes(data)
             assert cli.main(["eval", str(path), str(radar_csv)]) == 3
             err = capsys.readouterr().err

@@ -17,7 +17,14 @@ from temporal_augmenter.data import (
     one_hot,
     split,
 )
-from temporal_augmenter.synth import make_radar_dataset, write_radar_csv, write_tone_corpus, write_wav
+from temporal_augmenter.synth import (
+    make_heartbeat_dataset,
+    make_radar_dataset,
+    write_heartbeat_csv,
+    write_radar_csv,
+    write_tone_corpus,
+    write_wav,
+)
 from temporal_augmenter.tensor_core import Rng
 
 
@@ -66,6 +73,23 @@ class TestMitbihLoader:
         write_mitbih_rows(path, [[0.1] * 187 + [9.0]])
         with pytest.raises(DataError, match="0..4"):
             load_csv_signals(path, "mitbih")
+
+    @pytest.mark.parametrize("token", ["x", "nan", "NaN", "inf", "1.5", ""])
+    def test_bad_label_names_the_row(self, tmp_path, token):
+        path = tmp_path / "lbl.csv"
+        write_mitbih_rows(path, [[0.1] * 187 + [0.0], [0.1] * 187 + [token]])
+        expected = rf"row 1: unknown label token '{token}', not an integer in 0\.\.4"
+        with pytest.raises(DataError, match=expected):
+            load_csv_signals(path, "mitbih")
+
+    def test_round_trip_through_writer(self, tmp_path):
+        ds = make_heartbeat_dataset(40, Rng(306))
+        path = tmp_path / "beats.csv"
+        write_heartbeat_csv(path, ds)
+        loaded = load_csv_signals(path, "mitbih")
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        npt.assert_array_equal(loaded.labels, ds.labels)
+        assert loaded.class_names == ds.class_names
 
     def test_missing_file(self):
         with pytest.raises(DataError, match="not found"):
@@ -131,6 +155,26 @@ class TestGenericLoader:
             load_csv_signals(path, "generic", label_col="kind")
         path.write_text("f1,kind,f2\n1.0,dog,oops\n")
         with pytest.raises(DataError, match=r"row 1, column 2: non-numeric value 'oops'"):
+            load_csv_signals(path, "generic", label_col="kind")
+
+    def test_blank_lines_count_in_row_numbers(self, tmp_path):
+        # rows are numbered by the file's 0-based line index, as in mitbih
+        path = tmp_path / "gen.csv"
+        path.write_text("f1,kind\n\n1.0,dog\n\noops,cat\n")
+        with pytest.raises(DataError, match=r"row 4, column 0: non-numeric value 'oops'"):
+            load_csv_signals(path, "generic", label_col="kind")
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "gen.csv"
+        path.write_text("f1,kind\n\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv_signals(path, "generic", label_col="kind")
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "gen.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="empty file"):
             load_csv_signals(path, "generic", label_col="kind")
 
     def test_missing_label_column(self, tmp_path):

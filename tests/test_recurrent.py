@@ -10,12 +10,12 @@ from temporal_augmenter.recurrent import (
     GRUParams,
     LSTMParams,
     gru_backward,
+    draw_params,
     gru_forward,
-    init_gru_params,
-    init_lstm_params,
     lstm_backward,
     lstm_forward,
     params_as_dict,
+    zero_params,
 )
 from temporal_augmenter.tensor_core import (
     Rng,
@@ -230,13 +230,13 @@ class TestGRUStep:
 class TestUnroll:
     def test_length_one_equals_single_step(self):
         rng = Rng(61)
-        p = init_lstm_params(3, 4, rng)
+        p = draw_params(zero_params("lstm", 3, 4), rng)
         x = rng.uniform((5, 1, 3)) * 2 - 1
         hs, _ = lstm_forward(x, p)
         h1, _ = lstm_step(x[:, 0, :], np.zeros((5, 4)), np.zeros((5, 4)), p)
         npt.assert_array_equal(hs[:, -1], h1)
 
-        p2 = init_gru_params(3, 4, rng)
+        p2 = draw_params(zero_params("gru", 3, 4), rng)
         hs2, _ = gru_forward(x, p2)
         npt.assert_array_equal(hs2[:, -1], gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
 
@@ -259,7 +259,7 @@ class TestUnroll:
 
     def test_unroll_gradients_match_fd(self):
         rng = Rng(63)
-        p = init_gru_params(2, 3, rng)
+        p = draw_params(zero_params("gru", 2, 3), rng)
         x = rng.uniform((3, 3, 2)) * 2 - 1
         proj = rng.uniform((3, 3)) * 2 - 1
         hs, cache = gru_forward(x, p)
@@ -277,7 +277,7 @@ class TestUnroll:
 
 class TestFusedLayout:
     def test_gate_names_are_views_in_parameter_order(self):
-        p = init_lstm_params(3, 4, Rng(70))
+        p = draw_params(zero_params("lstm", 3, 4), Rng(70))
         assert list(params_as_dict(p)) == [f"{m}_{g}" for m in "WUb" for g in "figo"]
         for gate, slot in zip("fiog", range(4)):
             cols = slice(4 * slot, 4 * slot + 4)
@@ -286,7 +286,7 @@ class TestFusedLayout:
         p.b_o[:] = 7.0
         npt.assert_array_equal(p.b, [0.0] * 8 + [7.0] * 4 + [0.0] * 4)
 
-        g = init_gru_params(3, 4, Rng(71))
+        g = draw_params(zero_params("gru", 3, 4), Rng(71))
         assert list(params_as_dict(g)) == ["W_z", "W_r", "W_h", "U_z", "U_r", "U_h",
                                            "b_z", "b_r", "b_h"]
         assert params_as_dict(g)["U_h"] is g.U_h and g.U_r.base is g.U_zr
@@ -297,8 +297,8 @@ class TestFusedLayout:
 
     def test_init_draws_each_gate_in_name_order(self):
         d, u = 3, 4
-        for init, gates in ((init_lstm_params, "figo"), (init_gru_params, "zrh")):
-            p = init(d, u, Rng(72))
+        for kind, gates in (("lstm", "figo"), ("gru", "zrh")):
+            p = draw_params(zero_params(kind, d, u), Rng(72))
             rng = Rng(72)
             for g in gates:
                 assert getattr(p, f"W_{g}").tobytes() == \
@@ -310,8 +310,8 @@ class TestFusedLayout:
     def test_forward_matches_step_oracle_over_time(self):
         rng = Rng(73)
         x = rng.uniform((4, 7, 3)) * 2 - 1
-        pl = init_lstm_params(3, 5, rng)
-        pg = init_gru_params(3, 5, rng)
+        pl = draw_params(zero_params("lstm", 3, 5), rng)
+        pg = draw_params(zero_params("gru", 3, 5), rng)
         for p in (pl, pg):
             for name, arr in params_as_dict(p).items():
                 if name.startswith("b_"):
@@ -329,7 +329,7 @@ class TestFusedLayout:
 class TestGateRanges:
     def test_gates_bounded_on_random_forward(self):
         rng = Rng(64)
-        p = init_lstm_params(4, 5, rng)
+        p = draw_params(zero_params("lstm", 4, 5), rng)
         x = rng.uniform((6, 8, 4)) * 4 - 2
         hs, cache = lstm_forward(x, p)
         gates = cache[4]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
@@ -338,7 +338,7 @@ class TestGateRanges:
         assert np.all(g > -1) and np.all(g < 1)
         assert np.all(np.abs(hs) <= 1.0)
 
-        pg = init_gru_params(4, 5, rng)
+        pg = draw_params(zero_params("gru", 4, 5), rng)
         hsg, cacheg = gru_forward(x, pg)
         zr, hcs = cacheg[3], cacheg[4]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
         assert np.all(zr > 0) and np.all(zr < 1)
@@ -350,7 +350,7 @@ class TestMemoryRetention:
     def test_lstm_saturated_gates_carry_cell_unchanged(self):
         # forget gate ~1 and input gate ~0 (biases +/-50) must preserve c
         rng = Rng(65)
-        p = init_lstm_params(3, 4, rng)
+        p = draw_params(zero_params("lstm", 3, 4), rng)
         p.b_f[:] = 50.0
         p.b_i[:] = -50.0
         x = rng.uniform((2, 12, 3)) * 2 - 1
@@ -362,7 +362,7 @@ class TestMemoryRetention:
 
     def test_gru_saturated_update_gate_preserves_state(self):
         rng = Rng(66)
-        p = init_gru_params(3, 4, rng)
+        p = draw_params(zero_params("gru", 3, 4), rng)
         p.b_z[:] = 50.0
         x = rng.uniform((2, 12, 3)) * 2 - 1
         h0 = rng.uniform((2, 4)) * 2 - 1
@@ -376,8 +376,8 @@ class TestEvalMode:
         x = rng.uniform((4, 9, 3)) * 2 - 1
         h0 = rng.uniform((4, 5)) * 2 - 1
         c0 = rng.uniform((4, 5)) * 2 - 1
-        pl = init_lstm_params(3, 5, rng)
-        pg = init_gru_params(3, 5, rng)
+        pl = draw_params(zero_params("lstm", 3, 5), rng)
+        pg = draw_params(zero_params("gru", 3, 5), rng)
         runs = [
             lambda mode: lstm_forward(x, pl, mode=mode),
             lambda mode: lstm_forward(x, pl, h0=h0, c0=c0, mode=mode),
@@ -391,11 +391,12 @@ class TestEvalMode:
             assert hs_eval.tobytes() == hs_train.tobytes()
 
     def test_unknown_mode_rejected(self):
-        p = init_gru_params(2, 3, Rng(69))
+        p = draw_params(zero_params("gru", 2, 3), Rng(69))
         with pytest.raises(ValueError, match="mode"):
             gru_forward(np.zeros((1, 2, 2)), p, mode="infer")
         with pytest.raises(ValueError, match="mode"):
-            lstm_forward(np.zeros((1, 2, 2)), init_lstm_params(2, 3, Rng(69)), mode="test")
+            lstm_forward(np.zeros((1, 2, 2)), draw_params(zero_params("lstm", 2, 3), Rng(69)),
+                         mode="test")
 
 
 class TestBPTT:
@@ -407,7 +408,7 @@ class TestBPTT:
 
     def test_determinism(self):
         rng = Rng(67)
-        p = init_lstm_params(3, 4, rng)
+        p = draw_params(zero_params("lstm", 3, 4), rng)
         x = rng.uniform((5, 6, 3)) * 2 - 1
         a, _ = lstm_forward(x, p)
         b, _ = lstm_forward(x, p)
@@ -438,7 +439,7 @@ class TestRecurrentGradientProducts:
     @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
     def test_lstm_U_matches_tensordot(self, n, T, u):
         rng = Rng(70 + u)
-        p = init_lstm_params(n * T, u, rng)
+        p = draw_params(zero_params("lstm", n * T, u), rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = lstm_forward(x, p)
         _, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
@@ -452,7 +453,7 @@ class TestRecurrentGradientProducts:
     @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
     def test_gru_U_matches_tensordot(self, n, T, u):
         rng = Rng(80 + u)
-        p = init_gru_params(n * T, u, rng)
+        p = draw_params(zero_params("gru", n * T, u), rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = gru_forward(x, p)
         _, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
@@ -478,8 +479,8 @@ class TestCellsMatchOracles:
         d = 5
         x = rng.uniform((n, T, d)) * 4 - 2
         d_hs = rng.uniform((n, T, u)) - 0.5
-        pl = init_lstm_params(d, u, rng)
-        pg = init_gru_params(d, u, rng)
+        pl = draw_params(zero_params("lstm", d, u), rng)
+        pg = draw_params(zero_params("gru", d, u), rng)
         for p in (pl, pg):
             p.b[...] = rng.uniform(p.b.shape) - 0.5
         h0 = rng.uniform((n, u)) * 2 - 1

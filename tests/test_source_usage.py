@@ -1,4 +1,5 @@
-"""Every public function and class in the package has a caller outside the tests.
+"""Every public function and class in the package, and every public method
+and property of its classes, has a caller outside the tests.
 
 Code that only tests import belongs in the tests, as an oracle next to the
 assertions that use it.
@@ -12,10 +13,21 @@ PACKAGE_FILES = sorted((ROOT / "src" / "temporal_augmenter").glob("*.py"))
 CALLER_FILES = PACKAGE_FILES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def public_definitions(tree) -> set:
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """Module-level public names, and ``Class.member`` for the public
+    methods and properties of module-level classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{member.name}" for member in node.body
+                             if isinstance(member, DEFINITIONS)
+                             and not member.name.startswith("_"))
+    return names
 
 
 def used_names(tree) -> set:
@@ -42,5 +54,6 @@ def test_every_public_definition_has_a_non_test_caller():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in CALLER_FILES}
     used = set().union(*(used_names(tree) for tree in trees.values()))
     unused = sorted(f"{path.stem}.{name}" for path in PACKAGE_FILES
-                    for name in public_definitions(trees[path]) if name not in used)
+                    for name in public_definitions(trees[path])
+                    if name.rsplit(".", 1)[-1] not in used)
     assert unused == [], f"used only by tests (move them into tests/): {unused}"
