@@ -3,6 +3,15 @@
 Exit codes: 0 success, 2 configuration error (also used by argparse),
 3 data error or missing artifact, 4 training divergence, 5 gradient-check
 failure.
+
+A checkpoint's extras hold three keys: ``run_config``, the run's settings
+as the text ``format_config`` renders; ``class_names``, the trained classes
+in label order; and ``data_sha256``, the fingerprint ``data.data_sha256``
+took of the training data.  ``eval`` reads ``run_config`` back with
+``parse_config_text``, the parser every config file goes through, and loads,
+splits and scales the data it is given with those settings.  A checkpoint
+that lacks a valid ``run_config``, such as one written before this layout,
+is a data error (exit 3).
 """
 
 from __future__ import annotations
@@ -17,13 +26,13 @@ import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from . import metrics, model as model_mod, optim
-from .config import ConfigError, RunConfig, format_config, load_config
+from .config import ConfigError, RunConfig, format_config, load_config, parse_config_text
 from .data import (
     DataError,
     Dataset,
     ScalerParams,
-    SplitSpec,
     apply_scaler,
+    data_sha256,
     fit_scaler,
     load_csv_signals,
     load_wav_dir,
@@ -34,10 +43,10 @@ from .optim import TrainingDivergenceError
 from .tensor_core import Rng
 
 
-def _load_dataset(schema: str, path: str, target_len: int, label_col: str | None) -> Dataset:
-    if schema == "wav":
-        return load_wav_dir(path, target_len)
-    return load_csv_signals(path, schema, label_col=label_col)
+def _load_dataset(cfg: RunConfig, path: str) -> Dataset:
+    if cfg.schema == "wav":
+        return load_wav_dir(path, cfg.target_len)
+    return load_csv_signals(path, cfg.schema, label_col=cfg.label_col)
 
 
 def _model_config(cfg: RunConfig, ds: Dataset) -> ModelConfig:
@@ -61,7 +70,9 @@ def _write_report(report: metrics.Report, out_dir: str, stem: str) -> None:
 def run_training(cfg: RunConfig, out_dir: str) -> dict:
     """Full training pipeline; returns paths of the written artifacts."""
     data_path = cfg.resolved_data_path()
-    ds = _load_dataset(cfg.schema, data_path, cfg.target_len, cfg.label_col)
+    ds = _load_dataset(cfg, data_path)
+    extras = {"run_config": format_config(cfg), "class_names": list(ds.class_names),
+              "data_sha256": data_sha256(data_path)}
     train_set, val_set, test_set = split(ds, cfg.split)
     scaler = None
     if cfg.standardize:
@@ -79,17 +90,6 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
     report = metrics.classification_report(test_set.labels, probs, ds.class_names,
                                            split="test",
                                            total_params=model_mod.param_count(net))
-    extras = {
-        "task": cfg.task,
-        "schema": cfg.schema,
-        "label_col": cfg.label_col,
-        "target_len": cfg.target_len,
-        "standardize": cfg.standardize,
-        "split": {"ratios": list(cfg.split.ratios), "seed": cfg.split.seed,
-                  "stratified": cfg.split.stratified},
-        "class_names": list(ds.class_names),
-        "run_seed": cfg.seed,
-    }
     extra_tensors = {}
     if scaler is not None:
         extra_tensors = {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
@@ -105,7 +105,7 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
     log.to_csv(paths["trainlog"])
     _write_report(report, out_dir, "report_test")
     with open(paths["config"], "w") as fh:
-        fh.write(format_config(cfg))
+        fh.write(f"data = {cfg.data}\n" + extras["run_config"])
     return paths
 
 
@@ -129,79 +129,45 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checked_extras(path, extras: dict, num_classes: int) -> dict:
-    """The checkpoint extras that eval reads, with train's defaults for absent keys.
-
-    A value train could not have written raises DataError naming ``path``
-    and the key, so an edited header exits 3 instead of failing later.
-    """
-    def bad(key, expected, value):
-        return DataError(f"{path}: checkpoint extra {key!r} must be {expected}, got {value!r}")
-
-    schema = extras.get("schema", "generic")
-    target_len = extras.get("target_len", 1024)
-    label_col = extras.get("label_col")
-    names = extras.get("class_names")
-    if not isinstance(schema, str):
-        raise bad("schema", "a string", schema)
-    if type(target_len) is not int or target_len < 1:
-        raise bad("target_len", "a positive integer", target_len)
-    if label_col is not None and not isinstance(label_col, str):
-        raise bad("label_col", "a string or null", label_col)
-    if names is not None and (not isinstance(names, list) or len(names) != num_classes
-                              or not all(isinstance(c, str) for c in names)):
-        raise bad("class_names", f"a list of {num_classes} strings", names)
-    split_info = extras.get("split", {})
-    if not isinstance(split_info, dict):
-        raise bad("split", "an object", split_info)
-    ratios = split_info.get("ratios", [0.6, 0.2, 0.2])
-    seed = split_info.get("seed", 0)
-    stratified = split_info.get("stratified", False)
-    if not isinstance(ratios, list) or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios):
-        raise bad("split.ratios", "a list of numbers", ratios)
-    if type(seed) is not int:
-        raise bad("split.seed", "an integer", seed)
-    if type(stratified) is not bool:
-        raise bad("split.stratified", "a boolean", stratified)
-    spec = SplitSpec(ratios=tuple(ratios), seed=seed, stratified=stratified)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise DataError(f"{path}: checkpoint extra 'split.ratios': {exc}") from None
-    return {"schema": schema, "target_len": target_len, "label_col": label_col,
-            "class_names": names, "split": spec}
-
-
 def cmd_eval(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
-    net, extras, extra_tensors = model_mod.load_checkpoint(args.checkpoint)
-    settings = _checked_extras(args.checkpoint, extras, net.config.num_classes)
-    ds = _load_dataset(settings["schema"], args.data, settings["target_len"],
-                       settings["label_col"])
-    if ds.num_classes != net.config.num_classes:
-        raise ConfigError(
-            f"class-count mismatch: checkpoint expects {net.config.num_classes} "
-            f"classes, data has {ds.num_classes}")
+    path = args.checkpoint
+    if not os.path.exists(path):
+        raise DataError(f"checkpoint not found: {path}")
+    net, extras, extra_tensors = model_mod.load_checkpoint(path)
+    text, names, k = extras.get("run_config"), extras.get("class_names"), net.config.num_classes
+    if not isinstance(text, str):
+        raise DataError(f"{path}: checkpoint extra 'run_config' must be the run's config "
+                        f"text, got {text!r}")
+    if not (isinstance(names, list) and len(names) == k
+            and all(isinstance(c, str) for c in names)):
+        raise DataError(f"{path}: checkpoint extra 'class_names' must be a list of {k} "
+                        f"strings, got {names!r}")
+    try:
+        cfg = parse_config_text(text, source=f"{path}: run_config")
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    ds = _load_dataset(cfg, args.data)
+    if ds.num_classes != k:
+        raise ConfigError(f"class-count mismatch: checkpoint expects {k} classes, "
+                          f"data has {ds.num_classes}")
+    if ds.class_names != names:
+        raise ConfigError(f"class-name mismatch: checkpoint has {names}, "
+                          f"data has {ds.class_names}")
     if ds.features.shape[1:] != (net.config.input_timesteps, net.config.input_channels):
         raise ConfigError(
             f"schema mismatch: checkpoint expects inputs "
             f"[{net.config.input_timesteps}, {net.config.input_channels}], data is "
             f"{list(ds.features.shape[1:])}")
-    parts = dict(zip(("train", "val", "test"), split(ds, settings["split"])))
-    subset = parts[args.split]
-    scaler_keys = [key for key in ("scaler_mean", "scaler_std") if key in extra_tensors]
-    if len(scaler_keys) == 1:
-        missing = "scaler_std" if scaler_keys == ["scaler_mean"] else "scaler_mean"
-        raise DataError(f"{args.checkpoint}: checkpoint has tensor 'extra.{scaler_keys[0]}' "
-                        f"but not 'extra.{missing}'")
-    if scaler_keys:
+    subset = dict(zip(("train", "val", "test"), split(ds, cfg.split)))[args.split]
+    if cfg.standardize:
+        for key in ("scaler_mean", "scaler_std"):
+            if key not in extra_tensors:
+                raise DataError(f"{path}: run_config sets standardize, but the checkpoint "
+                                f"has no tensor 'extra.{key}'")
         subset = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
                                            std=extra_tensors["scaler_std"]), subset)
     probs = optim.predict_probs(net, subset.features)
-    report = metrics.classification_report(subset.labels, probs,
-                                           settings["class_names"] or ds.class_names,
+    report = metrics.classification_report(subset.labels, probs, ds.class_names,
                                            split=args.split,
                                            total_params=model_mod.param_count(net))
     print(metrics.format_report(report))

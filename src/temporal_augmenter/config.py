@@ -1,10 +1,15 @@
 """Run configuration: task presets, flat key=value config files, overrides.
 
 A config file is plain text, one ``key = value`` per line, ``#`` comments.
-``task`` selects a preset that pins the reference hyperparameters (split
-ratios, batch size, epochs, optimizer); every other key overrides the
-preset.  Relative ``data`` paths resolve against $TEMPORAL_AUGMENTER_DATA
-when it is set.
+``task`` selects a preset that pins the data schema and the reference
+hyperparameters (split ratios, batch size, epochs, optimizer); every other
+key overrides the preset.  Relative ``data`` paths resolve against
+$TEMPORAL_AUGMENTER_DATA when it is set.
+
+``format_config`` renders a resolved config as text that
+``parse_config_text`` reads back to the same config.  The text omits the
+schema, which the task implies, and the ``data`` and ``out`` paths, so it
+does not depend on where the data or the run lives.
 
 Recognized keys:
   task, data, out, seed, standardize, target_len, label_col,
@@ -133,6 +138,17 @@ _KEY_TYPES = {
 }
 
 
+def _parse_value(key: str, value: str):
+    kind = _KEY_TYPES[key]
+    if kind == "int_list":
+        return tuple(_parse_scalar(v.strip(), int, key) for v in value.split(",") if v.strip())
+    if kind == "str_list":
+        return tuple(v.strip() for v in value.split(",") if v.strip())
+    if kind is bool:
+        return _parse_bool(value, key)
+    return _parse_scalar(value, kind, key)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,47 +162,35 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        pairs[key] = value
+        try:
+            pairs[key] = _parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
 
     task = pairs.pop("task", None)
     if task is None:
         raise ConfigError(f"{source}: missing required key 'task'")
     if task not in TASKS:
         raise ConfigError(f"{source}: unknown task {task!r}; expected one of {TASKS}")
-    seed = _parse_scalar(pairs.pop("seed", "0"), int, "seed")
-    cfg = preset_run_config(task, seed=seed)
-
-    ratios = list(cfg.split.ratios)
-    for i, key in enumerate(("split_train", "split_val", "split_test")):
-        if key in pairs:
-            ratios[i] = _parse_scalar(pairs.pop(key), float, key)
-    cfg.split.ratios = tuple(ratios)
-    if "stratified" in pairs:
-        cfg.split.stratified = _parse_bool(pairs.pop("stratified"), "stratified")
-
-    for key in list(pairs):
-        value = pairs.pop(key)
-        kind = _KEY_TYPES[key]
-        if kind == "int_list":
-            parsed = tuple(_parse_scalar(v.strip(), int, key) for v in value.split(",") if v.strip())
-        elif kind == "str_list":
-            parsed = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif kind is bool:
-            parsed = _parse_bool(value, key)
-        else:
-            parsed = _parse_scalar(value, kind, key)
+    cfg = preset_run_config(task, seed=pairs.pop("seed", 0))
+    cfg.split.ratios = tuple(pairs.pop(key, ratio) for key, ratio in
+                             zip(("split_train", "split_val", "split_test"), cfg.split.ratios))
+    cfg.split.stratified = pairs.pop("stratified", cfg.split.stratified)
+    for key, value in pairs.items():
         if key in _TRAIN_KEYS:
-            setattr(cfg.train, key, parsed)
+            setattr(cfg.train, key, value)
         elif key in _MODEL_KEYS:
-            cfg.model_overrides[key] = parsed
+            cfg.model_overrides[key] = value
         else:
-            setattr(cfg, key, parsed)
+            setattr(cfg, key, value)
 
     try:
         cfg.split.validate()
         cfg.train.validate()
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
+    if cfg.target_len < 1:
+        raise ConfigError(f"{source}: target_len must be at least 1, got {cfg.target_len}")
     if cfg.task == "custom" and cfg.schema == "generic" and not cfg.label_col:
         raise ConfigError(f"{source}: custom task with generic schema requires label_col")
     return cfg
@@ -199,36 +203,21 @@ def load_config(path) -> RunConfig:
         return parse_config_text(fh.read(), source=str(path))
 
 
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)  # a float's str is its shortest round-tripping repr
+
+
 def format_config(cfg: RunConfig) -> str:
-    """Stable textual rendering of a resolved run configuration."""
-    lines = [
-        f"task = {cfg.task}",
-        f"data = {cfg.data}",
-        f"seed = {cfg.seed}",
-        f"schema = {cfg.schema}",
-        f"standardize = {str(cfg.standardize).lower()}",
-        f"split_train = {cfg.split.ratios[0]!r}",
-        f"split_val = {cfg.split.ratios[1]!r}",
-        f"split_test = {cfg.split.ratios[2]!r}",
-        f"stratified = {str(cfg.split.stratified).lower()}",
-    ]
-    if cfg.schema == "wav":
-        lines.append(f"target_len = {cfg.target_len}")
-    if cfg.label_col:
-        lines.append(f"label_col = {cfg.label_col}")
-    for key in _TRAIN_KEYS:
-        value = getattr(cfg.train, key)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            lines.append(f"{key} = {str(value).lower()}")
-        elif isinstance(value, float):
-            lines.append(f"{key} = {value!r}")
-        else:
-            lines.append(f"{key} = {value}")
-    for key, value in sorted(cfg.model_overrides.items()):
-        if isinstance(value, tuple):
-            lines.append(f"{key} = {','.join(str(v) for v in value)}")
-        else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    """Stable textual rendering of a resolved run configuration, without
+    its schema and paths; ``parse_config_text`` reads it back."""
+    items = [("task", cfg.task), ("seed", cfg.seed), ("standardize", cfg.standardize),
+             ("split_train", cfg.split.ratios[0]), ("split_val", cfg.split.ratios[1]),
+             ("split_test", cfg.split.ratios[2]), ("stratified", cfg.split.stratified),
+             ("target_len", cfg.target_len), ("label_col", cfg.label_col)]
+    items += [(key, getattr(cfg.train, key)) for key in _TRAIN_KEYS]
+    items += sorted(cfg.model_overrides.items())
+    return "".join(f"{key} = {_render(value)}\n" for key, value in items if value is not None)

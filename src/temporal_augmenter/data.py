@@ -168,6 +168,25 @@ def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset
 # WAV directory loader
 # ---------------------------------------------------------------------------
 
+def _wav_files(root_path) -> tuple:
+    """(class names, [(label, '/'-separated path under root_path)]) of a WAV
+    tree, in the order ``load_wav_dir`` reads it."""
+    if not os.path.isdir(root_path):
+        raise DataError(f"not a directory: {root_path}")
+    class_names = sorted(d for d in os.listdir(root_path)
+                         if os.path.isdir(os.path.join(root_path, d)))
+    if not class_names:
+        raise DataError(f"{root_path}: no class subdirectories")
+    files = []
+    for label, cls in enumerate(class_names):
+        cls_dir = os.path.join(root_path, cls)
+        names = sorted(f for f in os.listdir(cls_dir) if f.lower().endswith(".wav"))
+        if not names:
+            raise DataError(f"{cls_dir}: class directory contains no .wav files")
+        files += [(label, f"{cls}/{name}") for name in names]
+    return class_names, files
+
+
 def load_wav_dir(root_path, target_len: int) -> Dataset:
     """Load a directory tree of PCM WAV files, one class per subdirectory.
 
@@ -175,23 +194,13 @@ def load_wav_dir(root_path, target_len: int) -> Dataset:
     cropped or zero-padded at the tail to ``target_len``.  Sample rates are
     recorded in ``meta['sample_rates']``; no resampling is performed.
     """
-    if not os.path.isdir(root_path):
-        raise DataError(f"not a directory: {root_path}")
-    class_names = sorted(d for d in os.listdir(root_path)
-                         if os.path.isdir(os.path.join(root_path, d)))
-    if not class_names:
-        raise DataError(f"{root_path}: no class subdirectories")
+    class_names, files = _wav_files(root_path)
     feats, labels, rates = [], [], set()
-    for label, cls in enumerate(class_names):
-        cls_dir = os.path.join(root_path, cls)
-        files = sorted(f for f in os.listdir(cls_dir) if f.lower().endswith(".wav"))
-        if not files:
-            raise DataError(f"{cls_dir}: class directory contains no .wav files")
-        for fname in files:
-            samples, rate = _read_wav(os.path.join(cls_dir, fname))
-            rates.add(rate)
-            feats.append(_fit_length(samples, target_len))
-            labels.append(label)
+    for label, rel in files:
+        samples, rate = _read_wav(os.path.join(root_path, rel))
+        rates.add(rate)
+        feats.append(_fit_length(samples, target_len))
+        labels.append(label)
     features = np.stack(feats)[:, :, None]
     return Dataset(features=features, labels=np.array(labels), class_names=class_names,
                    meta={"sample_rates": sorted(rates), "target_len": target_len})
@@ -225,6 +234,39 @@ def _fit_length(samples: np.ndarray, target_len: int) -> np.ndarray:
     out = np.zeros(target_len)
     out[:samples.shape[0]] = samples
     return out
+
+
+# ---------------------------------------------------------------------------
+# fingerprint
+# ---------------------------------------------------------------------------
+
+_HASH_CHUNK = 1 << 20  # bytes read at a time, so memory does not grow with a file
+
+
+def _hash_file(digest, path) -> None:
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+
+
+def data_sha256(path) -> str:
+    """Hex sha256 of a dataset: a CSV file's bytes or, for a WAV tree, each
+    file ``load_wav_dir`` reads, in its order, as its '/'-separated path
+    under ``path`` in file-system bytes, a NUL, its length as 8
+    little-endian bytes, then its bytes."""
+    # imported here: hashlib maps OpenSSL, about 3.5 MB of RSS that eval,
+    # which never hashes, would otherwise carry
+    import hashlib
+
+    digest = hashlib.sha256()
+    if not os.path.isdir(path):
+        _hash_file(digest, path)
+        return digest.hexdigest()
+    for _, rel in _wav_files(path)[1]:
+        full = os.path.join(path, rel)
+        digest.update(os.fsencode(rel) + b"\0" + os.path.getsize(full).to_bytes(8, "little"))
+        _hash_file(digest, full)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,9 @@ def param_count(model: TemporalAugmenterModel) -> int:
 #   float64 values (C order).
 # Model parameters are stored under their parameters() names; callers may
 # attach additional named tensors (e.g. scaler statistics) and a JSON
-# extras dict.  Loading reconstructs the model bitwise.
+# extras dict.  Loading reconstructs the model bitwise.  The `train`
+# command writes three extras, which `eval` reads (see cli.py):
+# "run_config" (the run's config text), "class_names" and "data_sha256".
 
 _MAGIC = b"TACKPT01"
 

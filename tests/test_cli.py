@@ -5,13 +5,22 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import temporal_augmenter
 from temporal_augmenter import cli, gradcheck, layers
-from temporal_augmenter.config import ConfigError, PRESETS, load_config, parse_config_text, preset_run_config
+from temporal_augmenter.config import (
+    PRESETS,
+    TASKS,
+    ConfigError,
+    format_config,
+    load_config,
+    parse_config_text,
+    preset_run_config,
+)
 from temporal_augmenter.synth import (
     make_heartbeat_dataset,
     make_radar_dataset,
@@ -27,6 +36,28 @@ def radar_csv(tmp_path):
     path = tmp_path / "radar.csv"
     write_radar_csv(path, make_radar_dataset(120, Rng(400)))
     return path
+
+
+def write_generic_csv(path, classes, rng):
+    """Ten rows of six uniform features per class, labelled by ``classes``."""
+    with open(path, "w") as fh:
+        fh.write("f1,f2,f3,f4,f5,f6,label\n")
+        for i in range(10 * len(classes)):
+            row = ",".join(repr(float(v)) for v in rng.uniform((6,)))
+            fh.write(row + f",{classes[i % len(classes)]}\n")
+
+
+def train_custom(tmp_path, classes, rng) -> str:
+    """Train a small custom model on a generic table; returns its checkpoint."""
+    data = tmp_path / f"{'-'.join(classes)}.csv"
+    write_generic_csv(data, classes, rng)
+    out = tmp_path / f"run-{'-'.join(classes)}"
+    cfg_path = tmp_path / f"cfg-{'-'.join(classes)}.txt"
+    cfg_path.write_text(f"task = custom\nlabel_col = label\ndata = {data}\n"
+                        f"out = {out}\nepochs = 1\nconv_filters = 4\n"
+                        f"dense_sizes = 6\npool_size = 2\nbatch_size = 8\n")
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    return str(out / "checkpoint.tackpt")
 
 
 def radar_config_text(data_path, out_dir, epochs=3):
@@ -125,6 +156,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.txt")
 
+    def test_value_error_names_source_and_line(self):
+        with pytest.raises(ConfigError, match=r"^run\.cfg:2: seed: expected int"):
+            parse_config_text("task = tess\nseed = 1.5\n", source="run.cfg")
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("overrides", [
+        "",
+        "dense_sizes =\nstreams = lstm\nclip_norm = 0.25\nreturn_sequences = true\n"
+        "target_len = 300\nstandardize = false\nseed = 9\nsplit_train = 0.6\n"
+        "split_val = 0.15\nsplit_test = 0.25\nstratified = true\noptimizer = rmsprop\nmomentum = 0.5\n",
+    ], ids=["preset", "overrides"])
+    def test_format_config_round_trips(self, task, overrides):
+        cfg = parse_config_text(f"task = {task}\nlabel_col = y\ndata = /in-xyz/d.csv\n"
+                                f"out = /out-xyz\n" + overrides)
+        text = format_config(cfg)
+        assert "schema" not in text and "-xyz" not in text
+        assert parse_config_text(text) == replace(cfg, data=None, out=None)
+
 
 class TestTrainCommand:
     def test_end_to_end_artifacts(self, tmp_path, radar_csv, capsys):
@@ -180,6 +229,41 @@ class TestTrainCommand:
         cfg_path.write_text(f"task = ionosphere\ndata = {radar_csv}\nepochs = 1\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", "nan"), ("lr", "-0.001"), ("lr", "0"), ("lr", "inf"),
+        ("epsilon", "0"), ("epsilon", "nan"),
+        ("rho", "1"), ("rho", "-0.1"), ("beta1", "1.5"), ("beta2", "nan"),
+        ("momentum", "1"), ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
+        ("target_len", "-1"), ("target_len", "0"),
+    ])
+    def test_bad_hyperparameter_exit_2(self, tmp_path, radar_csv, capsys, key, value):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out") + f"{key} = {value}\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and str(cfg_path) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_independent_of_paths(self, tmp_path, radar_csv):
+        """The extras hold no path, so the data's directory and ``--out``
+        leave the checkpoint's bytes the same."""
+        moved = tmp_path / "elsewhere" / "deeper" / "radar.csv"
+        moved.parent.mkdir(parents=True)
+        moved.write_bytes(radar_csv.read_bytes())
+        checkpoints = []
+        for data, out in ((radar_csv, tmp_path / "a"), (moved, tmp_path / "b" / "c")):
+            cfg_path = tmp_path / "cfg.txt"
+            cfg_path.write_text(radar_config_text(data, out))
+            assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+            checkpoints.append((out / "checkpoint.tackpt").read_bytes())
+            assert load_config(out / "config.txt").data == str(data)
+        assert checkpoints[0] == checkpoints[1]
+        blob = checkpoints[0]
+        extras = json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])["extras"]
+        assert sorted(extras) == ["class_names", "data_sha256", "run_config"]
+        assert extras["data_sha256"] == hashlib.sha256(radar_csv.read_bytes()).hexdigest()
+        assert extras["class_names"] == ["bad", "good"]
+
     def test_divergence_exit_4(self, tmp_path, radar_csv, monkeypatch):
         from temporal_augmenter import optim
 
@@ -229,7 +313,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "080886c0d58c4e313bfecf6a07fe01def8994b80c743739a4a9ef1afd10045ef"
+    HEARTBEAT_CHECKPOINT = "e305b8193b2d022e2cf94c84362064f9e3ff92db1e072bf33c95675c3a018f87"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -264,7 +348,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "4104b9691f77a0fe499b2b172a1544f130d4635fd21bc21083af38a70c3b9f4e",
+                "f5ec877dc9006c6da3e127da9449452b72efb3f870d1250a4419d1850bff3288",
             "trainlog.csv":
                 "bcc212f098a1918dde7d87572c248d195f4e52e1bc5a20eb9afdabcdad1792c1",
             "report_test.json":
@@ -302,27 +386,23 @@ class TestEvalCommand:
     def test_class_count_mismatch_exit_2(self, tmp_path, capsys):
         # a 5-class checkpoint evaluated against 2-class data must exit 2
         rng = Rng(401)
-
-        def write_generic(path, classes):
-            with open(path, "w") as fh:
-                fh.write("f1,f2,f3,f4,f5,f6,label\n")
-                for i in range(10 * classes):
-                    row = ",".join(repr(float(v)) for v in rng.uniform((6,)))
-                    fh.write(row + f",c{i % classes}\n")
-
-        five = tmp_path / "five.csv"
+        checkpoint = train_custom(tmp_path, ["c0", "c1", "c2", "c3", "c4"], rng)
         two = tmp_path / "two.csv"
-        write_generic(five, 5)
-        write_generic(two, 2)
-        out = tmp_path / "run5"
-        cfg_path = tmp_path / "cfg5.txt"
-        cfg_path.write_text(f"task = custom\nlabel_col = label\ndata = {five}\n"
-                            f"out = {out}\nepochs = 1\nconv_filters = 4\n"
-                            f"dense_sizes = 6\npool_size = 2\nbatch_size = 8\n")
-        assert cli.main(["train", "--config", str(cfg_path)]) == 0
-        rc = cli.main(["eval", str(out / "checkpoint.tackpt"), str(two)])
-        assert rc == 2
+        write_generic_csv(two, ["c0", "c1"], rng)
+        assert cli.main(["eval", checkpoint, str(two)]) == 2
         assert "class-count mismatch" in capsys.readouterr().err
+
+    def test_class_name_mismatch_exit_2(self, tmp_path, capsys):
+        # {cat, dog} evaluated on {ant, cat}: the counts agree, but cat
+        # would be scored as class 1, which the checkpoint calls dog
+        rng = Rng(402)
+        checkpoint = train_custom(tmp_path, ["cat", "dog"], rng)
+        other = tmp_path / "other.csv"
+        write_generic_csv(other, ["ant", "cat"], rng)
+        assert cli.main(["eval", checkpoint, str(other)]) == 2
+        err = capsys.readouterr().err
+        assert "class-name mismatch" in err
+        assert "['cat', 'dog']" in err and "['ant', 'cat']" in err
 
     def test_missing_checkpoint_exit_3(self, tmp_path, radar_csv):
         rc = cli.main(["eval", str(tmp_path / "none.tackpt"), str(radar_csv)])
@@ -357,9 +437,12 @@ class TestEvalCommand:
             return blob[:8] + len(text).to_bytes(8, "little") + text + body
 
         no_std = rewrite(blob[end:len(blob) - std_bytes])
-        header["tensors"].append(dict(std_entry, shape=[math.prod(std_entry["shape"])]))
+        mean_entry = header["tensors"].pop()  # the mean has the std's shape
+        no_scaler = rewrite(blob[end:len(blob) - 2 * std_bytes])
+        header["tensors"] += [mean_entry, dict(std_entry, shape=[math.prod(std_entry["shape"])])]
         flat_std = rewrite(blob[end:])
-        cases = [(no_std, [str(path), "extra.scaler_std"]), (flat_std, ["std shape"])]
+        cases = [(no_std, [str(path), "extra.scaler_std"]),
+                 (no_scaler, [str(path), "extra.scaler_mean"]), (flat_std, ["std shape"])]
         # overwrite the last float of std (the last tensor), then of the mean before it
         for at, value, named in ((len(blob) - 8, math.nan, "std"), (len(blob) - 8, 0.0, "std"),
                                  (len(blob) - 8, -1.0, "std"), (len(blob) - 8, math.inf, "std"),
@@ -372,30 +455,66 @@ class TestEvalCommand:
             err = capsys.readouterr().err
             assert "data error" in err and all(text in err for text in named)
 
+    @staticmethod
+    def rewrite_extras(blob: bytes, edit) -> bytes:
+        """``blob`` with ``edit`` applied to its header's extras dict."""
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        edit(header["extras"])
+        edited = json.dumps(header).encode("utf-8")
+        return blob[:8] + len(edited).to_bytes(8, "little") + edited + blob[16 + hlen:]
+
     @pytest.mark.parametrize("key,value", [
-        ("split", {"ratios": [0.6, 0.2, 0.3], "seed": 11, "stratified": False}),
-        ("split", {"ratios": [0.6, 0.2, 0.2], "seed": "abc", "stratified": False}),
-        ("split", [0.6, 0.2, 0.2]),
+        ("run_config", None),  # missing, as in a checkpoint from before run_config
+        ("run_config", 5),
+        ("run_config", ["task = ionosphere"]),
         ("class_names", ["x"]),
         ("class_names", 5),
-        ("split", {"ratios": [0.6, "0.2", 0.2], "seed": 11, "stratified": False}),
-        ("split", {"ratios": [0.6, 0.2, 0.2], "seed": 11, "stratified": "yes"}),
-        ("target_len", 0),
-        ("label_col", 7),
     ])
     def test_edited_extras_exit_3(self, trained_run, tmp_path, capsys, key, value):
         out, radar_csv = trained_run
-        blob = (out / "checkpoint.tackpt").read_bytes()
-        hlen = int.from_bytes(blob[8:16], "little")
-        header = json.loads(blob[16:16 + hlen])
-        header["extras"][key] = value
-        edited = json.dumps(header).encode("utf-8")
+
+        def edit(extras):
+            extras.pop(key)
+            if value is not None:
+                extras[key] = value
+
         path = tmp_path / "edited.tackpt"
-        path.write_bytes(blob[:8] + len(edited).to_bytes(8, "little") + edited
-                         + blob[16 + hlen:])
+        path.write_bytes(self.rewrite_extras((out / "checkpoint.tackpt").read_bytes(), edit))
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err and key in err
+
+    RUN_CONFIG_EDITS = [  # key, new value, the text the error must hold
+        ("split_test", "0.3", "ratios must sum to 1"),
+        ("seed", "1.5", "seed"),
+        ("stratified", "maybe", "stratified"),
+        ("split_val", "0.2x", "split_val"),
+        ("target_len", "0", "target_len"),
+        ("bogus", "1", "bogus"),
+        ("task", None, "task"),
+        ("lr", "nan", "lr"),
+    ]
+
+    @pytest.mark.parametrize("key,value,named", RUN_CONFIG_EDITS,
+                             ids=[f"{key}-{value}" for key, value, _ in RUN_CONFIG_EDITS])
+    def test_edited_run_config_exit_3(self, trained_run, tmp_path, capsys, key, value, named):
+        """Edits that the config parser refuses: the line ``key = value``
+        replaces ``key``'s line, or is added; None deletes the line."""
+        out, radar_csv = trained_run
+
+        def edit(extras):
+            lines = [line for line in extras["run_config"].splitlines()
+                     if line.split(" = ")[0] != key]
+            if value is not None:
+                lines.append(f"{key} = {value}")
+            extras["run_config"] = "\n".join(lines) + "\n"
+
+        path = tmp_path / "edited.tackpt"
+        path.write_bytes(self.rewrite_extras((out / "checkpoint.tackpt").read_bytes(), edit))
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{path}: run_config" in err and named in err
 
 
 class TestGradcheckCommand:

@@ -1,16 +1,22 @@
+import hashlib
 import math
+import os
+import shutil
 import wave
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from temporal_augmenter import data as data_mod
 from temporal_augmenter.data import (
     DataError,
     Dataset,
     ScalerParams,
     SplitSpec,
     apply_scaler,
+    data_sha256,
     fit_scaler,
     load_csv_signals,
     load_wav_dir,
@@ -263,6 +269,50 @@ class TestWavLoader:
         npt.assert_array_equal(np.bincount(ds.labels), [5, 5])
         # classes alphabetical for index stability
         assert ds.class_names == sorted(ds.class_names)
+
+
+class TestDataSha256:
+    def test_csv_is_the_sha256_of_its_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "beats.csv"
+        write_heartbeat_csv(path, make_heartbeat_dataset(20, Rng(310)))
+        raw = path.read_bytes()
+        expected = hashlib.sha256(raw).hexdigest()
+        assert data_sha256(path) == expected
+        monkeypatch.setattr(data_mod, "_HASH_CHUNK", 1000)  # many chunks, the last one short
+        assert len(raw) > 3000 and len(raw) % 1000
+        assert data_sha256(path) == expected
+        edited = bytearray(raw)
+        edited[len(raw) // 2] ^= 1
+        path.write_bytes(bytes(edited))
+        assert data_sha256(path) != expected
+
+    def test_wav_tree_hashes_each_loaded_file_in_order(self, tmp_path):
+        root = tmp_path / "tones"
+        write_tone_corpus(root, Rng(311), frequencies=(440.0, 880.0), clips_per_class=2,
+                          clip_len=64)
+        (root / "tone440" / "notes.txt").write_text("not read by the loader")
+        expected = hashlib.sha256()
+        for cls in ("tone440", "tone880"):
+            for name in ("clip0000.wav", "clip0001.wav"):
+                raw = (root / cls / name).read_bytes()
+                expected.update(f"{cls}/{name}".encode() + b"\0"
+                                + len(raw).to_bytes(8, "little") + raw)
+        assert data_sha256(root) == expected.hexdigest()
+        assert data_sha256(shutil.copytree(root, tmp_path / "copy")) == expected.hexdigest()
+        # same bytes in the same order, one path changed
+        (root / "tone880" / "clip0001.wav").rename(root / "tone880" / "clip0009.wav")
+        assert data_sha256(root) != expected.hexdigest()
+
+    def test_wav_name_that_is_not_utf8(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        raw_name = os.path.join(os.fsencode(tmp_path / "c"), b"\xff.wav")
+        try:
+            write_wav(os.fsdecode(raw_name), np.zeros(8), 8000)
+        except OSError:
+            pytest.skip("the file system refuses names that are not UTF-8")
+        raw = Path(os.fsdecode(raw_name)).read_bytes()
+        expected = hashlib.sha256(b"c/\xff.wav\0" + len(raw).to_bytes(8, "little") + raw)
+        assert data_sha256(tmp_path) == expected.hexdigest()
 
 
 class TestScaler:
