@@ -6,12 +6,17 @@ failure.
 
 A checkpoint's extras hold three keys: ``run_config``, the run's settings
 as the text ``format_config`` renders; ``class_names``, the trained classes
-in label order; and ``data_sha256``, the fingerprint ``data.data_sha256``
-took of the training data.  ``eval`` reads ``run_config`` back with
-``parse_config_text``, the parser every config file goes through, and loads,
-splits and scales the data it is given with those settings.  A checkpoint
-that lacks a valid ``run_config``, such as one written before this layout,
-is a data error (exit 3).
+in label order; and ``data_sha256``, the sha256 the loader took of the
+training data's bytes (see ``data.DataSource``).  ``eval`` reads
+``run_config`` back with ``parse_config_text``, the parser every config file
+goes through, and reads the data it is given with those settings: every
+row's column count and label, or every clip's label, and the data's sha256.
+Data whose classes or sample shape differ from the checkpoint's is a config
+error (exit 2), and so is data whose sha256 differs from ``data_sha256``;
+that error names both digests.  Only then does ``eval`` split the labels
+and parse or decode the features of the requested split's rows alone, which
+it scales and scores.  A checkpoint that lacks a valid ``run_config`` or ``data_sha256``,
+such as one written before this layout, is a data error (exit 3).
 """
 
 from __future__ import annotations
@@ -30,13 +35,16 @@ from .config import ConfigError, RunConfig, format_config, load_config, parse_co
 from .data import (
     DataError,
     Dataset,
+    DataSource,
     ScalerParams,
     apply_scaler,
-    data_sha256,
     fit_scaler,
     load_csv_signals,
     load_wav_dir,
+    read_csv_signals,
+    read_wav_dir,
     split,
+    split_indices,
 )
 from .model import ModelConfig
 from .optim import TrainingDivergenceError
@@ -47,6 +55,12 @@ def _load_dataset(cfg: RunConfig, path: str) -> Dataset:
     if cfg.schema == "wav":
         return load_wav_dir(path, cfg.target_len)
     return load_csv_signals(path, cfg.schema, label_col=cfg.label_col)
+
+
+def _read_dataset(cfg: RunConfig, path: str) -> DataSource:
+    if cfg.schema == "wav":
+        return read_wav_dir(path, cfg.target_len)
+    return read_csv_signals(path, cfg.schema, label_col=cfg.label_col)
 
 
 def _model_config(cfg: RunConfig, ds: Dataset) -> ModelConfig:
@@ -72,7 +86,7 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
     data_path = cfg.resolved_data_path()
     ds = _load_dataset(cfg, data_path)
     extras = {"run_config": format_config(cfg), "class_names": list(ds.class_names),
-              "data_sha256": data_sha256(data_path)}
+              "data_sha256": ds.meta["sha256"]}
     train_set, val_set, test_set = split(ds, cfg.split)
     scaler = None
     if cfg.standardize:
@@ -135,6 +149,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"checkpoint not found: {path}")
     net, extras, extra_tensors = model_mod.load_checkpoint(path)
     text, names, k = extras.get("run_config"), extras.get("class_names"), net.config.num_classes
+    digest = extras.get("data_sha256")
     if not isinstance(text, str):
         raise DataError(f"{path}: checkpoint extra 'run_config' must be the run's config "
                         f"text, got {text!r}")
@@ -142,23 +157,32 @@ def cmd_eval(args) -> int:
             and all(isinstance(c, str) for c in names)):
         raise DataError(f"{path}: checkpoint extra 'class_names' must be a list of {k} "
                         f"strings, got {names!r}")
+    if not (isinstance(digest, str) and len(digest) == 64
+            and all(c in "0123456789abcdef" for c in digest)):
+        raise DataError(f"{path}: checkpoint extra 'data_sha256' must be a sha256 as 64 "
+                        f"lowercase hex digits, got {digest!r}")
     try:
         cfg = parse_config_text(text, source=f"{path}: run_config")
     except ConfigError as exc:
         raise DataError(str(exc)) from None
-    ds = _load_dataset(cfg, args.data)
-    if ds.num_classes != k:
+    source = _read_dataset(cfg, args.data)
+    if len(source.class_names) != k:
         raise ConfigError(f"class-count mismatch: checkpoint expects {k} classes, "
-                          f"data has {ds.num_classes}")
-    if ds.class_names != names:
+                          f"data has {len(source.class_names)}")
+    if source.class_names != names:
         raise ConfigError(f"class-name mismatch: checkpoint has {names}, "
-                          f"data has {ds.class_names}")
-    if ds.features.shape[1:] != (net.config.input_timesteps, net.config.input_channels):
+                          f"data has {source.class_names}")
+    if source.shape != (net.config.input_timesteps, net.config.input_channels):
         raise ConfigError(
             f"schema mismatch: checkpoint expects inputs "
             f"[{net.config.input_timesteps}, {net.config.input_channels}], data is "
-            f"{list(ds.features.shape[1:])}")
-    subset = dict(zip(("train", "val", "test"), split(ds, cfg.split)))[args.split]
+            f"{list(source.shape)}")
+    if source.sha256 != digest:
+        raise ConfigError(f"data mismatch: the checkpoint was trained on data with sha256 "
+                          f"{digest}, {args.data} has sha256 {source.sha256}")
+    rows = dict(zip(("train", "val", "test"), split_indices(source.labels, k, cfg.split)))
+    subset = source.load(rows[args.split])
+    del source  # the data's bytes, not needed past the rows it scores
     if cfg.standardize:
         for key in ("scaler_mean", "scaler_std"):
             if key not in extra_tensors:
@@ -167,7 +191,7 @@ def cmd_eval(args) -> int:
         subset = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
                                            std=extra_tensors["scaler_std"]), subset)
     probs = optim.predict_probs(net, subset.features)
-    report = metrics.classification_report(subset.labels, probs, ds.class_names,
+    report = metrics.classification_report(subset.labels, probs, subset.class_names,
                                            split=args.split,
                                            total_params=model_mod.param_count(net))
     print(metrics.format_report(report))
@@ -239,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("checkpoint", help="checkpoint file written by train")
-    p_eval.add_argument("data", help="dataset path (same schema as at training time)")
+    p_eval.add_argument("data", help="the dataset the checkpoint was trained on; its sha256 "
+                                     "must match the checkpoint's (exit 2 if not), and only "
+                                     "the requested split's rows are parsed")
     p_eval.add_argument("--split", choices=("train", "val", "test"), default="test")
     p_eval.add_argument("--out", default=None, help="directory for report files")
     p_eval.set_defaults(func=cmd_eval)

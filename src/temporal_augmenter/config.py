@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 
 from .data import SplitSpec
+from .model import ModelConfig
 from .optim import TrainConfig
 
 
@@ -150,7 +151,10 @@ def _parse_value(key: str, value: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    pairs = {}
+    """Parse config text; an error names ``source`` and, for a bad value,
+    its line.  A model key's value must pass ``ModelConfig``'s rule for
+    that field here, before any data is read."""
+    pairs, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,8 +168,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             pairs[key] = _parse_value(key, value)
-        except ConfigError as exc:
+            if key in _MODEL_KEYS:
+                ModelConfig.check_field(key, pairs[key])
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
+        linenos[key] = lineno
 
     task = pairs.pop("task", None)
     if task is None:
@@ -173,6 +180,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if task not in TASKS:
         raise ConfigError(f"{source}: unknown task {task!r}; expected one of {TASKS}")
     cfg = preset_run_config(task, seed=pairs.pop("seed", 0))
+    if "label_col" in pairs and cfg.schema != "generic":
+        raise ConfigError(f"{source}:{linenos['label_col']}: label_col applies only to the "
+                          f"generic schema (task 'custom'), not to task {task!r}")
     cfg.split.ratios = tuple(pairs.pop(key, ratio) for key, ratio in
                              zip(("split_train", "split_val", "split_test"), cfg.split.ratios))
     cfg.split.stratified = pairs.pop("stratified", cfg.split.stratified)

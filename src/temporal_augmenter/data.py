@@ -10,10 +10,19 @@ Supported sources:
     and a field by its 0-based column in the file.
   * WAV directories: one subdirectory per class (sorted alphabetically for
     index stability) of RIFF PCM files, 8- or 16-bit, mono or stereo.
+
+Each file is read once.  ``read_csv_signals`` and ``read_wav_dir`` hash its
+bytes, take every sample's label and return a ``DataSource``, which parses
+or decodes features from the same bytes only for the samples ``load`` asks
+for; ``load_csv_signals`` and ``load_wav_dir`` load every sample.  The
+digest is taken with the interpreter's built-in SHA-256 (``_sha2``, or
+``_sha256`` before CPython 3.12): ``hashlib`` would map OpenSSL, about
+3.6 MB of resident memory in every process that reads data.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import wave
@@ -22,6 +31,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .tensor_core import Rng, Tensor
+
+try:
+    from _sha2 import sha256 as _sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython < 3.12
+    except ImportError:  # an interpreter without CPython's built-in modules
+        from hashlib import sha256 as _sha256
 
 
 class DataError(Exception):
@@ -107,47 +124,98 @@ def _parse_row(fields, row_idx: int, path) -> np.ndarray:
     return values
 
 
-def _read_rows(path):
-    """Yield (0-based line index, fields) for each non-blank line."""
-    with open(path, newline="") as fh:
-        for idx, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            yield idx, line.split(",")
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
-def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset:
-    """Load a signal table; ``schema`` is 'generic' or a key of ``CSV_SCHEMAS``."""
+def _lines(text: str):
+    """Yield (0-based line index, start, stop, stripped line) for each
+    non-blank line of ``text``, ``text[start:stop]`` being the line; lines
+    end at "\\n" alone."""
+    start = idx = 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        if line := text[start:stop].strip():
+            yield idx, start, stop, line
+        start, idx = stop + 1, idx + 1
+
+
+def _field(line: str, col: int, columns: int) -> str:
+    """Field ``col`` of a line of ``columns`` fields, splitting no more of
+    the line than it must."""
+    if col == columns - 1:
+        return line[line.rfind(",") + 1:]
+    return line.split(",", col + 1)[col]
+
+
+@dataclass
+class DataSource:
+    """A dataset read once: its bytes are hashed, every sample's label is
+    known, and ``load`` parses the features of the samples it is asked for.
+
+    ``sha256`` is the hex sha256 of a CSV file's bytes or, for a WAV tree,
+    of each file ``load_wav_dir`` reads, in its order, as its '/'-separated
+    path under the root in file-system bytes, a NUL, its length as 8
+    little-endian bytes, then its bytes.
+    """
+    sha256: str
+    labels: np.ndarray  # int64 [n]
+    class_names: list
+    shape: tuple  # one sample's features, [T, d]
+    parse: object  # parse(indices) -> (features [len(indices), ...], meta)
+
+    def load(self, indices=None) -> Dataset:
+        """The samples at ``indices``, in that order, or every sample."""
+        rows = np.arange(self.labels.shape[0]) if indices is None else np.asarray(indices)
+        features, meta = self.parse(rows)
+        return Dataset(features=features.reshape((rows.shape[0],) + self.shape),
+                       labels=self.labels[rows], class_names=list(self.class_names),
+                       meta={**meta, "sha256": self.sha256})
+
+
+def read_csv_signals(path, schema: str, label_col: str | None = None) -> DataSource:
+    """Read, hash and check a UTF-8 signal table; ``schema`` is 'generic' or
+    a key of ``CSV_SCHEMAS``.  Every row's column count and label are
+    checked here, its features only when ``load`` parses the row."""
     if not os.path.exists(path):
         raise DataError(f"data file not found: {path}")
     spec = CSV_SCHEMAS.get(schema)
-    rows = _read_rows(path)
+    if spec is None and schema != "generic":
+        raise DataError(f"unknown schema {schema!r}")
+    if spec is None and not label_col:
+        raise DataError("generic schema requires a label column name")
+    raw = _read_bytes(path)
+    digest = _sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    del raw
+    if "\r" in text:  # universal newlines, as a file opened in text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = _lines(text)
     if spec is not None:  # header-less: the features, then the label
         shape, label_idx = spec.shape, math.prod(spec.shape)
         columns = label_idx + 1
-    elif schema != "generic":
-        raise DataError(f"unknown schema {schema!r}")
-    elif not label_col:
-        raise DataError("generic schema requires a label column name")
     else:
-        first = next(rows, None)
+        first = next(lines, None)
         if first is None:
             raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in first[1]]
+        header = [h.strip() for h in first[3].split(",")]
         if label_col not in header:
             raise DataError(f"{path}: label column {label_col!r} not in header {header}")
         columns, label_idx, shape = len(header), header.index(label_col), (len(header) - 1, 1)
-    keep = np.delete(np.arange(columns), label_idx)  # the feature columns
-    feats, tokens, lines = [], [], []
-    for idx, fields in rows:
-        if len(fields) != columns:
-            raise DataError(f"{path}: row {idx}: expected {columns} columns, got {len(fields)}")
-        tokens.append(fields[label_idx].strip())
-        fields[label_idx] = "0"  # placeholder, so errors name the file's column
-        feats.append(_parse_row(fields, idx, path)[keep])
-        lines.append(idx)
-    if not feats:
+    rows, tokens = [], []  # rows: (line index, start, stop) of each data row
+    for idx, start, stop, line in lines:
+        count = line.count(",") + 1
+        if count != columns:
+            raise DataError(f"{path}: row {idx}: expected {columns} columns, got {count}")
+        tokens.append(_field(line, label_idx, columns).strip())
+        rows.append((idx, start, stop))
+    if not rows:
         raise DataError(f"{path}: no data rows")
     if spec is None:  # generic: the classes are the sorted distinct tokens
         names = tuple(sorted(set(tokens)))
@@ -158,10 +226,27 @@ def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset
         row = labels.index(None)
         expected = (f"one of {list(spec.label_tokens)}" if spec.label_tokens is not None
                     else f"an integer in 0..{len(spec.class_names) - 1}")
-        raise DataError(f"{path}: row {lines[row]}: unknown label token {tokens[row]!r}, "
+        raise DataError(f"{path}: row {rows[row][0]}: unknown label token {tokens[row]!r}, "
                         f"not {expected}")
-    return Dataset(features=np.stack(feats).reshape((len(feats),) + shape),
-                   labels=np.array(labels), class_names=list(spec.class_names))
+    keep = np.delete(np.arange(columns), label_idx)  # the feature columns
+
+    def parse(indices):
+        feats = []
+        for i in indices:
+            idx, start, stop = rows[i]
+            fields = text[start:stop].strip().split(",")
+            fields[label_idx] = "0"  # placeholder, so errors name the file's column
+            feats.append(_parse_row(fields, idx, path)[keep])
+        return np.stack(feats), {}
+
+    return DataSource(sha256=digest, labels=np.array(labels, dtype=np.int64),
+                      class_names=list(spec.class_names), shape=shape, parse=parse)
+
+
+def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset:
+    """Load every row of a signal table (see ``read_csv_signals``); the
+    file's sha256 is in ``meta['sha256']``."""
+    return read_csv_signals(path, schema, label_col).load()
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +272,44 @@ def _wav_files(root_path) -> tuple:
     return class_names, files
 
 
+def read_wav_dir(root_path, target_len: int) -> DataSource:
+    """Read and hash a tree of PCM WAV files, one class per subdirectory; a
+    clip is decoded only when ``load`` asks for it (see ``load_wav_dir``)."""
+    class_names, files = _wav_files(root_path)
+    digest, raws = _sha256(), []
+    for _, rel in files:
+        raw = _read_bytes(os.path.join(root_path, rel))
+        digest.update(os.fsencode(rel) + b"\0" + len(raw).to_bytes(8, "little"))
+        digest.update(raw)
+        raws.append(raw)
+
+    def parse(indices):
+        feats, rates = [], set()
+        for i in indices:
+            samples, rate = _decode_wav(raws[i], os.path.join(root_path, files[i][1]))
+            rates.add(rate)
+            feats.append(_fit_length(samples, target_len))
+        return np.stack(feats), {"sample_rates": sorted(rates), "target_len": target_len}
+
+    return DataSource(sha256=digest.hexdigest(),
+                      labels=np.array([label for label, _ in files], dtype=np.int64),
+                      class_names=class_names, shape=(target_len, 1), parse=parse)
+
+
 def load_wav_dir(root_path, target_len: int) -> Dataset:
     """Load a directory tree of PCM WAV files, one class per subdirectory.
 
     Samples are decoded to [-1, 1), mixed to mono by channel mean, and
     cropped or zero-padded at the tail to ``target_len``.  Sample rates are
-    recorded in ``meta['sample_rates']``; no resampling is performed.
+    recorded in ``meta['sample_rates']``, the tree's sha256 in
+    ``meta['sha256']``; no resampling is performed.
     """
-    class_names, files = _wav_files(root_path)
-    feats, labels, rates = [], [], set()
-    for label, rel in files:
-        samples, rate = _read_wav(os.path.join(root_path, rel))
-        rates.add(rate)
-        feats.append(_fit_length(samples, target_len))
-        labels.append(label)
-    features = np.stack(feats)[:, :, None]
-    return Dataset(features=features, labels=np.array(labels), class_names=class_names,
-                   meta={"sample_rates": sorted(rates), "target_len": target_len})
+    return read_wav_dir(root_path, target_len).load()
 
 
-def _read_wav(path) -> tuple:
+def _decode_wav(raw: bytes, path) -> tuple:
     try:
-        with wave.open(path, "rb") as wf:
+        with wave.open(io.BytesIO(raw), "rb") as wf:
             if wf.getcomptype() != "NONE":
                 raise DataError(f"{path}: unsupported WAV compression {wf.getcomptype()!r}")
             width = wf.getsampwidth()
@@ -234,39 +335,6 @@ def _fit_length(samples: np.ndarray, target_len: int) -> np.ndarray:
     out = np.zeros(target_len)
     out[:samples.shape[0]] = samples
     return out
-
-
-# ---------------------------------------------------------------------------
-# fingerprint
-# ---------------------------------------------------------------------------
-
-_HASH_CHUNK = 1 << 20  # bytes read at a time, so memory does not grow with a file
-
-
-def _hash_file(digest, path) -> None:
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            digest.update(chunk)
-
-
-def data_sha256(path) -> str:
-    """Hex sha256 of a dataset: a CSV file's bytes or, for a WAV tree, each
-    file ``load_wav_dir`` reads, in its order, as its '/'-separated path
-    under ``path`` in file-system bytes, a NUL, its length as 8
-    little-endian bytes, then its bytes."""
-    # imported here: hashlib maps OpenSSL, about 3.5 MB of RSS that eval,
-    # which never hashes, would otherwise carry
-    import hashlib
-
-    digest = hashlib.sha256()
-    if not os.path.isdir(path):
-        _hash_file(digest, path)
-        return digest.hexdigest()
-    for _, rel in _wav_files(path)[1]:
-        full = os.path.join(path, rel)
-        digest.update(os.fsencode(rel) + b"\0" + os.path.getsize(full).to_bytes(8, "little"))
-        _hash_file(digest, full)
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +395,16 @@ def _partition_counts(n: int, ratios) -> tuple:
     return n_train, n_val, n_test
 
 
-def split(ds: Dataset, spec: SplitSpec):
-    """Seeded shuffle-then-partition; returns (train, val, test) Datasets."""
+def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec) -> tuple:
+    """Seeded shuffle-then-partition of the samples with ``labels``; returns
+    the (train, val, test) row indices.  The labels alone decide them."""
     spec.validate()
     rng = Rng(spec.seed)
-    n = ds.n
+    n = labels.shape[0]
     if spec.stratified:
         train_idx, val_idx, test_idx = [], [], []
-        for cls in range(ds.num_classes):
-            members = np.flatnonzero(ds.labels == cls)
+        for cls in range(num_classes):
+            members = np.flatnonzero(labels == cls)
             perm = members[rng.permutation(members.shape[0])]
             n_tr, n_va, _ = _partition_counts(members.shape[0], spec.ratios)
             train_idx.append(perm[:n_tr])
@@ -349,7 +418,12 @@ def split(ds: Dataset, spec: SplitSpec):
     for name, idx in zip(("train", "val", "test"), parts):
         if idx.shape[0] == 0:
             raise DataError(f"{name} split received 0 samples (n={n}, ratios={spec.ratios})")
-    return tuple(ds.subset(idx) for idx in parts)
+    return parts
+
+
+def split(ds: Dataset, spec: SplitSpec):
+    """(train, val, test) Datasets of the rows ``split_indices`` picks."""
+    return tuple(ds.subset(idx) for idx in split_indices(ds.labels, ds.num_classes, spec))
 
 
 def one_hot(labels, k: int) -> Tensor:

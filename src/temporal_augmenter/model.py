@@ -29,7 +29,10 @@ dropout -> activation -> maxpool per block, each block's max-pool backward
 writing in place into its rows of one [n, T_conv, F] gradient (no
 zero-fill, no copy), and then calls ``conv1d_backward`` once on the whole
 batch: its kernel and bias gradients are sums over every (sample, step)
-pair, and summing per block would change their order.
+pair, and summing per block would change their order.  That gradient is a
+view of one scratch buffer that the model keeps across calls and both
+streams share; an eval forward borrows it for the cell input when it is
+large enough.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -88,32 +91,37 @@ class ModelConfig:
         self.streams = tuple(self.streams)
         self.validate()
 
-    def validate(self) -> None:
-        positive = {
-            "input_timesteps": self.input_timesteps,
-            "input_channels": self.input_channels,
-            "conv_filters": self.conv_filters,
-            "conv_kernel": self.conv_kernel,
-            "pool_size": self.pool_size,
-            "lstm_units": self.lstm_units,
-            "gru_units": self.gru_units,
-        }
-        for name, value in positive.items():
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ValueError if ``value`` breaks the rule on field ``name``.
+        Each rule reads its own field alone, so that a config file's line
+        can be checked before any data gives the input shape."""
+        if name in ("input_timesteps", "input_channels", "conv_filters", "conv_kernel",
+                    "pool_size", "lstm_units", "gru_units"):
             if int(value) < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        for name, rate in (("dropout_stream", self.dropout_stream), ("dropout_head", self.dropout_head)):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.conv_activation not in ("relu", "identity"):
-            raise ValueError(f"conv_activation must be 'relu' or 'identity', got {self.conv_activation!r}")
-        if any(s < 1 for s in self.dense_sizes):
-            raise ValueError(f"dense_sizes must be positive, got {self.dense_sizes}")
-        if not self.streams or any(s not in ("gru", "lstm") for s in self.streams):
-            raise ValueError(f"streams must be a non-empty subset of ('gru', 'lstm'), got {self.streams}")
-        if len(set(self.streams)) != len(self.streams):
-            raise ValueError(f"duplicate stream in {self.streams}")
+        elif name == "num_classes":
+            if value < 2:
+                raise ValueError(f"num_classes must be >= 2, got {value}")
+        elif name in ("dropout_stream", "dropout_head"):
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        elif name == "conv_activation":
+            if value not in ("relu", "identity"):
+                raise ValueError(f"conv_activation must be 'relu' or 'identity', got {value!r}")
+        elif name == "dense_sizes":
+            if any(s < 1 for s in value):
+                raise ValueError(f"dense_sizes must be positive, got {value}")
+        elif name == "streams":
+            if not value or any(s not in ("gru", "lstm") for s in value):
+                raise ValueError(
+                    f"streams must be a non-empty subset of ('gru', 'lstm'), got {value}")
+            if len(set(value)) != len(value):
+                raise ValueError(f"duplicate stream in {value}")
+
+    def validate(self) -> None:
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
         if self.recurrent_timesteps < 1:
             raise ValueError(
                 f"conv_kernel={self.conv_kernel} and pool_size={self.pool_size} leave no "
@@ -148,6 +156,21 @@ class TemporalAugmenterModel:
     config: ModelConfig
     streams: list
     head: list  # hidden DenseParams..., output DenseParams last
+    # One flat scratch buffer, reused across calls so that they do not fault
+    # in fresh pages: a backward grows it for the streams' conv-output
+    # gradient, and an eval forward borrows it for their cell input, so calls
+    # on one model must not overlap.  Not a parameter; no trace or
+    # checkpoint holds it.
+    _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
+                                 repr=False, compare=False)
+
+    def _scratch_view(self, shape: tuple) -> Tensor:
+        """A C-order view of the scratch with ``shape``, grown if it is too
+        small; its contents are whatever the last use left."""
+        size = math.prod(shape)
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        return self._scratch[:size].reshape(shape)
 
     def parameters(self) -> dict:
         """Flat name -> tensor view of every trainable parameter (stable order)."""
@@ -218,14 +241,15 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
     return model
 
 
-def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
-    """One stream over the batch; cache = ((x, conv params), blocks, cell cache,
+def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+                    cell_in: Tensor):
+    """One stream over the batch, its front-end writing every element of
+    ``cell_in`` [n, T_out, F]; cache = ((x, conv params), blocks, cell cache,
     hs shape), with one (start, stop, pool, activation, dropout cache) per block."""
     n, T, _ = x.shape
     T_conv = T - cfg.conv_kernel + 1
     F = cfg.conv_filters
     rows = max(1, _BLOCK_BYTES // (T_conv * F * 8))
-    cell_in = np.empty((n, cfg.recurrent_timesteps, F))
     blocks = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
@@ -257,8 +281,17 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
             f"[n, {cfg.input_timesteps}, {cfg.input_channels}]")
     stream_outs = []
     stream_caches = []
+    cell_shape = (x.shape[0], cfg.recurrent_timesteps, cfg.conv_filters)
     for sp in model.streams:
-        out, cache = _stream_forward(sp, cfg, x, mode, rng)
+        # A train forward's cell input stays in the cell cache for the
+        # backward.  An eval forward's is dead once its cell has run, so it
+        # borrows the scratch a backward left if that is large enough, but
+        # never grows it: a process that only evaluates keeps no buffer.
+        if mode == "eval" and model._scratch.size >= math.prod(cell_shape):
+            cell_in = model._scratch_view(cell_shape)
+        else:
+            cell_in = np.empty(cell_shape)
+        out, cache = _stream_forward(sp, cfg, x, mode, rng, cell_in)
         stream_outs.append(out)
         stream_caches.append(cache)
     a = np.concatenate(stream_outs, axis=1)
@@ -276,7 +309,10 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
     return probs, ForwardTrace(mode=mode, stream_caches=stream_caches, head_caches=head_caches)
 
 
-def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> dict:
+def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor,
+                     d_conv: Tensor) -> dict:
+    """One stream's gradients; ``d_conv`` [n, T_conv, F] receives the
+    conv-output gradient, every element of it, before conv1d reads it."""
     conv_cache, blocks, cell_cache, hs_shape = cache
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
@@ -287,8 +323,6 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
         d_cell, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
     else:
         d_cell, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    x = conv_cache[0]
-    d_conv = np.empty((x.shape[0], x.shape[1] - cfg.conv_kernel + 1, cfg.conv_filters))
     for start, stop, pool_cache, act_cache, drop_cache in blocks:
         d = layers.dropout_backward(drop_cache, d_cell[start:stop])
         if cfg.conv_activation == "relu":
@@ -325,10 +359,12 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
         da, dW, db = layers.dense_backward(dense_cache, da)
         grads[f"head.{idx}.W"] = dW
         grads[f"head.{idx}.b"] = db
+    d_conv = model._scratch_view(
+        (dlogits.shape[0], cfg.input_timesteps - cfg.conv_kernel + 1, cfg.conv_filters))
     offset = 0
     for sp, cache in zip(model.streams, trace.stream_caches):
         width = cfg.stream_width(sp.kind)
-        grads.update(_stream_backward(sp, cfg, cache, da[:, offset:offset + width]))
+        grads.update(_stream_backward(sp, cfg, cache, da[:, offset:offset + width], d_conv))
         offset += width
     return grads
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 
 import temporal_augmenter
 from temporal_augmenter import cli, gradcheck, layers
+from temporal_augmenter import data as data_mod
 from temporal_augmenter.config import (
     PRESETS,
     TASKS,
@@ -21,6 +23,8 @@ from temporal_augmenter.config import (
     parse_config_text,
     preset_run_config,
 )
+from temporal_augmenter.data import DataSource, read_wav_dir
+from temporal_augmenter.model import load_checkpoint
 from temporal_augmenter.synth import (
     make_heartbeat_dataset,
     make_radar_dataset,
@@ -160,6 +164,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^run\.cfg:2: seed: expected int"):
             parse_config_text("task = tess\nseed = 1.5\n", source="run.cfg")
 
+    @pytest.mark.parametrize("line,named", [
+        ("conv_filters = 0", "conv_filters must be positive, got 0"),
+        ("lstm_units = -1", "lstm_units must be positive"),
+        ("pool_size = 0", "pool_size must be positive"),
+        ("dropout_stream = 1.0", "dropout_stream must be in [0, 1)"),
+        ("dropout_head = -0.1", "dropout_head must be in [0, 1)"),
+        ("conv_activation = tanh", "conv_activation must be"),
+        ("dense_sizes = 8,0", "dense_sizes must be positive"),
+        ("streams = gru,rnn", "streams must be a non-empty subset"),
+        ("streams =", "streams must be a non-empty subset"),
+        ("streams = lstm,lstm", "duplicate stream"),
+    ])
+    def test_model_rule_names_source_and_line(self, line, named):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(f"task = tess\nseed = 1\n{line}\n", source="run.cfg")
+        assert str(info.value).startswith("run.cfg:3: ") and named in str(info.value)
+
+    @pytest.mark.parametrize("task", ["tess", "mitbih", "ionosphere"])
+    def test_label_col_only_for_the_generic_schema(self, task):
+        with pytest.raises(ConfigError, match=rf"^run\.cfg:1: label_col applies only to the "
+                                              rf"generic schema .*'{task}'"):
+            parse_config_text(f"label_col = y\ntask = {task}\n", source="run.cfg")
+        assert parse_config_text("task = custom\nlabel_col = y\n").label_col == "y"
+
     @pytest.mark.parametrize("task", TASKS)
     @pytest.mark.parametrize("overrides", [
         "",
@@ -168,7 +196,8 @@ class TestConfigParsing:
         "split_val = 0.15\nsplit_test = 0.25\nstratified = true\noptimizer = rmsprop\nmomentum = 0.5\n",
     ], ids=["preset", "overrides"])
     def test_format_config_round_trips(self, task, overrides):
-        cfg = parse_config_text(f"task = {task}\nlabel_col = y\ndata = /in-xyz/d.csv\n"
+        label_col = "label_col = y\n" if task == "custom" else ""  # generic schema only
+        cfg = parse_config_text(f"task = {task}\n{label_col}data = /in-xyz/d.csv\n"
                                 f"out = /out-xyz\n" + overrides)
         text = format_config(cfg)
         assert "schema" not in text and "-xyz" not in text
@@ -223,6 +252,15 @@ class TestTrainCommand:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("task = nosuch\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
+
+    def test_bad_model_key_exits_2_before_data_is_read(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(tmp_path / "absent.csv", tmp_path / "out")
+                            + "gru_units = 0\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}:8: gru_units must be positive" in err
+        assert "absent.csv" not in err
 
     def test_missing_out_exit_2(self, tmp_path, radar_csv):
         cfg_path = tmp_path / "cfg.txt"
@@ -470,6 +508,11 @@ class TestEvalCommand:
         ("run_config", ["task = ionosphere"]),
         ("class_names", ["x"]),
         ("class_names", 5),
+        ("data_sha256", None),
+        ("data_sha256", 5),
+        ("data_sha256", "0" * 63 + "g"),  # not hex
+        ("data_sha256", "0" * 63),
+        ("data_sha256", "A" * 64),  # a hexdigest is lowercase
     ])
     def test_edited_extras_exit_3(self, trained_run, tmp_path, capsys, key, value):
         out, radar_csv = trained_run
@@ -515,6 +558,125 @@ class TestEvalCommand:
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and f"{path}: run_config" in err and named in err
+
+
+def write_generic_blank_lines(path, rng):
+    """30 rows of a generic table whose label column is second of five,
+    with blank lines among the rows and at the end."""
+    with open(path, "w") as fh:
+        fh.write("f1,kind,f2,f3,f4\n\n")
+        for i in range(30):
+            values = [repr(float(v)) for v in rng.uniform((4,))]
+            fh.write(",".join([values[0], ("cat", "dog", "eel")[i % 3], *values[1:]]) + "\n")
+            if i % 7 == 3:
+                fh.write("\n")
+        fh.write("\n")
+
+
+EVAL_DATASETS = {  # name -> (write the data under a path, config lines)
+    "mitbih": (lambda path: write_heartbeat_csv(path, make_heartbeat_dataset(60, Rng(410))),
+               "task = mitbih\n"),
+    "ionosphere": (lambda path: write_radar_csv(path, make_radar_dataset(60, Rng(411))),
+                   "task = ionosphere\n"),
+    "generic": (lambda path: write_generic_blank_lines(path, Rng(412)),
+                "task = custom\nlabel_col = kind\n"),
+    "wav": (lambda path: write_tone_corpus(path, Rng(413), clips_per_class=6, clip_len=80),
+            "task = tess\ntarget_len = 64\n"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EVAL_DATASETS))
+def eval_run(request, tmp_path_factory):
+    """(kind, checkpoint, data path) of a small model trained on each kind of data."""
+    kind = request.param
+    tmp = tmp_path_factory.mktemp(f"eval-{kind}")
+    write, lines = EVAL_DATASETS[kind]
+    data = tmp / ("tones" if kind == "wav" else "data.csv")
+    write(data)
+    cfg_path = tmp / "cfg.txt"
+    cfg_path.write_text(lines + f"data = {data}\nout = {tmp / 'run'}\nseed = 3\nepochs = 1\n"
+                                f"batch_size = 16\nconv_filters = 4\ndense_sizes = 6\n")
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    return kind, str(tmp / "run" / "checkpoint.tackpt"), data
+
+
+class TestEvalReadsOnce:
+    """``eval`` checks the data's digest and parses only the rows it scores."""
+
+    @staticmethod
+    def eval_report(checkpoint, data, split, out) -> bytes:
+        assert cli.main(["eval", checkpoint, str(data), "--split", split, "--out", str(out)]) == 0
+        return b"".join((out / f"report_{split}.{ext}").read_bytes() for ext in ("json", "txt"))
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_report_equals_full_parse_and_parses_each_scored_row_once(
+            self, eval_run, tmp_path, monkeypatch, capsys, split):
+        kind, checkpoint, data = eval_run
+        parser = "_decode_wav" if kind == "wav" else "_parse_row"
+        original = getattr(data_mod, parser)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(data_mod, parser, counted)
+        report = self.eval_report(checkpoint, data, split, tmp_path / "skip")
+        scored = json.loads((tmp_path / "skip" / f"report_{split}.json").read_text())
+        assert len(calls) == scored["overall"]["n"] > 0
+
+        # the oracle: parse every row, then take the scored ones
+        load = DataSource.load
+        monkeypatch.setattr(DataSource, "load",
+                            lambda source, indices=None: load(source).subset(indices))
+        calls.clear()
+        assert self.eval_report(checkpoint, data, split, tmp_path / "full") == report
+        assert len(calls) > scored["overall"]["n"]
+
+    def test_changed_data_exit_2_naming_both_digests(self, eval_run, tmp_path, capsys):
+        kind, checkpoint, data = eval_run
+        trained = load_checkpoint(checkpoint)[1]["data_sha256"]
+        changed = tmp_path / "changed"
+        if kind == "wav":
+            renamed = shutil.copytree(data, changed / "renamed")
+            first = sorted((renamed / "tone440").iterdir())[0]
+            first.rename(first.with_name("zz" + first.name))
+            added = shutil.copytree(data, changed / "added")
+            shutil.copy(first.with_name("zz" + first.name), added / "tone880" / "extra.wav")
+            variants = [renamed, added]
+        else:
+            raw = data.read_bytes()
+            at = raw.index(b".") + 1  # a digit of the first value: the data stays valid
+            flipped = raw[:at] + (b"2" if raw[at:at + 1] == b"1" else b"1") + raw[at + 1:]
+            changed.mkdir()
+            variants = [changed / "flipped.csv", changed / "blank.csv"]
+            variants[0].write_bytes(flipped)
+            variants[1].write_bytes(raw + b"\n")
+        for path in variants:
+            assert cli.main(["eval", checkpoint, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: data mismatch" in err
+            now = (read_wav_dir(path, 64).sha256 if kind == "wav"
+                   else hashlib.sha256(path.read_bytes()).hexdigest())
+            assert trained != now and trained in err and now in err and str(path) in err
+
+
+def test_train_and_eval_leave_openssl_unloaded(tmp_path, radar_csv):
+    """The loaders hash with the interpreter's built-in SHA-256: importing
+    hashlib would load OpenSSL's ``_hashlib``, about 3.6 MB of resident
+    memory in every train and eval process.  A child process, since the
+    test runner itself may have imported hashlib."""
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(radar_config_text(radar_csv, out, epochs=1))
+    code = ("import sys\nfrom temporal_augmenter import cli\n"
+            "rc = cli.main(sys.argv[1:])\nprint(rc, '_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(temporal_augmenter.__file__)))
+    for args in (["train", "--config", str(cfg_path)],
+                 ["eval", str(out / "checkpoint.tackpt"), str(radar_csv)]):
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                                capture_output=True, text=True, timeout=300)
+        assert result.stdout.splitlines()[-1] == "0 False", args[0]
 
 
 class TestGradcheckCommand:

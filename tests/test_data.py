@@ -9,19 +9,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from temporal_augmenter import data as data_mod
 from temporal_augmenter.data import (
     DataError,
     Dataset,
     ScalerParams,
     SplitSpec,
     apply_scaler,
-    data_sha256,
     fit_scaler,
     load_csv_signals,
     load_wav_dir,
     one_hot,
+    read_csv_signals,
+    read_wav_dir,
     split,
+    split_indices,
 )
 from temporal_augmenter.synth import (
     make_heartbeat_dataset,
@@ -170,6 +171,42 @@ class TestGenericLoader:
         with pytest.raises(DataError, match=r"row 4, column 0: non-numeric value 'oops'"):
             load_csv_signals(path, "generic", label_col="kind")
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\r\r\n", "\n\r"])
+    def test_line_endings_parse_alike(self, tmp_path, newline):
+        """Lines end at \\n, \\r or \\r\\n, and rows are numbered as a file
+        opened in text mode numbers its lines."""
+        text = "f1,kind,f2\n1.5,dog,2.0\n\n-3.0,cat,4.25"
+        (tmp_path / "lf.csv").write_bytes(text.encode())
+        other = tmp_path / "other.csv"
+        other.write_bytes(text.replace("\n", newline).encode())
+        lf = load_csv_signals(tmp_path / "lf.csv", "generic", label_col="kind")
+        loaded = load_csv_signals(other, "generic", label_col="kind")
+        assert loaded.features.tobytes() == lf.features.tobytes()
+        npt.assert_array_equal(loaded.labels, lf.labels)
+        other.write_bytes(text.replace("-3.0", "oops").replace("\n", newline).encode())
+        with open(other, newline="") as fh:
+            row = next(idx for idx, line in enumerate(fh) if "oops" in line)
+        with pytest.raises(DataError, match=rf"row {row}, column 0: non-numeric value 'oops'"):
+            load_csv_signals(other, "generic", label_col="kind")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "gen.csv"
+        path.write_bytes(b"f1,kind\n1.0,\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_csv_signals(path, "generic", label_col="kind")
+
+    def test_load_parses_only_the_rows_asked_for(self, tmp_path):
+        path = tmp_path / "gen.csv"
+        path.write_text("f1,kind,f2\n1.0,dog,2.0\n\n3.0,cat,oops\n5.0,cat,6.0\n")
+        source = read_csv_signals(path, "generic", label_col="kind")
+        npt.assert_array_equal(source.labels, [1, 0, 0])
+        assert source.class_names == ["cat", "dog"] and source.shape == (2, 1)
+        ds = source.load([2, 0])  # row 1 holds a bad value and is never parsed
+        npt.assert_array_equal(ds.features[:, :, 0], [[5.0, 6.0], [1.0, 2.0]])
+        npt.assert_array_equal(ds.labels, [0, 1])
+        with pytest.raises(DataError, match=r"row 3, column 2: non-numeric value 'oops'"):
+            source.load()
+
     def test_header_without_rows(self, tmp_path):
         path = tmp_path / "gen.csv"
         path.write_text("f1,kind\n\n")
@@ -272,19 +309,21 @@ class TestWavLoader:
 
 
 class TestDataSha256:
-    def test_csv_is_the_sha256_of_its_bytes(self, tmp_path, monkeypatch):
+    """The loaders hash the bytes they parse; the digest is hashlib's sha256
+    of the same bytes, though the loaders take it with the interpreter's
+    built-in module."""
+
+    def test_csv_is_the_sha256_of_its_bytes(self, tmp_path):
         path = tmp_path / "beats.csv"
         write_heartbeat_csv(path, make_heartbeat_dataset(20, Rng(310)))
         raw = path.read_bytes()
         expected = hashlib.sha256(raw).hexdigest()
-        assert data_sha256(path) == expected
-        monkeypatch.setattr(data_mod, "_HASH_CHUNK", 1000)  # many chunks, the last one short
-        assert len(raw) > 3000 and len(raw) % 1000
-        assert data_sha256(path) == expected
+        assert read_csv_signals(path, "mitbih").sha256 == expected
+        assert load_csv_signals(path, "mitbih").meta["sha256"] == expected
         edited = bytearray(raw)
         edited[len(raw) // 2] ^= 1
         path.write_bytes(bytes(edited))
-        assert data_sha256(path) != expected
+        assert read_csv_signals(path, "mitbih").sha256 != expected
 
     def test_wav_tree_hashes_each_loaded_file_in_order(self, tmp_path):
         root = tmp_path / "tones"
@@ -297,11 +336,13 @@ class TestDataSha256:
                 raw = (root / cls / name).read_bytes()
                 expected.update(f"{cls}/{name}".encode() + b"\0"
                                 + len(raw).to_bytes(8, "little") + raw)
-        assert data_sha256(root) == expected.hexdigest()
-        assert data_sha256(shutil.copytree(root, tmp_path / "copy")) == expected.hexdigest()
+        assert read_wav_dir(root, 64).sha256 == expected.hexdigest()
+        assert load_wav_dir(root, 64).meta["sha256"] == expected.hexdigest()
+        copy = shutil.copytree(root, tmp_path / "copy")
+        assert read_wav_dir(copy, 64).sha256 == expected.hexdigest()
         # same bytes in the same order, one path changed
         (root / "tone880" / "clip0001.wav").rename(root / "tone880" / "clip0009.wav")
-        assert data_sha256(root) != expected.hexdigest()
+        assert read_wav_dir(root, 64).sha256 != expected.hexdigest()
 
     def test_wav_name_that_is_not_utf8(self, tmp_path):
         (tmp_path / "c").mkdir()
@@ -312,7 +353,7 @@ class TestDataSha256:
             pytest.skip("the file system refuses names that are not UTF-8")
         raw = Path(os.fsdecode(raw_name)).read_bytes()
         expected = hashlib.sha256(b"c/\xff.wav\0" + len(raw).to_bytes(8, "little") + raw)
-        assert data_sha256(tmp_path) == expected.hexdigest()
+        assert read_wav_dir(tmp_path, 8).sha256 == expected.hexdigest()
 
 
 class TestScaler:
@@ -402,6 +443,18 @@ class TestSplit:
             split(toy_dataset(10), SplitSpec(ratios=(0.5, 0.2, 0.2), seed=0))
         with pytest.raises(ValueError):
             split(toy_dataset(10), SplitSpec(ratios=(1.0, 0.0, 0.0), seed=0))
+
+
+class TestSplitIndices:
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_split_takes_the_rows_split_indices_picks(self, stratified):
+        ds = make_heartbeat_dataset(50, Rng(320))
+        spec = SplitSpec(ratios=(0.6, 0.2, 0.2), seed=4, stratified=stratified)
+        parts = split_indices(ds.labels, ds.num_classes, spec)
+        for part, idx in zip(split(ds, spec), parts):
+            assert part.features.tobytes() == ds.features[idx].tobytes()
+            npt.assert_array_equal(part.labels, ds.labels[idx])
+        npt.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(50))
 
 
 class TestOneHot:

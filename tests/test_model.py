@@ -201,9 +201,9 @@ class TestBackward:
         captured = []
         original = model_mod._stream_backward
 
-        def capture(sp, cfg_, cache, d_out):
+        def capture(sp, cfg_, cache, d_out, d_conv):
             captured.append((sp.kind, d_out.copy()))
-            return original(sp, cfg_, cache, d_out)
+            return original(sp, cfg_, cache, d_out, d_conv)
 
         monkeypatch.setattr(model_mod, "_stream_backward", capture)
         probs, trace = forward(net, x, mode="train", rng=Rng(0))
@@ -239,10 +239,10 @@ class TestBackward:
             opt = optim.Adam(lr=1e-3, epsilon=1e-7)
             original = model_mod._stream_backward
 
-            def cutting(sp, cfg_, cache, d_out):
+            def cutting(sp, cfg_, cache, d_out, d_conv):
                 if sp.kind == "lstm":
                     d_out = np.zeros_like(d_out)
-                return original(sp, cfg_, cache, d_out)
+                return original(sp, cfg_, cache, d_out, d_conv)
 
             if cut_slice:
                 monkeypatch.setattr(model_mod, "_stream_backward", cutting)
@@ -265,8 +265,9 @@ class TestBackward:
             npt.assert_array_equal(a[name], b[name], err_msg=name)
 
 
-def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
-    """Stream forward in the textbook order conv1d -> ReLU -> maxpool."""
+def relu_then_pool_stream_forward(sp, cfg, x, mode, rng, cell_in):
+    """Stream forward in the textbook order conv1d -> ReLU -> maxpool; its
+    cell input is a new array, not ``cell_in``."""
     y, conv_cache = layers.conv1d_forward(x, sp.conv)
     act_cache = None
     if cfg.conv_activation == "relu":
@@ -279,7 +280,9 @@ def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
     return out, (conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs.shape)
 
 
-def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
+def relu_then_pool_stream_backward(sp, cfg, cache, d_out, d_conv):
+    """The textbook-order backward; it allocates its own gradients and
+    leaves the model's ``d_conv`` scratch unused."""
     conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs_shape = cache
     d_hs = np.zeros(hs_shape)
     if cfg.return_sequences:
@@ -374,6 +377,62 @@ class TestBlockedFrontEnd:
             assert other_grads.keys() == grads.keys()
             for name, g in grads.items():
                 assert other_grads[name].tobytes() == g.tobytes(), name
+
+
+def arrays_in(obj):
+    """Every ndarray in nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays_in(item)
+
+
+class TestScratch:
+    """The scratch buffer a model reuses for the conv-output gradient and for
+    an eval forward's cell input carries nothing from one call to the next."""
+
+    @pytest.mark.parametrize("timesteps,kernel", [(17, 1), (23, 3)])
+    def test_reused_scratch_matches_a_fresh_model_bitwise(self, tmp_path, timesteps, kernel):
+        cfg = radar_config(input_timesteps=timesteps, conv_filters=6, conv_kernel=kernel,
+                           dense_sizes=(8,))
+
+        def fresh():
+            return build(cfg, Rng(95).derive("init"))
+
+        def inputs(n):
+            return Rng(96).derive(str(n)).uniform((n, timesteps, 2)) * 2 - 1
+
+        def train_step(net, n):
+            probs, trace = forward(net, inputs(n), mode="train", rng=Rng(97))
+            assert not any(np.shares_memory(a, net._scratch) for a in arrays_in(
+                trace.stream_caches + trace.head_caches))
+            _, dlogits = optim.cce_loss(probs, np.eye(2)[np.arange(n) % 2])
+            grads = backward(net, trace, dlogits)
+            assert not any(np.shares_memory(g, net._scratch) for g in grads.values())
+            return [probs, *grads.values()]
+
+        def eval_forward(net, n):
+            return [forward(net, inputs(n), mode="eval")[0]]
+
+        net = fresh()
+        eval_forward(net, 5)
+        assert net._scratch.size == 0  # only a backward allocates it
+        # a full batch, the last partial one, an eval forward too large to
+        # borrow the scratch, then a larger batch and an eval forward that
+        # borrows it
+        for op, n in ((train_step, 7), (train_step, 3), (eval_forward, 40),
+                      (train_step, 9), (eval_forward, 11)):
+            want = [a.tobytes() for a in op(fresh(), n)]
+            assert [a.tobytes() for a in op(net, n)] == want, (op.__name__, n)
+            net._scratch[...] = np.nan  # whatever the last call left
+            assert [a.tobytes() for a in op(net, n)] == want, (op.__name__, n)
+        assert net._scratch.size == 9 * (timesteps - kernel + 1) * 6
+        assert not np.isnan(net._scratch).all()  # the last eval forward borrowed it
+        assert net.parameters().keys() == fresh().parameters().keys()
+        save_checkpoint(tmp_path / "used.tackpt", net)
+        save_checkpoint(tmp_path / "fresh.tackpt", fresh())
+        assert (tmp_path / "used.tackpt").read_bytes() == (tmp_path / "fresh.tackpt").read_bytes()
 
 
 def miniature_checkpoint_bytes(tmp_path) -> bytes:
