@@ -81,9 +81,19 @@ def _write_report(report: metrics.Report, out_dir: str, stem: str) -> None:
         fh.write(metrics.format_report(report))
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the directory ``path``; a path that cannot be one is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+
 def run_training(cfg: RunConfig, out_dir: str) -> dict:
-    """Full training pipeline; returns paths of the written artifacts."""
+    """Full training pipeline; returns paths of the written artifacts.  The
+    output directory is created first, before any data is read."""
     data_path = cfg.resolved_data_path()
+    _make_out_dir(out_dir)
     ds = _load_dataset(cfg, data_path)
     extras = {"run_config": format_config(cfg), "class_names": list(ds.class_names),
               "data_sha256": ds.meta["sha256"]}
@@ -99,7 +109,6 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
     net = model_mod.build(model_cfg, root_rng.derive("init"))
     _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
 
-    os.makedirs(out_dir, exist_ok=True)
     probs = optim.predict_probs(net, test_set.features)
     report = metrics.classification_report(test_set.labels, probs, ds.class_names,
                                            split="test",
@@ -145,8 +154,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     path = args.checkpoint
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint not found: {path}")
+    if args.out:
+        _make_out_dir(args.out)
     net, extras, extra_tensors = model_mod.load_checkpoint(path)
     text, names, k = extras.get("run_config"), extras.get("class_names"), net.config.num_classes
     digest = extras.get("data_sha256")
@@ -196,7 +205,6 @@ def cmd_eval(args) -> int:
                                            total_params=model_mod.param_count(net))
     print(metrics.format_report(report))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_report(report, args.out, f"report_{args.split}")
     return 0
 
@@ -221,7 +229,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     run_dir = args.run_dir
     trainlog = os.path.join(run_dir, "trainlog.csv")
-    if not os.path.isdir(run_dir) or not os.path.exists(trainlog):
+    if not os.path.isdir(run_dir) or not os.path.isfile(trainlog):
         raise DataError(f"run directory missing training artifacts: {run_dir}")
     report_txts = sorted(f for f in os.listdir(run_dir)
                          if f.startswith("report_") and f.endswith(".txt"))

@@ -207,8 +207,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        state = "is not a regular file" if os.path.exists(path) else "not found"
+        raise ConfigError(f"config file {state}: {path}")
     with open(path) as fh:
         return parse_config_text(fh.read(), source=str(path))
 

@@ -124,7 +124,12 @@ def _parse_row(fields, row_idx: int, path) -> np.ndarray:
     return values
 
 
-def _read_bytes(path) -> bytes:
+def read_file(path, what: str) -> bytes:
+    """The bytes of the file at ``path``; a path that is missing or names no
+    regular file (a directory, say) is a DataError naming it as ``what``."""
+    if not os.path.isfile(path):
+        state = "is not a regular file" if os.path.exists(path) else "not found"
+        raise DataError(f"{what} {state}: {path}")
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -180,14 +185,12 @@ def read_csv_signals(path, schema: str, label_col: str | None = None) -> DataSou
     """Read, hash and check a UTF-8 signal table; ``schema`` is 'generic' or
     a key of ``CSV_SCHEMAS``.  Every row's column count and label are
     checked here, its features only when ``load`` parses the row."""
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
     spec = CSV_SCHEMAS.get(schema)
     if spec is None and schema != "generic":
         raise DataError(f"unknown schema {schema!r}")
     if spec is None and not label_col:
         raise DataError("generic schema requires a label column name")
-    raw = _read_bytes(path)
+    raw = read_file(path, "data file")
     digest = _sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
@@ -278,7 +281,7 @@ def read_wav_dir(root_path, target_len: int) -> DataSource:
     class_names, files = _wav_files(root_path)
     digest, raws = _sha256(), []
     for _, rel in files:
-        raw = _read_bytes(os.path.join(root_path, rel))
+        raw = read_file(os.path.join(root_path, rel), "WAV clip")
         digest.update(os.fsencode(rel) + b"\0" + len(raw).to_bytes(8, "little"))
         digest.update(raw)
         raws.append(raw)
@@ -316,14 +319,19 @@ def _decode_wav(raw: bytes, path) -> tuple:
             channels = wf.getnchannels()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
+    except EOFError:
+        raise DataError(f"{path}: WAV header cut short") from None
     except wave.Error as exc:
         raise DataError(f"{path}: unsupported WAV encoding ({exc})") from exc
+    if width not in (1, 2):
+        raise DataError(f"{path}: unsupported sample width {width * 8} bits (PCM 8/16 only)")
+    if len(raw) % (width * channels):
+        raise DataError(f"{path}: WAV data cut short: {len(raw)} bytes is not a whole number "
+                        f"of {channels}-channel {width * 8}-bit frames")
     if width == 2:
         samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    elif width == 1:
-        samples = (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     else:
-        raise DataError(f"{path}: unsupported sample width {width * 8} bits (PCM 8/16 only)")
+        samples = (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     return samples, rate

@@ -160,20 +160,13 @@ def check_dropout(seed: int = 0, trials: int = 3) -> float:
 
 def _check_cell(kind: str, seed: int) -> float:
     rng = Rng(seed).derive(kind)
+    run, run_back = ((recurrent.lstm_forward, recurrent.lstm_backward) if kind == "lstm"
+                     else (recurrent.gru_forward, recurrent.gru_backward))
     worst = 0.0
     for T in (1, 2, 5):
         n, d, u = 3, 4, 3
         params = recurrent.draw_params(recurrent.zero_params(kind, d, u), rng)
-        if kind == "lstm":
-            run = recurrent.lstm_forward
-            run_back = recurrent.lstm_backward
-        else:
-            run = recurrent.gru_forward
-            run_back = recurrent.gru_backward
-        pdict = recurrent.params_as_dict(params)
-        for name in pdict:
-            if name.startswith("b_"):
-                pdict[name] += _uniform_pm(rng, pdict[name].shape) * 0.1
+        params.b += _uniform_pm(rng, params.b.shape) * 0.1
         x = _uniform_pm(rng, (n, T, d))
         proj = _uniform_pm(rng, (n, T, u))
         _, cache = run(x, params)
@@ -183,7 +176,7 @@ def _check_cell(kind: str, seed: int) -> float:
             return float(np.sum(run(x, params)[0] * proj))
 
         worst = max(worst, max_rel_err(dx, fd_grad(objective, x)))
-        for name, arr in pdict.items():
+        for name, arr in vars(params).items():
             worst = max(worst, max_rel_err(grads[name], fd_grad(objective, arr)))
     return worst
 
@@ -245,7 +238,7 @@ def _build_clean_instance(cfg: ModelConfig, rng: Rng, n: int):
     for _ in range(20):
         net = model_mod.build(cfg, rng)
         for name, arr in net.parameters().items():
-            if name.endswith(".b") or ".cell.b_" in name:
+            if name.endswith(".b"):
                 arr += _uniform_pm(rng, arr.shape) * 0.4
             if name.endswith("conv.b"):  # bias conv outputs off the clamp
                 arr += 0.8

@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import layers, recurrent
-from .data import DataError
+from .data import DataError, read_file
 from .layers import Conv1DParams, DenseParams
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
 
@@ -173,12 +173,12 @@ class TemporalAugmenterModel:
         return self._scratch[:size].reshape(shape)
 
     def parameters(self) -> dict:
-        """Flat name -> tensor view of every trainable parameter (stable order)."""
+        """Flat name -> every trainable parameter array, in a stable order."""
         out = {}
         for sp in self.streams:
             out[f"{sp.kind}.conv.K"] = sp.conv.K
             out[f"{sp.kind}.conv.b"] = sp.conv.b
-            for name, value in recurrent.params_as_dict(sp.cell).items():
+            for name, value in vars(sp.cell).items():
                 out[f"{sp.kind}.cell.{name}"] = value
         for idx, dp in enumerate(self.head[:-1]):
             out[f"head.{idx}.W"] = dp.W
@@ -217,9 +217,8 @@ def _parameter_shapes(config: ModelConfig) -> dict:
         u = config.stream_units(kind)
         shapes[f"{kind}.conv.K"] = (k, d, F)
         shapes[f"{kind}.conv.b"] = (F,)
-        views = recurrent.GRUParams.VIEWS if kind == "gru" else recurrent.LSTMParams.VIEWS
-        for name in views:
-            shapes[f"{kind}.cell.{name}"] = {"W": (F, u), "U": (u, u), "b": (u,)}[name[0]]
+        for name, shape in recurrent.block_shapes(kind, F, u).items():
+            shapes[f"{kind}.cell.{name}"] = shape
     sizes = (config.concat_width, *config.dense_sizes, config.num_classes)
     names = [str(idx) for idx in range(len(config.dense_sizes))] + ["out"]
     for name, i, o in zip(names, sizes, sizes[1:]):
@@ -378,21 +377,24 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # checkpoint container
 # ---------------------------------------------------------------------------
 #
-# Layout (version 1):
+# Layout (version 2):
 #   bytes 0..7    magic  b"TACKPT01"
 #   bytes 8..15   uint64 little-endian header length H
 #   bytes 16..16+H  UTF-8 JSON header:
-#       {"version": 1, "config": {...}, "tensors": [{"name","shape"}...],
+#       {"version": 2, "config": {...}, "tensors": [{"name","shape"}...],
 #        "extras": {...}}
 #   then, for each entry of "tensors" in order, the raw little-endian
 #   float64 values (C order).
-# Model parameters are stored under their parameters() names; callers may
-# attach additional named tensors (e.g. scaler statistics) and a JSON
-# extras dict.  Loading reconstructs the model bitwise.  The `train`
-# command writes three extras, which `eval` reads (see cli.py):
-# "run_config" (the run's config text), "class_names" and "data_sha256".
+# Model parameters are stored under their parameters() names, a cell's as
+# its fused blocks ("lstm.cell.U" [u, 4u]; version 1 had one tensor per
+# gate).  Callers may attach additional named tensors (e.g. scaler
+# statistics) and a JSON extras dict.  Loading reconstructs the model
+# bitwise.  The `train` command writes three extras, which `eval` reads (see
+# cli.py): "run_config" (the run's config text), "class_names" and
+# "data_sha256".
 
 _MAGIC = b"TACKPT01"
+_VERSION = 2
 
 
 def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = None,
@@ -404,7 +406,7 @@ def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = N
             raise ValueError(f"duplicate tensor name {key!r}")
         tensors[key] = np.asarray(arr, dtype=np.float64)
     header = {
-        "version": 1,
+        "version": _VERSION,
         "config": asdict(model.config),
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors.items()],
         "extras": extras or {},
@@ -421,13 +423,12 @@ def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = N
 def load_checkpoint(path):
     """Returns (model, extras, extra_tensors).
 
-    Any file that is not one whole, valid checkpoint raises DataError naming
-    ``path``: bad magic or version, a cut or unreadable header, a config that
-    ModelConfig rejects, a tensor missing or of the wrong shape, or a length
-    other than the header describes.
+    Any path that is not one whole, valid checkpoint file raises DataError
+    naming ``path``: no such file, bad magic or version, a cut or unreadable
+    header, a config that ModelConfig rejects, a tensor missing or of the
+    wrong shape, or a length other than the header describes.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_file(path, "checkpoint")
     if blob[:8] != _MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic {blob[:8]!r})")
     hlen = int.from_bytes(blob[8:16], "little")
@@ -439,7 +440,7 @@ def load_checkpoint(path):
         raise DataError(f"{path}: unreadable checkpoint header ({exc})") from None
     if not isinstance(header, dict) or not isinstance(header.get("extras", {}), dict):
         raise DataError(f"{path}: checkpoint header or its extras is not a JSON object")
-    if header.get("version") != 1:
+    if header.get("version") != _VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     try:
         config = ModelConfig(**header["config"])

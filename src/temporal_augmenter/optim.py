@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_mod
-from .data import one_hot
+from .data import DataError, one_hot
 from .tensor_core import Rng, ShapeError, Tensor
 
 
@@ -161,27 +161,35 @@ class EpochStats:
 class TrainLog:
     epochs: list = field(default_factory=list)
 
+    COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
+
     def append(self, stats: EpochStats) -> None:
         self.epochs.append(stats)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
+            writer.writerow(self.COLUMNS)
             for e in self.epochs:
-                writer.writerow([e.epoch, repr(float(e.train_loss)), repr(float(e.train_acc)),
-                                 repr(float(e.val_loss)), repr(float(e.val_acc))])
+                writer.writerow([e.epoch, *(repr(float(getattr(e, c))) for c in self.COLUMNS[1:])])
 
     @staticmethod
     def from_csv(path) -> "TrainLog":
+        """Read a log ``to_csv`` wrote; a row without a number in each column
+        is a DataError naming the file and the row's 0-based line index."""
         log = TrainLog()
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                log.append(EpochStats(epoch=int(row["epoch"]),
-                                      train_loss=float(row["train_loss"]),
-                                      train_acc=float(row["train_acc"]),
-                                      val_loss=float(row["val_loss"]),
-                                      val_acc=float(row["val_acc"])))
+            reader = csv.DictReader(fh)
+            for row in reader:
+                where = f"{path}: row {reader.line_num - 1}"
+                if None in row or None in row.values() or set(TrainLog.COLUMNS) - set(row):
+                    raise DataError(f"{where}: expected one value in each of the columns "
+                                    f"{', '.join(TrainLog.COLUMNS)}")
+                try:
+                    log.append(EpochStats(int(row["epoch"]),
+                                          *(float(row[c]) for c in TrainLog.COLUMNS[1:])))
+                except ValueError as exc:
+                    raise DataError(f"{where}: {exc}") from None
         return log
 
 
@@ -203,6 +211,7 @@ def evaluate(model, x: Tensor, labels: np.ndarray, batch_size: int = 256):
 
 
 def _clip_global_norm(grads: dict, max_norm: float) -> None:
+    # the sum runs in the key order of ``grads``, so that order is part of the bits
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total

@@ -24,9 +24,10 @@ multiplies the reset-gated state):
     GRUParams    W [d, 3u], b [3u]                 gates z, r, h
                  U_zr [u, 2u], U_h [u, u]          gates z, r and h
 
-The per-gate names (``W_f``, ``U_r``, ``b_h``, ...) are views into the
-blocks, mapped by ``_LSTM_VIEWS`` / ``_GRU_VIEWS``.  Their order there is
-the parameter order: model parameter names, checkpoint tensors, init draws.
+These blocks are the parameters, named by their fields; ``block_shapes``
+states their shapes.  ``draw_params`` fills one gate slot at a time, input
+weights before recurrent ones, in the order LSTM f, i, g, o (slots 0, 1, 3,
+2) and GRU z, r, h.
 
 ``*_forward`` unrolls a [n, T, d] sequence from zero initial state (unless
 given) and returns every hidden state; ``*_backward`` accepts a gradient for
@@ -87,24 +88,6 @@ from .tensor_core import (
     sigmoid,
 )
 
-# per-gate name -> (stored block, gate slot in that block)
-_LSTM_VIEWS = {f"{m}_{g}": (m, "fiog".index(g)) for m in "WUb" for g in "figo"}
-_GRU_VIEWS = {
-    "W_z": ("W", 0), "W_r": ("W", 1), "W_h": ("W", 2),
-    "U_z": ("U_zr", 0), "U_r": ("U_zr", 1), "U_h": ("U_h", 0),
-    "b_z": ("b", 0), "b_r": ("b", 1), "b_h": ("b", 2),
-}
-
-
-def _gate_view(p, name: str) -> Tensor:
-    """``p.<per-gate name>``: that gate's column slot of its stored block."""
-    try:
-        block, slot = p.VIEWS[name]
-    except KeyError:
-        raise AttributeError(name) from None
-    u = p.units
-    return getattr(p, block)[..., slot * u:(slot + 1) * u]
-
 
 @dataclass
 class LSTMParams:
@@ -112,9 +95,6 @@ class LSTMParams:
     W: Tensor
     U: Tensor
     b: Tensor
-
-    VIEWS = _LSTM_VIEWS
-    __getattr__ = _gate_view
 
     @property
     def input_size(self) -> int:
@@ -133,9 +113,6 @@ class GRUParams:
     U_h: Tensor
     b: Tensor
 
-    VIEWS = _GRU_VIEWS
-    __getattr__ = _gate_view
-
     @property
     def input_size(self) -> int:
         return self.W.shape[0]
@@ -145,29 +122,32 @@ class GRUParams:
         return self.U_h.shape[0]
 
 
-def params_as_dict(p) -> dict:
-    """Per-gate name -> view into the stored blocks, in ``p.VIEWS`` order."""
-    return {name: getattr(p, name) for name in p.VIEWS}
+def block_shapes(kind: str, input_size: int, units: int) -> dict:
+    """Field -> shape of each stored block of a "gru" or "lstm" cell, in field order."""
+    d, u = input_size, units
+    if kind == "gru":
+        return {"W": (d, 3 * u), "U_zr": (u, 2 * u), "U_h": (u, u), "b": (3 * u,)}
+    return {"W": (d, 4 * u), "U": (u, 4 * u), "b": (4 * u,)}
 
 
 def zero_params(kind: str, input_size: int, units: int):
-    """All-zero parameters of a "gru" or "lstm" cell, in the fused layout."""
-    d, u = input_size, units
-    if kind == "gru":
-        return GRUParams(W=np.zeros((d, 3 * u)), U_zr=np.zeros((u, 2 * u)),
-                         U_h=np.zeros((u, u)), b=np.zeros(3 * u))
-    return LSTMParams(W=np.zeros((d, 4 * u)), U=np.zeros((u, 4 * u)), b=np.zeros(4 * u))
+    """All-zero parameters of a "gru" or "lstm" cell."""
+    cls = GRUParams if kind == "gru" else LSTMParams
+    return cls(**{name: np.zeros(shape)
+                  for name, shape in block_shapes(kind, input_size, units).items()})
 
 
 def draw_params(p, rng: Rng):
-    """Fill each input and recurrent gate view in ``p.VIEWS`` order; biases
-    are left as they are."""
+    """Fill the input weights, then the recurrent weights, one gate slot at a
+    time in the order LSTM f, i, g, o or GRU z, r, h; biases stay as they are."""
     d, u = p.input_size, p.units
-    for name, view in params_as_dict(p).items():
-        if name.startswith("W_"):
-            view[...] = init_glorot_uniform(d, u, (d, u), rng)
-        elif name.startswith("U_"):
-            view[...] = init_orthogonal(u, u, rng)
+    lstm = isinstance(p, LSTMParams)
+    slots = (0, 1, 3, 2) if lstm else (0, 1, 2)
+    for s in slots:
+        p.W[:, s * u:(s + 1) * u] = init_glorot_uniform(d, u, (d, u), rng)
+    for view in ([p.U[:, s * u:(s + 1) * u] for s in slots] if lstm
+                 else [p.U_zr[:, :u], p.U_zr[:, u:], p.U_h]):
+        view[...] = init_orthogonal(u, u, rng)
     return p
 
 
@@ -250,7 +230,7 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
 def lstm_backward(cache, d_hs: Tensor):
     """BPTT given dL/dhs over the whole sequence [n, T, u].
 
-    Returns (dx, grads) with grads keyed by the per-gate names.
+    Returns (dx, grads) with grads keyed by the ``LSTMParams`` fields.
     """
     x, p, H, C, G, TC = cache
     n, T, d = x.shape
@@ -290,11 +270,8 @@ def lstm_backward(cache, d_hs: Tensor):
     dx = (da2 @ p.W.T).reshape(n, T, d)
     h_prev = _batch_major(H[:T])
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
-    dp = LSTMParams(W=x.reshape(n * T, d).T @ da2,
-                    U=np.dot(h_prev.T, da2),
-                    b=da2.sum(axis=0))
-    # the key order sets the summation order of global-norm clipping
-    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for k in "fiog" for m in "WUb"}
+    return dx, {"W": x.reshape(n * T, d).T @ da2, "U": np.dot(h_prev.T, da2),
+                "b": da2.sum(axis=0)}
 
 
 def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "train"):
@@ -343,7 +320,10 @@ def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "
 
 
 def gru_backward(cache, d_hs: Tensor):
-    """BPTT given dL/dhs over the whole sequence [n, T, u]."""
+    """BPTT given dL/dhs over the whole sequence [n, T, u].
+
+    Returns (dx, grads) with grads keyed by the ``GRUParams`` fields.
+    """
     x, p, H, ZR, HC, RH = cache
     n, T, d = x.shape
     u = p.units
@@ -387,12 +367,8 @@ def gru_backward(cache, d_hs: Tensor):
     h_prev = _batch_major(H[:T])
     rh = _batch_major(RH)
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
-    dp = GRUParams(W=x.reshape(n * T, d).T @ da2,
-                   U_zr=np.dot(h_prev.T, da2[:, :2 * u]),
-                   U_h=np.dot(rh.T, da2[:, 2 * u:]),
-                   b=da2.sum(axis=0))
-    # the key order sets the summation order of global-norm clipping
-    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for m in "WbU" for k in "zrh"}
+    return dx, {"W": x.reshape(n * T, d).T @ da2, "U_zr": np.dot(h_prev.T, da2[:, :2 * u]),
+                "U_h": np.dot(rh.T, da2[:, 2 * u:]), "b": da2.sum(axis=0)}
 
 
 def _check_seq(x: Tensor, p) -> tuple:

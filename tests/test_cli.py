@@ -302,6 +302,17 @@ class TestTrainCommand:
         assert extras["data_sha256"] == hashlib.sha256(radar_csv.read_bytes()).hexdigest()
         assert extras["class_names"] == ["bad", "good"]
 
+    def test_truncated_wav_clip_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "tones"
+        write_tone_corpus(data, Rng(403), clips_per_class=3, clip_len=80)
+        clip = sorted((data / "tone880").iterdir())[1]
+        clip.write_bytes(clip.read_bytes()[:-1])  # 16-bit mono: cut mid-sample
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = tess\ndata = {data}\nout = {tmp_path / 'out'}\n"
+                            f"target_len = 64\nepochs = 1\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert f"data error: {clip}: WAV data cut short" in capsys.readouterr().err
+
     def test_divergence_exit_4(self, tmp_path, radar_csv, monkeypatch):
         from temporal_augmenter import optim
 
@@ -312,6 +323,40 @@ class TestTrainCommand:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out", epochs=1))
         assert cli.main(["train", "--config", str(cfg_path)]) == 4
+
+
+class TestPathsOfTheWrongKind:
+    """A directory where a file belongs, or a file where the output
+    directory belongs, is a typed error, not a traceback."""
+
+    def test_checkpoint_directory_exit_3(self, tmp_path, radar_csv, capsys):
+        assert cli.main(["eval", str(tmp_path), str(radar_csv)]) == 3
+        assert f"checkpoint is not a regular file: {tmp_path}" in capsys.readouterr().err
+
+    def test_csv_data_directory_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(tmp_path, tmp_path / "out"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert f"data file is not a regular file: {tmp_path}" in capsys.readouterr().err
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(tmp_path)]) == 2
+        assert f"config file is not a regular file: {tmp_path}" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2_before_data_is_read(self, tmp_path, radar_csv, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(tmp_path / "absent.csv", out))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot create output directory {out}" in err
+        assert "absent.csv" not in err
+        assert cli.main(["eval", str(tmp_path / "absent.tackpt"), str(radar_csv),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create output directory {out}" in err and "absent.tackpt" not in err
+        assert out.read_text() == "not a directory\n"
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -351,7 +396,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "e305b8193b2d022e2cf94c84362064f9e3ff92db1e072bf33c95675c3a018f87"
+    HEARTBEAT_CHECKPOINT = "617fb7374c5f05aa01f6bda45d4fd89766d27d33bc5bb12aef48476c4ad7fe39"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -386,7 +431,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "f5ec877dc9006c6da3e127da9449452b72efb3f870d1250a4419d1850bff3288",
+                "e03bfb7f7afe1a968affdd1c23e62150bdea6942f016e559141d796cf07992e3",
             "trainlog.csv":
                 "bcc212f098a1918dde7d87572c248d195f4e52e1bc5a20eb9afdabcdad1792c1",
             "report_test.json":
@@ -455,7 +500,7 @@ class TestEvalCommand:
                                       (end + len(blob)) // 2, len(blob) - 1)]
         bad.append(blob + b"\x00" * 8)
         bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
-        bad.append(blob[:16] + blob[16:end].replace(b'"version":1', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":2', b'"version":7') + blob[end:])
         bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
         bad.append(blob[:16] + b"\xff" + blob[17:])
         path = tmp_path / "bad.tackpt"
@@ -492,6 +537,15 @@ class TestEvalCommand:
             assert cli.main(["eval", str(path), str(radar_csv)]) == 3
             err = capsys.readouterr().err
             assert "data error" in err and all(text in err for text in named)
+
+    def test_version_1_checkpoint_exit_3(self, trained_run, tmp_path, capsys):
+        """Version 1 stored one tensor per cell gate; its files are refused."""
+        out, radar_csv = trained_run
+        path = tmp_path / "v1.tackpt"
+        path.write_bytes((out / "checkpoint.tackpt").read_bytes().replace(
+            b'"version":2', b'"version":1', 1))
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        assert f"{path}: unsupported checkpoint version 1" in capsys.readouterr().err
 
     @staticmethod
     def rewrite_extras(blob: bytes, edit) -> bytes:
@@ -730,3 +784,20 @@ class TestReportCommand:
 
     def test_missing_dir_exit_3(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope")]) == 3
+
+    HEADER = "epoch,train_loss,train_acc,val_loss,val_acc\n"
+
+    @pytest.mark.parametrize("log,named", [
+        (HEADER + "1,0.7,0.5,0.69,0.5\n2,abc,0.5,0.69,0.5\n", "row 2: could not convert"),
+        (HEADER + "1,abc\n", "row 1: expected one value in each"),
+        (HEADER.replace(",val_acc", "") + "1,0.7,0.5,0.69\n",
+         "row 1: expected one value in each of the columns epoch, train_loss, train_acc, "
+         "val_loss, val_acc"),
+    ], ids=["non-numeric", "short-row", "missing-column"])
+    def test_malformed_trainlog_exit_3(self, tmp_path, capsys, log, named):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trainlog.csv").write_text(log)
+        (run / "report_test.txt").write_text("report\n")
+        assert cli.main(["report", str(run)]) == 3
+        assert f"data error: {run / 'trainlog.csv'}: {named}" in capsys.readouterr().err

@@ -297,6 +297,31 @@ class TestWavLoader:
         with pytest.raises(DataError, match="sample width"):
             load_wav_dir(tmp_path, target_len=4)
 
+    @pytest.mark.parametrize("channels,width,cut", [(1, 2, 1), (2, 2, 2), (2, 1, 1)],
+                             ids=["16bit-mid-sample", "16bit-stereo-mid-frame",
+                                  "8bit-stereo-mid-frame"])
+    def test_clip_cut_inside_a_frame_rejected(self, tmp_path, channels, width, cut):
+        (tmp_path / "c").mkdir()
+        path = tmp_path / "c" / "cut.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(width)
+            wf.setframerate(8000)
+            wf.writeframes(b"\x01" * (channels * width * 100))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError) as excinfo:
+            load_wav_dir(tmp_path, target_len=4)
+        assert f"{path}: WAV data cut short" in str(excinfo.value)
+
+    def test_clip_cut_inside_its_header_rejected(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        path = tmp_path / "c" / "cut.wav"
+        write_wav(path, np.zeros(8), 8000)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(DataError) as excinfo:
+            load_wav_dir(tmp_path, target_len=4)
+        assert f"{path}: WAV header cut short" in str(excinfo.value)
+
     def test_tone_corpus_balanced_classes(self, tmp_path):
         names = write_tone_corpus(tmp_path, Rng(301), frequencies=(440.0, 880.0),
                                   clips_per_class=5, clip_len=256)

@@ -73,6 +73,30 @@ class TestBuild:
             ModelConfig(input_timesteps=3, input_channels=1, num_classes=2, pool_size=8)
 
 
+class TestParameters:
+    def test_parameters_are_the_stored_arrays(self):
+        net = build(radar_config(), Rng(4))
+        gru, lstm = net.streams
+        stored = {"gru.conv.K": gru.conv.K, "gru.conv.b": gru.conv.b,
+                  "gru.cell.W": gru.cell.W, "gru.cell.U_zr": gru.cell.U_zr,
+                  "gru.cell.U_h": gru.cell.U_h, "gru.cell.b": gru.cell.b,
+                  "lstm.conv.K": lstm.conv.K, "lstm.conv.b": lstm.conv.b,
+                  "lstm.cell.W": lstm.cell.W, "lstm.cell.U": lstm.cell.U,
+                  "lstm.cell.b": lstm.cell.b}
+        for name, dp in zip(("0", "1", "out"), net.head):
+            stored.update({f"head.{name}.W": dp.W, f"head.{name}.b": dp.b})
+        params = net.parameters()
+        assert len(params) == 17
+        assert list(params) == list(stored)
+        for name, arr in stored.items():
+            assert params[name] is arr, name
+        probs, trace = forward(net, Rng(5).uniform((3, 17, 2)), mode="train", rng=Rng(6))
+        grads = backward(net, trace, probs - np.eye(2)[[0, 1, 1]])
+        assert grads.keys() == params.keys()
+        for name, arr in params.items():
+            assert grads[name].shape == arr.shape, name
+
+
 class TestParamCount:
     def test_dense_contribution(self):
         # Dense(20 -> 64) alone contributes 20*64 + 64 = 1344
@@ -311,7 +335,7 @@ class TestStreamOrder:
                            conv_activation=activation, dense_sizes=(8,))
         net = build(cfg, Rng(80).derive("init"))
         for name, arr in net.parameters().items():
-            if name.endswith(".b") or ".cell.b_" in name:
+            if name.endswith(".b"):
                 arr += Rng(81).derive(name).uniform(arr.shape) - 0.5
         x = Rng(82).uniform((5, 17, 2)) * 2 - 1
         onehot = np.eye(2)[[0, 1, 1, 0, 1]]
@@ -351,7 +375,7 @@ class TestBlockedFrontEnd:
                            return_sequences=return_sequences)
         net = build(cfg, Rng(90).derive("init"))
         for name, arr in net.parameters().items():
-            if name.endswith(".b") or ".cell.b_" in name:
+            if name.endswith(".b"):
                 arr += Rng(91).derive(name).uniform(arr.shape) - 0.5
         x = Rng(92).uniform((7, 17, 2)) * 2 - 1
         onehot = np.eye(2)[[0, 1, 1, 0, 1, 0, 0]]
@@ -475,14 +499,14 @@ def _shrink_bias(header, arrays):
 
 # Each edits the parsed header in place; the file is then re-encoded whole.
 HEADER_EDITS = {
-    "version": lambda h: h.update(version=2),
+    "version": lambda h: h.update(version=1),
     "no_version": lambda h: h.pop("version"),
     "config_unknown_key": lambda h: h["config"].update(bogus=1),
     "config_bad_value": lambda h: h["config"].update(pool_size=0),
     "config_bad_type": lambda h: h["config"].update(dense_sizes="x"),
     "config_missing": lambda h: h.pop("config"),
     "extras_not_object": lambda h: h.update(extras=[1]),
-    "tensor_missing": lambda h: _entry(h, "gru.cell.U_r").update(name="gru.cell.U_x"),
+    "tensor_missing": lambda h: _entry(h, "gru.cell.U_zr").update(name="gru.cell.U_x"),
     "tensor_entry_no_shape": lambda h: _entry(h, "head.out.b").pop("shape"),
     "tensor_negative_dim": lambda h: _entry(h, "extra.scaler_mean").update(shape=[-5, -2]),
     "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.K")["shape"].reverse(),
@@ -554,6 +578,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("overrides", [
         {}, {"return_sequences": True, "conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
         {"streams": ("lstm", "gru"), "lstm_units": 1, "gru_units": 2, "dense_sizes": (7,)},
+        {"streams": ("gru",)}, {"return_sequences": True}, {"dense_sizes": ()},
     ])
     def test_parameter_shapes_match_built_model(self, overrides):
         cfg = radar_config(**overrides)

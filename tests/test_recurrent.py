@@ -14,7 +14,6 @@ from temporal_augmenter.recurrent import (
     gru_forward,
     lstm_backward,
     lstm_forward,
-    params_as_dict,
     zero_params,
 )
 from temporal_augmenter.tensor_core import (
@@ -36,8 +35,8 @@ def zero_gru(d, u):
 
 
 # ---------------------------------------------------------------------------
-# naive one-step oracles for the fused cells, written gate by gate on the
-# per-gate views
+# naive one-step oracles for the fused cells, written gate by gate on column
+# slots of the stored blocks: LSTM f, i, o, g; GRU z, r, h
 # ---------------------------------------------------------------------------
 
 def _check_step_shapes(kind, x_t, h, p):
@@ -50,10 +49,16 @@ def _check_step_shapes(kind, x_t, h, p):
 def lstm_step(x_t, h, c, p):
     """One LSTM step; returns (h', c')."""
     _check_step_shapes("lstm", x_t, h, p)
-    f = sigmoid(x_t @ p.W_f + h @ p.U_f + p.b_f)
-    i = sigmoid(x_t @ p.W_i + h @ p.U_i + p.b_i)
-    g = np.tanh(x_t @ p.W_g + h @ p.U_g + p.b_g)
-    o = sigmoid(x_t @ p.W_o + h @ p.U_o + p.b_o)
+    u = p.units
+
+    def pre(slot):
+        cols = slice(slot * u, (slot + 1) * u)
+        return x_t @ p.W[:, cols] + h @ p.U[:, cols] + p.b[cols]
+
+    f = sigmoid(pre(0))
+    i = sigmoid(pre(1))
+    g = np.tanh(pre(3))
+    o = sigmoid(pre(2))
     c_new = f * c + i * g
     h_new = o * np.tanh(c_new)
     return h_new, c_new
@@ -62,9 +67,10 @@ def lstm_step(x_t, h, c, p):
 def gru_step(x_t, h, p):
     """One GRU step; returns h'."""
     _check_step_shapes("gru", x_t, h, p)
-    z = sigmoid(x_t @ p.W_z + h @ p.U_z + p.b_z)
-    r = sigmoid(x_t @ p.W_r + h @ p.U_r + p.b_r)
-    hc = np.tanh(x_t @ p.W_h + (r * h) @ p.U_h + p.b_h)
+    u = p.units
+    z = sigmoid(x_t @ p.W[:, :u] + h @ p.U_zr[:, :u] + p.b[:u])
+    r = sigmoid(x_t @ p.W[:, u:2 * u] + h @ p.U_zr[:, u:] + p.b[u:2 * u])
+    hc = np.tanh(x_t @ p.W[:, 2 * u:] + (r * h) @ p.U_h + p.b[2 * u:])
     return z * h + (1.0 - z) * hc
 
 
@@ -130,10 +136,8 @@ def reference_lstm_backward(cache, d_hs):
         dh_carry = dat @ p.U.T
     da2 = da.reshape(n * T, 4 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
-    dp = LSTMParams(W=x.reshape(n * T, d).T @ da2,
-                    U=np.dot(h_prev.reshape(n * T, u).T, da2),
-                    b=da2.sum(axis=0))
-    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for k in "fiog" for m in "WUb"}
+    return dx, {"W": x.reshape(n * T, d).T @ da2, "U": np.dot(h_prev.reshape(n * T, u).T, da2),
+                "b": da2.sum(axis=0)}
 
 
 def reference_gru_forward(x, p, h0=None):
@@ -183,11 +187,10 @@ def reference_gru_backward(cache, d_hs):
         dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U_zr.T
     da2 = da.reshape(n * T, 3 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
-    dp = GRUParams(W=x.reshape(n * T, d).T @ da2,
-                   U_zr=np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
-                   U_h=np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:]),
-                   b=da2.sum(axis=0))
-    return dx, {f"{m}_{k}": getattr(dp, f"{m}_{k}") for m in "WbU" for k in "zrh"}
+    return dx, {"W": x.reshape(n * T, d).T @ da2,
+                "U_zr": np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
+                "U_h": np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:]),
+                "b": da2.sum(axis=0)}
 
 
 class TestLSTMStep:
@@ -271,41 +274,26 @@ class TestUnroll:
             return float(np.sum(gru_forward(x, p)[0][:, -1] * proj))
 
         assert gradcheck.max_rel_err(dx, gradcheck.fd_grad(objective, x)) < 1e-4
-        for name, arr in params_as_dict(p).items():
+        for name, arr in vars(p).items():
             assert gradcheck.max_rel_err(grads[name], gradcheck.fd_grad(objective, arr)) < 1e-4
 
 
 class TestFusedLayout:
-    def test_gate_names_are_views_in_parameter_order(self):
-        p = draw_params(zero_params("lstm", 3, 4), Rng(70))
-        assert list(params_as_dict(p)) == [f"{m}_{g}" for m in "WUb" for g in "figo"]
-        for gate, slot in zip("fiog", range(4)):
-            cols = slice(4 * slot, 4 * slot + 4)
-            assert getattr(p, f"W_{gate}").base is p.W
-            npt.assert_array_equal(getattr(p, f"U_{gate}"), p.U[:, cols])
-        p.b_o[:] = 7.0
-        npt.assert_array_equal(p.b, [0.0] * 8 + [7.0] * 4 + [0.0] * 4)
-
-        g = draw_params(zero_params("gru", 3, 4), Rng(71))
-        assert list(params_as_dict(g)) == ["W_z", "W_r", "W_h", "U_z", "U_r", "U_h",
-                                           "b_z", "b_r", "b_h"]
-        assert params_as_dict(g)["U_h"] is g.U_h and g.U_r.base is g.U_zr
-        g.W_h[...] = 2.0
-        npt.assert_array_equal(g.W[:, 8:], 2.0)
-        with pytest.raises(AttributeError):
-            g.W_f
-
     def test_init_draws_each_gate_in_name_order(self):
         d, u = 3, 4
-        for kind, gates in (("lstm", "figo"), ("gru", "zrh")):
+        # gate -> column slot, in the order the gates are drawn
+        for kind, slots in (("lstm", {"f": 0, "i": 1, "g": 3, "o": 2}),
+                            ("gru", {"z": 0, "r": 1, "h": 2})):
             p = draw_params(zero_params(kind, d, u), Rng(72))
+            U = p.U if kind == "lstm" else np.concatenate([p.U_zr, p.U_h], axis=1)
             rng = Rng(72)
-            for g in gates:
-                assert getattr(p, f"W_{g}").tobytes() == \
-                    init_glorot_uniform(d, u, (d, u), rng).tobytes()
-            for g in gates:
-                assert getattr(p, f"U_{g}").tobytes() == init_orthogonal(u, u, rng).tobytes()
-            assert not any(getattr(p, f"b_{g}").any() for g in gates)
+            for g, s in slots.items():
+                assert p.W[:, s * u:(s + 1) * u].tobytes() == \
+                    init_glorot_uniform(d, u, (d, u), rng).tobytes(), g
+            for g, s in slots.items():
+                assert U[:, s * u:(s + 1) * u].tobytes() == \
+                    init_orthogonal(u, u, rng).tobytes(), g
+            assert not p.b.any()
 
     def test_forward_matches_step_oracle_over_time(self):
         rng = Rng(73)
@@ -313,9 +301,7 @@ class TestFusedLayout:
         pl = draw_params(zero_params("lstm", 3, 5), rng)
         pg = draw_params(zero_params("gru", 3, 5), rng)
         for p in (pl, pg):
-            for name, arr in params_as_dict(p).items():
-                if name.startswith("b_"):
-                    arr += rng.uniform(arr.shape) - 0.5
+            p.b += rng.uniform(p.b.shape) - 0.5
         h, c, hg = np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((4, 5))
         hs, _ = lstm_forward(x, pl)
         hsg, _ = gru_forward(x, pg)
@@ -351,8 +337,8 @@ class TestMemoryRetention:
         # forget gate ~1 and input gate ~0 (biases +/-50) must preserve c
         rng = Rng(65)
         p = draw_params(zero_params("lstm", 3, 4), rng)
-        p.b_f[:] = 50.0
-        p.b_i[:] = -50.0
+        p.b[:4] = 50.0  # f
+        p.b[4:8] = -50.0  # i
         x = rng.uniform((2, 12, 3)) * 2 - 1
         c0 = rng.uniform((2, 4)) * 2 - 1
         h0 = np.zeros((2, 4))
@@ -363,7 +349,7 @@ class TestMemoryRetention:
     def test_gru_saturated_update_gate_preserves_state(self):
         rng = Rng(66)
         p = draw_params(zero_params("gru", 3, 4), rng)
-        p.b_z[:] = 50.0
+        p.b[:4] = 50.0  # z
         x = rng.uniform((2, 12, 3)) * 2 - 1
         h0 = rng.uniform((2, 4)) * 2 - 1
         hs, _ = gru_forward(x, p, h0=h0)
@@ -415,16 +401,6 @@ class TestBPTT:
         npt.assert_array_equal(a, b)
 
 
-def fused_grads(p, grads: dict) -> dict:
-    """Per-gate gradients put back into blocks shaped like ``p``'s stored ones."""
-    u = p.units
-    blocks = {}
-    for name, (block, slot) in p.VIEWS.items():
-        out = blocks.setdefault(block, np.empty_like(getattr(p, block)))
-        out[..., slot * u:(slot + 1) * u] = grads[name]
-    return blocks
-
-
 class TestRecurrentGradientProducts:
     """The recurrent-weight gradients equal ``np.tensordot`` over (n, T) bit for bit.
 
@@ -443,12 +419,11 @@ class TestRecurrentGradientProducts:
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = lstm_forward(x, p)
         _, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
-        fused = fused_grads(p, grads)
-        da = fused["W"].reshape(n, T, 4 * u)
+        da = grads["W"].reshape(n, T, 4 * u)
         # the states before each step, batch-major [n, T, u] as one C-order block
         h_prev = np.ascontiguousarray(cache[2][:-1].transpose(1, 0, 2))
         oracle = np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
-        assert fused["U"].tobytes() == oracle.tobytes()
+        assert grads["U"].tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
     def test_gru_U_matches_tensordot(self, n, T, u):
@@ -457,16 +432,15 @@ class TestRecurrentGradientProducts:
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = gru_forward(x, p)
         _, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
-        fused = fused_grads(p, grads)
-        da = fused["W"].reshape(n, T, 3 * u)
+        da = grads["W"].reshape(n, T, 3 * u)
         # the states before each step and r * h_prev, batch-major [n, T, u]
         # as C-order blocks
         h_prev = np.ascontiguousarray(cache[2][:-1].transpose(1, 0, 2))
         rh = np.ascontiguousarray(cache[5].transpose(1, 0, 2))
         oracle_zr = np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1]))
         oracle_h = np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1]))
-        assert fused["U_zr"].tobytes() == oracle_zr.tobytes()
-        assert fused["U_h"].tobytes() == oracle_h.tobytes()
+        assert grads["U_zr"].tobytes() == oracle_zr.tobytes()
+        assert grads["U_h"].tobytes() == oracle_h.tobytes()
 
 
 class TestCellsMatchOracles:
