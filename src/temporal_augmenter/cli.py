@@ -7,16 +7,23 @@ failure.
 A checkpoint's extras hold three keys: ``run_config``, the run's settings
 as the text ``format_config`` renders; ``class_names``, the trained classes
 in label order; and ``data_sha256``, the sha256 the loader took of the
-training data's bytes (see ``data.DataSource``).  ``eval`` reads
+training data's bytes (see ``data.DataSource``).
+
+``train`` and ``eval`` read data through the same reader, one per format
+(``load_csv_signals``, ``load_wav_dir``): it takes every row's column count
+and label, or every clip's label, and the data's sha256, and parses no
+features.  ``train`` sizes the model from it, so a model setting that the
+data's shape rules out is a config error (exit 2) before any row is
+parsed; ``split`` then parses each row once, into its part.  ``eval`` reads
 ``run_config`` back with ``parse_config_text``, the parser every config file
-goes through, and reads the data it is given with those settings: every
-row's column count and label, or every clip's label, and the data's sha256.
-Data whose classes or sample shape differ from the checkpoint's is a config
+goes through, and reads the data it is given with those settings.  Data
+whose classes or sample shape differ from the checkpoint's is a config
 error (exit 2), and so is data whose sha256 differs from ``data_sha256``;
 that error names both digests.  Only then does ``eval`` split the labels
 and parse or decode the features of the requested split's rows alone, which
-it scales and scores.  A checkpoint that lacks a valid ``run_config`` or ``data_sha256``,
-such as one written before this layout, is a data error (exit 3).
+it scales and scores.  A checkpoint that lacks a valid ``run_config`` or
+``data_sha256``, such as one written before this layout, is a data error
+(exit 3).
 """
 
 from __future__ import annotations
@@ -34,15 +41,13 @@ from . import metrics, model as model_mod, optim
 from .config import ConfigError, RunConfig, format_config, load_config, parse_config_text
 from .data import (
     DataError,
-    Dataset,
     DataSource,
     ScalerParams,
     apply_scaler,
     fit_scaler,
     load_csv_signals,
     load_wav_dir,
-    read_csv_signals,
-    read_wav_dir,
+    read_file,
     split,
     split_indices,
 )
@@ -51,24 +56,17 @@ from .optim import TrainingDivergenceError
 from .tensor_core import Rng
 
 
-def _load_dataset(cfg: RunConfig, path: str) -> Dataset:
+def _load_source(cfg: RunConfig, path: str) -> DataSource:
     if cfg.schema == "wav":
         return load_wav_dir(path, cfg.target_len)
     return load_csv_signals(path, cfg.schema, label_col=cfg.label_col)
 
 
-def _read_dataset(cfg: RunConfig, path: str) -> DataSource:
-    if cfg.schema == "wav":
-        return read_wav_dir(path, cfg.target_len)
-    return read_csv_signals(path, cfg.schema, label_col=cfg.label_col)
-
-
-def _model_config(cfg: RunConfig, ds: Dataset) -> ModelConfig:
+def _model_config(cfg: RunConfig, source: DataSource) -> ModelConfig:
     kwargs = dict(cfg.model_overrides)
     try:
-        return ModelConfig(input_timesteps=ds.features.shape[1],
-                           input_channels=ds.features.shape[2],
-                           num_classes=ds.num_classes, **kwargs)
+        return ModelConfig(input_timesteps=source.shape[0], input_channels=source.shape[1],
+                           num_classes=len(source.class_names), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model configuration: {exc}") from None
 
@@ -91,26 +89,28 @@ def _make_out_dir(path: str) -> None:
 
 def run_training(cfg: RunConfig, out_dir: str) -> dict:
     """Full training pipeline; returns paths of the written artifacts.  The
-    output directory is created first, before any data is read."""
+    output directory is created first, before any data is read, and the
+    model is sized before any row is parsed."""
     data_path = cfg.resolved_data_path()
     _make_out_dir(out_dir)
-    ds = _load_dataset(cfg, data_path)
-    extras = {"run_config": format_config(cfg), "class_names": list(ds.class_names),
-              "data_sha256": ds.meta["sha256"]}
-    train_set, val_set, test_set = split(ds, cfg.split)
+    source = _load_source(cfg, data_path)
+    model_cfg = _model_config(cfg, source)
+    extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
+              "data_sha256": source.sha256}
+    train_set, val_set, test_set = split(source, cfg.split)
+    del source  # the data's bytes, not needed past the parsed parts
     scaler = None
     if cfg.standardize:
         scaler = fit_scaler(train_set)
         train_set = apply_scaler(scaler, train_set)
         val_set = apply_scaler(scaler, val_set)
         test_set = apply_scaler(scaler, test_set)
-    model_cfg = _model_config(cfg, ds)
     root_rng = Rng(cfg.seed)
     net = model_mod.build(model_cfg, root_rng.derive("init"))
     _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
 
     probs = optim.predict_probs(net, test_set.features)
-    report = metrics.classification_report(test_set.labels, probs, ds.class_names,
+    report = metrics.classification_report(test_set.labels, probs, test_set.class_names,
                                            split="test",
                                            total_params=model_mod.param_count(net))
     extra_tensors = {}
@@ -174,7 +174,7 @@ def cmd_eval(args) -> int:
         cfg = parse_config_text(text, source=f"{path}: run_config")
     except ConfigError as exc:
         raise DataError(str(exc)) from None
-    source = _read_dataset(cfg, args.data)
+    source = _load_source(cfg, args.data)
     if len(source.class_names) != k:
         raise ConfigError(f"class-count mismatch: checkpoint expects {k} classes, "
                           f"data has {len(source.class_names)}")
@@ -190,17 +190,17 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"data mismatch: the checkpoint was trained on data with sha256 "
                           f"{digest}, {args.data} has sha256 {source.sha256}")
     rows = dict(zip(("train", "val", "test"), split_indices(source.labels, k, cfg.split)))
-    subset = source.load(rows[args.split])
+    part = source.load(rows[args.split])
     del source  # the data's bytes, not needed past the rows it scores
     if cfg.standardize:
         for key in ("scaler_mean", "scaler_std"):
             if key not in extra_tensors:
                 raise DataError(f"{path}: run_config sets standardize, but the checkpoint "
                                 f"has no tensor 'extra.{key}'")
-        subset = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
-                                           std=extra_tensors["scaler_std"]), subset)
-    probs = optim.predict_probs(net, subset.features)
-    report = metrics.classification_report(subset.labels, probs, subset.class_names,
+        part = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
+                                         std=extra_tensors["scaler_std"]), part)
+    probs = optim.predict_probs(net, part.features)
+    report = metrics.classification_report(part.labels, probs, part.class_names,
                                            split=args.split,
                                            total_params=model_mod.param_count(net))
     print(metrics.format_report(report))
@@ -247,8 +247,7 @@ def cmd_report(args) -> int:
     lines.append(f"Curve data: {curves}")
     lines.append("")
     for fname in report_txts:
-        with open(os.path.join(run_dir, fname)) as fh:
-            lines.append(fh.read().rstrip())
+        lines.append(read_file(os.path.join(run_dir, fname), "report file").decode().rstrip())
         lines.append("")
     summary = "\n".join(lines).rstrip() + "\n"
     with open(os.path.join(run_dir, "summary.txt"), "w") as fh:

@@ -210,8 +210,13 @@ def load_config(path) -> RunConfig:
     if not os.path.isfile(path):
         state = "is not a regular file" if os.path.exists(path) else "not found"
         raise ConfigError(f"config file {state}: {path}")
-    with open(path) as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def _render(value) -> str:

@@ -11,13 +11,15 @@ Supported sources:
   * WAV directories: one subdirectory per class (sorted alphabetically for
     index stability) of RIFF PCM files, 8- or 16-bit, mono or stereo.
 
-Each file is read once.  ``read_csv_signals`` and ``read_wav_dir`` hash its
+There is one reader per format, and ``train`` and ``eval`` both use it.
+``load_csv_signals`` and ``load_wav_dir`` read each file once, hash its
 bytes, take every sample's label and return a ``DataSource``, which parses
 or decodes features from the same bytes only for the samples ``load`` asks
-for; ``load_csv_signals`` and ``load_wav_dir`` load every sample.  The
-digest is taken with the interpreter's built-in SHA-256 (``_sha2``, or
-``_sha256`` before CPython 3.12): ``hashlib`` would map OpenSSL, about
-3.6 MB of resident memory in every process that reads data.
+for: ``split`` parses each row once, straight into its part, and ``eval``
+parses only the split it scores.  The digest is taken with the
+interpreter's built-in SHA-256 (``_sha2``, or ``_sha256`` before CPython
+3.12): ``hashlib`` would map OpenSSL, about 3.6 MB of resident memory in
+every process that reads data.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import math
 import os
 import wave
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,11 +52,8 @@ class Dataset:
     features: Tensor  # [n, T, d]
     labels: np.ndarray  # int64 [n]
     class_names: list
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.features.ndim == 2:  # flat [n, d] -> [n, d, 1]
-            self.features = self.features[:, :, None]
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(set(self.class_names)) != len(self.class_names):
             raise DataError(f"duplicate class names: {self.class_names}")
@@ -65,14 +64,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +161,20 @@ class DataSource:
     labels: np.ndarray  # int64 [n]
     class_names: list
     shape: tuple  # one sample's features, [T, d]
-    parse: object  # parse(indices) -> (features [len(indices), ...], meta)
+    parse: object  # parse(indices) -> features [len(indices), ...]
 
-    def load(self, indices=None) -> Dataset:
-        """The samples at ``indices``, in that order, or every sample."""
-        rows = np.arange(self.labels.shape[0]) if indices is None else np.asarray(indices)
-        features, meta = self.parse(rows)
-        return Dataset(features=features.reshape((rows.shape[0],) + self.shape),
-                       labels=self.labels[rows], class_names=list(self.class_names),
-                       meta={**meta, "sha256": self.sha256})
+    @property
+    def n(self) -> int:
+        return self.labels.shape[0]
+
+    def load(self, indices) -> Dataset:
+        """The samples at ``indices``, in that order."""
+        rows = np.asarray(indices)
+        return Dataset(features=self.parse(rows).reshape((rows.shape[0],) + self.shape),
+                       labels=self.labels[rows], class_names=list(self.class_names))
 
 
-def read_csv_signals(path, schema: str, label_col: str | None = None) -> DataSource:
+def load_csv_signals(path, schema: str, label_col: str | None = None) -> DataSource:
     """Read, hash and check a UTF-8 signal table; ``schema`` is 'generic' or
     a key of ``CSV_SCHEMAS``.  Every row's column count and label are
     checked here, its features only when ``load`` parses the row."""
@@ -240,16 +233,10 @@ def read_csv_signals(path, schema: str, label_col: str | None = None) -> DataSou
             fields = text[start:stop].strip().split(",")
             fields[label_idx] = "0"  # placeholder, so errors name the file's column
             feats.append(_parse_row(fields, idx, path)[keep])
-        return np.stack(feats), {}
+        return np.stack(feats)
 
     return DataSource(sha256=digest, labels=np.array(labels, dtype=np.int64),
                       class_names=list(spec.class_names), shape=shape, parse=parse)
-
-
-def load_csv_signals(path, schema: str, label_col: str | None = None) -> Dataset:
-    """Load every row of a signal table (see ``read_csv_signals``); the
-    file's sha256 is in ``meta['sha256']``."""
-    return read_csv_signals(path, schema, label_col).load()
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +262,14 @@ def _wav_files(root_path) -> tuple:
     return class_names, files
 
 
-def read_wav_dir(root_path, target_len: int) -> DataSource:
+def load_wav_dir(root_path, target_len: int) -> DataSource:
     """Read and hash a tree of PCM WAV files, one class per subdirectory; a
-    clip is decoded only when ``load`` asks for it (see ``load_wav_dir``)."""
+    clip is decoded only when ``load`` asks for it.
+
+    Samples are decoded to [-1, 1), mixed to mono by channel mean, and
+    cropped or zero-padded at the tail to ``target_len``; no resampling is
+    performed.
+    """
     class_names, files = _wav_files(root_path)
     digest, raws = _sha256(), []
     for _, rel in files:
@@ -287,54 +279,43 @@ def read_wav_dir(root_path, target_len: int) -> DataSource:
         raws.append(raw)
 
     def parse(indices):
-        feats, rates = [], set()
-        for i in indices:
-            samples, rate = _decode_wav(raws[i], os.path.join(root_path, files[i][1]))
-            rates.add(rate)
-            feats.append(_fit_length(samples, target_len))
-        return np.stack(feats), {"sample_rates": sorted(rates), "target_len": target_len}
+        clips = (_decode_wav(raws[i], os.path.join(root_path, files[i][1])) for i in indices)
+        return np.stack([_fit_length(samples, target_len) for samples in clips])
 
     return DataSource(sha256=digest.hexdigest(),
                       labels=np.array([label for label, _ in files], dtype=np.int64),
                       class_names=class_names, shape=(target_len, 1), parse=parse)
 
 
-def load_wav_dir(root_path, target_len: int) -> Dataset:
-    """Load a directory tree of PCM WAV files, one class per subdirectory.
-
-    Samples are decoded to [-1, 1), mixed to mono by channel mean, and
-    cropped or zero-padded at the tail to ``target_len``.  Sample rates are
-    recorded in ``meta['sample_rates']``, the tree's sha256 in
-    ``meta['sha256']``; no resampling is performed.
-    """
-    return read_wav_dir(root_path, target_len).load()
-
-
-def _decode_wav(raw: bytes, path) -> tuple:
+def _decode_wav(raw: bytes, path) -> np.ndarray:
     try:
         with wave.open(io.BytesIO(raw), "rb") as wf:
             if wf.getcomptype() != "NONE":
                 raise DataError(f"{path}: unsupported WAV compression {wf.getcomptype()!r}")
             width = wf.getsampwidth()
             channels = wf.getnchannels()
-            rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            declared = wf.getnframes()
+            raw = wf.readframes(declared)
     except EOFError:
         raise DataError(f"{path}: WAV header cut short") from None
     except wave.Error as exc:
         raise DataError(f"{path}: unsupported WAV encoding ({exc})") from exc
     if width not in (1, 2):
         raise DataError(f"{path}: unsupported sample width {width * 8} bits (PCM 8/16 only)")
-    if len(raw) % (width * channels):
+    frames, rest = divmod(len(raw), width * channels)
+    if rest:
         raise DataError(f"{path}: WAV data cut short: {len(raw)} bytes is not a whole number "
                         f"of {channels}-channel {width * 8}-bit frames")
+    if frames != declared:
+        raise DataError(f"{path}: WAV data cut short: {frames} of the {declared} frames "
+                        f"its header declares")
     if width == 2:
         samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     else:
         samples = (np.frombuffer(raw, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    return samples, rate
+    return samples
 
 
 def _fit_length(samples: np.ndarray, target_len: int) -> np.ndarray:
@@ -429,9 +410,11 @@ def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec) -> tupl
     return parts
 
 
-def split(ds: Dataset, spec: SplitSpec):
-    """(train, val, test) Datasets of the rows ``split_indices`` picks."""
-    return tuple(ds.subset(idx) for idx in split_indices(ds.labels, ds.num_classes, spec))
+def split(source: DataSource, spec: SplitSpec):
+    """(train, val, test) Datasets of the rows ``split_indices`` picks, each
+    row parsed once, straight into its part, in split order."""
+    return tuple(source.load(idx)
+                 for idx in split_indices(source.labels, len(source.class_names), spec))
 
 
 def one_hot(labels, k: int) -> Tensor:

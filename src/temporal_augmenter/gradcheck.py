@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import layers, model as model_mod, optim, recurrent
+from .data import one_hot
 from .model import ModelConfig
 from .tensor_core import Rng
 
@@ -43,6 +44,15 @@ def _uniform_pm(rng: Rng, shape) -> np.ndarray:
     return rng.uniform(shape) * 2.0 - 1.0
 
 
+def _worst(run, proj, pairs) -> float:
+    """Largest relative error over ``pairs`` of (analytic gradient, array)
+    of the objective ``sum(run()[0] * proj)``, each array perturbed in place."""
+    def objective():
+        return float(np.sum(run()[0] * proj))
+
+    return max(max_rel_err(analytic, fd_grad(objective, arr)) for analytic, arr in pairs)
+
+
 def check_dense(seed: int = 0, trials: int = 5) -> float:
     rng = Rng(seed).derive("dense")
     worst = 0.0
@@ -53,14 +63,9 @@ def check_dense(seed: int = 0, trials: int = 5) -> float:
         x = _uniform_pm(rng, (n, i))
         p = layers.DenseParams(W=_uniform_pm(rng, (i, o)), b=_uniform_pm(rng, (o,)))
         proj = _uniform_pm(rng, (n, o))
-        y, cache = layers.dense_forward(x, p)
-        dx, dW, db = layers.dense_backward(cache, proj)
-
-        def objective():
-            return float(np.sum(layers.dense_forward(x, p)[0] * proj))
-
-        for analytic, arr in ((dx, x), (dW, p.W), (db, p.b)):
-            worst = max(worst, max_rel_err(analytic, fd_grad(objective, arr)))
+        dx, dW, db = layers.dense_backward(layers.dense_forward(x, p)[1], proj)
+        worst = max(worst, _worst(lambda: layers.dense_forward(x, p), proj,
+                                  ((dx, x), (dW, p.W), (db, p.b))))
     return worst
 
 
@@ -76,14 +81,9 @@ def check_conv1d(seed: int = 0, trials: int = 5) -> float:
         x = _uniform_pm(rng, (n, T, c))
         p = layers.Conv1DParams(K=_uniform_pm(rng, (k, c, F)), b=_uniform_pm(rng, (F,)))
         proj = _uniform_pm(rng, (n, T - k + 1, F))
-        _, cache = layers.conv1d_forward(x, p)
-        dK, db = layers.conv1d_backward(cache, proj)
-
-        def objective():
-            return float(np.sum(layers.conv1d_forward(x, p)[0] * proj))
-
-        for analytic, arr in ((dK, p.K), (db, p.b)):
-            worst = max(worst, max_rel_err(analytic, fd_grad(objective, arr)))
+        dK, db = layers.conv1d_backward(layers.conv1d_forward(x, p)[1], proj)
+        worst = max(worst, _worst(lambda: layers.conv1d_forward(x, p), proj,
+                                  ((dK, p.K), (db, p.b))))
     return worst
 
 
@@ -110,11 +110,7 @@ def check_maxpool1d(seed: int = 0, trials: int = 5) -> float:
         y, cache = layers.maxpool1d_forward(x, pool)
         proj = _uniform_pm(rng, y.shape)
         dx = layers.maxpool1d_backward(cache, proj)
-
-        def objective():
-            return float(np.sum(layers.maxpool1d_forward(x, pool)[0] * proj))
-
-        worst = max(worst, max_rel_err(dx, fd_grad(objective, x)))
+        worst = max(worst, _worst(lambda: layers.maxpool1d_forward(x, pool), proj, ((dx, x),)))
     return worst
 
 
@@ -126,13 +122,8 @@ def check_relu(seed: int = 0, trials: int = 5) -> float:
         x = _uniform_pm(rng, shape)
         x += np.where(x >= 0, 1e-2, -1e-2)  # keep away from the kink
         proj = _uniform_pm(rng, shape)
-        _, cache = layers.relu_forward(x)
-        dx = layers.relu_backward(cache, proj)
-
-        def objective():
-            return float(np.sum(layers.relu_forward(x)[0] * proj))
-
-        worst = max(worst, max_rel_err(dx, fd_grad(objective, x)))
+        dx = layers.relu_backward(layers.relu_forward(x)[1], proj)
+        worst = max(worst, _worst(lambda: layers.relu_forward(x), proj, ((dx, x),)))
     return worst
 
 
@@ -148,13 +139,8 @@ def check_dropout(seed: int = 0, trials: int = 3) -> float:
         def run_forward():
             return layers.dropout_forward(x, 0.4, "train", Rng(mask_seed))
 
-        _, cache = run_forward()
-        dx = layers.dropout_backward(cache, proj)
-
-        def objective():
-            return float(np.sum(run_forward()[0] * proj))
-
-        worst = max(worst, max_rel_err(dx, fd_grad(objective, x)))
+        dx = layers.dropout_backward(run_forward()[1], proj)
+        worst = max(worst, _worst(run_forward, proj, ((dx, x),)))
     return worst
 
 
@@ -169,15 +155,9 @@ def _check_cell(kind: str, seed: int) -> float:
         params.b += _uniform_pm(rng, params.b.shape) * 0.1
         x = _uniform_pm(rng, (n, T, d))
         proj = _uniform_pm(rng, (n, T, u))
-        _, cache = run(x, params)
-        dx, grads = run_back(cache, proj)
-
-        def objective():
-            return float(np.sum(run(x, params)[0] * proj))
-
-        worst = max(worst, max_rel_err(dx, fd_grad(objective, x)))
-        for name, arr in vars(params).items():
-            worst = max(worst, max_rel_err(grads[name], fd_grad(objective, arr)))
+        dx, grads = run_back(run(x, params)[1], proj)
+        pairs = [(dx, x)] + [(grads[name], arr) for name, arr in vars(params).items()]
+        worst = max(worst, _worst(lambda: run(x, params), proj, pairs))
     return worst
 
 
@@ -257,9 +237,8 @@ def check_model(seed: int = 0, builds: int = 2) -> float:
         cfg = miniature_config()
         n = 3
         net, x = _build_clean_instance(cfg, rng, n)
-        labels = (rng.uniform((n,)) * cfg.num_classes).astype(np.int64)
-        onehot = np.zeros((n, cfg.num_classes))
-        onehot[np.arange(n), labels] = 1.0
+        onehot = one_hot((rng.uniform((n,)) * cfg.num_classes).astype(np.int64),
+                         cfg.num_classes)
 
         def objective():
             probs, _ = model_mod.forward(net, x, mode="train", rng=Rng(0))

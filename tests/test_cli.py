@@ -23,7 +23,13 @@ from temporal_augmenter.config import (
     parse_config_text,
     preset_run_config,
 )
-from temporal_augmenter.data import DataSource, read_wav_dir
+from temporal_augmenter.data import (
+    Dataset,
+    DataSource,
+    load_csv_signals,
+    load_wav_dir,
+    split_indices,
+)
 from temporal_augmenter.model import load_checkpoint
 from temporal_augmenter.synth import (
     make_heartbeat_dataset,
@@ -160,6 +166,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.txt")
 
+    def test_config_that_is_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_bytes(b"task = ionosphere\n# caf\xe9\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert f"config error: {cfg_path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_value_error_names_source_and_line(self):
         with pytest.raises(ConfigError, match=r"^run\.cfg:2: seed: expected int"):
             parse_config_text("task = tess\nseed = 1.5\n", source="run.cfg")
@@ -253,6 +265,40 @@ class TestTrainCommand:
         cfg_path.write_text("task = nosuch\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
 
+    def test_model_with_no_timesteps_exits_2_before_a_row_is_parsed(
+            self, tmp_path, radar_csv, monkeypatch, capsys):
+        """The model is sized from the data's shape before any row is
+        parsed: 17 pulses through a 9-wide kernel leave 9, pooled by 10 to 0."""
+        calls = []
+        monkeypatch.setattr(data_mod, "_parse_row", lambda *args: calls.append(args))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out")
+                            + "conv_kernel = 9\npool_size = 10\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert "leave no timesteps" in capsys.readouterr().err
+        assert calls == []
+
+    def test_bad_value_named_first_in_split_order(self, tmp_path, radar_csv, capsys):
+        """Train parses the rows part by part, train then val then test, so
+        of several bad values it names the first in that order, not in the
+        file's."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out"))
+        spec = load_config(cfg_path).split
+        order = np.concatenate(split_indices(load_csv_signals(radar_csv, "ionosphere").labels,
+                                             2, spec))
+        first = int(order[0])
+        assert first != 0
+        lines = radar_csv.read_text().splitlines(keepends=True)
+        for row in (0, first):
+            fields = lines[row].split(",")
+            fields[3] = "oops"
+            lines[row] = ",".join(fields)
+        radar_csv.write_text("".join(lines))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert (f"data error: {radar_csv}: row {first}, column 3: non-numeric value 'oops'"
+                in capsys.readouterr().err)
+
     def test_bad_model_key_exits_2_before_data_is_read(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(tmp_path / "absent.csv", tmp_path / "out")
@@ -304,7 +350,7 @@ class TestTrainCommand:
 
     def test_truncated_wav_clip_exit_3(self, tmp_path, capsys):
         data = tmp_path / "tones"
-        write_tone_corpus(data, Rng(403), clips_per_class=3, clip_len=80)
+        write_tone_corpus(data, Rng(403), clips_per_class=4, clip_len=80)
         clip = sorted((data / "tone880").iterdir())[1]
         clip.write_bytes(clip.read_bytes()[:-1])  # 16-bit mono: cut mid-sample
         cfg_path = tmp_path / "cfg.txt"
@@ -681,8 +727,13 @@ class TestEvalReadsOnce:
 
         # the oracle: parse every row, then take the scored ones
         load = DataSource.load
-        monkeypatch.setattr(DataSource, "load",
-                            lambda source, indices=None: load(source).subset(indices))
+
+        def full_parse(source, indices):
+            whole = load(source, np.arange(source.n))
+            return Dataset(features=whole.features[indices], labels=whole.labels[indices],
+                           class_names=whole.class_names)
+
+        monkeypatch.setattr(DataSource, "load", full_parse)
         calls.clear()
         assert self.eval_report(checkpoint, data, split, tmp_path / "full") == report
         assert len(calls) > scored["overall"]["n"]
@@ -710,9 +761,33 @@ class TestEvalReadsOnce:
             assert cli.main(["eval", checkpoint, str(path)]) == 2
             err = capsys.readouterr().err
             assert "config error: data mismatch" in err
-            now = (read_wav_dir(path, 64).sha256 if kind == "wav"
+            now = (load_wav_dir(path, 64).sha256 if kind == "wav"
                    else hashlib.sha256(path.read_bytes()).hexdigest())
             assert trained != now and trained in err and now in err and str(path) in err
+
+
+@pytest.mark.parametrize("kind", sorted(EVAL_DATASETS))
+def test_train_parses_each_row_once(kind, tmp_path, monkeypatch):
+    """``train`` parses each CSV row, or decodes each clip, exactly once:
+    straight into its part, with no whole-file parse beside it."""
+    write, lines = EVAL_DATASETS[kind]
+    data = tmp_path / ("tones" if kind == "wav" else "data.csv")
+    write(data)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(lines + f"data = {data}\nout = {tmp_path / 'run'}\nepochs = 1\n"
+                                f"batch_size = 16\nconv_filters = 4\ndense_sizes = 6\n")
+    parser = "_decode_wav" if kind == "wav" else "_parse_row"
+    original = getattr(data_mod, parser)
+    samples = []  # a CSV row by its line index, a clip by its path
+
+    def counted(*args):
+        samples.append(str(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(data_mod, parser, counted)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    n = cli._load_source(load_config(cfg_path), str(data)).n
+    assert len(samples) == len(set(samples)) == n
 
 
 def test_train_and_eval_leave_openssl_unloaded(tmp_path, radar_csv):
@@ -786,6 +861,16 @@ class TestReportCommand:
         assert cli.main(["report", str(tmp_path / "nope")]) == 3
 
     HEADER = "epoch,train_loss,train_acc,val_loss,val_acc\n"
+
+    def test_report_entry_that_is_a_directory_exit_3(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trainlog.csv").write_text(self.HEADER + "1,0.7,0.5,0.69,0.5\n")
+        (run / "report_test.txt").write_text("report\n")
+        (run / "report_x.txt").mkdir()
+        assert cli.main(["report", str(run)]) == 3
+        assert (f"data error: report file is not a regular file: {run / 'report_x.txt'}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("log,named", [
         (HEADER + "1,0.7,0.5,0.69,0.5\n2,abc,0.5,0.69,0.5\n", "row 2: could not convert"),

@@ -177,7 +177,8 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         ds = tiny_dataset()
-        empty = ds.subset(np.array([], dtype=np.int64))
+        empty = Dataset(features=ds.features[:0], labels=ds.labels[:0],
+                        class_names=ds.class_names)
         with pytest.raises(ValueError):
             fit(tiny_model(), empty, ds, TrainConfig(epochs=1))
 
