@@ -50,6 +50,7 @@ from .data import (
     read_file,
     split,
     split_indices,
+    utf8_text,
 )
 from .model import ModelConfig
 from .optim import TrainingDivergenceError
@@ -247,7 +248,8 @@ def cmd_report(args) -> int:
     lines.append(f"Curve data: {curves}")
     lines.append("")
     for fname in report_txts:
-        lines.append(read_file(os.path.join(run_dir, fname), "report file").decode().rstrip())
+        path = os.path.join(run_dir, fname)
+        lines.append(utf8_text(read_file(path, "report file"), path).rstrip())
         lines.append("")
     summary = "\n".join(lines).rstrip() + "\n"
     with open(os.path.join(run_dir, "summary.txt"), "w") as fh:

@@ -125,6 +125,15 @@ def read_file(path, what: str) -> bytes:
         return fh.read()
 
 
+def utf8_text(raw: bytes, path) -> str:
+    """``raw`` decoded as UTF-8; bytes that are not UTF-8 are a DataError
+    naming ``path``."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _lines(text: str):
     """Yield (0-based line index, start, stop, stripped line) for each
     non-blank line of ``text``, ``text[start:stop]`` being the line; lines
@@ -185,10 +194,7 @@ def load_csv_signals(path, schema: str, label_col: str | None = None) -> DataSou
         raise DataError("generic schema requires a label column name")
     raw = read_file(path, "data file")
     digest = _sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    text = utf8_text(raw, path)
     del raw
     if "\r" in text:  # universal newlines, as a file opened in text mode reads them
         text = text.replace("\r\n", "\n").replace("\r", "\n")

@@ -10,6 +10,8 @@ ties) are kept out of the sampled instances by construction.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import layers, model as model_mod, optim, recurrent
@@ -176,6 +178,15 @@ def miniature_config() -> ModelConfig:
                        lstm_units=3, gru_units=3, dense_sizes=(5, 4))
 
 
+def pooled_miniature_config() -> ModelConfig:
+    """A one-step kernel over one channel, the shape that takes the model's
+    pooled front-end, with stream dropout on and a remainder step dropped."""
+    return ModelConfig(input_timesteps=7, input_channels=1, num_classes=3,
+                       conv_filters=4, conv_kernel=1, pool_size=2,
+                       dropout_stream=0.3, dropout_head=0.0,
+                       lstm_units=3, gru_units=3, dense_sizes=(5, 4))
+
+
 def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:
     """True when no conv or hidden dense pre-activation sits within ``band`` of
     a ReLU kink and no pooling window holds two positive conv outputs closer
@@ -230,11 +241,12 @@ def _build_clean_instance(cfg: ModelConfig, rng: Rng, n: int):
 
 
 def check_model(seed: int = 0, builds: int = 2) -> float:
-    """Whole-network loss gradient versus finite differences."""
+    """Whole-network loss gradient versus finite differences, for each
+    miniature: the general front-end, then the pooled one."""
     worst = 0.0
-    for b in range(builds):
+    for b, cfg in itertools.product(range(builds), (miniature_config(),
+                                                    pooled_miniature_config())):
         rng = Rng(seed + b).derive("model")
-        cfg = miniature_config()
         n = 3
         net, x = _build_clean_instance(cfg, rng, n)
         onehot = one_hot((rng.uniform((n,)) * cfg.num_classes).astype(np.int64),

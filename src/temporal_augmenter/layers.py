@@ -178,7 +178,8 @@ def maxpool1d_backward(cache, dy: Tensor, out: Tensor | None = None):
 # dropout (inverted) and ReLU
 # ---------------------------------------------------------------------------
 
-def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
+def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None,
+                    in_place: bool = False):
     """Inverted dropout: keep with probability 1-rate, scale kept values by 1/(1-rate).
 
     An element is kept when its draw ``u = (w >> 11) * 2**-53`` from the raw
@@ -191,7 +192,8 @@ def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
     element, so masks drawn block after block over consecutive rows equal
     one mask drawn for the whole array.
 
-    Eval mode and rate 0 are the identity and consume no rng draws.
+    Eval mode and rate 0 are the identity and consume no rng draws.  With
+    ``in_place`` the result is written over ``x``, which is returned.
     cache = (keep_mask | None, scale).
     """
     if not 0.0 <= rate < 1.0:
@@ -203,7 +205,9 @@ def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
     threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
     keep = (rng.next_uint64(x.size) >= threshold).reshape(x.shape)
     scale = 1.0 / (1.0 - rate)
-    return x * keep * scale, (keep, scale)
+    y = np.multiply(x, keep, out=x if in_place else None)
+    y *= scale
+    return y, (keep, scale)
 
 
 def dropout_backward(cache, dy: Tensor):

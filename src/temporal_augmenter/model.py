@@ -5,6 +5,56 @@ cell; the GRU stream captures short-term structure, the LSTM stream
 long-term structure.  Stream outputs (the last hidden state by default) are
 concatenated and fed through a dense head ending in softmax.
 
+The front-end has two paths that compute the same network.  Each runs over
+blocks of batch rows, so a block's intermediates stay in cache instead of
+streaming whole [n, T, F] arrays through memory, and writes every element
+of one [n, T_out, F] cell input.  A block holds ``rows = max(1,
+_BLOCK_BYTES // (width * F * 8))`` rows, the most whose widest float64
+intermediate [rows, width, F] fits in ``_BLOCK_BYTES``; the last block
+takes what is left.  Blocking changes no bit: each sample is filtered on
+its own, pooling, the activation and the dropout scaling are elementwise,
+and the dropout draws are counter-based SplitMix64 words taken in C order,
+so drawing block after block in row order yields the very words of one
+draw over the whole array.
+
+The pooled path runs when the kernel is one step over one input channel
+(``_pools_first``: the default kernel on the mitbih and tess shapes).  Its
+conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])`` with ``b' = b + 0.0``.
+Rounding is monotone, so per filter that is a monotone function of x,
+non-decreasing where K[f] >= 0 and non-increasing where K[f] < 0, and a
+window's max of it is its value at the window's max of x or at its min:
+``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so no such sum is
+-0.0, and equal values have equal bits.  The path takes the window max and
+min of x ([n, T_out]) once.  Per block it forms that max as one product of
+the [rows * T_out, 2] extremes with a [2, F] matrix: K with 0.0 where
+K < 0, over K with 0.0 where K > 0.  For finite x one of a filter's two
+terms is an exact zero (both are where K is +-0.0), so the product is the
+other term's rounded value.  It then adds b' and applies the activation and
+the dropout in place in the cell input (``width = T_out``), bit for bit
+what the general path writes.  No [n, T_conv, F] conv output, pool winner
+mask or conv-output gradient exists on this path.
+
+The pooled backward stores no mask.  Under ReLU the dropout and ReLU
+backward ``((dy * keep) * scale) * (pre > 0)`` is ``(dy * (cell_in > 0)) *
+scale`` bit for bit: ``cell_in > 0`` holds exactly where the element was
+kept and its pre-activation is positive, as the scale is at least 1.  The
+two differ only where ``dy * scale`` overflows at an element the ReLU
+zeroes.  The identity activation keeps the keep mask.  The bias gradient
+is bit for bit the general path's: numpy's sum starts at +0.0, so no
+partial sum is -0.0 and the +0.0 that the general path adds for each
+non-winning step changes none of them.  The kernel
+gradient takes, per filter, the input value that the general path's window
+winner holds: the window max of x where K[f] > 0, the min where K[f] < 0,
+and the window's first step where K[f] is +-0.0 and every step ties.  One
+product of those three [n * T_out] rows with the [n * T_out, F] gradient
+gives all three sums.  Its summation order differs from the general
+path's, which also adds every non-winning step's zero, so its last bits
+may move.  So may its value where rounding makes two window values equal
+while their x differ: this path takes the extreme of x, not the first step.
+
+The general path runs for any other kernel or channel count (ionosphere's
+two channels) and is the oracle the pooled path is tested against.  It runs
+conv1d -> maxpool -> activation -> dropout per block (``width = T_conv``).
 Pooling before the ReLU is the network conv1d -> ReLU -> maxpool, bit for
 bit, on 1/pool_size of the data: ``max(relu(a), relu(b)) == relu(max(a, b))``
 exactly (``np.maximum(-0.0, 0.0)`` is +0.0 either way), and both orders
@@ -13,26 +63,14 @@ positive and a zero otherwise.  That zero is -0.0 when the incoming
 gradient is negative, and in a window whose max is <= 0 it may sit at a
 different position; the kernel and bias gradients sum over positions, so
 at most the sign of a kernel gradient entry that is exactly zero can differ.
-
-Each stream runs its front-end (conv1d -> maxpool -> activation -> dropout)
-over blocks of batch rows, so a block's intermediates stay in cache instead
-of streaming whole [n, T, F] arrays through memory.  A block holds
-``rows = max(1, _BLOCK_BYTES // (T_conv * F * 8))`` rows, the most whose
-float64 conv output [rows, T_conv, F] fits in ``_BLOCK_BYTES``; the last
-block takes what is left.  Each block's dropout output is written into one
-[n, T_out, F] cell input.  Blocking changes no bit: conv1d computes each
-sample on its own (a per-sample product with K), pooling, the activation and
-the dropout scaling are elementwise, and the dropout draws are counter-based
-SplitMix64 words taken in C order, so drawing block after block in row order
-yields the very words of one draw over the whole array.  The backward runs
-dropout -> activation -> maxpool per block, each block's max-pool backward
-writing in place into its rows of one [n, T_conv, F] gradient (no
-zero-fill, no copy), and then calls ``conv1d_backward`` once on the whole
-batch: its kernel and bias gradients are sums over every (sample, step)
-pair, and summing per block would change their order.  That gradient is a
-view of one scratch buffer that the model keeps across calls and both
-streams share; an eval forward borrows it for the cell input when it is
-large enough.
+The backward runs dropout -> activation -> maxpool per block, each block's
+max-pool backward writing in place into its rows of one [n, T_conv, F]
+gradient (no zero-fill, no copy), and then calls ``conv1d_backward`` once
+on the whole batch: its kernel and bias gradients are sums over every
+(sample, step) pair, and summing per block would change their order.  That
+gradient is a view of one scratch buffer that the model keeps across calls
+and both streams share; an eval forward borrows it for the cell input when
+it is large enough.  Only this path uses the scratch.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -50,6 +88,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,9 +99,17 @@ from .layers import Conv1DParams, DenseParams
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
 
 
-# Bytes of one [rows, T_conv, F] conv-output block in the stream front-end:
-# about half an L2 cache, so a block's intermediates stay in cache.
+# Bytes of one block's widest intermediate in the stream front-end: about
+# half an L2 cache, so a block's intermediates stay in cache.
 _BLOCK_BYTES = 512 * 1024
+
+
+_INT_FIELDS = ("input_timesteps", "input_channels", "num_classes", "conv_filters",
+               "conv_kernel", "pool_size", "lstm_units", "gru_units")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class TraceError(RuntimeError):
@@ -87,7 +134,7 @@ class ModelConfig:
     streams: tuple = ("gru", "lstm")
 
     def __post_init__(self):
-        self.dense_sizes = tuple(int(s) for s in self.dense_sizes)
+        self.dense_sizes = tuple(self.dense_sizes)
         self.streams = tuple(self.streams)
         self.validate()
 
@@ -95,14 +142,15 @@ class ModelConfig:
     def check_field(name: str, value) -> None:
         """Raise ValueError if ``value`` breaks the rule on field ``name``.
         Each rule reads its own field alone, so that a config file's line
-        can be checked before any data gives the input shape."""
-        if name in ("input_timesteps", "input_channels", "conv_filters", "conv_kernel",
-                    "pool_size", "lstm_units", "gru_units"):
-            if int(value) < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        elif name == "num_classes":
-            if value < 2:
+        can be checked before any data gives the input shape.  An integer
+        setting refuses a bool or a float, even one with an integral value."""
+        if name in _INT_FIELDS:
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name == "num_classes" and value < 2:
                 raise ValueError(f"num_classes must be >= 2, got {value}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         elif name in ("dropout_stream", "dropout_head"):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
@@ -110,8 +158,8 @@ class ModelConfig:
             if value not in ("relu", "identity"):
                 raise ValueError(f"conv_activation must be 'relu' or 'identity', got {value!r}")
         elif name == "dense_sizes":
-            if any(s < 1 for s in value):
-                raise ValueError(f"dense_sizes must be positive, got {value}")
+            if any(not _is_int(s) or s < 1 for s in value):
+                raise ValueError(f"dense_sizes must be positive integers, got {value}")
         elif name == "streams":
             if not value or any(s not in ("gru", "lstm") for s in value):
                 raise ValueError(
@@ -156,11 +204,11 @@ class TemporalAugmenterModel:
     config: ModelConfig
     streams: list
     head: list  # hidden DenseParams..., output DenseParams last
-    # One flat scratch buffer, reused across calls so that they do not fault
-    # in fresh pages: a backward grows it for the streams' conv-output
-    # gradient, and an eval forward borrows it for their cell input, so calls
-    # on one model must not overlap.  Not a parameter; no trace or
-    # checkpoint holds it.
+    # One flat scratch buffer of the general front-end path, reused across
+    # calls so that they do not fault in fresh pages: a backward grows it for
+    # the streams' conv-output gradient, and an eval forward borrows it for
+    # their cell input, so calls on one model must not overlap.  Not a
+    # parameter; no trace or checkpoint holds it.
     _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
                                  repr=False, compare=False)
 
@@ -240,19 +288,24 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
     return model
 
 
-def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-                    cell_in: Tensor):
-    """One stream over the batch, its front-end writing every element of
-    ``cell_in`` [n, T_out, F]; cache = ((x, conv params), blocks, cell cache,
-    hs shape), with one (start, stop, pool, activation, dropout cache) per block."""
+def _pools_first(cfg: ModelConfig) -> bool:
+    """Whether the stream front-end takes the pooled path: a kernel of one
+    step over one input channel (see the module docstring)."""
+    return cfg.conv_kernel == 1 and cfg.input_channels == 1
+
+
+def _conv_front_end(conv: Conv1DParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+                    cell_in: Tensor) -> list:
+    """The general path: conv1d -> maxpool -> activation -> dropout over
+    blocks of rows, into ``cell_in``; one (start, stop, pool cache,
+    activation cache, dropout cache) per block."""
     n, T, _ = x.shape
     T_conv = T - cfg.conv_kernel + 1
-    F = cfg.conv_filters
-    rows = max(1, _BLOCK_BYTES // (T_conv * F * 8))
+    rows = max(1, _BLOCK_BYTES // (T_conv * cfg.conv_filters * 8))
     blocks = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        y, _ = layers.conv1d_forward(x[start:stop], sp.conv)
+        y, _ = layers.conv1d_forward(x[start:stop], conv)
         y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size, mode)
         act_cache = None
         if cfg.conv_activation == "relu":
@@ -260,6 +313,50 @@ def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rn
         y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
         cell_in[start:stop] = y
         blocks.append((start, stop, pool_cache, act_cache, drop_cache))
+    return blocks
+
+
+def _pooled_front_end(conv: Conv1DParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+                      cell_in: Tensor):
+    """The pooled path: the window max and min of ``x`` first, then the
+    filters, activation and dropout over blocks of rows, each written in
+    place in ``cell_in``.  Returns (blocks, extremes [n, T_out, 2], the window
+    max and min), one (start, stop, dropout cache) per block, whose keep mask
+    is None under ReLU: the backward reads ``cell_in > 0`` in its place."""
+    n = x.shape[0]
+    T_out, pool, F = cfg.recurrent_timesteps, cfg.pool_size, cfg.conv_filters
+    windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
+    extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
+    K = conv.K[0, 0]
+    # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
+    weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
+    b = conv.b + 0.0
+    relu = cfg.conv_activation == "relu"
+    rows = max(1, _BLOCK_BYTES // (T_out * F * 8))
+    blocks = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        y = cell_in[start:stop]
+        np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, F))
+        y += b
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng,
+                                                  in_place=True)
+        blocks.append((start, stop, (None if relu else keep, scale)))
+    return blocks, extremes
+
+
+def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+                    cell_in: Tensor):
+    """One stream over the batch, its front-end writing every element of
+    ``cell_in`` [n, T_out, F]; cache = ((x, conv params), blocks, cell cache,
+    hs shape, window extremes), the extremes None on the general path."""
+    extremes = None
+    if _pools_first(cfg):
+        blocks, extremes = _pooled_front_end(sp.conv, cfg, x, mode, rng, cell_in)
+    else:
+        blocks = _conv_front_end(sp.conv, cfg, x, mode, rng, cell_in)
     if sp.kind == "gru":
         hs, cell_cache = recurrent.gru_forward(cell_in, sp.cell, mode=mode)
     else:
@@ -268,7 +365,7 @@ def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rn
         out = hs.reshape(hs.shape[0], -1)
     else:
         out = hs[:, -1]
-    return out, ((x, sp.conv), blocks, cell_cache, hs.shape)
+    return out, ((x, sp.conv), blocks, cell_cache, hs.shape, extremes)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -308,11 +405,35 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
     return probs, ForwardTrace(mode=mode, stream_caches=stream_caches, head_caches=head_caches)
 
 
+def _pooled_front_end_backward(cfg: ModelConfig, conv_cache, blocks, extremes,
+                               cell_in: Tensor, d_cell: Tensor):
+    """(dK, db) of the pooled path from the cell-input gradient ``d_cell``,
+    which it overwrites with the pooled conv-output gradient."""
+    x, conv = conv_cache
+    relu = cfg.conv_activation == "relu"
+    for start, stop, (keep, scale) in blocks:
+        d = d_cell[start:stop]
+        mask = cell_in[start:stop] > 0 if relu else keep
+        if mask is not None:
+            d *= mask
+        if scale != 1.0:
+            d *= scale
+    g = d_cell.reshape(-1, cfg.conv_filters)
+    db = g.sum(axis=0)
+    T_out = extremes.shape[1]
+    first = x[:, :T_out * cfg.pool_size:cfg.pool_size, 0]
+    sums = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1) @ g
+    K = conv.K[0, 0]
+    dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2]))
+    return dK.reshape(conv.K.shape), db
+
+
 def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor,
-                     d_conv: Tensor) -> dict:
-    """One stream's gradients; ``d_conv`` [n, T_conv, F] receives the
-    conv-output gradient, every element of it, before conv1d reads it."""
-    conv_cache, blocks, cell_cache, hs_shape = cache
+                     d_conv: Tensor | None) -> dict:
+    """One stream's gradients.  On the general path ``d_conv`` [n, T_conv, F]
+    receives the conv-output gradient, every element of it, before conv1d
+    reads it; the pooled path needs no such buffer and is given None."""
+    conv_cache, blocks, cell_cache, hs_shape, extremes = cache
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
     else:
@@ -322,12 +443,17 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor,
         d_cell, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
     else:
         d_cell, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    for start, stop, pool_cache, act_cache, drop_cache in blocks:
-        d = layers.dropout_backward(drop_cache, d_cell[start:stop])
-        if cfg.conv_activation == "relu":
-            d = layers.relu_backward(act_cache, d)
-        layers.maxpool1d_backward(pool_cache, d, out=d_conv[start:stop])
-    dK, db = layers.conv1d_backward(conv_cache, d_conv)
+    if extremes is not None:
+        # the cell cache's first entry is its input, the front-end's output
+        dK, db = _pooled_front_end_backward(cfg, conv_cache, blocks, extremes,
+                                            cell_cache[0], d_cell)
+    else:
+        for start, stop, pool_cache, act_cache, drop_cache in blocks:
+            d = layers.dropout_backward(drop_cache, d_cell[start:stop])
+            if cfg.conv_activation == "relu":
+                d = layers.relu_backward(act_cache, d)
+            layers.maxpool1d_backward(pool_cache, d, out=d_conv[start:stop])
+        dK, db = layers.conv1d_backward(conv_cache, d_conv)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     for name, g in cell_grads.items():
         grads[f"{sp.kind}.cell.{name}"] = g
@@ -358,7 +484,7 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
         da, dW, db = layers.dense_backward(dense_cache, da)
         grads[f"head.{idx}.W"] = dW
         grads[f"head.{idx}.b"] = db
-    d_conv = model._scratch_view(
+    d_conv = None if _pools_first(cfg) else model._scratch_view(
         (dlogits.shape[0], cfg.input_timesteps - cfg.conv_kernel + 1, cfg.conv_filters))
     offset = 0
     for sp, cache in zip(model.streams, trace.stream_caches):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as model_mod
-from .data import DataError, one_hot
+from .data import DataError, one_hot, read_file, utf8_text
 from .tensor_core import Rng, ShapeError, Tensor
 
 
@@ -176,20 +177,21 @@ class TrainLog:
     @staticmethod
     def from_csv(path) -> "TrainLog":
         """Read a log ``to_csv`` wrote; a row without a number in each column
-        is a DataError naming the file and the row's 0-based line index."""
+        is a DataError naming the file and the row's 0-based line index, and
+        a file that is not UTF-8 text one naming the file."""
         log = TrainLog()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                where = f"{path}: row {reader.line_num - 1}"
-                if None in row or None in row.values() or set(TrainLog.COLUMNS) - set(row):
-                    raise DataError(f"{where}: expected one value in each of the columns "
-                                    f"{', '.join(TrainLog.COLUMNS)}")
-                try:
-                    log.append(EpochStats(int(row["epoch"]),
-                                          *(float(row[c]) for c in TrainLog.COLUMNS[1:])))
-                except ValueError as exc:
-                    raise DataError(f"{where}: {exc}") from None
+        text = utf8_text(read_file(path, "training log"), path)
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        for row in reader:
+            where = f"{path}: row {reader.line_num - 1}"
+            if None in row or None in row.values() or set(TrainLog.COLUMNS) - set(row):
+                raise DataError(f"{where}: expected one value in each of the columns "
+                                f"{', '.join(TrainLog.COLUMNS)}")
+            try:
+                log.append(EpochStats(int(row["epoch"]),
+                                      *(float(row[c]) for c in TrainLog.COLUMNS[1:])))
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
         return log
 
 

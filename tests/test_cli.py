@@ -442,7 +442,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "617fb7374c5f05aa01f6bda45d4fd89766d27d33bc5bb12aef48476c4ad7fe39"
+    HEARTBEAT_CHECKPOINT = "21a851ae62b6bed4bf1a7d774e77c92f0f91f4ce9c20eaa68ec747f0c5b532d4"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -457,7 +457,7 @@ class TestPinnedDigests:
         digests = train_in_child(tmp_path, self.heartbeat_config(tmp_path))
         assert digests["checkpoint.tackpt"] == self.HEARTBEAT_CHECKPOINT
         assert digests["trainlog.csv"] == (
-            "fc116c53cde769271ecc692d36f69a44bebd6aa93c1a156dcce27e35e02d94d2")
+            "6383b5d94463a4ac2e6a17e207d475d59ca14ac1d8faa1800432cdc899d811a1")
 
     def test_heartbeat_run_without_thread_variables(self, tmp_path):
         """The package defaults BLAS to one thread, so a child that sets no
@@ -477,7 +477,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "e03bfb7f7afe1a968affdd1c23e62150bdea6942f016e559141d796cf07992e3",
+                "1624454576fb5ac4f61834288d69c4f3d42f922d2abce41f8d5bebfb894f4882",
             "trainlog.csv":
                 "bcc212f098a1918dde7d87572c248d195f4e52e1bc5a20eb9afdabcdad1792c1",
             "report_test.json":
@@ -536,6 +536,23 @@ class TestEvalCommand:
     def test_missing_checkpoint_exit_3(self, tmp_path, radar_csv):
         rc = cli.main(["eval", str(tmp_path / "none.tackpt"), str(radar_csv)])
         assert rc == 3
+
+    @pytest.mark.parametrize("key,value", [("pool_size", 1.5), ("pool_size", True),
+                                           ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4])])
+    def test_non_integer_model_setting_exit_3(self, trained_run, tmp_path, capsys, key, value):
+        """The header's config holds the value in place of an integer; 8.5
+        once passed as 8, the trained size."""
+        out, radar_csv = trained_run
+        blob = (out / "checkpoint.tackpt").read_bytes()
+        end = 16 + int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:end])
+        header["config"][key] = value
+        text = json.dumps(header).encode()
+        path = tmp_path / "bad.tackpt"
+        path.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text + blob[end:])
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        err = capsys.readouterr().err
+        assert "bad.tackpt" in err and f"{key} must be" in err
 
     def test_corrupt_checkpoint_exit_3(self, trained_run, tmp_path, capsys):
         out, radar_csv = trained_run
@@ -886,3 +903,14 @@ class TestReportCommand:
         (run / "report_test.txt").write_text("report\n")
         assert cli.main(["report", str(run)]) == 3
         assert f"data error: {run / 'trainlog.csv'}: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["trainlog.csv", "report_test.txt"])
+    def test_file_not_utf8_exit_3(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trainlog.csv").write_text(self.HEADER + "1,0.7,0.5,0.69,0.5\n")
+        (run / "report_test.txt").write_text("report\n")
+        with open(run / name, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        assert cli.main(["report", str(run)]) == 3
+        assert f"data error: {run / name}: not UTF-8 text" in capsys.readouterr().err

@@ -254,6 +254,13 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout_forward(np.ones((2, 2)), -0.1, "train", Rng(0))
 
+    def test_in_place_writes_the_same_bits_over_x(self):
+        x = Rng(48).uniform((30, 20)) * 2 - 1
+        want, (keep, scale) = dropout_forward(x, 0.3, "train", Rng(49))
+        y, (in_place_keep, _) = dropout_forward(x, 0.3, "train", Rng(49), in_place=True)
+        assert y is x and y.tobytes() == want.tobytes()
+        npt.assert_array_equal(in_place_keep, keep)
+
     def test_expectation_preserved(self):
         x = Rng(43).uniform((100000,)) + 0.5
         y, _ = dropout_forward(x, 0.5, "train", Rng(44))

@@ -403,6 +403,111 @@ class TestBlockedFrontEnd:
                 assert other_grads[name].tobytes() == g.tobytes(), name
 
 
+def heartbeat_config(**overrides) -> ModelConfig:
+    """One input channel and a one-step kernel: the pooled front-end."""
+    base = dict(input_timesteps=17, input_channels=1, num_classes=3, conv_filters=6,
+                dense_sizes=(8,))
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+class TestPooledFrontEnd:
+    """The pooled path against the general path, which runs when the branch
+    test is patched to say no."""
+
+    @staticmethod
+    def awkward_instance(cfg):
+        """A model with kernel entries of +0.0 and -0.0 and a bias of -0.0,
+        and inputs holding signed zeros and windows of tied values."""
+        net = build(cfg, Rng(110).derive("init"))
+        for name, arr in net.parameters().items():
+            if name.endswith(".b"):
+                arr += Rng(111).derive(name).uniform(arr.shape) - 0.5
+        for sp in net.streams:
+            sp.conv.K[0, 0, :2] = (0.0, -0.0)
+            sp.conv.b[:3] = (-0.25, 0.25, -0.0)  # filter 0 is dead under ReLU
+        pool = cfg.pool_size
+        x = Rng(112).uniform((7, cfg.input_timesteps, 1)) * 2 - 1
+        x[0, :pool] = x[0, 0]  # one window of exact ties
+        x[1, :pool] = 0.0
+        x[1, 0] = -0.0
+        x[2, pool:2 * pool] = -0.0
+        x[3] = x[3, 5]  # a whole row of one value
+        x[4, 2 * pool:3 * pool] = x[4, 2 * pool:3 * pool].max()
+        return net, x
+
+    @staticmethod
+    def step(net, x):
+        rng = Rng(113)
+        probs, trace = forward(net, x, mode="train", rng=rng)
+        pooled = [(cache[4] is not None, len(cache[1])) for cache in trace.stream_caches]
+        cell_ins = [cache[2][0].copy() for cache in trace.stream_caches]
+        labels = np.arange(x.shape[0]) % net.config.num_classes
+        _, dlogits = optim.cce_loss(probs, np.eye(net.config.num_classes)[labels])
+        grads = backward(net, trace, dlogits)
+        eval_probs, _ = forward(net, x, mode="eval")
+        return pooled, probs, cell_ins, grads, rng._counter, eval_probs
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_matches_the_general_path(self, monkeypatch, activation, dropout, pool,
+                                      return_sequences):
+        cfg = heartbeat_config(conv_activation=activation, dropout_stream=dropout,
+                               pool_size=pool, return_sequences=return_sequences)
+        assert pool == 1 or cfg.input_timesteps % pool  # a remainder step is dropped
+        net, x = self.awkward_instance(cfg)
+        # 3-row blocks on the pooled path: 7 rows run as 3, 3 and 1
+        monkeypatch.setattr(model_mod, "_BLOCK_BYTES",
+                            3 * cfg.recurrent_timesteps * cfg.conv_filters * 8)
+        pooled, probs, cell_ins, grads, counter, eval_probs = self.step(net, x)
+        monkeypatch.setattr(model_mod, "_pools_first", lambda cfg: False)
+        ref_pooled, ref_probs, ref_cell_ins, ref_grads, ref_counter, ref_eval = self.step(net, x)
+        # (pooled path taken, blocks) per stream
+        assert pooled == [(True, 3), (True, 3)]
+        assert [taken for taken, _ in ref_pooled] == [False, False]
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert eval_probs.tobytes() == ref_eval.tobytes()
+        assert counter == ref_counter
+        for got, want in zip(cell_ins, ref_cell_ins):
+            assert got.tobytes() == want.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            if name.endswith("conv.K"):
+                # summed over [n, T_out], not over [n, T_conv] with zeros
+                scale = np.max(np.abs(ref_grads[name]))
+                assert np.max(np.abs(g - ref_grads[name])) <= 1e-13 * scale, name
+            else:
+                assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    def test_allocates_no_conv_gradient_scratch(self):
+        net = build(heartbeat_config(), Rng(114))
+        x = Rng(115).uniform((5, 17, 1))
+        probs, trace = forward(net, x, mode="train", rng=Rng(116))
+        backward(net, trace, probs - probs.mean(axis=1, keepdims=True))
+        assert net._scratch.size == 0
+
+    def test_fused_dropout_relu_backward_is_bitwise(self):
+        """(dy * (cell_in > 0)) * scale, the pooled path's backward through
+        ReLU and dropout, equals dropout then ReLU backward on every pairing
+        of special values.  It would not where dy * scale overflows."""
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0 ** -1070])
+        dy, pre, keep = (a.ravel() for a in np.meshgrid(specials, specials, [False, True],
+                                                        indexing="ij"))
+        for rate in (0.0, 0.5, 0.3):
+            scale = 1.0 / (1.0 - rate)
+            drop_cache = (keep, scale) if rate else (None, 1.0)
+            with np.errstate(invalid="ignore"):  # inf * 0
+                act, relu_mask = layers.relu_forward(pre)
+                cell_in = act * keep * scale if rate else act
+                want = layers.relu_backward(relu_mask, layers.dropout_backward(drop_cache, dy))
+                got = dy * (cell_in > 0)
+            if rate:
+                got *= scale
+            assert got.tobytes() == want.tobytes(), rate
+
+
 def arrays_in(obj):
     """Every ndarray in nested tuples and lists."""
     if isinstance(obj, np.ndarray):
