@@ -157,9 +157,14 @@ def _check_cell(kind: str, seed: int) -> float:
         params.b += _uniform_pm(rng, params.b.shape) * 0.1
         x = _uniform_pm(rng, (n, T, d))
         proj = _uniform_pm(rng, (n, T, u))
-        dx, grads = run_back(run(x, params)[1], proj)
+
+        def run_cell():
+            # W is checked through the projection that the cell is given
+            return run(x, recurrent.project(x, params), params)
+
+        dx, grads = run_back(run_cell()[1], proj)
         pairs = [(dx, x)] + [(grads[name], arr) for name, arr in vars(params).items()]
-        worst = max(worst, _worst(lambda: run(x, params), proj, pairs))
+        worst = max(worst, _worst(run_cell, proj, pairs))
     return worst
 
 

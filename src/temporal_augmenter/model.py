@@ -7,15 +7,31 @@ concatenated and fed through a dense head ending in softmax.
 
 The front-end has two paths that compute the same network.  Each runs over
 blocks of batch rows, so a block's intermediates stay in cache instead of
-streaming whole [n, T, F] arrays through memory, and writes every element
-of one [n, T_out, F] cell input.  A block holds ``rows = max(1,
-_BLOCK_BYTES // (width * F * 8))`` rows, the most whose widest float64
-intermediate [rows, width, F] fits in ``_BLOCK_BYTES``; the last block
-takes what is left.  Blocking changes no bit: each sample is filtered on
-its own, pooling, the activation and the dropout scaling are elementwise,
-and the dropout draws are counter-based SplitMix64 words taken in C order,
-so drawing block after block in row order yields the very words of one
-draw over the whole array.
+streaming whole [n, T, F] arrays through memory.  A block holds ``rows =
+max(1, _BLOCK_BYTES // (width * F * 8))`` rows, the most whose widest
+float64 intermediate [rows, width, F] fits in ``_BLOCK_BYTES``; the last
+block takes what is left.  As soon as a block's [rows, T_out, F] cell input
+is formed, and while it is still in cache, the stream multiplies it by the
+cell's input weights into its rows of the cell's input projection px
+[n, T_out, k] (``recurrent.project``), which is all the cell reads.  In
+train mode each block also lands in its rows of the [n, T_out, F] cell
+input, which the cell cache keeps for the backward's dW and the ReLU mask.
+In eval mode no cell input exists: a pooled block is formed in one reused
+buffer, and a general block is the layers' own output.
+
+Blocking the front-end changes no bit: each sample is filtered on its own,
+pooling, the activation and the dropout scaling are elementwise, and the
+dropout draws are counter-based SplitMix64 words taken in C order, so
+drawing block after block in row order yields the very words of one draw
+over the whole array.  Blocking the projection changes none for the
+default cells (k = 30 and 40, checked against one product over the whole
+batch with OpenBLAS's SkylakeX kernels) if no block has a single row:
+numpy sends a one-row product to gemv, whose sums differ from gemm's.  Only
+one step per sample (T_out = 1) can make such a block, so then blocks hold
+at least two samples and a trailing block of one joins the block before it
+(``_block_bounds``).  At some other gate widths (k = 9, 18 and 44 among
+them, with F = 128) those kernels give a block's rows other last bits than
+one whole product; the result is still fixed for a given batch size.
 
 The pooled path runs when the kernel is one step over one input channel
 (``_pools_first``: the default kernel on the mitbih and tess shapes).  Its
@@ -30,8 +46,8 @@ the [rows * T_out, 2] extremes with a [2, F] matrix: K with 0.0 where
 K < 0, over K with 0.0 where K > 0.  For finite x one of a filter's two
 terms is an exact zero (both are where K is +-0.0), so the product is the
 other term's rounded value.  It then adds b' and applies the activation and
-the dropout in place in the cell input (``width = T_out``), bit for bit
-what the general path writes.  No [n, T_conv, F] conv output, pool winner
+the dropout in place in the block (``width = T_out``), bit for bit what the
+general path forms.  No [n, T_conv, F] conv output, pool winner
 mask or conv-output gradient exists on this path.
 
 The pooled backward stores no mask.  Under ReLU the dropout and ReLU
@@ -69,8 +85,8 @@ gradient (no zero-fill, no copy), and then calls ``conv1d_backward`` once
 on the whole batch: its kernel and bias gradients are sums over every
 (sample, step) pair, and summing per block would change their order.  That
 gradient is a view of one scratch buffer that the model keeps across calls
-and both streams share; an eval forward borrows it for the cell input when
-it is large enough.  Only this path uses the scratch.
+and both streams share.  Only this path's backward uses the scratch; no
+forward touches it.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -96,7 +112,8 @@ import numpy as np
 from . import layers, recurrent
 from .data import DataError, read_file
 from .layers import Conv1DParams, DenseParams
-from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
+from .tensor_core import (Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform,
+                          is_train_mode, softmax)
 
 
 # Bytes of one block's widest intermediate in the stream front-end: about
@@ -143,7 +160,8 @@ class ModelConfig:
         """Raise ValueError if ``value`` breaks the rule on field ``name``.
         Each rule reads its own field alone, so that a config file's line
         can be checked before any data gives the input shape.  An integer
-        setting refuses a bool or a float, even one with an integral value."""
+        setting refuses a bool or a float, even one with an integral value;
+        a rate refuses a bool, and ``return_sequences`` anything but a bool."""
         if name in _INT_FIELDS:
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -152,8 +170,13 @@ class ModelConfig:
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
         elif name in ("dropout_stream", "dropout_head"):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
+        elif name == "return_sequences":
+            if not isinstance(value, bool):
+                raise ValueError(f"return_sequences must be true or false, got {value!r}")
         elif name == "conv_activation":
             if value not in ("relu", "identity"):
                 raise ValueError(f"conv_activation must be 'relu' or 'identity', got {value!r}")
@@ -206,9 +229,9 @@ class TemporalAugmenterModel:
     head: list  # hidden DenseParams..., output DenseParams last
     # One flat scratch buffer of the general front-end path, reused across
     # calls so that they do not fault in fresh pages: a backward grows it for
-    # the streams' conv-output gradient, and an eval forward borrows it for
-    # their cell input, so calls on one model must not overlap.  Not a
-    # parameter; no trace or checkpoint holds it.
+    # the streams' conv-output gradient, so backward calls on one model must
+    # not overlap.  No forward reads or grows it.  Not a parameter; no trace
+    # or checkpoint holds it.
     _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
                                  repr=False, compare=False)
 
@@ -294,73 +317,98 @@ def _pools_first(cfg: ModelConfig) -> bool:
     return cfg.conv_kernel == 1 and cfg.input_channels == 1
 
 
-def _conv_front_end(conv: Conv1DParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-                    cell_in: Tensor) -> list:
+def _block_bounds(n: int, width: int, cfg: ModelConfig) -> list:
+    """(start, stop) of each block of the batch's rows (see the module
+    docstring).  With one recurrent step per sample, a one-sample block's
+    input projection would be a one-row product, which numpy sends to gemv,
+    whose sums differ from gemm's: so blocks then hold at least two rows,
+    and a trailing block of one joins the block before it."""
+    rows = max(1, _BLOCK_BYTES // (width * cfg.conv_filters * 8))
+    one_step = cfg.recurrent_timesteps == 1
+    if one_step:
+        rows = max(rows, 2)
+    stops = [*range(rows, n, rows), n]
+    if one_step and len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def _conv_front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+                    cell_in: Tensor | None, px: Tensor) -> list:
     """The general path: conv1d -> maxpool -> activation -> dropout over
-    blocks of rows, into ``cell_in``; one (start, stop, pool cache,
-    activation cache, dropout cache) per block."""
-    n, T, _ = x.shape
-    T_conv = T - cfg.conv_kernel + 1
-    rows = max(1, _BLOCK_BYTES // (T_conv * cfg.conv_filters * 8))
+    blocks of rows, each block projected into ``px`` and, in train mode,
+    copied into ``cell_in``; one (start, stop, pool cache, activation cache,
+    dropout cache) per block."""
+    T_conv = x.shape[1] - cfg.conv_kernel + 1
     blocks = []
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        y, _ = layers.conv1d_forward(x[start:stop], conv)
+    for start, stop in _block_bounds(x.shape[0], T_conv, cfg):
+        y, _ = layers.conv1d_forward(x[start:stop], sp.conv)
         y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size, mode)
         act_cache = None
         if cfg.conv_activation == "relu":
             y, act_cache = layers.relu_forward(y, mode)
         y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
-        cell_in[start:stop] = y
+        if cell_in is not None:
+            cell_in[start:stop] = y
+        recurrent.project(y, sp.cell, out=px[start:stop])
         blocks.append((start, stop, pool_cache, act_cache, drop_cache))
     return blocks
 
 
-def _pooled_front_end(conv: Conv1DParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-                      cell_in: Tensor):
+def _pooled_front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+                      cell_in: Tensor | None, px: Tensor):
     """The pooled path: the window max and min of ``x`` first, then the
-    filters, activation and dropout over blocks of rows, each written in
-    place in ``cell_in``.  Returns (blocks, extremes [n, T_out, 2], the window
-    max and min), one (start, stop, dropout cache) per block, whose keep mask
-    is None under ReLU: the backward reads ``cell_in > 0`` in its place."""
+    filters, activation and dropout over blocks of rows, each block formed
+    in place, in ``cell_in`` in train mode and in one reused buffer in eval
+    mode, and projected into ``px``.  Returns (blocks, extremes [n, T_out,
+    2], the window max and min), one (start, stop, dropout cache) per block,
+    whose keep mask is None under ReLU: the backward reads ``cell_in > 0``
+    in its place."""
     n = x.shape[0]
     T_out, pool, F = cfg.recurrent_timesteps, cfg.pool_size, cfg.conv_filters
     windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
     extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
-    K = conv.K[0, 0]
+    K = sp.conv.K[0, 0]
     # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
     weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
-    b = conv.b + 0.0
+    b = sp.conv.b + 0.0
     relu = cfg.conv_activation == "relu"
-    rows = max(1, _BLOCK_BYTES // (T_out * F * 8))
+    bounds = _block_bounds(n, T_out, cfg)
+    # an eval forward forms every block in one buffer; a train forward in its rows of cell_in
+    buffer = None if cell_in is not None else np.empty(
+        (max(stop - start for start, stop in bounds), T_out, F))
     blocks = []
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        y = cell_in[start:stop]
+    for start, stop in bounds:
+        y = buffer[:stop - start] if cell_in is None else cell_in[start:stop]
         np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, F))
         y += b
         if relu:
             np.maximum(y, 0.0, out=y)
         _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng,
                                                   in_place=True)
+        recurrent.project(y, sp.cell, out=px[start:stop])
         blocks.append((start, stop, (None if relu else keep, scale)))
     return blocks, extremes
 
 
-def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-                    cell_in: Tensor):
-    """One stream over the batch, its front-end writing every element of
-    ``cell_in`` [n, T_out, F]; cache = ((x, conv params), blocks, cell cache,
-    hs shape, window extremes), the extremes None on the general path."""
+def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
+    """One stream over the batch.  Its front-end writes every row of the
+    cell's input projection px, block by block, and in train mode every
+    element of the cell input [n, T_out, F] that the cell cache keeps for
+    the backward; cache = ((x, conv params), blocks, cell cache, hs shape,
+    window extremes), the extremes None on the general path."""
+    n, T_out = x.shape[0], cfg.recurrent_timesteps
+    px = np.empty((n, T_out, sp.cell.W.shape[1]))
+    cell_in = np.empty((n, T_out, cfg.conv_filters)) if is_train_mode(mode) else None
     extremes = None
     if _pools_first(cfg):
-        blocks, extremes = _pooled_front_end(sp.conv, cfg, x, mode, rng, cell_in)
+        blocks, extremes = _pooled_front_end(sp, cfg, x, mode, rng, cell_in, px)
     else:
-        blocks = _conv_front_end(sp.conv, cfg, x, mode, rng, cell_in)
+        blocks = _conv_front_end(sp, cfg, x, mode, rng, cell_in, px)
     if sp.kind == "gru":
-        hs, cell_cache = recurrent.gru_forward(cell_in, sp.cell, mode=mode)
+        hs, cell_cache = recurrent.gru_forward(cell_in, px, sp.cell, mode=mode)
     else:
-        hs, cell_cache = recurrent.lstm_forward(cell_in, sp.cell, mode=mode)
+        hs, cell_cache = recurrent.lstm_forward(cell_in, px, sp.cell, mode=mode)
     if cfg.return_sequences:
         out = hs.reshape(hs.shape[0], -1)
     else:
@@ -377,17 +425,8 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
             f"[n, {cfg.input_timesteps}, {cfg.input_channels}]")
     stream_outs = []
     stream_caches = []
-    cell_shape = (x.shape[0], cfg.recurrent_timesteps, cfg.conv_filters)
     for sp in model.streams:
-        # A train forward's cell input stays in the cell cache for the
-        # backward.  An eval forward's is dead once its cell has run, so it
-        # borrows the scratch a backward left if that is large enough, but
-        # never grows it: a process that only evaluates keeps no buffer.
-        if mode == "eval" and model._scratch.size >= math.prod(cell_shape):
-            cell_in = model._scratch_view(cell_shape)
-        else:
-            cell_in = np.empty(cell_shape)
-        out, cache = _stream_forward(sp, cfg, x, mode, rng, cell_in)
+        out, cache = _stream_forward(sp, cfg, x, mode, rng)
         stream_outs.append(out)
         stream_caches.append(cache)
     a = np.concatenate(stream_outs, axis=1)

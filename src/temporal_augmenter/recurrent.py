@@ -29,16 +29,20 @@ states their shapes.  ``draw_params`` fills one gate slot at a time, input
 weights before recurrent ones, in the order LSTM f, i, g, o (slots 0, 1, 3,
 2) and GRU z, r, h.
 
-``*_forward`` unrolls a [n, T, d] sequence from zero initial state (unless
-given) and returns every hidden state; ``*_backward`` accepts a gradient for
-the full hidden sequence [n, T, u] and accumulates parameter gradients across
-all timesteps.  Input weights are glorot-uniform, recurrent weights
-orthogonal, biases zero.
+``*_forward`` unrolls a sequence from zero initial state (unless given) and
+returns every hidden state; ``*_backward`` accepts a gradient for the full
+hidden sequence [n, T, u] and accumulates parameter gradients across all
+timesteps.  Input weights are glorot-uniform, recurrent weights orthogonal,
+biases zero.
 
 Time loops.  Each step costs a handful of numpy calls on contiguous [n, k]
 blocks, because at these sizes a step's cost is the number of calls, not
-the arithmetic.  The input projection px = x W is one batch-major GEMM
-before the loop.  Everything a step writes goes in place (``out=``) into
+the arithmetic.  The caller supplies the input projection px = x W
+[n, T, k] (``project``), so a cell never reads its [n, T, d] input: the
+model forms px block by block while each block of its front-end's output is
+still in cache, and in eval mode no whole cell input ever exists.  A
+train-mode caller also passes x, which the cache keeps for the backward's
+dx and dW.  Everything a step writes goes in place (``out=``) into
 time-major arrays, so the state before step t is row t of one [T+1, n, u]
 array, and the gates are stored gate-major, so each gate is one [n, u]
 block:
@@ -48,10 +52,11 @@ block:
     gru cache   (x, p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u])
                 ZR holds sigmoid z, r; HC the candidate; RH = r * h_prev
 
-``hs`` is the batch-major view ``H[1:].transpose(1, 0, 2)``.  Train and
-eval run the same loop; in eval the per-step arrays are one step's block
-seen at every t through a zero stride (``_per_step``), so nothing but H is
-kept and the cache is None.
+x is the [n, T, d] input the caller passed; no cache holds px.  ``hs`` is
+the batch-major view ``H[1:].transpose(1, 0, 2)``.  Train and eval run the
+same loop; in eval the per-step arrays are one step's block seen at every t
+through a zero stride (``_per_step``), so nothing but H is kept and the
+cache is None.
 
 The bits are those of one numpy expression per gate, as the cells were
 first written (the oracles in tests/test_recurrent.py), for three reasons:
@@ -59,7 +64,11 @@ first written (the oracles in tests/test_recurrent.py), for three reasons:
 * Every product keeps its operands.  The step matmuls see the same [n, u]
   state and [n, k] gradient rows, and the dx, dW and dU GEMMs the same
   batch-major [n*T, k] operands; an operand's row stride does not change
-  OpenBLAS's sums, and exp and tanh give the same bits at any stride.
+  OpenBLAS's sums, and exp and tanh give the same bits at any stride.  The
+  px GEMM may run over any split of the n*T rows into blocks of at least
+  two: each output row's sum is the same.  numpy sends a one-row product
+  to gemv, whose sums differ, so a caller that splits the rows leaves no
+  block of one row unless there is only one.
 * ``sigmoid`` is evaluated as ``max(z, x >= 0) / (1 + z)`` with
   ``z = exp(-|x|)``, which is the branch form bit for bit (see its
   docstring and tests/test_tensor_core.py).
@@ -186,9 +195,22 @@ def _batch_major(a: Tensor) -> Tensor:
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
-def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor | None = None,
-                 mode: str = "train"):
-    """Unroll over t = 1..T; returns (hs [n, T, u], cache).
+def project(x: Tensor, p, out: Tensor | None = None) -> Tensor:
+    """The input projection px = x W [n, T, k] of a cell's [n, T, d] input,
+    one GEMM over its n*T rows; written into ``out``, C-contiguous, if given."""
+    n, T, d = x.shape
+    k = p.W.shape[1]
+    if out is None:
+        out = np.empty((n, T, k))
+    np.matmul(x.reshape(n * T, d), p.W, out=out.reshape(n * T, k))
+    return out
+
+
+def lstm_forward(x: Tensor | None, px: Tensor, p: LSTMParams, h0: Tensor | None = None,
+                 c0: Tensor | None = None, mode: str = "train"):
+    """Unroll over t = 1..T given the input projection ``px`` = x W
+    [n, T, 4u]; returns (hs [n, T, u], cache).  ``x`` [n, T, d] is kept for
+    the backward; in eval mode it is not read and may be None.
 
     ``hs`` is a batch-major view of the time-major states.  cache =
     (x, p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]): row t
@@ -196,10 +218,9 @@ def lstm_forward(x: Tensor, p: LSTMParams, h0: Tensor | None = None, c0: Tensor 
     TC holds tanh(c).  In eval mode no backward follows, so only H is kept
     and the cache is None.
     """
-    n, T, d = _check_seq(x, p)
     train = is_train_mode(mode)
+    n, T = _check_seq(x, px, p, train)
     u = p.units
-    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 4 * u)
     H = _states(T, n, u, h0, keep=True)  # hs is H[1:]
     C = _states(T, n, u, c0, train)
     G = _per_step((T, 4, n, u), train)
@@ -274,8 +295,11 @@ def lstm_backward(cache, d_hs: Tensor):
                 "b": da2.sum(axis=0)}
 
 
-def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "train"):
-    """Unroll over t = 1..T; returns (hs [n, T, u], cache).
+def gru_forward(x: Tensor | None, px: Tensor, p: GRUParams, h0: Tensor | None = None,
+                mode: str = "train"):
+    """Unroll over t = 1..T given the input projection ``px`` = x W
+    [n, T, 3u]; returns (hs [n, T, u], cache).  ``x`` [n, T, d] is kept for
+    the backward; in eval mode it is not read and may be None.
 
     ``hs`` is a batch-major view of the time-major states.  cache =
     (x, p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]): row t
@@ -283,10 +307,9 @@ def gru_forward(x: Tensor, p: GRUParams, h0: Tensor | None = None, mode: str = "
     candidate and RH the reset-gated state r * h.  In eval mode no backward
     follows, so only H is kept and the cache is None.
     """
-    n, T, d = _check_seq(x, p)
     train = is_train_mode(mode)
+    n, T = _check_seq(x, px, p, train)
     u = p.units
-    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
     H = _states(T, n, u, h0, keep=True)  # hs is H[1:]
     ZR = _per_step((T, 2, n, u), train)
     HC = _per_step((T, n, u), train)
@@ -371,12 +394,16 @@ def gru_backward(cache, d_hs: Tensor):
                 "U_h": np.dot(rh.T, da2[:, 2 * u:]), "b": da2.sum(axis=0)}
 
 
-def _check_seq(x: Tensor, p) -> tuple:
-    if x.ndim != 3:
-        raise ShapeError(f"sequence input must be [n, T, d], got {x.shape}")
-    n, T, d = x.shape
+def _check_seq(x: Tensor | None, px: Tensor, p, train: bool) -> tuple:
+    """(n, T) of a cell's input projection ``px``; in train mode ``x`` must
+    be the [n, T, d] input it came from."""
+    width = p.W.shape[1]
+    if px.ndim != 3 or px.shape[2] != width:
+        raise ShapeError(f"input projection must be [n, T, {width}], got {px.shape}")
+    n, T, _ = px.shape
     if T < 1:
         raise ShapeError("sequence length must be >= 1")
-    if d != p.input_size:
-        raise ShapeError(f"input size {d} does not match parameters ({p.input_size})")
-    return n, T, d
+    if train and (x is None or x.shape != (n, T, p.input_size)):
+        raise ShapeError(f"train mode needs the cell input [{n}, {T}, {p.input_size}], "
+                         f"got {None if x is None else x.shape}")
+    return n, T

@@ -538,10 +538,13 @@ class TestEvalCommand:
         assert rc == 3
 
     @pytest.mark.parametrize("key,value", [("pool_size", 1.5), ("pool_size", True),
-                                           ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4])])
+                                           ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4]),
+                                           ("return_sequences", "no"),
+                                           ("dropout_stream", False)])
     def test_non_integer_model_setting_exit_3(self, trained_run, tmp_path, capsys, key, value):
-        """The header's config holds the value in place of an integer; 8.5
-        once passed as 8, the trained size."""
+        """The header's config holds the value in place of an integer, a
+        bool or a rate; 8.5 once passed as 8, the trained size, and "no" as
+        return sequences on."""
         out, radar_csv = trained_run
         blob = (out / "checkpoint.tackpt").read_bytes()
         end = 16 + int.from_bytes(blob[8:16], "little")

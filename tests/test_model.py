@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -71,6 +72,18 @@ class TestBuild:
         with pytest.raises(ValueError):
             # pooling larger than the conv output leaves no timesteps
             ModelConfig(input_timesteps=3, input_channels=1, num_classes=2, pool_size=8)
+
+    @pytest.mark.parametrize("key,value", [
+        ("return_sequences", "no"), ("return_sequences", 0.5), ("return_sequences", 1),
+        ("dropout_stream", False), ("dropout_head", True), ("dropout_head", "0.3"),
+    ])
+    def test_bool_and_rate_settings_checked_by_type(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            radar_config(**{key: value})
+
+    def test_integer_rates_accepted(self):
+        cfg = radar_config(dropout_stream=0, dropout_head=0)
+        assert cfg.dropout_stream == 0 and cfg.dropout_head == 0
 
 
 class TestParameters:
@@ -289,9 +302,9 @@ class TestBackward:
             npt.assert_array_equal(a[name], b[name], err_msg=name)
 
 
-def relu_then_pool_stream_forward(sp, cfg, x, mode, rng, cell_in):
-    """Stream forward in the textbook order conv1d -> ReLU -> maxpool; its
-    cell input is a new array, not ``cell_in``."""
+def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
+    """Stream forward in the textbook order conv1d -> ReLU -> maxpool over
+    the whole batch, the cell given one GEMM over its whole input."""
     y, conv_cache = layers.conv1d_forward(x, sp.conv)
     act_cache = None
     if cfg.conv_activation == "relu":
@@ -299,7 +312,7 @@ def relu_then_pool_stream_forward(sp, cfg, x, mode, rng, cell_in):
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
-    hs, cell_cache = run(y, sp.cell)
+    hs, cell_cache = run(y, recurrent.project(y, sp.cell), sp.cell, mode=mode)
     out = hs.reshape(hs.shape[0], -1) if cfg.return_sequences else hs[:, -1]
     return out, (conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs.shape)
 
@@ -411,6 +424,83 @@ def heartbeat_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+class TestBlockProjection:
+    """Each front-end block is projected into the cells' input as soon as it
+    is formed, so an eval forward holds no [n, T_out, F] cell input."""
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_eval_peak_below_one_cell_input(self, monkeypatch, pooled):
+        cfg = ModelConfig(input_timesteps=187, input_channels=1, num_classes=5)  # mitbih
+        if not pooled:
+            monkeypatch.setattr(model_mod, "_pools_first", lambda cfg: False)
+        net = build(cfg, Rng(120))
+        x = Rng(121).uniform((64, 187, 1)) * 2 - 1
+        forward(net, x, mode="eval")
+        tracemalloc.start()
+        try:
+            forward(net, x, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * cfg.recurrent_timesteps * cfg.conv_filters * 8
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_one_step_trailing_sample_joins_the_block_before(self, monkeypatch, pooled):
+        """With one recurrent step per sample, a one-sample block would make
+        a one-row projection, whose sums (gemv) differ from gemm's."""
+        if pooled:
+            cfg = heartbeat_config(input_timesteps=3, conv_filters=16, dropout_stream=0.5)
+        else:
+            cfg = radar_config(input_timesteps=4, conv_kernel=2, conv_filters=16,
+                               dropout_stream=0.5, dense_sizes=(8,))
+        assert cfg.recurrent_timesteps == 1
+        net = build(cfg, Rng(122).derive("init"))
+        x = Rng(123).uniform((7, cfg.input_timesteps, cfg.input_channels)) * 2 - 1
+        onehot = np.eye(cfg.num_classes)[np.arange(7) % cfg.num_classes]
+        width = 1 if pooled else cfg.input_timesteps - cfg.conv_kernel + 1
+        runs = []
+        # 3-row blocks would leave one row last (3, 3, 1); then one block
+        for block_bytes, bounds in ((3 * width * cfg.conv_filters * 8, [(0, 3), (3, 7)]),
+                                    (1 << 40, [(0, 7)])):
+            monkeypatch.setattr(model_mod, "_BLOCK_BYTES", block_bytes)
+            probs, trace = forward(net, x, mode="train", rng=Rng(124))
+            for cache in trace.stream_caches:
+                assert [(start, stop) for start, stop, *_ in cache[1]] == bounds
+            _, dlogits = optim.cce_loss(probs, onehot)
+            grads = backward(net, trace, dlogits)
+            eval_probs, _ = forward(net, x, mode="eval")
+            runs.append((probs, grads, eval_probs))
+        (probs, grads, eval_probs), (one_probs, one_grads, one_eval) = runs
+        assert probs.tobytes() == one_probs.tobytes()
+        assert eval_probs.tobytes() == one_eval.tobytes()
+        assert grads.keys() == one_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == one_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    @pytest.mark.parametrize("streams", [("gru",), ("lstm",), ("gru", "lstm")])
+    def test_eval_matches_the_textbook_order(self, monkeypatch, pooled, return_sequences,
+                                             streams):
+        """Eval probs from 3-row blocks equal conv1d -> ReLU -> maxpool over
+        the whole batch with one projection GEMM per cell."""
+        make = heartbeat_config if pooled else radar_config
+        cfg = make(conv_filters=6, dense_sizes=(8,), return_sequences=return_sequences,
+                   streams=streams)
+        net = build(cfg, Rng(125).derive("init"))
+        for name, arr in net.parameters().items():
+            if name.endswith(".b"):
+                arr += Rng(126).derive(name).uniform(arr.shape) - 0.5
+        x = Rng(127).uniform((7, cfg.input_timesteps, cfg.input_channels)) * 2 - 1
+        width = cfg.recurrent_timesteps if pooled else cfg.input_timesteps
+        monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 3 * width * cfg.conv_filters * 8)
+        probs, trace = forward(net, x, mode="eval")
+        assert [len(cache[1]) for cache in trace.stream_caches] == [3] * len(streams)
+        monkeypatch.setattr(model_mod, "_stream_forward", relu_then_pool_stream_forward)
+        ref_probs, _ = forward(net, x, mode="eval")
+        assert probs.tobytes() == ref_probs.tobytes()
+
+
 class TestPooledFrontEnd:
     """The pooled path against the general path, which runs when the branch
     test is patched to say no."""
@@ -518,8 +608,8 @@ def arrays_in(obj):
 
 
 class TestScratch:
-    """The scratch buffer a model reuses for the conv-output gradient and for
-    an eval forward's cell input carries nothing from one call to the next."""
+    """The scratch buffer a model reuses for the conv-output gradient
+    carries nothing from one call to the next, and no eval forward uses it."""
 
     @pytest.mark.parametrize("timesteps,kernel", [(17, 1), (23, 3)])
     def test_reused_scratch_matches_a_fresh_model_bitwise(self, tmp_path, timesteps, kernel):
@@ -542,14 +632,16 @@ class TestScratch:
             return [probs, *grads.values()]
 
         def eval_forward(net, n):
-            return [forward(net, inputs(n), mode="eval")[0]]
+            scratch = net._scratch.copy()
+            probs, _ = forward(net, inputs(n), mode="eval")
+            assert net._scratch.tobytes() == scratch.tobytes()  # untouched and ungrown
+            return [probs]
 
         net = fresh()
         eval_forward(net, 5)
         assert net._scratch.size == 0  # only a backward allocates it
-        # a full batch, the last partial one, an eval forward too large to
-        # borrow the scratch, then a larger batch and an eval forward that
-        # borrows it
+        # a full batch, the last partial one, an eval forward larger than
+        # the scratch, then a larger batch and an eval forward it would hold
         for op, n in ((train_step, 7), (train_step, 3), (eval_forward, 40),
                       (train_step, 9), (eval_forward, 11)):
             want = [a.tobytes() for a in op(fresh(), n)]
@@ -557,7 +649,7 @@ class TestScratch:
             net._scratch[...] = np.nan  # whatever the last call left
             assert [a.tobytes() for a in op(net, n)] == want, (op.__name__, n)
         assert net._scratch.size == 9 * (timesteps - kernel + 1) * 6
-        assert not np.isnan(net._scratch).all()  # the last eval forward borrowed it
+        assert np.isnan(net._scratch).all()  # eval forwards leave it untouched and ungrown
         assert net.parameters().keys() == fresh().parameters().keys()
         save_checkpoint(tmp_path / "used.tackpt", net)
         save_checkpoint(tmp_path / "fresh.tackpt", fresh())
@@ -609,6 +701,8 @@ HEADER_EDITS = {
     "config_unknown_key": lambda h: h["config"].update(bogus=1),
     "config_bad_value": lambda h: h["config"].update(pool_size=0),
     "config_bad_type": lambda h: h["config"].update(dense_sizes="x"),
+    "config_bool_not_bool": lambda h: h["config"].update(return_sequences="no"),
+    "config_rate_is_bool": lambda h: h["config"].update(dropout_stream=False),
     "config_missing": lambda h: h.pop("config"),
     "extras_not_object": lambda h: h.update(extras=[1]),
     "tensor_missing": lambda h: _entry(h, "gru.cell.U_zr").update(name="gru.cell.U_x"),

@@ -14,6 +14,7 @@ from temporal_augmenter.recurrent import (
     gru_forward,
     lstm_backward,
     lstm_forward,
+    project,
     zero_params,
 )
 from temporal_augmenter.tensor_core import (
@@ -23,6 +24,16 @@ from temporal_augmenter.tensor_core import (
     init_orthogonal,
     sigmoid,
 )
+
+
+def run_lstm(x, p, h0=None, c0=None, mode="train"):
+    """The LSTM on ``x``, given its input projection as one GEMM."""
+    return lstm_forward(x, project(x, p), p, h0=h0, c0=c0, mode=mode)
+
+
+def run_gru(x, p, h0=None, mode="train"):
+    """The GRU on ``x``, given its input projection as one GEMM."""
+    return gru_forward(x, project(x, p), p, h0=h0, mode=mode)
 
 
 def zero_lstm(d, u):
@@ -235,25 +246,40 @@ class TestUnroll:
         rng = Rng(61)
         p = draw_params(zero_params("lstm", 3, 4), rng)
         x = rng.uniform((5, 1, 3)) * 2 - 1
-        hs, _ = lstm_forward(x, p)
+        hs, _ = run_lstm(x, p)
         h1, _ = lstm_step(x[:, 0, :], np.zeros((5, 4)), np.zeros((5, 4)), p)
         npt.assert_array_equal(hs[:, -1], h1)
 
         p2 = draw_params(zero_params("gru", 3, 4), rng)
-        hs2, _ = gru_forward(x, p2)
+        hs2, _ = run_gru(x, p2)
         npt.assert_array_equal(hs2[:, -1], gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
 
     def test_zero_params_gru_fixed_point_any_length(self):
         p = zero_gru(2, 3)
         for T in (1, 4, 9):
             x = Rng(62).uniform((3, T, 2)) * 2 - 1
-            hs, _ = gru_forward(x, p)
+            hs, _ = run_gru(x, p)
             npt.assert_array_equal(hs[:, -1], np.zeros((3, 3)))
 
     def test_empty_sequence_rejected(self):
         p = zero_gru(2, 3)
         with pytest.raises(ShapeError):
-            gru_forward(np.zeros((3, 0, 2)), p)
+            run_gru(np.zeros((3, 0, 2)), p)
+
+    def test_train_mode_needs_the_input_and_a_projection_of_its_width(self):
+        rng = Rng(64)
+        for kind, forward, gates in (("gru", gru_forward, 3), ("lstm", lstm_forward, 4)):
+            p = draw_params(zero_params(kind, 2, 3), rng)
+            x = rng.uniform((4, 5, 2))
+            px = project(x, p)
+            assert px.shape == (4, 5, gates * 3)
+            assert forward(None, px, p, mode="eval")[1] is None  # eval reads only px
+            with pytest.raises(ShapeError, match="cell input"):
+                forward(None, px, p)
+            with pytest.raises(ShapeError, match="cell input"):
+                forward(x[:, :4], px, p)
+            with pytest.raises(ShapeError, match="projection"):
+                forward(x, px[:, :, 1:], p)
 
     def test_unknown_cell(self):
         # the cell name is read from the model config, which takes gru or lstm only
@@ -265,13 +291,13 @@ class TestUnroll:
         p = draw_params(zero_params("gru", 2, 3), rng)
         x = rng.uniform((3, 3, 2)) * 2 - 1
         proj = rng.uniform((3, 3)) * 2 - 1
-        hs, cache = gru_forward(x, p)
+        hs, cache = run_gru(x, p)
         d_hs = np.zeros(hs.shape)
         d_hs[:, -1] = proj
         dx, grads = gru_backward(cache, d_hs)
 
         def objective():
-            return float(np.sum(gru_forward(x, p)[0][:, -1] * proj))
+            return float(np.sum(run_gru(x, p)[0][:, -1] * proj))
 
         assert gradcheck.max_rel_err(dx, gradcheck.fd_grad(objective, x)) < 1e-4
         for name, arr in vars(p).items():
@@ -303,8 +329,8 @@ class TestFusedLayout:
         for p in (pl, pg):
             p.b += rng.uniform(p.b.shape) - 0.5
         h, c, hg = np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((4, 5))
-        hs, _ = lstm_forward(x, pl)
-        hsg, _ = gru_forward(x, pg)
+        hs, _ = run_lstm(x, pl)
+        hsg, _ = run_gru(x, pg)
         for t in range(7):
             h, c = lstm_step(x[:, t], h, c, pl)
             hg = gru_step(x[:, t], hg, pg)
@@ -317,7 +343,7 @@ class TestGateRanges:
         rng = Rng(64)
         p = draw_params(zero_params("lstm", 4, 5), rng)
         x = rng.uniform((6, 8, 4)) * 4 - 2
-        hs, cache = lstm_forward(x, p)
+        hs, cache = run_lstm(x, p)
         gates = cache[4]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
         fio, g = gates[:, :3], gates[:, 3]
         assert np.all(fio > 0) and np.all(fio < 1)
@@ -325,7 +351,7 @@ class TestGateRanges:
         assert np.all(np.abs(hs) <= 1.0)
 
         pg = draw_params(zero_params("gru", 4, 5), rng)
-        hsg, cacheg = gru_forward(x, pg)
+        hsg, cacheg = run_gru(x, pg)
         zr, hcs = cacheg[3], cacheg[4]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
         assert np.all(zr > 0) and np.all(zr < 1)
         assert np.all(hcs > -1) and np.all(hcs < 1)
@@ -342,7 +368,7 @@ class TestMemoryRetention:
         x = rng.uniform((2, 12, 3)) * 2 - 1
         c0 = rng.uniform((2, 4)) * 2 - 1
         h0 = np.zeros((2, 4))
-        _, cache = lstm_forward(x, p, h0=h0, c0=c0)
+        _, cache = run_lstm(x, p, h0=h0, c0=c0)
         cs = cache[3]  # [T + 1, n, u]: c0, then the cell state after each step
         assert np.linalg.norm(cs[-1] - c0) < 1e-8
 
@@ -352,7 +378,7 @@ class TestMemoryRetention:
         p.b[:4] = 50.0  # z
         x = rng.uniform((2, 12, 3)) * 2 - 1
         h0 = rng.uniform((2, 4)) * 2 - 1
-        hs, _ = gru_forward(x, p, h0=h0)
+        hs, _ = run_gru(x, p, h0=h0)
         assert np.linalg.norm(hs[:, -1] - h0) < 1e-8
 
 
@@ -365,10 +391,10 @@ class TestEvalMode:
         pl = draw_params(zero_params("lstm", 3, 5), rng)
         pg = draw_params(zero_params("gru", 3, 5), rng)
         runs = [
-            lambda mode: lstm_forward(x, pl, mode=mode),
-            lambda mode: lstm_forward(x, pl, h0=h0, c0=c0, mode=mode),
-            lambda mode: gru_forward(x, pg, mode=mode),
-            lambda mode: gru_forward(x, pg, h0=h0, mode=mode),
+            lambda mode: run_lstm(x, pl, mode=mode),
+            lambda mode: run_lstm(x, pl, h0=h0, c0=c0, mode=mode),
+            lambda mode: run_gru(x, pg, mode=mode),
+            lambda mode: run_gru(x, pg, h0=h0, mode=mode),
         ]
         for run in runs:
             hs_train, cache = run("train")
@@ -379,9 +405,9 @@ class TestEvalMode:
     def test_unknown_mode_rejected(self):
         p = draw_params(zero_params("gru", 2, 3), Rng(69))
         with pytest.raises(ValueError, match="mode"):
-            gru_forward(np.zeros((1, 2, 2)), p, mode="infer")
+            run_gru(np.zeros((1, 2, 2)), p, mode="infer")
         with pytest.raises(ValueError, match="mode"):
-            lstm_forward(np.zeros((1, 2, 2)), draw_params(zero_params("lstm", 2, 3), Rng(69)),
+            run_lstm(np.zeros((1, 2, 2)), draw_params(zero_params("lstm", 2, 3), Rng(69)),
                          mode="test")
 
 
@@ -396,8 +422,8 @@ class TestBPTT:
         rng = Rng(67)
         p = draw_params(zero_params("lstm", 3, 4), rng)
         x = rng.uniform((5, 6, 3)) * 2 - 1
-        a, _ = lstm_forward(x, p)
-        b, _ = lstm_forward(x, p)
+        a, _ = run_lstm(x, p)
+        b, _ = run_lstm(x, p)
         npt.assert_array_equal(a, b)
 
 
@@ -417,7 +443,7 @@ class TestRecurrentGradientProducts:
         rng = Rng(70 + u)
         p = draw_params(zero_params("lstm", n * T, u), rng)
         x = np.eye(n * T).reshape(n, T, n * T)
-        _, cache = lstm_forward(x, p)
+        _, cache = run_lstm(x, p)
         _, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
         da = grads["W"].reshape(n, T, 4 * u)
         # the states before each step, batch-major [n, T, u] as one C-order block
@@ -430,7 +456,7 @@ class TestRecurrentGradientProducts:
         rng = Rng(80 + u)
         p = draw_params(zero_params("gru", n * T, u), rng)
         x = np.eye(n * T).reshape(n, T, n * T)
-        _, cache = gru_forward(x, p)
+        _, cache = run_gru(x, p)
         _, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
         da = grads["W"].reshape(n, T, 3 * u)
         # the states before each step and r * h_prev, batch-major [n, T, u]
@@ -481,9 +507,9 @@ class TestCellsMatchOracles:
     def test_lstm_bitwise(self, u, n, T, with_state):
         x, d_hs, p, _, h0, c0 = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T)
         state = {"h0": h0, "c0": c0} if with_state else {}
-        self._assert_same((lstm_forward(x, p, **state), lstm_backward),
+        self._assert_same((run_lstm(x, p, **state), lstm_backward),
                           (reference_lstm_forward(x, p, **state), reference_lstm_backward), d_hs)
-        hs_eval, cache_eval = lstm_forward(x, p, mode="eval", **state)
+        hs_eval, cache_eval = run_lstm(x, p, mode="eval", **state)
         assert cache_eval is None
         assert hs_eval.tobytes() == reference_lstm_forward(x, p, **state)[0].tobytes()
 
@@ -494,9 +520,9 @@ class TestCellsMatchOracles:
     def test_gru_bitwise(self, u, n, T, with_state):
         x, d_hs, _, p, h0, _ = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T)
         state = {"h0": h0} if with_state else {}
-        self._assert_same((gru_forward(x, p, **state), gru_backward),
+        self._assert_same((run_gru(x, p, **state), gru_backward),
                           (reference_gru_forward(x, p, **state), reference_gru_backward), d_hs)
-        hs_eval, cache_eval = gru_forward(x, p, mode="eval", **state)
+        hs_eval, cache_eval = run_gru(x, p, mode="eval", **state)
         assert cache_eval is None
         assert hs_eval.tobytes() == reference_gru_forward(x, p, **state)[0].tobytes()
 
@@ -511,8 +537,8 @@ class TestCellsMatchOracles:
         d_hs[:, ::2] = -0.0
         for p in (pl, pg):
             p.b[::3] = -0.0
-        self._assert_same((lstm_forward(x, pl, h0=h0, c0=c0), lstm_backward),
+        self._assert_same((run_lstm(x, pl, h0=h0, c0=c0), lstm_backward),
                           (reference_lstm_forward(x, pl, h0=h0, c0=c0), reference_lstm_backward),
                           d_hs)
-        self._assert_same((gru_forward(x, pg, h0=h0), gru_backward),
+        self._assert_same((run_gru(x, pg, h0=h0), gru_backward),
                           (reference_gru_forward(x, pg, h0=h0), reference_gru_backward), d_hs)
