@@ -10,20 +10,18 @@ in label order; and ``data_sha256``, the sha256 the loader took of the
 training data's bytes (see ``data.DataSource``).
 
 ``train`` and ``eval`` read data through the same reader, one per format
-(``load_csv_signals``, ``load_wav_dir``): it takes every row's column count
-and label, or every clip's label, and the data's sha256, and parses no
-features.  ``train`` sizes the model from it, so a model setting that the
-data's shape rules out is a config error (exit 2) before any row is
-parsed; ``split`` then parses each row once, into its part.  ``eval`` reads
-``run_config`` back with ``parse_config_text``, the parser every config file
-goes through, and reads the data it is given with those settings.  Data
-whose classes or sample shape differ from the checkpoint's is a config
-error (exit 2), and so is data whose sha256 differs from ``data_sha256``;
-that error names both digests.  Only then does ``eval`` split the labels
-and parse or decode the features of the requested split's rows alone, which
-it scales and scores.  A checkpoint that lacks a valid ``run_config`` or
-``data_sha256``, such as one written before this layout, is a data error
-(exit 3).
+(``load_csv_signals``, ``load_wav_dir``), which takes every label and the
+data's sha256 and parses no features.  ``train`` sizes the model from it,
+so a model setting that the data's shape rules out is a config error
+(exit 2) before ``split`` parses each row once, into its part.  ``eval``
+reads ``run_config`` back with ``parse_config_text`` and builds the model
+config it describes for the header's input shape and class count with
+``train``'s own ``_model_config``; a setting on which it and the header's
+config differ is a data error (exit 3), as is a checkpoint that lacks a
+valid ``run_config`` or ``data_sha256``.  Data whose classes, sample shape
+or sha256 differ from the checkpoint's is a config error (exit 2), the
+last naming both digests.  Only then does ``eval`` parse or decode the
+requested split's rows alone, which it scales and scores.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -54,6 +53,7 @@ from .data import (
 )
 from .model import ModelConfig
 from .optim import TrainingDivergenceError
+from .settings import check
 from .tensor_core import Rng
 
 
@@ -63,11 +63,10 @@ def _load_source(cfg: RunConfig, path: str) -> DataSource:
     return load_csv_signals(path, cfg.schema, label_col=cfg.label_col)
 
 
-def _model_config(cfg: RunConfig, source: DataSource) -> ModelConfig:
-    kwargs = dict(cfg.model_overrides)
+def _model_config(cfg: RunConfig, shape: tuple, num_classes: int) -> ModelConfig:
+    """The model ``cfg`` describes for samples of ``shape`` in ``num_classes`` classes."""
     try:
-        return ModelConfig(input_timesteps=source.shape[0], input_channels=source.shape[1],
-                           num_classes=len(source.class_names), **kwargs)
+        return ModelConfig(*shape, num_classes, **cfg.model_overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model configuration: {exc}") from None
 
@@ -92,10 +91,11 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
     """Full training pipeline; returns paths of the written artifacts.  The
     output directory is created first, before any data is read, and the
     model is sized before any row is parsed."""
+    check(cfg)
     data_path = cfg.resolved_data_path()
     _make_out_dir(out_dir)
     source = _load_source(cfg, data_path)
-    model_cfg = _model_config(cfg, source)
+    model_cfg = _model_config(cfg, source.shape, len(source.class_names))
     extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
               "data_sha256": source.sha256}
     train_set, val_set, test_set = split(source, cfg.split)
@@ -136,9 +136,7 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.split.seed = args.seed
-        cfg.train.seed = args.seed
+        cfg.set("seed", args.seed)
     if args.out is not None:
         cfg.out = args.out
     if not cfg.out:
@@ -159,6 +157,7 @@ def cmd_eval(args) -> int:
         _make_out_dir(args.out)
     net, extras, extra_tensors = model_mod.load_checkpoint(path)
     text, names, k = extras.get("run_config"), extras.get("class_names"), net.config.num_classes
+    shape = (net.config.input_timesteps, net.config.input_channels)
     digest = extras.get("data_sha256")
     if not isinstance(text, str):
         raise DataError(f"{path}: checkpoint extra 'run_config' must be the run's config "
@@ -171,10 +170,20 @@ def cmd_eval(args) -> int:
             and all(c in "0123456789abcdef" for c in digest)):
         raise DataError(f"{path}: checkpoint extra 'data_sha256' must be a sha256 as 64 "
                         f"lowercase hex digits, got {digest!r}")
+    where = f"{path}: run_config"
     try:
-        cfg = parse_config_text(text, source=f"{path}: run_config")
+        cfg = parse_config_text(text, source=where)
     except ConfigError as exc:
         raise DataError(str(exc)) from None
+    try:
+        model_cfg = _model_config(cfg, shape, k)
+    except ConfigError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    for name in (f.name for f in fields(ModelConfig)):
+        ours, header = getattr(model_cfg, name), getattr(net.config, name)
+        if ours != header:
+            raise DataError(f"{where}: {name} is {ours!r}, but the checkpoint header's config "
+                            f"has {header!r}")
     source = _load_source(cfg, args.data)
     if len(source.class_names) != k:
         raise ConfigError(f"class-count mismatch: checkpoint expects {k} classes, "
@@ -182,11 +191,9 @@ def cmd_eval(args) -> int:
     if source.class_names != names:
         raise ConfigError(f"class-name mismatch: checkpoint has {names}, "
                           f"data has {source.class_names}")
-    if source.shape != (net.config.input_timesteps, net.config.input_channels):
-        raise ConfigError(
-            f"schema mismatch: checkpoint expects inputs "
-            f"[{net.config.input_timesteps}, {net.config.input_channels}], data is "
-            f"{list(source.shape)}")
+    if source.shape != shape:
+        raise ConfigError(f"schema mismatch: checkpoint expects inputs {list(shape)}, data is "
+                          f"{list(source.shape)}")
     if source.sha256 != digest:
         raise ConfigError(f"data mismatch: the checkpoint was trained on data with sha256 "
                           f"{digest}, {args.data} has sha256 {source.sha256}")

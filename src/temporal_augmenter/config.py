@@ -6,35 +6,29 @@ hyperparameters (split ratios, batch size, epochs, optimizer); every other
 key overrides the preset.  Relative ``data`` paths resolve against
 $TEMPORAL_AUGMENTER_DATA when it is set.
 
-``format_config`` renders a resolved config as text that
-``parse_config_text`` reads back to the same config.  The text omits the
-schema, which the task implies, and the ``data`` and ``out`` paths, so it
-does not depend on where the data or the run lives.
+Each key is a setting of ``RunConfig`` or of a section it holds
+(``SplitSpec``, ``TrainConfig``, and ``ModelConfig`` as overrides), and the
+field that holds it describes it (see ``settings``).  The parser checks
+each value on its own line.  ``seed`` sets all three seeds.
 
-Recognized keys:
-  task, data, out, seed, standardize, target_len, label_col,
-  split_train, split_val, split_test, stratified,
-  optimizer, lr, epsilon, rho, momentum, beta1, beta2, batch_size, epochs,
-  shuffle, clip_norm,
-  conv_filters, conv_kernel, conv_activation, pool_size, dropout_stream,
-  dropout_head, lstm_units, gru_units, dense_sizes, return_sequences, streams
-"""
+``format_config`` renders a resolved config as text that
+``parse_config_text`` reads back to the same config, without the schema,
+which the task implies, or the ``data`` and ``out`` paths."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
-from .data import SplitSpec
+from .data import DataError, SplitSpec, read_file, utf8_text
 from .model import ModelConfig
 from .optim import TrainConfig
+from .settings import POSITIVE, check_value, item_type, one_of, section, setting
 
 
 class ConfigError(Exception):
     """Raised for unparseable or inconsistent run configuration."""
 
-
-TASKS = ("tess", "mitbih", "ionosphere", "custom")
 
 # Reference per-task settings: split ratios, batching, optimizer.
 PRESETS = {
@@ -67,27 +61,22 @@ PRESETS = {
                   "batch_size": 32, "epochs": 10},
     },
 }
-
-_MODEL_KEYS = ("conv_filters", "conv_kernel", "conv_activation", "pool_size",
-               "dropout_stream", "dropout_head", "lstm_units", "gru_units",
-               "dense_sizes", "return_sequences", "streams")
-_TRAIN_KEYS = ("optimizer", "lr", "epsilon", "rho", "momentum", "beta1", "beta2",
-               "batch_size", "epochs", "shuffle", "clip_norm")
+TASKS = tuple(PRESETS)
 
 
 @dataclass
 class RunConfig:
-    task: str
-    data: str | None = None
-    out: str | None = None
-    seed: int = 0
-    standardize: bool = True
-    target_len: int = 1024
-    label_col: str | None = None
+    task: str = setting(MISSING, one_of(*TASKS))
+    data: str | None = setting(None, path=True)
+    out: str | None = setting(None, path=True)
+    seed: int = setting(0)
+    standardize: bool = setting(True)
+    split: SplitSpec = section(SplitSpec, default_factory=SplitSpec)
+    target_len: int = setting(1024, POSITIVE)
+    label_col: str | None = setting(None)
     schema: str = "generic"
-    split: SplitSpec = field(default_factory=SplitSpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    model_overrides: dict = field(default_factory=dict)
+    train: TrainConfig = section(TrainConfig, default_factory=TrainConfig)
+    model_overrides: dict = section(ModelConfig, default_factory=dict)
 
     def resolved_data_path(self) -> str:
         if self.data is None:
@@ -97,63 +86,76 @@ class RunConfig:
             return os.path.join(root, self.data)
         return self.data
 
+    def _held(self, section: str | None) -> dict:
+        """The overrides, or the fields, that hold ``section``'s settings."""
+        owner = self if section is None else getattr(self, section)
+        return owner if isinstance(owner, dict) else vars(owner)
+
+    def set(self, key: str, value) -> None:
+        """Set config key ``key`` to ``value``, which its rules passed, in
+        every field that holds it (``seed``: three)."""
+        for section, f, index in _KEYS[key]:
+            held = self._held(section)
+            held[f.name] = value if index is None else tuple(
+                value if i == index else item for i, item in enumerate(held[f.name]))
+
+
+def _add_keys(cls, section=None, by_name=False) -> None:
+    """Add to ``_KEYS`` each config key of ``cls``'s settings in field order,
+    the order ``format_config`` renders them in; a dict of overrides renders,
+    so adds, its keys by name."""
+    for f in sorted(fields(cls), key=lambda f: f.name) if by_name else fields(cls):
+        if "section" in f.metadata:
+            _add_keys(f.metadata["section"], f.name, f.type == "dict")
+        elif "rules" in f.metadata:
+            keys = f.metadata["keys"]
+            for index, key in enumerate((f.name,) if keys is None else keys):
+                _KEYS.setdefault(key, []).append((section, f, None if keys is None else index))
+
+
+# config key -> every (section, field, item index or None) it sets; section
+# None is RunConfig's own fields
+_KEYS = {}
+_add_keys(RunConfig)
+
 
 def preset_run_config(task: str, seed: int = 0) -> RunConfig:
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     preset = PRESETS[task]
-    cfg = RunConfig(task=task, seed=seed, schema=preset["schema"])
-    cfg.split = SplitSpec(ratios=preset["split"], seed=seed, stratified=preset["stratified"])
-    cfg.train = TrainConfig(seed=seed, **preset["train"])
+    cfg = RunConfig(task=task, schema=preset["schema"],
+                    split=SplitSpec(ratios=preset["split"], stratified=preset["stratified"]),
+                    train=TrainConfig(**preset["train"]))
+    cfg.set("seed", seed)
     return cfg
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+_BOOLS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+          **dict.fromkeys(("false", "no", "0", "off"), False)}
+
+# item type -> (its parser, what the text must be)
+_PARSERS = {"int": (int, "int"), "float": (float, "float"),
+            "bool": (lambda text: _BOOLS[text.lower()], "a boolean"), "str": (str, "str")}
 
 
-def _parse_scalar(value: str, kind, key: str):
+def _parse_value(key: str, text: str):
+    """The value the text of ``key`` gives, checked against the rules of the
+    field it sets; a key for one item of a field is checked for its type."""
+    _, f, index = _KEYS[key][0]
+    item, many = item_type(f)
+    parse, expected = _PARSERS[item]
     try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
-
-
-_KEY_TYPES = {
-    "seed": int, "target_len": int, "batch_size": int, "epochs": int,
-    "conv_filters": int, "conv_kernel": int, "pool_size": int,
-    "lstm_units": int, "gru_units": int,
-    "lr": float, "epsilon": float, "rho": float, "momentum": float,
-    "beta1": float, "beta2": float, "clip_norm": float,
-    "split_train": float, "split_val": float, "split_test": float,
-    "dropout_stream": float, "dropout_head": float,
-    "standardize": bool, "stratified": bool, "shuffle": bool, "return_sequences": bool,
-    "task": str, "data": str, "out": str, "label_col": str,
-    "optimizer": str, "conv_activation": str,
-    "dense_sizes": "int_list", "streams": "str_list",
-}
-
-
-def _parse_value(key: str, value: str):
-    kind = _KEY_TYPES[key]
-    if kind == "int_list":
-        return tuple(_parse_scalar(v.strip(), int, key) for v in value.split(",") if v.strip())
-    if kind == "str_list":
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-    if kind is bool:
-        return _parse_bool(value, key)
-    return _parse_scalar(value, kind, key)
+        value = (tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+                 if many and index is None else parse(text))
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+    return value if index is not None else check_value(f, value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse config text; an error names ``source`` and, for a bad value,
-    its line.  A model key's value must pass ``ModelConfig``'s rule for
-    that field here, before any data is read."""
+    its line.  Each value must pass its field's rules there, before any
+    data is read."""
     pairs, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,60 +164,40 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             pairs[key] = _parse_value(key, value)
-            if key in _MODEL_KEYS:
-                ModelConfig.check_field(key, pairs[key])
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
         linenos[key] = lineno
 
-    task = pairs.pop("task", None)
-    if task is None:
+    if "task" not in pairs:
         raise ConfigError(f"{source}: missing required key 'task'")
-    if task not in TASKS:
-        raise ConfigError(f"{source}: unknown task {task!r}; expected one of {TASKS}")
-    cfg = preset_run_config(task, seed=pairs.pop("seed", 0))
+    cfg = preset_run_config(pairs["task"])
     if "label_col" in pairs and cfg.schema != "generic":
         raise ConfigError(f"{source}:{linenos['label_col']}: label_col applies only to the "
-                          f"generic schema (task 'custom'), not to task {task!r}")
-    cfg.split.ratios = tuple(pairs.pop(key, ratio) for key, ratio in
-                             zip(("split_train", "split_val", "split_test"), cfg.split.ratios))
-    cfg.split.stratified = pairs.pop("stratified", cfg.split.stratified)
+                          f"generic schema (task 'custom'), not to task {cfg.task!r}")
     for key, value in pairs.items():
-        if key in _TRAIN_KEYS:
-            setattr(cfg.train, key, value)
-        elif key in _MODEL_KEYS:
-            cfg.model_overrides[key] = value
-        else:
-            setattr(cfg, key, value)
-
+        cfg.set(key, value)
     try:
         cfg.split.validate()
-        cfg.train.validate()
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    if cfg.target_len < 1:
-        raise ConfigError(f"{source}: target_len must be at least 1, got {cfg.target_len}")
-    if cfg.task == "custom" and cfg.schema == "generic" and not cfg.label_col:
+    if cfg.schema == "generic" and not cfg.label_col:
         raise ConfigError(f"{source}: custom task with generic schema requires label_col")
     return cfg
 
 
 def load_config(path) -> RunConfig:
-    if not os.path.isfile(path):
-        state = "is not a regular file" if os.path.exists(path) else "not found"
-        raise ConfigError(f"config file {state}: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """The config file at ``path``, read as the data readers read a file,
+    but an error in it is a ConfigError."""
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        text = utf8_text(read_file(path, "config file"), path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     return parse_config_text(text, source=str(path))
 
 
@@ -230,10 +212,9 @@ def _render(value) -> str:
 def format_config(cfg: RunConfig) -> str:
     """Stable textual rendering of a resolved run configuration, without
     its schema and paths; ``parse_config_text`` reads it back."""
-    items = [("task", cfg.task), ("seed", cfg.seed), ("standardize", cfg.standardize),
-             ("split_train", cfg.split.ratios[0]), ("split_val", cfg.split.ratios[1]),
-             ("split_test", cfg.split.ratios[2]), ("stratified", cfg.split.stratified),
-             ("target_len", cfg.target_len), ("label_col", cfg.label_col)]
-    items += [(key, getattr(cfg.train, key)) for key in _TRAIN_KEYS]
-    items += sorted(cfg.model_overrides.items())
-    return "".join(f"{key} = {_render(value)}\n" for key, value in items if value is not None)
+    lines = []
+    for key, ((section, f, index), *_) in _KEYS.items():
+        value = cfg._held(section).get(f.name)
+        if value is not None and not f.metadata["path"]:
+            lines.append(f"{key} = {_render(value if index is None else value[index])}\n")
+    return "".join(lines)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .settings import check, setting
 from .tensor_core import Rng, Tensor
 
 try:
@@ -371,11 +372,13 @@ def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
 
 @dataclass
 class SplitSpec:
-    ratios: tuple = (0.6, 0.2, 0.2)  # train, val, test
-    seed: int = 0
-    stratified: bool = False
+    ratios: tuple[float, ...] = setting((0.6, 0.2, 0.2),  # train, val, test
+                                        keys=("split_train", "split_val", "split_test"))
+    seed: int = setting(0)
+    stratified: bool = setting(False)
 
     def validate(self) -> None:
+        check(self)
         if len(self.ratios) != 3 or not all(r > 0 for r in self.ratios):  # NaN fails too
             raise ValueError(f"need three positive ratios, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:

@@ -11,6 +11,7 @@ ties) are kept out of the sampled instances by construction.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -186,10 +187,8 @@ def miniature_config() -> ModelConfig:
 def pooled_miniature_config() -> ModelConfig:
     """A one-step kernel over one channel, the shape that takes the model's
     pooled front-end, with stream dropout on and a remainder step dropped."""
-    return ModelConfig(input_timesteps=7, input_channels=1, num_classes=3,
-                       conv_filters=4, conv_kernel=1, pool_size=2,
-                       dropout_stream=0.3, dropout_head=0.0,
-                       lstm_units=3, gru_units=3, dense_sizes=(5, 4))
+    return replace(miniature_config(), input_timesteps=7, input_channels=1, conv_kernel=1,
+                   dropout_stream=0.3)
 
 
 def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:

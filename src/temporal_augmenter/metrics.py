@@ -17,7 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -254,21 +254,11 @@ _CLASS_KEYS = (
 
 
 def report_to_dict(report: Report) -> dict:
-    """Stable machine-readable form (one key per table row)."""
-    overall = {key: getattr(report.overall, key) for key, _ in _OVERALL_KEYS}
-    overall["accuracy_ci95"] = list(report.overall.accuracy_ci95)
-    overall["kappa_ci95"] = list(report.overall.kappa_ci95)
-    overall["n"] = report.overall.n
-    overall["degenerate"] = report.overall.degenerate
-    per_class = []
-    for name, st in zip(report.class_names, report.per_class):
-        entry = {key: getattr(st, key) for key, _ in _CLASS_KEYS}
-        entry["class"] = name
-        entry["support"] = st.support
-        entry["degenerate"] = st.degenerate
-        entry["auc_defined"] = st.auc_defined
-        per_class.append(entry)
-    out = {"split": report.split, "overall": overall, "per_class": per_class,
+    """Stable machine-readable form: every field of the overall and of each
+    class's stats."""
+    per_class = [{**asdict(st), "class": name}
+                 for name, st in zip(report.class_names, report.per_class)]
+    out = {"split": report.split, "overall": asdict(report.overall), "per_class": per_class,
            "class_names": list(report.class_names)}
     if report.total_params is not None:
         out["total_params"] = report.total_params

@@ -104,14 +104,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import layers, recurrent
 from .data import DataError, read_file
 from .layers import Conv1DParams, DenseParams
+from .settings import POSITIVE, RATE, check, one_of, setting
 from .tensor_core import (Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform,
                           is_train_mode, softmax)
 
@@ -121,82 +121,44 @@ from .tensor_core import (Rng, ShapeError, Tensor, init_glorot_uniform, init_he_
 _BLOCK_BYTES = 512 * 1024
 
 
-_INT_FIELDS = ("input_timesteps", "input_channels", "num_classes", "conv_filters",
-               "conv_kernel", "pool_size", "lstm_units", "gru_units")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 class TraceError(RuntimeError):
     """Raised when a backward pass gets a stale, reused, or eval-mode trace."""
 
 
+_STREAMS = ("gru", "lstm")
+
+
 @dataclass
 class ModelConfig:
-    input_timesteps: int
-    input_channels: int
-    num_classes: int
-    conv_filters: int = 128
-    conv_kernel: int = 1
-    conv_activation: str = "relu"  # "relu" or "identity"
-    pool_size: int = 2
-    dropout_stream: float = 0.5
-    dropout_head: float = 0.3
-    lstm_units: int = 10
-    gru_units: int = 10
-    dense_sizes: tuple = (64, 32)
-    return_sequences: bool = False
-    streams: tuple = ("gru", "lstm")
-
-    def __post_init__(self):
-        self.dense_sizes = tuple(self.dense_sizes)
-        self.streams = tuple(self.streams)
-        self.validate()
-
-    @staticmethod
-    def check_field(name: str, value) -> None:
-        """Raise ValueError if ``value`` breaks the rule on field ``name``.
-        Each rule reads its own field alone, so that a config file's line
-        can be checked before any data gives the input shape.  An integer
-        setting refuses a bool or a float, even one with an integral value;
-        a rate refuses a bool, and ``return_sequences`` anything but a bool."""
-        if name in _INT_FIELDS:
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name == "num_classes" and value < 2:
-                raise ValueError(f"num_classes must be >= 2, got {value}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        elif name in ("dropout_stream", "dropout_head"):
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        elif name == "return_sequences":
-            if not isinstance(value, bool):
-                raise ValueError(f"return_sequences must be true or false, got {value!r}")
-        elif name == "conv_activation":
-            if value not in ("relu", "identity"):
-                raise ValueError(f"conv_activation must be 'relu' or 'identity', got {value!r}")
-        elif name == "dense_sizes":
-            if any(not _is_int(s) or s < 1 for s in value):
-                raise ValueError(f"dense_sizes must be positive integers, got {value}")
-        elif name == "streams":
-            if not value or any(s not in ("gru", "lstm") for s in value):
-                raise ValueError(
-                    f"streams must be a non-empty subset of ('gru', 'lstm'), got {value}")
-            if len(set(value)) != len(value):
-                raise ValueError(f"duplicate stream in {value}")
+    """The network's settings (see ``settings``).  Each rule reads one field,
+    so a config file's line is checked before the data gives the shape."""
+    input_timesteps: int = setting(MISSING, POSITIVE, keys=())
+    input_channels: int = setting(MISSING, POSITIVE, keys=())
+    num_classes: int = setting(MISSING, (lambda v: v >= 2, "must be >= 2"), keys=())
+    conv_filters: int = setting(128, POSITIVE)
+    conv_kernel: int = setting(1, POSITIVE)
+    conv_activation: str = setting("relu", one_of("relu", "identity"))
+    pool_size: int = setting(2, POSITIVE)
+    dropout_stream: float = setting(0.5, RATE)
+    dropout_head: float = setting(0.3, RATE)
+    lstm_units: int = setting(10, POSITIVE)
+    gru_units: int = setting(10, POSITIVE)
+    dense_sizes: tuple[int, ...] = setting(
+        (64, 32), (lambda v: all(s > 0 for s in v), "must be positive integers"))
+    return_sequences: bool = setting(False)
+    streams: tuple[str, ...] = setting(
+        _STREAMS, (lambda v: v and set(v) <= set(_STREAMS),
+                   f"must be a non-empty subset of {_STREAMS}"),
+        (lambda v: len(set(v)) == len(v), "must not hold a duplicate stream"))
 
     def validate(self) -> None:
-        for f in fields(self):
-            self.check_field(f.name, getattr(self, f.name))
+        check(self)
         if self.recurrent_timesteps < 1:
             raise ValueError(
                 f"conv_kernel={self.conv_kernel} and pool_size={self.pool_size} leave no "
                 f"timesteps from input_timesteps={self.input_timesteps}")
+
+    __post_init__ = validate  # a ModelConfig is checked however it is made
 
     @property
     def recurrent_timesteps(self) -> int:
@@ -585,13 +547,25 @@ def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = N
             fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
+def _header_config(values) -> ModelConfig:
+    """The ModelConfig of a header's ``config``, which must set every field."""
+    if not isinstance(values, dict):
+        raise ValueError(f"config must be a JSON object, got {values!r}")
+    names = {f.name for f in fields(ModelConfig)}
+    name = min(values.keys() ^ names, default=None)  # the first in name order
+    if name is not None:
+        raise ValueError(f"config {'lacks' if name in names else 'has unknown'} field {name!r}")
+    return ModelConfig(**values)
+
+
 def load_checkpoint(path):
     """Returns (model, extras, extra_tensors).
 
     Any path that is not one whole, valid checkpoint file raises DataError
     naming ``path``: no such file, bad magic or version, a cut or unreadable
-    header, a config that ModelConfig rejects, a tensor missing or of the
-    wrong shape, or a length other than the header describes.
+    header, a config that lacks, adds or misstates a ModelConfig field, a
+    tensor missing or of the wrong shape, or a length other than the header
+    describes.
     """
     blob = read_file(path, "checkpoint")
     if blob[:8] != _MAGIC:
@@ -608,13 +582,12 @@ def load_checkpoint(path):
     if header.get("version") != _VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
     try:
-        config = ModelConfig(**header["config"])
-        entries = [(str(e["name"]), tuple(int(s) for s in e["shape"]))
-                   for e in header["tensors"]]
+        config = _header_config(header.get("config"))
+        entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid checkpoint header ({exc!r})") from None
-    if any(s < 0 for _, shape in entries for s in shape):
-        raise DataError(f"{path}: negative tensor dimension in checkpoint header")
+    if any(type(s) is not int or s < 0 for _, shape in entries for s in shape):
+        raise DataError(f"{path}: a tensor dimension in the checkpoint header is not an int >= 0")
     # every parameter's shape is checked before anything is allocated
     header_shapes = dict(entries)
     for name, shape in _parameter_shapes(config).items():

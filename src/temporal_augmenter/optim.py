@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import model as model_mod
 from .data import DataError, one_hot, read_file, utf8_text
+from .settings import FINITE_POSITIVE, POSITIVE, RATE, check, one_of, setting
 from .tensor_core import Rng, ShapeError, Tensor
 
 
@@ -41,6 +41,7 @@ def cce_loss(probs: Tensor, onehot: Tensor):
     return loss, dlogits
 
 
+@dataclass
 class RMSProp:
     """RMSProp: s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s)+eps).
 
@@ -49,14 +50,12 @@ class RMSProp:
     reduces to the plain update.
     """
 
-    def __init__(self, lr: float = 1e-3, rho: float = 0.9, momentum: float = 0.0,
-                 epsilon: float = 1e-7):
-        self.lr = lr
-        self.rho = rho
-        self.momentum = momentum
-        self.epsilon = epsilon
-        self.s = {}
-        self.v = {}
+    lr: float = 1e-3
+    rho: float = 0.9
+    momentum: float = 0.0
+    epsilon: float = 1e-7
+    s: dict = field(default_factory=dict, init=False)  # per-parameter state
+    v: dict = field(default_factory=dict, init=False)
 
     def step(self, params: dict, grads: dict) -> None:
         for name, p in params.items():
@@ -79,18 +78,17 @@ class RMSProp:
             p -= update
 
 
+@dataclass
 class Adam:
     """Adam with bias correction; epsilon sits outside the square root."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-7):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.m = {}
-        self.v = {}
-        self.t = 0
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-7
+    m: dict = field(default_factory=dict, init=False)  # per-parameter state
+    v: dict = field(default_factory=dict, init=False)
+    t: int = field(default=0, init=False)
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
@@ -113,40 +111,24 @@ class Adam:
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"  # "adam" or "rmsprop"
-    lr: float = 1e-3
-    epsilon: float = 1e-7
-    rho: float = 0.9
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    batch_size: int = 32
-    epochs: int = 1
-    seed: int = 0
-    shuffle: bool = True
-    clip_norm: float | None = None
-
-    def validate(self) -> None:
-        if self.optimizer not in ("adam", "rmsprop"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        # the comparisons are false for NaN, so NaN fails every check
-        for name in ("lr", "epsilon", "clip_norm"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("rho", "momentum", "beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+    """Training settings (see ``settings``); ``fit`` checks them."""
+    optimizer: str = setting("adam", one_of("adam", "rmsprop"))
+    lr: float = setting(1e-3, FINITE_POSITIVE)
+    epsilon: float = setting(1e-7, FINITE_POSITIVE)
+    rho: float = setting(0.9, RATE)
+    momentum: float = setting(0.0, RATE)
+    beta1: float = setting(0.9, RATE)
+    beta2: float = setting(0.999, RATE)
+    batch_size: int = setting(32, POSITIVE)
+    epochs: int = setting(1, POSITIVE)
+    seed: int = setting(0)
+    shuffle: bool = setting(True)
+    clip_norm: float | None = setting(None, FINITE_POSITIVE)
 
     def make_optimizer(self):
-        if self.optimizer == "adam":
-            return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2, epsilon=self.epsilon)
-        return RMSProp(lr=self.lr, rho=self.rho, momentum=self.momentum, epsilon=self.epsilon)
+        """The optimizer this config names, given the settings it takes."""
+        cls = Adam if self.optimizer == "adam" else RMSProp
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.init})
 
 
 @dataclass
@@ -230,7 +212,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng | None = None):
     validation metrics come from a full eval-mode pass, which never touches
     the gradient path.
     """
-    cfg.validate()
+    check(cfg)
     x_train, y_train = train_set.features, train_set.labels
     x_val, y_val = val_set.features, val_set.labels
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:

@@ -13,6 +13,7 @@ import pytest
 
 import temporal_augmenter
 from temporal_augmenter import cli, gradcheck, layers
+from temporal_augmenter import config as config_mod
 from temporal_augmenter import data as data_mod
 from temporal_augmenter.config import (
     PRESETS,
@@ -112,6 +113,11 @@ class TestPresets:
             assert "schema" in preset and "train" in preset
 
 
+# Each is set as the value of every config key in the property test below.
+BAD_TEXT_VALUES = ["", "-1", "0", "1.5", "true", str(2 ** 40), "x", "nan", "inf", "1e999",
+                   "\xff", ",", "0" * 70]
+
+
 class TestConfigParsing:
     def test_overrides_apply_after_preset(self):
         cfg = parse_config_text("task = mitbih\nepochs = 7\nbatch_size = 16\n"
@@ -192,6 +198,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config_text(f"task = tess\nseed = 1\n{line}\n", source="run.cfg")
         assert str(info.value).startswith("run.cfg:3: ") and named in str(info.value)
+
+    def test_every_key_holding_any_bad_value_parses_or_raises_config_error(self):
+        """Whatever one key's line holds, the parser returns a config, which
+        ``format_config`` renders as text that reads back to it, or raises a
+        ConfigError naming the source; no other exception escapes."""
+        for key in config_mod._KEYS:
+            for value in BAD_TEXT_VALUES:
+                lines = {"task": "custom", "label_col": "y", key: value}
+                text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+                try:
+                    cfg = parse_config_text(text, source="run.cfg")
+                except ConfigError as exc:
+                    assert str(exc).startswith("run.cfg"), (key, value)
+                    continue
+                assert parse_config_text(format_config(cfg)) == replace(cfg, data=None, out=None)
+
+    def test_seed_key_sets_the_run_split_and_train_seeds(self):
+        cfg = parse_config_text("task = tess\nseed = 7\n")
+        assert (cfg.seed, cfg.split.seed, cfg.train.seed) == (7, 7, 7)
 
     @pytest.mark.parametrize("task", ["tess", "mitbih", "ionosphere"])
     def test_label_col_only_for_the_generic_schema(self, task):
@@ -307,6 +332,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{cfg_path}:8: gru_units must be positive" in err
         assert "absent.csv" not in err
+
+    def test_seed_flag_sets_every_seed_the_seed_key_sets(self, tmp_path, radar_csv):
+        """``--seed`` goes through the setter of the file's ``seed`` key, so
+        the run, split and training seeds all take it."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "flag", epochs=1))
+        assert cli.main(["train", "--config", str(cfg_path), "--seed", "5"]) == 0
+        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "key", epochs=1)
+                            .replace("seed = 11", "seed = 5"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        for name in ("checkpoint.tackpt", "trainlog.csv", "report_test.json", "config.txt"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
 
     def test_missing_out_exit_2(self, tmp_path, radar_csv):
         cfg_path = tmp_path / "cfg.txt"
@@ -540,11 +577,12 @@ class TestEvalCommand:
     @pytest.mark.parametrize("key,value", [("pool_size", 1.5), ("pool_size", True),
                                            ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4]),
                                            ("return_sequences", "no"),
-                                           ("dropout_stream", False)])
+                                           ("dropout_stream", False),
+                                           ("streams", {"gru": 1, "lstm": 2})])
     def test_non_integer_model_setting_exit_3(self, trained_run, tmp_path, capsys, key, value):
         """The header's config holds the value in place of an integer, a
-        bool or a rate; 8.5 once passed as 8, the trained size, and "no" as
-        return sequences on."""
+        bool, a rate or a list; 8.5 once passed as 8, the trained size, "no"
+        as return sequences on, and a mapping as the list of its keys."""
         out, radar_csv = trained_run
         blob = (out / "checkpoint.tackpt").read_bytes()
         end = 16 + int.from_bytes(blob[8:16], "little")
@@ -556,6 +594,20 @@ class TestEvalCommand:
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         err = capsys.readouterr().err
         assert "bad.tackpt" in err and f"{key} must be" in err
+
+    def test_header_config_without_a_field_exit_3(self, trained_run, tmp_path, capsys):
+        """A field missing from the header's config once took its default."""
+        out, radar_csv = trained_run
+        blob = (out / "checkpoint.tackpt").read_bytes()
+        end = 16 + int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:end])
+        header["config"].pop("gru_units")
+        text = json.dumps(header).encode()
+        path = tmp_path / "bad.tackpt"
+        path.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text + blob[end:])
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        err = capsys.readouterr().err
+        assert "bad.tackpt" in err and "lacks field 'gru_units'" in err
 
     def test_corrupt_checkpoint_exit_3(self, trained_run, tmp_path, capsys):
         out, radar_csv = trained_run
@@ -657,12 +709,17 @@ class TestEvalCommand:
         ("bogus", "1", "bogus"),
         ("task", None, "task"),
         ("lr", "nan", "lr"),
+        # model settings on which run_config and the header's config differ
+        ("gru_units", "3", "gru_units"),
+        ("streams", "lstm", "streams"),
+        ("pool_size", "100", "leave no timesteps"),  # for the header's input shape
     ]
 
     @pytest.mark.parametrize("key,value,named", RUN_CONFIG_EDITS,
                              ids=[f"{key}-{value}" for key, value, _ in RUN_CONFIG_EDITS])
     def test_edited_run_config_exit_3(self, trained_run, tmp_path, capsys, key, value, named):
-        """Edits that the config parser refuses: the line ``key = value``
+        """Edits that the config parser refuses, or whose model settings
+        differ from the checkpoint header's config: the line ``key = value``
         replaces ``key``'s line, or is added; None deletes the line."""
         out, radar_csv = trained_run
 

@@ -1,6 +1,8 @@
 import copy
 import json
+import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -708,10 +710,21 @@ HEADER_EDITS = {
     "tensor_missing": lambda h: _entry(h, "gru.cell.U_zr").update(name="gru.cell.U_x"),
     "tensor_entry_no_shape": lambda h: _entry(h, "head.out.b").pop("shape"),
     "tensor_negative_dim": lambda h: _entry(h, "extra.scaler_mean").update(shape=[-5, -2]),
+    # each once passed as the bias's 3 through int()
+    "tensor_float_dim": lambda h: _entry(h, "head.out.b").update(shape=[3.9]),
+    "tensor_text_dim": lambda h: _entry(h, "head.out.b").update(shape=["3"]),
     "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.K")["shape"].reverse(),
     # rejected by the shape check, before a 10**12-filter model is allocated
     "config_huge_sizes": lambda h: h["config"].update(conv_filters=10 ** 12),
+    # a mapping once passed as a list of its keys
+    "config_streams_object": lambda h: h["config"].update(streams={"gru": 1, "lstm": 2}),
+    # once took the default, which is also the miniature's size
+    "config_field_missing": lambda h: h["config"].pop("pool_size"),
 }
+
+# Each replaces one field of a header's config in the property test below.
+BAD_HEADER_VALUES = [None, -1, 0, 1.5, True, 2 ** 40, "x", [], {}, "0" * 70, math.nan,
+                     [1.5], ["x"]]
 
 # Each maps (header, arrays) of a good checkpoint to the bytes of a bad one.
 RAW_CORRUPTIONS = {
@@ -773,6 +786,27 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(DataError, match="bad.tackpt"):
             load_checkpoint(path)
+
+    def test_every_config_field_holding_any_bad_value_loads_or_raises_data_error(
+            self, tmp_path):
+        """Whatever one field of the header's config holds, ``load_checkpoint``
+        returns a model whose config holds that very value, or raises a
+        DataError naming the file; no other exception escapes."""
+        header, arrays = split_checkpoint(miniature_checkpoint_bytes(tmp_path))
+        path = tmp_path / "field.tackpt"
+        for f in fields(ModelConfig):
+            for value in BAD_HEADER_VALUES:
+                edited = copy.deepcopy(header)
+                edited["config"][f.name] = value
+                path.write_bytes(join_checkpoint(json.dumps(edited).encode(), arrays))
+                try:
+                    net, _, _ = load_checkpoint(path)
+                except DataError as exc:
+                    assert "field.tackpt" in str(exc), (f.name, value)
+                    continue
+                held = getattr(net.config, f.name)
+                want = tuple(value) if isinstance(value, list) else value
+                assert held == want and type(held) is type(want), (f.name, value)
 
     @pytest.mark.parametrize("overrides", [
         {}, {"return_sequences": True, "conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},

@@ -160,6 +160,20 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(tiny_model(), ds, ds, TrainConfig(epochs=0))
 
+    @pytest.mark.parametrize("key,value", [("batch_size", 8.0), ("epochs", True),
+                                           ("shuffle", 1), ("lr", "0.1"), ("clip_norm", False),
+                                           ("optimizer", "sgd"), ("beta2", math.nan)])
+    def test_settings_checked_by_type_and_rule(self, key, value):
+        ds = tiny_dataset()
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            fit(tiny_model(), ds, ds, TrainConfig(**{"epochs": 1, key: value}))
+
+    def test_optimizer_takes_its_settings_by_name(self):
+        cfg = TrainConfig(optimizer="rmsprop", lr=0.5, rho=0.7, momentum=0.2, epsilon=1e-3)
+        assert cfg.make_optimizer() == RMSProp(lr=0.5, rho=0.7, momentum=0.2, epsilon=1e-3)
+        cfg = TrainConfig(lr=0.5, beta1=0.7, beta2=0.8, epsilon=1e-3)
+        assert cfg.make_optimizer() == Adam(lr=0.5, beta1=0.7, beta2=0.8, epsilon=1e-3)
+
     def test_one_epoch_one_log_entry(self):
         ds = tiny_dataset()
         _, log = fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=8, seed=1))
