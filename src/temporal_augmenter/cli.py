@@ -13,12 +13,13 @@ training data's bytes (see ``data.DataSource``).
 (``load_csv_signals``, ``load_wav_dir``), which takes every label and the
 data's sha256 and parses no features.  ``train`` sizes the model from it,
 so a model setting that the data's shape rules out is a config error
-(exit 2) before ``split`` parses each row once, into its part.  ``eval``
-reads ``run_config`` back with ``parse_config_text`` and builds the model
-config it describes for the header's input shape and class count with
-``train``'s own ``_model_config``; a setting on which it and the header's
-config differ is a data error (exit 3), as is a checkpoint that lacks a
-valid ``run_config`` or ``data_sha256``.  Data whose classes, sample shape
+(exit 2) naming the config file, before ``split`` parses each row once,
+into its part.  ``eval`` reads ``run_config`` back with
+``parse_config_text`` and builds the model config it describes for the
+header's input shape and class count with ``train``'s own
+``_model_config``; a setting on which it and the header's config differ is
+a data error (exit 3), as is a checkpoint that lacks a valid
+``run_config`` or ``data_sha256``.  Data whose classes, sample shape
 or sha256 differ from the checkpoint's is a config error (exit 2), the
 last naming both digests.  Only then does ``eval`` parse or decode the
 requested split's rows alone, which it scales and scores.
@@ -27,6 +28,7 @@ requested split's rows alone, which it scales and scores.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -64,11 +66,12 @@ def _load_source(cfg: RunConfig, path: str) -> DataSource:
 
 
 def _model_config(cfg: RunConfig, shape: tuple, num_classes: int) -> ModelConfig:
-    """The model ``cfg`` describes for samples of ``shape`` in ``num_classes`` classes."""
+    """The model ``cfg`` describes for samples of ``shape`` in ``num_classes``
+    classes; a ConfigError naming ``cfg.source`` if there is none."""
     try:
         return ModelConfig(*shape, num_classes, **cfg.model_overrides)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model configuration: {exc}") from None
+        raise ConfigError(f"{cfg.source}: invalid model configuration: {exc}") from None
 
 
 def _write_report(report: metrics.Report, out_dir: str, stem: str) -> None:
@@ -87,50 +90,70 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
+@contextlib.contextmanager
+def _out_dir(path: str):
+    """Create the directory ``path`` before the body runs; if the body
+    raises, remove the directories this made while they are still empty,
+    so that a run that fails leaves none behind."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)  # deepest first
+        head = os.path.dirname(head)
+    _make_out_dir(path)
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(OSError):  # rmdir refuses a directory that is not empty
+            for made_dir in made:
+                os.rmdir(made_dir)
+        raise
+
+
 def run_training(cfg: RunConfig, out_dir: str) -> dict:
     """Full training pipeline; returns paths of the written artifacts.  The
-    output directory is created first, before any data is read, and the
-    model is sized before any row is parsed."""
+    output directory is created first, before any data is read, and removed
+    if the run fails before writing to it; the model is sized before any
+    row is parsed."""
     check(cfg)
     data_path = cfg.resolved_data_path()
-    _make_out_dir(out_dir)
-    source = _load_source(cfg, data_path)
-    model_cfg = _model_config(cfg, source.shape, len(source.class_names))
-    extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
-              "data_sha256": source.sha256}
-    train_set, val_set, test_set = split(source, cfg.split)
-    del source  # the data's bytes, not needed past the parsed parts
-    scaler = None
-    if cfg.standardize:
-        scaler = fit_scaler(train_set)
-        train_set = apply_scaler(scaler, train_set)
-        val_set = apply_scaler(scaler, val_set)
-        test_set = apply_scaler(scaler, test_set)
-    root_rng = Rng(cfg.seed)
-    net = model_mod.build(model_cfg, root_rng.derive("init"))
-    _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
+    with _out_dir(out_dir):
+        source = _load_source(cfg, data_path)
+        model_cfg = _model_config(cfg, source.shape, len(source.class_names))
+        extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
+                  "data_sha256": source.sha256}
+        train_set, val_set, test_set = split(source, cfg.split)
+        del source  # the data's bytes, not needed past the parsed parts
+        scaler = None
+        if cfg.standardize:
+            scaler = fit_scaler(train_set)
+            train_set = apply_scaler(scaler, train_set)
+            val_set = apply_scaler(scaler, val_set)
+            test_set = apply_scaler(scaler, test_set)
+        root_rng = Rng(cfg.seed)
+        net = model_mod.build(model_cfg, root_rng.derive("init"))
+        _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
 
-    probs = optim.predict_probs(net, test_set.features)
-    report = metrics.classification_report(test_set.labels, probs, test_set.class_names,
-                                           split="test",
-                                           total_params=model_mod.param_count(net))
-    extra_tensors = {}
-    if scaler is not None:
-        extra_tensors = {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
-    paths = {
-        "checkpoint": os.path.join(out_dir, "checkpoint.tackpt"),
-        "trainlog": os.path.join(out_dir, "trainlog.csv"),
-        "report_json": os.path.join(out_dir, "report_test.json"),
-        "report_txt": os.path.join(out_dir, "report_test.txt"),
-        "config": os.path.join(out_dir, "config.txt"),
-    }
-    model_mod.save_checkpoint(paths["checkpoint"], net, extras=extras,
-                              extra_tensors=extra_tensors)
-    log.to_csv(paths["trainlog"])
-    _write_report(report, out_dir, "report_test")
-    with open(paths["config"], "w") as fh:
-        fh.write(f"data = {cfg.data}\n" + extras["run_config"])
-    return paths
+        probs = optim.predict_probs(net, test_set.features)
+        report = metrics.classification_report(test_set.labels, probs, test_set.class_names,
+                                               split="test",
+                                               total_params=model_mod.param_count(net))
+        extra_tensors = {}
+        if scaler is not None:
+            extra_tensors = {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
+        paths = {
+            "checkpoint": os.path.join(out_dir, "checkpoint.tackpt"),
+            "trainlog": os.path.join(out_dir, "trainlog.csv"),
+            "report_json": os.path.join(out_dir, "report_test.json"),
+            "report_txt": os.path.join(out_dir, "report_test.txt"),
+            "config": os.path.join(out_dir, "config.txt"),
+        }
+        model_mod.save_checkpoint(paths["checkpoint"], net, extras=extras,
+                                  extra_tensors=extra_tensors)
+        log.to_csv(paths["trainlog"])
+        _write_report(report, out_dir, "report_test")
+        with open(paths["config"], "w") as fh:
+            fh.write(f"data = {cfg.data}\n" + extras["run_config"])
+        return paths
 
 
 def cmd_train(args) -> int:
@@ -178,7 +201,7 @@ def cmd_eval(args) -> int:
     try:
         model_cfg = _model_config(cfg, shape, k)
     except ConfigError as exc:
-        raise DataError(f"{where}: {exc}") from None
+        raise DataError(str(exc)) from None
     for name in (f.name for f in fields(ModelConfig)):
         ours, header = getattr(model_cfg, name), getattr(net.config, name)
         if ours != header:

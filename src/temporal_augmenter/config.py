@@ -18,7 +18,7 @@ which the task implies, or the ``data`` and ``out`` paths."""
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import DataError, SplitSpec, read_file, utf8_text
 from .model import ModelConfig
@@ -77,6 +77,8 @@ class RunConfig:
     schema: str = "generic"
     train: TrainConfig = section(TrainConfig, default_factory=TrainConfig)
     model_overrides: dict = section(ModelConfig, default_factory=dict)
+    # what the settings were read from, named by an error that only the data's shape reveals
+    source: str = field(default="<config>", compare=False)
 
     def resolved_data_path(self) -> str:
         if self.data is None:
@@ -177,6 +179,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if "task" not in pairs:
         raise ConfigError(f"{source}: missing required key 'task'")
     cfg = preset_run_config(pairs["task"])
+    cfg.source = source
     if "label_col" in pairs and cfg.schema != "generic":
         raise ConfigError(f"{source}:{linenos['label_col']}: label_col applies only to the "
                           f"generic schema (task 'custom'), not to task {cfg.task!r}")

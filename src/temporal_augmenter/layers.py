@@ -122,7 +122,7 @@ def conv1d_backward(cache, dy: Tensor):
 # max pooling over time
 # ---------------------------------------------------------------------------
 
-def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
+def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train", out: Tensor | None = None):
     """Non-overlapping window max over time; trailing remainder steps dropped.
 
     x [n, T, c] -> y [n, T // pool, c];  cache = (x.shape, mask) where mask is
@@ -131,6 +131,7 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
     over the strided window view; it keeps its second operand on ties, so a
     tie between -0.0 and +0.0 also keeps the first one.  A window holding NaN
     gives NaN and marks no winner.  Eval mode builds no mask; its cache is None.
+    ``out``, if given, receives y in place of a new array and is returned.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
@@ -142,7 +143,8 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
         raise ShapeError(f"pool window {pool} exceeds sequence length {T}")
     T_out = T // pool
     windows = x[:, :T_out * pool, :].reshape(n, T_out, pool, c)
-    y = windows[:, :, 0].copy()
+    y = np.empty((n, T_out, c)) if out is None else out
+    y[...] = windows[:, :, 0]
     for j in range(1, pool):
         np.maximum(windows[:, :, j], y, out=y)
     if not train:

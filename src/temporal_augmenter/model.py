@@ -5,88 +5,86 @@ cell; the GRU stream captures short-term structure, the LSTM stream
 long-term structure.  Stream outputs (the last hidden state by default) are
 concatenated and fed through a dense head ending in softmax.
 
-The front-end has two paths that compute the same network.  Each runs over
-blocks of batch rows, so a block's intermediates stay in cache instead of
+The stream front-end is one loop over blocks of batch rows
+(``_front_end``), so a block's intermediates stay in cache instead of
 streaming whole [n, T, F] arrays through memory.  A block holds ``rows =
 max(1, _BLOCK_BYTES // (width * F * 8))`` rows, the most whose widest
 float64 intermediate [rows, width, F] fits in ``_BLOCK_BYTES``; the last
-block takes what is left.  As soon as a block's [rows, T_out, F] cell input
-is formed, and while it is still in cache, the stream multiplies it by the
+block takes what is left.  The loop forms a block's pooled pre-activation
+[rows, T_out, F] in its rows of the [n, T_out, F] cell input in train mode
+(the cell cache keeps it for the backward) and in one reused buffer in eval
+mode, where no cell input exists; it is a function of its own so that the
+buffer is freed before the cells run.  It applies the ReLU and the dropout
+in place and, while the block is still in cache, multiplies it by the
 cell's input weights into its rows of the cell's input projection px
-[n, T_out, k] (``recurrent.project``), which is all the cell reads.  In
-train mode each block also lands in its rows of the [n, T_out, F] cell
-input, which the cell cache keeps for the backward's dW and the ReLU mask.
-In eval mode no cell input exists: a pooled block is formed in one reused
-buffer, and a general block is the layers' own output.
-
-Blocking the front-end changes no bit: each sample is filtered on its own,
-pooling, the activation and the dropout scaling are elementwise, and the
-dropout draws are counter-based SplitMix64 words taken in C order, so
-drawing block after block in row order yields the very words of one draw
-over the whole array.  Blocking the projection changes none for the
-default cells (k = 30 and 40, checked against one product over the whole
-batch with OpenBLAS's SkylakeX kernels) if no block has a single row:
-numpy sends a one-row product to gemv, whose sums differ from gemm's.  Only
-one step per sample (T_out = 1) can make such a block, so then blocks hold
-at least two samples and a trailing block of one joins the block before it
-(``_block_bounds``).  At some other gate widths (k = 9, 18 and 44 among
-them, with F = 128) those kernels give a block's rows other last bits than
-one whole product; the result is still fixed for a given batch size.
+[n, T_out, k] (``recurrent.project``), which is all the cell reads.  Two
+paths form the pooled pre-activation; nothing else differs.
 
 The pooled path runs when the kernel is one step over one input channel
-(``_pools_first``: the default kernel on the mitbih and tess shapes).  Its
-conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])`` with ``b' = b + 0.0``.
-Rounding is monotone, so per filter that is a monotone function of x,
-non-decreasing where K[f] >= 0 and non-increasing where K[f] < 0, and a
-window's max of it is its value at the window's max of x or at its min:
-``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so no such sum is
--0.0, and equal values have equal bits.  The path takes the window max and
-min of x ([n, T_out]) once.  Per block it forms that max as one product of
-the [rows * T_out, 2] extremes with a [2, F] matrix: K with 0.0 where
-K < 0, over K with 0.0 where K > 0.  For finite x one of a filter's two
-terms is an exact zero (both are where K is +-0.0), so the product is the
-other term's rounded value.  It then adds b' and applies the activation and
-the dropout in place in the block (``width = T_out``), bit for bit what the
-general path forms.  No [n, T_conv, F] conv output, pool winner
-mask or conv-output gradient exists on this path.
-
-The pooled backward stores no mask.  Under ReLU the dropout and ReLU
-backward ``((dy * keep) * scale) * (pre > 0)`` is ``(dy * (cell_in > 0)) *
-scale`` bit for bit: ``cell_in > 0`` holds exactly where the element was
-kept and its pre-activation is positive, as the scale is at least 1.  The
-two differ only where ``dy * scale`` overflows at an element the ReLU
-zeroes.  The identity activation keeps the keep mask.  The bias gradient
-is bit for bit the general path's: numpy's sum starts at +0.0, so no
-partial sum is -0.0 and the +0.0 that the general path adds for each
-non-winning step changes none of them.  The kernel
-gradient takes, per filter, the input value that the general path's window
-winner holds: the window max of x where K[f] > 0, the min where K[f] < 0,
-and the window's first step where K[f] is +-0.0 and every step ties.  One
-product of those three [n * T_out] rows with the [n * T_out, F] gradient
-gives all three sums.  Its summation order differs from the general
-path's, which also adds every non-winning step's zero, so its last bits
-may move.  So may its value where rounding makes two window values equal
-while their x differ: this path takes the extreme of x, not the first step.
+(``_pools_first``: the default kernel on the mitbih and tess shapes;
+``width = T_out``).  Its conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])``
+with ``b' = b + 0.0``.  Rounding is monotone, so per filter that is a
+monotone function of x, non-decreasing where K[f] >= 0 and non-increasing
+where K[f] < 0, and a window's max of it is its value at the window's max
+of x or at its min: ``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so
+no such sum is -0.0, and equal values have equal bits.  The path takes the
+window max and min of x ([n, T_out]) once.  Per block it forms that max as
+one product of the [rows * T_out, 2] extremes with a [2, F] matrix: K with
+0.0 where K < 0, over K with 0.0 where K > 0.  For finite x one of a
+filter's two terms is an exact zero (both are where K is +-0.0), so the
+product is the other term's rounded value.  No [n, T_conv, F] conv output,
+pool winner mask or conv-output gradient exists on this path.
 
 The general path runs for any other kernel or channel count (ionosphere's
-two channels) and is the oracle the pooled path is tested against.  It runs
-conv1d -> maxpool -> activation -> dropout per block (``width = T_conv``).
-Pooling before the ReLU is the network conv1d -> ReLU -> maxpool, bit for
-bit, on 1/pool_size of the data: ``max(relu(a), relu(b)) == relu(max(a, b))``
-exactly (``np.maximum(-0.0, 0.0)`` is +0.0 either way), and both orders
-send a window's gradient to its first maximal position when that max is
-positive and a zero otherwise.  That zero is -0.0 when the incoming
-gradient is negative, and in a window whose max is <= 0 it may sit at a
-different position; the kernel and bias gradients sum over positions, so
-at most the sign of a kernel gradient entry that is exactly zero can differ.
-The backward runs dropout -> activation -> maxpool per block, each block's
-max-pool backward writing in place into its rows of one [n, T_conv, F]
-gradient (no zero-fill, no copy), and then calls ``conv1d_backward`` once
-on the whole batch: its kernel and bias gradients are sums over every
-(sample, step) pair, and summing per block would change their order.  That
-gradient is a view of one scratch buffer that the model keeps across calls
-and both streams share.  Only this path's backward uses the scratch; no
-forward touches it.
+two channels; ``width = T_conv``) and is the oracle the pooled path is
+tested against.  It runs ``conv1d_forward`` on the block's rows and
+``maxpool1d_forward`` into the block.  The [rows, T_conv, F] conv output is
+freed before the projection, so the next block's conv output reuses its
+memory: kept alive across the projection, it made each warm ionosphere
+``predict_probs`` fault in 446 fresh pages (none otherwise) and take about
+30% longer (in-process, one core).  Pooling before the ReLU is the network
+conv1d -> ReLU -> maxpool, bit for bit, on 1/pool_size of the data:
+``max(relu(a), relu(b)) == relu(max(a, b))`` exactly (``np.maximum(-0.0,
+0.0)`` is +0.0 either way), and both orders send a window's gradient to its
+first maximal position when that max is positive and a zero otherwise.
+That zero is -0.0 when the incoming gradient is negative, and in a window
+whose max is <= 0 it may sit at a different position; the kernel and bias
+gradients sum over positions, so at most the sign of a kernel gradient
+entry that is exactly zero can differ.
+
+The backward is one loop over the blocks, and a block's cache holds no ReLU
+mask and, under ReLU, no keep mask: the dropout and ReLU backward ``((dy *
+keep) * scale) * (pre > 0)`` is ``(dy * (cell_in > 0)) * scale`` bit for
+bit, since ``cell_in > 0`` holds exactly where the element was kept and its
+pre-activation is positive, as the scale is at least 1.  The two differ
+only where ``dy * scale`` overflows at an element the ReLU zeroes.  The
+general path then writes each block's max-pool backward into its rows of
+one [n, T_conv, F] gradient, a view of a scratch buffer that the model
+keeps across calls and its streams share, and calls ``conv1d_backward``
+once on the whole batch, as summing per block would change the order of
+the kernel and bias gradients' sums.  The pooled path's bias gradient is
+bit for bit the general path's: numpy's sum starts at +0.0, so no partial
+sum is -0.0 and the +0.0 that the general path adds for each non-winning
+step changes none of them.  Its kernel gradient takes, per filter, the
+input value that the general path's window winner holds: the window max of
+x where K[f] > 0, the min where K[f] < 0, and the window's first step where
+K[f] is +-0.0 and every step ties, as one product of those three
+[n * T_out] rows with the [n * T_out, F] gradient.  Its summation order
+differs from the general path's, so its last bits may move; so may its
+value where rounding makes two window values equal while their x differ.
+
+Blocking changes no bit: each sample is filtered on its own, pooling, the
+activation and the dropout scaling are elementwise, and the dropout draws
+are counter-based SplitMix64 words taken in C order, so drawing block after
+block yields the words of one draw over the whole array.  Nor does
+blocking the projection for the default cells (k = 30 and 40, checked with
+OpenBLAS's SkylakeX kernels) while no block has a single row: numpy sends a
+one-row product to gemv, whose sums differ from gemm's.  Only T_out = 1 can
+make such a block, so then blocks hold at least two samples and a trailing
+block of one joins the block before it (``_block_bounds``).  At some other
+gate widths (k = 9, 18 and 44 among them, with F = 128) a block's rows get
+other last bits than one whole product; the result is still fixed for a
+given batch size.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -295,61 +293,46 @@ def _block_bounds(n: int, width: int, cfg: ModelConfig) -> list:
     return list(zip([0, *stops[:-1]], stops))
 
 
-def _conv_front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-                    cell_in: Tensor | None, px: Tensor) -> list:
-    """The general path: conv1d -> maxpool -> activation -> dropout over
-    blocks of rows, each block projected into ``px`` and, in train mode,
-    copied into ``cell_in``; one (start, stop, pool cache, activation cache,
-    dropout cache) per block."""
-    T_conv = x.shape[1] - cfg.conv_kernel + 1
-    blocks = []
-    for start, stop in _block_bounds(x.shape[0], T_conv, cfg):
-        y, _ = layers.conv1d_forward(x[start:stop], sp.conv)
-        y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size, mode)
-        act_cache = None
-        if cfg.conv_activation == "relu":
-            y, act_cache = layers.relu_forward(y, mode)
-        y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
-        if cell_in is not None:
-            cell_in[start:stop] = y
-        recurrent.project(y, sp.cell, out=px[start:stop])
-        blocks.append((start, stop, pool_cache, act_cache, drop_cache))
-    return blocks
-
-
-def _pooled_front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-                      cell_in: Tensor | None, px: Tensor):
-    """The pooled path: the window max and min of ``x`` first, then the
-    filters, activation and dropout over blocks of rows, each block formed
-    in place, in ``cell_in`` in train mode and in one reused buffer in eval
-    mode, and projected into ``px``.  Returns (blocks, extremes [n, T_out,
-    2], the window max and min), one (start, stop, dropout cache) per block,
-    whose keep mask is None under ReLU: the backward reads ``cell_in > 0``
-    in its place."""
+def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
+               cell_in: Tensor | None, px: Tensor):
+    """The block loop (see the module docstring), writing ``px`` and, in
+    train mode, ``cell_in``.  Returns (blocks, extremes): one (start, stop,
+    pool cache, dropout cache) per block, the pool cache None on the pooled
+    path and the keep mask None under ReLU; the window max and min of ``x``
+    [n, T_out, 2] on the pooled path, None on the general one."""
     n = x.shape[0]
     T_out, pool, F = cfg.recurrent_timesteps, cfg.pool_size, cfg.conv_filters
-    windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
-    extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
-    K = sp.conv.K[0, 0]
-    # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
-    weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
-    b = sp.conv.b + 0.0
+    extremes = None
+    if _pools_first(cfg):
+        windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
+        extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
+        K = sp.conv.K[0, 0]
+        # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
+        weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
+        b = sp.conv.b + 0.0
+        bounds = _block_bounds(n, T_out, cfg)
+    else:
+        bounds = _block_bounds(n, x.shape[1] - cfg.conv_kernel + 1, cfg)
     relu = cfg.conv_activation == "relu"
-    bounds = _block_bounds(n, T_out, cfg)
-    # an eval forward forms every block in one buffer; a train forward in its rows of cell_in
     buffer = None if cell_in is not None else np.empty(
         (max(stop - start for start, stop in bounds), T_out, F))
     blocks = []
     for start, stop in bounds:
         y = buffer[:stop - start] if cell_in is None else cell_in[start:stop]
-        np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, F))
-        y += b
+        pool_cache = None
+        if extremes is not None:
+            np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, F))
+            y += b
+        else:
+            # the conv output is a temporary, freed before the projection
+            _, pool_cache = layers.maxpool1d_forward(
+                layers.conv1d_forward(x[start:stop], sp.conv)[0], pool, mode, out=y)
         if relu:
             np.maximum(y, 0.0, out=y)
         _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng,
                                                   in_place=True)
         recurrent.project(y, sp.cell, out=px[start:stop])
-        blocks.append((start, stop, (None if relu else keep, scale)))
+        blocks.append((start, stop, pool_cache, (None if relu else keep, scale)))
     return blocks, extremes
 
 
@@ -362,11 +345,7 @@ def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rn
     n, T_out = x.shape[0], cfg.recurrent_timesteps
     px = np.empty((n, T_out, sp.cell.W.shape[1]))
     cell_in = np.empty((n, T_out, cfg.conv_filters)) if is_train_mode(mode) else None
-    extremes = None
-    if _pools_first(cfg):
-        blocks, extremes = _pooled_front_end(sp, cfg, x, mode, rng, cell_in, px)
-    else:
-        blocks = _conv_front_end(sp, cfg, x, mode, rng, cell_in, px)
+    blocks, extremes = _front_end(sp, cfg, x, mode, rng, cell_in, px)
     if sp.kind == "gru":
         hs, cell_cache = recurrent.gru_forward(cell_in, px, sp.cell, mode=mode)
     else:
@@ -406,35 +385,12 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
     return probs, ForwardTrace(mode=mode, stream_caches=stream_caches, head_caches=head_caches)
 
 
-def _pooled_front_end_backward(cfg: ModelConfig, conv_cache, blocks, extremes,
-                               cell_in: Tensor, d_cell: Tensor):
-    """(dK, db) of the pooled path from the cell-input gradient ``d_cell``,
-    which it overwrites with the pooled conv-output gradient."""
-    x, conv = conv_cache
-    relu = cfg.conv_activation == "relu"
-    for start, stop, (keep, scale) in blocks:
-        d = d_cell[start:stop]
-        mask = cell_in[start:stop] > 0 if relu else keep
-        if mask is not None:
-            d *= mask
-        if scale != 1.0:
-            d *= scale
-    g = d_cell.reshape(-1, cfg.conv_filters)
-    db = g.sum(axis=0)
-    T_out = extremes.shape[1]
-    first = x[:, :T_out * cfg.pool_size:cfg.pool_size, 0]
-    sums = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1) @ g
-    K = conv.K[0, 0]
-    dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2]))
-    return dK.reshape(conv.K.shape), db
-
-
 def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor,
                      d_conv: Tensor | None) -> dict:
     """One stream's gradients.  On the general path ``d_conv`` [n, T_conv, F]
     receives the conv-output gradient, every element of it, before conv1d
     reads it; the pooled path needs no such buffer and is given None."""
-    conv_cache, blocks, cell_cache, hs_shape, extremes = cache
+    (x, conv), blocks, cell_cache, hs_shape, extremes = cache
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
     else:
@@ -444,17 +400,26 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor,
         d_cell, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
     else:
         d_cell, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    if extremes is not None:
-        # the cell cache's first entry is its input, the front-end's output
-        dK, db = _pooled_front_end_backward(cfg, conv_cache, blocks, extremes,
-                                            cell_cache[0], d_cell)
-    else:
-        for start, stop, pool_cache, act_cache, drop_cache in blocks:
-            d = layers.dropout_backward(drop_cache, d_cell[start:stop])
-            if cfg.conv_activation == "relu":
-                d = layers.relu_backward(act_cache, d)
+    cell_in = cell_cache[0]  # the cell's input, the front-end's output
+    relu = cfg.conv_activation == "relu"
+    for start, stop, pool_cache, (keep, scale) in blocks:
+        d = d_cell[start:stop]
+        mask = cell_in[start:stop] > 0 if relu else keep
+        if mask is not None:
+            d *= mask
+        if scale != 1.0:
+            d *= scale
+        if pool_cache is not None:
             layers.maxpool1d_backward(pool_cache, d, out=d_conv[start:stop])
-        dK, db = layers.conv1d_backward(conv_cache, d_conv)
+    if extremes is None:
+        dK, db = layers.conv1d_backward((x, conv), d_conv)
+    else:
+        g = d_cell.reshape(-1, cfg.conv_filters)
+        db = g.sum(axis=0)
+        first = x[:, :extremes.shape[1] * cfg.pool_size:cfg.pool_size, 0]
+        sums = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1) @ g
+        K = conv.K[0, 0]
+        dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.K.shape)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
     for name, g in cell_grads.items():
         grads[f"{sp.kind}.cell.{name}"] = g

@@ -29,9 +29,9 @@ states their shapes.  ``draw_params`` fills one gate slot at a time, input
 weights before recurrent ones, in the order LSTM f, i, g, o (slots 0, 1, 3,
 2) and GRU z, r, h.
 
-``*_forward`` unrolls a sequence from zero initial state (unless given) and
-returns every hidden state; ``*_backward`` accepts a gradient for the full
-hidden sequence [n, T, u] and accumulates parameter gradients across all
+``*_forward`` unrolls a sequence from zero initial state and returns every
+hidden state; ``*_backward`` accepts a gradient for the full hidden
+sequence [n, T, u] and accumulates parameter gradients across all
 timesteps.  Input weights are glorot-uniform, recurrent weights orthogonal,
 biases zero.
 
@@ -164,12 +164,12 @@ def draw_params(p, rng: Rng):
 # sequence forward/backward
 # ---------------------------------------------------------------------------
 
-def _states(T: int, n: int, u: int, init: Tensor | None, keep: bool) -> Tensor:
-    """Time-major states [T + 1, n, u]: row 0 is ``init`` (zeros when None) and
-    step t writes row t + 1.  With ``keep`` False the rows are one [n, u]
-    block (see ``_per_step``), updated in place."""
+def _states(T: int, n: int, u: int, keep: bool) -> Tensor:
+    """Time-major states [T + 1, n, u]: row 0 is zeros and step t writes row
+    t + 1.  With ``keep`` False the rows are one [n, u] block (see
+    ``_per_step``), updated in place."""
     S = _per_step((T + 1, n, u), keep)
-    S[0] = 0.0 if init is None else init
+    S[0] = 0.0
     return S
 
 
@@ -206,8 +206,7 @@ def project(x: Tensor, p, out: Tensor | None = None) -> Tensor:
     return out
 
 
-def lstm_forward(x: Tensor | None, px: Tensor, p: LSTMParams, h0: Tensor | None = None,
-                 c0: Tensor | None = None, mode: str = "train"):
+def lstm_forward(x: Tensor | None, px: Tensor, p: LSTMParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = x W
     [n, T, 4u]; returns (hs [n, T, u], cache).  ``x`` [n, T, d] is kept for
     the backward; in eval mode it is not read and may be None.
@@ -221,8 +220,8 @@ def lstm_forward(x: Tensor | None, px: Tensor, p: LSTMParams, h0: Tensor | None 
     train = is_train_mode(mode)
     n, T = _check_seq(x, px, p, train)
     u = p.units
-    H = _states(T, n, u, h0, keep=True)  # hs is H[1:]
-    C = _states(T, n, u, c0, train)
+    H = _states(T, n, u, keep=True)  # hs is H[1:]
+    C = _states(T, n, u, train)
     G = _per_step((T, 4, n, u), train)
     TC = _per_step((T, n, u), train)
     a = np.empty((n, 4 * u))
@@ -295,8 +294,7 @@ def lstm_backward(cache, d_hs: Tensor):
                 "b": da2.sum(axis=0)}
 
 
-def gru_forward(x: Tensor | None, px: Tensor, p: GRUParams, h0: Tensor | None = None,
-                mode: str = "train"):
+def gru_forward(x: Tensor | None, px: Tensor, p: GRUParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = x W
     [n, T, 3u]; returns (hs [n, T, u], cache).  ``x`` [n, T, d] is kept for
     the backward; in eval mode it is not read and may be None.
@@ -310,7 +308,7 @@ def gru_forward(x: Tensor | None, px: Tensor, p: GRUParams, h0: Tensor | None = 
     train = is_train_mode(mode)
     n, T = _check_seq(x, px, p, train)
     u = p.units
-    H = _states(T, n, u, h0, keep=True)  # hs is H[1:]
+    H = _states(T, n, u, keep=True)  # hs is H[1:]
     ZR = _per_step((T, 2, n, u), train)
     HC = _per_step((T, n, u), train)
     RH = _per_step((T, n, u), train)

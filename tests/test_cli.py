@@ -293,15 +293,27 @@ class TestTrainCommand:
     def test_model_with_no_timesteps_exits_2_before_a_row_is_parsed(
             self, tmp_path, radar_csv, monkeypatch, capsys):
         """The model is sized from the data's shape before any row is
-        parsed: 17 pulses through a 9-wide kernel leave 9, pooled by 10 to 0."""
+        parsed: 17 pulses through a 9-wide kernel leave 9, pooled by 10 to 0.
+        The error names the config file, and the output directory, made
+        before the data was read, is gone again."""
         calls = []
         monkeypatch.setattr(data_mod, "_parse_row", lambda *args: calls.append(args))
+        out = tmp_path / "out" / "run"
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out")
+        cfg_path.write_text(radar_config_text(radar_csv, out)
                             + "conv_kernel = 9\npool_size = 10\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
-        assert "leave no timesteps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {cfg_path}: invalid model configuration: " in err
+        assert "leave no timesteps" in err
         assert calls == []
+        assert not (tmp_path / "out").exists()
+        kept = tmp_path / "kept"  # an empty directory that was there before stays
+        kept.mkdir()
+        cfg_path.write_text(radar_config_text(radar_csv, kept)
+                            + "conv_kernel = 9\npool_size = 10\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert kept.is_dir()
 
     def test_bad_value_named_first_in_split_order(self, tmp_path, radar_csv, capsys):
         """Train parses the rows part by part, train then val then test, so
@@ -519,6 +531,24 @@ class TestPinnedDigests:
                 "bcc212f098a1918dde7d87572c248d195f4e52e1bc5a20eb9afdabcdad1792c1",
             "report_test.json":
                 "8367ee5d9e938b6c3ce939eae61a096994ecff51ac20ea4b3a991cb7597fea24",
+        }
+
+    def test_radar_run_matches_recorded_digests(self, tmp_path):
+        """The ionosphere shape (T = 17, two channels) with a 3-step kernel,
+        so the front-end filters before it pools, stream and head dropout
+        on, and batches of 45 rows, an odd count: a batch spans two
+        front-end blocks of at most 34 rows, and the last batch holds 27."""
+        data = tmp_path / "radar.csv"
+        write_radar_csv(data, make_radar_dataset(120, Rng(902)))
+        digests = train_in_child(tmp_path, f"task = ionosphere\ndata = {data}\nseed = 7\n"
+                                           f"epochs = 3\nbatch_size = 45\nconv_kernel = 3\n")
+        assert digests == {
+            "checkpoint.tackpt":
+                "eb7b17c1973deafe27a0c5839df03715cb5d40181a7540bba55f481c7fd406a0",
+            "trainlog.csv":
+                "eee70f263274e5bb377db633c65d417a613b312885319b8f0b9b15fbebc13e53",
+            "report_test.json":
+                "b844531d9a844143ec7f37c7f635f97cb91c70da2e99d54c1a71e3076680aa7e",
         }
 
 

@@ -160,6 +160,9 @@ class TestMaxPool1D:
                 y, cache = maxpool1d_forward(x, pool)
                 y_ref, cache_ref = reference_maxpool1d_forward(x, pool)
                 assert_bitwise(y, y_ref)
+                out = np.full(y.shape, np.nan)
+                assert maxpool1d_forward(x, pool, "eval", out=out)[0] is out
+                assert_bitwise(out, y_ref)
                 dy = rng.uniform(y.shape) * 2 - 1
                 dy[..., 0] = -0.0
                 dy[..., 1] = 0.0

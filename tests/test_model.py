@@ -417,6 +417,29 @@ class TestBlockedFrontEnd:
             for name, g in grads.items():
                 assert other_grads[name].tobytes() == g.tobytes(), name
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_general_path_trace_keeps_the_pool_mask_and_under_identity_the_keep_mask(
+            self, monkeypatch, activation):
+        """Per block, a general-path train trace holds the max-pool winner
+        mask and, under the identity activation, the dropout keep mask: no
+        ReLU mask, and no keep mask under ReLU, whose backward reads
+        ``cell_in > 0`` in its place."""
+        cfg = radar_config(conv_filters=6, conv_kernel=3, conv_activation=activation,
+                           dense_sizes=(8,))
+        net = build(cfg, Rng(94))
+        x = Rng(95).uniform((7, 17, 2)) * 2 - 1
+        T_conv, T_out, pool, F = 15, cfg.recurrent_timesteps, cfg.pool_size, cfg.conv_filters
+        monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 3 * T_conv * F * 8)  # 3-row blocks
+        _, trace = forward(net, x, mode="train", rng=Rng(96))
+        for cache in trace.stream_caches:
+            assert [(start, stop) for start, stop, *_ in cache[1]] == [(0, 3), (3, 6), (6, 7)]
+            for start, stop, *rest in cache[1]:
+                want = [(stop - start, T_out, pool, F)]
+                if activation == "identity":
+                    want.append((stop - start, T_out, F))
+                assert [(a.dtype, a.shape) for a in arrays_in(rest)] == [
+                    (np.dtype(bool), shape) for shape in want]
+
 
 def heartbeat_config(**overrides) -> ModelConfig:
     """One input channel and a one-step kernel: the pooled front-end."""
@@ -581,9 +604,10 @@ class TestPooledFrontEnd:
         assert net._scratch.size == 0
 
     def test_fused_dropout_relu_backward_is_bitwise(self):
-        """(dy * (cell_in > 0)) * scale, the pooled path's backward through
-        ReLU and dropout, equals dropout then ReLU backward on every pairing
-        of special values.  It would not where dy * scale overflows."""
+        """(dy * (cell_in > 0)) * scale, the stream backward through ReLU and
+        dropout on both front-end paths, pooled and general, equals dropout
+        then ReLU backward on every pairing of special values.  It would not
+        where dy * scale overflows."""
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0 ** -1070])
         dy, pre, keep = (a.ravel() for a in np.meshgrid(specials, specials, [False, True],
                                                         indexing="ij"))

@@ -26,14 +26,14 @@ from temporal_augmenter.tensor_core import (
 )
 
 
-def run_lstm(x, p, h0=None, c0=None, mode="train"):
+def run_lstm(x, p, mode="train"):
     """The LSTM on ``x``, given its input projection as one GEMM."""
-    return lstm_forward(x, project(x, p), p, h0=h0, c0=c0, mode=mode)
+    return lstm_forward(x, project(x, p), p, mode=mode)
 
 
-def run_gru(x, p, h0=None, mode="train"):
+def run_gru(x, p, mode="train"):
     """The GRU on ``x``, given its input projection as one GEMM."""
-    return gru_forward(x, project(x, p), p, h0=h0, mode=mode)
+    return gru_forward(x, project(x, p), p, mode=mode)
 
 
 def zero_lstm(d, u):
@@ -92,11 +92,11 @@ def gru_step(x_t, h, p):
 # must reproduce these bit for bit.
 # ---------------------------------------------------------------------------
 
-def reference_lstm_forward(x, p, h0=None, c0=None):
+def reference_lstm_forward(x, p):
     n, T, d = x.shape
     u = p.units
-    h = np.zeros((n, u)) if h0 is None else h0
-    c = np.zeros((n, u)) if c0 is None else c0
+    h = np.zeros((n, u))
+    c = np.zeros((n, u))
     px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 4 * u)
     hs = np.empty((n, T, u))
     cs = np.empty((n, T, u))
@@ -151,10 +151,10 @@ def reference_lstm_backward(cache, d_hs):
                 "b": da2.sum(axis=0)}
 
 
-def reference_gru_forward(x, p, h0=None):
+def reference_gru_forward(x, p):
     n, T, d = x.shape
     u = p.units
-    h = np.zeros((n, u)) if h0 is None else h0
+    h = np.zeros((n, u))
     px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
     bzr = p.b[:2 * u]
     bh = p.b[2 * u:]
@@ -359,42 +359,48 @@ class TestGateRanges:
 
 
 class TestMemoryRetention:
+    """A switch input channel, off for the first six of twelve steps and on
+    for the rest, saturates the forget (LSTM) or update (GRU) gate through
+    its input weights: the state the first stretch built must then carry
+    through the second unchanged, bit for bit, as the saturated gate is
+    exactly 1.0 (and the LSTM's input gate below 1e-20)."""
+
+    @staticmethod
+    def switched_input(rng):
+        x = rng.uniform((2, 12, 4)) * 2 - 1
+        x[:, :, 3] = 0.0
+        x[:, 6:, 3] = 1.0  # the switch, input channel 3
+        return x
+
     def test_lstm_saturated_gates_carry_cell_unchanged(self):
-        # forget gate ~1 and input gate ~0 (biases +/-50) must preserve c
+        # forget gate ~1 and input gate ~0 (switch weights +/-50) must preserve c
         rng = Rng(65)
-        p = draw_params(zero_params("lstm", 3, 4), rng)
-        p.b[:4] = 50.0  # f
-        p.b[4:8] = -50.0  # i
-        x = rng.uniform((2, 12, 3)) * 2 - 1
-        c0 = rng.uniform((2, 4)) * 2 - 1
-        h0 = np.zeros((2, 4))
-        _, cache = run_lstm(x, p, h0=h0, c0=c0)
-        cs = cache[3]  # [T + 1, n, u]: c0, then the cell state after each step
-        assert np.linalg.norm(cs[-1] - c0) < 1e-8
+        p = draw_params(zero_params("lstm", 4, 4), rng)
+        p.W[3, :4] = 50.0  # f
+        p.W[3, 4:8] = -50.0  # i
+        _, cache = run_lstm(self.switched_input(rng), p)
+        cs = cache[3]  # [T + 1, n, u]: zeros, then the cell state after each step
+        assert np.linalg.norm(cs[6]) > 0.1
+        npt.assert_array_equal(cs[-1], cs[6])
 
     def test_gru_saturated_update_gate_preserves_state(self):
         rng = Rng(66)
-        p = draw_params(zero_params("gru", 3, 4), rng)
-        p.b[:4] = 50.0  # z
-        x = rng.uniform((2, 12, 3)) * 2 - 1
-        h0 = rng.uniform((2, 4)) * 2 - 1
-        hs, _ = run_gru(x, p, h0=h0)
-        assert np.linalg.norm(hs[:, -1] - h0) < 1e-8
+        p = draw_params(zero_params("gru", 4, 4), rng)
+        p.W[3, :4] = 50.0  # z
+        hs, _ = run_gru(self.switched_input(rng), p)
+        assert np.linalg.norm(hs[:, 5]) > 0.1
+        npt.assert_array_equal(hs[:, -1], hs[:, 5])
 
 
 class TestEvalMode:
     def test_eval_hs_bitwise_equal_and_no_cache(self):
         rng = Rng(68)
         x = rng.uniform((4, 9, 3)) * 2 - 1
-        h0 = rng.uniform((4, 5)) * 2 - 1
-        c0 = rng.uniform((4, 5)) * 2 - 1
         pl = draw_params(zero_params("lstm", 3, 5), rng)
         pg = draw_params(zero_params("gru", 3, 5), rng)
         runs = [
             lambda mode: run_lstm(x, pl, mode=mode),
-            lambda mode: run_lstm(x, pl, h0=h0, c0=c0, mode=mode),
             lambda mode: run_gru(x, pg, mode=mode),
-            lambda mode: run_gru(x, pg, h0=h0, mode=mode),
         ]
         for run in runs:
             hs_train, cache = run("train")
@@ -471,21 +477,22 @@ class TestRecurrentGradientProducts:
 
 class TestCellsMatchOracles:
     """Forward states, input gradients and every parameter gradient equal the
-    oracles above bit for bit, over unit counts, batch sizes and lengths."""
+    oracles above bit for bit, over unit counts, batch sizes and lengths.
+    ``with_state`` leads the sequence with three warm-up steps, so that its
+    first step starts from the nonzero state they leave."""
 
     @staticmethod
-    def _inputs(n, T, u, seed):
+    def _inputs(n, T, u, seed, with_state=False):
         rng = Rng(seed)
         d = 5
+        T += 3 if with_state else 0
         x = rng.uniform((n, T, d)) * 4 - 2
         d_hs = rng.uniform((n, T, u)) - 0.5
         pl = draw_params(zero_params("lstm", d, u), rng)
         pg = draw_params(zero_params("gru", d, u), rng)
         for p in (pl, pg):
             p.b[...] = rng.uniform(p.b.shape) - 0.5
-        h0 = rng.uniform((n, u)) * 2 - 1
-        c0 = rng.uniform((n, u)) * 2 - 1
-        return x, d_hs, pl, pg, h0, c0
+        return x, d_hs, pl, pg
 
     @staticmethod
     def _assert_same(got, want, d_hs):
@@ -505,40 +512,37 @@ class TestCellsMatchOracles:
     @pytest.mark.parametrize("T", [1, 8, 93])
     @pytest.mark.parametrize("with_state", [False, True])
     def test_lstm_bitwise(self, u, n, T, with_state):
-        x, d_hs, p, _, h0, c0 = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T)
-        state = {"h0": h0, "c0": c0} if with_state else {}
-        self._assert_same((run_lstm(x, p, **state), lstm_backward),
-                          (reference_lstm_forward(x, p, **state), reference_lstm_backward), d_hs)
-        hs_eval, cache_eval = run_lstm(x, p, mode="eval", **state)
+        x, d_hs, p, _ = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T, with_state)
+        self._assert_same((run_lstm(x, p), lstm_backward),
+                          (reference_lstm_forward(x, p), reference_lstm_backward), d_hs)
+        hs_eval, cache_eval = run_lstm(x, p, mode="eval")
         assert cache_eval is None
-        assert hs_eval.tobytes() == reference_lstm_forward(x, p, **state)[0].tobytes()
+        assert hs_eval.tobytes() == reference_lstm_forward(x, p)[0].tobytes()
 
     @pytest.mark.parametrize("u", [1, 3, 10])
     @pytest.mark.parametrize("n", [1, 7, 32])
     @pytest.mark.parametrize("T", [1, 8, 93])
     @pytest.mark.parametrize("with_state", [False, True])
     def test_gru_bitwise(self, u, n, T, with_state):
-        x, d_hs, _, p, h0, _ = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T)
-        state = {"h0": h0} if with_state else {}
-        self._assert_same((run_gru(x, p, **state), gru_backward),
-                          (reference_gru_forward(x, p, **state), reference_gru_backward), d_hs)
-        hs_eval, cache_eval = run_gru(x, p, mode="eval", **state)
+        x, d_hs, _, p = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T, with_state)
+        self._assert_same((run_gru(x, p), gru_backward),
+                          (reference_gru_forward(x, p), reference_gru_backward), d_hs)
+        hs_eval, cache_eval = run_gru(x, p, mode="eval")
         assert cache_eval is None
-        assert hs_eval.tobytes() == reference_gru_forward(x, p, **state)[0].tobytes()
+        assert hs_eval.tobytes() == reference_gru_forward(x, p)[0].tobytes()
 
     def test_saturated_and_signed_zero_inputs(self):
         """Pre-activations far past the sigmoid's and tanh's saturation, and
         exact zeros of both signs, in the inputs and the incoming gradient."""
         n, T, u = 4, 6, 3
-        x, d_hs, pl, pg, h0, c0 = self._inputs(n, T, u, 3000)
+        x, d_hs, pl, pg = self._inputs(n, T, u, 3000, with_state=True)
         x = x * 400.0
         x[0] = 0.0
         x[1] = -0.0
         d_hs[:, ::2] = -0.0
         for p in (pl, pg):
             p.b[::3] = -0.0
-        self._assert_same((run_lstm(x, pl, h0=h0, c0=c0), lstm_backward),
-                          (reference_lstm_forward(x, pl, h0=h0, c0=c0), reference_lstm_backward),
-                          d_hs)
-        self._assert_same((run_gru(x, pg, h0=h0), gru_backward),
-                          (reference_gru_forward(x, pg, h0=h0), reference_gru_backward), d_hs)
+        self._assert_same((run_lstm(x, pl), lstm_backward),
+                          (reference_lstm_forward(x, pl), reference_lstm_backward), d_hs)
+        self._assert_same((run_gru(x, pg), gru_backward),
+                          (reference_gru_forward(x, pg), reference_gru_backward), d_hs)
