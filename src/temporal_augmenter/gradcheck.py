@@ -161,9 +161,11 @@ def _check_cell(kind: str, seed: int) -> float:
 
         def run_cell():
             # W is checked through the projection that the cell is given
-            return run(x, recurrent.project(x, params), params)
+            return run(recurrent.project(x, params), params)
 
-        dx, grads = run_back(run_cell()[1], proj)
+        da, grads = run_back(run_cell()[1], proj)
+        # dx and the W gradient from da, by the helper the model's backward calls
+        dx, grads["W"] = recurrent.project_backward(x, da, params)
         pairs = [(dx, x)] + [(grads[name], arr) for name, arr in vars(params).items()]
         worst = max(worst, _worst(run_cell, proj, pairs))
     return worst

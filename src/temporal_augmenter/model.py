@@ -11,14 +11,14 @@ streaming whole [n, T, F] arrays through memory.  A block holds ``rows =
 max(1, _BLOCK_BYTES // (width * F * 8))`` rows, the most whose widest
 float64 intermediate [rows, width, F] fits in ``_BLOCK_BYTES``; the last
 block takes what is left.  The loop forms a block's pooled pre-activation
-[rows, T_out, F] in its rows of the [n, T_out, F] cell input in train mode
-(the cell cache keeps it for the backward) and in one reused buffer in eval
-mode, where no cell input exists; it is a function of its own so that the
-buffer is freed before the cells run.  It applies the ReLU and the dropout
-in place and, while the block is still in cache, multiplies it by the
-cell's input weights into its rows of the cell's input projection px
-[n, T_out, k] (``recurrent.project``), which is all the cell reads.  Two
-paths form the pooled pre-activation; nothing else differs.
+[rows, T_out, F] and applies the activation (``_form_block``) in one
+reused buffer, in either mode; it is a function of its own so that the
+buffer is freed before the cells run.  It applies the dropout in place
+and, while the block is still in cache, multiplies it by the cell's input
+weights into its rows of the cell's input projection px [n, T_out, k]
+(``recurrent.project``), which is all the cell reads.  No [n, T_out, F]
+cell input exists in either mode.  Two paths form the pooled
+pre-activation; nothing else differs.
 
 The pooled path runs when the kernel is one step over one input channel
 (``_pools_first``: the default kernel on the mitbih and tess shapes;
@@ -39,10 +39,10 @@ The general path runs for any other kernel or channel count (ionosphere's
 two channels; ``width = T_conv``) and is the oracle the pooled path is
 tested against.  It runs ``conv1d_forward`` on the block's rows and
 ``maxpool1d_forward`` into the block.  The [rows, T_conv, F] conv output is
-freed before the projection, so the next block's conv output reuses its
-memory: kept alive across the projection, it made each warm ionosphere
-``predict_probs`` fault in 446 fresh pages (none otherwise) and take about
-30% longer (in-process, one core).  Pooling before the ReLU is the network
+a temporary, freed before the projection, so the next block's conv output
+reuses its memory: kept alive across the projection, it made each warm
+ionosphere ``predict_probs`` fault in 446 fresh pages (none otherwise) and
+take about 30% longer (in-process, one core).  Pooling before the ReLU is the network
 conv1d -> ReLU -> maxpool, bit for bit, on 1/pool_size of the data:
 ``max(relu(a), relu(b)) == relu(max(a, b))`` exactly (``np.maximum(-0.0,
 0.0)`` is +0.0 either way), and both orders send a window's gradient to its
@@ -52,39 +52,53 @@ whose max is <= 0 it may sit at a different position; the kernel and bias
 gradients sum over positions, so at most the sign of a kernel gradient
 entry that is exactly zero can differ.
 
-The backward is one loop over the blocks, and a block's cache holds no ReLU
-mask and, under ReLU, no keep mask: the dropout and ReLU backward ``((dy *
-keep) * scale) * (pre > 0)`` is ``(dy * (cell_in > 0)) * scale`` bit for
-bit, since ``cell_in > 0`` holds exactly where the element was kept and its
-pre-activation is positive, as the scale is at least 1.  The two differ
-only where ``dy * scale`` overflows at an element the ReLU zeroes.  The
-general path then writes each block's max-pool backward into its rows of
-one [n, T_conv, F] gradient, a view of a scratch buffer that the model
-keeps across calls and its streams share, and calls ``conv1d_backward``
-once on the whole batch, as summing per block would change the order of
-the kernel and bias gradients' sums.  The pooled path's bias gradient is
-bit for bit the general path's: numpy's sum starts at +0.0, so no partial
-sum is -0.0 and the +0.0 that the general path adds for each non-winning
-step changes none of them.  Its kernel gradient takes, per filter, the
-input value that the general path's window winner holds: the window max of
-x where K[f] > 0, the min where K[f] < 0, and the window's first step where
-K[f] is +-0.0 and every step ties, as one product of those three
-[n * T_out] rows with the [n * T_out, F] gradient.  Its summation order
-differs from the general path's, so its last bits may move; so may its
-value where rounding makes two window values equal while their x differ.
+The backward recomputes each block's cell input rather than keeping it
+(Chen et al., *Training Deep Nets with Sublinear Memory Cost*,
+arXiv:1604.06174): forming a block costs a two-column product or a conv
+and a pool, so it is cheaper to form again than to store.  A block's cache
+holds its bool dropout keep mask (None without dropout) and, on the
+general path, its max-pool winner mask; no ReLU mask and no float array.
+The cell's backward returns the pre-activation gradient da [n, T_out, k],
+and one loop over the forward's blocks then, per block, re-forms the cell
+input with ``_form_block`` and the stored keep mask into one reused buffer,
+bit for bit the forward's; adds its x^T da into the cell's input-weight
+gradient and forms its cell-input gradient da W^T in a second reused
+buffer (``recurrent.project_backward``); applies the dropout and ReLU
+backward; and adds the block's share of the kernel and bias gradients.
+Under ReLU that backward ``((dy * keep) * scale) * (pre > 0)`` is ``(dy *
+(cell_in > 0)) * scale`` bit for bit, since ``cell_in > 0`` holds exactly
+where the element was kept and its pre-activation is positive, as the
+scale is at least 1; the two differ only where ``dy * scale`` overflows at
+an element the ReLU zeroes.  Under the identity activation the keep mask
+takes the place of ``cell_in > 0``.  The general path runs the block's
+max-pool backward into a reused [rows, T_conv, F] buffer and
+``conv1d_backward`` on it.  The pooled path's kernel gradient takes, per
+filter, the input value that the general path's window winner holds: the
+window max of x where K[f] > 0, the min where K[f] < 0, and the window's
+first step where K[f] is +-0.0 and every step ties, as one product of
+those three [rows * T_out] rows with the block's [rows * T_out, F]
+gradient.  Its summation order differs from the general path's, so its
+last bits may move; so may its value where rounding makes two window
+values equal while their x differ.  Over the same blocks, the pooled
+path's bias gradient is bit for bit the general path's: numpy's sum starts
+at +0.0, so no partial sum is -0.0 and the +0.0 that the general path adds
+for each non-winning step changes none of them.
 
-Blocking changes no bit: each sample is filtered on its own, pooling, the
-activation and the dropout scaling are elementwise, and the dropout draws
-are counter-based SplitMix64 words taken in C order, so drawing block after
-block yields the words of one draw over the whole array.  Nor does
-blocking the projection for the default cells (k = 30 and 40, checked with
-OpenBLAS's SkylakeX kernels) while no block has a single row: numpy sends a
-one-row product to gemv, whose sums differ from gemm's.  Only T_out = 1 can
-make such a block, so then blocks hold at least two samples and a trailing
-block of one joins the block before it (``_block_bounds``).  At some other
-gate widths (k = 9, 18 and 44 among them, with F = 128) a block's rows get
-other last bits than one whole product; the result is still fixed for a
-given batch size.
+Blocking changes no bit of the forward: each sample is filtered on its
+own, pooling, the activation and the dropout scaling are elementwise, and
+the dropout draws are counter-based SplitMix64 words taken in C order, so
+drawing block after block yields the words of one draw over the whole
+array.  Nor does blocking the projection for the default cells (k = 30 and
+40, checked with OpenBLAS's SkylakeX kernels) while no block has a single
+row: numpy sends a one-row product to gemv, whose sums differ from gemm's.
+Only T_out = 1 can make such a block, so then blocks hold at least two
+samples and a trailing block of one joins the block before it
+(``_block_bounds``).  At some other gate widths (k = 9, 18 and 44 among
+them, with F = 128) a block's rows get other last bits than one whole
+product; the result is still fixed for a given batch size.  The backward's
+input-weight, kernel and bias gradients are sums over blocks, each block's
+term added in block order, so their last bits depend on the blocking; every
+other gradient's do not.
 
 ``build`` draws parameters in a fixed documented order so a (config, seed)
 pair always produces bitwise-identical models:  for each stream in
@@ -110,8 +124,7 @@ from . import layers, recurrent
 from .data import DataError, read_file
 from .layers import Conv1DParams, DenseParams
 from .settings import POSITIVE, RATE, check, one_of, setting
-from .tensor_core import (Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform,
-                          is_train_mode, softmax)
+from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
 
 
 # Bytes of one block's widest intermediate in the stream front-end: about
@@ -187,21 +200,6 @@ class TemporalAugmenterModel:
     config: ModelConfig
     streams: list
     head: list  # hidden DenseParams..., output DenseParams last
-    # One flat scratch buffer of the general front-end path, reused across
-    # calls so that they do not fault in fresh pages: a backward grows it for
-    # the streams' conv-output gradient, so backward calls on one model must
-    # not overlap.  No forward reads or grows it.  Not a parameter; no trace
-    # or checkpoint holds it.
-    _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False,
-                                 repr=False, compare=False)
-
-    def _scratch_view(self, shape: tuple) -> Tensor:
-        """A C-order view of the scratch with ``shape``, grown if it is too
-        small; its contents are whatever the last use left."""
-        size = math.prod(shape)
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        return self._scratch[:size].reshape(shape)
 
     def parameters(self) -> dict:
         """Flat name -> every trainable parameter array, in a stable order."""
@@ -221,7 +219,9 @@ class TemporalAugmenterModel:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches from one train-mode forward; consumed by one backward."""
+    """Per-layer caches from one forward.  One backward consumes a
+    train-mode trace and empties it, releasing every cache as soon as the
+    gradients that read it are formed; a consumed trace holds nothing."""
     mode: str
     stream_caches: list
     head_caches: list
@@ -293,68 +293,77 @@ def _block_bounds(n: int, width: int, cfg: ModelConfig) -> list:
     return list(zip([0, *stops[:-1]], stops))
 
 
-def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng,
-               cell_in: Tensor | None, px: Tensor):
-    """The block loop (see the module docstring), writing ``px`` and, in
-    train mode, ``cell_in``.  Returns (blocks, extremes): one (start, stop,
-    pool cache, dropout cache) per block, the pool cache None on the pooled
-    path and the keep mask None under ReLU; the window max and min of ``x``
-    [n, T_out, 2] on the pooled path, None on the general one."""
-    n = x.shape[0]
-    T_out, pool, F = cfg.recurrent_timesteps, cfg.pool_size, cfg.conv_filters
-    extremes = None
-    if _pools_first(cfg):
-        windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
-        extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
-        K = sp.conv.K[0, 0]
-        # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
-        weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
-        b = sp.conv.b + 0.0
-        bounds = _block_bounds(n, T_out, cfg)
+def _pooled_terms(sp: StreamParams, cfg: ModelConfig, x: Tensor):
+    """On the pooled path (see the module docstring), (extremes, weights,
+    b'): the window max and min of ``x`` [n, T_out, 2], the [2, F] matrix
+    they multiply, and b' = b + 0.0; None on the general path."""
+    if not _pools_first(cfg):
+        return None
+    n, T_out, pool = x.shape[0], cfg.recurrent_timesteps, cfg.pool_size
+    windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
+    extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
+    K = sp.conv.K[0, 0]
+    # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
+    weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
+    return extremes, weights, sp.conv.b + 0.0
+
+
+def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: int, stop: int,
+                y: Tensor, mode: str):
+    """Write the activated, pooled pre-activation of batch rows start:stop
+    into ``y`` [stop - start, T_out, F], by the path that ``pooled``
+    (``_pooled_terms``) selects.  Returns the max-pool cache: None on the
+    pooled path and in eval mode.  The forward and the backward's re-form
+    both call it, so the backward sees the forward's bits."""
+    pool_cache = None
+    if pooled is not None:
+        extremes, weights, b = pooled
+        np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, y.shape[2]))
+        y += b
     else:
-        bounds = _block_bounds(n, x.shape[1] - cfg.conv_kernel + 1, cfg)
-    relu = cfg.conv_activation == "relu"
-    buffer = None if cell_in is not None else np.empty(
-        (max(stop - start for start, stop in bounds), T_out, F))
+        # the conv output is a temporary, freed before the projection
+        _, pool_cache = layers.maxpool1d_forward(
+            layers.conv1d_forward(x[start:stop], sp.conv)[0], cfg.pool_size, mode, out=y)
+    if cfg.conv_activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    return pool_cache
+
+
+def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng, px: Tensor):
+    """The block loop (see the module docstring), writing every row of
+    ``px``.  Returns (blocks, pooled): one (start, stop, pool cache,
+    dropout cache) per block, and the pooled path's terms."""
+    pooled = _pooled_terms(sp, cfg, x)
+    width = cfg.recurrent_timesteps if pooled is not None else x.shape[1] - cfg.conv_kernel + 1
+    bounds = _block_bounds(x.shape[0], width, cfg)
+    buffer = np.empty((max(stop - start for start, stop in bounds), cfg.recurrent_timesteps,
+                       cfg.conv_filters))
     blocks = []
     for start, stop in bounds:
-        y = buffer[:stop - start] if cell_in is None else cell_in[start:stop]
-        pool_cache = None
-        if extremes is not None:
-            np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, F))
-            y += b
-        else:
-            # the conv output is a temporary, freed before the projection
-            _, pool_cache = layers.maxpool1d_forward(
-                layers.conv1d_forward(x[start:stop], sp.conv)[0], pool, mode, out=y)
-        if relu:
-            np.maximum(y, 0.0, out=y)
-        _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng,
-                                                  in_place=True)
+        y = buffer[:stop - start]
+        pool_cache = _form_block(sp, cfg, x, pooled, start, stop, y, mode)
+        _, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng, in_place=True)
         recurrent.project(y, sp.cell, out=px[start:stop])
-        blocks.append((start, stop, pool_cache, (None if relu else keep, scale)))
-    return blocks, extremes
+        blocks.append((start, stop, pool_cache, drop_cache))
+    return blocks, pooled
 
 
 def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
     """One stream over the batch.  Its front-end writes every row of the
-    cell's input projection px, block by block, and in train mode every
-    element of the cell input [n, T_out, F] that the cell cache keeps for
-    the backward; cache = ((x, conv params), blocks, cell cache, hs shape,
-    window extremes), the extremes None on the general path."""
-    n, T_out = x.shape[0], cfg.recurrent_timesteps
-    px = np.empty((n, T_out, sp.cell.W.shape[1]))
-    cell_in = np.empty((n, T_out, cfg.conv_filters)) if is_train_mode(mode) else None
-    blocks, extremes = _front_end(sp, cfg, x, mode, rng, cell_in, px)
+    cell's input projection px, block by block; no [n, T_out, F] cell input
+    exists in either mode.  cache = ((x, conv params), blocks, cell cache,
+    hs shape, pooled terms), the pooled terms None on the general path."""
+    px = np.empty((x.shape[0], cfg.recurrent_timesteps, sp.cell.W.shape[1]))
+    blocks, pooled = _front_end(sp, cfg, x, mode, rng, px)
     if sp.kind == "gru":
-        hs, cell_cache = recurrent.gru_forward(cell_in, px, sp.cell, mode=mode)
+        hs, cell_cache = recurrent.gru_forward(px, sp.cell, mode=mode)
     else:
-        hs, cell_cache = recurrent.lstm_forward(cell_in, px, sp.cell, mode=mode)
+        hs, cell_cache = recurrent.lstm_forward(px, sp.cell, mode=mode)
     if cfg.return_sequences:
         out = hs.reshape(hs.shape[0], -1)
     else:
         out = hs[:, -1]
-    return out, ((x, sp.conv), blocks, cell_cache, hs.shape, extremes)
+    return out, ((x, sp.conv), blocks, cell_cache, hs.shape, pooled)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -385,51 +394,80 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
     return probs, ForwardTrace(mode=mode, stream_caches=stream_caches, head_caches=head_caches)
 
 
-def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor,
-                     d_conv: Tensor | None) -> dict:
-    """One stream's gradients.  On the general path ``d_conv`` [n, T_conv, F]
-    receives the conv-output gradient, every element of it, before conv1d
-    reads it; the pooled path needs no such buffer and is given None."""
-    (x, conv), blocks, cell_cache, hs_shape, extremes = cache
+def _accumulate(total: Tensor | None, part: Tensor) -> Tensor:
+    """A gradient summed over blocks: ``part`` for the first block, then
+    ``total`` with each later block's ``part`` added in place."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> dict:
+    """One stream's gradients: the cell's BPTT, then one loop over the
+    forward's blocks that re-forms each block's cell input and sums the
+    input-weight, kernel and bias gradients block by block (see the module
+    docstring)."""
+    (x, conv), blocks, cell_cache, hs_shape, pooled = cache
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
     else:
         d_hs = np.zeros(hs_shape)
         d_hs[:, -1] = d_out
     if sp.kind == "gru":
-        d_cell, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
+        da, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
     else:
-        d_cell, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    cell_in = cell_cache[0]  # the cell's input, the front-end's output
+        da, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
+    T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
     relu = cfg.conv_activation == "relu"
-    for start, stop, pool_cache, (keep, scale) in blocks:
-        d = d_cell[start:stop]
-        mask = cell_in[start:stop] > 0 if relu else keep
-        if mask is not None:
-            d *= mask
-        if scale != 1.0:
-            d *= scale
-        if pool_cache is not None:
-            layers.maxpool1d_backward(pool_cache, d, out=d_conv[start:stop])
-    if extremes is None:
-        dK, db = layers.conv1d_backward((x, conv), d_conv)
+    rows = max(stop - start for start, stop, _, _ in blocks)
+    y_buffer, g_buffer = np.empty((rows, T_out, F)), np.empty((rows, T_out, F))
+    if pooled is not None:
+        extremes = pooled[0]
+        first = x[:, :T_out * cfg.pool_size:cfg.pool_size, 0]
+        # per filter, the input value the general path's window winner holds
+        winners = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1)
     else:
-        g = d_cell.reshape(-1, cfg.conv_filters)
-        db = g.sum(axis=0)
-        first = x[:, :extremes.shape[1] * cfg.pool_size:cfg.pool_size, 0]
-        sums = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1) @ g
+        d_conv = np.empty((rows, x.shape[1] - cfg.conv_kernel + 1, F))
+    dW = dK = db = sums = None
+    for start, stop, pool_cache, (keep, scale) in blocks:
+        y, g = y_buffer[:stop - start], g_buffer[:stop - start]
+        _form_block(sp, cfg, x, pooled, start, stop, y, "eval")
+        if keep is not None:  # the forward's dropout, as dropout_forward applied it
+            np.multiply(y, keep, out=y)
+            y *= scale
+        _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)
+        dW = _accumulate(dW, part)
+        mask = y > 0 if relu else keep
+        if mask is not None:
+            g *= mask
+        if scale != 1.0:
+            g *= scale
+        if pooled is not None:
+            g2 = g.reshape(-1, F)
+            db = _accumulate(db, g2.sum(axis=0))
+            sums = _accumulate(sums, winners[:, start * T_out:stop * T_out] @ g2)
+        else:
+            d = layers.maxpool1d_backward(pool_cache, g, out=d_conv[:stop - start])
+            part_K, part_b = layers.conv1d_backward((x[start:stop], conv), d)
+            dK = _accumulate(dK, part_K)
+            db = _accumulate(db, part_b)
+    if pooled is not None:
         K = conv.K[0, 0]
         dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.K.shape)
-    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
-    for name, g in cell_grads.items():
-        grads[f"{sp.kind}.cell.{name}"] = g
+    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db, f"{sp.kind}.cell.W": dW}
+    for name, value in cell_grads.items():
+        grads[f"{sp.kind}.cell.{name}"] = value
     return grads
 
 
 def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor) -> dict:
     """Exact gradients of every parameter given dL/dlogits from the loss.
 
-    The trace must come from a train-mode forward and is consumed by this call.
+    The trace must come from a train-mode forward and is consumed by this
+    call, which empties it: the head's caches are released once the
+    head's gradients are formed, and each stream's cache once that
+    stream's are, so a consumed trace holds no array.
     """
     if trace is None or trace.consumed:
         raise TraceError("forward trace is missing or already consumed")
@@ -438,24 +476,25 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
     trace.consumed = True
     cfg = model.config
     grads = {}
-    out_cache, _, _ = trace.head_caches[-1]
+    head_caches, trace.head_caches = trace.head_caches, []
+    out_cache, _, _ = head_caches.pop()
     da, dW, db = layers.dense_backward(out_cache, dlogits)
     grads["head.out.W"] = dW
     grads["head.out.b"] = db
     for idx in range(len(model.head) - 2, -1, -1):
-        dense_cache, relu_cache, drop_cache = trace.head_caches[idx]
+        dense_cache, relu_cache, drop_cache = head_caches.pop()
         if drop_cache is not None:
             da = layers.dropout_backward(drop_cache, da)
         da = layers.relu_backward(relu_cache, da)
         da, dW, db = layers.dense_backward(dense_cache, da)
         grads[f"head.{idx}.W"] = dW
         grads[f"head.{idx}.b"] = db
-    d_conv = None if _pools_first(cfg) else model._scratch_view(
-        (dlogits.shape[0], cfg.input_timesteps - cfg.conv_kernel + 1, cfg.conv_filters))
     offset = 0
-    for sp, cache in zip(model.streams, trace.stream_caches):
+    for sp in model.streams:
         width = cfg.stream_width(sp.kind)
-        grads.update(_stream_backward(sp, cfg, cache, da[:, offset:offset + width], d_conv))
+        # popped, so that the stream's cache is freed once its gradients are formed
+        grads.update(_stream_backward(sp, cfg, trace.stream_caches.pop(0),
+                                      da[:, offset:offset + width]))
         offset += width
     return grads
 

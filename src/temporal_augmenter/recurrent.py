@@ -38,25 +38,29 @@ biases zero.
 Time loops.  Each step costs a handful of numpy calls on contiguous [n, k]
 blocks, because at these sizes a step's cost is the number of calls, not
 the arithmetic.  The caller supplies the input projection px = x W
-[n, T, k] (``project``), so a cell never reads its [n, T, d] input: the
-model forms px block by block while each block of its front-end's output is
-still in cache, and in eval mode no whole cell input ever exists.  A
-train-mode caller also passes x, which the cache keeps for the backward's
-dx and dW.  Everything a step writes goes in place (``out=``) into
-time-major arrays, so the state before step t is row t of one [T+1, n, u]
-array, and the gates are stored gate-major, so each gate is one [n, u]
-block:
+[n, T, k] (``project``), so a cell never reads its [n, T, d] input, in
+either mode: the model forms px block by block while each block of its
+front-end's output is still in cache, and no whole cell input ever exists.
+The backward returns the pre-activation gradient da [n, T, k] and the
+recurrent and bias gradients; the input's share, dx = da W^T and
+dW = x^T da, is ``project_backward``'s, which the caller runs over the
+same blocks of rows it projected.  Everything a step writes goes in place
+(``out=``) into time-major arrays, so the state before step t is row t of
+one [T+1, n, u] array, and the gates are stored gate-major, so each gate
+is one [n, u] block:
 
-    lstm cache  (x, p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u])
+    lstm cache  (p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u])
                 G holds sigmoid f, i, o and tanh g; TC holds tanh(c)
-    gru cache   (x, p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u])
+    gru cache   (p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u])
                 ZR holds sigmoid z, r; HC the candidate; RH = r * h_prev
 
-x is the [n, T, d] input the caller passed; no cache holds px.  ``hs`` is
-the batch-major view ``H[1:].transpose(1, 0, 2)``.  Train and eval run the
-same loop; in eval the per-step arrays are one step's block seen at every t
-through a zero stride (``_per_step``), so nothing but H is kept and the
-cache is None.
+No cache holds the cell's input or px.  ``hs`` is the batch-major view
+``H[1:].transpose(1, 0, 2)``.  Train and eval run the same loop; in eval
+the per-step arrays are one step's block seen at every t through a zero
+stride (``_per_step``), so nothing but H is kept and the cache is None.
+The backward writes step t's da into the rows ``da[:, t]`` of one
+batch-major [n, T, k] array, so the [n*T, k] operand of the dU GEMM and
+of ``project_backward`` is a free reshape of it.
 
 The bits are those of one numpy expression per gate, as the cells were
 first written (the oracles in tests/test_recurrent.py), for three reasons:
@@ -68,7 +72,11 @@ first written (the oracles in tests/test_recurrent.py), for three reasons:
   px GEMM may run over any split of the n*T rows into blocks of at least
   two: each output row's sum is the same.  numpy sends a one-row product
   to gemv, whose sums differ, so a caller that splits the rows leaves no
-  block of one row unless there is only one.
+  block of one row unless there is only one.  ``project_backward``'s
+  GEMMs are not split-proof: the W gradient sums over the rows, and the dx
+  product's rows get other last bits at some gate widths (k = 40 among
+  them, with OpenBLAS's SkylakeX kernels), so the model's gradients depend
+  on its blocks.
 * ``sigmoid`` is evaluated as ``max(z, x >= 0) / (1 + z)`` with
   ``z = exp(-|x|)``, which is the branch form bit for bit (see its
   docstring and tests/test_tensor_core.py).
@@ -206,19 +214,32 @@ def project(x: Tensor, p, out: Tensor | None = None) -> Tensor:
     return out
 
 
-def lstm_forward(x: Tensor | None, px: Tensor, p: LSTMParams, mode: str = "train"):
+def project_backward(x: Tensor, da: Tensor, p, out: Tensor | None = None):
+    """The backward of ``project`` over rows of a cell's input x [m, T, d]
+    and their pre-activation gradient da [m, T, k], both C-contiguous.
+    Returns (dx, dW): dx = da W^T [m, T, d], written into ``out`` if given,
+    and the rows' share of the W gradient, x^T da [d, k]."""
+    m, T, d = x.shape
+    da2 = da.reshape(m * T, -1)
+    dW = x.reshape(m * T, d).T @ da2
+    if out is None:
+        out = np.empty((m, T, d))
+    np.matmul(da2, p.W.T, out=out.reshape(m * T, d))
+    return out, dW
+
+
+def lstm_forward(px: Tensor, p: LSTMParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = x W
-    [n, T, 4u]; returns (hs [n, T, u], cache).  ``x`` [n, T, d] is kept for
-    the backward; in eval mode it is not read and may be None.
+    [n, T, 4u]; returns (hs [n, T, u], cache).
 
     ``hs`` is a batch-major view of the time-major states.  cache =
-    (x, p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]): row t
+    (p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]): row t
     of H and C is the state before step t, G holds sigmoid f, i, o and tanh g,
     TC holds tanh(c).  In eval mode no backward follows, so only H is kept
     and the cache is None.
     """
     train = is_train_mode(mode)
-    n, T = _check_seq(x, px, p, train)
+    n, T = _check_seq(px, p)
     u = p.units
     H = _states(T, n, u, keep=True)  # hs is H[1:]
     C = _states(T, n, u, train)
@@ -244,17 +265,18 @@ def lstm_forward(x: Tensor | None, px: Tensor, p: LSTMParams, mode: str = "train
     hs = H[1:].transpose(1, 0, 2)
     if not train:
         return hs, None
-    return hs, (x, p, H, C, G, TC)
+    return hs, (p, H, C, G, TC)
 
 
 def lstm_backward(cache, d_hs: Tensor):
     """BPTT given dL/dhs over the whole sequence [n, T, u].
 
-    Returns (dx, grads) with grads keyed by the ``LSTMParams`` fields.
+    Returns (da, grads): the gate pre-activation gradient da [n, T, 4u],
+    from which ``project_backward`` forms dx and the W gradient, and grads
+    keyed by the other ``LSTMParams`` fields, U and b.
     """
-    x, p, H, C, G, TC = cache
-    n, T, d = x.shape
-    u = p.units
+    p, H, C, G, TC = cache
+    T, n, u = TC.shape
     # factors free of the recurrence, once over the whole sequence:
     # R = 1 - f, 1 - i, 1 - o, 1 - g*g and K = 1 - tanh(c)^2
     R = np.subtract(1.0, G)
@@ -262,8 +284,7 @@ def lstm_backward(cache, d_hs: Tensor):
     np.subtract(1.0, R[:, 3], out=R[:, 3])
     K = np.multiply(TC, TC)
     np.subtract(1.0, K, out=K)
-    dY = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
-    da = np.empty((T, n, 4 * u))  # time-major; the GEMMs get it batch-major
+    da = np.empty((n, T, 4 * u))  # batch-major; step t writes da[:, t]
     dh = np.empty((n, u))
     dc = np.empty((n, u))
     m = np.empty((4, n, u))
@@ -272,7 +293,7 @@ def lstm_backward(cache, d_hs: Tensor):
     UT = p.U.T
     for t in range(T - 1, -1, -1):
         g = G[t]
-        np.add(dY[t], dh_carry, out=dh)
+        np.add(d_hs[:, t], dh_carry, out=dh)
         np.multiply(dh, g[2], out=dc)
         np.multiply(dc, K[t], out=dc)
         np.add(dc_carry, dc, out=dc)
@@ -283,30 +304,28 @@ def lstm_backward(cache, d_hs: Tensor):
         np.multiply(dh, TC[t], out=m[2])
         np.multiply(dc, g[1], out=m[3])
         np.multiply(m[:3], g[:3], out=m[:3])
-        np.multiply(m, R[t], out=_gate_major(da[t], 4))
+        np.multiply(m, R[t], out=_gate_major(da[:, t], 4))
         np.multiply(dc, g[0], out=dc_carry)
-        np.matmul(da[t], UT, out=dh_carry)
-    da2 = _batch_major(da)
-    dx = (da2 @ p.W.T).reshape(n, T, d)
+        np.matmul(da[:, t], UT, out=dh_carry)
+    del R, K  # freed before the products' batch-major copy of the states
+    da2 = da.reshape(n * T, 4 * u)
     h_prev = _batch_major(H[:T])
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
-    return dx, {"W": x.reshape(n * T, d).T @ da2, "U": np.dot(h_prev.T, da2),
-                "b": da2.sum(axis=0)}
+    return da, {"U": np.dot(h_prev.T, da2), "b": da2.sum(axis=0)}
 
 
-def gru_forward(x: Tensor | None, px: Tensor, p: GRUParams, mode: str = "train"):
+def gru_forward(px: Tensor, p: GRUParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = x W
-    [n, T, 3u]; returns (hs [n, T, u], cache).  ``x`` [n, T, d] is kept for
-    the backward; in eval mode it is not read and may be None.
+    [n, T, 3u]; returns (hs [n, T, u], cache).
 
     ``hs`` is a batch-major view of the time-major states.  cache =
-    (x, p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]): row t
+    (p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]): row t
     of H is the state before step t, ZR holds sigmoid z and r, HC the
     candidate and RH the reset-gated state r * h.  In eval mode no backward
     follows, so only H is kept and the cache is None.
     """
     train = is_train_mode(mode)
-    n, T = _check_seq(x, px, p, train)
+    n, T = _check_seq(px, p)
     u = p.units
     H = _states(T, n, u, keep=True)  # hs is H[1:]
     ZR = _per_step((T, 2, n, u), train)
@@ -337,26 +356,27 @@ def gru_forward(x: Tensor | None, px: Tensor, p: GRUParams, mode: str = "train")
     hs = H[1:].transpose(1, 0, 2)
     if not train:
         return hs, None
-    return hs, (x, p, H, ZR, HC, RH)
+    return hs, (p, H, ZR, HC, RH)
 
 
 def gru_backward(cache, d_hs: Tensor):
     """BPTT given dL/dhs over the whole sequence [n, T, u].
 
-    Returns (dx, grads) with grads keyed by the ``GRUParams`` fields.
+    Returns (da, grads): the z, r and candidate pre-activation gradient da
+    [n, T, 3u], from which ``project_backward`` forms dx and the W
+    gradient, and grads keyed by the other ``GRUParams`` fields, U_zr, U_h
+    and b.
     """
-    x, p, H, ZR, HC, RH = cache
-    n, T, d = x.shape
-    u = p.units
+    p, H, ZR, HC, RH = cache
+    T, n, u = HC.shape
     # factors free of the recurrence, once over the whole sequence:
     # OM = 1 - z, 1 - r; KH = 1 - hc^2; DH = h_prev - hc
     OM = np.subtract(1.0, ZR)
     KH = np.multiply(HC, HC)
     np.subtract(1.0, KH, out=KH)
     DH = np.subtract(H[:T], HC)
-    dY = np.ascontiguousarray(d_hs.transpose(1, 0, 2))
-    # z, r, candidate pre-activation grads, time-major; the GEMMs get them batch-major
-    da = np.empty((T, n, 3 * u))
+    # z, r, candidate pre-activation grads, batch-major; step t writes da[:, t]
+    da = np.empty((n, T, 3 * u))
     dh = np.empty((n, u))
     q = np.empty((n, u))
     s = np.empty((n, u))
@@ -367,8 +387,8 @@ def gru_backward(cache, d_hs: Tensor):
     U_zrT = p.U_zr.T
     for t in range(T - 1, -1, -1):
         zr = ZR[t]
-        np.add(dY[t], dh_carry, out=dh)
-        da_h = da[t, :, 2 * u:]
+        np.add(d_hs[:, t], dh_carry, out=dh)
+        da_h = da[:, t, 2 * u:]
         np.multiply(dh, OM[t, 0], out=q)
         np.multiply(q, KH[t], out=da_h)
         np.matmul(da_h, U_hT, out=drh)
@@ -376,32 +396,28 @@ def gru_backward(cache, d_hs: Tensor):
         np.multiply(dh, DH[t], out=m[0])
         np.multiply(drh, H[t], out=m[1])
         np.multiply(m, zr, out=m)
-        da_zr = da[t, :, :2 * u]
+        da_zr = da[:, t, :2 * u]
         np.multiply(m, OM[t], out=_gate_major(da_zr, 2))
         np.multiply(dh, zr[0], out=s)
         np.multiply(drh, zr[1], out=q)
         np.add(s, q, out=s)
         np.matmul(da_zr, U_zrT, out=q)
         np.add(s, q, out=dh_carry)
-    da2 = _batch_major(da)
-    dx = (da2 @ p.W.T).reshape(n, T, d)
+    del OM, KH, DH  # freed before the products' batch-major copies
+    da2 = da.reshape(n * T, 3 * u)
     h_prev = _batch_major(H[:T])
     rh = _batch_major(RH)
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
-    return dx, {"W": x.reshape(n * T, d).T @ da2, "U_zr": np.dot(h_prev.T, da2[:, :2 * u]),
-                "U_h": np.dot(rh.T, da2[:, 2 * u:]), "b": da2.sum(axis=0)}
+    return da, {"U_zr": np.dot(h_prev.T, da2[:, :2 * u]), "U_h": np.dot(rh.T, da2[:, 2 * u:]),
+                "b": da2.sum(axis=0)}
 
 
-def _check_seq(x: Tensor | None, px: Tensor, p, train: bool) -> tuple:
-    """(n, T) of a cell's input projection ``px``; in train mode ``x`` must
-    be the [n, T, d] input it came from."""
+def _check_seq(px: Tensor, p) -> tuple:
+    """(n, T) of a cell's input projection ``px`` [n, T, k]."""
     width = p.W.shape[1]
     if px.ndim != 3 or px.shape[2] != width:
         raise ShapeError(f"input projection must be [n, T, {width}], got {px.shape}")
     n, T, _ = px.shape
     if T < 1:
         raise ShapeError("sequence length must be >= 1")
-    if train and (x is None or x.shape != (n, T, p.input_size)):
-        raise ShapeError(f"train mode needs the cell input [{n}, {T}, {p.input_size}], "
-                         f"got {None if x is None else x.shape}")
     return n, T

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -478,6 +479,39 @@ def train_in_child(tmp_path, config_text: str, pin_threads: bool = True) -> dict
             for name in ("checkpoint.tackpt", "trainlog.csv", "report_test.json")}
 
 
+class TestKeepFreedMemory:
+    def test_train_sets_it_and_eval_does_not(self, tmp_path, radar_csv, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, out))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        assert calls == [1]
+        assert cli.main(["eval", str(out / "checkpoint.tackpt"), str(radar_csv)]) == 0
+        assert calls == [1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_takes_both_settings(self):
+        """In a child process, so that this one's allocator is left as it is;
+        glibc refuses a mapping threshold above 32 MiB, for one."""
+        src = os.path.dirname(os.path.dirname(temporal_augmenter.__file__))
+        done = subprocess.run([sys.executable, "-c", "from temporal_augmenter import cli; "
+                               "print(cli._keep_freed_memory())"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout == "True\n"
+
+    def test_no_mallopt_changes_nothing(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        assert cli._keep_freed_memory() is False
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt symbol
+        assert cli._keep_freed_memory() is False
+
+
 class TestPinnedDigests:
     """Fixed-seed runs write the same bytes as the commits before them.
 
@@ -491,7 +525,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "21a851ae62b6bed4bf1a7d774e77c92f0f91f4ce9c20eaa68ec747f0c5b532d4"
+    HEARTBEAT_CHECKPOINT = "0d2bb1fe946b4f9a76f45d8449bb1704ba0203519354232e240c3b8ba3439a2d"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -506,7 +540,7 @@ class TestPinnedDigests:
         digests = train_in_child(tmp_path, self.heartbeat_config(tmp_path))
         assert digests["checkpoint.tackpt"] == self.HEARTBEAT_CHECKPOINT
         assert digests["trainlog.csv"] == (
-            "6383b5d94463a4ac2e6a17e207d475d59ca14ac1d8faa1800432cdc899d811a1")
+            "fc116c53cde769271ecc692d36f69a44bebd6aa93c1a156dcce27e35e02d94d2")
 
     def test_heartbeat_run_without_thread_variables(self, tmp_path):
         """The package defaults BLAS to one thread, so a child that sets no
@@ -526,7 +560,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "1624454576fb5ac4f61834288d69c4f3d42f922d2abce41f8d5bebfb894f4882",
+                "1ae2464eefb8b2453fbb3461c25644437719c2be0b7256a6ba682e913b2071cd",
             "trainlog.csv":
                 "bcc212f098a1918dde7d87572c248d195f4e52e1bc5a20eb9afdabcdad1792c1",
             "report_test.json":
@@ -544,7 +578,7 @@ class TestPinnedDigests:
                                            f"epochs = 3\nbatch_size = 45\nconv_kernel = 3\n")
         assert digests == {
             "checkpoint.tackpt":
-                "eb7b17c1973deafe27a0c5839df03715cb5d40181a7540bba55f481c7fd406a0",
+                "85b7ea537813f0dceaab7b4ad3f96660d34bece85ce36df89bbd7c725619e9af",
             "trainlog.csv":
                 "eee70f263274e5bb377db633c65d417a613b312885319b8f0b9b15fbebc13e53",
             "report_test.json":
@@ -603,6 +637,17 @@ class TestEvalCommand:
     def test_missing_checkpoint_exit_3(self, tmp_path, radar_csv):
         rc = cli.main(["eval", str(tmp_path / "none.tackpt"), str(radar_csv)])
         assert rc == 3
+
+    def test_failed_eval_leaves_no_out_directory(self, tmp_path, radar_csv, monkeypatch):
+        """Like train, eval removes the --out directories it made, while
+        still empty, when it fails; a directory that existed stays."""
+        monkeypatch.chdir(tmp_path)
+        args = ["eval", "absent.tackpt", str(radar_csv), "--out", "evalout/x"]
+        assert cli.main(args) == 3
+        assert not (tmp_path / "evalout").exists()
+        (tmp_path / "evalout").mkdir()
+        assert cli.main(args) == 3
+        assert (tmp_path / "evalout").is_dir() and not (tmp_path / "evalout" / "x").exists()
 
     @pytest.mark.parametrize("key,value", [("pool_size", 1.5), ("pool_size", True),
                                            ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4]),

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from temporal_augmenter import gradcheck, layers, model as model_mod, optim, recurrent
-from temporal_augmenter.data import DataError
+from temporal_augmenter.data import DataError, Dataset
 from temporal_augmenter.model import (
     ModelConfig,
     TraceError,
@@ -240,23 +241,23 @@ class TestBackward:
         captured = []
         original = model_mod._stream_backward
 
-        def capture(sp, cfg_, cache, d_out, d_conv):
+        def capture(sp, cfg_, cache, d_out):
             captured.append((sp.kind, d_out.copy()))
-            return original(sp, cfg_, cache, d_out, d_conv)
+            return original(sp, cfg_, cache, d_out)
 
         monkeypatch.setattr(model_mod, "_stream_backward", capture)
         probs, trace = forward(net, x, mode="train", rng=Rng(0))
+        head_caches = list(trace.head_caches)  # the backward empties the trace
         onehot = np.zeros_like(probs)
         onehot[:, 1] = 1.0
         _, dlogits = optim.cce_loss(probs, onehot)
         backward(net, trace, dlogits)
 
-        dense_cache = trace.head_caches[0][0]
         # recompute the concat gradient independently from the head caches
         da = dlogits
-        da, _, _ = layers.dense_backward(trace.head_caches[-1][0], da)
+        da, _, _ = layers.dense_backward(head_caches[-1][0], da)
         for idx in range(len(net.head) - 2, -1, -1):
-            dcache, rcache, dropc = trace.head_caches[idx]
+            dcache, rcache, dropc = head_caches[idx]
             if dropc is not None:
                 da = layers.dropout_backward(dropc, da)
             da = layers.relu_backward(rcache, da)
@@ -278,10 +279,10 @@ class TestBackward:
             opt = optim.Adam(lr=1e-3, epsilon=1e-7)
             original = model_mod._stream_backward
 
-            def cutting(sp, cfg_, cache, d_out, d_conv):
+            def cutting(sp, cfg_, cache, d_out):
                 if sp.kind == "lstm":
                     d_out = np.zeros_like(d_out)
-                return original(sp, cfg_, cache, d_out, d_conv)
+                return original(sp, cfg_, cache, d_out)
 
             if cut_slice:
                 monkeypatch.setattr(model_mod, "_stream_backward", cutting)
@@ -304,6 +305,78 @@ class TestBackward:
             npt.assert_array_equal(a[name], b[name], err_msg=name)
 
 
+def cell_cache_arrays(trace):
+    """Every array of a trace's cell caches."""
+    return [a for cache in trace.stream_caches for a in cache[2] if isinstance(a, np.ndarray)]
+
+
+class TestTraceRelease:
+    """A backward empties its trace, so no step's caches outlive it."""
+
+    def test_backward_frees_stream_and_head_caches(self):
+        net = build(radar_config(), Rng(24))
+        probs, trace = forward(net, Rng(25).uniform((5, 17, 2)), mode="train", rng=Rng(26))
+        refs = [weakref.ref(a) for a in cell_cache_arrays(trace)]
+        refs.append(weakref.ref(trace.stream_caches[1][1][0][3][0]))  # a block's keep mask
+        refs.append(weakref.ref(trace.head_caches[0][1]))  # the first head ReLU mask
+        backward(net, trace, probs - probs.mean(axis=1, keepdims=True))
+        assert trace.stream_caches == [] and trace.head_caches == []
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_fit_frees_each_step_before_the_next_forward(self, monkeypatch):
+        cfg = radar_config(conv_filters=6, dense_sizes=(8,))
+        net = build(cfg, Rng(27))
+        x = Rng(28).uniform((10, 17, 2)) * 2 - 1
+        labels = np.arange(10) % 2
+        train_set = Dataset(features=x, labels=labels, class_names=["b", "g"])
+        original = model_mod.forward
+        refs, alive = [], []
+
+        def watching(model, x, mode="eval", rng=None):
+            if mode == "train":
+                alive.append(sum(ref() is not None for ref in refs))
+                probs, trace = original(model, x, mode=mode, rng=rng)
+                refs[:] = [weakref.ref(a) for a in cell_cache_arrays(trace)]
+                return probs, trace
+            return original(model, x, mode=mode, rng=rng)
+
+        monkeypatch.setattr(model_mod, "forward", watching)
+        optim.fit(net, train_set, train_set, optim.TrainConfig(batch_size=5, epochs=2))
+        # four steps; none finds a cell cache of the step before it alive
+        assert alive == [0, 0, 0, 0]
+        assert len(refs) == 2 * 4  # the GRU's four arrays and the LSTM's four
+
+
+class TestTrainStepMemory:
+    def test_step_peak_below_the_cell_caches_and_one_cell_input(self):
+        """One mitbih-shaped train step holds, at its traced peak, less than
+        the cell caches plus one [n, T_out, F] array: no whole-batch cell
+        input or cell-input gradient exists.  tracemalloc counts bytes, so
+        the bound is the same on every run."""
+        cfg = ModelConfig(input_timesteps=187, input_channels=1, num_classes=5,
+                          conv_filters=128)
+        n = 64
+        net = build(cfg, Rng(140))
+        x = Rng(141).uniform((n, 187, 1)) * 2 - 1
+        onehot = np.eye(5)[np.arange(n) % 5]
+
+        def step():
+            probs, trace = forward(net, x, mode="train", rng=Rng(142))
+            cell_bytes = sum(a.nbytes for a in cell_cache_arrays(trace))
+            _, dlogits = optim.cce_loss(probs, onehot)
+            backward(net, trace, dlogits)
+            return cell_bytes
+
+        step()
+        tracemalloc.start()
+        try:
+            cell_bytes = step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cell_bytes + n * cfg.recurrent_timesteps * cfg.conv_filters * 8
+
+
 def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
     """Stream forward in the textbook order conv1d -> ReLU -> maxpool over
     the whole batch, the cell given one GEMM over its whole input."""
@@ -314,28 +387,29 @@ def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
-    hs, cell_cache = run(y, recurrent.project(y, sp.cell), sp.cell, mode=mode)
+    hs, cell_cache = run(recurrent.project(y, sp.cell), sp.cell, mode=mode)
     out = hs.reshape(hs.shape[0], -1) if cfg.return_sequences else hs[:, -1]
-    return out, (conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs.shape)
+    return out, (conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs.shape)
 
 
-def relu_then_pool_stream_backward(sp, cfg, cache, d_out, d_conv):
-    """The textbook-order backward; it allocates its own gradients and
-    leaves the model's ``d_conv`` scratch unused."""
-    conv_cache, act_cache, pool_cache, drop_cache, cell_cache, hs_shape = cache
+def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
+    """The textbook-order backward over the whole batch, from the whole
+    cell input its forward kept."""
+    conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs_shape = cache
     d_hs = np.zeros(hs_shape)
     if cfg.return_sequences:
         d_hs[...] = d_out.reshape(hs_shape)
     else:
         d_hs[:, -1] = d_out
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
-    d, cell_grads = run(cell_cache, d_hs)
+    da, cell_grads = run(cell_cache, d_hs)
+    d, dW = recurrent.project_backward(y, da, sp.cell)
     d = layers.dropout_backward(drop_cache, d)
     d = layers.maxpool1d_backward(pool_cache, d)
     if cfg.conv_activation == "relu":
         d = layers.relu_backward(act_cache, d)
     dK, db = layers.conv1d_backward(conv_cache, d)
-    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db}
+    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db, f"{sp.kind}.cell.W": dW}
     grads.update({f"{sp.kind}.cell.{k}": g for k, g in cell_grads.items()})
     return grads
 
@@ -378,6 +452,23 @@ class TestStreamOrder:
         assert all(cache[2] is not None for cache in train_trace.stream_caches)
 
 
+# The gradients that the stream backward sums block by block; a change of
+# blocking moves their last bits, and no other gradient's.
+BLOCK_SUMMED = ("conv.K", "conv.b", "cell.W")
+
+
+def assert_same_gradients(grads, want):
+    """Every gradient bitwise equal to ``want``'s, except those summed over
+    blocks, which must agree to 1e-13 of their largest entry."""
+    assert grads.keys() == want.keys()
+    for name, g in grads.items():
+        if name.endswith(BLOCK_SUMMED):
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(g - want[name])) <= 1e-13 * scale, name
+        else:
+            assert g.tobytes() == want[name].tobytes(), name
+
+
 class TestBlockedFrontEnd:
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("kernel", [1, 3])
@@ -413,17 +504,15 @@ class TestBlockedFrontEnd:
             assert other_probs.tobytes() == probs.tobytes()
             assert other_eval.tobytes() == eval_probs.tobytes()
             assert other_counter == counter
-            assert other_grads.keys() == grads.keys()
-            for name, g in grads.items():
-                assert other_grads[name].tobytes() == g.tobytes(), name
+            assert_same_gradients(other_grads, grads)
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     def test_general_path_trace_keeps_the_pool_mask_and_under_identity_the_keep_mask(
             self, monkeypatch, activation):
         """Per block, a general-path train trace holds the max-pool winner
-        mask and, under the identity activation, the dropout keep mask: no
-        ReLU mask, and no keep mask under ReLU, whose backward reads
-        ``cell_in > 0`` in its place."""
+        mask and the dropout keep mask, under either activation, which the
+        backward needs to re-form the block's cell input: no ReLU mask and
+        no [n, T_out, F] float array."""
         cfg = radar_config(conv_filters=6, conv_kernel=3, conv_activation=activation,
                            dense_sizes=(8,))
         net = build(cfg, Rng(94))
@@ -434,9 +523,7 @@ class TestBlockedFrontEnd:
         for cache in trace.stream_caches:
             assert [(start, stop) for start, stop, *_ in cache[1]] == [(0, 3), (3, 6), (6, 7)]
             for start, stop, *rest in cache[1]:
-                want = [(stop - start, T_out, pool, F)]
-                if activation == "identity":
-                    want.append((stop - start, T_out, F))
+                want = [(stop - start, T_out, pool, F), (stop - start, T_out, F)]
                 assert [(a.dtype, a.shape) for a in arrays_in(rest)] == [
                     (np.dtype(bool), shape) for shape in want]
 
@@ -498,9 +585,7 @@ class TestBlockProjection:
         (probs, grads, eval_probs), (one_probs, one_grads, one_eval) = runs
         assert probs.tobytes() == one_probs.tobytes()
         assert eval_probs.tobytes() == one_eval.tobytes()
-        assert grads.keys() == one_grads.keys()
-        for name, g in grads.items():
-            assert g.tobytes() == one_grads[name].tobytes(), name
+        assert_same_gradients(grads, one_grads)
 
     @pytest.mark.parametrize("pooled", [True, False])
     @pytest.mark.parametrize("return_sequences", [False, True])
@@ -552,11 +637,16 @@ class TestPooledFrontEnd:
         return net, x
 
     @staticmethod
-    def step(net, x):
+    def step(net, x, monkeypatch):
         rng = Rng(113)
+        blocks = []  # every block of cell input the train forward projects, in order
+        project = recurrent.project
+        monkeypatch.setattr(recurrent, "project",
+                            lambda y, p, out: blocks.append(y.copy()) or project(y, p, out=out))
         probs, trace = forward(net, x, mode="train", rng=rng)
+        monkeypatch.setattr(recurrent, "project", project)
         pooled = [(cache[4] is not None, len(cache[1])) for cache in trace.stream_caches]
-        cell_ins = [cache[2][0].copy() for cache in trace.stream_caches]
+        cell_ins = [np.concatenate(blocks[:3]), np.concatenate(blocks[3:])]
         labels = np.arange(x.shape[0]) % net.config.num_classes
         _, dlogits = optim.cce_loss(probs, np.eye(net.config.num_classes)[labels])
         grads = backward(net, trace, dlogits)
@@ -573,12 +663,14 @@ class TestPooledFrontEnd:
                                pool_size=pool, return_sequences=return_sequences)
         assert pool == 1 or cfg.input_timesteps % pool  # a remainder step is dropped
         net, x = self.awkward_instance(cfg)
-        # 3-row blocks on the pooled path: 7 rows run as 3, 3 and 1
-        monkeypatch.setattr(model_mod, "_BLOCK_BYTES",
-                            3 * cfg.recurrent_timesteps * cfg.conv_filters * 8)
-        pooled, probs, cell_ins, grads, counter, eval_probs = self.step(net, x)
+        # 3-row blocks on both paths: 7 rows run as 3, 3 and 1, so that both
+        # sum their gradients over the same blocks
+        monkeypatch.setattr(model_mod, "_block_bounds",
+                            lambda n, width, cfg: [(0, 3), (3, 6), (6, 7)])
+        pooled, probs, cell_ins, grads, counter, eval_probs = self.step(net, x, monkeypatch)
         monkeypatch.setattr(model_mod, "_pools_first", lambda cfg: False)
-        ref_pooled, ref_probs, ref_cell_ins, ref_grads, ref_counter, ref_eval = self.step(net, x)
+        ref_pooled, ref_probs, ref_cell_ins, ref_grads, ref_counter, ref_eval = self.step(
+            net, x, monkeypatch)
         # (pooled path taken, blocks) per stream
         assert pooled == [(True, 3), (True, 3)]
         assert [taken for taken, _ in ref_pooled] == [False, False]
@@ -596,16 +688,10 @@ class TestPooledFrontEnd:
             else:
                 assert g.tobytes() == ref_grads[name].tobytes(), name
 
-    def test_allocates_no_conv_gradient_scratch(self):
-        net = build(heartbeat_config(), Rng(114))
-        x = Rng(115).uniform((5, 17, 1))
-        probs, trace = forward(net, x, mode="train", rng=Rng(116))
-        backward(net, trace, probs - probs.mean(axis=1, keepdims=True))
-        assert net._scratch.size == 0
-
     def test_fused_dropout_relu_backward_is_bitwise(self):
         """(dy * (cell_in > 0)) * scale, the stream backward through ReLU and
-        dropout on both front-end paths, pooled and general, equals dropout
+        dropout on both front-end paths, pooled and general, with cell_in the
+        block's re-formed cell input, equals dropout
         then ReLU backward on every pairing of special values.  It would not
         where dy * scale overflows."""
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0 ** -1070])
@@ -633,12 +719,12 @@ def arrays_in(obj):
             yield from arrays_in(item)
 
 
-class TestScratch:
-    """The scratch buffer a model reuses for the conv-output gradient
-    carries nothing from one call to the next, and no eval forward uses it."""
+class TestRepeatedCalls:
+    """A model carries nothing from one call to the next: a used model's
+    train steps and eval forwards equal a fresh model's, bit for bit."""
 
     @pytest.mark.parametrize("timesteps,kernel", [(17, 1), (23, 3)])
-    def test_reused_scratch_matches_a_fresh_model_bitwise(self, tmp_path, timesteps, kernel):
+    def test_used_model_matches_a_fresh_model_bitwise(self, tmp_path, timesteps, kernel):
         cfg = radar_config(input_timesteps=timesteps, conv_filters=6, conv_kernel=kernel,
                            dense_sizes=(8,))
 
@@ -650,32 +736,20 @@ class TestScratch:
 
         def train_step(net, n):
             probs, trace = forward(net, inputs(n), mode="train", rng=Rng(97))
-            assert not any(np.shares_memory(a, net._scratch) for a in arrays_in(
-                trace.stream_caches + trace.head_caches))
             _, dlogits = optim.cce_loss(probs, np.eye(2)[np.arange(n) % 2])
-            grads = backward(net, trace, dlogits)
-            assert not any(np.shares_memory(g, net._scratch) for g in grads.values())
-            return [probs, *grads.values()]
+            return [probs, *backward(net, trace, dlogits).values()]
 
         def eval_forward(net, n):
-            scratch = net._scratch.copy()
-            probs, _ = forward(net, inputs(n), mode="eval")
-            assert net._scratch.tobytes() == scratch.tobytes()  # untouched and ungrown
-            return [probs]
+            return [forward(net, inputs(n), mode="eval")[0]]
 
         net = fresh()
-        eval_forward(net, 5)
-        assert net._scratch.size == 0  # only a backward allocates it
-        # a full batch, the last partial one, an eval forward larger than
-        # the scratch, then a larger batch and an eval forward it would hold
+        # a full batch, the last partial one, a large eval forward, then a
+        # larger batch and a small eval forward
         for op, n in ((train_step, 7), (train_step, 3), (eval_forward, 40),
                       (train_step, 9), (eval_forward, 11)):
             want = [a.tobytes() for a in op(fresh(), n)]
             assert [a.tobytes() for a in op(net, n)] == want, (op.__name__, n)
-            net._scratch[...] = np.nan  # whatever the last call left
             assert [a.tobytes() for a in op(net, n)] == want, (op.__name__, n)
-        assert net._scratch.size == 9 * (timesteps - kernel + 1) * 6
-        assert np.isnan(net._scratch).all()  # eval forwards leave it untouched and ungrown
         assert net.parameters().keys() == fresh().parameters().keys()
         save_checkpoint(tmp_path / "used.tackpt", net)
         save_checkpoint(tmp_path / "fresh.tackpt", fresh())

@@ -15,6 +15,7 @@ from temporal_augmenter.recurrent import (
     lstm_backward,
     lstm_forward,
     project,
+    project_backward,
     zero_params,
 )
 from temporal_augmenter.tensor_core import (
@@ -28,12 +29,12 @@ from temporal_augmenter.tensor_core import (
 
 def run_lstm(x, p, mode="train"):
     """The LSTM on ``x``, given its input projection as one GEMM."""
-    return lstm_forward(x, project(x, p), p, mode=mode)
+    return lstm_forward(project(x, p), p, mode=mode)
 
 
 def run_gru(x, p, mode="train"):
     """The GRU on ``x``, given its input projection as one GEMM."""
-    return gru_forward(x, project(x, p), p, mode=mode)
+    return gru_forward(project(x, p), p, mode=mode)
 
 
 def zero_lstm(d, u):
@@ -266,20 +267,20 @@ class TestUnroll:
         with pytest.raises(ShapeError):
             run_gru(np.zeros((3, 0, 2)), p)
 
-    def test_train_mode_needs_the_input_and_a_projection_of_its_width(self):
+    def test_cells_read_only_a_projection_of_the_gate_width(self):
         rng = Rng(64)
         for kind, forward, gates in (("gru", gru_forward, 3), ("lstm", lstm_forward, 4)):
             p = draw_params(zero_params(kind, 2, 3), rng)
             x = rng.uniform((4, 5, 2))
             px = project(x, p)
             assert px.shape == (4, 5, gates * 3)
-            assert forward(None, px, p, mode="eval")[1] is None  # eval reads only px
-            with pytest.raises(ShapeError, match="cell input"):
-                forward(None, px, p)
-            with pytest.raises(ShapeError, match="cell input"):
-                forward(x[:, :4], px, p)
+            assert forward(px, p, mode="eval")[1] is None
+            # no train cache holds the cell's input or its projection
+            cache = forward(px, p)[1]
+            assert not any(np.shares_memory(a, px) for a in cache if isinstance(a, np.ndarray))
+            assert all(a.shape[-2:] == (4, 3) for a in cache if isinstance(a, np.ndarray))
             with pytest.raises(ShapeError, match="projection"):
-                forward(x, px[:, :, 1:], p)
+                forward(px[:, :, 1:], p)
 
     def test_unknown_cell(self):
         # the cell name is read from the model config, which takes gru or lstm only
@@ -294,7 +295,8 @@ class TestUnroll:
         hs, cache = run_gru(x, p)
         d_hs = np.zeros(hs.shape)
         d_hs[:, -1] = proj
-        dx, grads = gru_backward(cache, d_hs)
+        da, grads = gru_backward(cache, d_hs)
+        dx, grads["W"] = project_backward(x, da, p)
 
         def objective():
             return float(np.sum(run_gru(x, p)[0][:, -1] * proj))
@@ -344,7 +346,7 @@ class TestGateRanges:
         p = draw_params(zero_params("lstm", 4, 5), rng)
         x = rng.uniform((6, 8, 4)) * 4 - 2
         hs, cache = run_lstm(x, p)
-        gates = cache[4]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
+        gates = cache[3]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
         fio, g = gates[:, :3], gates[:, 3]
         assert np.all(fio > 0) and np.all(fio < 1)
         assert np.all(g > -1) and np.all(g < 1)
@@ -352,7 +354,7 @@ class TestGateRanges:
 
         pg = draw_params(zero_params("gru", 4, 5), rng)
         hsg, cacheg = run_gru(x, pg)
-        zr, hcs = cacheg[3], cacheg[4]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
+        zr, hcs = cacheg[2], cacheg[3]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
         assert np.all(zr > 0) and np.all(zr < 1)
         assert np.all(hcs > -1) and np.all(hcs < 1)
         assert np.all(np.abs(hsg) <= 1.0)
@@ -379,7 +381,7 @@ class TestMemoryRetention:
         p.W[3, :4] = 50.0  # f
         p.W[3, 4:8] = -50.0  # i
         _, cache = run_lstm(self.switched_input(rng), p)
-        cs = cache[3]  # [T + 1, n, u]: zeros, then the cell state after each step
+        cs = cache[2]  # [T + 1, n, u]: zeros, then the cell state after each step
         assert np.linalg.norm(cs[6]) > 0.1
         npt.assert_array_equal(cs[-1], cs[6])
 
@@ -437,11 +439,8 @@ class TestRecurrentGradientProducts:
     """The recurrent-weight gradients equal ``np.tensordot`` over (n, T) bit for bit.
 
     ``tensordot`` takes its BLAS path from the operand's memory layout, so the
-    time-major state caches are handed to it as C-order [n, T, u] blocks.
-
-    With input rows that form an identity matrix (d = n * T), the input-weight
-    gradient x^T da is da itself, so the test reads the pre-activation
-    gradients of the cell's own backward from it.
+    time-major state caches are handed to it as C-order [n, T, u] blocks, with
+    the batch-major pre-activation gradient da that the backward returns.
     """
 
     @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
@@ -450,10 +449,10 @@ class TestRecurrentGradientProducts:
         p = draw_params(zero_params("lstm", n * T, u), rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = run_lstm(x, p)
-        _, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
-        da = grads["W"].reshape(n, T, 4 * u)
+        da, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
+        assert da.shape == (n, T, 4 * u) and da.flags.c_contiguous
         # the states before each step, batch-major [n, T, u] as one C-order block
-        h_prev = np.ascontiguousarray(cache[2][:-1].transpose(1, 0, 2))
+        h_prev = np.ascontiguousarray(cache[1][:-1].transpose(1, 0, 2))
         oracle = np.tensordot(h_prev, da, axes=([0, 1], [0, 1]))
         assert grads["U"].tobytes() == oracle.tobytes()
 
@@ -463,12 +462,12 @@ class TestRecurrentGradientProducts:
         p = draw_params(zero_params("gru", n * T, u), rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = run_gru(x, p)
-        _, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
-        da = grads["W"].reshape(n, T, 3 * u)
+        da, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
+        assert da.shape == (n, T, 3 * u) and da.flags.c_contiguous
         # the states before each step and r * h_prev, batch-major [n, T, u]
         # as C-order blocks
-        h_prev = np.ascontiguousarray(cache[2][:-1].transpose(1, 0, 2))
-        rh = np.ascontiguousarray(cache[5].transpose(1, 0, 2))
+        h_prev = np.ascontiguousarray(cache[1][:-1].transpose(1, 0, 2))
+        rh = np.ascontiguousarray(cache[4].transpose(1, 0, 2))
         oracle_zr = np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1]))
         oracle_h = np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1]))
         assert grads["U_zr"].tobytes() == oracle_zr.tobytes()
@@ -478,6 +477,8 @@ class TestRecurrentGradientProducts:
 class TestCellsMatchOracles:
     """Forward states, input gradients and every parameter gradient equal the
     oracles above bit for bit, over unit counts, batch sizes and lengths.
+    The input gradient and the W gradient are formed from the backward's da
+    by ``project_backward``, as the model's backward forms them.
     ``with_state`` leads the sequence with three warm-up steps, so that its
     first step starts from the nonzero state they leave."""
 
@@ -495,11 +496,13 @@ class TestCellsMatchOracles:
         return x, d_hs, pl, pg
 
     @staticmethod
-    def _assert_same(got, want, d_hs):
-        """``got`` and ``want`` are each ((hs, cache), backward)."""
+    def _assert_same(x, got, want, d_hs):
+        """``got`` and ``want`` are each ((hs, cache), backward) on input ``x``."""
         ((hs, cache), backward), ((ref_hs, ref_cache), ref_backward) = got, want
         assert hs.shape == ref_hs.shape and hs.tobytes() == ref_hs.tobytes()
-        dx, grads = backward(cache, d_hs)
+        da, cell_grads = backward(cache, d_hs)
+        dx, dW = project_backward(x, da, cache[0])
+        grads = {"W": dW, **cell_grads}
         ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
         assert dx.tobytes() == ref_dx.tobytes()
         assert list(grads) == list(ref_grads)
@@ -513,7 +516,7 @@ class TestCellsMatchOracles:
     @pytest.mark.parametrize("with_state", [False, True])
     def test_lstm_bitwise(self, u, n, T, with_state):
         x, d_hs, p, _ = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T, with_state)
-        self._assert_same((run_lstm(x, p), lstm_backward),
+        self._assert_same(x, (run_lstm(x, p), lstm_backward),
                           (reference_lstm_forward(x, p), reference_lstm_backward), d_hs)
         hs_eval, cache_eval = run_lstm(x, p, mode="eval")
         assert cache_eval is None
@@ -525,7 +528,7 @@ class TestCellsMatchOracles:
     @pytest.mark.parametrize("with_state", [False, True])
     def test_gru_bitwise(self, u, n, T, with_state):
         x, d_hs, _, p = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T, with_state)
-        self._assert_same((run_gru(x, p), gru_backward),
+        self._assert_same(x, (run_gru(x, p), gru_backward),
                           (reference_gru_forward(x, p), reference_gru_backward), d_hs)
         hs_eval, cache_eval = run_gru(x, p, mode="eval")
         assert cache_eval is None
@@ -542,7 +545,7 @@ class TestCellsMatchOracles:
         d_hs[:, ::2] = -0.0
         for p in (pl, pg):
             p.b[::3] = -0.0
-        self._assert_same((run_lstm(x, pl), lstm_backward),
+        self._assert_same(x, (run_lstm(x, pl), lstm_backward),
                           (reference_lstm_forward(x, pl), reference_lstm_backward), d_hs)
-        self._assert_same((run_gru(x, pg), gru_backward),
+        self._assert_same(x, (run_gru(x, pg), gru_backward),
                           (reference_gru_forward(x, pg), reference_gru_backward), d_hs)
