@@ -5,7 +5,8 @@ random projection of the outputs, or the cross-entropy loss for the whole
 network), and compares the analytic gradients against central differences
 with h = 1e-5.  Relative error uses a small denominator floor so exactly-zero
 gradients compare cleanly.  Nondifferentiable points (ReLU kinks, pooling
-ties) are kept out of the sampled instances by construction.
+ties) are kept out of the sampled instances by construction.  ReLU and
+dropout write over their input, so they are given copies.
 """
 
 from __future__ import annotations
@@ -125,25 +126,33 @@ def check_relu(seed: int = 0, trials: int = 5) -> float:
         x = _uniform_pm(rng, shape)
         x += np.where(x >= 0, 1e-2, -1e-2)  # keep away from the kink
         proj = _uniform_pm(rng, shape)
-        dx = layers.relu_backward(layers.relu_forward(x)[1], proj)
-        worst = max(worst, _worst(lambda: layers.relu_forward(x), proj, ((dx, x),)))
+        dx = layers.relu_backward(layers.relu_forward(x.copy())[0], proj.copy())
+        worst = max(worst, _worst(lambda: layers.relu_forward(x.copy()), proj, ((dx, x),)))
     return worst
 
 
 def check_dropout(seed: int = 0, trials: int = 3) -> float:
+    """Dropout, then ReLU and dropout with the backward from the output, as the model runs it."""
     rng = Rng(seed).derive("dropout")
     worst = 0.0
     for trial in range(trials):
         shape = (3, 4 + trial)
         x = _uniform_pm(rng, shape)
+        x += np.where(x >= 0, 1e-2, -1e-2)  # keep away from the ReLU kink
         proj = _uniform_pm(rng, shape)
         mask_seed = int(rng.uniform(()) * 1e9)
 
-        def run_forward():
-            return layers.dropout_forward(x, 0.4, "train", Rng(mask_seed))
+        def dropout():
+            return layers.dropout_forward(x.copy(), 0.4, "train", Rng(mask_seed))
 
-        dx = layers.dropout_backward(run_forward()[1], proj)
-        worst = max(worst, _worst(run_forward, proj, ((dx, x),)))
+        def pair():
+            return layers.dropout_forward(layers.relu_forward(x.copy())[0], 0.4, "train",
+                                          Rng(mask_seed))
+
+        dx = layers.dropout_backward(dropout()[1], proj.copy())
+        y, (_, scale) = pair()
+        dx_pair = layers.dropout_backward((None, scale), layers.relu_backward(y, proj.copy()))
+        worst = max(worst, _worst(dropout, proj, ((dx, x),)), _worst(pair, proj, ((dx_pair, x),)))
     return worst
 
 
@@ -204,8 +213,7 @@ def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:
     _, trace = model_mod.forward(net, x, mode="train", rng=Rng(0))
     pool = net.config.pool_size
     for sp, stream_cache in zip(net.streams, trace.stream_caches):
-        conv_x, _ = stream_cache[0]
-        pre, _ = layers.conv1d_forward(conv_x, sp.conv)
+        pre, _ = layers.conv1d_forward(stream_cache[0], sp.conv)
         if np.min(np.abs(pre)) < band:
             return False
         if pool > 1:
@@ -218,7 +226,7 @@ def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:
             gaps = np.diff(sorted_w, axis=2)
             if np.any((gaps < band) & (sorted_w[:, :, 1:, :] > 0.0)):
                 return False
-    for dp, (dense_cache, _, _) in zip(net.head[:-1], trace.head_caches):
+    for dp, (dense_cache, _) in zip(net.head[:-1], trace.head_caches):
         pre, _ = layers.dense_forward(dense_cache[0], dp)
         if np.min(np.abs(pre)) < band:
             return False

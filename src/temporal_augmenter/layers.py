@@ -4,6 +4,16 @@ Every layer comes as a ``*_forward`` / ``*_backward`` pair.  Forward returns
 ``(y, cache)``; backward consumes the cache produced by the immediately
 preceding forward together with the gradient of the loss w.r.t. ``y``.
 All caches are plain tuples documented next to the forward function.
+
+ReLU and then dropout follow each stream's pooling and each hidden dense
+layer.  Both work in place, a forward over its input and a backward over
+its gradient.  ReLU's backward reads the output y, not a mask:
+``relu_backward(y, dy)`` then ``dropout_backward((None, scale), dy)`` is
+``(dy * (y > 0)) * scale``.  As the scale is at least 1, y > 0 holds
+exactly where the input x was kept and positive, so this is the textbook
+``((dy * keep) * scale) * (x > 0)`` bit for bit, except where
+``dy * scale`` overflows at an element that the ReLU zeroes: there the
+textbook order gives NaN (inf * 0), and this one 0.
 """
 
 from __future__ import annotations
@@ -177,11 +187,20 @@ def maxpool1d_backward(cache, dy: Tensor, out: Tensor | None = None):
 
 
 # ---------------------------------------------------------------------------
-# dropout (inverted) and ReLU
+# ReLU and dropout (inverted), applied in that order
 # ---------------------------------------------------------------------------
 
-def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None,
-                    in_place: bool = False):
+def relu_forward(x: Tensor):
+    """y = max(0, x), written over x, which is returned; cache None."""
+    return np.maximum(x, 0.0, out=x), None
+
+
+def relu_backward(y: Tensor, dy: Tensor):
+    """dy * (y > 0), written over dy, given the output y of ReLU or of ReLU then dropout."""
+    return np.multiply(dy, y > 0, out=dy)
+
+
+def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
     """Inverted dropout: keep with probability 1-rate, scale kept values by 1/(1-rate).
 
     An element is kept when its draw ``u = (w >> 11) * 2**-53`` from the raw
@@ -194,8 +213,8 @@ def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None,
     element, so masks drawn block after block over consecutive rows equal
     one mask drawn for the whole array.
 
-    Eval mode and rate 0 are the identity and consume no rng draws.  With
-    ``in_place`` the result is written over ``x``, which is returned.
+    The result is written over ``x``, which is returned.  Eval mode and rate
+    0 are the identity and consume no rng draws.
     cache = (keep_mask | None, scale).
     """
     if not 0.0 <= rate < 1.0:
@@ -207,24 +226,17 @@ def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None,
     threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
     keep = (rng.next_uint64(x.size) >= threshold).reshape(x.shape)
     scale = 1.0 / (1.0 - rate)
-    y = np.multiply(x, keep, out=x if in_place else None)
-    y *= scale
-    return y, (keep, scale)
+    np.multiply(x, keep, out=x)
+    x *= scale
+    return x, (keep, scale)
 
 
 def dropout_backward(cache, dy: Tensor):
+    """(dy * keep) * scale, written over dy, which is returned.  A keep mask
+    of None multiplies by the scale alone, as after ``relu_backward``."""
     keep, scale = cache
-    if keep is None:
-        return dy
-    return dy * keep * scale
-
-
-def relu_forward(x: Tensor, mode: str = "train"):
-    """y = max(0, x); cache is the strict positive mask (gradient 0 at x == 0),
-    or None in eval mode."""
-    y = np.maximum(x, 0.0)
-    return y, (x > 0 if is_train_mode(mode) else None)
-
-
-def relu_backward(mask, dy: Tensor):
-    return dy * mask
+    if keep is not None:
+        np.multiply(dy, keep, out=dy)
+    if scale != 1.0:
+        dy *= scale
+    return dy

@@ -40,49 +40,41 @@ two channels; ``width = T_conv``) and is the oracle the pooled path is
 tested against.  It runs ``conv1d_forward`` on the block's rows and
 ``maxpool1d_forward`` into the block.  The [rows, T_conv, F] conv output is
 a temporary, freed before the projection, so the next block's conv output
-reuses its memory: kept alive across the projection, it made each warm
-ionosphere ``predict_probs`` fault in 446 fresh pages (none otherwise) and
-take about 30% longer (in-process, one core).  Pooling before the ReLU is the network
-conv1d -> ReLU -> maxpool, bit for bit, on 1/pool_size of the data:
-``max(relu(a), relu(b)) == relu(max(a, b))`` exactly (``np.maximum(-0.0,
-0.0)`` is +0.0 either way), and both orders send a window's gradient to its
-first maximal position when that max is positive and a zero otherwise.
-That zero is -0.0 when the incoming gradient is negative, and in a window
-whose max is <= 0 it may sit at a different position; the kernel and bias
-gradients sum over positions, so at most the sign of a kernel gradient
-entry that is exactly zero can differ.
+reuses its memory instead of faulting in fresh pages.  Pooling before the
+ReLU is the network conv1d -> ReLU -> maxpool, bit for bit, on 1/pool_size
+of the data: ``max(relu(a), relu(b)) == relu(max(a, b))`` exactly
+(``np.maximum(-0.0, 0.0)`` is +0.0 either way), and both orders send a
+window's gradient to its first maximal position when that max is positive
+and a zero otherwise.  That zero is -0.0 when the incoming gradient is
+negative, and in a window whose max is <= 0 it may sit at a different
+position; the kernel and bias gradients sum over positions, so at most the
+sign of a kernel gradient entry that is exactly zero can differ.
 
 The backward recomputes each block's cell input rather than keeping it
 (Chen et al., *Training Deep Nets with Sublinear Memory Cost*,
 arXiv:1604.06174): forming a block costs a two-column product or a conv
 and a pool, so it is cheaper to form again than to store.  A block's cache
-holds its bool dropout keep mask (None without dropout) and, on the
-general path, its max-pool winner mask; no ReLU mask and no float array.
-The cell's backward returns the pre-activation gradient da [n, T_out, k],
-and one loop over the forward's blocks then, per block, re-forms the cell
-input with ``_form_block`` and the stored keep mask into one reused buffer,
-bit for bit the forward's; adds its x^T da into the cell's input-weight
-gradient and forms its cell-input gradient da W^T in a second reused
-buffer (``recurrent.project_backward``); applies the dropout and ReLU
-backward; and adds the block's share of the kernel and bias gradients.
-Under ReLU that backward ``((dy * keep) * scale) * (pre > 0)`` is ``(dy *
-(cell_in > 0)) * scale`` bit for bit, since ``cell_in > 0`` holds exactly
-where the element was kept and its pre-activation is positive, as the
-scale is at least 1; the two differ only where ``dy * scale`` overflows at
-an element the ReLU zeroes.  Under the identity activation the keep mask
-takes the place of ``cell_in > 0``.  The general path runs the block's
-max-pool backward into a reused [rows, T_conv, F] buffer and
-``conv1d_backward`` on it.  The pooled path's kernel gradient takes, per
-filter, the input value that the general path's window winner holds: the
-window max of x where K[f] > 0, the min where K[f] < 0, and the window's
-first step where K[f] is +-0.0 and every step ties, as one product of
-those three [rows * T_out] rows with the block's [rows * T_out, F]
-gradient.  Its summation order differs from the general path's, so its
-last bits may move; so may its value where rounding makes two window
-values equal while their x differ.  Over the same blocks, the pooled
-path's bias gradient is bit for bit the general path's: numpy's sum starts
-at +0.0, so no partial sum is -0.0 and the +0.0 that the general path adds
-for each non-winning step changes none of them.
+is its bool dropout keep mask (None without dropout) and its dropout
+scale.  The cell's backward returns the pre-activation gradient da
+[n, T_out, k]; then, per block, the backward re-forms the cell input with
+``_form_block`` and the keep mask into a reused buffer, bit for bit the
+forward's, the general path taking its pool winners from the conv output
+formed there; adds x^T da into the cell's input-weight gradient and forms
+da W^T in a second reused buffer (``recurrent.project_backward``); runs
+the ReLU and dropout backward, which read that cell input, not a mask (see
+``layers``); and adds the block's share of the kernel and bias gradients.
+The general path runs the block's max-pool backward into a reused
+[rows, T_conv, F] buffer and ``conv1d_backward`` on it.  The pooled path's
+kernel gradient takes, per filter, the input value that the general path's
+window winner holds: the window max of x where K[f] > 0, the min where
+K[f] < 0, and the window's first step where K[f] is +-0.0 and every step
+ties, as one product of those three [rows * T_out] rows with the block's
+[rows * T_out, F] gradient.  Its summation order differs from the general
+path's, so its last bits may move; so may its value where rounding makes
+two window values equal while their x differ.  Over the same blocks, the
+pooled path's bias gradient is bit for bit the general path's: numpy's sum
+starts at +0.0, so no partial sum is -0.0 and the +0.0 that the general
+path adds for each non-winning step changes none of them.
 
 Blocking changes no bit of the forward: each sample is filtered on its
 own, pooling, the activation and the dropout scaling are elementwise, and
@@ -313,8 +305,9 @@ def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: in
     """Write the activated, pooled pre-activation of batch rows start:stop
     into ``y`` [stop - start, T_out, F], by the path that ``pooled``
     (``_pooled_terms``) selects.  Returns the max-pool cache: None on the
-    pooled path and in eval mode.  The forward and the backward's re-form
-    both call it, so the backward sees the forward's bits."""
+    pooled path and in eval mode, which the forward uses as it keeps no
+    pool winners.  The backward's re-form calls it too, so it sees the
+    forward's bits."""
     pool_cache = None
     if pooled is not None:
         extremes, weights, b = pooled
@@ -325,14 +318,14 @@ def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: in
         _, pool_cache = layers.maxpool1d_forward(
             layers.conv1d_forward(x[start:stop], sp.conv)[0], cfg.pool_size, mode, out=y)
     if cfg.conv_activation == "relu":
-        np.maximum(y, 0.0, out=y)
+        layers.relu_forward(y)
     return pool_cache
 
 
 def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng, px: Tensor):
     """The block loop (see the module docstring), writing every row of
-    ``px``.  Returns (blocks, pooled): one (start, stop, pool cache,
-    dropout cache) per block, and the pooled path's terms."""
+    ``px``.  Returns (blocks, pooled): one (start, stop, keep mask, dropout
+    scale) per block, and the pooled path's terms."""
     pooled = _pooled_terms(sp, cfg, x)
     width = cfg.recurrent_timesteps if pooled is not None else x.shape[1] - cfg.conv_kernel + 1
     bounds = _block_bounds(x.shape[0], width, cfg)
@@ -341,29 +334,24 @@ def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng, px
     blocks = []
     for start, stop in bounds:
         y = buffer[:stop - start]
-        pool_cache = _form_block(sp, cfg, x, pooled, start, stop, y, mode)
-        _, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng, in_place=True)
+        _form_block(sp, cfg, x, pooled, start, stop, y, "eval")
+        _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
         recurrent.project(y, sp.cell, out=px[start:stop])
-        blocks.append((start, stop, pool_cache, drop_cache))
+        blocks.append((start, stop, keep, scale))
     return blocks, pooled
 
 
 def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
     """One stream over the batch.  Its front-end writes every row of the
     cell's input projection px, block by block; no [n, T_out, F] cell input
-    exists in either mode.  cache = ((x, conv params), blocks, cell cache,
-    hs shape, pooled terms), the pooled terms None on the general path."""
+    exists in either mode.  cache = (x, blocks, cell cache, pooled terms),
+    the pooled terms None on the general path."""
     px = np.empty((x.shape[0], cfg.recurrent_timesteps, sp.cell.W.shape[1]))
     blocks, pooled = _front_end(sp, cfg, x, mode, rng, px)
-    if sp.kind == "gru":
-        hs, cell_cache = recurrent.gru_forward(px, sp.cell, mode=mode)
-    else:
-        hs, cell_cache = recurrent.lstm_forward(px, sp.cell, mode=mode)
-    if cfg.return_sequences:
-        out = hs.reshape(hs.shape[0], -1)
-    else:
-        out = hs[:, -1]
-    return out, ((x, sp.conv), blocks, cell_cache, hs.shape, pooled)
+    run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
+    hs, cell_cache = run(px, sp.cell, mode=mode)
+    out = hs.reshape(hs.shape[0], -1) if cfg.return_sequences else hs[:, -1]
+    return out, (x, blocks, cell_cache, pooled)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -382,14 +370,13 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
     a = np.concatenate(stream_outs, axis=1)
     head_caches = []
     for idx, dp in enumerate(model.head[:-1]):
-        z, dense_cache = layers.dense_forward(a, dp)
-        a, relu_cache = layers.relu_forward(z, mode)
-        drop_cache = None
-        if idx == 0:
-            a, drop_cache = layers.dropout_forward(a, cfg.dropout_head, mode, rng)
-        head_caches.append((dense_cache, relu_cache, drop_cache))
+        a, dense_cache = layers.dense_forward(a, dp)
+        rate = cfg.dropout_head if idx == 0 else 0.0
+        _, (_, scale) = layers.dropout_forward(layers.relu_forward(a)[0], rate, mode, rng)
+        # the output a is the next layer's dense input, which this backward reads
+        head_caches.append((dense_cache, scale))
     logits, out_cache = layers.dense_forward(a, model.head[-1])
-    head_caches.append((out_cache, None, None))
+    head_caches.append((out_cache, 1.0))
     probs = softmax(logits)
     return probs, ForwardTrace(mode=mode, stream_caches=stream_caches, head_caches=head_caches)
 
@@ -408,17 +395,16 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     forward's blocks that re-forms each block's cell input and sums the
     input-weight, kernel and bias gradients block by block (see the module
     docstring)."""
-    (x, conv), blocks, cell_cache, hs_shape, pooled = cache
+    x, blocks, cell_cache, pooled = cache
+    T_out, F, conv = cfg.recurrent_timesteps, cfg.conv_filters, sp.conv
+    hs_shape = (x.shape[0], T_out, cfg.stream_units(sp.kind))
     if cfg.return_sequences:
         d_hs = d_out.reshape(hs_shape)
     else:
         d_hs = np.zeros(hs_shape)
         d_hs[:, -1] = d_out
-    if sp.kind == "gru":
-        da, cell_grads = recurrent.gru_backward(cell_cache, d_hs)
-    else:
-        da, cell_grads = recurrent.lstm_backward(cell_cache, d_hs)
-    T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
+    run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
+    da, cell_grads = run(cell_cache, d_hs)
     relu = cfg.conv_activation == "relu"
     rows = max(stop - start for start, stop, _, _ in blocks)
     y_buffer, g_buffer = np.empty((rows, T_out, F)), np.empty((rows, T_out, F))
@@ -430,19 +416,16 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     else:
         d_conv = np.empty((rows, x.shape[1] - cfg.conv_kernel + 1, F))
     dW = dK = db = sums = None
-    for start, stop, pool_cache, (keep, scale) in blocks:
+    for start, stop, keep, scale in blocks:
         y, g = y_buffer[:stop - start], g_buffer[:stop - start]
-        _form_block(sp, cfg, x, pooled, start, stop, y, "eval")
-        if keep is not None:  # the forward's dropout, as dropout_forward applied it
-            np.multiply(y, keep, out=y)
-            y *= scale
+        pool_cache = _form_block(sp, cfg, x, pooled, start, stop, y, "train")
+        # dropout is linear, so with the forward's keep mask its backward is its forward
+        layers.dropout_backward((keep, scale), y)
         _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)
         dW = _accumulate(dW, part)
-        mask = y > 0 if relu else keep
-        if mask is not None:
-            g *= mask
-        if scale != 1.0:
-            g *= scale
+        if relu:
+            layers.relu_backward(y, g)
+        layers.dropout_backward((None if relu else keep, scale), g)
         if pooled is not None:
             g2 = g.reshape(-1, F)
             db = _accumulate(db, g2.sum(axis=0))
@@ -477,18 +460,15 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
     cfg = model.config
     grads = {}
     head_caches, trace.head_caches = trace.head_caches, []
-    out_cache, _, _ = head_caches.pop()
-    da, dW, db = layers.dense_backward(out_cache, dlogits)
-    grads["head.out.W"] = dW
-    grads["head.out.b"] = db
-    for idx in range(len(model.head) - 2, -1, -1):
-        dense_cache, relu_cache, drop_cache = head_caches.pop()
-        if drop_cache is not None:
-            da = layers.dropout_backward(drop_cache, da)
-        da = layers.relu_backward(relu_cache, da)
+    da, y = dlogits, None
+    for idx in range(len(model.head) - 1, -1, -1):
+        dense_cache, scale = head_caches.pop()
+        if y is not None:  # a hidden layer, whose output y the layer above read
+            layers.dropout_backward((None, scale), layers.relu_backward(y, da))
+        y = dense_cache[0]
         da, dW, db = layers.dense_backward(dense_cache, da)
-        grads[f"head.{idx}.W"] = dW
-        grads[f"head.{idx}.b"] = db
+        name = "out" if idx == len(model.head) - 1 else idx
+        grads[f"head.{name}.W"], grads[f"head.{name}.b"] = dW, db
     offset = 0
     for sp in model.streams:
         width = cfg.stream_width(sp.kind)

@@ -3,12 +3,15 @@
 Each line is one forward, loss and backward of the default model on a random
 batch of a benchmark workload's shape: [batch, timesteps, channels] and its
 class count.  tracemalloc counts the bytes that numpy and Python allocate, so
-a figure is the same on every run of one numpy build.  pytest does not
-collect this file; run it from the repository root as
+a figure is the same on every run of one numpy build.  The script exits 1
+when a peak is more than ``TOLERANCE`` above its figure in ``PEAK_MIB``, so
+a train trace that starts keeping a mask or a float array again fails.
+pytest does not collect this file; run it from the repository root as
 
     PYTHONPATH=src python tests/step_memory.py
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,10 @@ SHAPES = {
     "tess": (32, 1024, 1, 3),
     "ionosphere": (128, 17, 2, 2),
 }
+
+# workload -> the step peak in MiB, read with numpy 2.4 on CPython 3.11
+PEAK_MIB = {"mitbih": 21.7, "tess": 29.6, "ionosphere": 3.4}
+TOLERANCE = 0.10
 
 
 def step_peak(n: int, timesteps: int, channels: int, classes: int) -> int:
@@ -42,5 +49,13 @@ def step_peak(n: int, timesteps: int, channels: int, classes: int) -> int:
 
 
 if __name__ == "__main__":
+    over = []
     for name, shape in SHAPES.items():
-        print(f"{name:<11} {list(shape[:3])}  train step peak {step_peak(*shape) / 2**20:6.1f} MiB")
+        peak = step_peak(*shape) / 2**20
+        print(f"{name:<11} {list(shape[:3])}  train step peak {peak:6.1f} MiB"
+              f"  (figure {PEAK_MIB[name]:.1f})")
+        if peak > PEAK_MIB[name] * (1 + TOLERANCE):
+            over.append(name)
+    if over:
+        print(f"step peak more than {TOLERANCE:.0%} above its figure: {', '.join(over)}")
+        sys.exit(1)

@@ -54,6 +54,14 @@ def test_traced_train_and_eval_record_the_cells_and_the_eval_timer(tmp_path, tas
         assert name in spans, name
     # eval's own call, the one `eval_samples_per_s` is timed over
     assert spans["optim.predict_probs"]["calls"] > after_train["optim.predict_probs"]["calls"]
+    # the ReLU and dropout pair runs in every stream block, not only in the
+    # head's one hidden layer, which calls each once per forward or backward
+    forwards = spans["model.forward.train"]["calls"] + spans["model.forward.eval"]["calls"]
+    backwards = spans["model.backward"]["calls"]
+    for name, head_calls in (("layers.relu_forward", forwards),
+                             ("layers.relu_backward", backwards),
+                             ("layers.dropout_backward", backwards)):
+        assert spans[name]["calls"] > head_calls, name
     for name in tracer.CACHE_SPANS:  # a train-mode cell cache holds arrays
         assert traced.counters[f"{name}.cache_bytes"] > 0, name
     assert traced.counters["tensor_core.Rng.draws"] > 0

@@ -186,6 +186,10 @@ class TestMaxPool1D:
         assert cache is not None and eval_cache is None
         assert y_eval.tobytes() == y_train.tobytes()
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            maxpool1d_forward(np.zeros((1, 2, 1)), 2, "test")
+
     def test_non_3d_input_names_shape(self):
         with pytest.raises(ShapeError, match=r"\(4, 6\)"):
             maxpool1d_forward(np.zeros((4, 6)), 2)
@@ -258,11 +262,15 @@ class TestDropout:
             dropout_forward(np.ones((2, 2)), -0.1, "train", Rng(0))
 
     def test_in_place_writes_the_same_bits_over_x(self):
+        """Forward and backward each return their input, holding the bits of
+        the product (a * keep) * scale."""
         x = Rng(48).uniform((30, 20)) * 2 - 1
-        want, (keep, scale) = dropout_forward(x, 0.3, "train", Rng(49))
-        y, (in_place_keep, _) = dropout_forward(x, 0.3, "train", Rng(49), in_place=True)
-        assert y is x and y.tobytes() == want.tobytes()
-        npt.assert_array_equal(in_place_keep, keep)
+        dy = Rng(50).uniform((30, 20)) * 2 - 1
+        x0, dy0 = x.copy(), dy.copy()
+        y, (keep, scale) = dropout_forward(x, 0.3, "train", Rng(49))
+        assert y is x and y.tobytes() == ((x0 * keep) * scale).tobytes()
+        dx = dropout_backward((keep, scale), dy)
+        assert dx is dy and dx.tobytes() == ((dy0 * keep) * scale).tobytes()
 
     def test_expectation_preserved(self):
         x = Rng(43).uniform((100000,)) + 0.5
@@ -307,25 +315,55 @@ class TestReLU:
         npt.assert_array_equal(y, [0.0, 0.0, 2.0])
 
     def test_gradient_mask(self):
-        _, cache = relu_forward(np.array([3.0, -3.0, 0.0]))
-        dx = relu_backward(cache, np.ones(3))
-        npt.assert_array_equal(dx, [1.0, 0.0, 0.0])
+        """The backward reads the output and writes over dy: 1 where the
+        output is positive, 0 at and below the kink."""
+        y, _ = relu_forward(np.array([3.0, -3.0, 0.0]))
+        dy = np.ones(3)
+        assert relu_backward(y, dy) is dy
+        npt.assert_array_equal(dy, [1.0, 0.0, 0.0])
 
-    def test_eval_mode_same_values_no_cache(self):
-        x = np.array([[-1.0, -0.0, 0.0, 2.0, 5e-324]])
-        y_train, cache = relu_forward(x, "train")
-        y_eval, eval_cache = relu_forward(x, "eval")
-        assert cache is not None and eval_cache is None
-        assert y_eval.tobytes() == y_train.tobytes()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            relu_forward(np.zeros(2), "infer")
-        with pytest.raises(ValueError, match="mode"):
-            maxpool1d_forward(np.zeros((1, 2, 1)), 2, "test")
+    def test_writes_over_x(self):
+        x = np.array([[-1.0, -0.0, 0.0, 2.0, 5e-324, np.nan]])
+        want = np.maximum(x, 0.0)
+        y, cache = relu_forward(x)
+        assert y is x and cache is None
+        assert y.tobytes() == want.tobytes()
 
     def test_finite_differences(self):
         assert gradcheck.check_relu(seed=0, trials=20) < 1e-6
+
+
+def keep_words(keep):
+    """Raw words that dropout at any rate keeps exactly where ``keep`` holds."""
+    return np.where(keep, np.uint64(2 ** 64 - 1), np.uint64(0))
+
+
+class TestReLUThenDropout:
+    """The pair as the model runs it, both in place: ReLU then dropout, and
+    the backward from the output with no keep mask."""
+
+    def test_backward_matches_the_textbook_order_bitwise(self):
+        """(dy * (y > 0)) * scale equals the dropout then ReLU backward from
+        their masks, ((dy * keep) * scale) * (x > 0), on every pairing of
+        special values.  Where dy * scale overflows at an element that the
+        ReLU zeroes, inf * 0 gives the textbook order NaN and the pair 0."""
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0 ** -1070])
+        dy, x, keep = (a.ravel() for a in np.meshgrid(specials, specials, [False, True],
+                                                      indexing="ij"))
+        for rate in (0.0, 0.5, 0.3):
+            with np.errstate(invalid="ignore"):  # inf * 0
+                y, _ = relu_forward(x.copy())
+                y, (_, scale) = dropout_forward(y, rate, "train", FixedWords(keep_words(keep)))
+                want = ((dy * keep) * scale) * (x > 0) if rate else dy * (x > 0)
+                got = dropout_backward((None, scale), relu_backward(y, dy.copy()))
+            assert got.tobytes() == want.tobytes(), rate
+        y, _ = relu_forward(np.array([-1.0, 2.0]))
+        y, (_, scale) = dropout_forward(y, 0.5, "train", FixedWords(keep_words([True, True])))
+        dy = np.array([1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (dy * scale) * np.array([0.0, 1.0])
+            got = dropout_backward((None, scale), relu_backward(y, dy))
+        assert np.isnan(want[0]) and got.tolist() == [0.0, np.inf]
 
 
 def test_all_layer_backwards_match_fd_on_random_configs():

@@ -253,15 +253,12 @@ class TestBackward:
         _, dlogits = optim.cce_loss(probs, onehot)
         backward(net, trace, dlogits)
 
-        # recompute the concat gradient independently from the head caches
-        da = dlogits
-        da, _, _ = layers.dense_backward(head_caches[-1][0], da)
+        # recompute the concat gradient independently from the head caches:
+        # a hidden layer's output is the next layer's dense input
+        da, _, _ = layers.dense_backward(head_caches[-1][0], dlogits)
         for idx in range(len(net.head) - 2, -1, -1):
-            dcache, rcache, dropc = head_caches[idx]
-            if dropc is not None:
-                da = layers.dropout_backward(dropc, da)
-            da = layers.relu_backward(rcache, da)
-            da, _, _ = layers.dense_backward(dcache, da)
+            (dcache, scale), out = head_caches[idx], head_caches[idx + 1][0][0]
+            da, _, _ = layers.dense_backward(dcache, da * (out > 0) * scale)
         reassembled = np.concatenate([d for _, d in captured], axis=1)
         npt.assert_array_equal(reassembled, da)
 
@@ -317,8 +314,8 @@ class TestTraceRelease:
         net = build(radar_config(), Rng(24))
         probs, trace = forward(net, Rng(25).uniform((5, 17, 2)), mode="train", rng=Rng(26))
         refs = [weakref.ref(a) for a in cell_cache_arrays(trace)]
-        refs.append(weakref.ref(trace.stream_caches[1][1][0][3][0]))  # a block's keep mask
-        refs.append(weakref.ref(trace.head_caches[0][1]))  # the first head ReLU mask
+        refs.append(weakref.ref(trace.stream_caches[1][1][0][2]))  # a block's keep mask
+        refs.append(weakref.ref(trace.head_caches[1][0][0]))  # the first head layer's output
         backward(net, trace, probs - probs.mean(axis=1, keepdims=True))
         assert trace.stream_caches == [] and trace.head_caches == []
         assert [ref() for ref in refs] == [None] * len(refs)
@@ -379,11 +376,12 @@ class TestTrainStepMemory:
 
 def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
     """Stream forward in the textbook order conv1d -> ReLU -> maxpool over
-    the whole batch, the cell given one GEMM over its whole input."""
+    the whole batch, the cell given one GEMM over its whole input, and the
+    ReLU's own strict positive mask kept for the backward."""
     y, conv_cache = layers.conv1d_forward(x, sp.conv)
     act_cache = None
     if cfg.conv_activation == "relu":
-        y, act_cache = layers.relu_forward(y)
+        y, act_cache = np.maximum(y, 0.0), y > 0
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
@@ -407,7 +405,7 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     d = layers.dropout_backward(drop_cache, d)
     d = layers.maxpool1d_backward(pool_cache, d)
     if cfg.conv_activation == "relu":
-        d = layers.relu_backward(act_cache, d)
+        d = d * act_cache
     dK, db = layers.conv1d_backward(conv_cache, d)
     grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db, f"{sp.kind}.cell.W": dW}
     grads.update({f"{sp.kind}.cell.{k}": g for k, g in cell_grads.items()})
@@ -507,25 +505,31 @@ class TestBlockedFrontEnd:
             assert_same_gradients(other_grads, grads)
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
-    def test_general_path_trace_keeps_the_pool_mask_and_under_identity_the_keep_mask(
-            self, monkeypatch, activation):
-        """Per block, a general-path train trace holds the max-pool winner
-        mask and the dropout keep mask, under either activation, which the
-        backward needs to re-form the block's cell input: no ReLU mask and
-        no [n, T_out, F] float array."""
-        cfg = radar_config(conv_filters=6, conv_kernel=3, conv_activation=activation,
-                           dense_sizes=(8,))
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_train_trace_keeps_only_the_stream_keep_masks(self, monkeypatch, pooled,
+                                                          activation):
+        """A train trace's only bool arrays are the stream dropout keep
+        masks, one per block, which the backward needs to re-form the
+        block's cell input: no max-pool winner mask, no ReLU mask, and none
+        in the head's caches, though the head applies dropout too."""
+        make = heartbeat_config if pooled else radar_config
+        cfg = make(conv_filters=6, conv_kernel=1 if pooled else 3, conv_activation=activation,
+                   dense_sizes=(8, 4))
         net = build(cfg, Rng(94))
-        x = Rng(95).uniform((7, 17, 2)) * 2 - 1
-        T_conv, T_out, pool, F = 15, cfg.recurrent_timesteps, cfg.pool_size, cfg.conv_filters
-        monkeypatch.setattr(model_mod, "_BLOCK_BYTES", 3 * T_conv * F * 8)  # 3-row blocks
+        x = Rng(95).uniform((7, 17, cfg.input_channels)) * 2 - 1
+        monkeypatch.setattr(model_mod, "_block_bounds",
+                            lambda n, width, cfg: [(0, 3), (3, 6), (6, 7)])
         _, trace = forward(net, x, mode="train", rng=Rng(96))
+        assert [cache[3] is not None for cache in trace.stream_caches] == [pooled, pooled]
+        T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
+        keep_masks = []
         for cache in trace.stream_caches:
-            assert [(start, stop) for start, stop, *_ in cache[1]] == [(0, 3), (3, 6), (6, 7)]
-            for start, stop, *rest in cache[1]:
-                want = [(stop - start, T_out, pool, F), (stop - start, T_out, F)]
-                assert [(a.dtype, a.shape) for a in arrays_in(rest)] == [
-                    (np.dtype(bool), shape) for shape in want]
+            assert [(start, stop, keep.dtype, keep.shape) for start, stop, keep, _ in cache[1]] == [
+                (start, stop, np.dtype(bool), (stop - start, T_out, F))
+                for start, stop in [(0, 3), (3, 6), (6, 7)]]
+            keep_masks += [keep for _, _, keep, _ in cache[1]]
+        bools = [a for a in arrays_in([trace.stream_caches, trace.head_caches]) if a.dtype == bool]
+        assert [id(a) for a in bools] == [id(keep) for keep in keep_masks]
 
 
 def heartbeat_config(**overrides) -> ModelConfig:
@@ -645,7 +649,7 @@ class TestPooledFrontEnd:
                             lambda y, p, out: blocks.append(y.copy()) or project(y, p, out=out))
         probs, trace = forward(net, x, mode="train", rng=rng)
         monkeypatch.setattr(recurrent, "project", project)
-        pooled = [(cache[4] is not None, len(cache[1])) for cache in trace.stream_caches]
+        pooled = [(cache[3] is not None, len(cache[1])) for cache in trace.stream_caches]
         cell_ins = [np.concatenate(blocks[:3]), np.concatenate(blocks[3:])]
         labels = np.arange(x.shape[0]) % net.config.num_classes
         _, dlogits = optim.cce_loss(probs, np.eye(net.config.num_classes)[labels])
@@ -687,27 +691,6 @@ class TestPooledFrontEnd:
                 assert np.max(np.abs(g - ref_grads[name])) <= 1e-13 * scale, name
             else:
                 assert g.tobytes() == ref_grads[name].tobytes(), name
-
-    def test_fused_dropout_relu_backward_is_bitwise(self):
-        """(dy * (cell_in > 0)) * scale, the stream backward through ReLU and
-        dropout on both front-end paths, pooled and general, with cell_in the
-        block's re-formed cell input, equals dropout
-        then ReLU backward on every pairing of special values.  It would not
-        where dy * scale overflows."""
-        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0 ** -1070])
-        dy, pre, keep = (a.ravel() for a in np.meshgrid(specials, specials, [False, True],
-                                                        indexing="ij"))
-        for rate in (0.0, 0.5, 0.3):
-            scale = 1.0 / (1.0 - rate)
-            drop_cache = (keep, scale) if rate else (None, 1.0)
-            with np.errstate(invalid="ignore"):  # inf * 0
-                act, relu_mask = layers.relu_forward(pre)
-                cell_in = act * keep * scale if rate else act
-                want = layers.relu_backward(relu_mask, layers.dropout_backward(drop_cache, dy))
-                got = dy * (cell_in > 0)
-            if rate:
-                got *= scale
-            assert got.tobytes() == want.tobytes(), rate
 
 
 def arrays_in(obj):
