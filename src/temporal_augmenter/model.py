@@ -92,11 +92,16 @@ input-weight, kernel and bias gradients are sums over blocks, each block's
 term added in block order, so their last bits depend on the blocking; every
 other gradient's do not.
 
-``build`` draws parameters in a fixed documented order so a (config, seed)
-pair always produces bitwise-identical models:  for each stream in
-``config.streams`` order the conv kernel (he-uniform) then the cell
-parameters (glorot-uniform input weights, orthogonal recurrent weights);
-then the head layers first-to-last (glorot-uniform).  Biases are zero.
+Each parameter's shape is stated once, in ``_allocate``, and its name
+once, in ``TemporalAugmenterModel.parameters``.  The checkpoint check
+reads both from a model of read-only zeros that holds no memory, and the
+backward returns its gradients as the ``parameters()`` of a model built of
+them.  ``build`` draws parameters in a fixed documented order so a
+(config, seed) pair always produces bitwise-identical models:  for each
+stream in ``config.streams`` order the conv kernel (he-uniform) then the
+cell parameters (glorot-uniform input weights, orthogonal recurrent
+weights); then the head layers first-to-last (glorot-uniform).  Biases are
+zero.
 
 Train-mode forward consumes rng draws in the same stream order: one dropout
 mask per stream, one word per element of the [n, T_out, F] cell input
@@ -194,7 +199,8 @@ class TemporalAugmenterModel:
     head: list  # hidden DenseParams..., output DenseParams last
 
     def parameters(self) -> dict:
-        """Flat name -> every trainable parameter array, in a stable order."""
+        """Flat name -> every trainable parameter array, in a stable order;
+        the one place that names them."""
         out = {}
         for sp in self.streams:
             out[f"{sp.kind}.conv.K"] = sp.conv.K
@@ -220,34 +226,16 @@ class ForwardTrace:
     consumed: bool = field(default=False)
 
 
-def _allocate(config: ModelConfig) -> TemporalAugmenterModel:
-    """The network for ``config`` with every parameter zero."""
+def _allocate(config: ModelConfig, make=np.zeros) -> TemporalAugmenterModel:
+    """The network for ``config`` with every parameter ``make(shape)``, all
+    zero; the one place that gives each parameter its shape."""
     k, d, F = config.conv_kernel, config.input_channels, config.conv_filters
-    streams = [StreamParams(kind=kind, conv=Conv1DParams(K=np.zeros((k, d, F)), b=np.zeros(F)),
-                            cell=recurrent.zero_params(kind, F, config.stream_units(kind)))
+    streams = [StreamParams(kind=kind, conv=Conv1DParams(K=make((k, d, F)), b=make((F,))),
+                            cell=recurrent.zero_params(kind, F, config.stream_units(kind), make))
                for kind in config.streams]
     sizes = (config.concat_width, *config.dense_sizes, config.num_classes)
-    head = [DenseParams(W=np.zeros((i, o)), b=np.zeros(o)) for i, o in zip(sizes, sizes[1:])]
+    head = [DenseParams(W=make((i, o)), b=make((o,))) for i, o in zip(sizes, sizes[1:])]
     return TemporalAugmenterModel(config=config, streams=streams, head=head)
-
-
-def _parameter_shapes(config: ModelConfig) -> dict:
-    """``parameters()`` names -> shapes of the network for ``config``, worked
-    out from its sizes alone, so that nothing is allocated."""
-    k, d, F = config.conv_kernel, config.input_channels, config.conv_filters
-    shapes = {}
-    for kind in config.streams:
-        u = config.stream_units(kind)
-        shapes[f"{kind}.conv.K"] = (k, d, F)
-        shapes[f"{kind}.conv.b"] = (F,)
-        for name, shape in recurrent.block_shapes(kind, F, u).items():
-            shapes[f"{kind}.cell.{name}"] = shape
-    sizes = (config.concat_width, *config.dense_sizes, config.num_classes)
-    names = [str(idx) for idx in range(len(config.dense_sizes))] + ["out"]
-    for name, i, o in zip(names, sizes, sizes[1:]):
-        shapes[f"head.{name}.W"] = (i, o)
-        shapes[f"head.{name}.b"] = (o,)
-    return shapes
 
 
 def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
@@ -390,11 +378,11 @@ def _accumulate(total: Tensor | None, part: Tensor) -> Tensor:
     return total
 
 
-def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> dict:
-    """One stream's gradients: the cell's BPTT, then one loop over the
-    forward's blocks that re-forms each block's cell input and sums the
-    input-weight, kernel and bias gradients block by block (see the module
-    docstring)."""
+def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> StreamParams:
+    """One stream's gradients, held as ``sp`` holds its parameters: the
+    cell's BPTT, then one loop over the forward's blocks that re-forms each
+    block's cell input and sums the input-weight, kernel and bias gradients
+    block by block (see the module docstring)."""
     x, blocks, cell_cache, pooled = cache
     T_out, F, conv = cfg.recurrent_timesteps, cfg.conv_filters, sp.conv
     hs_shape = (x.shape[0], T_out, cfg.stream_units(sp.kind))
@@ -438,14 +426,12 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     if pooled is not None:
         K = conv.K[0, 0]
         dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.K.shape)
-    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db, f"{sp.kind}.cell.W": dW}
-    for name, value in cell_grads.items():
-        grads[f"{sp.kind}.cell.{name}"] = value
-    return grads
+    return StreamParams(sp.kind, Conv1DParams(dK, db), type(sp.cell)(W=dW, **cell_grads))
 
 
 def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor) -> dict:
-    """Exact gradients of every parameter given dL/dlogits from the loss.
+    """Exact gradients of every parameter given dL/dlogits from the loss,
+    keyed and ordered as ``model.parameters()``.
 
     The trace must come from a train-mode forward and is consumed by this
     call, which empties it: the head's caches are released once the
@@ -458,8 +444,8 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
         raise TraceError("backward requires a trace from a train-mode forward")
     trace.consumed = True
     cfg = model.config
-    grads = {}
     head_caches, trace.head_caches = trace.head_caches, []
+    head = [None] * len(model.head)
     da, y = dlogits, None
     for idx in range(len(model.head) - 1, -1, -1):
         dense_cache, scale = head_caches.pop()
@@ -467,16 +453,15 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
             layers.dropout_backward((None, scale), layers.relu_backward(y, da))
         y = dense_cache[0]
         da, dW, db = layers.dense_backward(dense_cache, da)
-        name = "out" if idx == len(model.head) - 1 else idx
-        grads[f"head.{name}.W"], grads[f"head.{name}.b"] = dW, db
-    offset = 0
+        head[idx] = DenseParams(dW, db)
+    streams, offset = [], 0
     for sp in model.streams:
         width = cfg.stream_width(sp.kind)
         # popped, so that the stream's cache is freed once its gradients are formed
-        grads.update(_stream_backward(sp, cfg, trace.stream_caches.pop(0),
-                                      da[:, offset:offset + width]))
+        streams.append(_stream_backward(sp, cfg, trace.stream_caches.pop(0),
+                                        da[:, offset:offset + width]))
         offset += width
-    return grads
+    return TemporalAugmenterModel(cfg, streams, head).parameters()
 
 
 def param_count(model: TemporalAugmenterModel) -> int:
@@ -496,9 +481,10 @@ def param_count(model: TemporalAugmenterModel) -> int:
 #        "extras": {...}}
 #   then, for each entry of "tensors" in order, the raw little-endian
 #   float64 values (C order).
-# Model parameters are stored under their parameters() names, a cell's as
-# its fused blocks ("lstm.cell.U" [u, 4u]; version 1 had one tensor per
-# gate).  Callers may attach additional named tensors (e.g. scaler
+# Model parameters are stored in parameters() order, under its names and with
+# the shapes _allocate gives them, a cell's as its fused blocks
+# ("lstm.cell.U" [u, 4u]; version 1 had one tensor per gate).  Every stored
+# value is finite.  Callers may attach additional named tensors (e.g. scaler
 # statistics) and a JSON extras dict.  Loading reconstructs the model
 # bitwise.  The `train` command writes three extras, which `eval` reads (see
 # cli.py): "run_config" (the run's config text), "class_names" and
@@ -548,8 +534,8 @@ def load_checkpoint(path):
     Any path that is not one whole, valid checkpoint file raises DataError
     naming ``path``: no such file, bad magic or version, a cut or unreadable
     header, a config that lacks, adds or misstates a ModelConfig field, a
-    tensor missing or of the wrong shape, or a length other than the header
-    describes.
+    tensor named twice, missing or of the wrong shape, a length other than
+    the header describes, or a tensor holding a NaN or infinite value.
     """
     blob = read_file(path, "checkpoint")
     if blob[:8] != _MAGIC:
@@ -568,26 +554,34 @@ def load_checkpoint(path):
     try:
         config = _header_config(header.get("config"))
         entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
+        # read-only zeros that hold no memory, so every parameter's shape is
+        # checked before anything is allocated; numpy raises a ValueError for
+        # a dimension it cannot index
+        expected = _allocate(config, lambda s: np.broadcast_to(np.float64(0.0), s)).parameters()
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid checkpoint header ({exc!r})") from None
     if any(type(s) is not int or s < 0 for _, shape in entries for s in shape):
         raise DataError(f"{path}: a tensor dimension in the checkpoint header is not an int >= 0")
-    # every parameter's shape is checked before anything is allocated
     header_shapes = dict(entries)
-    for name, shape in _parameter_shapes(config).items():
+    if len(header_shapes) != len(entries):
+        raise DataError(f"{path}: the checkpoint header names a tensor twice")
+    for name, arr in expected.items():
         if name not in header_shapes:
             raise DataError(f"{path}: checkpoint missing parameter {name!r}")
-        if header_shapes[name] != shape:
+        if header_shapes[name] != arr.shape:
             raise DataError(f"{path}: parameter {name!r} has shape {list(header_shapes[name])}, "
-                            f"the model expects {list(shape)}")
+                            f"the model expects {list(arr.shape)}")
     sizes = [math.prod(shape) for _, shape in entries]
-    expected = 16 + hlen + 8 * sum(sizes)
-    if len(blob) != expected:
-        raise DataError(f"{path}: checkpoint is {len(blob)} bytes, its header describes {expected}")
+    length = 16 + hlen + 8 * sum(sizes)
+    if len(blob) != length:
+        raise DataError(f"{path}: checkpoint is {len(blob)} bytes, its header describes {length}")
     tensors, offset = {}, 16 + hlen
     for (name, shape), size in zip(entries, sizes):
         tensors[name] = np.frombuffer(blob, "<f8", size, offset).reshape(shape)
         offset += 8 * size
+    name = next((name for name, t in tensors.items() if not np.isfinite(t).all()), None)
+    if name is not None:
+        raise DataError(f"{path}: tensor {name!r} holds a NaN or infinite value")
     model = _allocate(config)
     for name, arr in model.parameters().items():
         arr[...] = tensors.pop(name)

@@ -144,7 +144,7 @@ class EpochStats:
 class TrainLog:
     epochs: list = field(default_factory=list)
 
-    COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
+    COLUMNS = tuple(f.name for f in fields(EpochStats))
 
     def append(self, stats: EpochStats) -> None:
         self.epochs.append(stats)

@@ -24,8 +24,8 @@ multiplies the reset-gated state):
     GRUParams    W [d, 3u], b [3u]                 gates z, r, h
                  U_zr [u, 2u], U_h [u, u]          gates z, r and h
 
-These blocks are the parameters, named by their fields; ``block_shapes``
-states their shapes.  ``draw_params`` fills one gate slot at a time, input
+These blocks are the parameters, named by their fields; ``zero_params``
+gives their shapes.  ``draw_params`` fills one gate slot at a time, input
 weights before recurrent ones, in the order LSTM f, i, g, o (slots 0, 1, 3,
 2) and GRU z, r, h.
 
@@ -139,19 +139,13 @@ class GRUParams:
         return self.U_h.shape[0]
 
 
-def block_shapes(kind: str, input_size: int, units: int) -> dict:
-    """Field -> shape of each stored block of a "gru" or "lstm" cell, in field order."""
+def zero_params(kind: str, input_size: int, units: int, make=np.zeros):
+    """All-zero parameters of a "gru" or "lstm" cell, each block ``make(shape)``."""
     d, u = input_size, units
     if kind == "gru":
-        return {"W": (d, 3 * u), "U_zr": (u, 2 * u), "U_h": (u, u), "b": (3 * u,)}
-    return {"W": (d, 4 * u), "U": (u, 4 * u), "b": (4 * u,)}
-
-
-def zero_params(kind: str, input_size: int, units: int):
-    """All-zero parameters of a "gru" or "lstm" cell."""
-    cls = GRUParams if kind == "gru" else LSTMParams
-    return cls(**{name: np.zeros(shape)
-                  for name, shape in block_shapes(kind, input_size, units).items()})
+        return GRUParams(W=make((d, 3 * u)), U_zr=make((u, 2 * u)), U_h=make((u, u)),
+                         b=make((3 * u,)))
+    return LSTMParams(W=make((d, 4 * u)), U=make((u, 4 * u)), b=make((4 * u,)))
 
 
 def draw_params(p, rng: Rng):

@@ -719,17 +719,27 @@ class TestEvalCommand:
         flat_std = rewrite(blob[end:])
         cases = [(no_std, [str(path), "extra.scaler_std"]),
                  (no_scaler, [str(path), "extra.scaler_mean"]), (flat_std, ["std shape"])]
-        # overwrite the last float of std (the last tensor), then of the mean before it
-        for at, value, named in ((len(blob) - 8, math.nan, "std"), (len(blob) - 8, 0.0, "std"),
-                                 (len(blob) - 8, -1.0, "std"), (len(blob) - 8, math.inf, "std"),
-                                 (len(blob) - std_bytes - 8, math.nan, "mean")):
+        # overwrite the first float of gru.conv.K (the first tensor), the last
+        # of std (the last tensor), then of the mean before it; the loader
+        # refuses a non-finite value (a NaN weight once scored the split), the
+        # scaler the rest
+        for at, value, named in (
+                (end, math.nan, [str(path), "'gru.conv.K'"]),
+                (end, math.inf, [str(path), "'gru.conv.K'"]),
+                (end, -math.inf, [str(path), "'gru.conv.K'"]),
+                (len(blob) - 8, math.nan, [str(path), "'extra.scaler_std'"]),
+                (len(blob) - 8, 0.0, ["scaler std"]), (len(blob) - 8, -1.0, ["scaler std"]),
+                (len(blob) - 8, math.inf, [str(path), "'extra.scaler_std'"]),
+                (len(blob) - std_bytes - 8, math.nan, [str(path), "'extra.scaler_mean'"])):
             cases.append((blob[:at] + np.float64(value).astype("<f8").tobytes() + blob[at + 8:],
-                          [f"scaler {named}"]))
+                          named))
+        eval_out = tmp_path / "evalout"
         for data, named in cases:
             path.write_bytes(data)
-            assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+            assert cli.main(["eval", str(path), str(radar_csv), "--out", str(eval_out)]) == 3
             err = capsys.readouterr().err
             assert "data error" in err and all(text in err for text in named)
+            assert not eval_out.exists()
 
     def test_version_1_checkpoint_exit_3(self, trained_run, tmp_path, capsys):
         """Version 1 stored one tensor per cell gate; its files are refused."""

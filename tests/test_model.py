@@ -13,6 +13,7 @@ from temporal_augmenter import gradcheck, layers, model as model_mod, optim, rec
 from temporal_augmenter.data import DataError, Dataset
 from temporal_augmenter.model import (
     ModelConfig,
+    StreamParams,
     TraceError,
     backward,
     build,
@@ -217,6 +218,17 @@ class TestBackward:
         with pytest.raises(TraceError):
             backward(net, trace, probs)
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"return_sequences": True, "conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
+        {"streams": ("lstm", "gru"), "lstm_units": 1, "gru_units": 2, "dense_sizes": (7,)},
+    ])
+    def test_gradients_come_in_parameters_order(self, overrides):
+        net = build(radar_config(**overrides), Rng(15))
+        probs, trace = forward(net, Rng(14).uniform((3, 17, 2)), mode="train", rng=Rng(0))
+        grads = backward(net, trace, probs - probs.mean(axis=1, keepdims=True))
+        assert ([(name, g.shape) for name, g in grads.items()]
+                == [(name, p.shape) for name, p in net.parameters().items()])
+
     def test_lstm_grads_zero_when_head_ignores_lstm_slice(self):
         # zero head weights on the LSTM slice: no gradient may reach that stream
         cfg = radar_config(dropout_stream=0.0, dropout_head=0.0)
@@ -406,10 +418,8 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     d = layers.maxpool1d_backward(pool_cache, d)
     if cfg.conv_activation == "relu":
         d = d * act_cache
-    dK, db = layers.conv1d_backward(conv_cache, d)
-    grads = {f"{sp.kind}.conv.K": dK, f"{sp.kind}.conv.b": db, f"{sp.kind}.cell.W": dW}
-    grads.update({f"{sp.kind}.cell.{k}": g for k, g in cell_grads.items()})
-    return grads
+    return StreamParams(sp.kind, layers.Conv1DParams(*layers.conv1d_backward(conv_cache, d)),
+                        type(sp.cell)(W=dW, **cell_grads))
 
 
 class TestStreamOrder:
@@ -807,6 +817,12 @@ HEADER_EDITS = {
 BAD_HEADER_VALUES = [None, -1, 0, 1.5, True, 2 ** 40, "x", [], {}, "0" * 70, math.nan,
                      [1.5], ["x"]]
 
+def _named_twice(header, arrays):
+    # a second copy of the first tensor ahead of it, once read past unchecked
+    header["tensors"].insert(0, dict(header["tensors"][0]))
+    return join_checkpoint(json.dumps(header).encode(), [arrays[0], *arrays])
+
+
 # Each maps (header, arrays) of a good checkpoint to the bytes of a bad one.
 RAW_CORRUPTIONS = {
     "length_past_end": lambda h, a: (b"TACKPT01" + (10 ** 9).to_bytes(8, "little")
@@ -815,6 +831,7 @@ RAW_CORRUPTIONS = {
     "not_json": lambda h, a: join_checkpoint(json.dumps(h).encode()[1:] + b" ", a),
     "not_an_object": lambda h, a: join_checkpoint(json.dumps([h]).encode(), a),
     "tensor_shrunk_to_one": _shrink_bias,
+    "tensor_named_twice": _named_twice,
     "length_short_of_tensors": lambda h, a: join_checkpoint(json.dumps(h).encode(), a[:-1]),
 }
 
@@ -889,15 +906,35 @@ class TestCheckpoint:
                 want = tuple(value) if isinstance(value, list) else value
                 assert held == want and type(held) is type(want), (f.name, value)
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"return_sequences": True, "conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
-        {"streams": ("lstm", "gru"), "lstm_units": 1, "gru_units": 2, "dense_sizes": (7,)},
-        {"streams": ("gru",)}, {"return_sequences": True}, {"dense_sizes": ()},
-    ])
-    def test_parameter_shapes_match_built_model(self, overrides):
-        cfg = radar_config(**overrides)
-        built = {name: arr.shape for name, arr in build(cfg, Rng(46)).parameters().items()}
-        assert list(model_mod._parameter_shapes(cfg).items()) == list(built.items())
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tensor", ["gru.conv.K", "extra.scaler_mean"])
+    def test_non_finite_tensor_rejected(self, tmp_path, tensor, value):
+        header, arrays = split_checkpoint(miniature_checkpoint_bytes(tmp_path))
+        idx = [e["name"] for e in header["tensors"]].index(tensor)
+        arrays[idx] = arrays[idx].copy()
+        arrays[idx].flat[-1] = value
+        path = tmp_path / "bad.tackpt"
+        path.write_bytes(join_checkpoint(json.dumps(header).encode(), arrays))
+        with pytest.raises(DataError, match=f"bad.tackpt: tensor '{tensor}' holds a NaN"):
+            load_checkpoint(path)
+
+    def test_shape_check_allocates_nothing(self, tmp_path):
+        """A header whose config sets 10**6 filters, which makes the LSTM's
+        input weight [10**6, 40] (320 MB), is refused by the shape check
+        without allocating that model."""
+        path = tmp_path / "wide.tackpt"
+        save_checkpoint(path, build(radar_config(), Rng(46)))
+        header, arrays = split_checkpoint(path.read_bytes())
+        header["config"]["conv_filters"] = 10 ** 6
+        path.write_bytes(join_checkpoint(json.dumps(header).encode(), arrays))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="wide.tackpt"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         net = build(radar_config(), Rng(47))
