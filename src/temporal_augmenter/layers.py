@@ -203,15 +203,17 @@ def relu_backward(y: Tensor, dy: Tensor):
 def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
     """Inverted dropout: keep with probability 1-rate, scale kept values by 1/(1-rate).
 
-    An element is kept when its draw ``u = (w >> 11) * 2**-53`` from the raw
-    word ``w`` is ``>= rate``, as ``rng.uniform`` would give it.  Both
-    ``w >> 11`` and ``rate * 2**53`` are exact, so ``u >= rate`` holds exactly
-    when the integer ``w >> 11`` is ``>= ceil(rate * 2**53)``, that is when
-    ``w >= ceil(rate * 2**53) << 11``.  For rate < 1 that threshold is at most
-    ``(2**53 - 1) << 11 < 2**64``, so the mask is one uint64 comparison of the
-    raw words, with no float conversion.  Draws are taken in C order, one per
-    element, so masks drawn block after block over consecutive rows equal
-    one mask drawn for the whole array.
+    Each element takes one 32-bit draw ``u`` (``rng.next_uint32``, two per
+    SplitMix64 word) and is kept when ``u >= t`` with
+    ``t = min(ceil(rate * 2**32), 2**32 - 1)``.  ``rate * 2**32`` is exact,
+    so for rate <= 1 - 2**-32 the drop probability ``t / 2**32`` lies in
+    ``[rate, rate + 2**-32)``; above that, t is capped so that the threshold
+    fits in 32 bits, and ``t / 2**32 = 1 - 2**-32`` lies within ``2**-32``
+    below rate.  At rate 0.5, the default stream rate, t is ``2**31`` and
+    the drop probability exactly 0.5.  Draws are taken in C order, one per
+    element, and ``Rng`` carries an odd call's unused half to its next
+    call, so masks drawn block after block over consecutive rows equal one
+    mask drawn for the whole array, whatever the block sizes.
 
     The result is written over ``x``, which is returned.  Eval mode and rate
     0 are the identity and consume no rng draws.
@@ -223,8 +225,8 @@ def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
         return x, (None, 1.0)
     if rng is None:
         raise ValueError("train-mode dropout with rate > 0 requires an rng")
-    threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
-    keep = (rng.next_uint64(x.size) >= threshold).reshape(x.shape)
+    threshold = np.uint32(min(math.ceil(rate * 2.0 ** 32), 2 ** 32 - 1))
+    keep = (rng.next_uint32(x.size) >= threshold).reshape(x.shape)
     scale = 1.0 / (1.0 - rate)
     np.multiply(x, keep, out=x)
     x *= scale

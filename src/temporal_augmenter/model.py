@@ -78,19 +78,20 @@ path adds for each non-winning step changes none of them.
 
 Blocking changes no bit of the forward: each sample is filtered on its
 own, pooling, the activation and the dropout scaling are elementwise, and
-the dropout draws are counter-based SplitMix64 words taken in C order, so
-drawing block after block yields the words of one draw over the whole
-array.  Nor does blocking the projection for the default cells (k = 30 and
-40, checked with OpenBLAS's SkylakeX kernels) while no block has a single
-row: numpy sends a one-row product to gemv, whose sums differ from gemm's.
-Only T_out = 1 can make such a block, so then blocks hold at least two
-samples and a trailing block of one joins the block before it
-(``_block_bounds``).  At some other gate widths (k = 9, 18 and 44 among
-them, with F = 128) a block's rows get other last bits than one whole
-product; the result is still fixed for a given batch size.  The backward's
-input-weight, kernel and bias gradients are sums over blocks, each block's
-term added in block order, so their last bits depend on the blocking; every
-other gradient's do not.
+the dropout draws are 32-bit halves of counter-based SplitMix64 words taken
+in C order, the ``Rng`` keeping an odd block's unused half for the next
+block, so drawing block after block yields the values of one draw over the
+whole array.  Nor does blocking the projection for the default cells
+(k = 30 and 40, checked with OpenBLAS's SkylakeX kernels) while no block
+has a single row: numpy sends a one-row product to gemv, whose sums
+differ from gemm's.  Only T_out = 1 can make such a block, so then blocks
+hold at least two samples and a trailing block of one joins the block
+before it (``_block_bounds``).  At some other gate widths (k = 9, 18 and
+44 among them, with F = 128) a block's rows get other last bits than one
+whole product; the result is still fixed for a given batch size.  The
+backward's input-weight, kernel and bias gradients are sums over blocks,
+each block's term added in block order, so their last bits depend on the
+blocking; every other gradient's do not.
 
 Each parameter's shape is stated once, in ``_allocate``, and its name
 once, in ``TemporalAugmenterModel.parameters``.  The checkpoint check
@@ -104,9 +105,10 @@ weights); then the head layers first-to-last (glorot-uniform).  Biases are
 zero.
 
 Train-mode forward consumes rng draws in the same stream order: one dropout
-mask per stream, one word per element of the [n, T_out, F] cell input
-(drawn block by block, the same words as one whole-array draw), then the
-head dropout.  Eval-mode forward consumes none.
+mask per stream, one 32-bit half per element of the [n, T_out, F] cell
+input, two per SplitMix64 word (drawn block by block, the same values as
+one whole-array draw), then the head dropout.  Eval-mode forward consumes
+none.
 """
 
 from __future__ import annotations
@@ -534,8 +536,9 @@ def load_checkpoint(path):
     Any path that is not one whole, valid checkpoint file raises DataError
     naming ``path``: no such file, bad magic or version, a cut or unreadable
     header, a config that lacks, adds or misstates a ModelConfig field, a
-    tensor named twice, missing or of the wrong shape, a length other than
-    the header describes, or a tensor holding a NaN or infinite value.
+    tensor named twice, missing, of the wrong shape or neither a parameter
+    nor ``extra.*``, a length other than the header describes, or a tensor
+    holding a NaN or infinite value.
     """
     blob = read_file(path, "checkpoint")
     if blob[:8] != _MAGIC:
@@ -571,6 +574,10 @@ def load_checkpoint(path):
         if header_shapes[name] != arr.shape:
             raise DataError(f"{path}: parameter {name!r} has shape {list(header_shapes[name])}, "
                             f"the model expects {list(arr.shape)}")
+    name = next((name for name in header_shapes
+                 if name not in expected and not name.startswith("extra.")), None)
+    if name is not None:
+        raise DataError(f"{path}: checkpoint tensor {name!r} is neither a parameter nor extra.*")
     sizes = [math.prod(shape) for _, shape in entries]
     length = 16 + hlen + 8 * sum(sizes)
     if len(blob) != length:

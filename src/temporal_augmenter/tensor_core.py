@@ -79,6 +79,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"draw count must be >= 0, got {n}")
+
+
 def _shape_tuple(shape) -> tuple:
     if isinstance(shape, (int, np.integer)):
         return (int(shape),)
@@ -89,23 +94,45 @@ class Rng:
     """SplitMix64 generator: a 64-bit counter advanced by a fixed odd gamma,
     with each output a finalizing hash of the counter.
 
-    The k-th draw after seeding is a pure function of (seed, k) using only
+    The k-th word after seeding is a pure function of (seed, k) using only
     64-bit integer arithmetic, so sequences are identical across runs and
-    platforms for the same seed.
+    platforms for the same seed.  The state is the counter of words drawn
+    plus one pending 32-bit half: ``next_uint32`` splits each word into its
+    low and then its high half, and a call that takes an odd number of
+    halves leaves the last word's high half for the next ``next_uint32``
+    call, whatever other draws come between (as numpy's ``Generator`` keeps
+    its buffered half).  So any split of one ``next_uint32`` draw into
+    consecutive calls hands out the same values.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
+        self._pending = None
 
     def next_uint64(self, n: int) -> np.ndarray:
-        """Return the next ``n`` raw 64-bit draws."""
+        """Return the next ``n`` raw 64-bit draws; ``n`` < 0 raises ValueError."""
+        _check_count(n)
         z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):
             z *= np.uint64(_GAMMA)
             z += np.uint64(self.seed)
         return _mix64(z)
+
+    def next_uint32(self, n: int) -> np.ndarray:
+        """Return the next ``n`` 32-bit draws: the pending half, if any, then
+        the low and high half of each further word, on every platform.  The
+        words come from ``next_uint64``; ``n`` < 0 raises ValueError."""
+        _check_count(n)
+        carried = []
+        if n > 0 and self._pending is not None:
+            carried, self._pending = [self._pending], None
+        words = self.next_uint64((n - len(carried) + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        if halves.size > n - len(carried):
+            self._pending, halves = halves[-1], halves[:-1]
+        return np.concatenate((carried, halves)) if carried else halves
 
     def uniform(self, shape) -> Tensor:
         """I.i.d. uniform draws on [0, 1) using the top 53 bits of each word."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -233,10 +235,20 @@ class TestMaxPool1D:
         assert gradcheck.check_maxpool1d(seed=0, trials=20) < 1e-6
 
 
-class FixedWords:
-    """Stands in for Rng: hands out the given raw words."""
+def words_of(halves):
+    """The 64-bit words whose 32-bit halves, low half first, are ``halves``
+    (padded with a 0 to an even count)."""
+    padded = np.zeros(2 * ((len(halves) + 1) // 2), dtype="<u4")
+    padded[:len(halves)] = halves
+    return padded.view("<u8").astype(np.uint64)
+
+
+class FixedWords(Rng):
+    """An Rng whose 64-bit words are the given ones, so that its 32-bit
+    draws are their halves."""
 
     def __init__(self, words):
+        super().__init__(0)
         self.words = words
 
     def next_uint64(self, n):
@@ -288,22 +300,52 @@ class TestDropout:
 
     @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0))])
     def test_word_threshold_equals_uniform_comparison(self, rate):
+        """An element is kept when its 32-bit uniform ``u * 2**-32`` is
+        >= rate; two elements take one word."""
         x = np.ones((40, 25))
         rng = Rng(47)
         _, (keep, _) = dropout_forward(x, rate, "train", rng)
-        assert rng._counter == x.size
-        npt.assert_array_equal(keep, Rng(47).uniform(x.shape) >= rate)
+        assert rng._counter == x.size // 2
+        npt.assert_array_equal(keep, Rng(47).next_uint32(x.size).reshape(x.shape) * 2.0 ** -32
+                               >= rate)
+        assert keep.any() == (rate < 0.9)  # the largest rate below 1 keeps nothing
 
     @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0))])
     def test_word_threshold_exact_at_the_boundary(self, rate):
-        """Words on either side of the cut are kept exactly when their uniform is >= rate."""
-        m = int(rate * 2.0 ** 53)
-        words = np.array([(k << 11) + low for k in (m - 1, m, m + 1, m + 2)
-                          for low in (0, 1, 2047) if k << 11 < 2 ** 64], dtype=np.uint64)
-        uniform = (words >> np.uint64(11)) * 2.0 ** -53
-        _, (keep, _) = dropout_forward(np.ones(words.shape), rate, "train", FixedWords(words))
-        npt.assert_array_equal(keep, uniform >= rate)
-        assert keep.any() and not keep.all()
+        """Values on either side of the cut, in both halves of a word: one at
+        the threshold keeps and one below it drops.  Above 1 - 2**-32 the
+        threshold is capped at the largest 32-bit value, which keeps."""
+        t = min(math.ceil(rate * 2.0 ** 32), 2 ** 32 - 1)
+        # three of each in a row: each value in a low and in a high half
+        halves = np.repeat(np.array([v for v in (t - 2, t - 1, t, t + 1) if 0 <= v < 2 ** 32],
+                                    dtype=np.uint32), 3)
+        _, (keep, _) = dropout_forward(np.ones(halves.shape), rate, "train",
+                                       FixedWords(words_of(halves)))
+        want = halves * 2.0 ** -32 >= rate
+        if rate > 1 - 2.0 ** -32:
+            want |= halves == 2 ** 32 - 1
+        npt.assert_array_equal(keep, want)
+        npt.assert_array_equal(keep[halves == t], True)
+        npt.assert_array_equal(keep[halves == t - 1], False)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+    def test_kept_fraction_is_one_minus_rate(self, rate):
+        n = 10 ** 6
+        _, (keep, _) = dropout_forward(np.ones(n), rate, "train", Rng(51))
+        sigma = math.sqrt(rate * (1 - rate) / n)
+        assert abs(keep.mean() - (1 - rate)) < 5 * sigma
+
+    def test_odd_blocks_draw_the_whole_array_mask(self):
+        """Blocks of 15, 45 and 45 elements, so an unused half carries over
+        from one block to the next."""
+        x = np.ones((7, 5, 3))
+        rng = Rng(52)
+        blocks = [dropout_forward(x[a:b].copy(), 0.5, "train", rng)[1][0]
+                  for a, b in ((0, 1), (1, 4), (4, 7))]
+        whole = Rng(52)
+        _, (keep, _) = dropout_forward(x, 0.5, "train", whole)
+        npt.assert_array_equal(np.concatenate(blocks), keep)
+        assert rng._counter == whole._counter == (x.size + 1) // 2
 
     def test_finite_differences(self):
         assert gradcheck.check_dropout(seed=0, trials=10) < 1e-6
@@ -335,7 +377,7 @@ class TestReLU:
 
 def keep_words(keep):
     """Raw words that dropout at any rate keeps exactly where ``keep`` holds."""
-    return np.where(keep, np.uint64(2 ** 64 - 1), np.uint64(0))
+    return words_of(np.where(keep, np.uint32(2 ** 32 - 1), np.uint32(0)))
 
 
 class TestReLUThenDropout:

@@ -506,8 +506,9 @@ class TestBlockedFrontEnd:
             eval_probs, _ = forward(net, x, mode="eval")
             runs.append((probs, grads, rng._counter, eval_probs))
         probs, grads, counter, eval_probs = runs[0]
-        # one draw per stream-dropout element, then one per head-dropout element
-        assert counter == 7 * (2 * cfg.recurrent_timesteps * cfg.conv_filters + 8)
+        # one 32-bit half per stream-dropout element, then one per
+        # head-dropout element, two halves to a word
+        assert counter == (7 * (2 * cfg.recurrent_timesteps * cfg.conv_filters + 8) + 1) // 2
         for other_probs, other_grads, other_counter, other_eval in runs[1:]:
             assert other_probs.tobytes() == probs.tobytes()
             assert other_eval.tobytes() == eval_probs.tobytes()
@@ -823,6 +824,12 @@ def _named_twice(header, arrays):
     return join_checkpoint(json.dumps(header).encode(), [arrays[0], *arrays])
 
 
+def _unknown_tensor(header, arrays):
+    # neither a parameter nor extra.*, once dropped without a word
+    header["tensors"].append({"name": "bogus", "shape": [2]})
+    return join_checkpoint(json.dumps(header).encode(), [*arrays, np.zeros(2)])
+
+
 # Each maps (header, arrays) of a good checkpoint to the bytes of a bad one.
 RAW_CORRUPTIONS = {
     "length_past_end": lambda h, a: (b"TACKPT01" + (10 ** 9).to_bytes(8, "little")
@@ -832,6 +839,7 @@ RAW_CORRUPTIONS = {
     "not_an_object": lambda h, a: join_checkpoint(json.dumps([h]).encode(), a),
     "tensor_shrunk_to_one": _shrink_bias,
     "tensor_named_twice": _named_twice,
+    "tensor_not_a_parameter": _unknown_tensor,
     "length_short_of_tensors": lambda h, a: join_checkpoint(json.dumps(h).encode(), a[:-1]),
 }
 

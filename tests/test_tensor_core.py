@@ -196,6 +196,37 @@ def splitmix64_words(seed: int, count: int) -> list:
     return words
 
 
+class SplitMix64Halves:
+    """Pure-Python oracle of ``Rng``'s 64-bit and 32-bit draws: each word
+    split into its low and then its high 32 bits, with a high half that a
+    32-bit draw leaves over handed out first by the next one."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+        self.words = 0
+        self.pending = None
+
+    def uint64(self, n: int) -> list:
+        out = []
+        for _ in range(n):
+            self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+            self.words += 1
+            out.append(splitmix64_mix(self.state))
+        return out
+
+    def uint32(self, n: int) -> list:
+        out = []
+        while len(out) < n:
+            if self.pending is None:
+                word, = self.uint64(1)
+                out.append(word & 0xFFFFFFFF)
+                self.pending = word >> 32
+            else:
+                out.append(self.pending)
+                self.pending = None
+        return out
+
+
 class TestRngKnownAnswers:
     SEEDS = (0, 1, 7, 42, 0xDEADBEEF, 1 << 63, MASK64)
 
@@ -209,6 +240,51 @@ class TestRngKnownAnswers:
         rng = Rng(seed)
         got = [int(w) for w in rng.next_uint64(25)] + [int(w) for w in rng.next_uint64(15)]
         assert got == splitmix64_words(seed, 40)
+
+    def test_next_uint32_takes_the_low_half_first(self):
+        words = splitmix64_words(0, 2)
+        halves = Rng(0).next_uint32(4)
+        assert halves.dtype == np.uint32
+        assert [int(h) for h in halves] == [words[0] & 0xFFFFFFFF, words[0] >> 32,
+                                            words[1] & 0xFFFFFFFF, words[1] >> 32]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_next_uint32_matches_pure_python(self, seed):
+        """The pending half outlives 64-bit draws and empty draws between
+        two 32-bit draws; the counter counts the words either kind took."""
+        calls = [(32, 5), (64, 2), (32, 3), (32, 0), (32, 1), (32, 1), (64, 1), (32, 7),
+                 (64, 0), (32, 4), (32, 9)]
+        rng, oracle = Rng(seed), SplitMix64Halves(seed)
+        for bits, n in calls:
+            got = rng.next_uint32(n) if bits == 32 else rng.next_uint64(n)
+            assert got.dtype == (np.uint32 if bits == 32 else np.uint64)
+            assert [int(v) for v in got] == (oracle.uint32(n) if bits == 32 else oracle.uint64(n))
+            assert rng._counter == oracle.words
+
+    @pytest.mark.parametrize("a", [1, 3, 7, 11905])
+    @pytest.mark.parametrize("b", [0, 1, 2, 5, 11904])
+    def test_next_uint32_split_equals_one_draw(self, a, b):
+        rng = Rng(17)
+        parts = np.concatenate([rng.next_uint32(a), rng.next_uint32(b)])
+        whole = Rng(17)
+        assert parts.tobytes() == whole.next_uint32(a + b).tobytes()
+        assert rng._counter == whole._counter == (a + b + 1) // 2
+
+    @pytest.mark.parametrize("draw", ["next_uint64", "next_uint32"])
+    def test_negative_count_raises_and_draws_nothing(self, draw):
+        """A negative count once moved the counter back, so that later draws
+        repeated words already handed out."""
+        rng = Rng(42)
+        first = rng.next_uint32(3)  # one word and a pending half left over
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=str(n)):
+                getattr(rng, draw)(n)
+        assert getattr(rng, draw)(0).size == 0
+        assert rng._counter == 2
+        oracle = SplitMix64Halves(42)
+        assert [int(v) for v in first] == oracle.uint32(3)
+        assert [int(v) for v in rng.next_uint32(2)] == oracle.uint32(2)
+        assert [int(w) for w in rng.next_uint64(2)] == oracle.uint64(2)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uniform_is_top_53_bits_and_advances_by_n(self, seed):
