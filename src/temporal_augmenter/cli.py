@@ -122,7 +122,7 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
         model_cfg = _model_config(cfg, source.shape, len(source.class_names))
         extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
                   "data_sha256": source.sha256}
-        train_set, val_set, test_set = split(source, cfg.split)
+        train_set, val_set, test_set = split(source, cfg.split, cfg.seed)
         del source  # the data's bytes, not needed past the parsed parts
         scaler = None
         if cfg.standardize:
@@ -258,7 +258,8 @@ def _evaluate(args) -> metrics.Report:
     if source.sha256 != digest:
         raise ConfigError(f"data mismatch: the checkpoint was trained on data with sha256 "
                           f"{digest}, {args.data} has sha256 {source.sha256}")
-    rows = dict(zip(("train", "val", "test"), split_indices(source.labels, k, cfg.split)))
+    rows = dict(zip(("train", "val", "test"),
+                    split_indices(source.labels, k, cfg.split, cfg.seed)))
     part = source.load(rows[args.split])
     del source  # the data's bytes, not needed past the rows it scores
     if cfg.standardize:

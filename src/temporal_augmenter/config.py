@@ -1,15 +1,16 @@
 """Run configuration: task presets, flat key=value config files, overrides.
 
 A config file is plain text, one ``key = value`` per line, ``#`` comments.
-``task`` selects a preset that pins the data schema and the reference
-hyperparameters (split ratios, batch size, epochs, optimizer); every other
-key overrides the preset.  Relative ``data`` paths resolve against
+``task`` selects a preset: the data schema, and the keys whose reference
+values (split ratios, batch size, epochs, optimizer) differ from the
+defaults, which it sets as a config line would; every other key overrides
+the preset.  Relative ``data`` paths resolve against
 $TEMPORAL_AUGMENTER_DATA when it is set.
 
 Each key is a setting of ``RunConfig`` or of a section it holds
 (``SplitSpec``, ``TrainConfig``, and ``ModelConfig`` as overrides), and the
-field that holds it describes it (see ``settings``).  The parser checks
-each value on its own line.  ``seed`` sets all three seeds.
+field that holds it describes it (see ``settings``); no two fields share a
+key.  The parser checks each value on its own line.
 
 ``format_config`` renders a resolved config as text that
 ``parse_config_text`` reads back to the same config, without the schema,
@@ -30,36 +31,14 @@ class ConfigError(Exception):
     """Raised for unparseable or inconsistent run configuration."""
 
 
-# Reference per-task settings: split ratios, batching, optimizer.
+# Each task's data schema, and the config keys whose reference values (split
+# ratios, batching, optimizer, epochs) differ from the defaults.
 PRESETS = {
-    "tess": {
-        "schema": "wav",
-        "split": (0.7, 0.1, 0.2),
-        "stratified": False,
-        "train": {"optimizer": "rmsprop", "lr": 1e-3, "momentum": 0.0,
-                  "epsilon": 1e-7, "batch_size": 32, "epochs": 20},
-    },
-    "mitbih": {
-        "schema": "mitbih",
-        "split": (0.6, 0.2, 0.2),
-        "stratified": True,
-        "train": {"optimizer": "adam", "lr": 1e-3, "epsilon": 1e-7,
-                  "batch_size": 128, "epochs": 50},
-    },
-    "ionosphere": {
-        "schema": "ionosphere",
-        "split": (0.6, 0.2, 0.2),
-        "stratified": False,
-        "train": {"optimizer": "adam", "lr": 1e-3, "epsilon": 1e-7,
-                  "batch_size": 128, "epochs": 100},
-    },
-    "custom": {
-        "schema": "generic",
-        "split": (0.6, 0.2, 0.2),
-        "stratified": False,
-        "train": {"optimizer": "adam", "lr": 1e-3, "epsilon": 1e-7,
-                  "batch_size": 32, "epochs": 10},
-    },
+    "tess": ("wav", {"split_train": 0.7, "split_val": 0.1, "optimizer": "rmsprop",
+                     "epochs": 20}),
+    "mitbih": ("mitbih", {"stratified": True, "batch_size": 128, "epochs": 50}),
+    "ionosphere": ("ionosphere", {"batch_size": 128, "epochs": 100}),
+    "custom": ("generic", {"epochs": 10}),
 }
 TASKS = tuple(PRESETS)
 
@@ -69,7 +48,7 @@ class RunConfig:
     task: str = setting(MISSING, one_of(*TASKS))
     data: str | None = setting(None, path=True)
     out: str | None = setting(None, path=True)
-    seed: int = setting(0)
+    seed: int = setting(0)  # the one seed: split, initialisation and training derive from it
     standardize: bool = setting(True)
     split: SplitSpec = section(SplitSpec, default_factory=SplitSpec)
     target_len: int = setting(1024, POSITIVE)
@@ -95,40 +74,42 @@ class RunConfig:
 
     def set(self, key: str, value) -> None:
         """Set config key ``key`` to ``value``, which its rules passed, in
-        every field that holds it (``seed``: three)."""
-        for section, f, index in _KEYS[key]:
-            held = self._held(section)
-            held[f.name] = value if index is None else tuple(
-                value if i == index else item for i, item in enumerate(held[f.name]))
+        the field that holds it."""
+        section, f, index = _KEYS[key]
+        held = self._held(section)
+        held[f.name] = value if index is None else tuple(
+            value if i == index else item for i, item in enumerate(held[f.name]))
 
 
 def _add_keys(cls, section=None, by_name=False) -> None:
     """Add to ``_KEYS`` each config key of ``cls``'s settings in field order,
     the order ``format_config`` renders them in; a dict of overrides renders,
-    so adds, its keys by name."""
+    so adds, its keys by name.  A key that two fields claim is a TypeError."""
     for f in sorted(fields(cls), key=lambda f: f.name) if by_name else fields(cls):
         if "section" in f.metadata:
             _add_keys(f.metadata["section"], f.name, f.type == "dict")
         elif "rules" in f.metadata:
             keys = f.metadata["keys"]
             for index, key in enumerate((f.name,) if keys is None else keys):
-                _KEYS.setdefault(key, []).append((section, f, None if keys is None else index))
+                if key in _KEYS:
+                    raise TypeError(f"config key {key!r} is held by two fields")
+                _KEYS[key] = (section, f, None if keys is None else index)
 
 
-# config key -> every (section, field, item index or None) it sets; section
+# config key -> the (section, field, item index or None) it sets; section
 # None is RunConfig's own fields
 _KEYS = {}
 _add_keys(RunConfig)
 
 
-def preset_run_config(task: str, seed: int = 0) -> RunConfig:
+def preset_run_config(task: str) -> RunConfig:
+    """The defaults, with ``task``'s schema and its preset keys set."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    preset = PRESETS[task]
-    cfg = RunConfig(task=task, schema=preset["schema"],
-                    split=SplitSpec(ratios=preset["split"], stratified=preset["stratified"]),
-                    train=TrainConfig(**preset["train"]))
-    cfg.set("seed", seed)
+    schema, overrides = PRESETS[task]
+    cfg = RunConfig(task=task, schema=schema)
+    for key, value in overrides.items():
+        cfg.set(key, value)
     return cfg
 
 
@@ -143,7 +124,7 @@ _PARSERS = {"int": (int, "int"), "float": (float, "float"),
 def _parse_value(key: str, text: str):
     """The value the text of ``key`` gives, checked against the rules of the
     field it sets; a key for one item of a field is checked for its type."""
-    _, f, index = _KEYS[key][0]
+    _, f, index = _KEYS[key]
     item, many = item_type(f)
     parse, expected = _PARSERS[item]
     try:
@@ -216,7 +197,7 @@ def format_config(cfg: RunConfig) -> str:
     """Stable textual rendering of a resolved run configuration, without
     its schema and paths; ``parse_config_text`` reads it back."""
     lines = []
-    for key, ((section, f, index), *_) in _KEYS.items():
+    for key, (section, f, index) in _KEYS.items():
         value = cfg._held(section).get(f.name)
         if value is not None and not f.metadata["path"]:
             lines.append(f"{key} = {_render(value if index is None else value[index])}\n")

@@ -374,7 +374,6 @@ def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
 class SplitSpec:
     ratios: tuple[float, ...] = setting((0.6, 0.2, 0.2),  # train, val, test
                                         keys=("split_train", "split_val", "split_test"))
-    seed: int = setting(0)
     stratified: bool = setting(False)
 
     def validate(self) -> None:
@@ -393,11 +392,12 @@ def _partition_counts(n: int, ratios) -> tuple:
     return n_train, n_val, n_test
 
 
-def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec) -> tuple:
-    """Seeded shuffle-then-partition of the samples with ``labels``; returns
-    the (train, val, test) row indices.  The labels alone decide them."""
+def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec, seed: int) -> tuple:
+    """Shuffle-then-partition of the samples with ``labels``, shuffled by
+    ``Rng(seed)``; returns the (train, val, test) row indices.  Of the data,
+    the labels alone decide them."""
     spec.validate()
-    rng = Rng(spec.seed)
+    rng = Rng(seed)
     n = labels.shape[0]
     if spec.stratified:
         train_idx, val_idx, test_idx = [], [], []
@@ -419,11 +419,11 @@ def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec) -> tupl
     return parts
 
 
-def split(source: DataSource, spec: SplitSpec):
+def split(source: DataSource, spec: SplitSpec, seed: int):
     """(train, val, test) Datasets of the rows ``split_indices`` picks, each
     row parsed once, straight into its part, in split order."""
     return tuple(source.load(idx)
-                 for idx in split_indices(source.labels, len(source.class_names), spec))
+                 for idx in split_indices(source.labels, len(source.class_names), spec, seed))
 
 
 def one_hot(labels, k: int) -> Tensor:

@@ -98,17 +98,8 @@ def conv1d_forward(x: Tensor, p: Conv1DParams):
     T_out = T - k + 1
     # (x_0 K_0 + b) + x_1 K_1 + ...: the bias joins right after the first
     # product, which is the same sum as starting from a copy of b.
-    if p.in_channels == 1:
-        # An inner dimension of 1: the product x_0 K_0 is the broadcast
-        # x * K[0], at a fraction of the matmul's cost.  The two may differ
-        # only in the sign of a zero product, and a bias of b + 0.0, which
-        # holds b except that -0.0 becomes +0.0, leaves both sums with the
-        # same bits.
-        y = x[:, :T_out] * p.K[0]
-        y += p.b + 0.0
-    else:
-        y = x[:, :T_out] @ p.K[0]
-        y += p.b
+    y = x[:, :T_out] @ p.K[0]
+    y += p.b
     for j in range(1, k):
         y += x[:, j:j + T_out, :] @ p.K[j]
     return y, (x, p)

@@ -1,4 +1,8 @@
-"""Categorical cross-entropy, RMSProp and Adam, and the epoch training loop."""
+"""Categorical cross-entropy, RMSProp and Adam, and the epoch training loop.
+
+``TrainConfig`` holds every training setting once: an optimizer is made
+from it and reads its rates from it.  ``fit`` takes the ``Rng`` that
+shuffles each epoch and draws the dropout masks; the caller seeds it."""
 
 from __future__ import annotations
 
@@ -15,10 +19,12 @@ from .tensor_core import Rng, ShapeError, Tensor
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Raised when the minibatch loss stops being finite."""
+    """Raised when a minibatch loss, or an epoch's validation loss (``batch``
+    None), stops being finite."""
 
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch: int, batch: int | None):
+        super().__init__(f"non-finite validation loss at epoch {epoch}" if batch is None
+                         else f"non-finite training loss at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -47,17 +53,16 @@ class RMSProp:
 
     With momentum > 0 a velocity buffer accumulates the scaled step
     (v <- momentum*v + lr*g/(sqrt(s)+eps)); the default momentum of 0
-    reduces to the plain update.
+    reduces to the plain update.  ``lr``, ``rho``, ``momentum`` and
+    ``epsilon`` are read from ``cfg``.
     """
 
-    lr: float = 1e-3
-    rho: float = 0.9
-    momentum: float = 0.0
-    epsilon: float = 1e-7
+    cfg: TrainConfig
     s: dict = field(default_factory=dict, init=False)  # per-parameter state
     v: dict = field(default_factory=dict, init=False)
 
     def step(self, params: dict, grads: dict) -> None:
+        cfg = self.cfg
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.shape:
@@ -65,14 +70,14 @@ class RMSProp:
             if name not in self.s:
                 self.s[name] = np.zeros_like(p)
             s = self.s[name]
-            s *= self.rho
-            s += (1.0 - self.rho) * g * g
-            update = self.lr * g / (np.sqrt(s) + self.epsilon)
-            if self.momentum > 0.0:
+            s *= cfg.rho
+            s += (1.0 - cfg.rho) * g * g
+            update = cfg.lr * g / (np.sqrt(s) + cfg.epsilon)
+            if cfg.momentum > 0.0:
                 if name not in self.v:
                     self.v[name] = np.zeros_like(p)
                 v = self.v[name]
-                v *= self.momentum
+                v *= cfg.momentum
                 v += update
                 update = v
             p -= update
@@ -80,20 +85,19 @@ class RMSProp:
 
 @dataclass
 class Adam:
-    """Adam with bias correction; epsilon sits outside the square root."""
+    """Adam with bias correction; epsilon sits outside the square root.
+    ``lr``, ``beta1``, ``beta2`` and ``epsilon`` are read from ``cfg``."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
+    cfg: TrainConfig
     m: dict = field(default_factory=dict, init=False)  # per-parameter state
     v: dict = field(default_factory=dict, init=False)
     t: int = field(default=0, init=False)
 
     def step(self, params: dict, grads: dict) -> None:
+        cfg = self.cfg
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - cfg.beta1 ** self.t
+        b2t = 1.0 - cfg.beta2 ** self.t
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.shape:
@@ -102,16 +106,17 @@ class Adam:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            p -= cfg.lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.epsilon)
 
 
 @dataclass
 class TrainConfig:
-    """Training settings (see ``settings``); ``fit`` checks them."""
+    """Training settings (see ``settings``); ``fit`` checks them, and the
+    optimizer it makes reads its own."""
     optimizer: str = setting("adam", one_of("adam", "rmsprop"))
     lr: float = setting(1e-3, FINITE_POSITIVE)
     epsilon: float = setting(1e-7, FINITE_POSITIVE)
@@ -121,14 +126,12 @@ class TrainConfig:
     beta2: float = setting(0.999, RATE)
     batch_size: int = setting(32, POSITIVE)
     epochs: int = setting(1, POSITIVE)
-    seed: int = setting(0)
     shuffle: bool = setting(True)
     clip_norm: float | None = setting(None, FINITE_POSITIVE)
 
     def make_optimizer(self):
-        """The optimizer this config names, given the settings it takes."""
-        cls = Adam if self.optimizer == "adam" else RMSProp
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.init})
+        """The optimizer this config names, reading this config."""
+        return (Adam if self.optimizer == "adam" else RMSProp)(self)
 
 
 @dataclass
@@ -203,14 +206,16 @@ def _clip_global_norm(grads: dict, max_norm: float) -> None:
             g *= scale
 
 
-def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng | None = None):
+def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng):
     """Train in place; returns (model, TrainLog).
 
-    Per epoch: seeded shuffle, minibatch forward/backward (the last partial
-    batch is processed, not dropped), one optimizer step per batch.  Logged
-    train loss/accuracy are the running minibatch averages for the epoch;
-    validation metrics come from a full eval-mode pass, which never touches
-    the gradient path.
+    Per epoch: a shuffle drawn from ``rng``, minibatch forward/backward (the
+    last partial batch is processed, not dropped; dropout draws from
+    ``rng`` too), one optimizer step per batch.  Logged train loss/accuracy
+    are the running minibatch averages for the epoch; validation metrics
+    come from a full eval-mode pass, which never touches the gradient path.
+    A non-finite minibatch or validation loss raises
+    TrainingDivergenceError.
     """
     check(cfg)
     x_train, y_train = train_set.features, train_set.labels
@@ -221,8 +226,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng | None = None):
     for split, y in (("training", y_train), ("validation", y_val)):
         if y.max() >= k or y.min() < 0:
             raise ValueError(f"{split} label out of range for {k} classes")
-    if rng is None:
-        rng = Rng(cfg.seed)
     params = model.parameters()
     optimizer = cfg.make_optimizer()
     n = x_train.shape[0]
@@ -247,6 +250,8 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng | None = None):
             loss_sum += loss * sel.shape[0]
             hit_sum += int(np.sum(probs.argmax(axis=1) == y_train[sel]))
         val_loss, val_acc = evaluate(model, x_val, y_val, batch_size=max(cfg.batch_size, 256))
+        if not np.isfinite(val_loss):
+            raise TrainingDivergenceError(epoch, None)
         log.append(EpochStats(epoch=epoch,
                               train_loss=loss_sum / n,
                               train_acc=hit_sum / n,

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from temporal_augmenter.config import (
     PRESETS,
     TASKS,
     ConfigError,
+    RunConfig,
     format_config,
     load_config,
     parse_config_text,
@@ -82,6 +84,48 @@ def radar_config_text(data_path, out_dir, epochs=3):
             f"dense_sizes = 8,4\n")
 
 
+# Each task's schema and its preset rendered by ``format_config``, recorded
+# before the presets became config-key overrides, which moved none of them.
+PRESET_SETTINGS = {
+    "tess": ("wav", "task = tess\nseed = 0\nstandardize = true\nsplit_train = 0.7\n"
+                    "split_val = 0.1\nsplit_test = 0.2\nstratified = false\n"
+                    "target_len = 1024\noptimizer = rmsprop\nlr = 0.001\nepsilon = 1e-07\n"
+                    "rho = 0.9\nmomentum = 0.0\nbeta1 = 0.9\nbeta2 = 0.999\n"
+                    "batch_size = 32\nepochs = 20\nshuffle = true\n"),
+    "mitbih": ("mitbih", "task = mitbih\nseed = 0\nstandardize = true\nsplit_train = 0.6\n"
+                         "split_val = 0.2\nsplit_test = 0.2\nstratified = true\n"
+                         "target_len = 1024\noptimizer = adam\nlr = 0.001\nepsilon = 1e-07\n"
+                         "rho = 0.9\nmomentum = 0.0\nbeta1 = 0.9\nbeta2 = 0.999\n"
+                         "batch_size = 128\nepochs = 50\nshuffle = true\n"),
+    "ionosphere": ("ionosphere", "task = ionosphere\nseed = 0\nstandardize = true\n"
+                                 "split_train = 0.6\nsplit_val = 0.2\nsplit_test = 0.2\n"
+                                 "stratified = false\ntarget_len = 1024\noptimizer = adam\n"
+                                 "lr = 0.001\nepsilon = 1e-07\nrho = 0.9\nmomentum = 0.0\n"
+                                 "beta1 = 0.9\nbeta2 = 0.999\nbatch_size = 128\n"
+                                 "epochs = 100\nshuffle = true\n"),
+    "custom": ("generic", "task = custom\nseed = 0\nstandardize = true\nsplit_train = 0.6\n"
+                          "split_val = 0.2\nsplit_test = 0.2\nstratified = false\n"
+                          "target_len = 1024\noptimizer = adam\nlr = 0.001\nepsilon = 1e-07\n"
+                          "rho = 0.9\nmomentum = 0.0\nbeta1 = 0.9\nbeta2 = 0.999\n"
+                          "batch_size = 32\nepochs = 10\nshuffle = true\n"),
+}
+
+ABSENT = object()
+
+
+def held_settings(cfg) -> dict:
+    """(section or None, name) -> value of every field and model override
+    that ``cfg`` holds."""
+    held = {}
+    for name, value in vars(cfg).items():
+        inner = value if isinstance(value, dict) else getattr(value, "__dict__", None)
+        if inner is None:
+            held[(None, name)] = value
+        else:
+            held.update(((name, k), v) for k, v in inner.items())
+    return held
+
+
 class TestPresets:
     def test_tess_preset_hyperparameters(self):
         cfg = preset_run_config("tess")
@@ -109,9 +153,18 @@ class TestPresets:
         assert cfg.train.batch_size == 128
         assert cfg.train.epochs == 100
 
-    def test_all_presets_have_schema(self):
-        for task, preset in PRESETS.items():
-            assert "schema" in preset and "train" in preset
+    def test_every_preset_resolves_to_its_recorded_settings(self):
+        for task in TASKS:
+            cfg = preset_run_config(task)
+            assert (cfg.schema, format_config(cfg)) == PRESET_SETTINGS[task], task
+
+    def test_presets_hold_only_keys_that_differ_from_the_defaults(self):
+        defaults = held_settings(RunConfig(task="custom"))
+        for task, (_, overrides) in PRESETS.items():
+            for key, value in overrides.items():
+                cfg = RunConfig(task="custom")
+                cfg.set(key, value)
+                assert held_settings(cfg) != defaults, (task, key)
 
 
 # Each is set as the value of every config key in the property test below.
@@ -144,7 +197,6 @@ class TestConfigParsing:
         cfg = parse_config_text("# a comment\n\ntask = ionosphere  # trailing\nseed = 4\n")
         assert cfg.task == "ionosphere"
         assert cfg.seed == 4
-        assert cfg.split.seed == 4
 
     def test_bad_value_types(self):
         with pytest.raises(ConfigError, match="expected int"):
@@ -215,9 +267,28 @@ class TestConfigParsing:
                     continue
                 assert parse_config_text(format_config(cfg)) == replace(cfg, data=None, out=None)
 
-    def test_seed_key_sets_the_run_split_and_train_seeds(self):
-        cfg = parse_config_text("task = tess\nseed = 7\n")
-        assert (cfg.seed, cfg.split.seed, cfg.train.seed) == (7, 7, 7)
+    def test_each_key_sets_exactly_one_field(self):
+        """Setting any key on any preset changes one field of the config, or
+        adds one model override, and nothing else; ``seed`` changes ``seed``
+        alone."""
+        for task, key in itertools.product(TASKS, config_mod._KEYS):
+            cfg = preset_run_config(task)
+            before = held_settings(cfg)
+            marker = object()
+            cfg.set(key, marker)
+            after = held_settings(cfg)
+            changed = {name for name in before.keys() | after.keys()
+                       if before.get(name, ABSENT) != after.get(name, ABSENT)}
+            assert len(changed) == 1, (task, key, changed)
+            (name,) = changed
+            value = after[name]
+            assert value is marker or (isinstance(value, tuple) and marker in value), (task, key)
+            if key == "seed":
+                assert name == (None, "seed")
+
+    def test_a_key_that_two_fields_hold_is_refused(self):
+        with pytest.raises(TypeError, match="config key 'task' is held by two fields"):
+            config_mod._add_keys(RunConfig)
 
     @pytest.mark.parametrize("task", ["tess", "mitbih", "ionosphere"])
     def test_label_col_only_for_the_generic_schema(self, task):
@@ -322,9 +393,9 @@ class TestTrainCommand:
         file's."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out"))
-        spec = load_config(cfg_path).split
+        cfg = load_config(cfg_path)
         order = np.concatenate(split_indices(load_csv_signals(radar_csv, "ionosphere").labels,
-                                             2, spec))
+                                             2, cfg.split, cfg.seed))
         first = int(order[0])
         assert first != 0
         lines = radar_csv.read_text().splitlines(keepends=True)
@@ -348,7 +419,7 @@ class TestTrainCommand:
 
     def test_seed_flag_sets_every_seed_the_seed_key_sets(self, tmp_path, radar_csv):
         """``--seed`` goes through the setter of the file's ``seed`` key, so
-        the run, split and training seeds all take it."""
+        the split, the initialisation and the training all take it."""
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "flag", epochs=1))
         assert cli.main(["train", "--config", str(cfg_path), "--seed", "5"]) == 0
@@ -419,6 +490,20 @@ class TestTrainCommand:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out", epochs=1))
         assert cli.main(["train", "--config", str(cfg_path)]) == 4
+
+    def test_non_finite_validation_loss_exit_4_leaves_no_output(self, tmp_path, capsys):
+        """One step at lr 1e308 sends the weights to +-inf: the batch's loss
+        was finite, but the epoch's validation loss is NaN."""
+        data = tmp_path / "radar.csv"
+        write_radar_csv(data, make_radar_dataset(60, Rng(1)))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = ionosphere\ndata = {data}\nout = {tmp_path / 'out'}\n"
+                            f"epochs = 1\nlr = 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 4
+        assert ("training diverged: non-finite validation loss at epoch 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestPathsOfTheWrongKind:

@@ -442,42 +442,42 @@ def toy_dataset(n, k=2, seed=303):
 
 class TestSplit:
     def test_floor_counts_remainder_to_train(self):
-        tr, va, te = split(source_of(toy_dataset(10)), SplitSpec(ratios=(0.6, 0.2, 0.2), seed=1))
+        tr, va, te = split(source_of(toy_dataset(10)), SplitSpec(ratios=(0.6, 0.2, 0.2)), 1)
         assert (tr.n, va.n, te.n) == (6, 2, 2)
-        tr, va, te = split(source_of(toy_dataset(351)), SplitSpec(ratios=(0.6, 0.2, 0.2), seed=1))
+        tr, va, te = split(source_of(toy_dataset(351)), SplitSpec(ratios=(0.6, 0.2, 0.2)), 1)
         assert (tr.n, va.n, te.n) == (211, 70, 70)
 
     def test_disjoint_and_exhaustive(self):
         ds = toy_dataset(53)
         ds.features[:, 0, 0] = np.arange(53)  # unique ids
-        tr, va, te = split(source_of(ds), SplitSpec(ratios=(0.7, 0.1, 0.2), seed=2))
+        tr, va, te = split(source_of(ds), SplitSpec(ratios=(0.7, 0.1, 0.2)), 2)
         ids = np.concatenate([p.features[:, 0, 0] for p in (tr, va, te)])
         npt.assert_array_equal(np.sort(ids), np.arange(53))
 
     def test_stratified_preserves_balance(self):
         tr, va, te = split(source_of(toy_dataset(20)),
-                           SplitSpec(ratios=(0.6, 0.2, 0.2), seed=3, stratified=True))
+                           SplitSpec(ratios=(0.6, 0.2, 0.2), stratified=True), 3)
         for part in (tr, va, te):
             counts = np.bincount(part.labels, minlength=2)
             assert counts[0] == counts[1]
 
     def test_same_seed_same_partition(self):
         ds = toy_dataset(40)
-        a = split(source_of(ds), SplitSpec(seed=9))
-        b = split(source_of(ds), SplitSpec(seed=9))
+        a = split(source_of(ds), SplitSpec(), 9)
+        b = split(source_of(ds), SplitSpec(), 9)
         for pa, pb in zip(a, b):
             npt.assert_array_equal(pa.features, pb.features)
             npt.assert_array_equal(pa.labels, pb.labels)
 
     def test_zero_sample_split_rejected(self):
         with pytest.raises(DataError, match="0 samples"):
-            split(source_of(toy_dataset(4)), SplitSpec(ratios=(0.8, 0.1, 0.1), seed=0))
+            split(source_of(toy_dataset(4)), SplitSpec(ratios=(0.8, 0.1, 0.1)), 0)
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ValueError):
-            split(source_of(toy_dataset(10)), SplitSpec(ratios=(0.5, 0.2, 0.2), seed=0))
+            split(source_of(toy_dataset(10)), SplitSpec(ratios=(0.5, 0.2, 0.2)), 0)
         with pytest.raises(ValueError):
-            split(source_of(toy_dataset(10)), SplitSpec(ratios=(1.0, 0.0, 0.0), seed=0))
+            split(source_of(toy_dataset(10)), SplitSpec(ratios=(1.0, 0.0, 0.0)), 0)
 
 
 def write_source(kind, root) -> DataSource:
@@ -506,12 +506,12 @@ class TestSplitIndices:
     def test_split_takes_the_rows_split_indices_picks(self, tmp_path, stratified):
         """Each part ``split`` parses is bitwise equal to a whole-file parse
         taken at the rows ``split_indices`` picks."""
-        spec = SplitSpec(ratios=(0.6, 0.2, 0.2), seed=4, stratified=stratified)
+        spec = SplitSpec(ratios=(0.6, 0.2, 0.2), stratified=stratified)
         for kind in ("mitbih", "ionosphere", "generic", "wav"):
             source = write_source(kind, tmp_path / kind)
             whole = load_all(source)
-            parts = split_indices(source.labels, len(source.class_names), spec)
-            for part, idx in zip(split(source, spec), parts):
+            parts = split_indices(source.labels, len(source.class_names), spec, 4)
+            for part, idx in zip(split(source, spec, 4), parts):
                 assert part.features.shape == whole.features[idx].shape, kind
                 assert part.features.tobytes() == whole.features[idx].tobytes(), kind
                 npt.assert_array_equal(part.labels, whole.labels[idx])

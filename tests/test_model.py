@@ -285,7 +285,7 @@ class TestBackward:
         def train_steps(cut_slice: bool):
             net = build(cfg, Rng(32).derive("init"))
             params = net.parameters()
-            opt = optim.Adam(lr=1e-3, epsilon=1e-7)
+            opt = optim.Adam(optim.TrainConfig(lr=1e-3, epsilon=1e-7))
             original = model_mod._stream_backward
 
             def cutting(sp, cfg_, cache, d_out):
@@ -350,7 +350,7 @@ class TestTraceRelease:
             return original(model, x, mode=mode, rng=rng)
 
         monkeypatch.setattr(model_mod, "forward", watching)
-        optim.fit(net, train_set, train_set, optim.TrainConfig(batch_size=5, epochs=2))
+        optim.fit(net, train_set, train_set, optim.TrainConfig(batch_size=5, epochs=2), Rng(0))
         # four steps; none finds a cell cache of the step before it alive
         assert alive == [0, 0, 0, 0]
         assert len(refs) == 2 * 4  # the GRU's four arrays and the LSTM's four

@@ -63,7 +63,7 @@ class TestCCELoss:
 
 class TestRMSProp:
     def test_zero_gradient_leaves_param(self):
-        opt = RMSProp(lr=1e-3, rho=0.9, epsilon=1e-7)
+        opt = RMSProp(TrainConfig(lr=1e-3, rho=0.9, epsilon=1e-7))
         p = {"w": np.array([1.5])}
         opt.step(p, {"w": np.array([1.0])})
         s_before = opt.s["w"].copy()
@@ -73,7 +73,7 @@ class TestRMSProp:
         npt.assert_allclose(opt.s["w"], s_before * 0.9, rtol=1e-15)
 
     def test_first_step_magnitude(self):
-        opt = RMSProp(lr=1e-3, rho=0.9, epsilon=1e-7)
+        opt = RMSProp(TrainConfig(lr=1e-3, rho=0.9, epsilon=1e-7))
         p = {"w": np.array([0.0])}
         opt.step(p, {"w": np.array([1.0])})
         expected = -1e-3 / (math.sqrt(0.1) + 1e-7)
@@ -82,7 +82,7 @@ class TestRMSProp:
 
     def test_update_opposes_gradient(self):
         rng = Rng(72)
-        opt = RMSProp(lr=1e-2)
+        opt = RMSProp(TrainConfig(lr=1e-2))
         p = {"w": np.zeros(64)}
         g = rng.uniform((64,)) * 4 - 2
         g[np.abs(g) < 1e-3] = 1.0
@@ -90,7 +90,7 @@ class TestRMSProp:
         assert np.all(np.sign(p["w"]) == -np.sign(g))
 
     def test_momentum_accumulates(self):
-        opt = RMSProp(lr=1e-3, momentum=0.9)
+        opt = RMSProp(TrainConfig(lr=1e-3, momentum=0.9))
         p = {"w": np.array([0.0])}
         opt.step(p, {"w": np.array([1.0])})
         first = p["w"].copy()
@@ -101,7 +101,7 @@ class TestRMSProp:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        opt = Adam(lr=1e-3, epsilon=1e-7)
+        opt = Adam(TrainConfig(lr=1e-3, epsilon=1e-7))
         p = {"w": np.array([5.0])}
         opt.step(p, {"w": np.array([2.0])})
         delta = p["w"][0] - 5.0
@@ -109,7 +109,7 @@ class TestAdam:
         assert abs(delta + 1e-3) < 1e-6
 
     def test_zero_gradient_fixed_point(self):
-        opt = Adam(lr=1e-3)
+        opt = Adam(TrainConfig(lr=1e-3))
         p = {"w": np.array([3.0])}
         for _ in range(5):
             opt.step(p, {"w": np.array([0.0])})
@@ -117,7 +117,7 @@ class TestAdam:
 
     def test_quadratic_descent_monotone(self):
         # L(w) = w^2 / 2, gradient w; three steps must reduce the loss each time
-        opt = Adam(lr=0.1)
+        opt = Adam(TrainConfig(lr=0.1))
         p = {"w": np.array([2.0])}
         losses = [p["w"][0] ** 2 / 2]
         for _ in range(3):
@@ -126,7 +126,7 @@ class TestAdam:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_state_slot_per_parameter(self):
-        opt = Adam()
+        opt = Adam(TrainConfig())
         params = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
         grads = {"a": np.ones((2, 3)), "b": np.ones(4)}
         opt.step(params, grads)
@@ -158,7 +158,7 @@ class TestFit:
     def test_zero_epochs_rejected(self):
         ds = tiny_dataset()
         with pytest.raises(ValueError):
-            fit(tiny_model(), ds, ds, TrainConfig(epochs=0))
+            fit(tiny_model(), ds, ds, TrainConfig(epochs=0), Rng(0))
 
     @pytest.mark.parametrize("key,value", [("batch_size", 8.0), ("epochs", True),
                                            ("shuffle", 1), ("lr", "0.1"), ("clip_norm", False),
@@ -166,23 +166,27 @@ class TestFit:
     def test_settings_checked_by_type_and_rule(self, key, value):
         ds = tiny_dataset()
         with pytest.raises(ValueError, match=f"^{key} must be"):
-            fit(tiny_model(), ds, ds, TrainConfig(**{"epochs": 1, key: value}))
+            fit(tiny_model(), ds, ds, TrainConfig(**{"epochs": 1, key: value}), Rng(0))
 
     def test_optimizer_takes_its_settings_by_name(self):
+        """The optimizer holds the config it is made from and reads its
+        settings there by name."""
         cfg = TrainConfig(optimizer="rmsprop", lr=0.5, rho=0.7, momentum=0.2, epsilon=1e-3)
-        assert cfg.make_optimizer() == RMSProp(lr=0.5, rho=0.7, momentum=0.2, epsilon=1e-3)
+        opt = cfg.make_optimizer()
+        assert type(opt) is RMSProp and opt.cfg is cfg
         cfg = TrainConfig(lr=0.5, beta1=0.7, beta2=0.8, epsilon=1e-3)
-        assert cfg.make_optimizer() == Adam(lr=0.5, beta1=0.7, beta2=0.8, epsilon=1e-3)
+        opt = cfg.make_optimizer()
+        assert type(opt) is Adam and opt.cfg is cfg
 
     def test_one_epoch_one_log_entry(self):
         ds = tiny_dataset()
-        _, log = fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=8, seed=1))
+        _, log = fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=8), Rng(1))
         assert len(log.epochs) == 1
         assert log.epochs[0].epoch == 1
 
     def test_same_seed_identical_log_and_params(self):
         ds = tiny_dataset()
-        cfg = TrainConfig(epochs=3, batch_size=8, seed=5)
+        cfg = TrainConfig(epochs=3, batch_size=8)
         m1, log1 = fit(tiny_model(), ds, ds, cfg, rng=Rng(5))
         m2, log2 = fit(tiny_model(), ds, ds, cfg, rng=Rng(5))
         assert log1.epochs == log2.epochs
@@ -194,7 +198,7 @@ class TestFit:
         empty = Dataset(features=ds.features[:0], labels=ds.labels[:0],
                         class_names=ds.class_names)
         with pytest.raises(ValueError):
-            fit(tiny_model(), empty, ds, TrainConfig(epochs=1))
+            fit(tiny_model(), empty, ds, TrainConfig(epochs=1), Rng(0))
 
     def test_label_out_of_range_rejected(self):
         ds = tiny_dataset(k=2)
@@ -202,28 +206,37 @@ class TestFit:
                      labels=np.concatenate([ds.labels, ds.labels + 2]),
                      class_names=["0", "1", "2", "3"])
         with pytest.raises(ValueError, match="label out of range"):
-            fit(tiny_model(k=2), ds, ds, TrainConfig(epochs=1))
+            fit(tiny_model(k=2), ds, ds, TrainConfig(epochs=1), Rng(0))
 
     def test_validation_label_out_of_range_rejected(self):
         ds = tiny_dataset(k=2)
         wide = Dataset(features=ds.features, labels=ds.labels + 2,
                        class_names=["0", "1", "2", "3"])
         with pytest.raises(ValueError, match="validation label out of range"):
-            fit(tiny_model(k=2), ds, wide, TrainConfig(epochs=1))
+            fit(tiny_model(k=2), ds, wide, TrainConfig(epochs=1), Rng(0))
         negative = tiny_dataset(k=2)
         negative.labels[0] = -1  # would select the last one-hot column
         with pytest.raises(ValueError, match="validation label out of range"):
-            fit(tiny_model(k=2), ds, negative, TrainConfig(epochs=1))
+            fit(tiny_model(k=2), ds, negative, TrainConfig(epochs=1), Rng(0))
 
     def test_nan_loss_raises_divergence_with_location(self):
         ds = tiny_dataset()
         net = tiny_model()
         net.head[-1].W[0, 0] = np.nan
         with pytest.raises(TrainingDivergenceError) as err:
-            fit(net, ds, ds, TrainConfig(epochs=1, batch_size=8))
+            fit(net, ds, ds, TrainConfig(epochs=1, batch_size=8), Rng(0))
         assert err.value.epoch == 1
         assert err.value.batch == 0
         assert "epoch 1" in str(err.value) and "batch 0" in str(err.value)
+
+    def test_non_finite_validation_loss_raises_divergence(self):
+        ds = tiny_dataset()
+        with pytest.raises(TrainingDivergenceError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            # one finite batch, whose step at lr 1e308 leaves no finite output
+            fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=24, lr=1e308), Rng(0))
+        assert (err.value.epoch, err.value.batch) == (1, None)
+        assert str(err.value) == "non-finite validation loss at epoch 1"
 
     def test_validation_never_enters_gradient_path(self, monkeypatch):
         train = tiny_dataset(seed=90)
@@ -238,7 +251,7 @@ class TestFit:
             return original(model, x, mode=mode, rng=rng)
 
         monkeypatch.setattr(model_mod, "forward", spy)
-        fit(tiny_model(), train, val, TrainConfig(epochs=2, batch_size=8, seed=3))
+        fit(tiny_model(), train, val, TrainConfig(epochs=2, batch_size=8), Rng(3))
         assert any(mode == "train" for mode, _ in seen_modes)
         assert any(has_val for mode, has_val in seen_modes if mode == "eval")
         for mode, has_val in seen_modes:
@@ -256,7 +269,7 @@ class TestFit:
             return original(model, x, mode=mode, rng=rng)
 
         monkeypatch.setattr(model_mod, "forward", spy)
-        fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=4, seed=2))
+        fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=4), Rng(2))
         assert sizes == [4, 4, 2]
 
     def test_no_shuffle_keeps_order(self, monkeypatch):
@@ -270,19 +283,19 @@ class TestFit:
             return original(model, x, mode=mode, rng=rng)
 
         monkeypatch.setattr(model_mod, "forward", spy)
-        fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=6, shuffle=False))
+        fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=6, shuffle=False), Rng(0))
         npt.assert_array_equal(np.concatenate(batches), ds.features)
 
     def test_learns_separable_task(self):
         ds = tiny_dataset(n=64, seed=92)
         net = tiny_model(seed=93)
-        _, log = fit(net, ds, ds, TrainConfig(epochs=30, batch_size=16, lr=5e-3, seed=4))
+        _, log = fit(net, ds, ds, TrainConfig(epochs=30, batch_size=16, lr=5e-3), Rng(4))
         assert log.epochs[-1].train_acc > 0.9
 
     def test_gradient_clipping_bounds_update(self):
         ds = tiny_dataset()
-        cfg_free = TrainConfig(epochs=1, batch_size=24, lr=1.0, seed=6)
-        cfg_clip = TrainConfig(epochs=1, batch_size=24, lr=1.0, seed=6, clip_norm=1e-6)
+        cfg_free = TrainConfig(epochs=1, batch_size=24, lr=1.0)
+        cfg_clip = TrainConfig(epochs=1, batch_size=24, lr=1.0, clip_norm=1e-6)
         m_free, _ = fit(tiny_model(), ds, ds, cfg_free, rng=Rng(6))
         m_clip, _ = fit(tiny_model(), ds, ds, cfg_clip, rng=Rng(6))
         ref = tiny_model().parameters()
