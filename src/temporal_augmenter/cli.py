@@ -1,8 +1,8 @@
 """Command-line entry points: train, eval, gradcheck, report.
 
-Exit codes: 0 success, 2 configuration error (also used by argparse),
-3 data error or missing artifact, 4 training divergence, 5 gradient-check
-failure.
+Exit codes: 0 success, 2 configuration error (also used by argparse, and
+for an output file that cannot be written), 3 data error or missing
+artifact, 4 training divergence, 5 gradient-check failure.
 
 A checkpoint's extras hold three keys: ``run_config``, the run's settings
 as the text ``format_config`` renders; ``class_names``, the trained classes
@@ -22,7 +22,8 @@ a data error (exit 3), as is a checkpoint that lacks a valid
 ``run_config`` or ``data_sha256``.  Data whose classes, sample shape
 or sha256 differ from the checkpoint's is a config error (exit 2), the
 last naming both digests.  Only then does ``eval`` parse or decode the
-requested split's rows alone, which it scales and scores.
+requested split's rows alone, which it scales and scores; a model that
+gives a row a NaN or infinite probability is a data error.
 """
 
 from __future__ import annotations
@@ -75,12 +76,25 @@ def _model_config(cfg: RunConfig, shape: tuple, num_classes: int) -> ModelConfig
         raise ConfigError(f"{cfg.source}: invalid model configuration: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Run the body, which writes the file ``path``; an OSError it raises,
+    such as a directory at ``path``, is a ConfigError."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_report(report: metrics.Report, out_dir: str, stem: str) -> None:
     payload = json.dumps(metrics.report_to_dict(report), sort_keys=True, indent=2)
-    with open(os.path.join(out_dir, f"{stem}.json"), "w") as fh:
-        fh.write(payload + "\n")
-    with open(os.path.join(out_dir, f"{stem}.txt"), "w") as fh:
-        fh.write(metrics.format_report(report))
+    _write_text(os.path.join(out_dir, f"{stem}.json"), payload + "\n")
+    _write_text(os.path.join(out_dir, f"{stem}.txt"), metrics.format_report(report))
 
 
 def _make_out_dir(path: str) -> None:
@@ -110,14 +124,14 @@ def _out_dir(path: str):
         raise
 
 
-def run_training(cfg: RunConfig, out_dir: str) -> dict:
-    """Full training pipeline; returns paths of the written artifacts.  The
-    output directory is created first, before any data is read, and removed
-    if the run fails before writing to it; the model is sized before any
-    row is parsed."""
+def run_training(cfg: RunConfig):
+    """Full training pipeline into ``cfg.out``; returns (TrainLog, paths of
+    the written artifacts).  The output directory is created first, before
+    any data is read, and removed if the run fails before writing to it; the
+    model is sized before any row is parsed."""
     check(cfg)
     data_path = cfg.resolved_data_path()
-    with _out_dir(out_dir):
+    with _out_dir(cfg.out):
         source = _load_source(cfg, data_path)
         model_cfg = _model_config(cfg, source.shape, len(source.class_names))
         extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
@@ -142,19 +156,19 @@ def run_training(cfg: RunConfig, out_dir: str) -> dict:
         if scaler is not None:
             extra_tensors = {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
         paths = {
-            "checkpoint": os.path.join(out_dir, "checkpoint.tackpt"),
-            "trainlog": os.path.join(out_dir, "trainlog.csv"),
-            "report_json": os.path.join(out_dir, "report_test.json"),
-            "report_txt": os.path.join(out_dir, "report_test.txt"),
-            "config": os.path.join(out_dir, "config.txt"),
+            "checkpoint": os.path.join(cfg.out, "checkpoint.tackpt"),
+            "trainlog": os.path.join(cfg.out, "trainlog.csv"),
+            "report_json": os.path.join(cfg.out, "report_test.json"),
+            "report_txt": os.path.join(cfg.out, "report_test.txt"),
+            "config": os.path.join(cfg.out, "config.txt"),
         }
-        model_mod.save_checkpoint(paths["checkpoint"], net, extras=extras,
-                                  extra_tensors=extra_tensors)
-        log.to_csv(paths["trainlog"])
-        _write_report(report, out_dir, "report_test")
-        with open(paths["config"], "w") as fh:
-            fh.write(f"data = {cfg.data}\n" + extras["run_config"])
-        return paths
+        with _writing(paths["checkpoint"]) as path:
+            model_mod.save_checkpoint(path, net, extras=extras, extra_tensors=extra_tensors)
+        with _writing(paths["trainlog"]) as path:
+            log.to_csv(path)
+        _write_report(report, cfg.out, "report_test")
+        _write_text(paths["config"], f"data = {cfg.data}\n" + extras["run_config"])
+        return log, paths
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -192,8 +206,7 @@ def cmd_train(args) -> int:
         cfg.out = args.out
     if not cfg.out:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
-    paths = run_training(cfg, cfg.out)
-    log = optim.TrainLog.from_csv(paths["trainlog"])
+    log, paths = run_training(cfg)
     last = log.epochs[-1]
     print(f"trained {cfg.task} for {last.epoch} epochs: "
           f"train_acc={last.train_acc:.4f} val_acc={last.val_acc:.4f}")
@@ -270,6 +283,10 @@ def _evaluate(args) -> metrics.Report:
         part = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
                                          std=extra_tensors["scaler_std"]), part)
     probs = optim.predict_probs(net, part.features)
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: the model gives {args.split} sample {bad[0]} a NaN or "
+                        f"infinite class probability")
     return metrics.classification_report(part.labels, probs, part.class_names,
                                          split=args.split, total_params=model_mod.param_count(net))
 
@@ -301,8 +318,8 @@ def cmd_report(args) -> int:
     if not report_txts:
         raise DataError(f"run directory has no report files: {run_dir}")
     log = optim.TrainLog.from_csv(trainlog)
-    curves = os.path.join(run_dir, "curves.csv")
-    shutil.copyfile(trainlog, curves)
+    with _writing(os.path.join(run_dir, "curves.csv")) as curves:
+        shutil.copyfile(trainlog, curves)
     lines = [f"Run directory: {run_dir}",
              f"Epochs: {len(log.epochs)}"]
     if log.epochs:
@@ -316,8 +333,7 @@ def cmd_report(args) -> int:
         lines.append(utf8_text(read_file(path, "report file"), path).rstrip())
         lines.append("")
     summary = "\n".join(lines).rstrip() + "\n"
-    with open(os.path.join(run_dir, "summary.txt"), "w") as fh:
-        fh.write(summary)
+    _write_text(os.path.join(run_dir, "summary.txt"), summary)
     print(summary)
     return 0
 

@@ -163,7 +163,7 @@ def _check_cell(kind: str, seed: int) -> float:
     worst = 0.0
     for T in (1, 2, 5):
         n, d, u = 3, 4, 3
-        params = recurrent.draw_params(recurrent.zero_params(kind, d, u), rng)
+        params = recurrent.draw_params(recurrent.zero_params(kind, d, u), kind, rng)
         params.b += _uniform_pm(rng, params.b.shape) * 0.1
         x = _uniform_pm(rng, (n, T, d))
         proj = _uniform_pm(rng, (n, T, u))

@@ -191,7 +191,7 @@ class ModelConfig:
 class StreamParams:
     kind: str  # "gru" or "lstm"
     conv: Conv1DParams
-    cell: object  # GRUParams or LSTMParams
+    cell: recurrent.CellParams  # the gate slots of its kind
 
 
 @dataclass
@@ -247,7 +247,7 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
     for sp in model.streams:
         k, d, F = sp.conv.K.shape
         sp.conv.K[...] = init_he_uniform(k * d, (k, d, F), rng)
-        recurrent.draw_params(sp.cell, rng)
+        recurrent.draw_params(sp.cell, sp.kind, rng)
     for dp in model.head:
         dp.W[...] = init_glorot_uniform(dp.in_size, dp.out_size, dp.W.shape, rng)
     return model
@@ -428,7 +428,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     if pooled is not None:
         K = conv.K[0, 0]
         dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.K.shape)
-    return StreamParams(sp.kind, Conv1DParams(dK, db), type(sp.cell)(W=dW, **cell_grads))
+    return StreamParams(sp.kind, Conv1DParams(dK, db), recurrent.CellParams(W=dW, **cell_grads))
 
 
 def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor) -> dict:
@@ -475,25 +475,27 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # checkpoint container
 # ---------------------------------------------------------------------------
 #
-# Layout (version 2):
+# Layout (version 3):
 #   bytes 0..7    magic  b"TACKPT01"
 #   bytes 8..15   uint64 little-endian header length H
 #   bytes 16..16+H  UTF-8 JSON header:
-#       {"version": 2, "config": {...}, "tensors": [{"name","shape"}...],
+#       {"version": 3, "config": {...}, "tensors": [{"name","shape"}...],
 #        "extras": {...}}
 #   then, for each entry of "tensors" in order, the raw little-endian
 #   float64 values (C order).
 # Model parameters are stored in parameters() order, under its names and with
 # the shapes _allocate gives them, a cell's as its fused blocks
-# ("lstm.cell.U" [u, 4u]; version 1 had one tensor per gate).  Every stored
-# value is finite.  Callers may attach additional named tensors (e.g. scaler
-# statistics) and a JSON extras dict.  Loading reconstructs the model
-# bitwise.  The `train` command writes three extras, which `eval` reads (see
-# cli.py): "run_config" (the run's config text), "class_names" and
+# ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]).  Both older versions are
+# refused: version 2 stored the GRU's U as two tensors, its z and r columns
+# [u, 2u] and its candidate's [u, u], and version 1 one tensor per gate.
+# Every stored value is finite.  Callers may attach additional named tensors
+# (e.g. scaler statistics) and a JSON extras dict.  Loading reconstructs the
+# model bitwise.  The `train` command writes three extras, which `eval` reads
+# (see cli.py): "run_config" (the run's config text), "class_names" and
 # "data_sha256".
 
 _MAGIC = b"TACKPT01"
-_VERSION = 2
+_VERSION = 3
 
 
 def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = None,

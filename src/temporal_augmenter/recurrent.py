@@ -3,31 +3,33 @@
 Cell equations (batch n, input size d, units u):
 
 LSTM step
-    f = sigmoid(x W_f + h U_f + b_f)        forget gate
-    i = sigmoid(x W_i + h U_i + b_i)        input gate
-    g = tanh   (x W_g + h U_g + b_g)        candidate
-    o = sigmoid(x W_o + h U_o + b_o)        output gate
+    f = sigmoid(x W[f] + h U[f] + b[f])        forget gate
+    i = sigmoid(x W[i] + h U[i] + b[i])        input gate
+    g = tanh   (x W[g] + h U[g] + b[g])        candidate
+    o = sigmoid(x W[o] + h U[o] + b[o])        output gate
     c' = f * c + i * g
     h' = o * tanh(c')
 
 GRU step (update gate preserves history)
-    z = sigmoid(x W_z + h U_z + b_z)        update gate
-    r = sigmoid(x W_r + h U_r + b_r)        reset gate
-    hc = tanh(x W_h + (r * h) U_h + b_h)    candidate
+    z = sigmoid(x W[z] + h U[z] + b[z])        update gate
+    r = sigmoid(x W[r] + h U[r] + b[r])        reset gate
+    hc = tanh(x W[h] + (r * h) U[h] + b[h])    candidate
     h' = z * h + (1 - z) * hc
 
-Each cell stores its weights once, in fused blocks with one u-column slot per
-gate, so a step costs one recurrent matmul (two for the GRU, whose candidate
-multiplies the reset-gated state):
+where W[x], U[x] and b[x] are gate x's u-column slot of the blocks below.
 
-    LSTMParams   W [d, 4u], U [u, 4u], b [4u]     gates f, i, o, g
-    GRUParams    W [d, 3u], b [3u]                 gates z, r, h
-                 U_zr [u, 2u], U_h [u, u]          gates z, r and h
+Both cells store their weights once, as one ``CellParams`` of three fused
+blocks with one u-column slot per gate:
 
-These blocks are the parameters, named by their fields; ``zero_params``
-gives their shapes.  ``draw_params`` fills one gate slot at a time, input
-weights before recurrent ones, in the order LSTM f, i, g, o (slots 0, 1, 3,
-2) and GRU z, r, h.
+    lstm    W [d, 4u], U [u, 4u], b [4u]    gate slots f, i, o, g
+    gru     W [d, 3u], U [u, 3u], b [3u]    gate slots z, r, h
+
+An LSTM step costs one recurrent matmul; a GRU step costs two, as its
+candidate multiplies the reset-gated state, through the views ``U[:, :2u]``
+and ``U[:, 2u:]``.  These blocks are the parameters, named by their fields;
+``zero_params`` gives their shapes.  ``draw_params`` fills one gate slot at
+a time, input weights before recurrent ones, in the order of
+``DRAW_SLOTS``: LSTM f, i, g, o (slots 0, 1, 3, 2) and GRU z, r, h.
 
 ``*_forward`` unrolls a sequence from zero initial state and returns every
 hidden state; ``*_backward`` accepts a gradient for the full hidden
@@ -107,8 +109,9 @@ from .tensor_core import (
 
 
 @dataclass
-class LSTMParams:
-    """W [d, 4u], U [u, 4u], b [4u]; gate slots f, i, o, g."""
+class CellParams:
+    """W [d, g*u], U [u, g*u], b [g*u]: one u-column slot per gate, g = 4
+    for the LSTM and 3 for the GRU (see the module docstring)."""
     W: Tensor
     U: Tensor
     b: Tensor
@@ -122,43 +125,24 @@ class LSTMParams:
         return self.U.shape[0]
 
 
-@dataclass
-class GRUParams:
-    """W [d, 3u], b [3u] with gate slots z, r, h; U_zr [u, 2u] (z, r); U_h [u, u]."""
-    W: Tensor
-    U_zr: Tensor
-    U_h: Tensor
-    b: Tensor
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def units(self) -> int:
-        return self.U_h.shape[0]
+# each kind's gate slots in the order ``draw_params`` fills them; their count is g
+DRAW_SLOTS = {"lstm": (0, 1, 3, 2), "gru": (0, 1, 2)}
 
 
-def zero_params(kind: str, input_size: int, units: int, make=np.zeros):
+def zero_params(kind: str, input_size: int, units: int, make=np.zeros) -> CellParams:
     """All-zero parameters of a "gru" or "lstm" cell, each block ``make(shape)``."""
-    d, u = input_size, units
-    if kind == "gru":
-        return GRUParams(W=make((d, 3 * u)), U_zr=make((u, 2 * u)), U_h=make((u, u)),
-                         b=make((3 * u,)))
-    return LSTMParams(W=make((d, 4 * u)), U=make((u, 4 * u)), b=make((4 * u,)))
+    d, k = input_size, len(DRAW_SLOTS[kind]) * units
+    return CellParams(W=make((d, k)), U=make((units, k)), b=make((k,)))
 
 
-def draw_params(p, rng: Rng):
+def draw_params(p: CellParams, kind: str, rng: Rng) -> CellParams:
     """Fill the input weights, then the recurrent weights, one gate slot at a
-    time in the order LSTM f, i, g, o or GRU z, r, h; biases stay as they are."""
-    d, u = p.input_size, p.units
-    lstm = isinstance(p, LSTMParams)
-    slots = (0, 1, 3, 2) if lstm else (0, 1, 2)
+    time in ``DRAW_SLOTS[kind]`` order; biases stay as they are."""
+    d, u, slots = p.input_size, p.units, DRAW_SLOTS[kind]
     for s in slots:
         p.W[:, s * u:(s + 1) * u] = init_glorot_uniform(d, u, (d, u), rng)
-    for view in ([p.U[:, s * u:(s + 1) * u] for s in slots] if lstm
-                 else [p.U_zr[:, :u], p.U_zr[:, u:], p.U_h]):
-        view[...] = init_orthogonal(u, u, rng)
+    for s in slots:
+        p.U[:, s * u:(s + 1) * u] = init_orthogonal(u, u, rng)
     return p
 
 
@@ -222,7 +206,7 @@ def project_backward(x: Tensor, da: Tensor, p, out: Tensor | None = None):
     return out, dW
 
 
-def lstm_forward(px: Tensor, p: LSTMParams, mode: str = "train"):
+def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = x W
     [n, T, 4u]; returns (hs [n, T, u], cache).
 
@@ -267,7 +251,7 @@ def lstm_backward(cache, d_hs: Tensor):
 
     Returns (da, grads): the gate pre-activation gradient da [n, T, 4u],
     from which ``project_backward`` forms dx and the W gradient, and grads
-    keyed by the other ``LSTMParams`` fields, U and b.
+    keyed by the other ``CellParams`` fields, U and b.
     """
     p, H, C, G, TC = cache
     T, n, u = TC.shape
@@ -308,7 +292,7 @@ def lstm_backward(cache, d_hs: Tensor):
     return da, {"U": np.dot(h_prev.T, da2), "b": da2.sum(axis=0)}
 
 
-def gru_forward(px: Tensor, p: GRUParams, mode: str = "train"):
+def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = x W
     [n, T, 3u]; returns (hs [n, T, u], cache).
 
@@ -327,18 +311,19 @@ def gru_forward(px: Tensor, p: GRUParams, mode: str = "train"):
     RH = _per_step((T, n, u), train)
     a = np.empty((n, 2 * u))
     a2 = _gate_major(a, 2)
+    Uzr, Uh = p.U[:, :2 * u], p.U[:, 2 * u:]
     bzr = p.b[:2 * u]
     bh = p.b[2 * u:]
     ah = np.empty((n, u))
     for t in range(T):
         h, zr, hc = H[t], ZR[t], HC[t]
-        np.matmul(h, p.U_zr, out=a)
+        np.matmul(h, Uzr, out=a)
         np.add(px[:, t, :2 * u], a, out=a)
         np.add(a, bzr, out=a)
         np.copyto(zr, a2)
         sigmoid(zr, out=zr)
         np.multiply(zr[1], h, out=RH[t])
-        np.matmul(RH[t], p.U_h, out=ah)
+        np.matmul(RH[t], Uh, out=ah)
         np.add(px[:, t, 2 * u:], ah, out=ah)
         np.add(ah, bh, out=hc)
         np.tanh(hc, out=hc)
@@ -358,8 +343,9 @@ def gru_backward(cache, d_hs: Tensor):
 
     Returns (da, grads): the z, r and candidate pre-activation gradient da
     [n, T, 3u], from which ``project_backward`` forms dx and the W
-    gradient, and grads keyed by the other ``GRUParams`` fields, U_zr, U_h
-    and b.
+    gradient, and grads keyed by the other ``CellParams`` fields, U and b:
+    the U gradient is the z and r columns' h_prev^T da next to the
+    candidate's (r * h_prev)^T da.
     """
     p, H, ZR, HC, RH = cache
     T, n, u = HC.shape
@@ -377,15 +363,14 @@ def gru_backward(cache, d_hs: Tensor):
     drh = np.empty((n, u))
     m = np.empty((2, n, u))
     dh_carry = np.zeros((n, u))
-    U_hT = p.U_h.T
-    U_zrT = p.U_zr.T
+    UzrT, UhT = p.U[:, :2 * u].T, p.U[:, 2 * u:].T
     for t in range(T - 1, -1, -1):
         zr = ZR[t]
         np.add(d_hs[:, t], dh_carry, out=dh)
         da_h = da[:, t, 2 * u:]
         np.multiply(dh, OM[t, 0], out=q)
         np.multiply(q, KH[t], out=da_h)
-        np.matmul(da_h, U_hT, out=drh)
+        np.matmul(da_h, UhT, out=drh)
         # da_z = (dh * (h_prev - hc)) * z * (1 - z), da_r = (drh * h_prev) * r * (1 - r)
         np.multiply(dh, DH[t], out=m[0])
         np.multiply(drh, H[t], out=m[1])
@@ -395,15 +380,15 @@ def gru_backward(cache, d_hs: Tensor):
         np.multiply(dh, zr[0], out=s)
         np.multiply(drh, zr[1], out=q)
         np.add(s, q, out=s)
-        np.matmul(da_zr, U_zrT, out=q)
+        np.matmul(da_zr, UzrT, out=q)
         np.add(s, q, out=dh_carry)
     del OM, KH, DH  # freed before the products' batch-major copies
     da2 = da.reshape(n * T, 3 * u)
     h_prev = _batch_major(H[:T])
     rh = _batch_major(RH)
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
-    return da, {"U_zr": np.dot(h_prev.T, da2[:, :2 * u]), "U_h": np.dot(rh.T, da2[:, 2 * u:]),
-                "b": da2.sum(axis=0)}
+    dU = np.concatenate((np.dot(h_prev.T, da2[:, :2 * u]), np.dot(rh.T, da2[:, 2 * u:])), axis=1)
+    return da, {"U": dU, "b": da2.sum(axis=0)}
 
 
 def _check_seq(px: Tensor, p) -> tuple:

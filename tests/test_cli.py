@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import temporal_augmenter
-from temporal_augmenter import cli, gradcheck, layers
+from temporal_augmenter import cli, gradcheck, layers, optim
 from temporal_augmenter import config as config_mod
 from temporal_augmenter import data as data_mod
 from temporal_augmenter.config import (
@@ -34,7 +34,7 @@ from temporal_augmenter.data import (
     load_wav_dir,
     split_indices,
 )
-from temporal_augmenter.model import load_checkpoint
+from temporal_augmenter.model import load_checkpoint, save_checkpoint
 from temporal_augmenter.synth import (
     make_heartbeat_dataset,
     make_radar_dataset,
@@ -314,10 +314,12 @@ class TestConfigParsing:
 
 
 class TestTrainCommand:
-    def test_end_to_end_artifacts(self, tmp_path, radar_csv, capsys):
+    def test_end_to_end_artifacts(self, tmp_path, radar_csv, capsys, monkeypatch):
         out = tmp_path / "run"
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, out))
+        # train prints the log it trained; it does not read its trainlog back
+        monkeypatch.delattr(optim.TrainLog, "from_csv")
         rc = cli.main(["train", "--config", str(cfg_path)])
         assert rc == 0
         for fname in ("checkpoint.tackpt", "trainlog.csv", "report_test.json",
@@ -325,6 +327,9 @@ class TestTrainCommand:
             assert (out / fname).exists(), fname
         log_lines = (out / "trainlog.csv").read_text().splitlines()
         assert len(log_lines) == 4  # header + 3 epochs
+        _, _, train_acc, _, val_acc = (float(v) for v in log_lines[-1].split(","))
+        assert capsys.readouterr().out.startswith(
+            f"trained ionosphere for 3 epochs: train_acc={train_acc:.4f} val_acc={val_acc:.4f}\n")
         report = json.loads((out / "report_test.json").read_text())
         assert report["split"] == "test"
         assert "kappa" in report["overall"]
@@ -539,6 +544,31 @@ class TestPathsOfTheWrongKind:
         assert f"cannot create output directory {out}" in err and "absent.tackpt" not in err
         assert out.read_text() == "not a directory\n"
 
+    def test_train_output_file_that_is_a_directory_exit_2(self, tmp_path, radar_csv, capsys):
+        target = tmp_path / "run" / "trainlog.csv"
+        target.mkdir(parents=True)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, target.parent, epochs=1))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert f"config error: cannot write {target}: " in capsys.readouterr().err
+
+    def test_eval_report_file_that_is_a_directory_exit_2(self, tmp_path, capsys):
+        checkpoint = train_custom(tmp_path, ["a", "b"], Rng(403))
+        target = tmp_path / "evalout" / "report_test.json"
+        target.mkdir(parents=True)
+        assert cli.main(["eval", checkpoint, str(tmp_path / "a-b.csv"),
+                         "--out", str(target.parent)]) == 2
+        assert f"config error: cannot write {target}: " in capsys.readouterr().err
+
+    def test_report_curves_file_that_is_a_directory_exit_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        (run / "curves.csv").mkdir(parents=True)
+        (run / "trainlog.csv").write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                                          "1,0.7,0.5,0.69,0.5\n")
+        (run / "report_test.txt").write_text("report\n")
+        assert cli.main(["report", str(run)]) == 2
+        assert f"config error: cannot write {run / 'curves.csv'}: " in capsys.readouterr().err
+
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS")
@@ -599,9 +629,11 @@ class TestKeepFreedMemory:
 
 class TestPinnedDigests:
     """Fixed-seed runs write the same bytes as the commits before them.
-    They were last re-recorded when stream and head dropout moved from one
-    SplitMix64 word per element to one 32-bit half, which changes every
-    train-mode mask.
+    The trainlog and report digests were last re-recorded when stream and
+    head dropout moved from one SplitMix64 word per element to one 32-bit
+    half, which changes every train-mode mask; the checkpoint digests when
+    the GRU's recurrent weights became one [u, 3u] tensor (checkpoint
+    version 3), which moved no stored value.
 
     The two-runs-agree tests cannot see a change that moves bits in both
     runs; these literals can.  Each run is a child process with BLAS on one
@@ -613,7 +645,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "5436c49951fa17e14c777cf06a09e89182a8798fe48ff97ad49aea8f7be98967"
+    HEARTBEAT_CHECKPOINT = "3675d21fa8efd94c6cea61f9cb6ab35a16140048d7257c1abce6cc2633f8ad6f"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -648,7 +680,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "9cb69377ae30bcb5405423e0a0251c590b7652369eef4334886de36eb8a28661",
+                "ebf5bea56c47fc7bd7aaca3988a4e13659ee009bbbef559a85c8faebc61679fc",
             "trainlog.csv":
                 "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
             "report_test.json":
@@ -666,7 +698,7 @@ class TestPinnedDigests:
                                            f"epochs = 3\nbatch_size = 45\nconv_kernel = 3\n")
         assert digests == {
             "checkpoint.tackpt":
-                "9b56e22a251ab19d90f9fd5fed22849c2ad9e64bb72edf7f438e361c050220ff",
+                "ec614ce510825d592f2b7076b4ee6d41b272bb886e6b89a3d31b192a53e50047",
             "trainlog.csv":
                 "612d0d28f0409f1e4670981b3142433966384d857cdc01b8cc5e5d5796991d22",
             "report_test.json":
@@ -781,7 +813,7 @@ class TestEvalCommand:
                                       (end + len(blob)) // 2, len(blob) - 1)]
         bad.append(blob + b"\x00" * 8)
         bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
-        bad.append(blob[:16] + blob[16:end].replace(b'"version":2', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":3', b'"version":7') + blob[end:])
         bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
         bad.append(blob[:16] + b"\xff" + blob[17:])
         path = tmp_path / "bad.tackpt"
@@ -833,14 +865,32 @@ class TestEvalCommand:
             assert "data error" in err and all(text in err for text in named)
             assert not eval_out.exists()
 
-    def test_version_1_checkpoint_exit_3(self, trained_run, tmp_path, capsys):
-        """Version 1 stored one tensor per cell gate; its files are refused."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_exit_3(self, trained_run, tmp_path, capsys, version):
+        """Version 1 stored one tensor per cell gate, version 2 the GRU's
+        recurrent weights as two tensors; their files are refused."""
         out, radar_csv = trained_run
-        path = tmp_path / "v1.tackpt"
+        path = tmp_path / f"v{version}.tackpt"
         path.write_bytes((out / "checkpoint.tackpt").read_bytes().replace(
-            b'"version":2', b'"version":1', 1))
+            b'"version":3', b'"version":%d' % version, 1))
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
-        assert f"{path}: unsupported checkpoint version 1" in capsys.readouterr().err
+        assert f"{path}: unsupported checkpoint version {version}" in capsys.readouterr().err
+
+    def test_non_finite_probabilities_exit_3(self, trained_run, tmp_path, capsys):
+        """Head weights scaled by 1e300 are finite, but the logits overflow;
+        the split was once scored on the NaN probabilities that followed."""
+        out, radar_csv = trained_run
+        net, extras, extra_tensors = load_checkpoint(out / "checkpoint.tackpt")
+        for dp in net.head:
+            dp.W *= 1e300
+        path = tmp_path / "huge.tackpt"
+        save_checkpoint(path, net, extras=extras, extra_tensors=extra_tensors)
+        eval_out = tmp_path / "evalout"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["eval", str(path), str(radar_csv), "--out", str(eval_out)]) == 3
+        assert (f"data error: {path}: the model gives test sample 0 a NaN or infinite class "
+                f"probability" in capsys.readouterr().err)
+        assert not eval_out.exists()
 
     @staticmethod
     def rewrite_extras(blob: bytes, edit) -> bytes:

@@ -95,15 +95,14 @@ class TestParameters:
         net = build(radar_config(), Rng(4))
         gru, lstm = net.streams
         stored = {"gru.conv.K": gru.conv.K, "gru.conv.b": gru.conv.b,
-                  "gru.cell.W": gru.cell.W, "gru.cell.U_zr": gru.cell.U_zr,
-                  "gru.cell.U_h": gru.cell.U_h, "gru.cell.b": gru.cell.b,
+                  "gru.cell.W": gru.cell.W, "gru.cell.U": gru.cell.U, "gru.cell.b": gru.cell.b,
                   "lstm.conv.K": lstm.conv.K, "lstm.conv.b": lstm.conv.b,
                   "lstm.cell.W": lstm.cell.W, "lstm.cell.U": lstm.cell.U,
                   "lstm.cell.b": lstm.cell.b}
         for name, dp in zip(("0", "1", "out"), net.head):
             stored.update({f"head.{name}.W": dp.W, f"head.{name}.b": dp.b})
         params = net.parameters()
-        assert len(params) == 17
+        assert len(params) == 16
         assert list(params) == list(stored)
         for name, arr in stored.items():
             assert params[name] is arr, name
@@ -419,7 +418,7 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     if cfg.conv_activation == "relu":
         d = d * act_cache
     return StreamParams(sp.kind, layers.Conv1DParams(*layers.conv1d_backward(conv_cache, d)),
-                        type(sp.cell)(W=dW, **cell_grads))
+                        recurrent.CellParams(W=dW, **cell_grads))
 
 
 class TestStreamOrder:
@@ -790,7 +789,7 @@ def _shrink_bias(header, arrays):
 
 # Each edits the parsed header in place; the file is then re-encoded whole.
 HEADER_EDITS = {
-    "version": lambda h: h.update(version=1),
+    "version": lambda h: h.update(version=2),
     "no_version": lambda h: h.pop("version"),
     "config_unknown_key": lambda h: h["config"].update(bogus=1),
     "config_bad_value": lambda h: h["config"].update(pool_size=0),
@@ -799,7 +798,7 @@ HEADER_EDITS = {
     "config_rate_is_bool": lambda h: h["config"].update(dropout_stream=False),
     "config_missing": lambda h: h.pop("config"),
     "extras_not_object": lambda h: h.update(extras=[1]),
-    "tensor_missing": lambda h: _entry(h, "gru.cell.U_zr").update(name="gru.cell.U_x"),
+    "tensor_missing": lambda h: _entry(h, "gru.cell.U").update(name="gru.cell.U_x"),
     "tensor_entry_no_shape": lambda h: _entry(h, "head.out.b").pop("shape"),
     "tensor_negative_dim": lambda h: _entry(h, "extra.scaler_mean").update(shape=[-5, -2]),
     # each once passed as the bias's 3 through int()

@@ -7,8 +7,7 @@ import pytest
 from temporal_augmenter import gradcheck
 from temporal_augmenter.model import ModelConfig
 from temporal_augmenter.recurrent import (
-    GRUParams,
-    LSTMParams,
+    CellParams,
     gru_backward,
     draw_params,
     gru_forward,
@@ -35,15 +34,6 @@ def run_lstm(x, p, mode="train"):
 def run_gru(x, p, mode="train"):
     """The GRU on ``x``, given its input projection as one GEMM."""
     return gru_forward(project(x, p), p, mode=mode)
-
-
-def zero_lstm(d, u):
-    return LSTMParams(W=np.zeros((d, 4 * u)), U=np.zeros((u, 4 * u)), b=np.zeros(4 * u))
-
-
-def zero_gru(d, u):
-    return GRUParams(W=np.zeros((d, 3 * u)), U_zr=np.zeros((u, 2 * u)), U_h=np.zeros((u, u)),
-                     b=np.zeros(3 * u))
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +70,9 @@ def gru_step(x_t, h, p):
     """One GRU step; returns h'."""
     _check_step_shapes("gru", x_t, h, p)
     u = p.units
-    z = sigmoid(x_t @ p.W[:, :u] + h @ p.U_zr[:, :u] + p.b[:u])
-    r = sigmoid(x_t @ p.W[:, u:2 * u] + h @ p.U_zr[:, u:] + p.b[u:2 * u])
-    hc = np.tanh(x_t @ p.W[:, 2 * u:] + (r * h) @ p.U_h + p.b[2 * u:])
+    z = sigmoid(x_t @ p.W[:, :u] + h @ p.U[:, :u] + p.b[:u])
+    r = sigmoid(x_t @ p.W[:, u:2 * u] + h @ p.U[:, u:2 * u] + p.b[u:2 * u])
+    hc = np.tanh(x_t @ p.W[:, 2 * u:] + (r * h) @ p.U[:, 2 * u:] + p.b[2 * u:])
     return z * h + (1.0 - z) * hc
 
 
@@ -166,10 +156,10 @@ def reference_gru_forward(x, p):
     rh = np.empty((n, T, u))
     for t in range(T):
         h_prev[:, t] = h
-        zrt = sigmoid(px[:, t, :2 * u] + h @ p.U_zr + bzr)
+        zrt = sigmoid(px[:, t, :2 * u] + h @ p.U[:, :2 * u] + bzr)
         z = zrt[:, :u]
         rht = zrt[:, u:] * h
-        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U_h + bh)
+        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U[:, 2 * u:] + bh)
         h = z * h + (1.0 - z) * hc
         hs[:, t] = h
         zr[:, t] = zrt
@@ -191,17 +181,17 @@ def reference_gru_backward(cache, d_hs):
         hp = h_prev[:, t]
         dh = d_hs[:, t] + dh_carry
         da_h = dh * (1.0 - z) * (1.0 - hc * hc)
-        drh = da_h @ p.U_h.T
+        drh = da_h @ p.U[:, 2 * u:].T
         dat = da[:, t]
         dat[:, :u] = dh * (hp - hc) * z * (1.0 - z)
         dat[:, u:2 * u] = drh * hp * r * (1.0 - r)
         dat[:, 2 * u:] = da_h
-        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U_zr.T
+        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U[:, :2 * u].T
     da2 = da.reshape(n * T, 3 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
     return dx, {"W": x.reshape(n * T, d).T @ da2,
-                "U_zr": np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
-                "U_h": np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:]),
+                "U": np.concatenate((np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
+                                     np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:])), axis=1),
                 "b": da2.sum(axis=0)}
 
 
@@ -209,20 +199,20 @@ class TestLSTMStep:
     def test_zero_params_carry_halves_cell(self):
         # all gates sigmoid(0)=0.5, candidate tanh(0)=0:
         # c' = 0.5*0.8 = 0.4, h' = 0.5*tanh(0.4)
-        p = zero_lstm(1, 1)
+        p = zero_params("lstm", 1, 1)
         h, c = lstm_step(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[0.8]]), p)
         assert abs(c[0, 0] - 0.4) < 1e-15
         assert abs(h[0, 0] - 0.5 * math.tanh(0.4)) < 1e-15
         assert abs(h[0, 0] - 0.18997) < 1e-5
 
     def test_zero_fixed_point(self):
-        p = zero_lstm(2, 3)
+        p = zero_params("lstm", 2, 3)
         h, c = lstm_step(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 3)), p)
         npt.assert_array_equal(h, np.zeros((4, 3)))
         npt.assert_array_equal(c, np.zeros((4, 3)))
 
     def test_shape_mismatch(self):
-        p = zero_lstm(2, 3)
+        p = zero_params("lstm", 2, 3)
         with pytest.raises(ShapeError):
             lstm_step(np.zeros((4, 5)), np.zeros((4, 3)), np.zeros((4, 3)), p)
         with pytest.raises(ShapeError):
@@ -232,12 +222,12 @@ class TestLSTMStep:
 class TestGRUStep:
     def test_zero_params_halve_state(self):
         # z = r = 0.5, candidate tanh(0) = 0 -> h' = 0.5 * 0.4
-        p = zero_gru(1, 1)
+        p = zero_params("gru", 1, 1)
         h = gru_step(np.zeros((1, 1)), np.array([[0.4]]), p)
         assert abs(h[0, 0] - 0.2) < 1e-15
 
     def test_zero_fixed_point(self):
-        p = zero_gru(2, 3)
+        p = zero_params("gru", 2, 3)
         npt.assert_array_equal(gru_step(np.zeros((4, 2)), np.zeros((4, 3)), p),
                                np.zeros((4, 3)))
 
@@ -245,32 +235,32 @@ class TestGRUStep:
 class TestUnroll:
     def test_length_one_equals_single_step(self):
         rng = Rng(61)
-        p = draw_params(zero_params("lstm", 3, 4), rng)
+        p = draw_params(zero_params("lstm", 3, 4), "lstm", rng)
         x = rng.uniform((5, 1, 3)) * 2 - 1
         hs, _ = run_lstm(x, p)
         h1, _ = lstm_step(x[:, 0, :], np.zeros((5, 4)), np.zeros((5, 4)), p)
         npt.assert_array_equal(hs[:, -1], h1)
 
-        p2 = draw_params(zero_params("gru", 3, 4), rng)
+        p2 = draw_params(zero_params("gru", 3, 4), "gru", rng)
         hs2, _ = run_gru(x, p2)
         npt.assert_array_equal(hs2[:, -1], gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
 
     def test_zero_params_gru_fixed_point_any_length(self):
-        p = zero_gru(2, 3)
+        p = zero_params("gru", 2, 3)
         for T in (1, 4, 9):
             x = Rng(62).uniform((3, T, 2)) * 2 - 1
             hs, _ = run_gru(x, p)
             npt.assert_array_equal(hs[:, -1], np.zeros((3, 3)))
 
     def test_empty_sequence_rejected(self):
-        p = zero_gru(2, 3)
+        p = zero_params("gru", 2, 3)
         with pytest.raises(ShapeError):
             run_gru(np.zeros((3, 0, 2)), p)
 
     def test_cells_read_only_a_projection_of_the_gate_width(self):
         rng = Rng(64)
         for kind, forward, gates in (("gru", gru_forward, 3), ("lstm", lstm_forward, 4)):
-            p = draw_params(zero_params(kind, 2, 3), rng)
+            p = draw_params(zero_params(kind, 2, 3), kind, rng)
             x = rng.uniform((4, 5, 2))
             px = project(x, p)
             assert px.shape == (4, 5, gates * 3)
@@ -289,7 +279,7 @@ class TestUnroll:
 
     def test_unroll_gradients_match_fd(self):
         rng = Rng(63)
-        p = draw_params(zero_params("gru", 2, 3), rng)
+        p = draw_params(zero_params("gru", 2, 3), "gru", rng)
         x = rng.uniform((3, 3, 2)) * 2 - 1
         proj = rng.uniform((3, 3)) * 2 - 1
         hs, cache = run_gru(x, p)
@@ -312,22 +302,35 @@ class TestFusedLayout:
         # gate -> column slot, in the order the gates are drawn
         for kind, slots in (("lstm", {"f": 0, "i": 1, "g": 3, "o": 2}),
                             ("gru", {"z": 0, "r": 1, "h": 2})):
-            p = draw_params(zero_params(kind, d, u), Rng(72))
-            U = p.U if kind == "lstm" else np.concatenate([p.U_zr, p.U_h], axis=1)
+            p = draw_params(zero_params(kind, d, u), kind, Rng(72))
             rng = Rng(72)
             for g, s in slots.items():
                 assert p.W[:, s * u:(s + 1) * u].tobytes() == \
                     init_glorot_uniform(d, u, (d, u), rng).tobytes(), g
             for g, s in slots.items():
-                assert U[:, s * u:(s + 1) * u].tobytes() == \
+                assert p.U[:, s * u:(s + 1) * u].tobytes() == \
                     init_orthogonal(u, u, rng).tobytes(), g
             assert not p.b.any()
+
+    def test_both_kinds_are_one_cell_params_with_the_same_gradient_keys(self):
+        rng = Rng(74)
+        x = rng.uniform((2, 3, 4))
+        for kind, forward, backward in (("lstm", lstm_forward, lstm_backward),
+                                        ("gru", gru_forward, gru_backward)):
+            p = draw_params(zero_params(kind, 4, 5), kind, rng)
+            assert type(p) is CellParams and list(vars(p)) == ["W", "U", "b"]
+            k = 4 * 5 if kind == "lstm" else 3 * 5
+            assert (p.W.shape, p.U.shape, p.b.shape) == ((4, k), (5, k), (k,))
+            da, grads = backward(forward(project(x, p), p)[1], rng.uniform((2, 3, 5)))
+            assert list(grads) == ["U", "b"]
+            g = CellParams(W=project_backward(x, da, p)[1], **grads)
+            assert [a.shape for a in vars(g).values()] == [a.shape for a in vars(p).values()]
 
     def test_forward_matches_step_oracle_over_time(self):
         rng = Rng(73)
         x = rng.uniform((4, 7, 3)) * 2 - 1
-        pl = draw_params(zero_params("lstm", 3, 5), rng)
-        pg = draw_params(zero_params("gru", 3, 5), rng)
+        pl = draw_params(zero_params("lstm", 3, 5), "lstm", rng)
+        pg = draw_params(zero_params("gru", 3, 5), "gru", rng)
         for p in (pl, pg):
             p.b += rng.uniform(p.b.shape) - 0.5
         h, c, hg = np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((4, 5))
@@ -343,7 +346,7 @@ class TestFusedLayout:
 class TestGateRanges:
     def test_gates_bounded_on_random_forward(self):
         rng = Rng(64)
-        p = draw_params(zero_params("lstm", 4, 5), rng)
+        p = draw_params(zero_params("lstm", 4, 5), "lstm", rng)
         x = rng.uniform((6, 8, 4)) * 4 - 2
         hs, cache = run_lstm(x, p)
         gates = cache[3]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
@@ -352,7 +355,7 @@ class TestGateRanges:
         assert np.all(g > -1) and np.all(g < 1)
         assert np.all(np.abs(hs) <= 1.0)
 
-        pg = draw_params(zero_params("gru", 4, 5), rng)
+        pg = draw_params(zero_params("gru", 4, 5), "gru", rng)
         hsg, cacheg = run_gru(x, pg)
         zr, hcs = cacheg[2], cacheg[3]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
         assert np.all(zr > 0) and np.all(zr < 1)
@@ -377,7 +380,7 @@ class TestMemoryRetention:
     def test_lstm_saturated_gates_carry_cell_unchanged(self):
         # forget gate ~1 and input gate ~0 (switch weights +/-50) must preserve c
         rng = Rng(65)
-        p = draw_params(zero_params("lstm", 4, 4), rng)
+        p = draw_params(zero_params("lstm", 4, 4), "lstm", rng)
         p.W[3, :4] = 50.0  # f
         p.W[3, 4:8] = -50.0  # i
         _, cache = run_lstm(self.switched_input(rng), p)
@@ -387,7 +390,7 @@ class TestMemoryRetention:
 
     def test_gru_saturated_update_gate_preserves_state(self):
         rng = Rng(66)
-        p = draw_params(zero_params("gru", 4, 4), rng)
+        p = draw_params(zero_params("gru", 4, 4), "gru", rng)
         p.W[3, :4] = 50.0  # z
         hs, _ = run_gru(self.switched_input(rng), p)
         assert np.linalg.norm(hs[:, 5]) > 0.1
@@ -398,8 +401,8 @@ class TestEvalMode:
     def test_eval_hs_bitwise_equal_and_no_cache(self):
         rng = Rng(68)
         x = rng.uniform((4, 9, 3)) * 2 - 1
-        pl = draw_params(zero_params("lstm", 3, 5), rng)
-        pg = draw_params(zero_params("gru", 3, 5), rng)
+        pl = draw_params(zero_params("lstm", 3, 5), "lstm", rng)
+        pg = draw_params(zero_params("gru", 3, 5), "gru", rng)
         runs = [
             lambda mode: run_lstm(x, pl, mode=mode),
             lambda mode: run_gru(x, pg, mode=mode),
@@ -411,11 +414,11 @@ class TestEvalMode:
             assert hs_eval.tobytes() == hs_train.tobytes()
 
     def test_unknown_mode_rejected(self):
-        p = draw_params(zero_params("gru", 2, 3), Rng(69))
+        p = draw_params(zero_params("gru", 2, 3), "gru", Rng(69))
         with pytest.raises(ValueError, match="mode"):
             run_gru(np.zeros((1, 2, 2)), p, mode="infer")
         with pytest.raises(ValueError, match="mode"):
-            run_lstm(np.zeros((1, 2, 2)), draw_params(zero_params("lstm", 2, 3), Rng(69)),
+            run_lstm(np.zeros((1, 2, 2)), draw_params(zero_params("lstm", 2, 3), "lstm", Rng(69)),
                          mode="test")
 
 
@@ -428,7 +431,7 @@ class TestBPTT:
 
     def test_determinism(self):
         rng = Rng(67)
-        p = draw_params(zero_params("lstm", 3, 4), rng)
+        p = draw_params(zero_params("lstm", 3, 4), "lstm", rng)
         x = rng.uniform((5, 6, 3)) * 2 - 1
         a, _ = run_lstm(x, p)
         b, _ = run_lstm(x, p)
@@ -446,7 +449,7 @@ class TestRecurrentGradientProducts:
     @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
     def test_lstm_U_matches_tensordot(self, n, T, u):
         rng = Rng(70 + u)
-        p = draw_params(zero_params("lstm", n * T, u), rng)
+        p = draw_params(zero_params("lstm", n * T, u), "lstm", rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = run_lstm(x, p)
         da, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
@@ -459,7 +462,7 @@ class TestRecurrentGradientProducts:
     @pytest.mark.parametrize("n,T,u", [(4, 16, 1), (3, 4, 3), (4, 6, 10), (1, 7, 2)])
     def test_gru_U_matches_tensordot(self, n, T, u):
         rng = Rng(80 + u)
-        p = draw_params(zero_params("gru", n * T, u), rng)
+        p = draw_params(zero_params("gru", n * T, u), "gru", rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = run_gru(x, p)
         da, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
@@ -468,10 +471,11 @@ class TestRecurrentGradientProducts:
         # as C-order blocks
         h_prev = np.ascontiguousarray(cache[1][:-1].transpose(1, 0, 2))
         rh = np.ascontiguousarray(cache[4].transpose(1, 0, 2))
-        oracle_zr = np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1]))
-        oracle_h = np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1]))
-        assert grads["U_zr"].tobytes() == oracle_zr.tobytes()
-        assert grads["U_h"].tobytes() == oracle_h.tobytes()
+        # the z and r columns of the U gradient, then the candidate's
+        oracle = np.concatenate((np.tensordot(h_prev, da[:, :, :2 * u], axes=([0, 1], [0, 1])),
+                                 np.tensordot(rh, da[:, :, 2 * u:], axes=([0, 1], [0, 1]))),
+                                axis=1)
+        assert grads["U"].tobytes() == oracle.tobytes()
 
 
 class TestCellsMatchOracles:
@@ -489,8 +493,8 @@ class TestCellsMatchOracles:
         T += 3 if with_state else 0
         x = rng.uniform((n, T, d)) * 4 - 2
         d_hs = rng.uniform((n, T, u)) - 0.5
-        pl = draw_params(zero_params("lstm", d, u), rng)
-        pg = draw_params(zero_params("gru", d, u), rng)
+        pl = draw_params(zero_params("lstm", d, u), "lstm", rng)
+        pg = draw_params(zero_params("gru", d, u), "gru", rng)
         for p in (pl, pg):
             p.b[...] = rng.uniform(p.b.shape) - 0.5
         return x, d_hs, pl, pg
