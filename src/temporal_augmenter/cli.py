@@ -22,8 +22,13 @@ a data error (exit 3), as is a checkpoint that lacks a valid
 ``run_config`` or ``data_sha256``.  Data whose classes, sample shape
 or sha256 differ from the checkpoint's is a config error (exit 2), the
 last naming both digests.  Only then does ``eval`` parse or decode the
-requested split's rows alone, which it scales and scores; a model that
-gives a row a NaN or infinite probability is a data error.
+requested split's rows alone, which it scales and scores.  A model that
+gives a row a NaN or infinite probability is a data error, in ``eval``
+and in the scoring of ``train``'s test split alike.
+
+``train``, ``eval --out`` and ``report`` write every file and make every
+directory through one ``_Outputs``, so a command that fails leaves no file
+it wrote and no directory it made.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ import os
 import shutil
 import sys
 from dataclasses import fields
-
-import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from . import metrics, model as model_mod, optim
@@ -76,62 +79,80 @@ def _model_config(cfg: RunConfig, shape: tuple, num_classes: int) -> ModelConfig
         raise ConfigError(f"{cfg.source}: invalid model configuration: {exc}") from None
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """Run the body, which writes the file ``path``; an OSError it raises,
-    such as a directory at ``path``, is a ConfigError."""
-    try:
-        yield path
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+class _Outputs:
+    """The files a command writes and the directories it makes, each
+    through this.  As a context, it undoes them, newest first, if the
+    command fails: it removes each file, and each directory while it is
+    empty; so a command that fails leaves nothing it wrote."""
+
+    def __init__(self):
+        self.made = []  # (the function that removes it, path), in the order made
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for remove, path in reversed(self.made) if exc_type else ():
+            with contextlib.suppress(OSError):  # rmdir refuses a directory that is not empty
+                remove(path)
+
+    def make_dir(self, path: str) -> None:
+        """Create the directory ``path``; a path that cannot be one is a ConfigError."""
+        missing, head = [], os.path.abspath(path)
+        while not os.path.lexists(head):
+            missing.append((os.rmdir, head))  # deepest first
+            head = os.path.dirname(head)
+        self.made += reversed(missing)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+
+    @contextlib.contextmanager
+    def writing(self, path: str):
+        """Run the body, which writes the file ``path``; an OSError it raises,
+        such as a directory at ``path``, is a ConfigError."""
+        opened = True
+        try:
+            yield path
+        except OSError as exc:
+            opened = exc.filename != path  # an open that failed left ``path`` as it was
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        finally:
+            if opened:
+                self.made.append((os.remove, path))
+
+    def write_text(self, path: str, text: str) -> None:
+        with self.writing(path), open(path, "w") as fh:
+            fh.write(text)
 
 
-def _write_text(path: str, text: str) -> None:
-    with _writing(path), open(path, "w") as fh:
-        fh.write(text)
-
-
-def _write_report(report: metrics.Report, out_dir: str, stem: str) -> None:
+def _write_report(out: _Outputs, report: metrics.Report, out_dir: str, stem: str) -> None:
     payload = json.dumps(metrics.report_to_dict(report), sort_keys=True, indent=2)
-    _write_text(os.path.join(out_dir, f"{stem}.json"), payload + "\n")
-    _write_text(os.path.join(out_dir, f"{stem}.txt"), metrics.format_report(report))
+    out.write_text(os.path.join(out_dir, f"{stem}.json"), payload + "\n")
+    out.write_text(os.path.join(out_dir, f"{stem}.txt"), metrics.format_report(report))
 
 
-def _make_out_dir(path: str) -> None:
-    """Create the directory ``path``; a path that cannot be one is a ConfigError."""
+def _score(labels, probs, class_names, split: str, total_params: int, where: str):
+    """``metrics.classification_report``, whose refusal of a NaN or infinite
+    probability is a DataError naming ``where``."""
     try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
-
-
-@contextlib.contextmanager
-def _out_dir(path: str):
-    """Create the directory ``path`` before the body runs; if the body
-    raises, remove the directories this made while they are still empty,
-    so that a run that fails leaves none behind."""
-    made, head = [], os.path.abspath(path)
-    while not os.path.lexists(head):
-        made.append(head)  # deepest first
-        head = os.path.dirname(head)
-    _make_out_dir(path)
-    try:
-        yield
-    except BaseException:
-        with contextlib.suppress(OSError):  # rmdir refuses a directory that is not empty
-            for made_dir in made:
-                os.rmdir(made_dir)
-        raise
+        return metrics.classification_report(labels, probs, class_names, split=split,
+                                              total_params=total_params)
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
 def run_training(cfg: RunConfig):
     """Full training pipeline into ``cfg.out``; returns (TrainLog, paths of
     the written artifacts).  The output directory is created first, before
-    any data is read, and removed if the run fails before writing to it; the
-    model is sized before any row is parsed."""
+    any data is read; if the run fails, the files it wrote and the
+    directories it made are removed.  The model is sized before any row is
+    parsed, and the test split is scored before any file is written."""
     check(cfg)
     data_path = cfg.resolved_data_path()
-    with _out_dir(cfg.out):
+    with _Outputs() as out:
+        out.make_dir(cfg.out)
         source = _load_source(cfg, data_path)
         model_cfg = _model_config(cfg, source.shape, len(source.class_names))
         extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
@@ -149,9 +170,8 @@ def run_training(cfg: RunConfig):
         _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
 
         probs = optim.predict_probs(net, test_set.features)
-        report = metrics.classification_report(test_set.labels, probs, test_set.class_names,
-                                               split="test",
-                                               total_params=model_mod.param_count(net))
+        report = _score(test_set.labels, probs, test_set.class_names, "test",
+                        model_mod.param_count(net), data_path)
         extra_tensors = {}
         if scaler is not None:
             extra_tensors = {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
@@ -162,12 +182,12 @@ def run_training(cfg: RunConfig):
             "report_txt": os.path.join(cfg.out, "report_test.txt"),
             "config": os.path.join(cfg.out, "config.txt"),
         }
-        with _writing(paths["checkpoint"]) as path:
+        with out.writing(paths["checkpoint"]) as path:
             model_mod.save_checkpoint(path, net, extras=extras, extra_tensors=extra_tensors)
-        with _writing(paths["trainlog"]) as path:
+        with out.writing(paths["trainlog"]) as path:
             log.to_csv(path)
-        _write_report(report, cfg.out, "report_test")
-        _write_text(paths["config"], f"data = {cfg.data}\n" + extras["run_config"])
+        _write_report(out, report, cfg.out, "report_test")
+        out.write_text(paths["config"], f"data = {cfg.data}\n" + extras["run_config"])
         return log, paths
 
 
@@ -216,13 +236,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # like train's, the output directory is made first and removed again,
-    # while still empty, if eval fails
-    with _out_dir(args.out) if args.out else contextlib.nullcontext():
+    # like train's, the output directory is made first, and what eval wrote
+    # is removed if it fails
+    with _Outputs() as out:
+        if args.out:
+            out.make_dir(args.out)
         report = _evaluate(args)
         print(metrics.format_report(report))
         if args.out:
-            _write_report(report, args.out, f"report_{args.split}")
+            _write_report(out, report, args.out, f"report_{args.split}")
     return 0
 
 
@@ -283,12 +305,8 @@ def _evaluate(args) -> metrics.Report:
         part = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
                                          std=extra_tensors["scaler_std"]), part)
     probs = optim.predict_probs(net, part.features)
-    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: the model gives {args.split} sample {bad[0]} a NaN or "
-                        f"infinite class probability")
-    return metrics.classification_report(part.labels, probs, part.class_names,
-                                         split=args.split, total_params=model_mod.param_count(net))
+    return _score(part.labels, probs, part.class_names, args.split,
+                  model_mod.param_count(net), path)
 
 
 def cmd_gradcheck(args) -> int:
@@ -318,8 +336,7 @@ def cmd_report(args) -> int:
     if not report_txts:
         raise DataError(f"run directory has no report files: {run_dir}")
     log = optim.TrainLog.from_csv(trainlog)
-    with _writing(os.path.join(run_dir, "curves.csv")) as curves:
-        shutil.copyfile(trainlog, curves)
+    curves = os.path.join(run_dir, "curves.csv")
     lines = [f"Run directory: {run_dir}",
              f"Epochs: {len(log.epochs)}"]
     if log.epochs:
@@ -333,7 +350,10 @@ def cmd_report(args) -> int:
         lines.append(utf8_text(read_file(path, "report file"), path).rstrip())
         lines.append("")
     summary = "\n".join(lines).rstrip() + "\n"
-    _write_text(os.path.join(run_dir, "summary.txt"), summary)
+    with _Outputs() as out:
+        with out.writing(curves):
+            shutil.copyfile(trainlog, curves)
+        out.write_text(os.path.join(run_dir, "summary.txt"), summary)
     print(summary)
     return 0
 

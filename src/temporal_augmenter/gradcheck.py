@@ -207,13 +207,14 @@ def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:
     a ReLU kink and no pooling window holds two positive conv outputs closer
     than ``band`` (FD would cross the nondifferentiability otherwise).
 
-    The pre-activations come from one real forward: each conv and dense input
-    is read from its trace and passed through that layer again.
+    The conv pre-activations are each stream's conv of ``x``; the dense ones
+    come from one real forward, each dense input read from its trace and
+    passed through that layer again.
     """
     _, trace = model_mod.forward(net, x, mode="train", rng=Rng(0))
     pool = net.config.pool_size
-    for sp, stream_cache in zip(net.streams, trace.stream_caches):
-        pre, _ = layers.conv1d_forward(stream_cache[0], sp.conv)
+    for sp in net.streams:
+        pre, _ = layers.conv1d_forward(x, sp.conv)
         if np.min(np.abs(pre)) < band:
             return False
         if pool > 1:

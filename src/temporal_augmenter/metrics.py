@@ -217,6 +217,13 @@ class Report:
 
 def classification_report(true_labels, probs: np.ndarray, class_names,
                           split: str = "test", total_params: int | None = None) -> Report:
+    """The report of ``probs`` [n, k] against ``true_labels``; a ValueError
+    naming the first sample with a NaN or infinite probability, whose argmax
+    would score it as class 0."""
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"the model gives {split} sample {bad[0]} a NaN or infinite "
+                         f"class probability")
     k = len(class_names)
     cm = confusion(true_labels, probs.argmax(axis=1), k)
     per_class = per_class_stats(cm)

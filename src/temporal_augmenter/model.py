@@ -1,9 +1,10 @@
 """The dual-stream ensemble network.
 
-Each stream runs conv1d -> maxpool -> activation -> dropout -> recurrent
-cell; the GRU stream captures short-term structure, the LSTM stream
-long-term structure.  Stream outputs (the last hidden state by default) are
-concatenated and fed through a dense head ending in softmax.
+Each stream runs conv1d -> maxpool -> ReLU -> dropout -> recurrent cell;
+the GRU stream captures short-term structure, the LSTM stream long-term
+structure.  Each stream's output, the cell's last hidden state, is
+concatenated with the other's and fed through a dense head ending in
+softmax.
 
 The stream front-end is one loop over blocks of batch rows
 (``_front_end``), so a block's intermediates stay in cache instead of
@@ -11,8 +12,8 @@ streaming whole [n, T, F] arrays through memory.  A block holds ``rows =
 max(1, _BLOCK_BYTES // (width * F * 8))`` rows, the most whose widest
 float64 intermediate [rows, width, F] fits in ``_BLOCK_BYTES``; the last
 block takes what is left.  The loop forms a block's pooled pre-activation
-[rows, T_out, F] and applies the activation (``_form_block``) in one
-reused buffer, in either mode; it is a function of its own so that the
+[rows, T_out, F] and applies the ReLU (``_form_block``) in one reused
+buffer, in either mode; it is a function of its own so that the
 buffer is freed before the cells run.  It applies the dropout in place
 and, while the block is still in cache, multiplies it by the cell's input
 weights into its rows of the cell's input projection px [n, T_out, k]
@@ -77,7 +78,7 @@ starts at +0.0, so no partial sum is -0.0 and the +0.0 that the general
 path adds for each non-winning step changes none of them.
 
 Blocking changes no bit of the forward: each sample is filtered on its
-own, pooling, the activation and the dropout scaling are elementwise, and
+own, pooling, the ReLU and the dropout scaling are elementwise, and
 the dropout draws are 32-bit halves of counter-based SplitMix64 words taken
 in C order, the ``Rng`` keeping an odd block's unused half for the next
 block, so drawing block after block yields the values of one draw over the
@@ -122,7 +123,7 @@ import numpy as np
 from . import layers, recurrent
 from .data import DataError, read_file
 from .layers import Conv1DParams, DenseParams
-from .settings import POSITIVE, RATE, check, one_of, setting
+from .settings import POSITIVE, RATE, check, setting
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
 
 
@@ -147,7 +148,6 @@ class ModelConfig:
     num_classes: int = setting(MISSING, (lambda v: v >= 2, "must be >= 2"), keys=())
     conv_filters: int = setting(128, POSITIVE)
     conv_kernel: int = setting(1, POSITIVE)
-    conv_activation: str = setting("relu", one_of("relu", "identity"))
     pool_size: int = setting(2, POSITIVE)
     dropout_stream: float = setting(0.5, RATE)
     dropout_head: float = setting(0.3, RATE)
@@ -155,7 +155,6 @@ class ModelConfig:
     gru_units: int = setting(10, POSITIVE)
     dense_sizes: tuple[int, ...] = setting(
         (64, 32), (lambda v: all(s > 0 for s in v), "must be positive integers"))
-    return_sequences: bool = setting(False)
     streams: tuple[str, ...] = setting(
         _STREAMS, (lambda v: v and set(v) <= set(_STREAMS),
                    f"must be a non-empty subset of {_STREAMS}"),
@@ -178,13 +177,9 @@ class ModelConfig:
     def stream_units(self, kind: str) -> int:
         return self.gru_units if kind == "gru" else self.lstm_units
 
-    def stream_width(self, kind: str) -> int:
-        u = self.stream_units(kind)
-        return u * self.recurrent_timesteps if self.return_sequences else u
-
     @property
     def concat_width(self) -> int:
-        return sum(self.stream_width(kind) for kind in self.streams)
+        return sum(self.stream_units(kind) for kind in self.streams)
 
 
 @dataclass
@@ -307,8 +302,7 @@ def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: in
         # the conv output is a temporary, freed before the projection
         _, pool_cache = layers.maxpool1d_forward(
             layers.conv1d_forward(x[start:stop], sp.conv)[0], cfg.pool_size, mode, out=y)
-    if cfg.conv_activation == "relu":
-        layers.relu_forward(y)
+    layers.relu_forward(y)
     return pool_cache
 
 
@@ -340,8 +334,7 @@ def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rn
     blocks, pooled = _front_end(sp, cfg, x, mode, rng, px)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
     hs, cell_cache = run(px, sp.cell, mode=mode)
-    out = hs.reshape(hs.shape[0], -1) if cfg.return_sequences else hs[:, -1]
-    return out, (x, blocks, cell_cache, pooled)
+    return hs[:, -1], (x, blocks, cell_cache, pooled)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -387,15 +380,10 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     block by block (see the module docstring)."""
     x, blocks, cell_cache, pooled = cache
     T_out, F, conv = cfg.recurrent_timesteps, cfg.conv_filters, sp.conv
-    hs_shape = (x.shape[0], T_out, cfg.stream_units(sp.kind))
-    if cfg.return_sequences:
-        d_hs = d_out.reshape(hs_shape)
-    else:
-        d_hs = np.zeros(hs_shape)
-        d_hs[:, -1] = d_out
+    d_hs = np.zeros((x.shape[0], T_out, cfg.stream_units(sp.kind)))
+    d_hs[:, -1] = d_out
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
     da, cell_grads = run(cell_cache, d_hs)
-    relu = cfg.conv_activation == "relu"
     rows = max(stop - start for start, stop, _, _ in blocks)
     y_buffer, g_buffer = np.empty((rows, T_out, F)), np.empty((rows, T_out, F))
     if pooled is not None:
@@ -413,9 +401,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
         layers.dropout_backward((keep, scale), y)
         _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)
         dW = _accumulate(dW, part)
-        if relu:
-            layers.relu_backward(y, g)
-        layers.dropout_backward((None if relu else keep, scale), g)
+        layers.dropout_backward((None, scale), layers.relu_backward(y, g))
         if pooled is not None:
             g2 = g.reshape(-1, F)
             db = _accumulate(db, g2.sum(axis=0))
@@ -458,7 +444,7 @@ def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor
         head[idx] = DenseParams(dW, db)
     streams, offset = [], 0
     for sp in model.streams:
-        width = cfg.stream_width(sp.kind)
+        width = cfg.stream_units(sp.kind)
         # popped, so that the stream's cache is freed once its gradients are formed
         streams.append(_stream_backward(sp, cfg, trace.stream_caches.pop(0),
                                         da[:, offset:offset + width]))
@@ -475,19 +461,22 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # checkpoint container
 # ---------------------------------------------------------------------------
 #
-# Layout (version 3):
+# Layout (version 4):
 #   bytes 0..7    magic  b"TACKPT01"
 #   bytes 8..15   uint64 little-endian header length H
 #   bytes 16..16+H  UTF-8 JSON header:
-#       {"version": 3, "config": {...}, "tensors": [{"name","shape"}...],
+#       {"version": 4, "config": {...}, "tensors": [{"name","shape"}...],
 #        "extras": {...}}
 #   then, for each entry of "tensors" in order, the raw little-endian
 #   float64 values (C order).
 # Model parameters are stored in parameters() order, under its names and with
 # the shapes _allocate gives them, a cell's as its fused blocks
-# ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]).  Both older versions are
-# refused: version 2 stored the GRU's U as two tensors, its z and r columns
-# [u, 2u] and its candidate's [u, u], and version 1 one tensor per gate.
+# ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]).  Every older version is
+# refused: version 3 held the same tensors, but its "config" also held
+# "conv_activation" and "return_sequences", and its "run_config" extra the
+# keys momentum and shuffle; version 2 stored the GRU's U as two tensors,
+# its z and r columns [u, 2u] and its candidate's [u, u]; and version 1 one
+# tensor per gate.
 # Every stored value is finite.  Callers may attach additional named tensors
 # (e.g. scaler statistics) and a JSON extras dict.  Loading reconstructs the
 # model bitwise.  The `train` command writes three extras, which `eval` reads
@@ -495,7 +484,7 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # "data_sha256".
 
 _MAGIC = b"TACKPT01"
-_VERSION = 3
+_VERSION = 4
 
 
 def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = None,

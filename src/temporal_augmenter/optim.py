@@ -49,17 +49,12 @@ def cce_loss(probs: Tensor, onehot: Tensor):
 
 @dataclass
 class RMSProp:
-    """RMSProp: s <- rho*s + (1-rho)*g^2; p <- p - lr*g/(sqrt(s)+eps).
-
-    With momentum > 0 a velocity buffer accumulates the scaled step
-    (v <- momentum*v + lr*g/(sqrt(s)+eps)); the default momentum of 0
-    reduces to the plain update.  ``lr``, ``rho``, ``momentum`` and
-    ``epsilon`` are read from ``cfg``.
-    """
+    """RMSProp without momentum: s <- rho*s + (1-rho)*g^2;
+    p <- p - lr*g/(sqrt(s)+eps).  ``lr``, ``rho`` and ``epsilon`` are read
+    from ``cfg``."""
 
     cfg: TrainConfig
     s: dict = field(default_factory=dict, init=False)  # per-parameter state
-    v: dict = field(default_factory=dict, init=False)
 
     def step(self, params: dict, grads: dict) -> None:
         cfg = self.cfg
@@ -72,15 +67,7 @@ class RMSProp:
             s = self.s[name]
             s *= cfg.rho
             s += (1.0 - cfg.rho) * g * g
-            update = cfg.lr * g / (np.sqrt(s) + cfg.epsilon)
-            if cfg.momentum > 0.0:
-                if name not in self.v:
-                    self.v[name] = np.zeros_like(p)
-                v = self.v[name]
-                v *= cfg.momentum
-                v += update
-                update = v
-            p -= update
+            p -= cfg.lr * g / (np.sqrt(s) + cfg.epsilon)
 
 
 @dataclass
@@ -121,12 +108,10 @@ class TrainConfig:
     lr: float = setting(1e-3, FINITE_POSITIVE)
     epsilon: float = setting(1e-7, FINITE_POSITIVE)
     rho: float = setting(0.9, RATE)
-    momentum: float = setting(0.0, RATE)
     beta1: float = setting(0.9, RATE)
     beta2: float = setting(0.999, RATE)
     batch_size: int = setting(32, POSITIVE)
     epochs: int = setting(1, POSITIVE)
-    shuffle: bool = setting(True)
     clip_norm: float | None = setting(None, FINITE_POSITIVE)
 
     def make_optimizer(self):
@@ -161,9 +146,9 @@ class TrainLog:
 
     @staticmethod
     def from_csv(path) -> "TrainLog":
-        """Read a log ``to_csv`` wrote; a row without a number in each column
-        is a DataError naming the file and the row's 0-based line index, and
-        a file that is not UTF-8 text one naming the file."""
+        """Read a log ``to_csv`` wrote; a row without a finite number in each
+        column is a DataError naming the file and the row's 0-based line
+        index, and a file that is not UTF-8 text one naming the file."""
         log = TrainLog()
         text = utf8_text(read_file(path, "training log"), path)
         reader = csv.DictReader(io.StringIO(text, newline=""))
@@ -173,10 +158,14 @@ class TrainLog:
                 raise DataError(f"{where}: expected one value in each of the columns "
                                 f"{', '.join(TrainLog.COLUMNS)}")
             try:
-                log.append(EpochStats(int(row["epoch"]),
-                                      *(float(row[c]) for c in TrainLog.COLUMNS[1:])))
+                epoch, values = int(row["epoch"]), [float(row[c]) for c in TrainLog.COLUMNS[1:]]
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
+            column = next((c for c, v in zip(TrainLog.COLUMNS[1:], values)
+                           if not np.isfinite(v)), None)
+            if column is not None:
+                raise DataError(f"{where}: {column} is {row[column]!r}, not a finite number")
+            log.append(EpochStats(epoch, *values))
         return log
 
 
@@ -232,7 +221,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng):
     onehot_all = one_hot(y_train, k)
     log = TrainLog()
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         hit_sum = 0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):

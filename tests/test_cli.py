@@ -90,24 +90,23 @@ PRESET_SETTINGS = {
     "tess": ("wav", "task = tess\nseed = 0\nstandardize = true\nsplit_train = 0.7\n"
                     "split_val = 0.1\nsplit_test = 0.2\nstratified = false\n"
                     "target_len = 1024\noptimizer = rmsprop\nlr = 0.001\nepsilon = 1e-07\n"
-                    "rho = 0.9\nmomentum = 0.0\nbeta1 = 0.9\nbeta2 = 0.999\n"
-                    "batch_size = 32\nepochs = 20\nshuffle = true\n"),
+                    "rho = 0.9\nbeta1 = 0.9\nbeta2 = 0.999\nbatch_size = 32\nepochs = 20\n"),
     "mitbih": ("mitbih", "task = mitbih\nseed = 0\nstandardize = true\nsplit_train = 0.6\n"
                          "split_val = 0.2\nsplit_test = 0.2\nstratified = true\n"
                          "target_len = 1024\noptimizer = adam\nlr = 0.001\nepsilon = 1e-07\n"
-                         "rho = 0.9\nmomentum = 0.0\nbeta1 = 0.9\nbeta2 = 0.999\n"
-                         "batch_size = 128\nepochs = 50\nshuffle = true\n"),
+                         "rho = 0.9\nbeta1 = 0.9\nbeta2 = 0.999\nbatch_size = 128\n"
+                         "epochs = 50\n"),
     "ionosphere": ("ionosphere", "task = ionosphere\nseed = 0\nstandardize = true\n"
                                  "split_train = 0.6\nsplit_val = 0.2\nsplit_test = 0.2\n"
                                  "stratified = false\ntarget_len = 1024\noptimizer = adam\n"
-                                 "lr = 0.001\nepsilon = 1e-07\nrho = 0.9\nmomentum = 0.0\n"
+                                 "lr = 0.001\nepsilon = 1e-07\nrho = 0.9\n"
                                  "beta1 = 0.9\nbeta2 = 0.999\nbatch_size = 128\n"
-                                 "epochs = 100\nshuffle = true\n"),
+                                 "epochs = 100\n"),
     "custom": ("generic", "task = custom\nseed = 0\nstandardize = true\nsplit_train = 0.6\n"
                           "split_val = 0.2\nsplit_test = 0.2\nstratified = false\n"
                           "target_len = 1024\noptimizer = adam\nlr = 0.001\nepsilon = 1e-07\n"
-                          "rho = 0.9\nmomentum = 0.0\nbeta1 = 0.9\nbeta2 = 0.999\n"
-                          "batch_size = 32\nepochs = 10\nshuffle = true\n"),
+                          "rho = 0.9\nbeta1 = 0.9\nbeta2 = 0.999\nbatch_size = 32\n"
+                          "epochs = 10\n"),
 }
 
 ABSENT = object()
@@ -132,7 +131,7 @@ class TestPresets:
         assert cfg.split.ratios == (0.7, 0.1, 0.2)
         assert cfg.train.optimizer == "rmsprop"
         assert cfg.train.lr == 1e-3
-        assert cfg.train.momentum == 0.0
+        assert cfg.train.rho == 0.9
         assert cfg.train.epsilon == 1e-7
         assert cfg.train.batch_size == 32
         assert cfg.train.epochs == 20
@@ -241,7 +240,7 @@ class TestConfigParsing:
         ("pool_size = 0", "pool_size must be positive"),
         ("dropout_stream = 1.0", "dropout_stream must be in [0, 1)"),
         ("dropout_head = -0.1", "dropout_head must be in [0, 1)"),
-        ("conv_activation = tanh", "conv_activation must be"),
+        ("conv_kernel = 0", "conv_kernel must be positive, got 0"),
         ("dense_sizes = 8,0", "dense_sizes must be positive"),
         ("streams = gru,rnn", "streams must be a non-empty subset"),
         ("streams =", "streams must be a non-empty subset"),
@@ -300,9 +299,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("task", TASKS)
     @pytest.mark.parametrize("overrides", [
         "",
-        "dense_sizes =\nstreams = lstm\nclip_norm = 0.25\nreturn_sequences = true\n"
+        "dense_sizes =\nstreams = lstm\nclip_norm = 0.25\npool_size = 3\n"
         "target_len = 300\nstandardize = false\nseed = 9\nsplit_train = 0.6\n"
-        "split_val = 0.15\nsplit_test = 0.25\nstratified = true\noptimizer = rmsprop\nmomentum = 0.5\n",
+        "split_val = 0.15\nsplit_test = 0.25\nstratified = true\noptimizer = rmsprop\nrho = 0.5\n",
     ], ids=["preset", "overrides"])
     def test_format_config_round_trips(self, task, overrides):
         label_col = "label_col = y\n" if task == "custom" else ""  # generic schema only
@@ -443,7 +442,7 @@ class TestTrainCommand:
         ("lr", "nan"), ("lr", "-0.001"), ("lr", "0"), ("lr", "inf"),
         ("epsilon", "0"), ("epsilon", "nan"),
         ("rho", "1"), ("rho", "-0.1"), ("beta1", "1.5"), ("beta2", "nan"),
-        ("momentum", "1"), ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
+        ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
         ("target_len", "-1"), ("target_len", "0"),
     ])
     def test_bad_hyperparameter_exit_2(self, tmp_path, radar_csv, capsys, key, value):
@@ -453,6 +452,42 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and str(cfg_path) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("conv_activation", "relu"),
+                                           ("return_sequences", "false"),
+                                           ("momentum", "0.0"), ("shuffle", "true")])
+    def test_removed_key_exit_2(self, tmp_path, radar_csv, capsys, key, value):
+        """Settings that only ever held their default are gone; a config
+        that names one, even at that default, is refused at its line."""
+        text = radar_config_text(radar_csv, tmp_path / "out") + f"{key} = {value}\n"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        line = text.count("\n")
+        assert (f"config error: {cfg_path}:{line}: unknown key {key!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_test_probabilities_exit_3_leaves_no_output(
+            self, tmp_path, radar_csv, capsys, monkeypatch):
+        """The test split is scored before any file is written; a NaN
+        probability was once scored as class 0 and written to the report."""
+        predict_probs = optim.predict_probs
+
+        def poisoned(model, x, *batch_size):
+            probs = predict_probs(model, x, *batch_size)
+            if not batch_size:  # the test-set call; validation passes a batch size
+                probs[1] = np.nan
+            return probs
+
+        monkeypatch.setattr(cli.optim, "predict_probs", poisoned)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, out, epochs=1))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert (f"data error: {radar_csv}: the model gives test sample 1 a NaN or infinite "
+                f"class probability" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_checkpoint_independent_of_paths(self, tmp_path, radar_csv):
         """The extras hold no path, so the data's directory and ``--out``
@@ -552,6 +587,21 @@ class TestPathsOfTheWrongKind:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert f"config error: cannot write {target}: " in capsys.readouterr().err
 
+    def test_failed_train_leaves_no_file_it_wrote(self, tmp_path, capsys):
+        """The checkpoint and the log are written before the report, which
+        cannot be; a directory train did not make stays, emptied of them."""
+        data = tmp_path / "radar.csv"
+        write_radar_csv(data, make_radar_dataset(60, Rng(404)))
+        target = tmp_path / "run" / "report_test.json"
+        target.mkdir(parents=True)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = ionosphere\ndata = {data}\nout = {target.parent}\n"
+                            f"epochs = 1\nbatch_size = 16\nconv_filters = 4\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert f"config error: cannot write {target}: " in capsys.readouterr().err
+        assert sorted(os.listdir(target.parent)) == ["report_test.json"]
+        assert target.is_dir()
+
     def test_eval_report_file_that_is_a_directory_exit_2(self, tmp_path, capsys):
         checkpoint = train_custom(tmp_path, ["a", "b"], Rng(403))
         target = tmp_path / "evalout" / "report_test.json"
@@ -568,6 +618,37 @@ class TestPathsOfTheWrongKind:
         (run / "report_test.txt").write_text("report\n")
         assert cli.main(["report", str(run)]) == 2
         assert f"config error: cannot write {run / 'curves.csv'}: " in capsys.readouterr().err
+
+    def test_failed_report_leaves_no_curves(self, tmp_path, capsys):
+        """curves.csv is written before summary.txt, which cannot be."""
+        run = tmp_path / "run"
+        (run / "summary.txt").mkdir(parents=True)
+        (run / "trainlog.csv").write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                                          "1,0.7,0.5,0.69,0.5\n")
+        (run / "report_test.txt").write_text("report\n")
+        assert cli.main(["report", str(run)]) == 2
+        assert f"config error: cannot write {run / 'summary.txt'}: " in capsys.readouterr().err
+        assert sorted(os.listdir(run)) == ["report_test.txt", "summary.txt", "trainlog.csv"]
+
+    def test_a_file_that_cannot_be_opened_is_left_as_it_was(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """A failed open wrote nothing, so the file that was there stays,
+        as a read-only summary.txt would for a user other than root."""
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trainlog.csv").write_text("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                                          "1,0.7,0.5,0.69,0.5\n")
+        (run / "report_test.txt").write_text("report\n")
+        (run / "summary.txt").write_text("an earlier summary\n")
+
+        def read_only(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", read_only, raising=False)
+        assert cli.main(["report", str(run)]) == 2
+        assert f"cannot write {run / 'summary.txt'}: Permission denied" in capsys.readouterr().err
+        assert (run / "summary.txt").read_text() == "an earlier summary\n"
+        assert not (run / "curves.csv").exists()
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -632,8 +713,9 @@ class TestPinnedDigests:
     The trainlog and report digests were last re-recorded when stream and
     head dropout moved from one SplitMix64 word per element to one 32-bit
     half, which changes every train-mode mask; the checkpoint digests when
-    the GRU's recurrent weights became one [u, 3u] tensor (checkpoint
-    version 3), which moved no stored value.
+    the header's config lost conv_activation and return_sequences, and its
+    run_config the keys momentum and shuffle (checkpoint version 4), which
+    moved no stored value.
 
     The two-runs-agree tests cannot see a change that moves bits in both
     runs; these literals can.  Each run is a child process with BLAS on one
@@ -645,7 +727,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "3675d21fa8efd94c6cea61f9cb6ab35a16140048d7257c1abce6cc2633f8ad6f"
+    HEARTBEAT_CHECKPOINT = "2941a1cf4345a56bb0d06936658819c504a7be4d9aa865595d6fee88857cca1e"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -680,7 +762,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "ebf5bea56c47fc7bd7aaca3988a4e13659ee009bbbef559a85c8faebc61679fc",
+                "f29b4318d01f62b9e6fac2ca23a94d49ca8029949767e86d9d2a782f9b7653a5",
             "trainlog.csv":
                 "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
             "report_test.json":
@@ -698,7 +780,7 @@ class TestPinnedDigests:
                                            f"epochs = 3\nbatch_size = 45\nconv_kernel = 3\n")
         assert digests == {
             "checkpoint.tackpt":
-                "ec614ce510825d592f2b7076b4ee6d41b272bb886e6b89a3d31b192a53e50047",
+                "eb2f4e6af513333e3e7ce673e0d4ba021b79776474892429c85e3448e6261aec",
             "trainlog.csv":
                 "612d0d28f0409f1e4670981b3142433966384d857cdc01b8cc5e5d5796991d22",
             "report_test.json":
@@ -771,13 +853,12 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("key,value", [("pool_size", 1.5), ("pool_size", True),
                                            ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4]),
-                                           ("return_sequences", "no"),
-                                           ("dropout_stream", False),
+                                           ("lstm_units", "10"), ("dropout_stream", False),
                                            ("streams", {"gru": 1, "lstm": 2})])
     def test_non_integer_model_setting_exit_3(self, trained_run, tmp_path, capsys, key, value):
         """The header's config holds the value in place of an integer, a
-        bool, a rate or a list; 8.5 once passed as 8, the trained size, "no"
-        as return sequences on, and a mapping as the list of its keys."""
+        rate or a list; 8.5 once passed as 8, the trained size, and a
+        mapping as the list of its keys; "10" is the trained size as text."""
         out, radar_csv = trained_run
         blob = (out / "checkpoint.tackpt").read_bytes()
         end = 16 + int.from_bytes(blob[8:16], "little")
@@ -813,7 +894,7 @@ class TestEvalCommand:
                                       (end + len(blob)) // 2, len(blob) - 1)]
         bad.append(blob + b"\x00" * 8)
         bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
-        bad.append(blob[:16] + blob[16:end].replace(b'"version":3', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":4', b'"version":7') + blob[end:])
         bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
         bad.append(blob[:16] + b"\xff" + blob[17:])
         path = tmp_path / "bad.tackpt"
@@ -865,14 +946,15 @@ class TestEvalCommand:
             assert "data error" in err and all(text in err for text in named)
             assert not eval_out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_checkpoint_version_exit_3(self, trained_run, tmp_path, capsys, version):
         """Version 1 stored one tensor per cell gate, version 2 the GRU's
-        recurrent weights as two tensors; their files are refused."""
+        recurrent weights as two tensors, and version 3's config held
+        conv_activation and return_sequences; their files are refused."""
         out, radar_csv = trained_run
         path = tmp_path / f"v{version}.tackpt"
         path.write_bytes((out / "checkpoint.tackpt").read_bytes().replace(
-            b'"version":3', b'"version":%d' % version, 1))
+            b'"version":4', b'"version":%d' % version, 1))
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         assert f"{path}: unsupported checkpoint version {version}" in capsys.readouterr().err
 
@@ -931,6 +1013,7 @@ class TestEvalCommand:
         ("split_test", "0.3", "ratios must sum to 1"),
         ("seed", "1.5", "seed"),
         ("stratified", "maybe", "stratified"),
+        ("standardize", "1.0", "standardize"),
         ("split_val", "0.2x", "split_val"),
         ("target_len", "0", "target_len"),
         ("bogus", "1", "bogus"),
@@ -1182,7 +1265,10 @@ class TestReportCommand:
         (HEADER.replace(",val_acc", "") + "1,0.7,0.5,0.69\n",
          "row 1: expected one value in each of the columns epoch, train_loss, train_acc, "
          "val_loss, val_acc"),
-    ], ids=["non-numeric", "short-row", "missing-column"])
+        (HEADER + "1,0.7,0.5,0.69,nan\n", "row 1: val_acc is 'nan', not a finite number"),
+        (HEADER + "1,0.7,0.5,0.69,0.5\n2,inf,0.5,0.69,0.5\n",
+         "row 2: train_loss is 'inf', not a finite number"),
+    ], ids=["non-numeric", "short-row", "missing-column", "nan", "inf"])
     def test_malformed_trainlog_exit_3(self, tmp_path, capsys, log, named):
         run = tmp_path / "run"
         run.mkdir()

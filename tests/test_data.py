@@ -479,6 +479,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(source_of(toy_dataset(10)), SplitSpec(ratios=(1.0, 0.0, 0.0)), 0)
 
+    @pytest.mark.parametrize("value", ["no", 0.5, 1])
+    def test_stratified_checked_by_type(self, value):
+        """A bool setting takes only a bool: "no" is truthy, and 1 is an int."""
+        with pytest.raises(ValueError, match="stratified must be true or false"):
+            split(source_of(toy_dataset(10)), SplitSpec(stratified=value), 0)
+
 
 def write_source(kind, root) -> DataSource:
     """Write a small dataset of ``kind`` under ``root`` and read it back."""

@@ -325,3 +325,12 @@ class TestReports:
         report = self.make_report()
         mean_acc = np.mean([st.accuracy for st in report.per_class])
         assert abs(report.overall.mean_class_accuracy - mean_acc) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        """The argmax of a NaN row is 0, so without the check such a row
+        would be scored as a prediction of the first class."""
+        probs = np.full((4, 2), 0.5)
+        probs[2, 1] = bad
+        with pytest.raises(ValueError, match="val sample 2 a NaN or infinite"):
+            classification_report(np.array([0, 1, 0, 1]), probs, ["a", "b"], split="val")

@@ -33,11 +33,7 @@ def closed_form_params(cfg: ModelConfig) -> int:
         u = cfg.gru_units if kind == "gru" else cfg.lstm_units
         gates = 3 if kind == "gru" else 4
         total += gates * (cfg.conv_filters * u + u * u + u)
-    t_rec = (cfg.input_timesteps - cfg.conv_kernel + 1) // cfg.pool_size
-    width = 0
-    for kind in cfg.streams:
-        u = cfg.gru_units if kind == "gru" else cfg.lstm_units
-        width += u * t_rec if cfg.return_sequences else u
+    width = sum(cfg.gru_units if kind == "gru" else cfg.lstm_units for kind in cfg.streams)
     sizes = [width] + list(cfg.dense_sizes) + [cfg.num_classes]
     for a, b in zip(sizes, sizes[1:]):
         total += a * b + b
@@ -78,7 +74,6 @@ class TestBuild:
             ModelConfig(input_timesteps=3, input_channels=1, num_classes=2, pool_size=8)
 
     @pytest.mark.parametrize("key,value", [
-        ("return_sequences", "no"), ("return_sequences", 0.5), ("return_sequences", 1),
         ("dropout_stream", False), ("dropout_head", True), ("dropout_head", "0.3"),
     ])
     def test_bool_and_rate_settings_checked_by_type(self, key, value):
@@ -146,7 +141,6 @@ class TestParamCount:
                 lstm_units=2 + int(rng.uniform(()) * 6),
                 gru_units=2 + int(rng.uniform(()) * 6),
                 dense_sizes=(4 + int(rng.uniform(()) * 8), 3),
-                return_sequences=bool(rng.uniform(()) < 0.5),
             )
             assert param_count(build(cfg, rng)) == closed_form_params(cfg)
 
@@ -189,14 +183,6 @@ class TestForward:
         probs, _ = forward(net, Rng(13).uniform((8, 17, 2)) * 4 - 2, mode="eval")
         npt.assert_allclose(probs.sum(axis=1), np.ones(8), atol=1e-12)
 
-    def test_return_sequences_width(self):
-        cfg = radar_config(return_sequences=True)
-        net = build(cfg, Rng(14))
-        t_rec = cfg.recurrent_timesteps
-        assert net.head[0].W.shape[0] == 20 * t_rec
-        probs, _ = forward(net, Rng(15).uniform((3, 17, 2)), mode="eval")
-        assert probs.shape == (3, 2)
-
 
 class TestBackward:
     def test_whole_model_fd_five_seeds(self):
@@ -218,7 +204,7 @@ class TestBackward:
             backward(net, trace, probs)
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"return_sequences": True, "conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
+        {}, {"conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
         {"streams": ("lstm", "gru"), "lstm_units": 1, "gru_units": 2, "dense_sizes": (7,)},
     ])
     def test_gradients_come_in_parameters_order(self, overrides):
@@ -232,7 +218,7 @@ class TestBackward:
         # zero head weights on the LSTM slice: no gradient may reach that stream
         cfg = radar_config(dropout_stream=0.0, dropout_head=0.0)
         net = build(cfg, Rng(20))
-        net.head[0].W[cfg.stream_width("gru"):, :] = 0.0
+        net.head[0].W[cfg.gru_units:, :] = 0.0
         x = Rng(21).uniform((4, 17, 2)) * 2 - 1
         probs, trace = forward(net, x, mode="train", rng=Rng(0))
         onehot = np.zeros_like(probs)
@@ -390,15 +376,12 @@ def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
     the whole batch, the cell given one GEMM over its whole input, and the
     ReLU's own strict positive mask kept for the backward."""
     y, conv_cache = layers.conv1d_forward(x, sp.conv)
-    act_cache = None
-    if cfg.conv_activation == "relu":
-        y, act_cache = np.maximum(y, 0.0), y > 0
+    y, act_cache = np.maximum(y, 0.0), y > 0
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
     hs, cell_cache = run(recurrent.project(y, sp.cell), sp.cell, mode=mode)
-    out = hs.reshape(hs.shape[0], -1) if cfg.return_sequences else hs[:, -1]
-    return out, (conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs.shape)
+    return hs[:, -1], (conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs.shape)
 
 
 def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
@@ -406,29 +389,21 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     cell input its forward kept."""
     conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs_shape = cache
     d_hs = np.zeros(hs_shape)
-    if cfg.return_sequences:
-        d_hs[...] = d_out.reshape(hs_shape)
-    else:
-        d_hs[:, -1] = d_out
+    d_hs[:, -1] = d_out
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
     da, cell_grads = run(cell_cache, d_hs)
     d, dW = recurrent.project_backward(y, da, sp.cell)
     d = layers.dropout_backward(drop_cache, d)
-    d = layers.maxpool1d_backward(pool_cache, d)
-    if cfg.conv_activation == "relu":
-        d = d * act_cache
+    d = layers.maxpool1d_backward(pool_cache, d) * act_cache
     return StreamParams(sp.kind, layers.Conv1DParams(*layers.conv1d_backward(conv_cache, d)),
                         recurrent.CellParams(W=dW, **cell_grads))
 
 
 class TestStreamOrder:
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("kernel", [1, 2])
     @pytest.mark.parametrize("pool", [2, 3])
-    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, activation,
-                                                           kernel, pool):
-        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool,
-                           conv_activation=activation, dense_sizes=(8,))
+    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, kernel, pool):
+        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool, dense_sizes=(8,))
         net = build(cfg, Rng(80).derive("init"))
         for name, arr in net.parameters().items():
             if name.endswith(".b"):
@@ -477,15 +452,10 @@ def assert_same_gradients(grads, want):
 
 
 class TestBlockedFrontEnd:
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("kernel", [1, 3])
     @pytest.mark.parametrize("pool", [2, 3])
-    @pytest.mark.parametrize("return_sequences", [False, True])
-    def test_block_size_changes_no_bit(self, monkeypatch, activation, kernel, pool,
-                                       return_sequences):
-        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool,
-                           conv_activation=activation, dense_sizes=(8,),
-                           return_sequences=return_sequences)
+    def test_block_size_changes_no_bit(self, monkeypatch, kernel, pool):
+        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool, dense_sizes=(8,))
         net = build(cfg, Rng(90).derive("init"))
         for name, arr in net.parameters().items():
             if name.endswith(".b"):
@@ -514,17 +484,14 @@ class TestBlockedFrontEnd:
             assert other_counter == counter
             assert_same_gradients(other_grads, grads)
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("pooled", [True, False])
-    def test_train_trace_keeps_only_the_stream_keep_masks(self, monkeypatch, pooled,
-                                                          activation):
+    def test_train_trace_keeps_only_the_stream_keep_masks(self, monkeypatch, pooled):
         """A train trace's only bool arrays are the stream dropout keep
         masks, one per block, which the backward needs to re-form the
         block's cell input: no max-pool winner mask, no ReLU mask, and none
         in the head's caches, though the head applies dropout too."""
         make = heartbeat_config if pooled else radar_config
-        cfg = make(conv_filters=6, conv_kernel=1 if pooled else 3, conv_activation=activation,
-                   dense_sizes=(8, 4))
+        cfg = make(conv_filters=6, conv_kernel=1 if pooled else 3, dense_sizes=(8, 4))
         net = build(cfg, Rng(94))
         x = Rng(95).uniform((7, 17, cfg.input_channels)) * 2 - 1
         monkeypatch.setattr(model_mod, "_block_bounds",
@@ -602,15 +569,12 @@ class TestBlockProjection:
         assert_same_gradients(grads, one_grads)
 
     @pytest.mark.parametrize("pooled", [True, False])
-    @pytest.mark.parametrize("return_sequences", [False, True])
     @pytest.mark.parametrize("streams", [("gru",), ("lstm",), ("gru", "lstm")])
-    def test_eval_matches_the_textbook_order(self, monkeypatch, pooled, return_sequences,
-                                             streams):
+    def test_eval_matches_the_textbook_order(self, monkeypatch, pooled, streams):
         """Eval probs from 3-row blocks equal conv1d -> ReLU -> maxpool over
         the whole batch with one projection GEMM per cell."""
         make = heartbeat_config if pooled else radar_config
-        cfg = make(conv_filters=6, dense_sizes=(8,), return_sequences=return_sequences,
-                   streams=streams)
+        cfg = make(conv_filters=6, dense_sizes=(8,), streams=streams)
         net = build(cfg, Rng(125).derive("init"))
         for name, arr in net.parameters().items():
             if name.endswith(".b"):
@@ -667,14 +631,10 @@ class TestPooledFrontEnd:
         eval_probs, _ = forward(net, x, mode="eval")
         return pooled, probs, cell_ins, grads, rng._counter, eval_probs
 
-    @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("pool", [1, 2, 3])
-    @pytest.mark.parametrize("return_sequences", [False, True])
-    def test_matches_the_general_path(self, monkeypatch, activation, dropout, pool,
-                                      return_sequences):
-        cfg = heartbeat_config(conv_activation=activation, dropout_stream=dropout,
-                               pool_size=pool, return_sequences=return_sequences)
+    def test_matches_the_general_path(self, monkeypatch, dropout, pool):
+        cfg = heartbeat_config(dropout_stream=dropout, pool_size=pool)
         assert pool == 1 or cfg.input_timesteps % pool  # a remainder step is dropped
         net, x = self.awkward_instance(cfg)
         # 3-row blocks on both paths: 7 rows run as 3, 3 and 1, so that both
@@ -789,12 +749,13 @@ def _shrink_bias(header, arrays):
 
 # Each edits the parsed header in place; the file is then re-encoded whole.
 HEADER_EDITS = {
-    "version": lambda h: h.update(version=2),
+    "version": lambda h: h.update(version=3),
     "no_version": lambda h: h.pop("version"),
     "config_unknown_key": lambda h: h["config"].update(bogus=1),
     "config_bad_value": lambda h: h["config"].update(pool_size=0),
     "config_bad_type": lambda h: h["config"].update(dense_sizes="x"),
-    "config_bool_not_bool": lambda h: h["config"].update(return_sequences="no"),
+    # a field of version 3's config, whose model is the default's
+    "config_removed_field": lambda h: h["config"].update(return_sequences=False),
     "config_rate_is_bool": lambda h: h["config"].update(dropout_stream=False),
     "config_missing": lambda h: h.pop("config"),
     "extras_not_object": lambda h: h.update(extras=[1]),
@@ -959,7 +920,7 @@ class TestCheckpoint:
             assert loaded.parameters()[name].tobytes() == arr.tobytes()
 
     def test_config_survives(self, tmp_path):
-        cfg = radar_config(conv_filters=32, return_sequences=True, streams=("lstm",))
+        cfg = radar_config(conv_filters=32, pool_size=3, streams=("lstm",))
         net = build(cfg, Rng(43))
         path = tmp_path / "m.tackpt"
         save_checkpoint(path, net)

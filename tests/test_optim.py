@@ -89,15 +89,6 @@ class TestRMSProp:
         opt.step(p, {"w": g})
         assert np.all(np.sign(p["w"]) == -np.sign(g))
 
-    def test_momentum_accumulates(self):
-        opt = RMSProp(TrainConfig(lr=1e-3, momentum=0.9))
-        p = {"w": np.array([0.0])}
-        opt.step(p, {"w": np.array([1.0])})
-        first = p["w"].copy()
-        opt.step(p, {"w": np.array([1.0])})
-        # second step moves farther than a plain step thanks to velocity
-        assert p["w"][0] < 2 * first[0]
-
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
@@ -161,7 +152,7 @@ class TestFit:
             fit(tiny_model(), ds, ds, TrainConfig(epochs=0), Rng(0))
 
     @pytest.mark.parametrize("key,value", [("batch_size", 8.0), ("epochs", True),
-                                           ("shuffle", 1), ("lr", "0.1"), ("clip_norm", False),
+                                           ("lr", "0.1"), ("clip_norm", False),
                                            ("optimizer", "sgd"), ("beta2", math.nan)])
     def test_settings_checked_by_type_and_rule(self, key, value):
         ds = tiny_dataset()
@@ -171,7 +162,7 @@ class TestFit:
     def test_optimizer_takes_its_settings_by_name(self):
         """The optimizer holds the config it is made from and reads its
         settings there by name."""
-        cfg = TrainConfig(optimizer="rmsprop", lr=0.5, rho=0.7, momentum=0.2, epsilon=1e-3)
+        cfg = TrainConfig(optimizer="rmsprop", lr=0.5, rho=0.7, epsilon=1e-3)
         opt = cfg.make_optimizer()
         assert type(opt) is RMSProp and opt.cfg is cfg
         cfg = TrainConfig(lr=0.5, beta1=0.7, beta2=0.8, epsilon=1e-3)
@@ -271,20 +262,6 @@ class TestFit:
         monkeypatch.setattr(model_mod, "forward", spy)
         fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=4), Rng(2))
         assert sizes == [4, 4, 2]
-
-    def test_no_shuffle_keeps_order(self, monkeypatch):
-        ds = tiny_dataset(n=12)
-        batches = []
-        original = model_mod.forward
-
-        def spy(model, x, mode="eval", rng=None):
-            if mode == "train":
-                batches.append(x.copy())
-            return original(model, x, mode=mode, rng=rng)
-
-        monkeypatch.setattr(model_mod, "forward", spy)
-        fit(tiny_model(), ds, ds, TrainConfig(epochs=1, batch_size=6, shuffle=False), Rng(0))
-        npt.assert_array_equal(np.concatenate(batches), ds.features)
 
     def test_learns_separable_task(self):
         ds = tiny_dataset(n=64, seed=92)
