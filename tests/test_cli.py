@@ -442,7 +442,7 @@ class TestTrainCommand:
         ("lr", "nan"), ("lr", "-0.001"), ("lr", "0"), ("lr", "inf"),
         ("epsilon", "0"), ("epsilon", "nan"),
         ("rho", "1"), ("rho", "-0.1"), ("beta1", "1.5"), ("beta2", "nan"),
-        ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
+        ("momentum", "1"), ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
         ("target_len", "-1"), ("target_len", "0"),
     ])
     def test_bad_hyperparameter_exit_2(self, tmp_path, radar_csv, capsys, key, value):

@@ -400,7 +400,8 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
 
 
 class TestStreamOrder:
-    @pytest.mark.parametrize("kernel", [1, 2])
+    # "-relu" ends each id as it did when the activation was a setting
+    @pytest.mark.parametrize("kernel", [1, 2], ids=lambda kernel: f"{kernel}-relu")
     @pytest.mark.parametrize("pool", [2, 3])
     def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, kernel, pool):
         cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool, dense_sizes=(8,))
@@ -484,7 +485,8 @@ class TestBlockedFrontEnd:
             assert other_counter == counter
             assert_same_gradients(other_grads, grads)
 
-    @pytest.mark.parametrize("pooled", [True, False])
+    # "-relu" ends each id as it did when the activation was a setting
+    @pytest.mark.parametrize("pooled", [True, False], ids=lambda pooled: f"{pooled}-relu")
     def test_train_trace_keeps_only_the_stream_keep_masks(self, monkeypatch, pooled):
         """A train trace's only bool arrays are the stream dropout keep
         masks, one per block, which the backward needs to re-form the
