@@ -16,9 +16,10 @@ block takes what is left.  The loop forms a block's pooled pre-activation
 buffer, in either mode; it is a function of its own so that the
 buffer is freed before the cells run.  It applies the dropout in place
 and, while the block is still in cache, multiplies it by the cell's input
-weights into its rows of the cell's input projection px [n, T_out, k]
-(``recurrent.project``), which is all the cell reads.  No [n, T_out, F]
-cell input exists in either mode.  Two paths form the pooled
+weights and adds the cell's bias into its rows of the cell's input
+projection px = (y W + b) s [n, T_out, k], s halving the sigmoid gates'
+columns (``recurrent.project``), which is all the cell reads.  No
+[n, T_out, F] cell input exists in either mode.  Two paths form the pooled
 pre-activation; nothing else differs.
 
 The pooled path runs when the kernel is one step over one input channel

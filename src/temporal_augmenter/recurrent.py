@@ -2,7 +2,7 @@
 
 Cell equations (batch n, input size d, units u):
 
-LSTM step
+LSTM step, with sigmoid(a) = 1 / (1 + exp(-a))
     f = sigmoid(x W[f] + h U[f] + b[f])        forget gate
     i = sigmoid(x W[i] + h U[i] + b[i])        input gate
     g = tanh   (x W[g] + h U[g] + b[g])        candidate
@@ -39,11 +39,16 @@ biases zero.
 
 Time loops.  Each step costs a handful of numpy calls on contiguous [n, k]
 blocks, because at these sizes a step's cost is the number of calls, not
-the arithmetic.  The caller supplies the input projection px = x W
-[n, T, k] (``project``), so a cell never reads its [n, T, d] input, in
-either mode: the model forms px block by block while each block of its
-front-end's output is still in cache, and no whole cell input ever exists.
-The backward returns the pre-activation gradient da [n, T, k] and the
+the arithmetic.  The caller supplies the input projection
+px = (x W + b) s [n, T, k] (``project``), so a cell never reads its
+[n, T, d] input, in either mode: the model forms px block by block while
+each block of its front-end's output is still in cache, and no whole cell
+input ever exists.  s (``_gate_scale``) is 0.5 on the sigmoid gates'
+columns, the first k - u (both kinds keep their tanh gate last: LSTM g,
+GRU h), and 1 on the tanh gate's.  With U s, made once per call, a step's
+sum is the pre-activation a times s, so one ``tanh`` over all its gates
+and two more calls give each sigmoid gate as 0.5 tanh(a / 2) + 0.5.  The
+backward returns the gradient da [n, T, k] of the unscaled a and the
 recurrent and bias gradients; the input's share, dx = da W^T and
 dW = x^T da, is ``project_backward``'s, which the caller runs over the
 same blocks of rows it projected.  Everything a step writes goes in place
@@ -64,13 +69,13 @@ The backward writes step t's da into the rows ``da[:, t]`` of one
 batch-major [n, T, k] array, so the [n*T, k] operand of the dU GEMM and
 of ``project_backward`` is a free reshape of it.
 
-The bits are those of one numpy expression per gate, as the cells were
-first written (the oracles in tests/test_recurrent.py), for three reasons:
+The bits are those of one numpy expression per gate (the oracles in
+tests/test_recurrent.py), for four reasons:
 
 * Every product keeps its operands.  The step matmuls see the same [n, u]
   state and [n, k] gradient rows, and the dx, dW and dU GEMMs the same
   batch-major [n*T, k] operands; an operand's row stride does not change
-  OpenBLAS's sums, and exp and tanh give the same bits at any stride.  The
+  OpenBLAS's sums, and tanh gives the same bits at any stride.  The
   px GEMM may run over any split of the n*T rows into blocks of at least
   two: each output row's sum is the same.  numpy sends a one-row product
   to gemv, whose sums differ, so a caller that splits the rows leaves no
@@ -79,16 +84,23 @@ first written (the oracles in tests/test_recurrent.py), for three reasons:
   product's rows get other last bits at some gate widths (k = 40 among
   them, with OpenBLAS's SkylakeX kernels), so the model's gradients depend
   on its blocks.
-* ``sigmoid`` is evaluated as ``max(z, x >= 0) / (1 + z)`` with
-  ``z = exp(-|x|)``, which is the branch form bit for bit (see its
-  docstring and tests/test_tensor_core.py).
+* Halving is exact in binary floating point (short of the subnormal
+  range), so the cells' sums are ((x W + b) + h U) s bit for bit: the bias
+  is added before the recurrent term.  A sigmoid gate is within 2.2e-16 of
+  the exact logistic, exactly 0.5 at +-0, 0 from a ~ -38 down and 1 from
+  a ~ 37 up, and carries NaN through.
 * Elementwise products are evaluated left to right, as the per-gate
-  expressions did, so only factors that start a product or need no
-  recurrence move.  BPTT computes 1 - f, 1 - i, 1 - o, 1 - g^2, 1 - tanh^2 c,
-  1 - z, 1 - r, 1 - hc^2 and h_prev - hc once over the whole sequence;
-  each is the same operation on the same operands as inside the loop.  A
-  step then multiplies [n, u] and gate-major blocks in the expressions'
-  order, e.g. ((dc * c_prev) * f) * (1 - f) for the forget gate.
+  expressions are, so only factors that start a product or need no
+  recurrence move.  The LSTM's BPTT computes 1 - f, 1 - i, 1 - o, 1 - g^2
+  and 1 - tanh^2 c once over the whole sequence, each the same operation
+  on the same operands as inside the loop, and a step multiplies [n, u] and
+  gate-major blocks in the expressions' order, e.g.
+  ((dc * c_prev) * f) * (1 - f) for the forget gate.
+* The GRU's BPTT forms its factors once over the whole sequence, and its
+  expressions group them so: da_h = dh ((1 - z) (1 - hc^2)),
+  da_z = dh ((h_prev - hc) (z (1 - z))), da_r = drh (h_prev (r (1 - r))).
+  A step keeps dh and drh as the two rows of one [2, n, u] array, so da_z
+  and da_r take one multiply, and dh z + drh r one multiply and one add.
 """
 
 from __future__ import annotations
@@ -104,7 +116,6 @@ from .tensor_core import (
     init_glorot_uniform,
     init_orthogonal,
     is_train_mode,
-    sigmoid,
 )
 
 
@@ -181,14 +192,27 @@ def _batch_major(a: Tensor) -> Tensor:
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
+def _gate_scale(p) -> Tensor:
+    """s [k]: 0.5 on the sigmoid gates' first k - u columns, 1 on the tanh gate's."""
+    s = np.full(p.W.shape[1], 0.5)
+    s[-p.units:] = 1.0
+    return s
+
+
 def project(x: Tensor, p, out: Tensor | None = None) -> Tensor:
-    """The input projection px = x W [n, T, k] of a cell's [n, T, d] input,
-    one GEMM over its n*T rows; written into ``out``, C-contiguous, if given."""
+    """The input projection px = (x W + b) s [n, T, k] of a cell's [n, T, d]
+    input, s the ``_gate_scale``: one GEMM over its n*T rows, then b and s
+    applied in place (a scaled copy of W per block raised train's peak RSS);
+    written into ``out``, C-contiguous, if given."""
     n, T, d = x.shape
-    k = p.W.shape[1]
+    s = _gate_scale(p)
+    k = s.shape[0]
     if out is None:
         out = np.empty((n, T, k))
-    np.matmul(x.reshape(n * T, d), p.W, out=out.reshape(n * T, k))
+    out2 = out.reshape(n * T, k)
+    np.matmul(x.reshape(n * T, d), p.W, out=out2)
+    np.add(out2, p.b, out=out2)
+    np.multiply(out2, s, out=out2)
     return out
 
 
@@ -207,8 +231,8 @@ def project_backward(x: Tensor, da: Tensor, p, out: Tensor | None = None):
 
 
 def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
-    """Unroll over t = 1..T given the input projection ``px`` = x W
-    [n, T, 4u]; returns (hs [n, T, u], cache).
+    """Unroll over t = 1..T given the input projection ``px`` = (x W + b) s
+    [n, T, 4u] (``project``); returns (hs [n, T, u], cache).
 
     ``hs`` is a batch-major view of the time-major states.  cache =
     (p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]): row t
@@ -225,15 +249,15 @@ def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
     TC = _per_step((T, n, u), train)
     a = np.empty((n, 4 * u))
     a4 = _gate_major(a, 4)
+    Us = p.U * _gate_scale(p)
     ig = np.empty((n, u))
     for t in range(T):
         g = G[t]
-        np.matmul(H[t], p.U, out=a)
+        np.matmul(H[t], Us, out=a)
         np.add(px[:, t], a, out=a)
-        np.add(a, p.b, out=a)
-        np.copyto(g, a4)
-        sigmoid(g[:3], out=g[:3])
-        np.tanh(g[3], out=g[3])
+        np.tanh(a4, out=g)
+        np.multiply(g[:3], 0.5, out=g[:3])
+        np.add(g[:3], 0.5, out=g[:3])
         c = C[t + 1]
         np.multiply(g[0], C[t], out=c)
         np.multiply(g[1], g[3], out=ig)
@@ -293,8 +317,8 @@ def lstm_backward(cache, d_hs: Tensor):
 
 
 def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
-    """Unroll over t = 1..T given the input projection ``px`` = x W
-    [n, T, 3u]; returns (hs [n, T, u], cache).
+    """Unroll over t = 1..T given the input projection ``px`` = (x W + b) s
+    [n, T, 3u] (``project``); returns (hs [n, T, u], cache).
 
     ``hs`` is a batch-major view of the time-major states.  cache =
     (p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]): row t
@@ -311,21 +335,19 @@ def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
     RH = _per_step((T, n, u), train)
     a = np.empty((n, 2 * u))
     a2 = _gate_major(a, 2)
-    Uzr, Uh = p.U[:, :2 * u], p.U[:, 2 * u:]
-    bzr = p.b[:2 * u]
-    bh = p.b[2 * u:]
+    Us = p.U * _gate_scale(p)
+    Uzr, Uh = Us[:, :2 * u], Us[:, 2 * u:]
     ah = np.empty((n, u))
     for t in range(T):
         h, zr, hc = H[t], ZR[t], HC[t]
         np.matmul(h, Uzr, out=a)
         np.add(px[:, t, :2 * u], a, out=a)
-        np.add(a, bzr, out=a)
-        np.copyto(zr, a2)
-        sigmoid(zr, out=zr)
+        np.tanh(a2, out=zr)
+        np.multiply(zr, 0.5, out=zr)
+        np.add(zr, 0.5, out=zr)
         np.multiply(zr[1], h, out=RH[t])
         np.matmul(RH[t], Uh, out=ah)
-        np.add(px[:, t, 2 * u:], ah, out=ah)
-        np.add(ah, bh, out=hc)
+        np.add(px[:, t, 2 * u:], ah, out=hc)
         np.tanh(hc, out=hc)
         h_new = H[t + 1]
         np.multiply(zr[0], h, out=h_new)
@@ -349,40 +371,35 @@ def gru_backward(cache, d_hs: Tensor):
     """
     p, H, ZR, HC, RH = cache
     T, n, u = HC.shape
-    # factors free of the recurrence, once over the whole sequence:
-    # OM = 1 - z, 1 - r; KH = 1 - hc^2; DH = h_prev - hc
-    OM = np.subtract(1.0, ZR)
-    KH = np.multiply(HC, HC)
-    np.subtract(1.0, KH, out=KH)
-    DH = np.subtract(H[:T], HC)
-    # z, r, candidate pre-activation grads, batch-major; step t writes da[:, t]
+    # z, r, candidate pre-activation grads, batch-major (step t writes da[:, t]),
+    # before the factors below: the other order raised train's peak RSS ~1 MB
     da = np.empty((n, T, 3 * u))
-    dh = np.empty((n, u))
+    # factors free of the recurrence, once over the whole sequence:
+    # Q = (1 - z) (1 - hc^2) and P = (h_prev - hc) (z (1 - z)), h_prev (r (1 - r))
+    P = np.subtract(1.0, ZR)
+    Q = np.multiply(HC, HC)
+    np.subtract(1.0, Q, out=Q)
+    np.multiply(Q, P[:, 0], out=Q)
+    np.multiply(P, ZR, out=P)
+    np.multiply(P[:, 1], H[:T], out=P[:, 1])
+    DH = np.subtract(H[:T], HC, out=da[:, :, 2 * u:].transpose(1, 0, 2))  # until the loop writes da
+    np.multiply(P[:, 0], DH, out=P[:, 0])
+    D = np.zeros((2, n, u))  # dh and drh; row 0 holds the carried dh between steps
+    S = np.empty((2, n, u))
     q = np.empty((n, u))
-    s = np.empty((n, u))
-    drh = np.empty((n, u))
-    m = np.empty((2, n, u))
-    dh_carry = np.zeros((n, u))
     UzrT, UhT = p.U[:, :2 * u].T, p.U[:, 2 * u:].T
     for t in range(T - 1, -1, -1):
-        zr = ZR[t]
-        np.add(d_hs[:, t], dh_carry, out=dh)
+        np.add(d_hs[:, t], D[0], out=D[0])
         da_h = da[:, t, 2 * u:]
-        np.multiply(dh, OM[t, 0], out=q)
-        np.multiply(q, KH[t], out=da_h)
-        np.matmul(da_h, UhT, out=drh)
-        # da_z = (dh * (h_prev - hc)) * z * (1 - z), da_r = (drh * h_prev) * r * (1 - r)
-        np.multiply(dh, DH[t], out=m[0])
-        np.multiply(drh, H[t], out=m[1])
-        np.multiply(m, zr, out=m)
+        np.multiply(D[0], Q[t], out=da_h)
+        np.matmul(da_h, UhT, out=D[1])
         da_zr = da[:, t, :2 * u]
-        np.multiply(m, OM[t], out=_gate_major(da_zr, 2))
-        np.multiply(dh, zr[0], out=s)
-        np.multiply(drh, zr[1], out=q)
-        np.add(s, q, out=s)
+        np.multiply(D, P[t], out=_gate_major(da_zr, 2))
+        np.multiply(D, ZR[t], out=S)
+        np.add(S[0], S[1], out=S[0])
         np.matmul(da_zr, UzrT, out=q)
-        np.add(s, q, out=dh_carry)
-    del OM, KH, DH  # freed before the products' batch-major copies
+        np.add(S[0], q, out=D[0])
+    del P, Q  # freed before the products' batch-major copies
     da2 = da.reshape(n * T, 3 * u)
     h_prev = _batch_major(H[:T])
     rh = _batch_major(RH)

@@ -25,25 +25,6 @@ def is_train_mode(mode: str) -> bool:
     return mode == "train"
 
 
-def sigmoid(x: Tensor, out: Tensor | None = None) -> Tensor:
-    """Logistic function, evaluated on the numerically safe branch per sign.
-
-    With ``z = exp(-|x|)`` the branches are ``1 / (1 + z)`` for ``x >= 0``
-    and ``z / (1 + z)`` below.  ``max(z, x >= 0)`` is their numerator in both
-    cases, since ``0 <= z <= 1``, and a NaN ``z`` survives the max, so one
-    division gives the branch result bit for bit, ±0, ±inf, NaN and
-    subnormal ``z`` included.  ``out`` may be ``x`` itself.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape)
-    z = np.copysign(x, -1.0, out=np.empty(x.shape))  # -|x|
-    np.exp(z, out=z)
-    np.maximum(z, x >= 0, out=out)
-    z += 1.0
-    return np.divide(out, z, out=out)
-
-
 def softmax(logits: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, shifted by the row max for stability."""
     z = np.asarray(logits, dtype=np.float64)

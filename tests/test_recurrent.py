@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +23,6 @@ from temporal_augmenter.tensor_core import (
     ShapeError,
     init_glorot_uniform,
     init_orthogonal,
-    sigmoid,
 )
 
 
@@ -36,9 +36,20 @@ def run_gru(x, p, mode="train"):
     return gru_forward(project(x, p), p, mode=mode)
 
 
+def sigmoid(a):
+    """The logistic function as the cells evaluate it, from one tanh:
+    0.5 tanh(0.5 a) + 0.5."""
+    return np.tanh(0.5 * a) * 0.5 + 0.5
+
+
+def textbook_sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 # ---------------------------------------------------------------------------
 # naive one-step oracles for the fused cells, written gate by gate on column
-# slots of the stored blocks: LSTM f, i, o, g; GRU z, r, h
+# slots of the stored blocks: LSTM f, i, o, g; GRU z, r, h.  A gate's
+# pre-activation is (x W + b) + h U, the bias folded into the projection.
 # ---------------------------------------------------------------------------
 
 def _check_step_shapes(kind, x_t, h, p):
@@ -55,7 +66,7 @@ def lstm_step(x_t, h, c, p):
 
     def pre(slot):
         cols = slice(slot * u, (slot + 1) * u)
-        return x_t @ p.W[:, cols] + h @ p.U[:, cols] + p.b[cols]
+        return (x_t @ p.W[:, cols] + p.b[cols]) + h @ p.U[:, cols]
 
     f = sigmoid(pre(0))
     i = sigmoid(pre(1))
@@ -70,25 +81,39 @@ def gru_step(x_t, h, p):
     """One GRU step; returns h'."""
     _check_step_shapes("gru", x_t, h, p)
     u = p.units
-    z = sigmoid(x_t @ p.W[:, :u] + h @ p.U[:, :u] + p.b[:u])
-    r = sigmoid(x_t @ p.W[:, u:2 * u] + h @ p.U[:, u:2 * u] + p.b[u:2 * u])
-    hc = np.tanh(x_t @ p.W[:, 2 * u:] + (r * h) @ p.U[:, 2 * u:] + p.b[2 * u:])
+    z = sigmoid((x_t @ p.W[:, :u] + p.b[:u]) + h @ p.U[:, :u])
+    r = sigmoid((x_t @ p.W[:, u:2 * u] + p.b[u:2 * u]) + h @ p.U[:, u:2 * u])
+    hc = np.tanh((x_t @ p.W[:, 2 * u:] + p.b[2 * u:]) + (r * h) @ p.U[:, 2 * u:])
     return z * h + (1.0 - z) * hc
 
 
 # ---------------------------------------------------------------------------
-# whole-sequence oracles: the cells as they were written before their time
-# loops were fused, one numpy expression per gate.  ``sigmoid`` is pinned
-# bit for bit to its np.where form in test_tensor_core.  The engine's cells
-# must reproduce these bit for bit.
+# whole-sequence oracles: the cells as one numpy expression per gate.  The
+# engine's cells must reproduce these bit for bit.  With ``textbook`` the
+# forward takes sigmoid = 1 / (1 + exp(-a)) and adds the bias last,
+# (x W + h U) + b, and the GRU backward forms its products left to right;
+# the engine must match that within rounding, so the bitwise oracles cannot
+# share a wrong formula with it.
 # ---------------------------------------------------------------------------
 
-def reference_lstm_forward(x, p):
+def _projection(x, p, textbook):
+    n, T, d = x.shape
+    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, -1)
+    return px if textbook else px + p.b
+
+
+def _plus_bias(a, b, textbook):
+    """The textbook forward adds the bias last; the other has it in px."""
+    return a + b if textbook else a
+
+
+def reference_lstm_forward(x, p, textbook=False):
     n, T, d = x.shape
     u = p.units
+    gate = textbook_sigmoid if textbook else sigmoid
     h = np.zeros((n, u))
     c = np.zeros((n, u))
-    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 4 * u)
+    px = _projection(x, p, textbook)
     hs = np.empty((n, T, u))
     cs = np.empty((n, T, u))
     h_prev = np.empty((n, T, u))
@@ -99,8 +124,8 @@ def reference_lstm_forward(x, p):
     for t in range(T):
         h_prev[:, t] = h
         c_prev[:, t] = c
-        a = px[:, t] + h @ p.U + p.b
-        fio = sigmoid(a[:, :s3])
+        a = _plus_bias(px[:, t] + h @ p.U, p.b, textbook)
+        fio = gate(a[:, :s3])
         g = np.tanh(a[:, s3:])
         c = fio[:, :u] * c + fio[:, u:2 * u] * g
         tct = np.tanh(c)
@@ -138,17 +163,16 @@ def reference_lstm_backward(cache, d_hs):
         dh_carry = dat @ p.U.T
     da2 = da.reshape(n * T, 4 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
-    return dx, {"W": x.reshape(n * T, d).T @ da2, "U": np.dot(h_prev.reshape(n * T, u).T, da2),
-                "b": da2.sum(axis=0)}
+    return da, dx, {"W": x.reshape(n * T, d).T @ da2,
+                     "U": np.dot(h_prev.reshape(n * T, u).T, da2), "b": da2.sum(axis=0)}
 
 
-def reference_gru_forward(x, p):
+def reference_gru_forward(x, p, textbook=False):
     n, T, d = x.shape
     u = p.units
+    gate = textbook_sigmoid if textbook else sigmoid
     h = np.zeros((n, u))
-    px = (x.reshape(n * T, d) @ p.W).reshape(n, T, 3 * u)
-    bzr = p.b[:2 * u]
-    bh = p.b[2 * u:]
+    px = _projection(x, p, textbook)
     hs = np.empty((n, T, u))
     h_prev = np.empty((n, T, u))
     zr = np.empty((n, T, 2 * u))
@@ -156,10 +180,10 @@ def reference_gru_forward(x, p):
     rh = np.empty((n, T, u))
     for t in range(T):
         h_prev[:, t] = h
-        zrt = sigmoid(px[:, t, :2 * u] + h @ p.U[:, :2 * u] + bzr)
+        zrt = gate(_plus_bias(px[:, t, :2 * u] + h @ p.U[:, :2 * u], p.b[:2 * u], textbook))
         z = zrt[:, :u]
         rht = zrt[:, u:] * h
-        hc = np.tanh(px[:, t, 2 * u:] + rht @ p.U[:, 2 * u:] + bh)
+        hc = np.tanh(_plus_bias(px[:, t, 2 * u:] + rht @ p.U[:, 2 * u:], p.b[2 * u:], textbook))
         h = z * h + (1.0 - z) * hc
         hs[:, t] = h
         zr[:, t] = zrt
@@ -168,7 +192,7 @@ def reference_gru_forward(x, p):
     return hs, (x, p, hs, h_prev, zr, hcs, rh)
 
 
-def reference_gru_backward(cache, d_hs):
+def reference_gru_backward(cache, d_hs, textbook=False):
     x, p, hs, h_prev, zr, hcs, rh = cache
     n, T, d = x.shape
     u = p.units
@@ -180,19 +204,25 @@ def reference_gru_backward(cache, d_hs):
         hc = hcs[:, t]
         hp = h_prev[:, t]
         dh = d_hs[:, t] + dh_carry
-        da_h = dh * (1.0 - z) * (1.0 - hc * hc)
-        drh = da_h @ p.U[:, 2 * u:].T
         dat = da[:, t]
-        dat[:, :u] = dh * (hp - hc) * z * (1.0 - z)
-        dat[:, u:2 * u] = drh * hp * r * (1.0 - r)
+        if textbook:
+            da_h = dh * (1.0 - z) * (1.0 - hc * hc)
+            drh = da_h @ p.U[:, 2 * u:].T
+            dat[:, :u] = dh * (hp - hc) * z * (1.0 - z)
+            dat[:, u:2 * u] = drh * hp * r * (1.0 - r)
+        else:
+            da_h = dh * ((1.0 - z) * (1.0 - hc * hc))
+            drh = da_h @ p.U[:, 2 * u:].T
+            dat[:, :u] = dh * ((hp - hc) * (z * (1.0 - z)))
+            dat[:, u:2 * u] = drh * (hp * (r * (1.0 - r)))
         dat[:, 2 * u:] = da_h
         dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U[:, :2 * u].T
     da2 = da.reshape(n * T, 3 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
-    return dx, {"W": x.reshape(n * T, d).T @ da2,
-                "U": np.concatenate((np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
-                                     np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:])), axis=1),
-                "b": da2.sum(axis=0)}
+    return da, dx, {"W": x.reshape(n * T, d).T @ da2,
+                     "U": np.concatenate((np.dot(h_prev.reshape(n * T, u).T, da2[:, :2 * u]),
+                                          np.dot(rh.reshape(n * T, u).T, da2[:, 2 * u:])), axis=1),
+                     "b": da2.sum(axis=0)}
 
 
 class TestLSTMStep:
@@ -363,12 +393,62 @@ class TestGateRanges:
         assert np.all(np.abs(hsg) <= 1.0)
 
 
+def cell_gates(a, T=1):
+    """The sigmoid gates both cells compute from pre-activations ``a`` [m],
+    and their states: each cell runs one unit whose input weights are 1 and
+    whose bias is 0 on an input of ``a`` at each of T steps, and returns
+    its gates at the last step, LSTM f, i, o and GRU z, r as rows of one
+    [5, m] array, and the two cells' hs [2, m, T]."""
+    x = np.repeat(np.asarray(a, dtype=float).reshape(-1, 1, 1), T, axis=1)
+    gates, states = [], []
+    for kind, run, gate_rows in (("lstm", run_lstm, lambda c: c[3][-1, :3]),
+                                 ("gru", run_gru, lambda c: c[2][-1])):
+        p = draw_params(zero_params(kind, 1, 1), kind, Rng(90))
+        p.W[...] = 1.0
+        hs, cache = run(x, p)
+        gates.append(gate_rows(cache)[:, :, 0])
+        states.append(hs[:, :, 0])
+    return np.concatenate(gates), np.stack(states)
+
+
+class TestGateNumerics:
+    """The cells evaluate each sigmoid gate as 0.5 tanh(0.5 a) + 0.5, with
+    the halving folded into the scaled columns of px and U."""
+
+    def test_within_2_2e_16_of_the_exact_logistic(self):
+        a = np.linspace(-60.0, 60.0, 12_001)
+        gates, _ = cell_gates(a)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [1 / (1 + (-Decimal(v)).exp()) for v in a.tolist()]
+            for row in gates:
+                assert max(abs(Decimal(g) - e) for g, e in zip(row.tolist(), exact)) <= Decimal("2.2e-16")
+        assert np.all((gates >= 0.0) & (gates <= 1.0))
+        # 0 from a ~ -38 down, where the exact logistic is below 1e-16
+        assert np.all(gates[:, a <= -38.0] == 0.0)
+
+    def test_zero_of_either_sign_gives_exactly_one_half(self):
+        gates, _ = cell_gates([0.0, -0.0])
+        assert np.all(gates == 0.5)
+
+    def test_extreme_pre_activations_saturate_exactly(self):
+        a = np.array([1e300, np.inf, -1e300, -np.inf])
+        gates, states = cell_gates(a, T=4)
+        assert np.all(gates[:, :2] == 1.0) and np.all(gates[:, 2:] == 0.0)
+        assert np.all(np.isfinite(states))
+
+    def test_nan_propagates(self):
+        gates, states = cell_gates([np.nan, 1.0])
+        assert np.all(np.isnan(gates[:, 0])) and np.all(np.isnan(states[:, 0]))
+        assert np.all(np.isfinite(gates[:, 1])) and np.all(np.isfinite(states[:, 1]))
+
+
 class TestMemoryRetention:
     """A switch input channel, off for the first six of twelve steps and on
     for the rest, saturates the forget (LSTM) or update (GRU) gate through
     its input weights: the state the first stretch built must then carry
     through the second unchanged, bit for bit, as the saturated gate is
-    exactly 1.0 (and the LSTM's input gate below 1e-20)."""
+    exactly 1.0 (and the LSTM's input gate exactly 0.0)."""
 
     @staticmethod
     def switched_input(rng):
@@ -507,7 +587,8 @@ class TestCellsMatchOracles:
         da, cell_grads = backward(cache, d_hs)
         dx, dW = project_backward(x, da, cache[0])
         grads = {"W": dW, **cell_grads}
-        ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
+        ref_da, ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
+        assert da.tobytes() == ref_da.tobytes()
         assert dx.tobytes() == ref_dx.tobytes()
         assert list(grads) == list(ref_grads)
         for name in ref_grads:
@@ -553,3 +634,28 @@ class TestCellsMatchOracles:
                           (reference_lstm_forward(x, pl), reference_lstm_backward), d_hs)
         self._assert_same(x, (run_gru(x, pg), gru_backward),
                           (reference_gru_forward(x, pg), reference_gru_backward), d_hs)
+
+    @pytest.mark.parametrize("n,T", [(128, 93), (32, 512), (128, 8)])
+    def test_textbook_formula_within_rounding(self, n, T):
+        """At the three workloads' cell shapes (u = 10), the states, da and
+        every gradient match the textbook cells, whose sigmoid is
+        1 / (1 + exp(-a)) and whose bias is added last, within 1e-12 of
+        each array's largest magnitude."""
+        x, d_hs, pl, pg = self._inputs(n, T, 10, 4000 + T)
+
+        def rel_err(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        for p, run, backward, ref_forward, ref_backward in (
+                (pl, run_lstm, lstm_backward, reference_lstm_forward, reference_lstm_backward),
+                (pg, run_gru, gru_backward, reference_gru_forward,
+                 lambda cache, d: reference_gru_backward(cache, d, textbook=True))):
+            hs, cache = run(x, p)
+            da, grads = backward(cache, d_hs)
+            grads["dx"], grads["W"] = project_backward(x, da, p)
+            ref_hs, ref_cache = ref_forward(x, p, textbook=True)
+            ref_da, ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
+            assert rel_err(hs, ref_hs) < 1e-12
+            assert rel_err(da, ref_da) < 1e-12
+            for name, want in {"dx": ref_dx, **ref_grads}.items():
+                assert rel_err(grads[name], want) < 1e-12, name

@@ -11,7 +11,6 @@ from temporal_augmenter.tensor_core import (
     init_glorot_uniform,
     init_he_uniform,
     init_orthogonal,
-    sigmoid,
     softmax,
 )
 
@@ -61,34 +60,8 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_sigmoid_symmetry_point(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-
     def test_relu_definition(self):
         npt.assert_array_equal(relu_forward(np.array([-1.0, 0.0, 2.0]))[0], [0.0, 0.0, 2.0])
-
-    def test_sigmoid_matches_where_form_bitwise(self):
-        # the safe branch per sign, as np.where picks it; NaN bits included
-        tiny = np.nextafter(0.0, 1.0)
-        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310,
-                    2.2250738585072014e-308, 710.0, -710.0, 745.0, -745.0, 745.2, -745.2,
-                    36.7, -36.7, 1e-300, -1e-300, 1.0, -1.0]
-        x = np.concatenate([specials, (Rng(6).uniform((4000,)) - 0.5) * 80.0])
-        z = np.exp(-np.abs(x))
-        expected = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        assert sigmoid(x).tobytes() == expected.tobytes()
-        block = x[:4000].reshape(40, 100)
-        assert sigmoid(block[:, 10:70]).tobytes() == expected[:4000].reshape(40, 100)[:, 10:70].tobytes()
-        out = np.empty((40, 100))
-        assert sigmoid(block, out=out) is out
-        assert out.tobytes() == expected[:4000].reshape(40, 100).tobytes()
-        sigmoid(block, out=block)  # in place
-        assert block.tobytes() == out.tobytes()
-
-    def test_sigmoid_extreme_inputs_finite(self):
-        out = sigmoid(np.array([-1000.0, 1000.0]))
-        assert np.all(np.isfinite(out))
-        npt.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
 
 class TestSoftmax:
