@@ -259,6 +259,12 @@ def _wav_files(root_path) -> tuple:
                          if os.path.isdir(os.path.join(root_path, d)))
     if not class_names:
         raise DataError(f"{root_path}: no class subdirectories")
+    for cls in class_names:
+        try:
+            cls.encode("utf-8")  # a class name goes into the reports and the checkpoint
+        except UnicodeEncodeError:
+            raise DataError(f"{root_path}: class directory name {os.fsencode(cls)!r} "
+                            f"is not UTF-8") from None
     files = []
     for label, cls in enumerate(class_names):
         cls_dir = os.path.join(root_path, cls)
@@ -305,6 +311,9 @@ def _decode_wav(raw: bytes, path) -> np.ndarray:
             raw = wf.readframes(declared)
     except EOFError:
         raise DataError(f"{path}: WAV header cut short") from None
+    except RuntimeError:  # the wave module's chunk reader seeking past the RIFF chunk's end
+        raise DataError(f"{path}: a WAV chunk claims more bytes than its RIFF chunk "
+                        f"holds") from None
     except wave.Error as exc:
         raise DataError(f"{path}: unsupported WAV encoding ({exc})") from exc
     if width not in (1, 2):

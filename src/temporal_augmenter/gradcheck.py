@@ -166,7 +166,7 @@ def _check_cell(kind: str, seed: int) -> float:
         params = recurrent.draw_params(recurrent.zero_params(kind, d, u), kind, rng)
         params.b += _uniform_pm(rng, params.b.shape) * 0.1
         x = _uniform_pm(rng, (n, T, d))
-        proj = _uniform_pm(rng, (n, T, u))
+        proj = _uniform_pm(rng, (n, u))
 
         def run_cell():
             # W is checked through the projection that the cell is given

@@ -211,12 +211,12 @@ class Report:
     class_names: list
     overall: OverallStats
     per_class: list
-    split: str = "test"
-    total_params: int | None = None
+    split: str
+    total_params: int
 
 
 def classification_report(true_labels, probs: np.ndarray, class_names,
-                          split: str = "test", total_params: int | None = None) -> Report:
+                          split: str, total_params: int) -> Report:
     """The report of ``probs`` [n, k] against ``true_labels``; a ValueError
     naming the first sample with a NaN or infinite probability, whose argmax
     would score it as class 0."""
@@ -265,11 +265,8 @@ def report_to_dict(report: Report) -> dict:
     class's stats."""
     per_class = [{**asdict(st), "class": name}
                  for name, st in zip(report.class_names, report.per_class)]
-    out = {"split": report.split, "overall": asdict(report.overall), "per_class": per_class,
-           "class_names": list(report.class_names)}
-    if report.total_params is not None:
-        out["total_params"] = report.total_params
-    return out
+    return {"split": report.split, "overall": asdict(report.overall), "per_class": per_class,
+            "class_names": list(report.class_names), "total_params": report.total_params}
 
 
 def _fmt(value) -> str:
@@ -286,8 +283,7 @@ def format_overall_table(report: Report) -> str:
     rows = [("Merits", "Value")]
     for key, label in _OVERALL_KEYS:
         rows.append((label, _fmt(getattr(report.overall, key))))
-    if report.total_params is not None:
-        rows.append(("Total params", f"{report.total_params:,}"))
+    rows.append(("Total params", f"{report.total_params:,}"))
     width = max(len(r[0]) for r in rows) + 2
     lines = [f"{label:<{width}}{value}" for label, value in rows]
     return "\n".join(lines)

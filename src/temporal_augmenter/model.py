@@ -334,8 +334,8 @@ def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rn
     px = np.empty((x.shape[0], cfg.recurrent_timesteps, sp.cell.W.shape[1]))
     blocks, pooled = _front_end(sp, cfg, x, mode, rng, px)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
-    hs, cell_cache = run(px, sp.cell, mode=mode)
-    return hs[:, -1], (x, blocks, cell_cache, pooled)
+    h, cell_cache = run(px, sp.cell, mode=mode)
+    return h, (x, blocks, cell_cache, pooled)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -381,10 +381,8 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     block by block (see the module docstring)."""
     x, blocks, cell_cache, pooled = cache
     T_out, F, conv = cfg.recurrent_timesteps, cfg.conv_filters, sp.conv
-    d_hs = np.zeros((x.shape[0], T_out, cfg.stream_units(sp.kind)))
-    d_hs[:, -1] = d_out
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
-    da, cell_grads = run(cell_cache, d_hs)
+    da, cell_grads = run(cell_cache, d_out)
     rows = max(stop - start for start, stop, _, _ in blocks)
     y_buffer, g_buffer = np.empty((rows, T_out, F)), np.empty((rows, T_out, F))
     if pooled is not None:

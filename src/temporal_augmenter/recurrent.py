@@ -31,11 +31,11 @@ and ``U[:, 2u:]``.  These blocks are the parameters, named by their fields;
 a time, input weights before recurrent ones, in the order of
 ``DRAW_SLOTS``: LSTM f, i, g, o (slots 0, 1, 3, 2) and GRU z, r, h.
 
-``*_forward`` unrolls a sequence from zero initial state and returns every
-hidden state; ``*_backward`` accepts a gradient for the full hidden
-sequence [n, T, u] and accumulates parameter gradients across all
-timesteps.  Input weights are glorot-uniform, recurrent weights orthogonal,
-biases zero.
+``*_forward`` unrolls a sequence from zero initial state and returns the
+hidden state after its last step [n, u], the only state the network reads;
+``*_backward`` accepts the gradient of that state and accumulates
+parameter gradients across all timesteps.  Input weights are
+glorot-uniform, recurrent weights orthogonal, biases zero.
 
 Time loops.  Each step costs a handful of numpy calls on contiguous [n, k]
 blocks, because at these sizes a step's cost is the number of calls, not
@@ -61,13 +61,13 @@ is one [n, u] block:
     gru cache   (p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u])
                 ZR holds sigmoid z, r; HC the candidate; RH = r * h_prev
 
-No cache holds the cell's input or px.  ``hs`` is the batch-major view
-``H[1:].transpose(1, 0, 2)``.  Train and eval run the same loop; in eval
-the per-step arrays are one step's block seen at every t through a zero
-stride (``_per_step``), so nothing but H is kept and the cache is None.
-The backward writes step t's da into the rows ``da[:, t]`` of one
-batch-major [n, T, k] array, so the [n*T, k] operand of the dU GEMM and
-of ``project_backward`` is a free reshape of it.
+No cache holds the cell's input or px.  The output h is ``H[T]``.  Train
+and eval run the same loop; in eval every per-step array, H included, is
+one step's block seen at every t through a zero stride (``_per_step``), so
+nothing per step is kept and the cache is None.  The backward's carried
+dh starts as dL/dh, and step t writes its da into the rows ``da[:, t]``
+of one batch-major [n, T, k] array, so the [n*T, k] operand of the dU
+GEMM and of ``project_backward`` is a free reshape of it.
 
 The bits are those of one numpy expression per gate (the oracles in
 tests/test_recurrent.py), for four reasons:
@@ -232,18 +232,18 @@ def project_backward(x: Tensor, da: Tensor, p, out: Tensor | None = None):
 
 def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = (x W + b) s
-    [n, T, 4u] (``project``); returns (hs [n, T, u], cache).
+    [n, T, 4u] (``project``); returns (h [n, u], cache), h the state after
+    step T.
 
-    ``hs`` is a batch-major view of the time-major states.  cache =
-    (p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]): row t
-    of H and C is the state before step t, G holds sigmoid f, i, o and tanh g,
-    TC holds tanh(c).  In eval mode no backward follows, so only H is kept
-    and the cache is None.
+    cache = (p, H [T+1, n, u], C [T+1, n, u], G [T, 4, n, u], TC [T, n, u]):
+    row t of H and C is the state before step t, G holds sigmoid f, i, o
+    and tanh g, TC holds tanh(c).  In eval mode no backward follows, so
+    every per-step array is one block and the cache is None.
     """
     train = is_train_mode(mode)
     n, T = _check_seq(px, p)
     u = p.units
-    H = _states(T, n, u, keep=True)  # hs is H[1:]
+    H = _states(T, n, u, train)
     C = _states(T, n, u, train)
     G = _per_step((T, 4, n, u), train)
     TC = _per_step((T, n, u), train)
@@ -264,14 +264,11 @@ def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
         np.add(c, ig, out=c)
         np.tanh(c, out=TC[t])
         np.multiply(g[2], TC[t], out=H[t + 1])
-    hs = H[1:].transpose(1, 0, 2)
-    if not train:
-        return hs, None
-    return hs, (p, H, C, G, TC)
+    return H[T], ((p, H, C, G, TC) if train else None)
 
 
-def lstm_backward(cache, d_hs: Tensor):
-    """BPTT given dL/dhs over the whole sequence [n, T, u].
+def lstm_backward(cache, d_h: Tensor):
+    """BPTT given dL/dh [n, u] of the state after the last step.
 
     Returns (da, grads): the gate pre-activation gradient da [n, T, 4u],
     from which ``project_backward`` forms dx and the W gradient, and grads
@@ -287,15 +284,13 @@ def lstm_backward(cache, d_hs: Tensor):
     K = np.multiply(TC, TC)
     np.subtract(1.0, K, out=K)
     da = np.empty((n, T, 4 * u))  # batch-major; step t writes da[:, t]
-    dh = np.empty((n, u))
+    dh = d_h.copy()  # carried from step to step
     dc = np.empty((n, u))
     m = np.empty((4, n, u))
-    dh_carry = np.zeros((n, u))
     dc_carry = np.zeros((n, u))
     UT = p.U.T
     for t in range(T - 1, -1, -1):
         g = G[t]
-        np.add(d_hs[:, t], dh_carry, out=dh)
         np.multiply(dh, g[2], out=dc)
         np.multiply(dc, K[t], out=dc)
         np.add(dc_carry, dc, out=dc)
@@ -308,7 +303,7 @@ def lstm_backward(cache, d_hs: Tensor):
         np.multiply(m[:3], g[:3], out=m[:3])
         np.multiply(m, R[t], out=_gate_major(da[:, t], 4))
         np.multiply(dc, g[0], out=dc_carry)
-        np.matmul(da[:, t], UT, out=dh_carry)
+        np.matmul(da[:, t], UT, out=dh)
     del R, K  # freed before the products' batch-major copy of the states
     da2 = da.reshape(n * T, 4 * u)
     h_prev = _batch_major(H[:T])
@@ -318,18 +313,18 @@ def lstm_backward(cache, d_hs: Tensor):
 
 def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
     """Unroll over t = 1..T given the input projection ``px`` = (x W + b) s
-    [n, T, 3u] (``project``); returns (hs [n, T, u], cache).
+    [n, T, 3u] (``project``); returns (h [n, u], cache), h the state after
+    step T.
 
-    ``hs`` is a batch-major view of the time-major states.  cache =
-    (p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]): row t
-    of H is the state before step t, ZR holds sigmoid z and r, HC the
+    cache = (p, H [T+1, n, u], ZR [T, 2, n, u], HC [T, n, u], RH [T, n, u]):
+    row t of H is the state before step t, ZR holds sigmoid z and r, HC the
     candidate and RH the reset-gated state r * h.  In eval mode no backward
-    follows, so only H is kept and the cache is None.
+    follows, so every per-step array is one block and the cache is None.
     """
     train = is_train_mode(mode)
     n, T = _check_seq(px, p)
     u = p.units
-    H = _states(T, n, u, keep=True)  # hs is H[1:]
+    H = _states(T, n, u, train)
     ZR = _per_step((T, 2, n, u), train)
     HC = _per_step((T, n, u), train)
     RH = _per_step((T, n, u), train)
@@ -354,14 +349,11 @@ def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
         np.subtract(1.0, zr[0], out=ah)
         np.multiply(ah, hc, out=ah)
         np.add(h_new, ah, out=h_new)
-    hs = H[1:].transpose(1, 0, 2)
-    if not train:
-        return hs, None
-    return hs, (p, H, ZR, HC, RH)
+    return H[T], ((p, H, ZR, HC, RH) if train else None)
 
 
-def gru_backward(cache, d_hs: Tensor):
-    """BPTT given dL/dhs over the whole sequence [n, T, u].
+def gru_backward(cache, d_h: Tensor):
+    """BPTT given dL/dh [n, u] of the state after the last step.
 
     Returns (da, grads): the z, r and candidate pre-activation gradient da
     [n, T, 3u], from which ``project_backward`` forms dx and the W
@@ -384,12 +376,12 @@ def gru_backward(cache, d_hs: Tensor):
     np.multiply(P[:, 1], H[:T], out=P[:, 1])
     DH = np.subtract(H[:T], HC, out=da[:, :, 2 * u:].transpose(1, 0, 2))  # until the loop writes da
     np.multiply(P[:, 0], DH, out=P[:, 0])
-    D = np.zeros((2, n, u))  # dh and drh; row 0 holds the carried dh between steps
+    D = np.empty((2, n, u))  # dh and drh; row 0 holds the carried dh between steps
+    D[0] = d_h
     S = np.empty((2, n, u))
     q = np.empty((n, u))
     UzrT, UhT = p.U[:, :2 * u].T, p.U[:, 2 * u:].T
     for t in range(T - 1, -1, -1):
-        np.add(d_hs[:, t], D[0], out=D[0])
         da_h = da[:, t, 2 * u:]
         np.multiply(D[0], Q[t], out=da_h)
         np.matmul(da_h, UhT, out=D[1])

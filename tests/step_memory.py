@@ -30,7 +30,7 @@ SHAPES = {
 }
 
 # workload -> the step peak in MiB, read with numpy 2.4 on CPython 3.11
-PEAK_MIB = {"mitbih": 21.7, "tess": 29.6, "ionosphere": 3.4}
+PEAK_MIB = {"mitbih": 20.7, "tess": 28.3, "ionosphere": 3.3}
 TOLERANCE = 0.10
 
 # workload -> the 64-bit words one train step draws: one 32-bit half per

@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps engine functions from
 outside the engine, by module and attribute name, and reads what some of
 them return.  A renamed function, a caller that reaches one through another
-name, or a cell forward that stops returning (hs, cache) would leave its
+name, or a cell forward that stops returning (h, cache) would leave its
 metrics empty without an error; these tests fail instead."""
 
 import sys

@@ -520,6 +520,41 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg_path)]) == 3
         assert f"data error: {clip}: WAV data cut short" in capsys.readouterr().err
 
+    def test_wav_chunk_longer_than_its_riff_chunk_exit_3(self, tmp_path, capsys):
+        """A fmt chunk whose size field claims 1 MiB makes the wave module's
+        chunk reader seek past the RIFF chunk that holds it."""
+        data = tmp_path / "tones"
+        write_tone_corpus(data, Rng(404), clips_per_class=4, clip_len=80)
+        clip = sorted((data / "tone440").iterdir())[2]
+        raw = bytearray(clip.read_bytes())
+        raw[16:20] = (2**20).to_bytes(4, "little")
+        clip.write_bytes(bytes(raw))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = tess\ndata = {data}\nout = {tmp_path / 'out'}\n"
+                            f"target_len = 64\nepochs = 1\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert (f"data error: {clip}: a WAV chunk claims more bytes than its RIFF chunk holds"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_class_directory_name_that_is_not_utf8_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A class name goes into the reports and the checkpoint, so one that
+        is not UTF-8 is refused before any clip is read or epoch run."""
+        data = tmp_path / "tones"
+        write_tone_corpus(data, Rng(405), clips_per_class=4, clip_len=80)
+        try:
+            os.rename(os.fsencode(data / "tone440"), os.fsencode(data) + b"/tone\xff440")
+        except OSError:
+            pytest.skip("the file system refuses names that are not UTF-8")
+        monkeypatch.setattr(data_mod, "read_file", lambda *args: pytest.fail("a clip was read"))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = tess\ndata = {data}\nout = {tmp_path / 'out'}\n"
+                            f"target_len = 64\nepochs = 1\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {data}: class directory name b'tone\\xff440' is not UTF-8" in err
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_exit_4(self, tmp_path, radar_csv, monkeypatch):
         from temporal_augmenter import optim
 

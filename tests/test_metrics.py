@@ -289,7 +289,8 @@ class TestReports:
         probs = rng.uniform((60, 3))
         probs /= probs.sum(axis=1, keepdims=True)
         y = (rng.uniform((60,)) * 3).astype(np.int64)
-        return classification_report(y, probs, ["ant", "bee", "cat"], total_params=1234)
+        return classification_report(y, probs, ["ant", "bee", "cat"], split="test",
+                                     total_params=1234)
 
     def test_dict_keys_stable(self):
         d = report_to_dict(self.make_report())
@@ -333,4 +334,5 @@ class TestReports:
         probs = np.full((4, 2), 0.5)
         probs[2, 1] = bad
         with pytest.raises(ValueError, match="val sample 2 a NaN or infinite"):
-            classification_report(np.array([0, 1, 0, 1]), probs, ["a", "b"], split="val")
+            classification_report(np.array([0, 1, 0, 1]), probs, ["a", "b"], split="val",
+                                  total_params=1)

@@ -380,18 +380,16 @@ def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
-    hs, cell_cache = run(recurrent.project(y, sp.cell), sp.cell, mode=mode)
-    return hs[:, -1], (conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs.shape)
+    h, cell_cache = run(recurrent.project(y, sp.cell), sp.cell, mode=mode)
+    return h, (conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache)
 
 
 def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     """The textbook-order backward over the whole batch, from the whole
     cell input its forward kept."""
-    conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache, hs_shape = cache
-    d_hs = np.zeros(hs_shape)
-    d_hs[:, -1] = d_out
+    conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache = cache
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
-    da, cell_grads = run(cell_cache, d_hs)
+    da, cell_grads = run(cell_cache, d_out)
     d, dW = recurrent.project_backward(y, da, sp.cell)
     d = layers.dropout_backward(drop_cache, d)
     d = layers.maxpool1d_backward(pool_cache, d) * act_cache

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -34,6 +35,12 @@ def run_lstm(x, p, mode="train"):
 def run_gru(x, p, mode="train"):
     """The GRU on ``x``, given its input projection as one GEMM."""
     return gru_forward(project(x, p), p, mode=mode)
+
+
+def states(cache):
+    """The hidden state after each step, batch-major [n, T, u], from a
+    train cache's H [T + 1, n, u]."""
+    return cache[1][1:].transpose(1, 0, 2)
 
 
 def sigmoid(a):
@@ -138,13 +145,13 @@ def reference_lstm_forward(x, p, textbook=False):
     return hs, (x, p, hs, cs, h_prev, c_prev, gates, tc)
 
 
-def reference_lstm_backward(cache, d_hs):
+def reference_lstm_backward(cache, d_h):
     x, p, hs, cs, h_prev, c_prev, gates, tc = cache
     n, T, d = x.shape
     u = p.units
     s3 = 3 * u
     da = np.empty((n, T, 4 * u))
-    dh_carry = np.zeros((n, u))
+    dh = d_h
     dc_carry = np.zeros((n, u))
     for t in range(T - 1, -1, -1):
         f = gates[:, t, :u]
@@ -152,7 +159,6 @@ def reference_lstm_backward(cache, d_hs):
         o = gates[:, t, 2 * u:s3]
         g = gates[:, t, s3:]
         tct = tc[:, t]
-        dh = d_hs[:, t] + dh_carry
         dc = dc_carry + dh * o * (1.0 - tct * tct)
         dat = da[:, t]
         dat[:, :u] = dc * c_prev[:, t] * f * (1.0 - f)
@@ -160,7 +166,7 @@ def reference_lstm_backward(cache, d_hs):
         dat[:, 2 * u:s3] = dh * tct * o * (1.0 - o)
         dat[:, s3:] = dc * i * (1.0 - g * g)
         dc_carry = dc * f
-        dh_carry = dat @ p.U.T
+        dh = dat @ p.U.T
     da2 = da.reshape(n * T, 4 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
     return da, dx, {"W": x.reshape(n * T, d).T @ da2,
@@ -192,18 +198,17 @@ def reference_gru_forward(x, p, textbook=False):
     return hs, (x, p, hs, h_prev, zr, hcs, rh)
 
 
-def reference_gru_backward(cache, d_hs, textbook=False):
+def reference_gru_backward(cache, d_h, textbook=False):
     x, p, hs, h_prev, zr, hcs, rh = cache
     n, T, d = x.shape
     u = p.units
     da = np.empty((n, T, 3 * u))
-    dh_carry = np.zeros((n, u))
+    dh = d_h
     for t in range(T - 1, -1, -1):
         z = zr[:, t, :u]
         r = zr[:, t, u:]
         hc = hcs[:, t]
         hp = h_prev[:, t]
-        dh = d_hs[:, t] + dh_carry
         dat = da[:, t]
         if textbook:
             da_h = dh * (1.0 - z) * (1.0 - hc * hc)
@@ -216,7 +221,7 @@ def reference_gru_backward(cache, d_hs, textbook=False):
             dat[:, :u] = dh * ((hp - hc) * (z * (1.0 - z)))
             dat[:, u:2 * u] = drh * (hp * (r * (1.0 - r)))
         dat[:, 2 * u:] = da_h
-        dh_carry = dh * z + drh * r + dat[:, :2 * u] @ p.U[:, :2 * u].T
+        dh = dh * z + drh * r + dat[:, :2 * u] @ p.U[:, :2 * u].T
     da2 = da.reshape(n * T, 3 * u)
     dx = (da2 @ p.W.T).reshape(n, T, d)
     return da, dx, {"W": x.reshape(n * T, d).T @ da2,
@@ -267,20 +272,20 @@ class TestUnroll:
         rng = Rng(61)
         p = draw_params(zero_params("lstm", 3, 4), "lstm", rng)
         x = rng.uniform((5, 1, 3)) * 2 - 1
-        hs, _ = run_lstm(x, p)
+        h, _ = run_lstm(x, p)
         h1, _ = lstm_step(x[:, 0, :], np.zeros((5, 4)), np.zeros((5, 4)), p)
-        npt.assert_array_equal(hs[:, -1], h1)
+        npt.assert_array_equal(h, h1)
 
         p2 = draw_params(zero_params("gru", 3, 4), "gru", rng)
-        hs2, _ = run_gru(x, p2)
-        npt.assert_array_equal(hs2[:, -1], gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
+        h2, _ = run_gru(x, p2)
+        npt.assert_array_equal(h2, gru_step(x[:, 0, :], np.zeros((5, 4)), p2))
 
     def test_zero_params_gru_fixed_point_any_length(self):
         p = zero_params("gru", 2, 3)
         for T in (1, 4, 9):
             x = Rng(62).uniform((3, T, 2)) * 2 - 1
-            hs, _ = run_gru(x, p)
-            npt.assert_array_equal(hs[:, -1], np.zeros((3, 3)))
+            h, _ = run_gru(x, p)
+            npt.assert_array_equal(h, np.zeros((3, 3)))
 
     def test_empty_sequence_rejected(self):
         p = zero_params("gru", 2, 3)
@@ -312,14 +317,11 @@ class TestUnroll:
         p = draw_params(zero_params("gru", 2, 3), "gru", rng)
         x = rng.uniform((3, 3, 2)) * 2 - 1
         proj = rng.uniform((3, 3)) * 2 - 1
-        hs, cache = run_gru(x, p)
-        d_hs = np.zeros(hs.shape)
-        d_hs[:, -1] = proj
-        da, grads = gru_backward(cache, d_hs)
+        da, grads = gru_backward(run_gru(x, p)[1], proj)
         dx, grads["W"] = project_backward(x, da, p)
 
         def objective():
-            return float(np.sum(run_gru(x, p)[0][:, -1] * proj))
+            return float(np.sum(run_gru(x, p)[0] * proj))
 
         assert gradcheck.max_rel_err(dx, gradcheck.fd_grad(objective, x)) < 1e-4
         for name, arr in vars(p).items():
@@ -351,7 +353,7 @@ class TestFusedLayout:
             assert type(p) is CellParams and list(vars(p)) == ["W", "U", "b"]
             k = 4 * 5 if kind == "lstm" else 3 * 5
             assert (p.W.shape, p.U.shape, p.b.shape) == ((4, k), (5, k), (k,))
-            da, grads = backward(forward(project(x, p), p)[1], rng.uniform((2, 3, 5)))
+            da, grads = backward(forward(project(x, p), p)[1], rng.uniform((2, 5)))
             assert list(grads) == ["U", "b"]
             g = CellParams(W=project_backward(x, da, p)[1], **grads)
             assert [a.shape for a in vars(g).values()] == [a.shape for a in vars(p).values()]
@@ -364,8 +366,8 @@ class TestFusedLayout:
         for p in (pl, pg):
             p.b += rng.uniform(p.b.shape) - 0.5
         h, c, hg = np.zeros((4, 5)), np.zeros((4, 5)), np.zeros((4, 5))
-        hs, _ = run_lstm(x, pl)
-        hsg, _ = run_gru(x, pg)
+        hs = states(run_lstm(x, pl)[1])
+        hsg = states(run_gru(x, pg)[1])
         for t in range(7):
             h, c = lstm_step(x[:, t], h, c, pl)
             hg = gru_step(x[:, t], hg, pg)
@@ -378,19 +380,19 @@ class TestGateRanges:
         rng = Rng(64)
         p = draw_params(zero_params("lstm", 4, 5), "lstm", rng)
         x = rng.uniform((6, 8, 4)) * 4 - 2
-        hs, cache = run_lstm(x, p)
+        _, cache = run_lstm(x, p)
         gates = cache[3]  # [T, 4, n, u]: sigmoid f, i, o then tanh g
         fio, g = gates[:, :3], gates[:, 3]
         assert np.all(fio > 0) and np.all(fio < 1)
         assert np.all(g > -1) and np.all(g < 1)
-        assert np.all(np.abs(hs) <= 1.0)
+        assert np.all(np.abs(states(cache)) <= 1.0)
 
         pg = draw_params(zero_params("gru", 4, 5), "gru", rng)
-        hsg, cacheg = run_gru(x, pg)
+        _, cacheg = run_gru(x, pg)
         zr, hcs = cacheg[2], cacheg[3]  # [T, 2, n, u] sigmoid z, r; [T, n, u] candidate
         assert np.all(zr > 0) and np.all(zr < 1)
         assert np.all(hcs > -1) and np.all(hcs < 1)
-        assert np.all(np.abs(hsg) <= 1.0)
+        assert np.all(np.abs(states(cacheg)) <= 1.0)
 
 
 def cell_gates(a, T=1):
@@ -398,17 +400,17 @@ def cell_gates(a, T=1):
     and their states: each cell runs one unit whose input weights are 1 and
     whose bias is 0 on an input of ``a`` at each of T steps, and returns
     its gates at the last step, LSTM f, i, o and GRU z, r as rows of one
-    [5, m] array, and the two cells' hs [2, m, T]."""
+    [5, m] array, and the two cells' states after each step [2, m, T]."""
     x = np.repeat(np.asarray(a, dtype=float).reshape(-1, 1, 1), T, axis=1)
-    gates, states = [], []
+    gates, hs = [], []
     for kind, run, gate_rows in (("lstm", run_lstm, lambda c: c[3][-1, :3]),
                                  ("gru", run_gru, lambda c: c[2][-1])):
         p = draw_params(zero_params(kind, 1, 1), kind, Rng(90))
         p.W[...] = 1.0
-        hs, cache = run(x, p)
+        cache = run(x, p)[1]
         gates.append(gate_rows(cache)[:, :, 0])
-        states.append(hs[:, :, 0])
-    return np.concatenate(gates), np.stack(states)
+        hs.append(states(cache)[:, :, 0])
+    return np.concatenate(gates), np.stack(hs)
 
 
 class TestGateNumerics:
@@ -472,13 +474,13 @@ class TestMemoryRetention:
         rng = Rng(66)
         p = draw_params(zero_params("gru", 4, 4), "gru", rng)
         p.W[3, :4] = 50.0  # z
-        hs, _ = run_gru(self.switched_input(rng), p)
+        hs = states(run_gru(self.switched_input(rng), p)[1])
         assert np.linalg.norm(hs[:, 5]) > 0.1
         npt.assert_array_equal(hs[:, -1], hs[:, 5])
 
 
 class TestEvalMode:
-    def test_eval_hs_bitwise_equal_and_no_cache(self):
+    def test_eval_h_bitwise_equal_and_no_cache(self):
         rng = Rng(68)
         x = rng.uniform((4, 9, 3)) * 2 - 1
         pl = draw_params(zero_params("lstm", 3, 5), "lstm", rng)
@@ -488,10 +490,27 @@ class TestEvalMode:
             lambda mode: run_gru(x, pg, mode=mode),
         ]
         for run in runs:
-            hs_train, cache = run("train")
-            hs_eval, eval_cache = run("eval")
+            h_train, cache = run("train")
+            h_eval, eval_cache = run("eval")
             assert cache is not None and eval_cache is None
-            assert hs_eval.tobytes() == hs_train.tobytes()
+            assert h_eval.tobytes() == h_train.tobytes()
+
+    def test_eval_forward_keeps_no_state_per_step(self):
+        """An eval forward at the tess cell shape [n, T, u] = [32, 512, 10]
+        peaks, traced, below one [T, n, u] float64 array: it keeps no state,
+        gate or candidate per step."""
+        n, T, u = 32, 512, 10
+        rng = Rng(71)
+        for kind, forward in (("lstm", lstm_forward), ("gru", gru_forward)):
+            p = draw_params(zero_params(kind, 1, u), kind, rng)
+            px = project(rng.uniform((n, T, 1)) * 2 - 1, p)
+            tracemalloc.start()
+            try:
+                forward(px, p, mode="eval")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < T * n * u * 8, kind
 
     def test_unknown_mode_rejected(self):
         p = draw_params(zero_params("gru", 2, 3), "gru", Rng(69))
@@ -532,7 +551,7 @@ class TestRecurrentGradientProducts:
         p = draw_params(zero_params("lstm", n * T, u), "lstm", rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = run_lstm(x, p)
-        da, grads = lstm_backward(cache, rng.uniform((n, T, u)) - 0.5)
+        da, grads = lstm_backward(cache, rng.uniform((n, u)) - 0.5)
         assert da.shape == (n, T, 4 * u) and da.flags.c_contiguous
         # the states before each step, batch-major [n, T, u] as one C-order block
         h_prev = np.ascontiguousarray(cache[1][:-1].transpose(1, 0, 2))
@@ -545,7 +564,7 @@ class TestRecurrentGradientProducts:
         p = draw_params(zero_params("gru", n * T, u), "gru", rng)
         x = np.eye(n * T).reshape(n, T, n * T)
         _, cache = run_gru(x, p)
-        da, grads = gru_backward(cache, rng.uniform((n, T, u)) - 0.5)
+        da, grads = gru_backward(cache, rng.uniform((n, u)) - 0.5)
         assert da.shape == (n, T, 3 * u) and da.flags.c_contiguous
         # the states before each step and r * h_prev, batch-major [n, T, u]
         # as C-order blocks
@@ -559,8 +578,9 @@ class TestRecurrentGradientProducts:
 
 
 class TestCellsMatchOracles:
-    """Forward states, input gradients and every parameter gradient equal the
-    oracles above bit for bit, over unit counts, batch sizes and lengths.
+    """The last state, the train cache's states after each step, input
+    gradients and every parameter gradient equal the oracles above bit for
+    bit, over unit counts, batch sizes and lengths.
     The input gradient and the W gradient are formed from the backward's da
     by ``project_backward``, as the model's backward forms them.
     ``with_state`` leads the sequence with three warm-up steps, so that its
@@ -572,22 +592,24 @@ class TestCellsMatchOracles:
         d = 5
         T += 3 if with_state else 0
         x = rng.uniform((n, T, d)) * 4 - 2
-        d_hs = rng.uniform((n, T, u)) - 0.5
+        d_h = rng.uniform((n, u)) - 0.5
         pl = draw_params(zero_params("lstm", d, u), "lstm", rng)
         pg = draw_params(zero_params("gru", d, u), "gru", rng)
         for p in (pl, pg):
             p.b[...] = rng.uniform(p.b.shape) - 0.5
-        return x, d_hs, pl, pg
+        return x, d_h, pl, pg
 
     @staticmethod
-    def _assert_same(x, got, want, d_hs):
-        """``got`` and ``want`` are each ((hs, cache), backward) on input ``x``."""
-        ((hs, cache), backward), ((ref_hs, ref_cache), ref_backward) = got, want
-        assert hs.shape == ref_hs.shape and hs.tobytes() == ref_hs.tobytes()
-        da, cell_grads = backward(cache, d_hs)
+    def _assert_same(x, got, want, d_h):
+        """``got`` is ((h, cache), backward) and ``want`` ((hs, cache),
+        backward) on input ``x``."""
+        ((h, cache), backward), ((ref_hs, ref_cache), ref_backward) = got, want
+        assert h.shape == ref_hs[:, -1].shape and h.tobytes() == ref_hs[:, -1].tobytes()
+        assert states(cache).tobytes() == ref_hs.tobytes()
+        da, cell_grads = backward(cache, d_h)
         dx, dW = project_backward(x, da, cache[0])
         grads = {"W": dW, **cell_grads}
-        ref_da, ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
+        ref_da, ref_dx, ref_grads = ref_backward(ref_cache, d_h)
         assert da.tobytes() == ref_da.tobytes()
         assert dx.tobytes() == ref_dx.tobytes()
         assert list(grads) == list(ref_grads)
@@ -600,40 +622,40 @@ class TestCellsMatchOracles:
     @pytest.mark.parametrize("T", [1, 8, 93])
     @pytest.mark.parametrize("with_state", [False, True])
     def test_lstm_bitwise(self, u, n, T, with_state):
-        x, d_hs, p, _ = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T, with_state)
+        x, d_h, p, _ = self._inputs(n, T, u, 1000 + 100 * u + 10 * n + T, with_state)
         self._assert_same(x, (run_lstm(x, p), lstm_backward),
-                          (reference_lstm_forward(x, p), reference_lstm_backward), d_hs)
-        hs_eval, cache_eval = run_lstm(x, p, mode="eval")
+                          (reference_lstm_forward(x, p), reference_lstm_backward), d_h)
+        h_eval, cache_eval = run_lstm(x, p, mode="eval")
         assert cache_eval is None
-        assert hs_eval.tobytes() == reference_lstm_forward(x, p)[0].tobytes()
+        assert h_eval.tobytes() == reference_lstm_forward(x, p)[0][:, -1].tobytes()
 
     @pytest.mark.parametrize("u", [1, 3, 10])
     @pytest.mark.parametrize("n", [1, 7, 32])
     @pytest.mark.parametrize("T", [1, 8, 93])
     @pytest.mark.parametrize("with_state", [False, True])
     def test_gru_bitwise(self, u, n, T, with_state):
-        x, d_hs, _, p = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T, with_state)
+        x, d_h, _, p = self._inputs(n, T, u, 2000 + 100 * u + 10 * n + T, with_state)
         self._assert_same(x, (run_gru(x, p), gru_backward),
-                          (reference_gru_forward(x, p), reference_gru_backward), d_hs)
-        hs_eval, cache_eval = run_gru(x, p, mode="eval")
+                          (reference_gru_forward(x, p), reference_gru_backward), d_h)
+        h_eval, cache_eval = run_gru(x, p, mode="eval")
         assert cache_eval is None
-        assert hs_eval.tobytes() == reference_gru_forward(x, p)[0].tobytes()
+        assert h_eval.tobytes() == reference_gru_forward(x, p)[0][:, -1].tobytes()
 
     def test_saturated_and_signed_zero_inputs(self):
         """Pre-activations far past the sigmoid's and tanh's saturation, and
         exact zeros of both signs, in the inputs and the incoming gradient."""
         n, T, u = 4, 6, 3
-        x, d_hs, pl, pg = self._inputs(n, T, u, 3000, with_state=True)
+        x, d_h, pl, pg = self._inputs(n, T, u, 3000, with_state=True)
         x = x * 400.0
         x[0] = 0.0
         x[1] = -0.0
-        d_hs[:, ::2] = -0.0
+        d_h[::2] = -0.0
         for p in (pl, pg):
             p.b[::3] = -0.0
         self._assert_same(x, (run_lstm(x, pl), lstm_backward),
-                          (reference_lstm_forward(x, pl), reference_lstm_backward), d_hs)
+                          (reference_lstm_forward(x, pl), reference_lstm_backward), d_h)
         self._assert_same(x, (run_gru(x, pg), gru_backward),
-                          (reference_gru_forward(x, pg), reference_gru_backward), d_hs)
+                          (reference_gru_forward(x, pg), reference_gru_backward), d_h)
 
     @pytest.mark.parametrize("n,T", [(128, 93), (32, 512), (128, 8)])
     def test_textbook_formula_within_rounding(self, n, T):
@@ -641,7 +663,7 @@ class TestCellsMatchOracles:
         every gradient match the textbook cells, whose sigmoid is
         1 / (1 + exp(-a)) and whose bias is added last, within 1e-12 of
         each array's largest magnitude."""
-        x, d_hs, pl, pg = self._inputs(n, T, 10, 4000 + T)
+        x, d_h, pl, pg = self._inputs(n, T, 10, 4000 + T)
 
         def rel_err(got, want):
             return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -650,12 +672,13 @@ class TestCellsMatchOracles:
                 (pl, run_lstm, lstm_backward, reference_lstm_forward, reference_lstm_backward),
                 (pg, run_gru, gru_backward, reference_gru_forward,
                  lambda cache, d: reference_gru_backward(cache, d, textbook=True))):
-            hs, cache = run(x, p)
-            da, grads = backward(cache, d_hs)
+            h, cache = run(x, p)
+            da, grads = backward(cache, d_h)
             grads["dx"], grads["W"] = project_backward(x, da, p)
             ref_hs, ref_cache = ref_forward(x, p, textbook=True)
-            ref_da, ref_dx, ref_grads = ref_backward(ref_cache, d_hs)
-            assert rel_err(hs, ref_hs) < 1e-12
+            ref_da, ref_dx, ref_grads = ref_backward(ref_cache, d_h)
+            assert rel_err(h, ref_hs[:, -1]) < 1e-12
+            assert rel_err(states(cache), ref_hs) < 1e-12
             assert rel_err(da, ref_da) < 1e-12
             for name, want in {"dx": ref_dx, **ref_grads}.items():
                 assert rel_err(grads[name], want) < 1e-12, name
