@@ -223,7 +223,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.set("seed", args.seed)
     if args.out is not None:
-        cfg.out = args.out
+        cfg.set("out", args.out)
     if not cfg.out:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
     log, paths = run_training(cfg)

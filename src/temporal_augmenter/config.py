@@ -7,14 +7,14 @@ defaults, which it sets as a config line would; every other key overrides
 the preset.  Relative ``data`` paths resolve against
 $TEMPORAL_AUGMENTER_DATA when it is set.
 
-Each key is a setting of ``RunConfig`` or of a section it holds
-(``SplitSpec``, ``TrainConfig``, and ``ModelConfig`` as overrides), and the
-field that holds it describes it (see ``settings``); no two fields share a
-key.  The parser checks each value on its own line.
+Each key is the name of one setting of ``RunConfig`` or of a section it
+holds (``SplitSpec``, ``TrainConfig``, and ``ModelConfig`` as overrides),
+and that field describes it (see ``settings``); no two fields share a key.
+The parser checks each value against its field's rules on its own line.
 
 ``format_config`` renders a resolved config as text that
-``parse_config_text`` reads back to the same config, without the schema,
-which the task implies, or the ``data`` and ``out`` paths."""
+``parse_config_text`` reads back to the same config, without the ``data``
+and ``out`` paths.  The schema is no setting: the task decides it."""
 
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ class RunConfig:
     split: SplitSpec = section(SplitSpec, default_factory=SplitSpec)
     target_len: int = setting(1024, POSITIVE)
     label_col: str | None = setting(None)
-    schema: str = "generic"
     train: TrainConfig = section(TrainConfig, default_factory=TrainConfig)
     model_overrides: dict = section(ModelConfig, default_factory=dict)
     # what the settings were read from, named by an error that only the data's shape reveals
@@ -67,6 +66,10 @@ class RunConfig:
             return os.path.join(root, self.data)
         return self.data
 
+    @property
+    def schema(self) -> str:
+        return PRESETS[self.task][0]
+
     def _held(self, section: str | None) -> dict:
         """The overrides, or the fields, that hold ``section``'s settings."""
         owner = self if section is None else getattr(self, section)
@@ -75,10 +78,8 @@ class RunConfig:
     def set(self, key: str, value) -> None:
         """Set config key ``key`` to ``value``, which its rules passed, in
         the field that holds it."""
-        section, f, index = _KEYS[key]
-        held = self._held(section)
-        held[f.name] = value if index is None else tuple(
-            value if i == index else item for i, item in enumerate(held[f.name]))
+        section, f = _KEYS[key]
+        self._held(section)[f.name] = value
 
 
 def _add_keys(cls, section=None, by_name=False) -> None:
@@ -88,27 +89,24 @@ def _add_keys(cls, section=None, by_name=False) -> None:
     for f in sorted(fields(cls), key=lambda f: f.name) if by_name else fields(cls):
         if "section" in f.metadata:
             _add_keys(f.metadata["section"], f.name, f.type == "dict")
-        elif "rules" in f.metadata:
-            keys = f.metadata["keys"]
-            for index, key in enumerate((f.name,) if keys is None else keys):
-                if key in _KEYS:
-                    raise TypeError(f"config key {key!r} is held by two fields")
-                _KEYS[key] = (section, f, None if keys is None else index)
+        elif "rules" in f.metadata and not (by_name and f.default is MISSING):
+            # an override with no default is given by the data, so no key sets it
+            if f.name in _KEYS:
+                raise TypeError(f"config key {f.name!r} is held by two fields")
+            _KEYS[f.name] = (section, f)
 
 
-# config key -> the (section, field, item index or None) it sets; section
-# None is RunConfig's own fields
+# config key -> the (section, field) it sets; section None is RunConfig's own fields
 _KEYS = {}
 _add_keys(RunConfig)
 
 
 def preset_run_config(task: str) -> RunConfig:
-    """The defaults, with ``task``'s schema and its preset keys set."""
+    """The defaults, with ``task`` and its preset keys set."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    schema, overrides = PRESETS[task]
-    cfg = RunConfig(task=task, schema=schema)
-    for key, value in overrides.items():
+    cfg = RunConfig(task=task)
+    for key, value in PRESETS[task][1].items():
         cfg.set(key, value)
     return cfg
 
@@ -123,16 +121,16 @@ _PARSERS = {"int": (int, "int"), "float": (float, "float"),
 
 def _parse_value(key: str, text: str):
     """The value the text of ``key`` gives, checked against the rules of the
-    field it sets; a key for one item of a field is checked for its type."""
-    _, f, index = _KEYS[key]
+    field it sets."""
+    _, f = _KEYS[key]
     item, many = item_type(f)
     parse, expected = _PARSERS[item]
     try:
         value = (tuple(parse(v.strip()) for v in text.split(",") if v.strip())
-                 if many and index is None else parse(text))
+                 if many else parse(text))
     except (KeyError, ValueError):
         raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
-    return value if index is not None else check_value(f, value)
+    return check_value(f, value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -195,10 +193,10 @@ def _render(value) -> str:
 
 def format_config(cfg: RunConfig) -> str:
     """Stable textual rendering of a resolved run configuration, without
-    its schema and paths; ``parse_config_text`` reads it back."""
+    its paths; ``parse_config_text`` reads it back."""
     lines = []
-    for key, (section, f, index) in _KEYS.items():
+    for key, (section, f) in _KEYS.items():
         value = cfg._held(section).get(f.name)
         if value is not None and not f.metadata["path"]:
-            lines.append(f"{key} = {_render(value if index is None else value[index])}\n")
+            lines.append(f"{key} = {_render(value)}\n")
     return "".join(lines)

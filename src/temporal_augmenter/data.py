@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .settings import check, setting
+from .settings import POSITIVE, check, setting
 from .tensor_core import Rng, Tensor
 
 try:
@@ -381,22 +381,22 @@ def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
 
 @dataclass
 class SplitSpec:
-    ratios: tuple[float, ...] = setting((0.6, 0.2, 0.2),  # train, val, test
-                                        keys=("split_train", "split_val", "split_test"))
+    split_train: float = setting(0.6, POSITIVE)
+    split_val: float = setting(0.2, POSITIVE)
+    split_test: float = setting(0.2, POSITIVE)
     stratified: bool = setting(False)
 
     def validate(self) -> None:
         check(self)
-        if len(self.ratios) != 3 or not all(r > 0 for r in self.ratios):  # NaN fails too
-            raise ValueError(f"need three positive ratios, got {self.ratios}")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {self.ratios}")
+        if abs(self.split_train + self.split_val + self.split_test - 1.0) > 1e-9:
+            raise ValueError(f"ratios must sum to 1, got split_train + split_val + split_test = "
+                             f"{self.split_train} + {self.split_val} + {self.split_test}")
 
 
-def _partition_counts(n: int, ratios) -> tuple:
+def _partition_counts(n: int, spec: SplitSpec) -> tuple:
     """Floor counts for (train, val, test) with the remainder going to train."""
-    n_val = int(n * ratios[1])
-    n_test = int(n * ratios[2])
+    n_val = int(n * spec.split_val)
+    n_test = int(n * spec.split_test)
     n_train = n - n_val - n_test
     return n_train, n_val, n_test
 
@@ -413,18 +413,20 @@ def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec, seed: i
         for cls in range(num_classes):
             members = np.flatnonzero(labels == cls)
             perm = members[rng.permutation(members.shape[0])]
-            n_tr, n_va, _ = _partition_counts(members.shape[0], spec.ratios)
+            n_tr, n_va, _ = _partition_counts(members.shape[0], spec)
             train_idx.append(perm[:n_tr])
             val_idx.append(perm[n_tr:n_tr + n_va])
             test_idx.append(perm[n_tr + n_va:])
         parts = tuple(np.concatenate(p) for p in (train_idx, val_idx, test_idx))
     else:
         perm = rng.permutation(n)
-        n_tr, n_va, _ = _partition_counts(n, spec.ratios)
+        n_tr, n_va, _ = _partition_counts(n, spec)
         parts = (perm[:n_tr], perm[n_tr:n_tr + n_va], perm[n_tr + n_va:])
     for name, idx in zip(("train", "val", "test"), parts):
         if idx.shape[0] == 0:
-            raise DataError(f"{name} split received 0 samples (n={n}, ratios={spec.ratios})")
+            raise DataError(f"{name} split received 0 samples (n={n}, split_train = "
+                            f"{spec.split_train}, split_val = {spec.split_val}, "
+                            f"split_test = {spec.split_test})")
     return parts
 
 

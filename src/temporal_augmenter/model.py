@@ -142,11 +142,12 @@ _STREAMS = ("gru", "lstm")
 
 @dataclass
 class ModelConfig:
-    """The network's settings (see ``settings``).  Each rule reads one field,
+    """The network's settings (see ``settings``).  The data gives the three
+    with no default, so no config key sets them.  Each rule reads one field,
     so a config file's line is checked before the data gives the shape."""
-    input_timesteps: int = setting(MISSING, POSITIVE, keys=())
-    input_channels: int = setting(MISSING, POSITIVE, keys=())
-    num_classes: int = setting(MISSING, (lambda v: v >= 2, "must be >= 2"), keys=())
+    input_timesteps: int = setting(MISSING, POSITIVE)
+    input_channels: int = setting(MISSING, POSITIVE)
+    num_classes: int = setting(MISSING, (lambda v: v >= 2, "must be >= 2"))
     conv_filters: int = setting(128, POSITIVE)
     conv_kernel: int = setting(1, POSITIVE)
     pool_size: int = setting(2, POSITIVE)

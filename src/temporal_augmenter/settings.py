@@ -1,11 +1,11 @@
 """Every setting is described once, by the dataclass field that holds it.
 
-The field gives its name, its type (the annotation: ``int``, ``float``,
-``bool``, ``str`` or a tuple of one, ``| None`` where the default is None)
-and its default; ``setting`` adds its rules and config-file keys.  ``check``
-validates a config object against them, whoever filled it.  An int refuses
-a bool or a float, even an integral one; a float takes an int but no bool;
-a tuple takes a list or a tuple of its items, never a string or a mapping."""
+The field gives its name (its config key), its type (the annotation: ``int``,
+``float``, ``bool``, ``str`` or a tuple of one, ``| None`` where the default
+is None) and its default; ``setting`` adds its rules.  ``check`` validates a
+config object against them, whoever filled it.  An int refuses a bool or a
+float, even an integral one; a float takes an int but no bool; a tuple takes
+a list or a tuple of its items, never a string or a mapping."""
 
 from __future__ import annotations
 
@@ -29,11 +29,10 @@ def one_of(*choices) -> tuple:
     return (lambda v: v in choices, f"must be one of {choices}")
 
 
-def setting(default=MISSING, *rules, keys=None, path=False):
-    """A field holding a setting that must pass ``rules``, which a config
-    file sets under ``keys``: its own name by default, one key per item when
-    several, none when (); ``format_config`` leaves a ``path`` out."""
-    return field(default=default, metadata={"rules": rules, "keys": keys, "path": path})
+def setting(default=MISSING, *rules, path=False):
+    """A field holding a setting that must pass ``rules``, set in a config
+    file under the field's name; ``format_config`` leaves a ``path`` out."""
+    return field(default=default, metadata={"rules": rules, "path": path})
 
 
 def section(cls, **kwargs):

@@ -128,7 +128,7 @@ def held_settings(cfg) -> dict:
 class TestPresets:
     def test_tess_preset_hyperparameters(self):
         cfg = preset_run_config("tess")
-        assert cfg.split.ratios == (0.7, 0.1, 0.2)
+        assert (cfg.split.split_train, cfg.split.split_val, cfg.split.split_test) == (0.7, 0.1, 0.2)
         assert cfg.train.optimizer == "rmsprop"
         assert cfg.train.lr == 1e-3
         assert cfg.train.rho == 0.9
@@ -138,7 +138,7 @@ class TestPresets:
 
     def test_mitbih_preset_hyperparameters(self):
         cfg = preset_run_config("mitbih")
-        assert cfg.split.ratios == (0.6, 0.2, 0.2)
+        assert (cfg.split.split_train, cfg.split.split_val, cfg.split.split_test) == (0.6, 0.2, 0.2)
         assert cfg.split.stratified is True
         assert cfg.train.optimizer == "adam"
         assert cfg.train.batch_size == 128
@@ -147,7 +147,7 @@ class TestPresets:
 
     def test_ionosphere_preset_hyperparameters(self):
         cfg = preset_run_config("ionosphere")
-        assert cfg.split.ratios == (0.6, 0.2, 0.2)
+        assert (cfg.split.split_train, cfg.split.split_val, cfg.split.split_test) == (0.6, 0.2, 0.2)
         assert cfg.train.optimizer == "adam"
         assert cfg.train.batch_size == 128
         assert cfg.train.epochs == 100
@@ -156,6 +156,11 @@ class TestPresets:
         for task in TASKS:
             cfg = preset_run_config(task)
             assert (cfg.schema, format_config(cfg)) == PRESET_SETTINGS[task], task
+
+    def test_task_decides_the_schema(self):
+        for task in TASKS:
+            schema = PRESET_SETTINGS[task][0]
+            assert RunConfig(task=task).schema == preset_run_config(task).schema == schema
 
     def test_presets_hold_only_keys_that_differ_from_the_defaults(self):
         defaults = held_settings(RunConfig(task="custom"))
@@ -204,10 +209,10 @@ class TestConfigParsing:
             parse_config_text("task = tess\nstratified = maybe\n")
 
     def test_invalid_ratios_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("task = tess\nsplit_train = 0.9\n")
-        with pytest.raises(ConfigError, match="positive ratios"):
-            parse_config_text("task = tess\nsplit_val = nan\n")
+        with pytest.raises(ConfigError, match=r"^run\.cfg: ratios must sum to 1"):
+            parse_config_text("task = tess\nsplit_train = 0.9\n", source="run.cfg")
+        with pytest.raises(ConfigError, match=r"^run\.cfg:2: split_val must be positive, got nan$"):
+            parse_config_text("task = tess\nsplit_val = nan\n", source="run.cfg")
 
     def test_custom_requires_label_col(self):
         with pytest.raises(ConfigError, match="label_col"):
@@ -269,7 +274,7 @@ class TestConfigParsing:
     def test_each_key_sets_exactly_one_field(self):
         """Setting any key on any preset changes one field of the config, or
         adds one model override, and nothing else; ``seed`` changes ``seed``
-        alone."""
+        alone.  No key sets one item of a tuple."""
         for task, key in itertools.product(TASKS, config_mod._KEYS):
             cfg = preset_run_config(task)
             before = held_settings(cfg)
@@ -281,7 +286,7 @@ class TestConfigParsing:
             assert len(changed) == 1, (task, key, changed)
             (name,) = changed
             value = after[name]
-            assert value is marker or (isinstance(value, tuple) and marker in value), (task, key)
+            assert value is marker, (task, key)
             if key == "seed":
                 assert name == (None, "seed")
 
@@ -344,6 +349,25 @@ class TestTrainCommand:
         for fname in ("checkpoint.tackpt", "trainlog.csv", "report_test.json",
                       "report_test.txt"):
             assert filecmp.cmp(out_a / fname, out_b / fname, shallow=False), fname
+
+    def test_retrain_from_written_config_identical_artifacts(self, tmp_path, radar_csv):
+        """A run's ``config.txt`` holds every setting it trained with: a run
+        from it, with only ``--out`` added, writes the same bytes."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "run"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        assert cli.main(["train", "--config", str(tmp_path / "run" / "config.txt"),
+                         "--out", str(tmp_path / "run2")]) == 0
+        for fname in ("checkpoint.tackpt", "trainlog.csv", "report_test.json", "config.txt"):
+            assert filecmp.cmp(tmp_path / "run" / fname, tmp_path / "run2" / fname,
+                               shallow=False), fname
+
+    def test_bare_run_config_trains(self, tmp_path, radar_csv):
+        """A RunConfig made without ``preset_run_config`` reads the data by
+        its task's schema."""
+        cfg = RunConfig(task="ionosphere", data=str(radar_csv), out=str(tmp_path / "run"))
+        log, paths = cli.run_training(cfg)
+        assert len(log.epochs) == 1 and os.path.isfile(paths["checkpoint"])
 
     def test_missing_data_exit_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
@@ -442,15 +466,20 @@ class TestTrainCommand:
         ("lr", "nan"), ("lr", "-0.001"), ("lr", "0"), ("lr", "inf"),
         ("epsilon", "0"), ("epsilon", "nan"),
         ("rho", "1"), ("rho", "-0.1"), ("beta1", "1.5"), ("beta2", "nan"),
-        ("momentum", "1"), ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
+        ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
         ("target_len", "-1"), ("target_len", "0"),
+        ("split_train", "-0.5"), ("split_val", "nan"), ("split_test", "0"),
     ])
     def test_bad_hyperparameter_exit_2(self, tmp_path, radar_csv, capsys, key, value):
+        text = radar_config_text(radar_csv, tmp_path / "out") + f"{key} = {value}\n"
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text(radar_config_text(radar_csv, tmp_path / "out") + f"{key} = {value}\n")
+        cfg_path.write_text(text)
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and key in err and str(cfg_path) in err
+        line = text.count("\n")
+        assert f"config error: {cfg_path}:{line}: {key}" in err
+        if key.startswith("split_"):  # each ratio is a setting of its own
+            assert f"{key} must be positive" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [("conv_activation", "relu"),

@@ -442,21 +442,23 @@ def toy_dataset(n, k=2, seed=303):
 
 class TestSplit:
     def test_floor_counts_remainder_to_train(self):
-        tr, va, te = split(source_of(toy_dataset(10)), SplitSpec(ratios=(0.6, 0.2, 0.2)), 1)
+        spec = SplitSpec(split_train=0.6, split_val=0.2, split_test=0.2)
+        tr, va, te = split(source_of(toy_dataset(10)), spec, 1)
         assert (tr.n, va.n, te.n) == (6, 2, 2)
-        tr, va, te = split(source_of(toy_dataset(351)), SplitSpec(ratios=(0.6, 0.2, 0.2)), 1)
+        tr, va, te = split(source_of(toy_dataset(351)), spec, 1)
         assert (tr.n, va.n, te.n) == (211, 70, 70)
 
     def test_disjoint_and_exhaustive(self):
         ds = toy_dataset(53)
         ds.features[:, 0, 0] = np.arange(53)  # unique ids
-        tr, va, te = split(source_of(ds), SplitSpec(ratios=(0.7, 0.1, 0.2)), 2)
+        tr, va, te = split(source_of(ds),
+                           SplitSpec(split_train=0.7, split_val=0.1, split_test=0.2), 2)
         ids = np.concatenate([p.features[:, 0, 0] for p in (tr, va, te)])
         npt.assert_array_equal(np.sort(ids), np.arange(53))
 
     def test_stratified_preserves_balance(self):
-        tr, va, te = split(source_of(toy_dataset(20)),
-                           SplitSpec(ratios=(0.6, 0.2, 0.2), stratified=True), 3)
+        spec = SplitSpec(split_train=0.6, split_val=0.2, split_test=0.2, stratified=True)
+        tr, va, te = split(source_of(toy_dataset(20)), spec, 3)
         for part in (tr, va, te):
             counts = np.bincount(part.labels, minlength=2)
             assert counts[0] == counts[1]
@@ -470,14 +472,19 @@ class TestSplit:
             npt.assert_array_equal(pa.labels, pb.labels)
 
     def test_zero_sample_split_rejected(self):
-        with pytest.raises(DataError, match="0 samples"):
-            split(source_of(toy_dataset(4)), SplitSpec(ratios=(0.8, 0.1, 0.1)), 0)
+        """The error names each split key with its value, as a config line."""
+        with pytest.raises(DataError, match=r"^val split received 0 samples \(n=4, split_train = "
+                                            r"0\.8, split_val = 0\.1, split_test = 0\.1\)$"):
+            split(source_of(toy_dataset(4)),
+                  SplitSpec(split_train=0.8, split_val=0.1, split_test=0.1), 0)
 
     def test_bad_ratios_rejected(self):
-        with pytest.raises(ValueError):
-            split(source_of(toy_dataset(10)), SplitSpec(ratios=(0.5, 0.2, 0.2)), 0)
-        with pytest.raises(ValueError):
-            split(source_of(toy_dataset(10)), SplitSpec(ratios=(1.0, 0.0, 0.0)), 0)
+        with pytest.raises(ValueError, match="ratios must sum to 1"):
+            split(source_of(toy_dataset(10)),
+                  SplitSpec(split_train=0.5, split_val=0.2, split_test=0.2), 0)
+        with pytest.raises(ValueError, match="split_val must be positive, got 0.0"):
+            split(source_of(toy_dataset(10)),
+                  SplitSpec(split_train=1.0, split_val=0.0, split_test=0.0), 0)
 
     @pytest.mark.parametrize("value", ["no", 0.5, 1])
     def test_stratified_checked_by_type(self, value):
@@ -512,7 +519,7 @@ class TestSplitIndices:
     def test_split_takes_the_rows_split_indices_picks(self, tmp_path, stratified):
         """Each part ``split`` parses is bitwise equal to a whole-file parse
         taken at the rows ``split_indices`` picks."""
-        spec = SplitSpec(ratios=(0.6, 0.2, 0.2), stratified=stratified)
+        spec = SplitSpec(split_train=0.6, split_val=0.2, split_test=0.2, stratified=stratified)
         for kind in ("mitbih", "ionosphere", "generic", "wav"):
             source = write_source(kind, tmp_path / kind)
             whole = load_all(source)
