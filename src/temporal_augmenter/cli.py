@@ -60,7 +60,6 @@ from .data import (
 )
 from .model import ModelConfig
 from .optim import TrainingDivergenceError
-from .settings import check
 from .tensor_core import Rng
 
 
@@ -145,11 +144,12 @@ def _score(labels, probs, class_names, split: str, total_params: int, where: str
 
 def run_training(cfg: RunConfig):
     """Full training pipeline into ``cfg.out``; returns (TrainLog, paths of
-    the written artifacts).  The output directory is created first, before
+    the written artifacts).  ``cfg`` is checked as a config file is
+    (``RunConfig.validate``); then the output directory is created, before
     any data is read; if the run fails, the files it wrote and the
     directories it made are removed.  The model is sized before any row is
     parsed, and the test split is scored before any file is written."""
-    check(cfg)
+    cfg.validate()
     data_path = cfg.resolved_data_path()
     with _Outputs() as out:
         out.make_dir(cfg.out)

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .data import DataError, SplitSpec, read_file, utf8_text
 from .model import ModelConfig
 from .optim import TrainConfig
-from .settings import POSITIVE, check_value, item_type, one_of, section, setting
+from .settings import POSITIVE, check, check_value, item_type, one_of, section, setting
 
 
 class ConfigError(Exception):
@@ -69,6 +69,30 @@ class RunConfig:
     @property
     def schema(self) -> str:
         return PRESETS[self.task][0]
+
+    def validate(self, lines: dict | None = None) -> None:
+        """Check every setting, then the rules between settings: label_col
+        is given with the generic schema and only there, and the split
+        ratios sum to 1.  An error is a ConfigError naming ``source`` and,
+        where ``lines`` (config key -> line) holds the key it is about, its
+        line."""
+        def fail(message, key=None):
+            where = f"{self.source}:{lines[key]}" if key in (lines or {}) else self.source
+            raise ConfigError(f"{where}: {message}")
+
+        try:
+            check(self)
+        except ValueError as exc:
+            fail(exc)
+        if self.label_col is not None and self.schema != "generic":
+            fail(f"label_col applies only to the generic schema (task 'custom'), not to task "
+                 f"{self.task!r}", "label_col")
+        try:
+            self.split.validate()
+        except ValueError as exc:
+            fail(exc)
+        if self.schema == "generic" and not self.label_col:
+            fail("custom task with generic schema requires label_col")
 
     def _held(self, section: str | None) -> dict:
         """The overrides, or the fields, that hold ``section``'s settings."""
@@ -159,17 +183,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: missing required key 'task'")
     cfg = preset_run_config(pairs["task"])
     cfg.source = source
-    if "label_col" in pairs and cfg.schema != "generic":
-        raise ConfigError(f"{source}:{linenos['label_col']}: label_col applies only to the "
-                          f"generic schema (task 'custom'), not to task {cfg.task!r}")
     for key, value in pairs.items():
         cfg.set(key, value)
-    try:
-        cfg.split.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
-    if cfg.schema == "generic" and not cfg.label_col:
-        raise ConfigError(f"{source}: custom task with generic schema requires label_col")
+    cfg.validate(linenos)
     return cfg
 
 

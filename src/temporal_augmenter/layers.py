@@ -5,6 +5,10 @@ Every layer comes as a ``*_forward`` / ``*_backward`` pair.  Forward returns
 preceding forward together with the gradient of the loss w.r.t. ``y``.
 All caches are plain tuples documented next to the forward function.
 
+Each stream's convolution has one tap, so it is a dense map applied at
+each timestep (Lin, Chen & Yan, *Network in Network*, arXiv:1312.4400),
+and its weights are a ``DenseParams`` like a dense layer's.
+
 ReLU and then dropout follow each stream's pooling and each hidden dense
 layer.  Both work in place, a forward over its input and a backward over
 its gradient.  ReLU's backward reads the output y, not a mask:
@@ -41,21 +45,6 @@ class DenseParams:
         return self.W.shape[1]
 
 
-@dataclass
-class Conv1DParams:
-    """1-D convolution weights: K is [kernel_size, in_channels, filters], b is [filters]."""
-    K: Tensor
-    b: Tensor
-
-    @property
-    def kernel_size(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.K.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # dense
 # ---------------------------------------------------------------------------
@@ -80,43 +69,27 @@ def dense_backward(cache, dy: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# 1-D convolution (valid padding, stride 1)
+# 1-D convolution with one tap (valid padding, stride 1)
 # ---------------------------------------------------------------------------
 
-def conv1d_forward(x: Tensor, p: Conv1DParams):
-    """Sliding dot product over time: x [n, T, in_ch] -> y [n, T-k+1, filters].
-
-    With kernel_size 1 this reduces exactly to a per-timestep dense map.
-    cache = (x, p).
+def conv1d_forward(x: Tensor, p: DenseParams):
+    """A one-tap convolution, the dense map ``p`` at each timestep:
+    x [n, T, in] -> y = x @ W + b [n, T, out].  cache = (x, p).
     """
-    if x.ndim != 3 or x.shape[2] != p.in_channels:
-        raise ShapeError(f"conv1d input {x.shape} incompatible with kernel {p.K.shape}")
-    n, T, _ = x.shape
-    k = p.kernel_size
-    if T < k:
-        raise ShapeError(f"conv1d needs T >= kernel_size, got T={T}, kernel_size={k}")
-    T_out = T - k + 1
-    # (x_0 K_0 + b) + x_1 K_1 + ...: the bias joins right after the first
-    # product, which is the same sum as starting from a copy of b.
-    y = x[:, :T_out] @ p.K[0]
+    if x.ndim != 3 or x.shape[2] != p.in_size:
+        raise ShapeError(f"conv1d input {x.shape} incompatible with W {p.W.shape}")
+    y = x @ p.W
     y += p.b
-    for j in range(1, k):
-        y += x[:, j:j + T_out, :] @ p.K[j]
     return y, (x, p)
 
 
 def conv1d_backward(cache, dy: Tensor):
-    """Return (dK, db) given dL/dy of shape [n, T_out, filters].
+    """Return (dW, db) given dL/dy of shape [n, T, out].
 
     There is no dx: conv1d is only ever the network's first layer.
     """
-    x, p = cache
-    T_out = dy.shape[1]
-    dK = np.zeros_like(p.K)
-    for j in range(p.kernel_size):
-        dK[j] = np.tensordot(x[:, j:j + T_out, :], dy, axes=([0, 1], [0, 1]))
-    db = dy.sum(axis=(0, 1))
-    return dK, db
+    x, _ = cache
+    return np.tensordot(x, dy, axes=([0, 1], [0, 1])), dy.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The dual-stream ensemble network.
 
 Each stream runs conv1d -> maxpool -> ReLU -> dropout -> recurrent cell;
-the GRU stream captures short-term structure, the LSTM stream long-term
-structure.  Each stream's output, the cell's last hidden state, is
-concatenated with the other's and fed through a dense head ending in
-softmax.
+the conv1d has one tap, the dense map ``conv`` (W [d, F], b [F]) at each
+of the T steps of the d input channels (see ``layers``).  The GRU stream
+captures short-term structure, the LSTM stream long-term structure.  Each
+stream's output, the cell's last hidden state, is concatenated with the
+other's and fed through a dense head ending in softmax.
 
 The stream front-end is one loop over blocks of batch rows
 (``_front_end``), so a block's intermediates stay in cache instead of
@@ -22,10 +23,10 @@ columns (``recurrent.project``), which is all the cell reads.  No
 [n, T_out, F] cell input exists in either mode.  Two paths form the pooled
 pre-activation; nothing else differs.
 
-The pooled path runs when the kernel is one step over one input channel
-(``_pools_first``: the default kernel on the mitbih and tess shapes;
-``width = T_out``).  Its conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])``
-with ``b' = b + 0.0``.  Rounding is monotone, so per filter that is a
+The pooled path runs on one input channel (``_pools_first``: the mitbih
+and tess shapes; ``width = T_out``).  With K = W[0], the [F] weights of
+that channel, its conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])`` with
+``b' = b + 0.0``.  Rounding is monotone, so per filter that is a
 monotone function of x, non-decreasing where K[f] >= 0 and non-increasing
 where K[f] < 0, and a window's max of it is its value at the window's max
 of x or at its min: ``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so
@@ -34,17 +35,17 @@ window max and min of x ([n, T_out]) once.  Per block it forms that max as
 one product of the [rows * T_out, 2] extremes with a [2, F] matrix: K with
 0.0 where K < 0, over K with 0.0 where K > 0.  For finite x one of a
 filter's two terms is an exact zero (both are where K is +-0.0), so the
-product is the other term's rounded value.  No [n, T_conv, F] conv output,
+product is the other term's rounded value.  No [n, T, F] conv output,
 pool winner mask or conv-output gradient exists on this path.
 
-The general path runs for any other kernel or channel count (ionosphere's
-two channels; ``width = T_conv``) and is the oracle the pooled path is
-tested against.  It runs ``conv1d_forward`` on the block's rows and
-``maxpool1d_forward`` into the block.  The [rows, T_conv, F] conv output is
-a temporary, freed before the projection, so the next block's conv output
-reuses its memory instead of faulting in fresh pages.  Pooling before the
-ReLU is the network conv1d -> ReLU -> maxpool, bit for bit, on 1/pool_size
-of the data: ``max(relu(a), relu(b)) == relu(max(a, b))`` exactly
+The general path runs on more channels (ionosphere's two; ``width = T``)
+and is the oracle the pooled path is tested against.  It runs
+``conv1d_forward`` on the block's rows and ``maxpool1d_forward`` into the
+block.  The [rows, T, F] conv output is a temporary, freed before the
+projection, so the next block's conv output reuses its memory instead of
+faulting in fresh pages.  Pooling before the ReLU is the network conv1d ->
+ReLU -> maxpool, bit for bit, on 1/pool_size of the data:
+``max(relu(a), relu(b)) == relu(max(a, b))`` exactly
 (``np.maximum(-0.0, 0.0)`` is +0.0 either way), and both orders send a
 window's gradient to its first maximal position when that max is positive
 and a zero otherwise.  That zero is -0.0 when the incoming gradient is
@@ -66,7 +67,7 @@ da W^T in a second reused buffer (``recurrent.project_backward``); runs
 the ReLU and dropout backward, which read that cell input, not a mask (see
 ``layers``); and adds the block's share of the kernel and bias gradients.
 The general path runs the block's max-pool backward into a reused
-[rows, T_conv, F] buffer and ``conv1d_backward`` on it.  The pooled path's
+[rows, T, F] buffer and ``conv1d_backward`` on it.  The pooled path's
 kernel gradient takes, per filter, the input value that the general path's
 window winner holds: the window max of x where K[f] > 0, the min where
 K[f] < 0, and the window's first step where K[f] is +-0.0 and every step
@@ -101,7 +102,7 @@ reads both from a model of read-only zeros that holds no memory, and the
 backward returns its gradients as the ``parameters()`` of a model built of
 them.  ``build`` draws parameters in a fixed documented order so a
 (config, seed) pair always produces bitwise-identical models:  for each
-stream in ``config.streams`` order the conv kernel (he-uniform) then the
+stream in ``config.streams`` order the conv W (he-uniform) then the
 cell parameters (glorot-uniform input weights, orthogonal recurrent
 weights); then the head layers first-to-last (glorot-uniform).  Biases are
 zero.
@@ -123,7 +124,7 @@ import numpy as np
 
 from . import layers, recurrent
 from .data import DataError, read_file
-from .layers import Conv1DParams, DenseParams
+from .layers import DenseParams
 from .settings import POSITIVE, RATE, check, setting
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
 
@@ -149,7 +150,6 @@ class ModelConfig:
     input_channels: int = setting(MISSING, POSITIVE)
     num_classes: int = setting(MISSING, (lambda v: v >= 2, "must be >= 2"))
     conv_filters: int = setting(128, POSITIVE)
-    conv_kernel: int = setting(1, POSITIVE)
     pool_size: int = setting(2, POSITIVE)
     dropout_stream: float = setting(0.5, RATE)
     dropout_head: float = setting(0.3, RATE)
@@ -166,15 +166,15 @@ class ModelConfig:
         check(self)
         if self.recurrent_timesteps < 1:
             raise ValueError(
-                f"conv_kernel={self.conv_kernel} and pool_size={self.pool_size} leave no "
-                f"timesteps from input_timesteps={self.input_timesteps}")
+                f"windows of pool_size={self.pool_size} leave no timesteps from "
+                f"input_timesteps={self.input_timesteps}")
 
     __post_init__ = validate  # a ModelConfig is checked however it is made
 
     @property
     def recurrent_timesteps(self) -> int:
-        """Timesteps seen by the recurrent cells after conv (valid) and pooling."""
-        return (self.input_timesteps - self.conv_kernel + 1) // self.pool_size
+        """Timesteps seen by the recurrent cells after pooling."""
+        return self.input_timesteps // self.pool_size
 
     def stream_units(self, kind: str) -> int:
         return self.gru_units if kind == "gru" else self.lstm_units
@@ -187,7 +187,7 @@ class ModelConfig:
 @dataclass
 class StreamParams:
     kind: str  # "gru" or "lstm"
-    conv: Conv1DParams
+    conv: DenseParams  # the one-tap convolution, W [input_channels, conv_filters]
     cell: recurrent.CellParams  # the gate slots of its kind
 
 
@@ -202,7 +202,7 @@ class TemporalAugmenterModel:
         the one place that names them."""
         out = {}
         for sp in self.streams:
-            out[f"{sp.kind}.conv.K"] = sp.conv.K
+            out[f"{sp.kind}.conv.W"] = sp.conv.W
             out[f"{sp.kind}.conv.b"] = sp.conv.b
             for name, value in vars(sp.cell).items():
                 out[f"{sp.kind}.cell.{name}"] = value
@@ -228,8 +228,8 @@ class ForwardTrace:
 def _allocate(config: ModelConfig, make=np.zeros) -> TemporalAugmenterModel:
     """The network for ``config`` with every parameter ``make(shape)``, all
     zero; the one place that gives each parameter its shape."""
-    k, d, F = config.conv_kernel, config.input_channels, config.conv_filters
-    streams = [StreamParams(kind=kind, conv=Conv1DParams(K=make((k, d, F)), b=make((F,))),
+    d, F = config.input_channels, config.conv_filters
+    streams = [StreamParams(kind=kind, conv=DenseParams(W=make((d, F)), b=make((F,))),
                             cell=recurrent.zero_params(kind, F, config.stream_units(kind), make))
                for kind in config.streams]
     sizes = (config.concat_width, *config.dense_sizes, config.num_classes)
@@ -242,8 +242,7 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
     config.validate()
     model = _allocate(config)
     for sp in model.streams:
-        k, d, F = sp.conv.K.shape
-        sp.conv.K[...] = init_he_uniform(k * d, (k, d, F), rng)
+        sp.conv.W[...] = init_he_uniform(sp.conv.in_size, sp.conv.W.shape, rng)
         recurrent.draw_params(sp.cell, sp.kind, rng)
     for dp in model.head:
         dp.W[...] = init_glorot_uniform(dp.in_size, dp.out_size, dp.W.shape, rng)
@@ -251,9 +250,9 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
 
 
 def _pools_first(cfg: ModelConfig) -> bool:
-    """Whether the stream front-end takes the pooled path: a kernel of one
-    step over one input channel (see the module docstring)."""
-    return cfg.conv_kernel == 1 and cfg.input_channels == 1
+    """Whether the stream front-end takes the pooled path: one input
+    channel (see the module docstring)."""
+    return cfg.input_channels == 1
 
 
 def _block_bounds(n: int, width: int, cfg: ModelConfig) -> list:
@@ -281,7 +280,7 @@ def _pooled_terms(sp: StreamParams, cfg: ModelConfig, x: Tensor):
     n, T_out, pool = x.shape[0], cfg.recurrent_timesteps, cfg.pool_size
     windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
     extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
-    K = sp.conv.K[0, 0]
+    K = sp.conv.W[0]
     # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
     weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
     return extremes, weights, sp.conv.b + 0.0
@@ -313,7 +312,7 @@ def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng, px
     ``px``.  Returns (blocks, pooled): one (start, stop, keep mask, dropout
     scale) per block, and the pooled path's terms."""
     pooled = _pooled_terms(sp, cfg, x)
-    width = cfg.recurrent_timesteps if pooled is not None else x.shape[1] - cfg.conv_kernel + 1
+    width = cfg.recurrent_timesteps if pooled is not None else x.shape[1]
     bounds = _block_bounds(x.shape[0], width, cfg)
     buffer = np.empty((max(stop - start for start, stop in bounds), cfg.recurrent_timesteps,
                        cfg.conv_filters))
@@ -392,7 +391,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
         # per filter, the input value the general path's window winner holds
         winners = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1)
     else:
-        d_conv = np.empty((rows, x.shape[1] - cfg.conv_kernel + 1, F))
+        d_conv = np.empty((rows, x.shape[1], F))
     dW = dK = db = sums = None
     for start, stop, keep, scale in blocks:
         y, g = y_buffer[:stop - start], g_buffer[:stop - start]
@@ -412,9 +411,9 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
             dK = _accumulate(dK, part_K)
             db = _accumulate(db, part_b)
     if pooled is not None:
-        K = conv.K[0, 0]
-        dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.K.shape)
-    return StreamParams(sp.kind, Conv1DParams(dK, db), recurrent.CellParams(W=dW, **cell_grads))
+        K = conv.W[0]
+        dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.W.shape)
+    return StreamParams(sp.kind, DenseParams(dK, db), recurrent.CellParams(W=dW, **cell_grads))
 
 
 def backward(model: TemporalAugmenterModel, trace: ForwardTrace, dlogits: Tensor) -> dict:
@@ -461,22 +460,24 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # checkpoint container
 # ---------------------------------------------------------------------------
 #
-# Layout (version 4):
+# Layout (version 5):
 #   bytes 0..7    magic  b"TACKPT01"
 #   bytes 8..15   uint64 little-endian header length H
 #   bytes 16..16+H  UTF-8 JSON header:
-#       {"version": 4, "config": {...}, "tensors": [{"name","shape"}...],
+#       {"version": 5, "config": {...}, "tensors": [{"name","shape"}...],
 #        "extras": {...}}
 #   then, for each entry of "tensors" in order, the raw little-endian
 #   float64 values (C order).
 # Model parameters are stored in parameters() order, under its names and with
 # the shapes _allocate gives them, a cell's as its fused blocks
-# ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]).  Every older version is
-# refused: version 3 held the same tensors, but its "config" also held
-# "conv_activation" and "return_sequences", and its "run_config" extra the
-# keys momentum and shuffle; version 2 stored the GRU's U as two tensors,
-# its z and r columns [u, 2u] and its candidate's [u, u]; and version 1 one
-# tensor per gate.
+# ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]), a stream's conv as
+# "gru.conv.W" [d, F] and "gru.conv.b" [F].  Every older version is refused:
+# version 4 held the same values, but its "config" also held "conv_kernel"
+# and its conv weights were "gru.conv.K" [1, d, F]; version 3's "config"
+# also held "conv_activation" and "return_sequences", and its "run_config"
+# extra the keys momentum and shuffle; version 2 stored the GRU's U as two
+# tensors, its z and r columns [u, 2u] and its candidate's [u, u]; and
+# version 1 one tensor per gate.
 # Every stored value is finite.  Callers may attach additional named tensors
 # (e.g. scaler statistics) and a JSON extras dict.  Loading reconstructs the
 # model bitwise.  The `train` command writes three extras, which `eval` reads
@@ -484,7 +485,7 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # "data_sha256".
 
 _MAGIC = b"TACKPT01"
-_VERSION = 4
+_VERSION = 5
 
 
 def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = None,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -245,7 +246,6 @@ class TestConfigParsing:
         ("pool_size = 0", "pool_size must be positive"),
         ("dropout_stream = 1.0", "dropout_stream must be in [0, 1)"),
         ("dropout_head = -0.1", "dropout_head must be in [0, 1)"),
-        ("conv_kernel = 0", "conv_kernel must be positive, got 0"),
         ("dense_sizes = 8,0", "dense_sizes must be positive"),
         ("streams = gru,rnn", "streams must be a non-empty subset"),
         ("streams =", "streams must be a non-empty subset"),
@@ -369,6 +369,25 @@ class TestTrainCommand:
         log, paths = cli.run_training(cfg)
         assert len(log.epochs) == 1 and os.path.isfile(paths["checkpoint"])
 
+    @pytest.mark.parametrize("fields,named", [
+        ({"task": "ionosphere", "label_col": "nosuch"},
+         "label_col applies only to the generic schema (task 'custom'), not to task "
+         "'ionosphere'"),
+        ({"task": "custom"}, "custom task with generic schema requires label_col"),
+        ({"task": "ionosphere", "split": data_mod.SplitSpec(split_train=0.5)},
+         "ratios must sum to 1"),
+    ], ids=["label_col_not_generic", "generic_without_label_col", "split_sum"])
+    def test_run_config_rules_between_settings_checked_before_any_file(
+            self, tmp_path, radar_csv, fields, named):
+        """``run_training`` checks the rules that a config file's parse
+        checks: a RunConfig made in code with label_col on the ionosphere
+        task once trained and wrote a checkpoint that its own eval refused."""
+        out = tmp_path / "run"
+        cfg = RunConfig(data=str(radar_csv), out=str(out), **fields)
+        with pytest.raises(ConfigError, match=rf"^<config>: {re.escape(named)}"):
+            cli.run_training(cfg)
+        assert not out.exists()
+
     def test_missing_data_exit_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(tmp_path / "absent.csv", tmp_path / "out"))
@@ -393,7 +412,7 @@ class TestTrainCommand:
     def test_model_with_no_timesteps_exits_2_before_a_row_is_parsed(
             self, tmp_path, radar_csv, monkeypatch, capsys):
         """The model is sized from the data's shape before any row is
-        parsed: 17 pulses through a 9-wide kernel leave 9, pooled by 10 to 0.
+        parsed: 17 pulses in windows of 18 leave 0.
         The error names the config file, and the output directory, made
         before the data was read, is gone again."""
         calls = []
@@ -401,7 +420,7 @@ class TestTrainCommand:
         out = tmp_path / "out" / "run"
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, out)
-                            + "conv_kernel = 9\npool_size = 10\n")
+                            + "pool_size = 18\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {cfg_path}: invalid model configuration: " in err
@@ -411,7 +430,7 @@ class TestTrainCommand:
         kept = tmp_path / "kept"  # an empty directory that was there before stays
         kept.mkdir()
         cfg_path.write_text(radar_config_text(radar_csv, kept)
-                            + "conv_kernel = 9\npool_size = 10\n")
+                            + "pool_size = 18\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert kept.is_dir()
 
@@ -484,7 +503,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("key,value", [("conv_activation", "relu"),
                                            ("return_sequences", "false"),
-                                           ("momentum", "0.0"), ("shuffle", "true")])
+                                           ("momentum", "0.0"), ("shuffle", "true"),
+                                           ("conv_kernel", "1")])
     def test_removed_key_exit_2(self, tmp_path, radar_csv, capsys, key, value):
         """Settings that only ever held their default are gone; a config
         that names one, even at that default, is refused at its line."""
@@ -783,7 +803,10 @@ class TestPinnedDigests:
     radar trainlogs, moved again when the cells took each sigmoid gate from
     one tanh, 0.5 tanh(a / 2) + 0.5, and added the bias into the input
     projection before the recurrent term, which moves the last bits of
-    every trained weight.
+    every trained weight.  The checkpoint digests moved once more when the
+    header's config lost conv_kernel and each stream's conv weights became
+    "conv.W" [d, F] (checkpoint version 5), which moved no stored value; the
+    radar run, which had set conv_kernel = 3, pins the one-tap run since.
 
     The two-runs-agree tests cannot see a change that moves bits in both
     runs; these literals can.  Each run is a child process with BLAS on one
@@ -795,7 +818,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "4174e3122af94b29c3bd3fa0778aa45ccf9a11279827e68dcb5c25b6a3f19215"
+    HEARTBEAT_CHECKPOINT = "443724366e19a8080c4be334678d81364b2ab5512333ebf2146695ad692ebd71"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -830,7 +853,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "7262b3697f619918721640ae53b3bc71c931d01e7d547997014ce8855af7f810",
+                "5c44cdfd590e56ef211d0ea38caceb221d5208d565d450622d5426c92a34b707",
             "trainlog.csv":
                 "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
             "report_test.json":
@@ -838,21 +861,21 @@ class TestPinnedDigests:
         }
 
     def test_radar_run_matches_recorded_digests(self, tmp_path):
-        """The ionosphere shape (T = 17, two channels) with a 3-step kernel,
-        so the front-end filters before it pools, stream and head dropout
-        on, and batches of 45 rows, an odd count: a batch spans two
-        front-end blocks of at most 34 rows, and the last batch holds 27."""
+        """The ionosphere shape (T = 17, two channels), so the front-end
+        filters before it pools, stream and head dropout on, and batches of
+        45 rows, an odd count: a batch spans two front-end blocks of at most
+        30 rows, and the last batch holds 27."""
         data = tmp_path / "radar.csv"
         write_radar_csv(data, make_radar_dataset(120, Rng(902)))
         digests = train_in_child(tmp_path, f"task = ionosphere\ndata = {data}\nseed = 7\n"
-                                           f"epochs = 3\nbatch_size = 45\nconv_kernel = 3\n")
+                                           f"epochs = 3\nbatch_size = 45\n")
         assert digests == {
             "checkpoint.tackpt":
-                "bcfa47b8ed6b46a1aff6808655587107a37c33432dff9a37ca5877b25b44ec8e",
+                "49ad824176430f0735cdc66e92c9535a983354f21a92d1bd5d6f9d0c672e1afb",
             "trainlog.csv":
-                "e3286284840725d23b82527960a8ee8d633a079e37fb99e39b732f6d4f715c1f",
+                "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
             "report_test.json":
-                "1f10457ce09bec9d2d8b92e8b4db94edbcfd8b05bcf97ebf50a62a1e0554a67a",
+                "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df",
         }
 
 
@@ -920,13 +943,14 @@ class TestEvalCommand:
         assert (tmp_path / "evalout").is_dir() and not (tmp_path / "evalout" / "x").exists()
 
     @pytest.mark.parametrize("key,value", [("pool_size", 1.5), ("pool_size", True),
-                                           ("conv_kernel", 1.0), ("dense_sizes", [8.5, 4]),
+                                           ("gru_units", 10.0), ("dense_sizes", [8.5, 4]),
                                            ("lstm_units", "10"), ("dropout_stream", False),
                                            ("streams", {"gru": 1, "lstm": 2})])
     def test_non_integer_model_setting_exit_3(self, trained_run, tmp_path, capsys, key, value):
         """The header's config holds the value in place of an integer, a
         rate or a list; 8.5 once passed as 8, the trained size, and a
-        mapping as the list of its keys; "10" is the trained size as text."""
+        mapping as the list of its keys; 10.0 and "10" are the trained size
+        as a float and as text."""
         out, radar_csv = trained_run
         blob = (out / "checkpoint.tackpt").read_bytes()
         end = 16 + int.from_bytes(blob[8:16], "little")
@@ -962,7 +986,7 @@ class TestEvalCommand:
                                       (end + len(blob)) // 2, len(blob) - 1)]
         bad.append(blob + b"\x00" * 8)
         bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
-        bad.append(blob[:16] + blob[16:end].replace(b'"version":4', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":5', b'"version":7') + blob[end:])
         bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
         bad.append(blob[:16] + b"\xff" + blob[17:])
         path = tmp_path / "bad.tackpt"
@@ -988,14 +1012,14 @@ class TestEvalCommand:
         flat_std = rewrite(blob[end:])
         cases = [(no_std, [str(path), "extra.scaler_std"]),
                  (no_scaler, [str(path), "extra.scaler_mean"]), (flat_std, ["std shape"])]
-        # overwrite the first float of gru.conv.K (the first tensor), the last
+        # overwrite the first float of gru.conv.W (the first tensor), the last
         # of std (the last tensor), then of the mean before it; the loader
         # refuses a non-finite value (a NaN weight once scored the split), the
         # scaler the rest
         for at, value, named in (
-                (end, math.nan, [str(path), "'gru.conv.K'"]),
-                (end, math.inf, [str(path), "'gru.conv.K'"]),
-                (end, -math.inf, [str(path), "'gru.conv.K'"]),
+                (end, math.nan, [str(path), "'gru.conv.W'"]),
+                (end, math.inf, [str(path), "'gru.conv.W'"]),
+                (end, -math.inf, [str(path), "'gru.conv.W'"]),
                 (len(blob) - 8, math.nan, [str(path), "'extra.scaler_std'"]),
                 (len(blob) - 8, 0.0, ["scaler std"]), (len(blob) - 8, -1.0, ["scaler std"]),
                 (len(blob) - 8, math.inf, [str(path), "'extra.scaler_std'"]),
@@ -1014,15 +1038,16 @@ class TestEvalCommand:
             assert "data error" in err and all(text in err for text in named)
             assert not eval_out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_checkpoint_version_exit_3(self, trained_run, tmp_path, capsys, version):
         """Version 1 stored one tensor per cell gate, version 2 the GRU's
-        recurrent weights as two tensors, and version 3's config held
-        conv_activation and return_sequences; their files are refused."""
+        recurrent weights as two tensors, version 3's config held
+        conv_activation and return_sequences, and version 4's conv_kernel,
+        with the conv weights as K [1, d, F]; their files are refused."""
         out, radar_csv = trained_run
         path = tmp_path / f"v{version}.tackpt"
         path.write_bytes((out / "checkpoint.tackpt").read_bytes().replace(
-            b'"version":4', b'"version":%d' % version, 1))
+            b'"version":5', b'"version":%d' % version, 1))
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         assert f"{path}: unsupported checkpoint version {version}" in capsys.readouterr().err
 

@@ -6,7 +6,6 @@ import pytest
 
 from temporal_augmenter import gradcheck
 from temporal_augmenter.layers import (
-    Conv1DParams,
     DenseParams,
     conv1d_backward,
     conv1d_forward,
@@ -46,70 +45,84 @@ class TestDense:
 
 
 class TestConv1D:
+    """The one-tap convolution: the dense map W [d, F], b at each timestep."""
+
     def test_forced_arithmetic(self):
-        x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)
-        p = Conv1DParams(K=np.array([1.0, -1.0]).reshape(2, 1, 1), b=np.zeros(1))
+        x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]).reshape(1, 3, 2)
+        p = DenseParams(W=np.array([[1.0], [-1.0]]), b=np.array([0.5]))
         y, _ = conv1d_forward(x, p)
-        npt.assert_array_equal(y[0, :, 0], [-1.0, -1.0])
+        npt.assert_array_equal(y[0, :, 0], [-8.5, -17.5, -26.5])
 
     def test_kernel1_reduces_to_dense_bitwise(self):
         rng = Rng(21)
         x = rng.uniform((4, 6, 3)) * 2 - 1
         W = rng.uniform((3, 5)) * 2 - 1
         b = rng.uniform((5,)) * 2 - 1
-        conv_y, _ = conv1d_forward(x, Conv1DParams(K=W[None, :, :], b=b))
+        conv_y, _ = conv1d_forward(x, DenseParams(W=W, b=b))
         dense = DenseParams(W=W, b=b)
         for t in range(6):
             dense_y, _ = dense_forward(x[:, t, :], dense)
             npt.assert_array_equal(conv_y[:, t, :], dense_y)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_bias_first_sum_bitwise(self, k):
-        # reference sum: start from a copy of b, then add each shifted product
-        rng = Rng(24 + k)
-        x = rng.uniform((3, 9, 2)) * 2 - 1
-        p = Conv1DParams(K=rng.uniform((k, 2, 5)) * 2 - 1, b=rng.uniform((5,)) * 2 - 1)
-        T_out = 9 - k + 1
-        ref = np.broadcast_to(p.b, (3, T_out, 5)).copy()
-        for j in range(k):
-            ref += x[:, j:j + T_out, :] @ p.K[j]
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_bias_first_sum_bitwise(self, d):
+        # reference sum: start from a copy of b, then add the product
+        rng = Rng(24 + d)
+        x = rng.uniform((3, 9, d)) * 2 - 1
+        p = DenseParams(W=rng.uniform((d, 5)) * 2 - 1, b=rng.uniform((5,)) * 2 - 1)
+        ref = np.broadcast_to(p.b, (3, 9, 5)).copy()
+        ref += x @ p.W
         y, _ = conv1d_forward(x, p)
         assert y.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_one_channel_matches_matmul_form_with_signed_zeros(self, k):
-        # one input channel: x_0 K_0 has an inner dimension of 1; the layer
-        # must give the bits of the matmul form for every sign of a zero in
-        # x, K and b, and for products that round to zero
+    @pytest.mark.parametrize("n", [128, 37])
+    def test_matches_the_2d_product_forms_bitwise(self, n):
+        """At the ionosphere shape, [n, T, d, F] = [n, 17, 2, 128], the
+        layer pair gives the bits of one [n * T, d] product and its
+        transpose, so the general path trains the same bits as those forms."""
+        rng = Rng(30).derive(str(n))
+        T, d, F = 17, 2, 128
+        x = rng.uniform((n, T, d)) * 2 - 1
+        p = DenseParams(W=rng.uniform((d, F)) * 2 - 1, b=rng.uniform((F,)) * 2 - 1)
+        dy = rng.uniform((n, T, F)) * 2 - 1
+        y, cache = conv1d_forward(x, p)
+        ref = x.reshape(-1, d) @ p.W
+        ref += p.b
+        assert y.tobytes() == ref.reshape(n, T, F).tobytes()
+        dW, db = conv1d_backward(cache, dy)
+        assert dW.tobytes() == (x.reshape(-1, d).T @ dy.reshape(-1, F)).tobytes()
+        assert db.tobytes() == dy.sum(axis=(0, 1)).tobytes()
+
+    def test_one_channel_matches_matmul_form_with_signed_zeros(self):
+        # one input channel: the product has an inner dimension of 1; the
+        # layer must give the bits of the 2-D matmul form for every sign of
+        # a zero in x, W and b, and for products that round to zero
         x = np.array([0.0, -0.0, 1.5, -2.0, 1e-200, -1e-200, 3.0, np.inf]).reshape(1, 8, 1)
         x = np.concatenate([x, -x, x[:, ::-1]], axis=0)
-        K0 = np.array([0.0, -0.0, 2.0, -0.5, 1e-200, -1e-200]).reshape(1, 1, 6)
-        K = np.concatenate([K0, -K0])[:k]
-        T_out = 8 - k + 1
+        W = np.array([[0.0, -0.0, 2.0, -0.5, 1e-200, -1e-200]])
         for b in (np.zeros(6), np.full(6, -0.0), np.tile([0.0, -0.0, 1.0], 2)):
-            p = Conv1DParams(K=K, b=b)
             with np.errstate(invalid="ignore"):
-                ref = x[:, :T_out] @ K[0]
+                ref = x.reshape(-1, 1) @ W
                 ref += b
-                for j in range(1, k):
-                    ref += x[:, j:j + T_out] @ K[j]
-                y, _ = conv1d_forward(x, p)
-            assert y.tobytes() == ref.tobytes()
+                y, _ = conv1d_forward(x, DenseParams(W=W, b=b))
+            assert y.tobytes() == ref.reshape(y.shape).tobytes()
 
     def test_backward_hand_calculation(self):
-        # y_t = x_t - x_{t+1}; with dy = 1 everywhere dK[j] sums the x rows
-        # each kernel tap saw and db counts the outputs; there is no dx
-        x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)
-        p = Conv1DParams(K=np.array([1.0, -1.0]).reshape(2, 1, 1), b=np.zeros(1))
+        # y_t = x_t W + b; with dy = 1 everywhere dW sums the x rows over
+        # batch and time and db counts the outputs; there is no dx
+        x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]).reshape(1, 3, 2)
+        p = DenseParams(W=np.array([[1.0], [-1.0]]), b=np.zeros(1))
         _, cache = conv1d_forward(x, p)
-        dK, db = conv1d_backward(cache, np.ones((1, 2, 1)))
-        npt.assert_array_equal(dK[:, 0, 0], [3.0, 5.0])
-        npt.assert_array_equal(db, [2.0])
+        dW, db = conv1d_backward(cache, np.ones((1, 3, 1)))
+        npt.assert_array_equal(dW[:, 0], [6.0, 60.0])
+        npt.assert_array_equal(db, [3.0])
 
-    def test_too_short_sequence(self):
-        p = Conv1DParams(K=np.zeros((4, 1, 2)), b=np.zeros(2))
+    def test_channel_mismatch(self):
+        p = DenseParams(W=np.zeros((2, 4)), b=np.zeros(4))
         with pytest.raises(ShapeError):
             conv1d_forward(np.zeros((1, 3, 1)), p)
+        with pytest.raises(ShapeError):
+            conv1d_forward(np.zeros((3, 2)), p)
 
     def test_finite_differences(self):
         assert gradcheck.check_conv1d(seed=0, trials=20) < 1e-6

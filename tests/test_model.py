@@ -29,7 +29,7 @@ def closed_form_params(cfg: ModelConfig) -> int:
     """Independent hand-derived parameter sum."""
     total = 0
     for kind in cfg.streams:
-        total += cfg.conv_kernel * cfg.input_channels * cfg.conv_filters + cfg.conv_filters
+        total += cfg.input_channels * cfg.conv_filters + cfg.conv_filters
         u = cfg.gru_units if kind == "gru" else cfg.lstm_units
         gates = 3 if kind == "gru" else 4
         total += gates * (cfg.conv_filters * u + u * u + u)
@@ -70,7 +70,7 @@ class TestBuild:
         with pytest.raises(ValueError):
             ModelConfig(input_timesteps=8, input_channels=1, num_classes=2, streams=("gru", "gru"))
         with pytest.raises(ValueError):
-            # pooling larger than the conv output leaves no timesteps
+            # pooling larger than the input leaves no timesteps
             ModelConfig(input_timesteps=3, input_channels=1, num_classes=2, pool_size=8)
 
     @pytest.mark.parametrize("key,value", [
@@ -89,9 +89,9 @@ class TestParameters:
     def test_parameters_are_the_stored_arrays(self):
         net = build(radar_config(), Rng(4))
         gru, lstm = net.streams
-        stored = {"gru.conv.K": gru.conv.K, "gru.conv.b": gru.conv.b,
+        stored = {"gru.conv.W": gru.conv.W, "gru.conv.b": gru.conv.b,
                   "gru.cell.W": gru.cell.W, "gru.cell.U": gru.cell.U, "gru.cell.b": gru.cell.b,
-                  "lstm.conv.K": lstm.conv.K, "lstm.conv.b": lstm.conv.b,
+                  "lstm.conv.W": lstm.conv.W, "lstm.conv.b": lstm.conv.b,
                   "lstm.cell.W": lstm.cell.W, "lstm.cell.U": lstm.cell.U,
                   "lstm.cell.b": lstm.cell.b}
         for name, dp in zip(("0", "1", "out"), net.head):
@@ -137,7 +137,6 @@ class TestParamCount:
                 input_channels=1 + int(rng.uniform(()) * 3),
                 num_classes=2 + int(rng.uniform(()) * 5),
                 conv_filters=2 + int(rng.uniform(()) * 12),
-                conv_kernel=1 + int(rng.uniform(()) * 3),
                 lstm_units=2 + int(rng.uniform(()) * 6),
                 gru_units=2 + int(rng.uniform(()) * 6),
                 dense_sizes=(4 + int(rng.uniform(()) * 8), 3),
@@ -166,7 +165,7 @@ class TestForward:
         cfg = radar_config(num_classes=4, dropout_stream=0.0, dropout_head=0.0)
         net = build(cfg, Rng(9))
         for name, arr in net.parameters().items():
-            if not name.endswith("conv.K"):
+            if not name.endswith("conv.W"):
                 arr[...] = 0.0
         probs, _ = forward(net, Rng(10).uniform((6, 17, 2)), mode="eval")
         npt.assert_allclose(probs, np.full((6, 4), 0.25), atol=1e-15)
@@ -204,12 +203,14 @@ class TestBackward:
             backward(net, trace, probs)
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"conv_kernel": 3}, {"streams": ("lstm",), "dense_sizes": ()},
+        {}, {"input_channels": 1}, {"streams": ("lstm",), "dense_sizes": ()},
         {"streams": ("lstm", "gru"), "lstm_units": 1, "gru_units": 2, "dense_sizes": (7,)},
     ])
     def test_gradients_come_in_parameters_order(self, overrides):
-        net = build(radar_config(**overrides), Rng(15))
-        probs, trace = forward(net, Rng(14).uniform((3, 17, 2)), mode="train", rng=Rng(0))
+        cfg = radar_config(**overrides)
+        net = build(cfg, Rng(15))
+        x = Rng(14).uniform((3, 17, cfg.input_channels))
+        probs, trace = forward(net, x, mode="train", rng=Rng(0))
         grads = backward(net, trace, probs - probs.mean(axis=1, keepdims=True))
         assert ([(name, g.shape) for name, g in grads.items()]
                 == [(name, p.shape) for name, p in net.parameters().items()])
@@ -393,21 +394,26 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
     d, dW = recurrent.project_backward(y, da, sp.cell)
     d = layers.dropout_backward(drop_cache, d)
     d = layers.maxpool1d_backward(pool_cache, d) * act_cache
-    return StreamParams(sp.kind, layers.Conv1DParams(*layers.conv1d_backward(conv_cache, d)),
+    return StreamParams(sp.kind, layers.DenseParams(*layers.conv1d_backward(conv_cache, d)),
                         recurrent.CellParams(W=dW, **cell_grads))
 
 
 class TestStreamOrder:
     # "-relu" ends each id as it did when the activation was a setting
-    @pytest.mark.parametrize("kernel", [1, 2], ids=lambda kernel: f"{kernel}-relu")
+    @pytest.mark.parametrize("channels", [1, 2], ids=lambda channels: f"{channels}-relu")
     @pytest.mark.parametrize("pool", [2, 3])
-    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, kernel, pool):
-        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool, dense_sizes=(8,))
+    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, channels, pool):
+        """The general path, on one channel too, equals the textbook order
+        bit for bit; the pooled path sums its kernel gradient in another
+        order (``TestPooledFrontEnd``)."""
+        monkeypatch.setattr(model_mod, "_pools_first", lambda cfg: False)
+        cfg = radar_config(input_channels=channels, conv_filters=6, pool_size=pool,
+                           dense_sizes=(8,))
         net = build(cfg, Rng(80).derive("init"))
         for name, arr in net.parameters().items():
             if name.endswith(".b"):
                 arr += Rng(81).derive(name).uniform(arr.shape) - 0.5
-        x = Rng(82).uniform((5, 17, 2)) * 2 - 1
+        x = Rng(82).uniform((5, 17, channels)) * 2 - 1
         onehot = np.eye(2)[[0, 1, 1, 0, 1]]
 
         def step():
@@ -435,7 +441,7 @@ class TestStreamOrder:
 
 # The gradients that the stream backward sums block by block; a change of
 # blocking moves their last bits, and no other gradient's.
-BLOCK_SUMMED = ("conv.K", "conv.b", "cell.W")
+BLOCK_SUMMED = ("conv.W", "conv.b", "cell.W")
 
 
 def assert_same_gradients(grads, want):
@@ -451,17 +457,20 @@ def assert_same_gradients(grads, want):
 
 
 class TestBlockedFrontEnd:
-    @pytest.mark.parametrize("kernel", [1, 3])
+    # one channel takes the pooled path, three the general path
+    @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("pool", [2, 3])
-    def test_block_size_changes_no_bit(self, monkeypatch, kernel, pool):
-        cfg = radar_config(conv_filters=6, conv_kernel=kernel, pool_size=pool, dense_sizes=(8,))
+    def test_block_size_changes_no_bit(self, monkeypatch, channels, pool):
+        cfg = radar_config(input_channels=channels, conv_filters=6, pool_size=pool,
+                           dense_sizes=(8,))
         net = build(cfg, Rng(90).derive("init"))
         for name, arr in net.parameters().items():
             if name.endswith(".b"):
                 arr += Rng(91).derive(name).uniform(arr.shape) - 0.5
-        x = Rng(92).uniform((7, 17, 2)) * 2 - 1
+        x = Rng(92).uniform((7, 17, channels)) * 2 - 1
         onehot = np.eye(2)[[0, 1, 1, 0, 1, 0, 0]]
-        row_bytes = (17 - kernel + 1) * cfg.conv_filters * 8
+        width = cfg.recurrent_timesteps if channels == 1 else 17
+        row_bytes = width * cfg.conv_filters * 8
         runs = []
         # 1-row blocks; 3-row blocks (3, 3, 1); one block for the whole batch
         for block_bytes, blocks in ((1, 7), (3 * row_bytes + row_bytes // 2, 3), (1 << 40, 1)):
@@ -491,7 +500,7 @@ class TestBlockedFrontEnd:
         block's cell input: no max-pool winner mask, no ReLU mask, and none
         in the head's caches, though the head applies dropout too."""
         make = heartbeat_config if pooled else radar_config
-        cfg = make(conv_filters=6, conv_kernel=1 if pooled else 3, dense_sizes=(8, 4))
+        cfg = make(conv_filters=6, dense_sizes=(8, 4))
         net = build(cfg, Rng(94))
         x = Rng(95).uniform((7, 17, cfg.input_channels)) * 2 - 1
         monkeypatch.setattr(model_mod, "_block_bounds",
@@ -510,7 +519,7 @@ class TestBlockedFrontEnd:
 
 
 def heartbeat_config(**overrides) -> ModelConfig:
-    """One input channel and a one-step kernel: the pooled front-end."""
+    """One input channel: the pooled front-end."""
     base = dict(input_timesteps=17, input_channels=1, num_classes=3, conv_filters=6,
                 dense_sizes=(8,))
     base.update(overrides)
@@ -544,13 +553,13 @@ class TestBlockProjection:
         if pooled:
             cfg = heartbeat_config(input_timesteps=3, conv_filters=16, dropout_stream=0.5)
         else:
-            cfg = radar_config(input_timesteps=4, conv_kernel=2, conv_filters=16,
-                               dropout_stream=0.5, dense_sizes=(8,))
+            cfg = radar_config(input_timesteps=3, conv_filters=16, dropout_stream=0.5,
+                               dense_sizes=(8,))
         assert cfg.recurrent_timesteps == 1
         net = build(cfg, Rng(122).derive("init"))
         x = Rng(123).uniform((7, cfg.input_timesteps, cfg.input_channels)) * 2 - 1
         onehot = np.eye(cfg.num_classes)[np.arange(7) % cfg.num_classes]
-        width = 1 if pooled else cfg.input_timesteps - cfg.conv_kernel + 1
+        width = 1 if pooled else cfg.input_timesteps
         runs = []
         # 3-row blocks would leave one row last (3, 3, 1); then one block
         for block_bytes, bounds in ((3 * width * cfg.conv_filters * 8, [(0, 3), (3, 7)]),
@@ -602,7 +611,7 @@ class TestPooledFrontEnd:
             if name.endswith(".b"):
                 arr += Rng(111).derive(name).uniform(arr.shape) - 0.5
         for sp in net.streams:
-            sp.conv.K[0, 0, :2] = (0.0, -0.0)
+            sp.conv.W[0, :2] = (0.0, -0.0)
             sp.conv.b[:3] = (-0.25, 0.25, -0.0)  # filter 0 is dead under ReLU
         pool = cfg.pool_size
         x = Rng(112).uniform((7, cfg.input_timesteps, 1)) * 2 - 1
@@ -655,8 +664,8 @@ class TestPooledFrontEnd:
             assert got.tobytes() == want.tobytes()
         assert grads.keys() == ref_grads.keys()
         for name, g in grads.items():
-            if name.endswith("conv.K"):
-                # summed over [n, T_out], not over [n, T_conv] with zeros
+            if name.endswith("conv.W"):
+                # summed over [n, T_out], not over [n, T] with zeros
                 scale = np.max(np.abs(ref_grads[name]))
                 assert np.max(np.abs(g - ref_grads[name])) <= 1e-13 * scale, name
             else:
@@ -676,16 +685,17 @@ class TestRepeatedCalls:
     """A model carries nothing from one call to the next: a used model's
     train steps and eval forwards equal a fresh model's, bit for bit."""
 
-    @pytest.mark.parametrize("timesteps,kernel", [(17, 1), (23, 3)])
-    def test_used_model_matches_a_fresh_model_bitwise(self, tmp_path, timesteps, kernel):
-        cfg = radar_config(input_timesteps=timesteps, conv_filters=6, conv_kernel=kernel,
+    # one channel takes the pooled path, three the general path
+    @pytest.mark.parametrize("timesteps,channels", [(17, 1), (23, 3)])
+    def test_used_model_matches_a_fresh_model_bitwise(self, tmp_path, timesteps, channels):
+        cfg = radar_config(input_timesteps=timesteps, input_channels=channels, conv_filters=6,
                            dense_sizes=(8,))
 
         def fresh():
             return build(cfg, Rng(95).derive("init"))
 
         def inputs(n):
-            return Rng(96).derive(str(n)).uniform((n, timesteps, 2)) * 2 - 1
+            return Rng(96).derive(str(n)).uniform((n, timesteps, channels)) * 2 - 1
 
         def train_step(net, n):
             probs, trace = forward(net, inputs(n), mode="train", rng=Rng(97))
@@ -749,13 +759,15 @@ def _shrink_bias(header, arrays):
 
 # Each edits the parsed header in place; the file is then re-encoded whole.
 HEADER_EDITS = {
-    "version": lambda h: h.update(version=3),
+    "version": lambda h: h.update(version=4),
     "no_version": lambda h: h.pop("version"),
     "config_unknown_key": lambda h: h["config"].update(bogus=1),
     "config_bad_value": lambda h: h["config"].update(pool_size=0),
     "config_bad_type": lambda h: h["config"].update(dense_sizes="x"),
     # a field of version 3's config, whose model is the default's
     "config_removed_field": lambda h: h["config"].update(return_sequences=False),
+    # a field of version 4's config, at the default it always held
+    "config_removed_kernel": lambda h: h["config"].update(conv_kernel=1),
     "config_rate_is_bool": lambda h: h["config"].update(dropout_stream=False),
     "config_missing": lambda h: h.pop("config"),
     "extras_not_object": lambda h: h.update(extras=[1]),
@@ -765,7 +777,7 @@ HEADER_EDITS = {
     # each once passed as the bias's 3 through int()
     "tensor_float_dim": lambda h: _entry(h, "head.out.b").update(shape=[3.9]),
     "tensor_text_dim": lambda h: _entry(h, "head.out.b").update(shape=["3"]),
-    "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.K")["shape"].reverse(),
+    "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.W")["shape"].reverse(),
     # rejected by the shape check, before a 10**12-filter model is allocated
     "config_huge_sizes": lambda h: h["config"].update(conv_filters=10 ** 12),
     # a mapping once passed as a list of its keys
@@ -875,7 +887,7 @@ class TestCheckpoint:
                 assert held == want and type(held) is type(want), (f.name, value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("tensor", ["gru.conv.K", "extra.scaler_mean"])
+    @pytest.mark.parametrize("tensor", ["gru.conv.W", "extra.scaler_mean"])
     def test_non_finite_tensor_rejected(self, tmp_path, tensor, value):
         header, arrays = split_checkpoint(miniature_checkpoint_bytes(tmp_path))
         idx = [e["name"] for e in header["tensors"]].index(tensor)

@@ -139,7 +139,7 @@ def tiny_dataset(n=24, T=8, d=1, k=2, seed=80):
 
 def tiny_model(T=8, d=1, k=2, seed=81):
     cfg = ModelConfig(input_timesteps=T, input_channels=d, num_classes=k,
-                      conv_filters=4, conv_kernel=1, pool_size=2,
+                      conv_filters=4, pool_size=2,
                       dropout_stream=0.0, dropout_head=0.0,
                       lstm_units=3, gru_units=3, dense_sizes=(6,))
     return build(cfg, Rng(seed))
