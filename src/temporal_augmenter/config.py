@@ -2,10 +2,11 @@
 
 A config file is plain text, one ``key = value`` per line, ``#`` comments.
 ``task`` selects a preset: the data schema, and the keys whose reference
-values (split ratios, batch size, epochs, optimizer) differ from the
-defaults, which it sets as a config line would; every other key overrides
-the preset.  Relative ``data`` paths resolve against
-$TEMPORAL_AUGMENTER_DATA when it is set.
+values (split ratios, batch size, epochs, optimizer, WAV clip length) differ
+from the defaults, which it sets as a config line would; every other key
+overrides the preset.  ``label_col`` and ``target_len`` are each read by one
+schema alone, and given with it and no other.  Relative ``data`` paths
+resolve against $TEMPORAL_AUGMENTER_DATA when it is set.
 
 Each key is the name of one setting of ``RunConfig`` or of a section it
 holds (``SplitSpec``, ``TrainConfig``, and ``ModelConfig`` as overrides),
@@ -24,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .data import DataError, SplitSpec, read_file, utf8_text
 from .model import ModelConfig
 from .optim import TrainConfig
-from .settings import POSITIVE, check, check_value, item_type, one_of, section, setting
+from .settings import POSITIVE, check_value, item_type, one_of, section, setting
 
 
 class ConfigError(Exception):
@@ -32,10 +33,10 @@ class ConfigError(Exception):
 
 
 # Each task's data schema, and the config keys whose reference values (split
-# ratios, batching, optimizer, epochs) differ from the defaults.
+# ratios, clip length, batching, optimizer, epochs) differ from the defaults.
 PRESETS = {
-    "tess": ("wav", {"split_train": 0.7, "split_val": 0.1, "optimizer": "rmsprop",
-                     "epochs": 20}),
+    "tess": ("wav", {"split_train": 0.7, "split_val": 0.1, "target_len": 1024,
+                     "optimizer": "rmsprop", "epochs": 20}),
     "mitbih": ("mitbih", {"stratified": True, "batch_size": 128, "epochs": 50}),
     "ionosphere": ("ionosphere", {"batch_size": 128, "epochs": 100}),
     "custom": ("generic", {"epochs": 10}),
@@ -51,7 +52,7 @@ class RunConfig:
     seed: int = setting(0)  # the one seed: split, initialisation and training derive from it
     standardize: bool = setting(True)
     split: SplitSpec = section(SplitSpec, default_factory=SplitSpec)
-    target_len: int = setting(1024, POSITIVE)
+    target_len: int | None = setting(None, POSITIVE)
     label_col: str | None = setting(None)
     train: TrainConfig = section(TrainConfig, default_factory=TrainConfig)
     model_overrides: dict = section(ModelConfig, default_factory=dict)
@@ -71,28 +72,34 @@ class RunConfig:
         return PRESETS[self.task][0]
 
     def validate(self, lines: dict | None = None) -> None:
-        """Check every setting, then the rules between settings: label_col
-        is given with the generic schema and only there, and the split
-        ratios sum to 1.  An error is a ConfigError naming ``source`` and,
-        where ``lines`` (config key -> line) holds the key it is about, its
-        line."""
+        """Check every setting, those of its sections and model overrides
+        too, then the rules between settings: label_col is given with the
+        generic schema and target_len with the wav schema, each only there,
+        and the split ratios sum to 1.  An error is a ConfigError naming
+        ``source`` and, where ``lines`` (config key -> line) holds the key
+        it is about, its line."""
         def fail(message, key=None):
             where = f"{self.source}:{lines[key]}" if key in (lines or {}) else self.source
             raise ConfigError(f"{where}: {message}")
 
-        try:
-            check(self)
-        except ValueError as exc:
-            fail(exc)
-        if self.label_col is not None and self.schema != "generic":
-            fail(f"label_col applies only to the generic schema (task 'custom'), not to task "
-                 f"{self.task!r}", "label_col")
+        for key, (section, f) in _KEYS.items():
+            held = self._held(section)
+            if f.name in held:
+                try:
+                    held[f.name] = check_value(f, held[f.name])
+                except ValueError as exc:
+                    fail(exc, key)
+        for key, schema, task in _SCHEMA_KEYS:
+            if getattr(self, key) is not None and self.schema != schema:
+                fail(f"{key} applies only to the {schema} schema (task {task!r}), not to task "
+                     f"{self.task!r}", key)
         try:
             self.split.validate()
         except ValueError as exc:
             fail(exc)
-        if self.schema == "generic" and not self.label_col:
-            fail("custom task with generic schema requires label_col")
+        for key, schema, task in _SCHEMA_KEYS:
+            if self.schema == schema and not getattr(self, key):
+                fail(f"{task} task with {schema} schema requires {key}")
 
     def _held(self, section: str | None) -> dict:
         """The overrides, or the fields, that hold ``section``'s settings."""
@@ -123,6 +130,8 @@ def _add_keys(cls, section=None, by_name=False) -> None:
 # config key -> the (section, field) it sets; section None is RunConfig's own fields
 _KEYS = {}
 _add_keys(RunConfig)
+# (key, the one schema that reads it, the task of that schema)
+_SCHEMA_KEYS = (("label_col", "generic", "custom"), ("target_len", "wav", "tess"))
 
 
 def preset_run_config(task: str) -> RunConfig:

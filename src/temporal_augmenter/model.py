@@ -245,7 +245,7 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
         sp.conv.W[...] = init_he_uniform(sp.conv.in_size, sp.conv.W.shape, rng)
         recurrent.draw_params(sp.cell, sp.kind, rng)
     for dp in model.head:
-        dp.W[...] = init_glorot_uniform(dp.in_size, dp.out_size, dp.W.shape, rng)
+        dp.W[...] = init_glorot_uniform(dp.in_size, dp.out_size, rng)
     return model
 
 
@@ -460,11 +460,11 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # checkpoint container
 # ---------------------------------------------------------------------------
 #
-# Layout (version 5):
+# Layout (version 6):
 #   bytes 0..7    magic  b"TACKPT01"
 #   bytes 8..15   uint64 little-endian header length H
 #   bytes 16..16+H  UTF-8 JSON header:
-#       {"version": 5, "config": {...}, "tensors": [{"name","shape"}...],
+#       {"version": 6, "config": {...}, "tensors": [{"name","shape"}...],
 #        "extras": {...}}
 #   then, for each entry of "tensors" in order, the raw little-endian
 #   float64 values (C order).
@@ -472,12 +472,13 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # the shapes _allocate gives them, a cell's as its fused blocks
 # ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]), a stream's conv as
 # "gru.conv.W" [d, F] and "gru.conv.b" [F].  Every older version is refused:
-# version 4 held the same values, but its "config" also held "conv_kernel"
-# and its conv weights were "gru.conv.K" [1, d, F]; version 3's "config"
-# also held "conv_activation" and "return_sequences", and its "run_config"
-# extra the keys momentum and shuffle; version 2 stored the GRU's U as two
-# tensors, its z and r columns [u, 2u] and its candidate's [u, u]; and
-# version 1 one tensor per gate.
+# version 5 held the same values, but its "run_config" extra also held the
+# keys epsilon, rho, beta1 and beta2, and target_len on every task; version
+# 4's "config" also held "conv_kernel" and its conv weights were
+# "gru.conv.K" [1, d, F]; version 3's "config" also held "conv_activation"
+# and "return_sequences", and its "run_config" extra the keys momentum and
+# shuffle; version 2 stored the GRU's U as two tensors, its z and r columns
+# [u, 2u] and its candidate's [u, u]; and version 1 one tensor per gate.
 # Every stored value is finite.  Callers may attach additional named tensors
 # (e.g. scaler statistics) and a JSON extras dict.  Loading reconstructs the
 # model bitwise.  The `train` command writes three extras, which `eval` reads
@@ -485,7 +486,7 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # "data_sha256".
 
 _MAGIC = b"TACKPT01"
-_VERSION = 5
+_VERSION = 6
 
 
 def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = None,

@@ -1,8 +1,11 @@
 """Categorical cross-entropy, RMSProp and Adam, and the epoch training loop.
 
 ``TrainConfig`` holds every training setting once: an optimizer is made
-from it and reads its rates from it.  ``fit`` takes the ``Rng`` that
-shuffles each epoch and draws the dropout masks; the caller seeds it."""
+from it and reads its step size from it.  The optimizers' other constants
+are no settings: ``EPSILON``, RMSProp's ``RHO`` and Adam's ``BETA1`` and
+``BETA2`` hold the Keras defaults (for Adam, Kingma & Ba, arXiv:1412.6980).
+``fit`` takes the ``Rng`` that shuffles each epoch and draws the dropout
+masks; the caller seeds it."""
 
 from __future__ import annotations
 
@@ -14,8 +17,13 @@ import numpy as np
 
 from . import model as model_mod
 from .data import DataError, one_hot, read_file, utf8_text
-from .settings import FINITE_POSITIVE, POSITIVE, RATE, check, one_of, setting
+from .settings import FINITE_POSITIVE, POSITIVE, check, one_of, setting
 from .tensor_core import Rng, ShapeError, Tensor
+
+EPSILON = 1e-7  # added to each update's denominator, outside the square root
+RHO = 0.9  # RMSProp's decay of the mean squared gradient
+BETA1 = 0.9  # Adam's decay of the mean gradient
+BETA2 = 0.999  # Adam's decay of the mean squared gradient
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -49,9 +57,8 @@ def cce_loss(probs: Tensor, onehot: Tensor):
 
 @dataclass
 class RMSProp:
-    """RMSProp without momentum: s <- rho*s + (1-rho)*g^2;
-    p <- p - lr*g/(sqrt(s)+eps).  ``lr``, ``rho`` and ``epsilon`` are read
-    from ``cfg``."""
+    """RMSProp without momentum: s <- RHO*s + (1-RHO)*g^2;
+    p <- p - lr*g/(sqrt(s)+EPSILON), ``lr`` read from ``cfg``."""
 
     cfg: TrainConfig
     s: dict = field(default_factory=dict, init=False)  # per-parameter state
@@ -65,15 +72,15 @@ class RMSProp:
             if name not in self.s:
                 self.s[name] = np.zeros_like(p)
             s = self.s[name]
-            s *= cfg.rho
-            s += (1.0 - cfg.rho) * g * g
-            p -= cfg.lr * g / (np.sqrt(s) + cfg.epsilon)
+            s *= RHO
+            s += (1.0 - RHO) * g * g
+            p -= cfg.lr * g / (np.sqrt(s) + EPSILON)
 
 
 @dataclass
 class Adam:
-    """Adam with bias correction; epsilon sits outside the square root.
-    ``lr``, ``beta1``, ``beta2`` and ``epsilon`` are read from ``cfg``."""
+    """Adam with bias correction, moment decays BETA1 and BETA2, and EPSILON
+    outside the square root; ``lr`` is read from ``cfg``."""
 
     cfg: TrainConfig
     m: dict = field(default_factory=dict, init=False)  # per-parameter state
@@ -83,8 +90,8 @@ class Adam:
     def step(self, params: dict, grads: dict) -> None:
         cfg = self.cfg
         self.t += 1
-        b1t = 1.0 - cfg.beta1 ** self.t
-        b2t = 1.0 - cfg.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.shape:
@@ -93,11 +100,11 @@ class Adam:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name], self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= cfg.lr * (m / b1t) / (np.sqrt(v / b2t) + EPSILON)
 
 
 @dataclass
@@ -106,10 +113,6 @@ class TrainConfig:
     optimizer it makes reads its own."""
     optimizer: str = setting("adam", one_of("adam", "rmsprop"))
     lr: float = setting(1e-3, FINITE_POSITIVE)
-    epsilon: float = setting(1e-7, FINITE_POSITIVE)
-    rho: float = setting(0.9, RATE)
-    beta1: float = setting(0.9, RATE)
-    beta2: float = setting(0.999, RATE)
     batch_size: int = setting(32, POSITIVE)
     epochs: int = setting(1, POSITIVE)
     clip_norm: float | None = setting(None, FINITE_POSITIVE)

@@ -151,9 +151,9 @@ def draw_params(p: CellParams, kind: str, rng: Rng) -> CellParams:
     time in ``DRAW_SLOTS[kind]`` order; biases stay as they are."""
     d, u, slots = p.input_size, p.units, DRAW_SLOTS[kind]
     for s in slots:
-        p.W[:, s * u:(s + 1) * u] = init_glorot_uniform(d, u, (d, u), rng)
+        p.W[:, s * u:(s + 1) * u] = init_glorot_uniform(d, u, rng)
     for s in slots:
-        p.U[:, s * u:(s + 1) * u] = init_orthogonal(u, u, rng)
+        p.U[:, s * u:(s + 1) * u] = init_orthogonal(u, rng)
     return p
 
 

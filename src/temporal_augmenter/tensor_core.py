@@ -154,12 +154,12 @@ class Rng:
 # weight initializers
 # ---------------------------------------------------------------------------
 
-def init_glorot_uniform(fan_in: int, fan_out: int, shape, rng: Rng) -> Tensor:
-    """Uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
+def init_glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> Tensor:
+    """[fan_in, fan_out] uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fans must be positive, got fan_in={fan_in}, fan_out={fan_out}")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return (rng.uniform(shape) * 2.0 - 1.0) * limit
+    return (rng.uniform((fan_in, fan_out)) * 2.0 - 1.0) * limit
 
 
 def init_he_uniform(fan_in: int, shape, rng: Rng) -> Tensor:
@@ -170,19 +170,12 @@ def init_he_uniform(fan_in: int, shape, rng: Rng) -> Tensor:
     return (rng.uniform(shape) * 2.0 - 1.0) * limit
 
 
-def init_orthogonal(rows: int, cols: int, rng: Rng) -> Tensor:
-    """Orthonormal columns for rows >= cols (rows for rows < cols).
-
-    QR of a gaussian draw with the sign of R's diagonal folded into Q so the
-    factorization is unique.
-    """
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-    a = rng.normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(a)
+def init_orthogonal(n: int, rng: Rng) -> Tensor:
+    """An orthogonal [n, n]: the Q of a gaussian draw's QR, with the sign of
+    R's diagonal folded into it so the factorization is unique."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    q, r = np.linalg.qr(rng.normal((n, n)))
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
-    q = q * d
-    if rows < cols:
-        q = q.T
-    return np.ascontiguousarray(q)
+    return q * d

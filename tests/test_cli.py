@@ -86,28 +86,24 @@ def radar_config_text(data_path, out_dir, epochs=3):
 
 
 # Each task's schema and its preset rendered by ``format_config``, recorded
-# before the presets became config-key overrides, which moved none of them.
+# before the presets became config-key overrides, which moved none of them;
+# since the optimizers' constants stopped being keys, and target_len became
+# a key of the wav schema alone, the lines of those keys are gone.
 PRESET_SETTINGS = {
     "tess": ("wav", "task = tess\nseed = 0\nstandardize = true\nsplit_train = 0.7\n"
                     "split_val = 0.1\nsplit_test = 0.2\nstratified = false\n"
-                    "target_len = 1024\noptimizer = rmsprop\nlr = 0.001\nepsilon = 1e-07\n"
-                    "rho = 0.9\nbeta1 = 0.9\nbeta2 = 0.999\nbatch_size = 32\nepochs = 20\n"),
+                    "target_len = 1024\noptimizer = rmsprop\nlr = 0.001\n"
+                    "batch_size = 32\nepochs = 20\n"),
     "mitbih": ("mitbih", "task = mitbih\nseed = 0\nstandardize = true\nsplit_train = 0.6\n"
                          "split_val = 0.2\nsplit_test = 0.2\nstratified = true\n"
-                         "target_len = 1024\noptimizer = adam\nlr = 0.001\nepsilon = 1e-07\n"
-                         "rho = 0.9\nbeta1 = 0.9\nbeta2 = 0.999\nbatch_size = 128\n"
-                         "epochs = 50\n"),
+                         "optimizer = adam\nlr = 0.001\nbatch_size = 128\nepochs = 50\n"),
     "ionosphere": ("ionosphere", "task = ionosphere\nseed = 0\nstandardize = true\n"
                                  "split_train = 0.6\nsplit_val = 0.2\nsplit_test = 0.2\n"
-                                 "stratified = false\ntarget_len = 1024\noptimizer = adam\n"
-                                 "lr = 0.001\nepsilon = 1e-07\nrho = 0.9\n"
-                                 "beta1 = 0.9\nbeta2 = 0.999\nbatch_size = 128\n"
-                                 "epochs = 100\n"),
+                                 "stratified = false\noptimizer = adam\nlr = 0.001\n"
+                                 "batch_size = 128\nepochs = 100\n"),
     "custom": ("generic", "task = custom\nseed = 0\nstandardize = true\nsplit_train = 0.6\n"
                           "split_val = 0.2\nsplit_test = 0.2\nstratified = false\n"
-                          "target_len = 1024\noptimizer = adam\nlr = 0.001\nepsilon = 1e-07\n"
-                          "rho = 0.9\nbeta1 = 0.9\nbeta2 = 0.999\nbatch_size = 32\n"
-                          "epochs = 10\n"),
+                          "optimizer = adam\nlr = 0.001\nbatch_size = 32\nepochs = 10\n"),
 }
 
 ABSENT = object()
@@ -132,8 +128,7 @@ class TestPresets:
         assert (cfg.split.split_train, cfg.split.split_val, cfg.split.split_test) == (0.7, 0.1, 0.2)
         assert cfg.train.optimizer == "rmsprop"
         assert cfg.train.lr == 1e-3
-        assert cfg.train.rho == 0.9
-        assert cfg.train.epsilon == 1e-7
+        assert cfg.target_len == 1024
         assert cfg.train.batch_size == 32
         assert cfg.train.epochs == 20
 
@@ -144,7 +139,7 @@ class TestPresets:
         assert cfg.train.optimizer == "adam"
         assert cfg.train.batch_size == 128
         assert cfg.train.epochs == 50
-        assert cfg.train.epsilon == 1e-7
+        assert cfg.target_len is None
 
     def test_ionosphere_preset_hyperparameters(self):
         cfg = preset_run_config("ionosphere")
@@ -305,12 +300,14 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides", [
         "",
         "dense_sizes =\nstreams = lstm\nclip_norm = 0.25\npool_size = 3\n"
-        "target_len = 300\nstandardize = false\nseed = 9\nsplit_train = 0.6\n"
-        "split_val = 0.15\nsplit_test = 0.25\nstratified = true\noptimizer = rmsprop\nrho = 0.5\n",
+        "standardize = false\nseed = 9\nsplit_train = 0.6\n"
+        "split_val = 0.15\nsplit_test = 0.25\nstratified = true\noptimizer = rmsprop\nlr = 0.5\n",
     ], ids=["preset", "overrides"])
     def test_format_config_round_trips(self, task, overrides):
-        label_col = "label_col = y\n" if task == "custom" else ""  # generic schema only
-        cfg = parse_config_text(f"task = {task}\n{label_col}data = /in-xyz/d.csv\n"
+        # each of these keys is read by one schema alone
+        schema_key = {"custom": "label_col = y\n",
+                      "tess": "target_len = 300\n" if overrides else ""}.get(task, "")
+        cfg = parse_config_text(f"task = {task}\n{schema_key}data = /in-xyz/d.csv\n"
                                 f"out = /out-xyz\n" + overrides)
         text = format_config(cfg)
         assert "schema" not in text and "-xyz" not in text
@@ -376,12 +373,22 @@ class TestTrainCommand:
         ({"task": "custom"}, "custom task with generic schema requires label_col"),
         ({"task": "ionosphere", "split": data_mod.SplitSpec(split_train=0.5)},
          "ratios must sum to 1"),
-    ], ids=["label_col_not_generic", "generic_without_label_col", "split_sum"])
+        ({"task": "ionosphere", "target_len": 500},
+         "target_len applies only to the wav schema (task 'tess'), not to task 'ionosphere'"),
+        ({"task": "tess"}, "tess task with wav schema requires target_len"),
+        ({"task": "ionosphere", "train": optim.TrainConfig(lr=-1.0)},
+         "lr must be finite and > 0, got -1.0"),
+        ({"task": "ionosphere", "model_overrides": {"gru_units": 0}},
+         "gru_units must be positive, got 0"),
+    ], ids=["label_col_not_generic", "generic_without_label_col", "split_sum",
+            "target_len_not_wav", "wav_without_target_len", "train_setting", "model_override"])
     def test_run_config_rules_between_settings_checked_before_any_file(
             self, tmp_path, radar_csv, fields, named):
         """``run_training`` checks the rules that a config file's parse
         checks: a RunConfig made in code with label_col on the ionosphere
-        task once trained and wrote a checkpoint that its own eval refused."""
+        task once trained and wrote a checkpoint that its own eval refused,
+        and one with a negative lr read and split the data before ``fit``
+        refused it."""
         out = tmp_path / "run"
         cfg = RunConfig(data=str(radar_csv), out=str(out), **fields)
         with pytest.raises(ConfigError, match=rf"^<config>: {re.escape(named)}"):
@@ -483,11 +490,14 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("key,value", [
         ("lr", "nan"), ("lr", "-0.001"), ("lr", "0"), ("lr", "inf"),
-        ("epsilon", "0"), ("epsilon", "nan"),
-        ("rho", "1"), ("rho", "-0.1"), ("beta1", "1.5"), ("beta2", "nan"),
         ("clip_norm", "-1"), ("clip_norm", "0"), ("clip_norm", "inf"),
         ("target_len", "-1"), ("target_len", "0"),
+        ("target_len", "500"),  # no CSV loader reads a clip length
         ("split_train", "-0.5"), ("split_val", "nan"), ("split_test", "0"),
+        # the optimizers' constants are no longer keys: a bad value for one
+        # is refused as an unknown key, before its value is read
+        ("epsilon", "0"), ("epsilon", "nan"), ("rho", "-0.1"), ("rho", "1"),
+        ("beta1", "1.5"), ("beta2", "nan"),
     ])
     def test_bad_hyperparameter_exit_2(self, tmp_path, radar_csv, capsys, key, value):
         text = radar_config_text(radar_csv, tmp_path / "out") + f"{key} = {value}\n"
@@ -496,7 +506,10 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         line = text.count("\n")
-        assert f"config error: {cfg_path}:{line}: {key}" in err
+        if key in ("epsilon", "rho", "beta1", "beta2"):
+            assert f"config error: {cfg_path}:{line}: unknown key {key!r}" in err
+        else:
+            assert f"config error: {cfg_path}:{line}: {key}" in err
         if key.startswith("split_"):  # each ratio is a setting of its own
             assert f"{key} must be positive" in err
         assert not (tmp_path / "out").exists()
@@ -504,7 +517,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("key,value", [("conv_activation", "relu"),
                                            ("return_sequences", "false"),
                                            ("momentum", "0.0"), ("shuffle", "true"),
-                                           ("conv_kernel", "1")])
+                                           ("conv_kernel", "1"), ("epsilon", "1e-07"),
+                                           ("rho", "0.9"), ("beta1", "0.9"),
+                                           ("beta2", "0.999")])
     def test_removed_key_exit_2(self, tmp_path, radar_csv, capsys, key, value):
         """Settings that only ever held their default are gone; a config
         that names one, even at that default, is refused at its line."""
@@ -807,6 +822,9 @@ class TestPinnedDigests:
     header's config lost conv_kernel and each stream's conv weights became
     "conv.W" [d, F] (checkpoint version 5), which moved no stored value; the
     radar run, which had set conv_kernel = 3, pins the one-tap run since.
+    They moved again when the run_config extra lost the lines epsilon, rho,
+    beta1 and beta2, and the CSV runs' target_len (checkpoint version 6),
+    which moved no stored value.
 
     The two-runs-agree tests cannot see a change that moves bits in both
     runs; these literals can.  Each run is a child process with BLAS on one
@@ -818,7 +836,7 @@ class TestPinnedDigests:
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "443724366e19a8080c4be334678d81364b2ab5512333ebf2146695ad692ebd71"
+    HEARTBEAT_CHECKPOINT = "401dbdc01439738beb8033dd8e11e72957d02932bf83bce8453b2825b66fb08f"
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -853,7 +871,7 @@ class TestPinnedDigests:
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
         assert digests == {
             "checkpoint.tackpt":
-                "5c44cdfd590e56ef211d0ea38caceb221d5208d565d450622d5426c92a34b707",
+                "fccc8e28fcefc2357cd255038d6db895555ddfa578f416ba460f86db881f58ed",
             "trainlog.csv":
                 "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
             "report_test.json":
@@ -871,7 +889,7 @@ class TestPinnedDigests:
                                            f"epochs = 3\nbatch_size = 45\n")
         assert digests == {
             "checkpoint.tackpt":
-                "49ad824176430f0735cdc66e92c9535a983354f21a92d1bd5d6f9d0c672e1afb",
+                "f6c6d0514b669d2469879a60f6f92e1f933ad2ee752125969dfe5f2b745dc0e2",
             "trainlog.csv":
                 "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
             "report_test.json":
@@ -986,7 +1004,7 @@ class TestEvalCommand:
                                       (end + len(blob)) // 2, len(blob) - 1)]
         bad.append(blob + b"\x00" * 8)
         bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
-        bad.append(blob[:16] + blob[16:end].replace(b'"version":5', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":6', b'"version":7') + blob[end:])
         bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
         bad.append(blob[:16] + b"\xff" + blob[17:])
         path = tmp_path / "bad.tackpt"
@@ -1038,16 +1056,18 @@ class TestEvalCommand:
             assert "data error" in err and all(text in err for text in named)
             assert not eval_out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_checkpoint_version_exit_3(self, trained_run, tmp_path, capsys, version):
         """Version 1 stored one tensor per cell gate, version 2 the GRU's
         recurrent weights as two tensors, version 3's config held
-        conv_activation and return_sequences, and version 4's conv_kernel,
-        with the conv weights as K [1, d, F]; their files are refused."""
+        conv_activation and return_sequences, version 4's conv_kernel,
+        with the conv weights as K [1, d, F], and version 5's run_config
+        the optimizers' constants and target_len on every task; their files
+        are refused."""
         out, radar_csv = trained_run
         path = tmp_path / f"v{version}.tackpt"
         path.write_bytes((out / "checkpoint.tackpt").read_bytes().replace(
-            b'"version":5', b'"version":%d' % version, 1))
+            b'"version":6', b'"version":%d' % version, 1))
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         assert f"{path}: unsupported checkpoint version {version}" in capsys.readouterr().err
 

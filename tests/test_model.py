@@ -271,7 +271,7 @@ class TestBackward:
         def train_steps(cut_slice: bool):
             net = build(cfg, Rng(32).derive("init"))
             params = net.parameters()
-            opt = optim.Adam(optim.TrainConfig(lr=1e-3, epsilon=1e-7))
+            opt = optim.Adam(optim.TrainConfig(lr=1e-3))
             original = model_mod._stream_backward
 
             def cutting(sp, cfg_, cache, d_out):

@@ -338,10 +338,10 @@ class TestFusedLayout:
             rng = Rng(72)
             for g, s in slots.items():
                 assert p.W[:, s * u:(s + 1) * u].tobytes() == \
-                    init_glorot_uniform(d, u, (d, u), rng).tobytes(), g
+                    init_glorot_uniform(d, u, rng).tobytes(), g
             for g, s in slots.items():
                 assert p.U[:, s * u:(s + 1) * u].tobytes() == \
-                    init_orthogonal(u, u, rng).tobytes(), g
+                    init_orthogonal(u, rng).tobytes(), g
             assert not p.b.any()
 
     def test_both_kinds_are_one_cell_params_with_the_same_gradient_keys(self):

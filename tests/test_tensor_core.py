@@ -91,13 +91,15 @@ class TestSoftmax:
 class TestInitializers:
     def test_glorot_limit_trivial(self):
         # fan_in=2, fan_out=4 -> L = sqrt(6/6) = 1
-        vals = init_glorot_uniform(2, 4, (1000,), Rng(1))
+        vals = init_glorot_uniform(2, 4, Rng(1))
+        assert vals.shape == (2, 4)
         assert np.max(np.abs(vals)) <= 1.0
 
     def test_glorot_limit_formula(self):
         limit = math.sqrt(6.0 / 138.0)
         assert abs(limit - 0.20851) < 1e-5
-        vals = init_glorot_uniform(128, 10, (100000,), Rng(2))
+        vals = init_glorot_uniform(128, 10, Rng(2))
+        assert vals.shape == (128, 10)
         assert np.max(np.abs(vals)) <= limit
         # mean of U[-L, L] is 0 with sd L/sqrt(3); require |mean| < 3 sigma/sqrt(N)
         assert abs(vals.mean()) < 3 * limit / math.sqrt(3) / math.sqrt(vals.size)
@@ -112,29 +114,23 @@ class TestInitializers:
 
     def test_bad_fans_rejected(self):
         with pytest.raises(ValueError):
-            init_glorot_uniform(0, 4, (2, 2), Rng(0))
+            init_glorot_uniform(0, 4, Rng(0))
         with pytest.raises(ValueError):
             init_he_uniform(-1, (2,), Rng(0))
         with pytest.raises(ValueError):
-            init_orthogonal(0, 3, Rng(0))
+            init_orthogonal(0, Rng(0))
 
     def test_orthogonal_1x1_unit(self):
         for seed in range(8):
-            v = init_orthogonal(1, 1, Rng(seed))[0, 0]
+            v = init_orthogonal(1, Rng(seed))[0, 0]
             assert v in (-1.0, 1.0)
 
     def test_orthogonal_columns(self):
-        q = init_orthogonal(10, 10, Rng(11))
+        q = init_orthogonal(10, Rng(11))
         npt.assert_allclose(q.T @ q, np.eye(10), atol=1e-10)
 
-    def test_orthogonal_tall_and_wide(self):
-        q = init_orthogonal(12, 5, Rng(12))
-        npt.assert_allclose(q.T @ q, np.eye(5), atol=1e-10)
-        q = init_orthogonal(5, 12, Rng(13))
-        npt.assert_allclose(q @ q.T, np.eye(5), atol=1e-10)
-
     def test_orthogonal_preserves_norms(self):
-        q = init_orthogonal(10, 10, Rng(14))
+        q = init_orthogonal(10, Rng(14))
         rng = Rng(15)
         for _ in range(5):
             v = rng.uniform((10,)) * 2 - 1
@@ -142,11 +138,11 @@ class TestInitializers:
             assert 1 - 1e-9 <= ratio <= 1 + 1e-9
 
     def test_initializers_pure(self):
-        a = init_glorot_uniform(7, 5, (7, 5), Rng(99))
-        b = init_glorot_uniform(7, 5, (7, 5), Rng(99))
+        a = init_glorot_uniform(7, 5, Rng(99))
+        b = init_glorot_uniform(7, 5, Rng(99))
         npt.assert_array_equal(a, b)
-        qa = init_orthogonal(6, 6, Rng(98))
-        qb = init_orthogonal(6, 6, Rng(98))
+        qa = init_orthogonal(6, Rng(98))
+        qb = init_orthogonal(6, Rng(98))
         npt.assert_array_equal(qa, qb)
 
 
