@@ -7,7 +7,9 @@ artifact, 4 training divergence, 5 gradient-check failure.
 A checkpoint's extras hold three keys: ``run_config``, the run's settings
 as the text ``format_config`` renders; ``class_names``, the trained classes
 in label order; and ``data_sha256``, the sha256 the loader took of the
-training data's bytes (see ``data.DataSource``).
+training data's bytes (see ``data.DataSource``).  Beside the parameters,
+the checkpoint stores the training split's ``ScalerParams`` when
+``standardize`` is on, and no scaler when it is off.
 
 ``train`` and ``eval`` read data through the same reader, one per format
 (``load_csv_signals``, ``load_wav_dir``), which takes every label and the
@@ -18,7 +20,8 @@ into its part.  ``eval`` reads ``run_config`` back with
 ``parse_config_text`` and builds the model config it describes for the
 header's input shape and class count with ``train``'s own
 ``_model_config``; a setting on which it and the header's config differ is
-a data error (exit 3), as is a checkpoint that lacks a valid
+a data error (exit 3), as is a checkpoint that holds a scaler when
+``standardize`` is off or none when it is on, or that lacks a valid
 ``run_config`` or ``data_sha256``.  Data whose classes, sample shape
 or sha256 differ from the checkpoint's is a config error (exit 2), the
 last naming both digests.  Only then does ``eval`` parse or decode the
@@ -48,7 +51,6 @@ from .config import ConfigError, RunConfig, format_config, load_config, parse_co
 from .data import (
     DataError,
     DataSource,
-    ScalerParams,
     apply_scaler,
     fit_scaler,
     load_csv_signals,
@@ -172,9 +174,6 @@ def run_training(cfg: RunConfig):
         probs = optim.predict_probs(net, test_set.features)
         report = _score(test_set.labels, probs, test_set.class_names, "test",
                         model_mod.param_count(net), data_path)
-        extra_tensors = {}
-        if scaler is not None:
-            extra_tensors = {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
         paths = {
             "checkpoint": os.path.join(cfg.out, "checkpoint.tackpt"),
             "trainlog": os.path.join(cfg.out, "trainlog.csv"),
@@ -183,7 +182,7 @@ def run_training(cfg: RunConfig):
             "config": os.path.join(cfg.out, "config.txt"),
         }
         with out.writing(paths["checkpoint"]) as path:
-            model_mod.save_checkpoint(path, net, extras=extras, extra_tensors=extra_tensors)
+            model_mod.save_checkpoint(path, net, extras=extras, scaler=scaler)
         with out.writing(paths["trainlog"]) as path:
             log.to_csv(path)
         _write_report(out, report, cfg.out, "report_test")
@@ -251,7 +250,7 @@ def cmd_eval(args) -> int:
 def _evaluate(args) -> metrics.Report:
     """The report of ``eval``'s checkpoint on its split of the data."""
     path = args.checkpoint
-    net, extras, extra_tensors = model_mod.load_checkpoint(path)
+    net, extras, scaler = model_mod.load_checkpoint(path)
     text, names, k = extras.get("run_config"), extras.get("class_names"), net.config.num_classes
     shape = (net.config.input_timesteps, net.config.input_channels)
     digest = extras.get("data_sha256")
@@ -280,6 +279,9 @@ def _evaluate(args) -> metrics.Report:
         if ours != header:
             raise DataError(f"{where}: {name} is {ours!r}, but the checkpoint header's config "
                             f"has {header!r}")
+    if cfg.standardize != (scaler is not None):
+        raise DataError(f"{where}: standardize is {'on' if cfg.standardize else 'off'}, but the "
+                        f"checkpoint holds {'no' if scaler is None else 'a'} scaler")
     source = _load_source(cfg, args.data)
     if len(source.class_names) != k:
         raise ConfigError(f"class-count mismatch: checkpoint expects {k} classes, "
@@ -297,13 +299,8 @@ def _evaluate(args) -> metrics.Report:
                     split_indices(source.labels, k, cfg.split, cfg.seed)))
     part = source.load(rows[args.split])
     del source  # the data's bytes, not needed past the rows it scores
-    if cfg.standardize:
-        for key in ("scaler_mean", "scaler_std"):
-            if key not in extra_tensors:
-                raise DataError(f"{path}: run_config sets standardize, but the checkpoint "
-                                f"has no tensor 'extra.{key}'")
-        part = apply_scaler(ScalerParams(mean=extra_tensors["scaler_mean"],
-                                         std=extra_tensors["scaler_std"]), part)
+    if scaler is not None:
+        part = apply_scaler(scaler, part)
     probs = optim.predict_probs(net, part.features)
     return _score(part.labels, probs, part.class_names, args.split,
                   model_mod.param_count(net), path)

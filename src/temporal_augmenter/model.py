@@ -97,8 +97,9 @@ each block's term added in block order, so their last bits depend on the
 blocking; every other gradient's do not.
 
 Each parameter's shape is stated once, in ``_allocate``, and its name
-once, in ``TemporalAugmenterModel.parameters``.  The checkpoint check
-reads both from a model of read-only zeros that holds no memory, and the
+once, in ``TemporalAugmenterModel.parameters``.  The checkpoint stores
+neither: its loader reads both from a model of read-only zeros that holds
+no memory, built for the header's config, and the
 backward returns its gradients as the ``parameters()`` of a model built of
 them.  ``build`` draws parameters in a fixed documented order so a
 (config, seed) pair always produces bitwise-identical models:  for each
@@ -123,7 +124,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import layers, recurrent
-from .data import DataError, read_file
+from .data import DataError, ScalerParams, read_file
 from .layers import DenseParams
 from .settings import POSITIVE, RATE, check, setting
 from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
@@ -242,7 +243,7 @@ def build(config: ModelConfig, rng: Rng) -> TemporalAugmenterModel:
     config.validate()
     model = _allocate(config)
     for sp in model.streams:
-        sp.conv.W[...] = init_he_uniform(sp.conv.in_size, sp.conv.W.shape, rng)
+        sp.conv.W[...] = init_he_uniform(sp.conv.in_size, sp.conv.out_size, rng)
         recurrent.draw_params(sp.cell, sp.kind, rng)
     for dp in model.head:
         dp.W[...] = init_glorot_uniform(dp.in_size, dp.out_size, rng)
@@ -460,55 +461,39 @@ def param_count(model: TemporalAugmenterModel) -> int:
 # checkpoint container
 # ---------------------------------------------------------------------------
 #
-# Layout (version 6):
+# Layout (version 7):
 #   bytes 0..7    magic  b"TACKPT01"
 #   bytes 8..15   uint64 little-endian header length H
 #   bytes 16..16+H  UTF-8 JSON header:
-#       {"version": 6, "config": {...}, "tensors": [{"name","shape"}...],
-#        "extras": {...}}
-#   then, for each entry of "tensors" in order, the raw little-endian
-#   float64 values (C order).
-# Model parameters are stored in parameters() order, under its names and with
-# the shapes _allocate gives them, a cell's as its fused blocks
-# ("lstm.cell.U" [u, 4u], "gru.cell.U" [u, 3u]), a stream's conv as
-# "gru.conv.W" [d, F] and "gru.conv.b" [F].  Every older version is refused:
-# version 5 held the same values, but its "run_config" extra also held the
-# keys epsilon, rho, beta1 and beta2, and target_len on every task; version
-# 4's "config" also held "conv_kernel" and its conv weights were
-# "gru.conv.K" [1, d, F]; version 3's "config" also held "conv_activation"
-# and "return_sequences", and its "run_config" extra the keys momentum and
-# shuffle; version 2 stored the GRU's U as two tensors, its z and r columns
-# [u, 2u] and its candidate's [u, u]; and version 1 one tensor per gate.
-# Every stored value is finite.  Callers may attach additional named tensors
-# (e.g. scaler statistics) and a JSON extras dict.  Loading reconstructs the
-# model bitwise.  The `train` command writes three extras, which `eval` reads
-# (see cli.py): "run_config" (the run's config text), "class_names" and
-# "data_sha256".
+#       {"version": 7, "config": {...}, "scaler": true|false, "extras": {...}}
+#   then the raw little-endian float64 values (C order) of each of
+#   parameters() in order, at the shapes _allocate gives them for "config";
+#   when "scaler" is true, the standardization mean and std follow, each
+#   [input_timesteps, input_channels].
+# So the header's config gives every stored tensor's name and shape, and
+# the header restates none.  Every stored value is finite, and loading
+# reconstructs the model bitwise.  Every older version is refused: version 6
+# stored the same values, but its header also listed each tensor's name and
+# shape, the scaler's among them; versions 1-5 held other config fields,
+# run_config keys, or cell and conv tensors.  The `train` command writes
+# three extras, which `eval` reads (see cli.py): "run_config" (the run's
+# config text), "class_names" and "data_sha256".
 
 _MAGIC = b"TACKPT01"
-_VERSION = 6
+_VERSION = 7
 
 
 def save_checkpoint(path, model: TemporalAugmenterModel, extras: dict | None = None,
-                    extra_tensors: dict | None = None) -> None:
-    tensors = dict(model.parameters())
-    for name, arr in (extra_tensors or {}).items():
-        key = f"extra.{name}"
-        if key in tensors:
-            raise ValueError(f"duplicate tensor name {key!r}")
-        tensors[key] = np.asarray(arr, dtype=np.float64)
-    header = {
-        "version": _VERSION,
-        "config": asdict(model.config),
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors.items()],
-        "extras": extras or {},
-    }
+                    scaler: ScalerParams | None = None) -> None:
+    header = {"version": _VERSION, "config": asdict(model.config),
+              "scaler": scaler is not None, "extras": extras or {}}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tensors = [*model.parameters().values(), *((scaler.mean, scaler.std) if scaler else ())]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for t in tensors.values():
+        for t in tensors:
             fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
@@ -524,14 +509,14 @@ def _header_config(values) -> ModelConfig:
 
 
 def load_checkpoint(path):
-    """Returns (model, extras, extra_tensors).
+    """Returns (model, extras, scaler), the scaler a ``data.ScalerParams`` or
+    None.
 
     Any path that is not one whole, valid checkpoint file raises DataError
     naming ``path``: no such file, bad magic or version, a cut or unreadable
     header, a config that lacks, adds or misstates a ModelConfig field, a
-    tensor named twice, missing, of the wrong shape or neither a parameter
-    nor ``extra.*``, a length other than the header describes, or a tensor
-    holding a NaN or infinite value.
+    "scaler" other than true or false, a length other than the header's
+    config describes, or a tensor holding a NaN or infinite value.
     """
     blob = read_file(path, "checkpoint")
     if blob[:8] != _MAGIC:
@@ -547,36 +532,27 @@ def load_checkpoint(path):
         raise DataError(f"{path}: checkpoint header or its extras is not a JSON object")
     if header.get("version") != _VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    if not isinstance(header.get("scaler"), bool):
+        raise DataError(f"{path}: checkpoint header's scaler must be true or false, "
+                        f"got {header.get('scaler')!r}")
     try:
         config = _header_config(header.get("config"))
-        entries = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
-        # read-only zeros that hold no memory, so every parameter's shape is
-        # checked before anything is allocated; numpy raises a ValueError for
-        # a dimension it cannot index
-        expected = _allocate(config, lambda s: np.broadcast_to(np.float64(0.0), s)).parameters()
-    except (KeyError, TypeError, ValueError) as exc:
+        # read-only zeros that hold no memory, so the length is checked
+        # before anything is allocated; numpy raises a ValueError for a
+        # dimension it cannot index
+        shapes = {name: arr.shape for name, arr in _allocate(
+            config, lambda s: np.broadcast_to(np.float64(0.0), s)).parameters().items()}
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid checkpoint header ({exc!r})") from None
-    if any(type(s) is not int or s < 0 for _, shape in entries for s in shape):
-        raise DataError(f"{path}: a tensor dimension in the checkpoint header is not an int >= 0")
-    header_shapes = dict(entries)
-    if len(header_shapes) != len(entries):
-        raise DataError(f"{path}: the checkpoint header names a tensor twice")
-    for name, arr in expected.items():
-        if name not in header_shapes:
-            raise DataError(f"{path}: checkpoint missing parameter {name!r}")
-        if header_shapes[name] != arr.shape:
-            raise DataError(f"{path}: parameter {name!r} has shape {list(header_shapes[name])}, "
-                            f"the model expects {list(arr.shape)}")
-    name = next((name for name in header_shapes
-                 if name not in expected and not name.startswith("extra.")), None)
-    if name is not None:
-        raise DataError(f"{path}: checkpoint tensor {name!r} is neither a parameter nor extra.*")
-    sizes = [math.prod(shape) for _, shape in entries]
+    if header["scaler"]:
+        shapes["scaler.mean"] = shapes["scaler.std"] = (config.input_timesteps,
+                                                        config.input_channels)
+    sizes = [math.prod(shape) for shape in shapes.values()]
     length = 16 + hlen + 8 * sum(sizes)
     if len(blob) != length:
         raise DataError(f"{path}: checkpoint is {len(blob)} bytes, its header describes {length}")
     tensors, offset = {}, 16 + hlen
-    for (name, shape), size in zip(entries, sizes):
+    for (name, shape), size in zip(shapes.items(), sizes):
         tensors[name] = np.frombuffer(blob, "<f8", size, offset).reshape(shape)
         offset += 8 * size
     name = next((name for name, t in tensors.items() if not np.isfinite(t).all()), None)
@@ -584,7 +560,7 @@ def load_checkpoint(path):
         raise DataError(f"{path}: tensor {name!r} holds a NaN or infinite value")
     model = _allocate(config)
     for name, arr in model.parameters().items():
-        arr[...] = tensors.pop(name)
-    extra_tensors = {n[len("extra."):]: t.astype(np.float64)
-                     for n, t in tensors.items() if n.startswith("extra.")}
-    return model, header.get("extras", {}), extra_tensors
+        arr[...] = tensors[name]
+    scaler = (ScalerParams(mean=tensors["scaler.mean"].copy(), std=tensors["scaler.std"].copy())
+              if header["scaler"] else None)
+    return model, header.get("extras", {}), scaler

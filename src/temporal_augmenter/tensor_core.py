@@ -162,12 +162,12 @@ def init_glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> Tensor:
     return (rng.uniform((fan_in, fan_out)) * 2.0 - 1.0) * limit
 
 
-def init_he_uniform(fan_in: int, shape, rng: Rng) -> Tensor:
-    """Uniform on [-L, L] with L = sqrt(6 / fan_in)."""
-    if fan_in <= 0:
-        raise ValueError(f"fan_in must be positive, got {fan_in}")
+def init_he_uniform(fan_in: int, fan_out: int, rng: Rng) -> Tensor:
+    """[fan_in, fan_out] uniform on [-L, L] with L = sqrt(6 / fan_in)."""
+    if fan_in <= 0 or fan_out <= 0:
+        raise ValueError(f"fans must be positive, got fan_in={fan_in}, fan_out={fan_out}")
     limit = np.sqrt(6.0 / fan_in)
-    return (rng.uniform(shape) * 2.0 - 1.0) * limit
+    return (rng.uniform((fan_in, fan_out)) * 2.0 - 1.0) * limit
 
 
 def init_orthogonal(n: int, rng: Rng) -> Tensor:

@@ -45,6 +45,8 @@ from temporal_augmenter.synth import (
 )
 from temporal_augmenter.tensor_core import Rng
 
+import blas_kernel
+
 
 @pytest.fixture()
 def radar_csv(tmp_path):
@@ -755,10 +757,13 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def train_in_child(tmp_path, config_text: str, pin_threads: bool = True) -> dict:
-    """Run ``train`` in a child process; returns the sha256 of the
-    checkpoint, the trainlog and the test report.  With ``pin_threads`` the
-    child's environment sets BLAS to one thread; without it, the child's
-    environment has no BLAS thread variable at all."""
+    """Run ``train`` in a child process, which inherits this process's
+    environment and so its OpenBLAS kernel; returns the sha256 of the
+    checkpoint's header (its first 16 + H bytes), of its payload (the
+    stored values after them), of the trainlog and of the test report.
+    With ``pin_threads`` the child's environment sets BLAS to one thread;
+    without it, the child's environment has no BLAS thread variable at
+    all."""
     out = tmp_path / "run"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(f"out = {out}\n" + config_text)
@@ -770,8 +775,11 @@ def train_in_child(tmp_path, config_text: str, pin_threads: bool = True) -> dict
     subprocess.run([sys.executable, "-m", "temporal_augmenter", "train",
                     "--config", str(cfg_path)], env=env, check=True,
                    capture_output=True, timeout=300)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("checkpoint.tackpt", "trainlog.csv", "report_test.json")}
+    blob = (out / "checkpoint.tackpt").read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    parts = {"header": blob[:end], "payload": blob[end:]}
+    parts.update((name, (out / name).read_bytes()) for name in ("trainlog.csv", "report_test.json"))
+    return {name: hashlib.sha256(part).hexdigest() for name, part in parts.items()}
 
 
 class TestKeepFreedMemory:
@@ -809,34 +817,84 @@ class TestKeepFreedMemory:
 
 class TestPinnedDigests:
     """Fixed-seed runs write the same bytes as the commits before them.
-    The trainlog and report digests were last re-recorded when stream and
-    head dropout moved from one SplitMix64 word per element to one 32-bit
-    half, which changes every train-mode mask; the checkpoint digests when
-    the header's config lost conv_activation and return_sequences, and its
-    run_config the keys momentum and shuffle (checkpoint version 4), which
-    moved no stored value.  The checkpoint digests, and the heartbeat and
-    radar trainlogs, moved again when the cells took each sigmoid gate from
-    one tanh, 0.5 tanh(a / 2) + 0.5, and added the bias into the input
-    projection before the recurrent term, which moves the last bits of
-    every trained weight.  The checkpoint digests moved once more when the
-    header's config lost conv_kernel and each stream's conv weights became
-    "conv.W" [d, F] (checkpoint version 5), which moved no stored value; the
-    radar run, which had set conv_kernel = 3, pins the one-tap run since.
-    They moved again when the run_config extra lost the lines epsilon, rho,
-    beta1 and beta2, and the CSV runs' target_len (checkpoint version 6),
-    which moved no stored value.
-
     The two-runs-agree tests cannot see a change that moves bits in both
-    runs; these literals can.  Each run is a child process with BLAS on one
-    thread: threaded OpenBLAS splits the long inner sum of a skinny product
-    such as the cells' input-weight gradient at these batch sizes, so the
-    bits depend on the thread count.  The digests were recorded with numpy
-    2.4.6 on OpenBLAS 0.3.31.  Another BLAS build may order its
+    runs; these literals can.
+
+    Each run's checkpoint is pinned as two digests: its header, which
+    holds the config and the extras, and its payload, the stored values.
+    So a change to the header alone re-records only the header literals,
+    and the payload literals show that no stored value moved.  They last
+    did when the cells took each sigmoid gate from one tanh,
+    0.5 tanh(a / 2) + 0.5, and added the bias into the input projection
+    before the recurrent term; the header literals when checkpoint version
+    7 dropped the header's table of tensor names and shapes.
+
+    Each run is a child process with BLAS on one thread: threaded OpenBLAS
+    splits the long inner sum of a skinny product such as the cells'
+    input-weight gradient at these batch sizes, so the bits depend on the
+    thread count.  They also depend on the OpenBLAS kernel, since each
+    orders its GEMM sums its own way: the payload, trainlog and report
+    literals are recorded per kernel, with numpy 2.4.6 on OpenBLAS 0.3.31,
+    and each test checks the table of the kernel this process runs, which
+    its child inherits (``OPENBLAS_CORETYPE`` selects one).  A kernel with
+    no table fails.  The header holds no trained value, so its literal is
+    the same on every kernel.  Another BLAS build may order its
     floating-point sums differently and so legitimately produce other
     digests.
     """
 
-    HEARTBEAT_CHECKPOINT = "401dbdc01439738beb8033dd8e11e72957d02932bf83bce8453b2825b66fb08f"
+    HEADERS = {
+        "heartbeat": "1b981e7cfd77a8bf1f1eb4dc389923e16c630787e269e78b12d864b41a38cee7",
+        "tone": "7842fcf3b5240773bfe6c3eb35070571d38b8cd2ace8bff6aa61966c9f0d2f33",
+        "radar": "4f57e74086470b5061f4f767ff0bb5b31ad02475086e1d784bdfa78bba2c6d7c",
+    }
+
+    # kernel -> run -> (payload, trainlog.csv, report_test.json) digests
+    DIGESTS = {
+        "SkylakeX": {
+            "heartbeat": ("24460b7c8afae46f47f22f8253293e36c053d730cdfc05dd11ac9e23128b235a",
+                          "292b6648a0efc191f647cc0aee1fe6108a3196c33c3d5e144e4dbf81661c14e5",
+                          "a458bb7624552852b84e0e544943faeeeaa3063528ab4e825946e3f5ba8df08d"),
+            "tone": ("d8f73320414cf5e833d7b54eef144955a15518c279548a16cfd9f37c0b3dd5a0",
+                     "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
+                     "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2"),
+            "radar": ("1f2733a66329b323ed90158dcccca82f45882444b266833c9f0fd62d671a6d16",
+                      "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
+                      "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df"),
+        },
+        "Haswell": {
+            "heartbeat": ("7a8f904fb5692929f9ce5daf81502699a7b1305cb6ac0f58be9f5c847c5c827d",
+                          "29288ab3e914d1769fdcbd6d8fcfbb40ff6bf5d44b8f6e0bfaf2ac47fbf6ed3c",
+                          "a458bb7624552852b84e0e544943faeeeaa3063528ab4e825946e3f5ba8df08d"),
+            "tone": ("1a4e54ad9ea6749e45dec9ac5bdb2dc354ba669e65e40a50defa89fe07bb3c24",
+                     "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
+                     "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2"),
+            "radar": ("87c782b7a536035861b7c01a12c569eff424f9dd1a8ee5b92f8cfa28ffd2c329",
+                      "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
+                      "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df"),
+        },
+        "Sandybridge": {
+            "heartbeat": ("8d0a6bd7ba85b6fb91709fc4646268c2bed30d2e1709810f0b298da4bd71b259",
+                          "292b6648a0efc191f647cc0aee1fe6108a3196c33c3d5e144e4dbf81661c14e5",
+                          "a458bb7624552852b84e0e544943faeeeaa3063528ab4e825946e3f5ba8df08d"),
+            "tone": ("8a60fbb8fd0e826d7e0824c62a84cf4d6c840217f6ef541fff87d3415a199941",
+                     "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
+                     "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2"),
+            "radar": ("791435ff6b6639eb7ccdd2ad2c8ebd7440be958c597b77a0b2517189c7ef3b0d",
+                      "2f5e320d876f57221287b6b67d2f39355a8f71e542ac5bc23c3fc9721db2ad97",
+                      "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df"),
+        },
+    }
+
+    def recorded(self, run: str) -> dict:
+        """The digests ``train_in_child`` must return for ``run`` on the
+        OpenBLAS kernel this process runs."""
+        kernel = blas_kernel.corename()
+        if kernel not in self.DIGESTS:
+            pytest.fail(f"no digests recorded for the OpenBLAS kernel {kernel!r}")
+        payload, trainlog, report = self.DIGESTS[kernel][run]
+        return {"header": self.HEADERS[run], "payload": payload, "trainlog.csv": trainlog,
+                "report_test.json": report}
 
     @staticmethod
     def heartbeat_config(tmp_path) -> str:
@@ -849,9 +907,7 @@ class TestPinnedDigests:
         on, and batches of 7 rows, an odd count, so a batch spans several
         front-end blocks and ends in a short one."""
         digests = train_in_child(tmp_path, self.heartbeat_config(tmp_path))
-        assert digests["checkpoint.tackpt"] == self.HEARTBEAT_CHECKPOINT
-        assert digests["trainlog.csv"] == (
-            "292b6648a0efc191f647cc0aee1fe6108a3196c33c3d5e144e4dbf81661c14e5")
+        assert digests == self.recorded("heartbeat")
 
     def test_heartbeat_run_without_thread_variables(self, tmp_path):
         """The package defaults BLAS to one thread, so a child that sets no
@@ -859,7 +915,7 @@ class TestPinnedDigests:
         cores does this tell the default apart from a threaded BLAS: on one
         core, threaded OpenBLAS runs one thread and writes the same bits."""
         digests = train_in_child(tmp_path, self.heartbeat_config(tmp_path), pin_threads=False)
-        assert digests["checkpoint.tackpt"] == self.HEARTBEAT_CHECKPOINT
+        assert digests == self.recorded("heartbeat")
 
     def test_tone_run_matches_recorded_digests(self, tmp_path):
         """The tess shape: WAV clips of T = 1024, so each cell runs 512
@@ -869,14 +925,7 @@ class TestPinnedDigests:
         write_tone_corpus(data, Rng(901), clips_per_class=8)
         digests = train_in_child(tmp_path, f"task = tess\ndata = {data}\nseed = 6\n"
                                            f"epochs = 2\nbatch_size = 5\nconv_filters = 32\n")
-        assert digests == {
-            "checkpoint.tackpt":
-                "fccc8e28fcefc2357cd255038d6db895555ddfa578f416ba460f86db881f58ed",
-            "trainlog.csv":
-                "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
-            "report_test.json":
-                "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2",
-        }
+        assert digests == self.recorded("tone")
 
     def test_radar_run_matches_recorded_digests(self, tmp_path):
         """The ionosphere shape (T = 17, two channels), so the front-end
@@ -887,14 +936,7 @@ class TestPinnedDigests:
         write_radar_csv(data, make_radar_dataset(120, Rng(902)))
         digests = train_in_child(tmp_path, f"task = ionosphere\ndata = {data}\nseed = 7\n"
                                            f"epochs = 3\nbatch_size = 45\n")
-        assert digests == {
-            "checkpoint.tackpt":
-                "f6c6d0514b669d2469879a60f6f92e1f933ad2ee752125969dfe5f2b745dc0e2",
-            "trainlog.csv":
-                "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
-            "report_test.json":
-                "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df",
-        }
+        assert digests == self.recorded("radar")
 
 
 class TestEvalCommand:
@@ -1004,7 +1046,7 @@ class TestEvalCommand:
                                       (end + len(blob)) // 2, len(blob) - 1)]
         bad.append(blob + b"\x00" * 8)
         bad.append(blob[:8] + (len(blob)).to_bytes(8, "little") + blob[16:])
-        bad.append(blob[:16] + blob[16:end].replace(b'"version":6', b'"version":7') + blob[end:])
+        bad.append(blob[:16] + blob[16:end].replace(b'"version":7', b'"version":8') + blob[end:])
         bad.append(blob[:16] + blob[16:end].replace(b'"lstm_units":', b'"lstm_unitz":') + blob[end:])
         bad.append(blob[:16] + b"\xff" + blob[17:])
         path = tmp_path / "bad.tackpt"
@@ -1012,24 +1054,11 @@ class TestEvalCommand:
             path.write_bytes(data)
             assert cli.main(["eval", str(path), str(radar_csv)]) == 3
             assert "data error" in capsys.readouterr().err
-        # the scaler tensors come last, mean then std: drop std from the
-        # header and the body, then give std the wrong shape
-        header = json.loads(blob[16:end])
-        std_entry = header["tensors"].pop()
-        assert std_entry["name"] == "extra.scaler_std"
-        std_bytes = 8 * math.prod(std_entry["shape"])
-
-        def rewrite(body):
-            text = json.dumps(header).encode("utf-8")
-            return blob[:8] + len(text).to_bytes(8, "little") + text + body
-
-        no_std = rewrite(blob[end:len(blob) - std_bytes])
-        mean_entry = header["tensors"].pop()  # the mean has the std's shape
-        no_scaler = rewrite(blob[end:len(blob) - 2 * std_bytes])
-        header["tensors"] += [mean_entry, dict(std_entry, shape=[math.prod(std_entry["shape"])])]
-        flat_std = rewrite(blob[end:])
-        cases = [(no_std, [str(path), "extra.scaler_std"]),
-                 (no_scaler, [str(path), "extra.scaler_mean"]), (flat_std, ["std shape"])]
+        # the scaler's mean and std come last, each [17, 2]: cut std, then
+        # both, from the values the header's config describes
+        scaler_bytes = 8 * 17 * 2
+        cases = [(blob[:-scaler_bytes], [str(path), "bytes"]),
+                 (blob[:-2 * scaler_bytes], [str(path), "bytes"])]
         # overwrite the first float of gru.conv.W (the first tensor), the last
         # of std (the last tensor), then of the mean before it; the loader
         # refuses a non-finite value (a NaN weight once scored the split), the
@@ -1038,16 +1067,12 @@ class TestEvalCommand:
                 (end, math.nan, [str(path), "'gru.conv.W'"]),
                 (end, math.inf, [str(path), "'gru.conv.W'"]),
                 (end, -math.inf, [str(path), "'gru.conv.W'"]),
-                (len(blob) - 8, math.nan, [str(path), "'extra.scaler_std'"]),
+                (len(blob) - 8, math.nan, [str(path), "'scaler.std'"]),
                 (len(blob) - 8, 0.0, ["scaler std"]), (len(blob) - 8, -1.0, ["scaler std"]),
-                (len(blob) - 8, math.inf, [str(path), "'extra.scaler_std'"]),
-                (len(blob) - std_bytes - 8, math.nan, [str(path), "'extra.scaler_mean'"])):
+                (len(blob) - 8, math.inf, [str(path), "'scaler.std'"]),
+                (len(blob) - scaler_bytes - 8, math.nan, [str(path), "'scaler.mean'"])):
             cases.append((blob[:at] + np.float64(value).astype("<f8").tobytes() + blob[at + 8:],
                           named))
-        # a tensor that is neither a parameter nor extra.*, once dropped unread
-        header = json.loads(blob[16:end])
-        header["tensors"].append({"name": "bogus", "shape": [2]})
-        cases.append((rewrite(blob[end:] + bytes(16)), [str(path), "'bogus'"]))
         eval_out = tmp_path / "evalout"
         for data, named in cases:
             path.write_bytes(data)
@@ -1056,45 +1081,87 @@ class TestEvalCommand:
             assert "data error" in err and all(text in err for text in named)
             assert not eval_out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @staticmethod
+    def rewrite_header(blob: bytes, edit) -> bytes:
+        """``blob`` with ``edit`` applied to its header dict."""
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        edit(header)
+        edited = json.dumps(header).encode("utf-8")
+        return blob[:8] + len(edited).to_bytes(8, "little") + edited + blob[16 + hlen:]
+
+    @classmethod
+    def rewrite_extras(cls, blob: bytes, edit) -> bytes:
+        """``blob`` with ``edit`` applied to its header's extras dict."""
+        return cls.rewrite_header(blob, lambda header: edit(header["extras"]))
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_checkpoint_version_exit_3(self, trained_run, tmp_path, capsys, version):
         """Version 1 stored one tensor per cell gate, version 2 the GRU's
         recurrent weights as two tensors, version 3's config held
         conv_activation and return_sequences, version 4's conv_kernel,
-        with the conv weights as K [1, d, F], and version 5's run_config
-        the optimizers' constants and target_len on every task; their files
-        are refused."""
+        with the conv weights as K [1, d, F], version 5's run_config the
+        optimizers' constants and target_len on every task, and version 6's
+        header a table of every tensor's name and shape; their files are
+        refused."""
         out, radar_csv = trained_run
         path = tmp_path / f"v{version}.tackpt"
         path.write_bytes((out / "checkpoint.tackpt").read_bytes().replace(
-            b'"version":6', b'"version":%d' % version, 1))
+            b'"version":7', b'"version":%d' % version, 1))
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         assert f"{path}: unsupported checkpoint version {version}" in capsys.readouterr().err
+
+    def test_header_timesteps_beside_its_scaler_exit_3(self, trained_run, tmp_path, capsys):
+        """The stored scaler is [17, 2]; no parameter's shape reads
+        input_timesteps, so a header that says 18 once loaded, and eval
+        blamed the data (exit 2, schema mismatch)."""
+        out, radar_csv = trained_run
+        path = tmp_path / "edited.tackpt"
+        path.write_bytes(self.rewrite_header((out / "checkpoint.tackpt").read_bytes(),
+                                             lambda h: h["config"].update(input_timesteps=18)))
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}: checkpoint is" in err
+
+    @pytest.mark.parametrize("value", [None, 1, "true"])
+    def test_scaler_flag_that_is_not_a_bool_exit_3(self, trained_run, tmp_path, capsys, value):
+        out, radar_csv = trained_run
+        path = tmp_path / "edited.tackpt"
+        path.write_bytes(self.rewrite_header((out / "checkpoint.tackpt").read_bytes(),
+                                             lambda h: h.update(scaler=value)))
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        assert (f"data error: {path}: checkpoint header's scaler must be true or false, "
+                f"got {value!r}" in capsys.readouterr().err)
+
+    def test_checkpoint_without_a_scaler_under_standardize_exit_3(
+            self, trained_run, tmp_path, capsys):
+        """The header says it holds no scaler and its values end with the
+        parameters, which load; run_config sets standardize, so eval refuses
+        it before reading the data."""
+        out, radar_csv = trained_run
+        blob = self.rewrite_header((out / "checkpoint.tackpt").read_bytes(),
+                                   lambda h: h.update(scaler=False))
+        path = tmp_path / "edited.tackpt"
+        path.write_bytes(blob[:-2 * 8 * 17 * 2])
+        assert cli.main(["eval", str(path), str(radar_csv)]) == 3
+        assert (f"data error: {path}: run_config: standardize is on, but the checkpoint holds "
+                f"no scaler" in capsys.readouterr().err)
 
     def test_non_finite_probabilities_exit_3(self, trained_run, tmp_path, capsys):
         """Head weights scaled by 1e300 are finite, but the logits overflow;
         the split was once scored on the NaN probabilities that followed."""
         out, radar_csv = trained_run
-        net, extras, extra_tensors = load_checkpoint(out / "checkpoint.tackpt")
+        net, extras, scaler = load_checkpoint(out / "checkpoint.tackpt")
         for dp in net.head:
             dp.W *= 1e300
         path = tmp_path / "huge.tackpt"
-        save_checkpoint(path, net, extras=extras, extra_tensors=extra_tensors)
+        save_checkpoint(path, net, extras=extras, scaler=scaler)
         eval_out = tmp_path / "evalout"
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["eval", str(path), str(radar_csv), "--out", str(eval_out)]) == 3
         assert (f"data error: {path}: the model gives test sample 0 a NaN or infinite class "
                 f"probability" in capsys.readouterr().err)
         assert not eval_out.exists()
-
-    @staticmethod
-    def rewrite_extras(blob: bytes, edit) -> bytes:
-        """``blob`` with ``edit`` applied to its header's extras dict."""
-        hlen = int.from_bytes(blob[8:16], "little")
-        header = json.loads(blob[16:16 + hlen])
-        edit(header["extras"])
-        edited = json.dumps(header).encode("utf-8")
-        return blob[:8] + len(edited).to_bytes(8, "little") + edited + blob[16 + hlen:]
 
     @pytest.mark.parametrize("key,value", [
         ("run_config", None),  # missing, as in a checkpoint from before run_config
@@ -1127,6 +1194,8 @@ class TestEvalCommand:
         ("seed", "1.5", "seed"),
         ("stratified", "maybe", "stratified"),
         ("standardize", "1.0", "standardize"),
+        # the checkpoint holds the scaler that standardize = true fitted
+        ("standardize", "false", "standardize is off, but the checkpoint holds a scaler"),
         ("split_val", "0.2x", "split_val"),
         ("target_len", "0", "target_len"),
         ("bogus", "1", "bogus"),
@@ -1141,9 +1210,10 @@ class TestEvalCommand:
     @pytest.mark.parametrize("key,value,named", RUN_CONFIG_EDITS,
                              ids=[f"{key}-{value}" for key, value, _ in RUN_CONFIG_EDITS])
     def test_edited_run_config_exit_3(self, trained_run, tmp_path, capsys, key, value, named):
-        """Edits that the config parser refuses, or whose model settings
-        differ from the checkpoint header's config: the line ``key = value``
-        replaces ``key``'s line, or is added; None deletes the line."""
+        """Edits that the config parser refuses, whose model settings differ
+        from the checkpoint header's config, or whose standardize disagrees
+        with the stored scaler: the line ``key = value`` replaces ``key``'s
+        line, or is added; None deletes the line."""
         out, radar_csv = trained_run
 
         def edit(extras):

@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from temporal_augmenter import gradcheck, layers, model as model_mod, optim, recurrent
-from temporal_augmenter.data import DataError, Dataset
+from temporal_augmenter.data import DataError, Dataset, ScalerParams
 from temporal_augmenter.model import (
     ModelConfig,
     StreamParams,
@@ -721,10 +721,20 @@ class TestRepeatedCalls:
 
 def miniature_checkpoint_bytes(tmp_path) -> bytes:
     path = tmp_path / "mini.tackpt"
+    scaler = ScalerParams(mean=Rng(45).uniform((5, 2)), std=Rng(46).uniform((5, 2)) + 0.5)
     save_checkpoint(path, build(gradcheck.miniature_config(), Rng(44)),
-                    extras={"class_names": ["a", "b", "c"]},
-                    extra_tensors={"scaler_mean": Rng(45).uniform((5, 2))})
+                    extras={"class_names": ["a", "b", "c"]}, scaler=scaler)
     return path.read_bytes()
+
+
+def stored_shapes(header) -> dict:
+    """name -> shape of each tensor a checkpoint with ``header`` stores, in
+    order: its config's parameters, then the scaler's mean and std."""
+    cfg = ModelConfig(**header["config"])
+    shapes = {name: arr.shape for name, arr in build(cfg, Rng(0)).parameters().items()}
+    if header["scaler"]:
+        shapes["scaler.mean"] = shapes["scaler.std"] = (cfg.input_timesteps, cfg.input_channels)
+    return shapes
 
 
 def split_checkpoint(blob: bytes):
@@ -733,9 +743,9 @@ def split_checkpoint(blob: bytes):
     header = json.loads(blob[16:16 + hlen])
     flat = np.frombuffer(blob[16 + hlen:], dtype="<f8")
     arrays, offset = [], 0
-    for entry in header["tensors"]:
-        size = int(np.prod(entry["shape"]))
-        arrays.append(flat[offset:offset + size].reshape(entry["shape"]))
+    for shape in stored_shapes(header).values():
+        size = math.prod(shape)
+        arrays.append(flat[offset:offset + size].reshape(shape))
         offset += size
     return header, arrays
 
@@ -745,16 +755,14 @@ def join_checkpoint(header_bytes: bytes, arrays) -> bytes:
             + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays))
 
 
-def _entry(header, name):
-    return next(e for e in header["tensors"] if e["name"] == name)
-
-
-def _shrink_bias(header, arrays):
-    # a [1] tensor where the model has [3] must not broadcast into it
-    _entry(header, "head.out.b")["shape"] = [1]
-    idx = [e["name"] for e in header["tensors"]].index("head.out.b")
-    arrays[idx] = arrays[idx][:1]
-    return join_checkpoint(json.dumps(header).encode(), arrays)
+def _edit_tensor(name, edit):
+    """A corruption that replaces the stored tensor ``name`` with the
+    arrays ``edit`` makes of it."""
+    def corrupt(header, arrays):
+        idx = list(stored_shapes(header)).index(name)
+        arrays = [*arrays[:idx], *edit(arrays[idx]), *arrays[idx + 1:]]
+        return join_checkpoint(json.dumps(header).encode(), arrays)
+    return corrupt
 
 
 # Each edits the parsed header in place; the file is then re-encoded whole.
@@ -771,36 +779,23 @@ HEADER_EDITS = {
     "config_rate_is_bool": lambda h: h["config"].update(dropout_stream=False),
     "config_missing": lambda h: h.pop("config"),
     "extras_not_object": lambda h: h.update(extras=[1]),
-    "tensor_missing": lambda h: _entry(h, "gru.cell.U").update(name="gru.cell.U_x"),
-    "tensor_entry_no_shape": lambda h: _entry(h, "head.out.b").pop("shape"),
-    "tensor_negative_dim": lambda h: _entry(h, "extra.scaler_mean").update(shape=[-5, -2]),
-    # each once passed as the bias's 3 through int()
-    "tensor_float_dim": lambda h: _entry(h, "head.out.b").update(shape=[3.9]),
-    "tensor_text_dim": lambda h: _entry(h, "head.out.b").update(shape=["3"]),
-    "tensor_wrong_shape": lambda h: _entry(h, "gru.conv.W")["shape"].reverse(),
-    # rejected by the shape check, before a 10**12-filter model is allocated
+    # rejected by the length check before a 10**12-filter model is allocated
     "config_huge_sizes": lambda h: h["config"].update(conv_filters=10 ** 12),
+    # numpy cannot index the model's [d, 10**30] conv weights
+    "config_sizes_past_numpy": lambda h: h["config"].update(conv_filters=10 ** 30),
     # a mapping once passed as a list of its keys
     "config_streams_object": lambda h: h["config"].update(streams={"gru": 1, "lstm": 2}),
     # once took the default, which is also the miniature's size
     "config_field_missing": lambda h: h["config"].pop("pool_size"),
+    # the stored scaler is [5, 2]; no parameter's shape reads input_timesteps
+    "config_timesteps_beside_the_scaler": lambda h: h["config"].update(input_timesteps=6),
+    "scaler_missing": lambda h: h.pop("scaler"),
+    "scaler_false_beside_its_values": lambda h: h.update(scaler=False),
 }
 
 # Each replaces one field of a header's config in the property test below.
 BAD_HEADER_VALUES = [None, -1, 0, 1.5, True, 2 ** 40, "x", [], {}, "0" * 70, math.nan,
                      [1.5], ["x"]]
-
-def _named_twice(header, arrays):
-    # a second copy of the first tensor ahead of it, once read past unchecked
-    header["tensors"].insert(0, dict(header["tensors"][0]))
-    return join_checkpoint(json.dumps(header).encode(), [arrays[0], *arrays])
-
-
-def _unknown_tensor(header, arrays):
-    # neither a parameter nor extra.*, once dropped without a word
-    header["tensors"].append({"name": "bogus", "shape": [2]})
-    return join_checkpoint(json.dumps(header).encode(), [*arrays, np.zeros(2)])
-
 
 # Each maps (header, arrays) of a good checkpoint to the bytes of a bad one.
 RAW_CORRUPTIONS = {
@@ -809,9 +804,11 @@ RAW_CORRUPTIONS = {
     "not_utf8": lambda h, a: join_checkpoint(json.dumps(h).encode()[:-1] + b"\xff", a),
     "not_json": lambda h, a: join_checkpoint(json.dumps(h).encode()[1:] + b" ", a),
     "not_an_object": lambda h, a: join_checkpoint(json.dumps([h]).encode(), a),
-    "tensor_shrunk_to_one": _shrink_bias,
-    "tensor_named_twice": _named_twice,
-    "tensor_not_a_parameter": _unknown_tensor,
+    # the output bias's first value where the model has three
+    "tensor_shrunk_to_one": _edit_tensor("head.out.b", lambda t: [t[:1]]),
+    "tensor_missing": _edit_tensor("gru.cell.U", lambda t: []),
+    # two values past the scaler's std, which no tensor holds
+    "tensor_not_a_parameter": _edit_tensor("scaler.std", lambda t: [t, np.zeros(2)]),
     "length_short_of_tensors": lambda h, a: join_checkpoint(json.dumps(h).encode(), a[:-1]),
 }
 
@@ -823,13 +820,14 @@ class TestCheckpoint:
         x = Rng(41).uniform((5, 17, 2)) * 2 - 1
         before, _ = forward(net, x, mode="eval")
         path = tmp_path / "model.tackpt"
-        save_checkpoint(path, net, extras={"class_names": ["a", "b"]},
-                        extra_tensors={"scaler_mean": Rng(42).uniform((17, 2))})
-        loaded, extras, extra_tensors = load_checkpoint(path)
+        scaler = ScalerParams(mean=Rng(42).uniform((17, 2)), std=Rng(43).uniform((17, 2)))
+        save_checkpoint(path, net, extras={"class_names": ["a", "b"]}, scaler=scaler)
+        loaded, extras, loaded_scaler = load_checkpoint(path)
         after, _ = forward(loaded, x, mode="eval")
         npt.assert_array_equal(before, after)
         assert extras == {"class_names": ["a", "b"]}
-        npt.assert_array_equal(extra_tensors["scaler_mean"], Rng(42).uniform((17, 2)))
+        assert loaded_scaler.mean.tobytes() == scaler.mean.tobytes()
+        assert loaded_scaler.std.tobytes() == scaler.std.tobytes()
         for name, arr in net.parameters().items():
             npt.assert_array_equal(arr, loaded.parameters()[name])
 
@@ -887,10 +885,10 @@ class TestCheckpoint:
                 assert held == want and type(held) is type(want), (f.name, value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("tensor", ["gru.conv.W", "extra.scaler_mean"])
+    @pytest.mark.parametrize("tensor", ["gru.conv.W", "scaler.mean", "scaler.std"])
     def test_non_finite_tensor_rejected(self, tmp_path, tensor, value):
         header, arrays = split_checkpoint(miniature_checkpoint_bytes(tmp_path))
-        idx = [e["name"] for e in header["tensors"]].index(tensor)
+        idx = list(stored_shapes(header)).index(tensor)
         arrays[idx] = arrays[idx].copy()
         arrays[idx].flat[-1] = value
         path = tmp_path / "bad.tackpt"
@@ -900,8 +898,9 @@ class TestCheckpoint:
 
     def test_shape_check_allocates_nothing(self, tmp_path):
         """A header whose config sets 10**6 filters, which makes the LSTM's
-        input weight [10**6, 40] (320 MB), is refused by the shape check
-        without allocating that model."""
+        input weight [10**6, 40] (320 MB), is refused by the length check,
+        whose shapes come from a model that holds no memory, without
+        allocating that model."""
         path = tmp_path / "wide.tackpt"
         save_checkpoint(path, build(radar_config(), Rng(46)))
         header, arrays = split_checkpoint(path.read_bytes())
@@ -936,5 +935,6 @@ class TestCheckpoint:
         net = build(cfg, Rng(43))
         path = tmp_path / "m.tackpt"
         save_checkpoint(path, net)
-        loaded, _, _ = load_checkpoint(path)
+        loaded, _, scaler = load_checkpoint(path)
         assert loaded.config == cfg
+        assert scaler is None

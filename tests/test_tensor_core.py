@@ -105,8 +105,9 @@ class TestInitializers:
         assert abs(vals.mean()) < 3 * limit / math.sqrt(3) / math.sqrt(vals.size)
 
     def test_he_limits(self):
-        assert np.max(np.abs(init_he_uniform(6, (1000,), Rng(3)))) <= 1.0
-        vals = init_he_uniform(1, (100000,), Rng(4))
+        assert np.max(np.abs(init_he_uniform(6, 1000, Rng(3)))) <= 1.0
+        vals = init_he_uniform(1, 100000, Rng(4))
+        assert vals.shape == (1, 100000)
         limit = math.sqrt(6.0)
         assert abs(limit - 2.4495) < 1e-4
         assert np.max(np.abs(vals)) <= limit
@@ -116,7 +117,9 @@ class TestInitializers:
         with pytest.raises(ValueError):
             init_glorot_uniform(0, 4, Rng(0))
         with pytest.raises(ValueError):
-            init_he_uniform(-1, (2,), Rng(0))
+            init_he_uniform(-1, 2, Rng(0))
+        with pytest.raises(ValueError):
+            init_he_uniform(2, 0, Rng(0))
         with pytest.raises(ValueError):
             init_orthogonal(0, Rng(0))
 
