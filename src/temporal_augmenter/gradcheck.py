@@ -172,7 +172,7 @@ def _check_cell(kind: str, seed: int) -> float:
 
         def run_cell():
             # W is checked through the projection that the cell is given
-            return run(recurrent.project(x, params), params)
+            return run(recurrent.project(x, *recurrent.scaled_input(params)), params)
 
         da, grads = run_back(run_cell()[1], proj)
         # dx and the W gradient from da, by the helper the model's backward calls

@@ -18,10 +18,10 @@ buffer, in either mode; it is a function of its own so that the
 buffer is freed before the cells run.  It applies the dropout in place
 and, while the block is still in cache, multiplies it by the cell's input
 weights and adds the cell's bias into its rows of the cell's input
-projection px = (y W + b) s [n, T_out, k], s halving the sigmoid gates'
-columns (``recurrent.project``), which is all the cell reads.  No
-[n, T_out, F] cell input exists in either mode.  Two paths form the pooled
-pre-activation; nothing else differs.
+projection px = y (W s) + b s [n, T_out, k], s halving the sigmoid gates'
+columns and W s and b s formed once per stream (``recurrent.project``),
+which is all the cell reads.  No [n, T_out, F] cell input exists in either
+mode.  Two paths form the pooled pre-activation; nothing else differs.
 
 The pooled path runs on one input channel (``_pools_first``: the mitbih
 and tess shapes; ``width = T_out``).  With K = W[0], the [F] weights of
@@ -30,13 +30,16 @@ that channel, its conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])`` with
 monotone function of x, non-decreasing where K[f] >= 0 and non-increasing
 where K[f] < 0, and a window's max of it is its value at the window's max
 of x or at its min: ``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so
-no such sum is -0.0, and equal values have equal bits.  The path takes the
-window max and min of x ([n, T_out]) once.  Per block it forms that max as
-one product of the [rows * T_out, 2] extremes with a [2, F] matrix: K with
-0.0 where K < 0, over K with 0.0 where K > 0.  For finite x one of a
-filter's two terms is an exact zero (both are where K is +-0.0), so the
-product is the other term's rounded value.  No [n, T, F] conv output,
-pool winner mask or conv-output gradient exists on this path.
+no such sum is -0.0, and equal values have equal bits.  ``forward`` takes
+the window max and min of x once for both streams, by pairwise
+``np.maximum`` and ``np.minimum``, into one [3, n, T_out] array with each
+window's first step (``_window_extremes``).  Per block it forms that max
+as one product of an [rows * T_out, 2] view of the block's max and min
+with a [2, F] matrix: K with 0.0 where K < 0, over K with 0.0 where
+K > 0.  For finite x one of a filter's two terms is an exact zero (both
+are where K is +-0.0), so the product is the other term's rounded value.
+No [n, T, F] conv output, pool winner mask or conv-output gradient exists
+on this path.
 
 The general path runs on more channels (ionosphere's two; ``width = T``)
 and is the oracle the pooled path is tested against.  It runs
@@ -71,10 +74,11 @@ The general path runs the block's max-pool backward into a reused
 kernel gradient takes, per filter, the input value that the general path's
 window winner holds: the window max of x where K[f] > 0, the min where
 K[f] < 0, and the window's first step where K[f] is +-0.0 and every step
-ties, as one product of those three [rows * T_out] rows with the block's
-[rows * T_out, F] gradient.  Its summation order differs from the general
-path's, so its last bits may move; so may its value where rounding makes
-two window values equal while their x differ.  Over the same blocks, the
+ties, as one product of the block's [3, rows * T_out] columns of
+``_window_extremes`` with its [rows * T_out, F] gradient.  Its summation
+order differs from the general path's, so its last bits may move; so may
+its value where rounding makes two window values equal while their x
+differ.  Over the same blocks, the
 pooled path's bias gradient is bit for bit the general path's: numpy's sum
 starts at +0.0, so no partial sum is -0.0 and the +0.0 that the general
 path adds for each non-winning step changes none of them.
@@ -272,15 +276,25 @@ def _block_bounds(n: int, width: int, cfg: ModelConfig) -> list:
     return list(zip([0, *stops[:-1]], stops))
 
 
-def _pooled_terms(sp: StreamParams, cfg: ModelConfig, x: Tensor):
+def _window_extremes(cfg: ModelConfig, x: Tensor) -> Tensor:
+    """Each window's max, min and first step of ``x``, [3, n, T_out]; the max
+    and min by the ufuncs that ``max(axis)`` and ``min(axis)`` apply, in
+    their order, so with their element, signed zero and NaN included."""
+    T_out, pool = cfg.recurrent_timesteps, cfg.pool_size
+    steps = x[:, :T_out * pool, 0]
+    extremes = np.stack([steps[:, ::pool]] * 3)
+    for j in range(1, pool):
+        np.maximum(extremes[0], steps[:, j::pool], out=extremes[0])
+        np.minimum(extremes[1], steps[:, j::pool], out=extremes[1])
+    return extremes
+
+
+def _pooled_terms(sp: StreamParams, extremes):
     """On the pooled path (see the module docstring), (extremes, weights,
-    b'): the window max and min of ``x`` [n, T_out, 2], the [2, F] matrix
-    they multiply, and b' = b + 0.0; None on the general path."""
-    if not _pools_first(cfg):
+    b'): the forward's ``_window_extremes``, the [2, F] matrix the window
+    max and min multiply, and b' = b + 0.0; None on the general path."""
+    if extremes is None:
         return None
-    n, T_out, pool = x.shape[0], cfg.recurrent_timesteps, cfg.pool_size
-    windows = x[:, :T_out * pool, 0].reshape(n, T_out, pool)
-    extremes = np.stack((windows.max(axis=2), windows.min(axis=2)), axis=2)
     K = sp.conv.W[0]
     # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
     weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
@@ -298,7 +312,7 @@ def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: in
     pool_cache = None
     if pooled is not None:
         extremes, weights, b = pooled
-        np.matmul(extremes[start:stop].reshape(-1, 2), weights, out=y.reshape(-1, y.shape[2]))
+        np.matmul(extremes[:2, start:stop].reshape(2, -1).T, weights, out=y.reshape(-1, b.size))
         y += b
     else:
         # the conv output is a temporary, freed before the projection
@@ -308,11 +322,11 @@ def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: in
     return pool_cache
 
 
-def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng, px: Tensor):
-    """The block loop (see the module docstring), writing every row of
-    ``px``.  Returns (blocks, pooled): one (start, stop, keep mask, dropout
-    scale) per block, and the pooled path's terms."""
-    pooled = _pooled_terms(sp, cfg, x)
+def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, mode: str, rng, px: Tensor):
+    """The block loop (see the module docstring) given ``_pooled_terms``,
+    writing every row of ``px``.  Returns one (start, stop, keep mask,
+    dropout scale) per block."""
+    Ws, bs = recurrent.scaled_input(sp.cell)
     width = cfg.recurrent_timesteps if pooled is not None else x.shape[1]
     bounds = _block_bounds(x.shape[0], width, cfg)
     buffer = np.empty((max(stop - start for start, stop in bounds), cfg.recurrent_timesteps,
@@ -322,18 +336,19 @@ def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng, px
         y = buffer[:stop - start]
         _form_block(sp, cfg, x, pooled, start, stop, y, "eval")
         _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
-        recurrent.project(y, sp.cell, out=px[start:stop])
+        recurrent.project(y, Ws, bs, out=px[start:stop])
         blocks.append((start, stop, keep, scale))
-    return blocks, pooled
+    return blocks
 
 
-def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, mode: str, rng):
-    """One stream over the batch.  Its front-end writes every row of the
-    cell's input projection px, block by block; no [n, T_out, F] cell input
-    exists in either mode.  cache = (x, blocks, cell cache, pooled terms),
-    the pooled terms None on the general path."""
+def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, extremes, mode: str, rng):
+    """One stream over the batch, given ``_window_extremes`` (None on the
+    general path).  Its front-end writes every row of the cell's input
+    projection px, block by block; no [n, T_out, F] cell input exists in
+    either mode.  cache = (x, blocks, cell cache, pooled terms)."""
     px = np.empty((x.shape[0], cfg.recurrent_timesteps, sp.cell.W.shape[1]))
-    blocks, pooled = _front_end(sp, cfg, x, mode, rng, px)
+    pooled = _pooled_terms(sp, extremes)
+    blocks = _front_end(sp, cfg, x, pooled, mode, rng, px)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
     h, cell_cache = run(px, sp.cell, mode=mode)
     return h, (x, blocks, cell_cache, pooled)
@@ -346,10 +361,11 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
         raise ShapeError(
             f"input {x.shape} does not match configured "
             f"[n, {cfg.input_timesteps}, {cfg.input_channels}]")
+    extremes = _window_extremes(cfg, x) if _pools_first(cfg) else None
     stream_outs = []
     stream_caches = []
     for sp in model.streams:
-        out, cache = _stream_forward(sp, cfg, x, mode, rng)
+        out, cache = _stream_forward(sp, cfg, x, extremes, mode, rng)
         stream_outs.append(out)
         stream_caches.append(cache)
     a = np.concatenate(stream_outs, axis=1)
@@ -387,10 +403,8 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     rows = max(stop - start for start, stop, _, _ in blocks)
     y_buffer, g_buffer = np.empty((rows, T_out, F)), np.empty((rows, T_out, F))
     if pooled is not None:
-        extremes = pooled[0]
-        first = x[:, :T_out * cfg.pool_size:cfg.pool_size, 0]
         # per filter, the input value the general path's window winner holds
-        winners = np.stack((extremes[..., 0], extremes[..., 1], first)).reshape(3, -1)
+        winners = pooled[0].reshape(3, -1)
     else:
         d_conv = np.empty((rows, x.shape[1], F))
     dW = dK = db = sums = None

@@ -40,14 +40,15 @@ glorot-uniform, recurrent weights orthogonal, biases zero.
 Time loops.  Each step costs a handful of numpy calls on contiguous [n, k]
 blocks, because at these sizes a step's cost is the number of calls, not
 the arithmetic.  The caller supplies the input projection
-px = (x W + b) s [n, T, k] (``project``), so a cell never reads its
+px = x (W s) + b s [n, T, k] (``project``), so a cell never reads its
 [n, T, d] input, in either mode: the model forms px block by block while
 each block of its front-end's output is still in cache, and no whole cell
 input ever exists.  s (``_gate_scale``) is 0.5 on the sigmoid gates'
 columns, the first k - u (both kinds keep their tanh gate last: LSTM g,
-GRU h), and 1 on the tanh gate's.  With U s, made once per call, a step's
-sum is the pre-activation a times s, so one ``tanh`` over all its gates
-and two more calls give each sigmoid gate as 0.5 tanh(a / 2) + 0.5.  The
+GRU h), and 1 on the tanh gate's; the caller forms W s and b s once
+(``scaled_input``).  With U s, made once per call, a step's sum is the
+pre-activation a times s, so one ``tanh`` over all its gates and two more
+calls give each sigmoid gate as 0.5 tanh(a / 2) + 0.5.  The
 backward returns the gradient da [n, T, k] of the unscaled a and the
 recurrent and bias gradients; the input's share, dx = da W^T and
 dW = x^T da, is ``project_backward``'s, which the caller runs over the
@@ -85,10 +86,10 @@ tests/test_recurrent.py), for four reasons:
   them, with OpenBLAS's SkylakeX kernels), so the model's gradients depend
   on its blocks.
 * Halving is exact in binary floating point (short of the subnormal
-  range), so the cells' sums are ((x W + b) + h U) s bit for bit: the bias
-  is added before the recurrent term.  A sigmoid gate is within 2.2e-16 of
-  the exact logistic, exactly 0.5 at +-0, 0 from a ~ -38 down and 1 from
-  a ~ 37 up, and carries NaN through.
+  range), so x (W s) + b s is (x W + b) s and the cells' sums are
+  ((x W + b) + h U) s, bit for bit: the bias precedes the recurrent term.
+  A sigmoid gate is within 2.2e-16 of the exact logistic, exactly 0.5 at
+  +-0, 0 from a ~ -38 down and 1 from a ~ 37 up, and carries NaN through.
 * Elementwise products are evaluated left to right, as the per-gate
   expressions are, so only factors that start a product or need no
   recurrence move.  The LSTM's BPTT computes 1 - f, 1 - i, 1 - o, 1 - g^2
@@ -199,20 +200,24 @@ def _gate_scale(p) -> Tensor:
     return s
 
 
-def project(x: Tensor, p, out: Tensor | None = None) -> Tensor:
-    """The input projection px = (x W + b) s [n, T, k] of a cell's [n, T, d]
-    input, s the ``_gate_scale``: one GEMM over its n*T rows, then b and s
-    applied in place (a scaled copy of W per block raised train's peak RSS);
-    written into ``out``, C-contiguous, if given."""
-    n, T, d = x.shape
+def scaled_input(p) -> tuple:
+    """(W s, b s), s the ``_gate_scale``: ``project``'s operands."""
     s = _gate_scale(p)
-    k = s.shape[0]
+    return p.W * s, p.b * s
+
+
+def project(x: Tensor, Ws: Tensor, bs: Tensor, out: Tensor | None = None) -> Tensor:
+    """The input projection px = x (W s) + b s [n, T, k] of a cell's
+    [n, T, d] input (``scaled_input``): one GEMM over its n*T rows and one
+    bias add, (x W + b) s bit for bit as halving is exact (see the module
+    docstring); written into ``out``, C-contiguous, if given."""
+    n, T, d = x.shape
+    k = Ws.shape[1]
     if out is None:
         out = np.empty((n, T, k))
     out2 = out.reshape(n * T, k)
-    np.matmul(x.reshape(n * T, d), p.W, out=out2)
-    np.add(out2, p.b, out=out2)
-    np.multiply(out2, s, out=out2)
+    np.matmul(x.reshape(n * T, d), Ws, out=out2)
+    np.add(out2, bs, out=out2)
     return out
 
 
@@ -231,7 +236,7 @@ def project_backward(x: Tensor, da: Tensor, p, out: Tensor | None = None):
 
 
 def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
-    """Unroll over t = 1..T given the input projection ``px`` = (x W + b) s
+    """Unroll over t = 1..T given the input projection ``px`` = x (W s) + b s
     [n, T, 4u] (``project``); returns (h [n, u], cache), h the state after
     step T.
 
@@ -312,7 +317,7 @@ def lstm_backward(cache, d_h: Tensor):
 
 
 def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
-    """Unroll over t = 1..T given the input projection ``px`` = (x W + b) s
+    """Unroll over t = 1..T given the input projection ``px`` = x (W s) + b s
     [n, T, 3u] (``project``); returns (h [n, u], cache), h the state after
     step T.
 

@@ -372,16 +372,17 @@ class TestTrainStepMemory:
         assert peak < cell_bytes + n * cfg.recurrent_timesteps * cfg.conv_filters * 8
 
 
-def relu_then_pool_stream_forward(sp, cfg, x, mode, rng):
+def relu_then_pool_stream_forward(sp, cfg, x, extremes, mode, rng):
     """Stream forward in the textbook order conv1d -> ReLU -> maxpool over
     the whole batch, the cell given one GEMM over its whole input, and the
-    ReLU's own strict positive mask kept for the backward."""
+    ReLU's own strict positive mask kept for the backward; the forward's
+    window extremes go unread."""
     y, conv_cache = layers.conv1d_forward(x, sp.conv)
     y, act_cache = np.maximum(y, 0.0), y > 0
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
     y, drop_cache = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
-    h, cell_cache = run(recurrent.project(y, sp.cell), sp.cell, mode=mode)
+    h, cell_cache = run(recurrent.project(y, *recurrent.scaled_input(sp.cell)), sp.cell, mode=mode)
     return h, (conv_cache, act_cache, pool_cache, drop_cache, y, cell_cache)
 
 
@@ -628,8 +629,8 @@ class TestPooledFrontEnd:
         rng = Rng(113)
         blocks = []  # every block of cell input the train forward projects, in order
         project = recurrent.project
-        monkeypatch.setattr(recurrent, "project",
-                            lambda y, p, out: blocks.append(y.copy()) or project(y, p, out=out))
+        monkeypatch.setattr(recurrent, "project", lambda y, Ws, bs, out: blocks.append(y.copy())
+                            or project(y, Ws, bs, out=out))
         probs, trace = forward(net, x, mode="train", rng=rng)
         monkeypatch.setattr(recurrent, "project", project)
         pooled = [(cache[3] is not None, len(cache[1])) for cache in trace.stream_caches]
@@ -670,6 +671,33 @@ class TestPooledFrontEnd:
                 assert np.max(np.abs(g - ref_grads[name])) <= 1e-13 * scale, name
             else:
                 assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_window_extremes_match_the_reductions_bitwise(self, pool):
+        """The pairwise max and min equal ``max(axis)`` and ``min(axis)``
+        over the windows bit for bit, signed zeros in ties included, and the
+        third row is each window's first step."""
+        cfg = heartbeat_config(pool_size=pool)
+        assert pool == 1 or cfg.input_timesteps % pool  # a remainder step is dropped
+        x = self.awkward_instance(cfg)[1]
+        # windows of zeros, -0.0 first then +0.0 first: the ufuncs return
+        # their second operand on a tie, so the order decides the sign
+        x[5, :2 * pool] = 0.0
+        x[5, :pool:2] = x[5, pool + 1:2 * pool:2] = -0.0
+        x[6, -1] = 9.0  # in the dropped remainder, so no window's max
+        T_out = cfg.recurrent_timesteps
+        windows = x[:, :T_out * pool, 0].reshape(-1, T_out, pool)
+        want = np.stack((windows.max(axis=2), windows.min(axis=2), windows[..., 0]))
+        assert model_mod._window_extremes(cfg, x).tobytes() == want.tobytes()
+
+    def test_streams_share_one_extremes_array(self):
+        """One train forward takes the window extremes once: both stream
+        caches hold the same array."""
+        cfg = heartbeat_config()
+        net, x = self.awkward_instance(cfg)
+        _, trace = forward(net, x, mode="train", rng=Rng(114))
+        gru, lstm = (cache[3][0] for cache in trace.stream_caches)
+        assert gru is lstm
 
 
 def arrays_in(obj):

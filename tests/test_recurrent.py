@@ -17,6 +17,7 @@ from temporal_augmenter.recurrent import (
     lstm_forward,
     project,
     project_backward,
+    scaled_input,
     zero_params,
 )
 from temporal_augmenter.tensor_core import (
@@ -29,12 +30,12 @@ from temporal_augmenter.tensor_core import (
 
 def run_lstm(x, p, mode="train"):
     """The LSTM on ``x``, given its input projection as one GEMM."""
-    return lstm_forward(project(x, p), p, mode=mode)
+    return lstm_forward(project(x, *scaled_input(p)), p, mode=mode)
 
 
 def run_gru(x, p, mode="train"):
     """The GRU on ``x``, given its input projection as one GEMM."""
-    return gru_forward(project(x, p), p, mode=mode)
+    return gru_forward(project(x, *scaled_input(p)), p, mode=mode)
 
 
 def states(cache):
@@ -297,7 +298,7 @@ class TestUnroll:
         for kind, forward, gates in (("gru", gru_forward, 3), ("lstm", lstm_forward, 4)):
             p = draw_params(zero_params(kind, 2, 3), kind, rng)
             x = rng.uniform((4, 5, 2))
-            px = project(x, p)
+            px = project(x, *scaled_input(p))
             assert px.shape == (4, 5, gates * 3)
             assert forward(px, p, mode="eval")[1] is None
             # no train cache holds the cell's input or its projection
@@ -353,7 +354,7 @@ class TestFusedLayout:
             assert type(p) is CellParams and list(vars(p)) == ["W", "U", "b"]
             k = 4 * 5 if kind == "lstm" else 3 * 5
             assert (p.W.shape, p.U.shape, p.b.shape) == ((4, k), (5, k), (k,))
-            da, grads = backward(forward(project(x, p), p)[1], rng.uniform((2, 5)))
+            da, grads = backward(forward(project(x, *scaled_input(p)), p)[1], rng.uniform((2, 5)))
             assert list(grads) == ["U", "b"]
             g = CellParams(W=project_backward(x, da, p)[1], **grads)
             assert [a.shape for a in vars(g).values()] == [a.shape for a in vars(p).values()]
@@ -503,7 +504,7 @@ class TestEvalMode:
         rng = Rng(71)
         for kind, forward in (("lstm", lstm_forward), ("gru", gru_forward)):
             p = draw_params(zero_params(kind, 1, u), kind, rng)
-            px = project(rng.uniform((n, T, 1)) * 2 - 1, p)
+            px = project(rng.uniform((n, T, 1)) * 2 - 1, *scaled_input(p))
             tracemalloc.start()
             try:
                 forward(px, p, mode="eval")
