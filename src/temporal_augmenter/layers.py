@@ -9,6 +9,14 @@ Each stream's convolution has one tap, so it is a dense map applied at
 each timestep (Lin, Chen & Yan, *Network in Network*, arXiv:1312.4400),
 and its weights are a ``DenseParams`` like a dense layer's.
 
+``conv1d_forward``, ``maxpool1d_forward`` and ``maxpool1d_backward`` are
+the textbook layers, and no workload's model path runs them: ``model``'s
+stream front-end forms its pooled conv outputs and routes the pool
+gradient itself.  They stay as the oracle: the gradient check verifies
+them, the model's tests hold its front-end to them bit for bit, and
+``perfbench/tracer.py`` times them by name.  ``conv1d_backward`` is the
+model's own.
+
 ReLU and then dropout follow each stream's pooling and each hidden dense
 layer.  Both work in place, a forward over its input and a backward over
 its gradient.  ReLU's backward reads the output y, not a mask:
@@ -96,7 +104,7 @@ def conv1d_backward(cache, dy: Tensor):
 # max pooling over time
 # ---------------------------------------------------------------------------
 
-def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train", out: Tensor | None = None):
+def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
     """Non-overlapping window max over time; trailing remainder steps dropped.
 
     x [n, T, c] -> y [n, T // pool, c];  cache = (x.shape, mask) where mask is
@@ -105,7 +113,6 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train", out: Tensor | N
     over the strided window view; it keeps its second operand on ties, so a
     tie between -0.0 and +0.0 also keeps the first one.  A window holding NaN
     gives NaN and marks no winner.  Eval mode builds no mask; its cache is None.
-    ``out``, if given, receives y in place of a new array and is returned.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
@@ -117,7 +124,7 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train", out: Tensor | N
         raise ShapeError(f"pool window {pool} exceeds sequence length {T}")
     T_out = T // pool
     windows = x[:, :T_out * pool, :].reshape(n, T_out, pool, c)
-    y = np.empty((n, T_out, c)) if out is None else out
+    y = np.empty((n, T_out, c))
     y[...] = windows[:, :, 0]
     for j in range(1, pool):
         np.maximum(windows[:, :, j], y, out=y)
@@ -133,13 +140,12 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train", out: Tensor | N
     return y, (x.shape, mask)
 
 
-def maxpool1d_backward(cache, dy: Tensor, out: Tensor | None = None):
+def maxpool1d_backward(cache, dy: Tensor):
     """Copy dL/dy to each window's winner; every other slot, the dropped
-    remainder steps included, is +0.0.  ``out``, if given, receives dL/dx
-    in place of a new array and is returned."""
+    remainder steps included, is +0.0."""
     shape, mask = cache
     n, T_out, pool, c = mask.shape
-    dx = np.empty(shape) if out is None else out
+    dx = np.empty(shape)
     dx[:, T_out * pool:] = 0.0
     # Multiplying the raw float64 bit patterns by the 0/1 mask copies each
     # winner's bits verbatim and leaves all bits clear (+0.0) elsewhere; a

@@ -26,62 +26,75 @@ mode.  Two paths form the pooled pre-activation; nothing else differs.
 The pooled path runs on one input channel (``_pools_first``: the mitbih
 and tess shapes; ``width = T_out``).  With K = W[0], the [F] weights of
 that channel, its conv output is ``fl(fl(x[n, t] * K[f]) + b'[f])`` with
-``b' = b + 0.0``.  Rounding is monotone, so per filter that is a
-monotone function of x, non-decreasing where K[f] >= 0 and non-increasing
-where K[f] < 0, and a window's max of it is its value at the window's max
-of x or at its min: ``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so
-no such sum is -0.0, and equal values have equal bits.  ``forward`` takes
-the window max and min of x once for both streams, by pairwise
-``np.maximum`` and ``np.minimum``, into one [3, n, T_out] array with each
-window's first step (``_window_extremes``).  Per block it forms that max
-as one product of an [rows * T_out, 2] view of the block's max and min
-with a [2, F] matrix: K with 0.0 where K < 0, over K with 0.0 where
-K > 0.  For finite x one of a filter's two terms is an exact zero (both
-are where K is +-0.0), so the product is the other term's rounded value.
-No [n, T, F] conv output, pool winner mask or conv-output gradient exists
-on this path.
+``b' = b + 0.0``.  Rounding is monotone, so per filter that is a monotone
+function of x, non-decreasing where K[f] >= 0 and non-increasing where
+K[f] < 0, and a window's max of it is its value at the window's max of x
+or at its min: ``max(xmax * K, xmin * K) + b'``.  b' is never -0.0, so no
+such sum is -0.0, and equal values have equal bits.  ``forward`` takes the
+window max and min of x once for both streams, by pairwise ``np.maximum``
+and ``np.minimum``, into one [2, n, T_out] array, which a train forward
+extends with each window's first step for the backward
+(``_window_extremes``).  Per block it forms that max as one product of an
+[rows * T_out, 2] view of the block's max and min with a [2, F] matrix: K
+with 0.0 where K < 0, over K with 0.0 where K > 0.  For finite x one of a
+filter's two terms is an exact zero (both are where K is +-0.0), so the
+product is the other term's rounded value.  No [n, T, F] conv output, pool
+winner mask or conv-output gradient exists on this path.
 
 The general path runs on more channels (ionosphere's two; ``width = T``)
-and is the oracle the pooled path is tested against.  It runs
-``conv1d_forward`` on the block's rows and ``maxpool1d_forward`` into the
-block.  The [rows, T, F] conv output is a temporary, freed before the
-projection, so the next block's conv output reuses its memory instead of
-faulting in fresh pages.  Pooling before the ReLU is the network conv1d ->
-ReLU -> maxpool, bit for bit, on 1/pool_size of the data:
-``max(relu(a), relu(b)) == relu(max(a, b))`` exactly
-(``np.maximum(-0.0, 0.0)`` is +0.0 either way), and both orders send a
-window's gradient to its first maximal position when that max is positive
-and a zero otherwise.  That zero is -0.0 when the incoming gradient is
-negative, and in a window whose max is <= 0 it may sit at a different
-position; the kernel and bias gradients sum over positions, so at most the
-sign of a kernel gradient entry that is exactly zero can differ.
+and is the oracle the pooled path is tested against.  ``forward`` forms
+its windows once for both streams (``_window_slots``): a
+[pool, n, T_out, d + 1] array whose slot j holds step t * pool + j of each
+window t, then a one; the remainder steps are dropped.  Each stream
+stacks [W; b] [d + 1, F] once.  Per block, one product per slot
+multiplies the block's [rows * T_out, d + 1] slot rows by [W; b] into a
+reused [pool, rows * T_out, F] buffer of slot products; the window max is
+pool - 1 ``np.maximum`` calls in ``maxpool1d_forward``'s operand order,
+and the ReLU follows.  Each sum over k then ends with 1 * b, which is
+exact, so while the BLAS kernel sums k in order (checked with OpenBLAS's
+SkylakeX, Haswell and Sandybridge kernels) a slot product is
+``conv1d_forward``'s ``x @ W + b`` at that step, bit for bit.  No
+[n, T, F] conv output or pool winner mask exists on this path either.
+Pooling before the ReLU is the network conv1d -> ReLU -> maxpool, bit for
+bit, on 1/pool_size of the data: ``max(relu(a), relu(b)) ==
+relu(max(a, b))`` exactly (``np.maximum(-0.0, 0.0)`` is +0.0 either way),
+and both orders send a window's gradient to its first maximal position
+when that max is positive and a zero otherwise.  That zero is
+-0.0 when the incoming gradient is negative, and in a window whose max is
+<= 0 it may sit at a different position; the kernel and bias gradients sum
+over positions, so at most the sign of a kernel gradient entry that is
+exactly zero can differ.
 
 The backward recomputes each block's cell input rather than keeping it
 (Chen et al., *Training Deep Nets with Sublinear Memory Cost*,
-arXiv:1604.06174): forming a block costs a two-column product or a conv
-and a pool, so it is cheaper to form again than to store.  A block's cache
-is its bool dropout keep mask (None without dropout) and its dropout
-scale.  The cell's backward returns the pre-activation gradient da
-[n, T_out, k]; then, per block, the backward re-forms the cell input with
-``_form_block`` and the keep mask into a reused buffer, bit for bit the
-forward's, the general path taking its pool winners from the conv output
-formed there; adds x^T da into the cell's input-weight gradient and forms
-da W^T in a second reused buffer (``recurrent.project_backward``); runs
-the ReLU and dropout backward, which read that cell input, not a mask (see
-``layers``); and adds the block's share of the kernel and bias gradients.
-The general path runs the block's max-pool backward into a reused
-[rows, T, F] buffer and ``conv1d_backward`` on it.  The pooled path's
-kernel gradient takes, per filter, the input value that the general path's
-window winner holds: the window max of x where K[f] > 0, the min where
-K[f] < 0, and the window's first step where K[f] is +-0.0 and every step
-ties, as one product of the block's [3, rows * T_out] columns of
-``_window_extremes`` with its [rows * T_out, F] gradient.  Its summation
-order differs from the general path's, so its last bits may move; so may
-its value where rounding makes two window values equal while their x
-differ.  Over the same blocks, the
-pooled path's bias gradient is bit for bit the general path's: numpy's sum
-starts at +0.0, so no partial sum is -0.0 and the +0.0 that the general
-path adds for each non-winning step changes none of them.
+arXiv:1604.06174): forming a block costs a two-column product or one
+narrow product per slot and a max, so it is cheaper to form again than to
+store.  A block's cache is its bool dropout keep mask (None without
+dropout) and its dropout scale.  The cell's backward returns the
+pre-activation gradient da [n, T_out, k]; then, per block, the backward
+re-forms the cell input with ``_form_block`` and the keep mask into a
+reused buffer, bit for bit the forward's, the general path keeping the
+slot products formed there; adds x^T da into the cell's input-weight
+gradient and forms da W^T in a second reused buffer
+(``recurrent.project_backward``); runs the ReLU and dropout backward,
+which read that cell input, not a mask (see ``layers``); and adds the
+block's share of the kernel and bias gradients.  The general path sends
+each window's gradient to its winner in a reused [rows, T, F] conv-output
+gradient, +0.0 at every other step (``_route_to_winners``).  The winner is
+``maxpool1d``'s, the first slot whose product holds the window max, and a
+window holding NaN has none, so this gradient is ``maxpool1d_backward``'s,
+bit for bit, with no mask built; ``conv1d_backward`` runs on it.  The
+pooled path's kernel gradient takes, per filter, the input value that the
+general path's window winner holds: the window max of x where K[f] > 0,
+the min where K[f] < 0, and the window's first step where K[f] is +-0.0
+and every step ties, as one product of the block's [3, rows * T_out]
+columns of ``_window_extremes`` with its [rows * T_out, F] gradient.  Its
+summation order differs from the general path's, so its last bits may
+move; so may its value where rounding makes two window values equal while
+their x differ.  Over the same blocks, the pooled path's bias gradient is
+bit for bit the general path's: numpy's sum starts at +0.0, so no partial
+sum is -0.0 and the +0.0 that the general path adds for each non-winning
+step changes none of them.
 
 Blocking changes no bit of the forward: each sample is filtered on its
 own, pooling, the ReLU and the dropout scaling are elementwise, and
@@ -121,6 +134,7 @@ none.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -131,7 +145,8 @@ from . import layers, recurrent
 from .data import DataError, ScalerParams, read_file
 from .layers import DenseParams
 from .settings import POSITIVE, RATE, check, setting
-from .tensor_core import Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform, softmax
+from .tensor_core import (Rng, ShapeError, Tensor, init_glorot_uniform, init_he_uniform,
+                          is_train_mode, softmax)
 
 
 # Bytes of one block's widest intermediate in the stream front-end: about
@@ -276,82 +291,111 @@ def _block_bounds(n: int, width: int, cfg: ModelConfig) -> list:
     return list(zip([0, *stops[:-1]], stops))
 
 
-def _window_extremes(cfg: ModelConfig, x: Tensor) -> Tensor:
-    """Each window's max, min and first step of ``x``, [3, n, T_out]; the max
-    and min by the ufuncs that ``max(axis)`` and ``min(axis)`` apply, in
-    their order, so with their element, signed zero and NaN included."""
+def _window_extremes(cfg: ModelConfig, x: Tensor, mode: str) -> Tensor:
+    """Each window's max and min of ``x``, then in train mode its first step,
+    which only the backward reads: [3, n, T_out], or [2, n, T_out] in eval
+    mode.  The max and min by the ufuncs that ``max(axis)`` and
+    ``min(axis)`` apply, in their order, so with their element, signed zero
+    and NaN included."""
     T_out, pool = cfg.recurrent_timesteps, cfg.pool_size
     steps = x[:, :T_out * pool, 0]
-    extremes = np.stack([steps[:, ::pool]] * 3)
+    extremes = np.stack([steps[:, ::pool]] * (3 if is_train_mode(mode) else 2))
     for j in range(1, pool):
         np.maximum(extremes[0], steps[:, j::pool], out=extremes[0])
         np.minimum(extremes[1], steps[:, j::pool], out=extremes[1])
     return extremes
 
 
-def _pooled_terms(sp: StreamParams, extremes):
-    """On the pooled path (see the module docstring), (extremes, weights,
-    b'): the forward's ``_window_extremes``, the [2, F] matrix the window
-    max and min multiply, and b' = b + 0.0; None on the general path."""
-    if extremes is None:
-        return None
+def _window_slots(cfg: ModelConfig, x: Tensor) -> Tensor:
+    """The general path's windows of ``x``, [pool, n, T_out, d + 1]: slot j
+    holds step t * pool + j of window t, then a one; the remainder steps
+    are dropped."""
+    n, d = x.shape[0], cfg.input_channels
+    T_out, pool = cfg.recurrent_timesteps, cfg.pool_size
+    slots = np.ones((pool, n, T_out, d + 1))
+    slots[..., :d] = x[:, :T_out * pool].reshape(n, T_out, pool, d).transpose(2, 0, 1, 3)
+    return slots
+
+
+def _stream_terms(sp: StreamParams, windows: Tensor):
+    """(windows, weights, b') that ``_form_block`` reads, given the
+    forward's windows (see the module docstring).  On the pooled path:
+    ``_window_extremes``, the [2, F] matrix the window max and min multiply,
+    and b' = b + 0.0.  On the general path: ``_window_slots``, [W; b] and
+    None, the bias folded into the product."""
+    if windows.ndim == 4:
+        return windows, np.vstack((sp.conv.W, sp.conv.b)), None
     K = sp.conv.W[0]
     # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
     weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
-    return extremes, weights, sp.conv.b + 0.0
+    return windows, weights, sp.conv.b + 0.0
 
 
-def _form_block(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, start: int, stop: int,
-                y: Tensor, mode: str):
+def _form_block(terms, start: int, stop: int, y: Tensor, products: Tensor | None):
     """Write the activated, pooled pre-activation of batch rows start:stop
-    into ``y`` [stop - start, T_out, F], by the path that ``pooled``
-    (``_pooled_terms``) selects.  Returns the max-pool cache: None on the
-    pooled path and in eval mode, which the forward uses as it keeps no
-    pool winners.  The backward's re-form calls it too, so it sees the
-    forward's bits."""
-    pool_cache = None
-    if pooled is not None:
-        extremes, weights, b = pooled
-        np.matmul(extremes[:2, start:stop].reshape(2, -1).T, weights, out=y.reshape(-1, b.size))
+    into ``y`` [stop - start, T_out, F], by the path that ``terms``
+    (``_stream_terms``) selects.  The general path first writes each
+    slot's conv output into the block's rows of ``products``
+    [pool, >= (stop - start) * T_out, F] and returns them, for the
+    backward's pool winners; the pooled path takes and returns None.  The
+    backward's re-form calls it too, so it sees the forward's bits."""
+    windows, weights, b = terms
+    if b is not None:
+        np.matmul(windows[:2, start:stop].reshape(2, -1).T, weights, out=y.reshape(-1, b.size))
         y += b
     else:
-        # the conv output is a temporary, freed before the projection
-        _, pool_cache = layers.maxpool1d_forward(
-            layers.conv1d_forward(x[start:stop], sp.conv)[0], cfg.pool_size, mode, out=y)
+        products = products[:, :y.shape[0] * y.shape[1]]
+        for slot, product in zip(windows[:, start:stop], products):
+            np.matmul(slot.reshape(product.shape[0], -1), weights, out=product)
+        # maxpool1d_forward's running max, in its operand order; with one
+        # slot, np.maximum(c, c) is c, NaN included
+        pooled = y.reshape(products.shape[1:])
+        np.maximum(products[min(1, len(products) - 1)], products[0], out=pooled)
+        for product in products[2:]:
+            np.maximum(product, pooled, out=pooled)
     layers.relu_forward(y)
-    return pool_cache
+    return products
 
 
-def _front_end(sp: StreamParams, cfg: ModelConfig, x: Tensor, pooled, mode: str, rng, px: Tensor):
-    """The block loop (see the module docstring) given ``_pooled_terms``,
+def _block_buffers(cfg: ModelConfig, rows: int, pooled: bool):
+    """A block's reused [rows, T_out, F] buffer, and on the general path
+    its [pool, rows * T_out, F] slot products (None on the pooled path)."""
+    T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
+    return (np.empty((rows, T_out, F)),
+            None if pooled else np.empty((cfg.pool_size, rows * T_out, F)))
+
+
+def _front_end(sp: StreamParams, cfg: ModelConfig, terms, mode: str, rng, px: Tensor):
+    """The block loop (see the module docstring) given ``_stream_terms``,
     writing every row of ``px``.  Returns one (start, stop, keep mask,
     dropout scale) per block."""
     Ws, bs = recurrent.scaled_input(sp.cell)
-    width = cfg.recurrent_timesteps if pooled is not None else x.shape[1]
-    bounds = _block_bounds(x.shape[0], width, cfg)
-    buffer = np.empty((max(stop - start for start, stop in bounds), cfg.recurrent_timesteps,
-                       cfg.conv_filters))
+    pooled = terms[2] is not None
+    width = cfg.recurrent_timesteps if pooled else cfg.input_timesteps
+    bounds = _block_bounds(px.shape[0], width, cfg)
+    buffer, products = _block_buffers(cfg, max(stop - start for start, stop in bounds), pooled)
     blocks = []
     for start, stop in bounds:
         y = buffer[:stop - start]
-        _form_block(sp, cfg, x, pooled, start, stop, y, "eval")
+        _form_block(terms, start, stop, y, products)
         _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
         recurrent.project(y, Ws, bs, out=px[start:stop])
         blocks.append((start, stop, keep, scale))
     return blocks
 
 
-def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, extremes, mode: str, rng):
-    """One stream over the batch, given ``_window_extremes`` (None on the
-    general path).  Its front-end writes every row of the cell's input
-    projection px, block by block; no [n, T_out, F] cell input exists in
-    either mode.  cache = (x, blocks, cell cache, pooled terms)."""
+def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, windows: Tensor, mode: str,
+                    rng):
+    """One stream over the batch, given the forward's ``_window_extremes``
+    or ``_window_slots``.  Its front-end writes every row of the cell's
+    input projection px, block by block; no [n, T_out, F] cell input exists
+    in either mode.  cache = (x, blocks, cell cache, stream terms)."""
     px = np.empty((x.shape[0], cfg.recurrent_timesteps, sp.cell.W.shape[1]))
-    pooled = _pooled_terms(sp, extremes)
-    blocks = _front_end(sp, cfg, x, pooled, mode, rng, px)
+    terms = _stream_terms(sp, windows)
+    blocks = _front_end(sp, cfg, terms, mode, rng, px)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
     h, cell_cache = run(px, sp.cell, mode=mode)
-    return h, (x, blocks, cell_cache, pooled)
+    return h, (x, blocks, cell_cache, terms)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -361,11 +405,12 @@ def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: R
         raise ShapeError(
             f"input {x.shape} does not match configured "
             f"[n, {cfg.input_timesteps}, {cfg.input_channels}]")
-    extremes = _window_extremes(cfg, x) if _pools_first(cfg) else None
+    # formed once, both streams read them
+    windows = _window_extremes(cfg, x, mode) if _pools_first(cfg) else _window_slots(cfg, x)
     stream_outs = []
     stream_caches = []
     for sp in model.streams:
-        out, cache = _stream_forward(sp, cfg, x, extremes, mode, rng)
+        out, cache = _stream_forward(sp, cfg, x, windows, mode, rng)
         stream_outs.append(out)
         stream_caches.append(cache)
     a = np.concatenate(stream_outs, axis=1)
@@ -391,41 +436,61 @@ def _accumulate(total: Tensor | None, part: Tensor) -> Tensor:
     return total
 
 
+def _route_to_winners(products: Tensor, g: Tensor, d: Tensor) -> None:
+    """``maxpool1d_backward`` of g [rows, T_out, F] into ``d`` [rows, T, F]
+    with no mask, given the block's slot ``products`` from ``_form_block``:
+    each window's winner gets g's bits, and the window's other steps +0.0.
+    The winner is ``maxpool1d``'s, the first slot holding the window max:
+    above every slot before it and not below any after it.  Every
+    comparison with NaN is False, so a window holding NaN has none.  The
+    remainder steps of ``d`` are left as they are."""
+    pool, T_out = products.shape[0], g.shape[1]
+    # multiplying g's float64 bit patterns by the 0/1 winners copies its bits
+    bits = g.view(np.uint64)
+    for j, c in enumerate(products):
+        tests = [c > other if k < j else c >= other for k, other in enumerate(products) if k != j]
+        win = functools.reduce(np.logical_and, tests) if tests else c == c
+        np.multiply(bits, win.reshape(g.shape), out=d[:, j:T_out * pool:pool].view(np.uint64))
+
+
 def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> StreamParams:
     """One stream's gradients, held as ``sp`` holds its parameters: the
     cell's BPTT, then one loop over the forward's blocks that re-forms each
     block's cell input and sums the input-weight, kernel and bias gradients
     block by block (see the module docstring)."""
-    x, blocks, cell_cache, pooled = cache
+    x, blocks, cell_cache, terms = cache
     T_out, F, conv = cfg.recurrent_timesteps, cfg.conv_filters, sp.conv
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
     da, cell_grads = run(cell_cache, d_out)
     rows = max(stop - start for start, stop, _, _ in blocks)
-    y_buffer, g_buffer = np.empty((rows, T_out, F)), np.empty((rows, T_out, F))
-    if pooled is not None:
+    pooled = terms[2] is not None
+    y_buffer, products = _block_buffers(cfg, rows, pooled)
+    g_buffer = np.empty_like(y_buffer)
+    if pooled:
         # per filter, the input value the general path's window winner holds
-        winners = pooled[0].reshape(3, -1)
+        winners = terms[0].reshape(3, -1)
     else:
-        d_conv = np.empty((rows, x.shape[1], F))
+        d_conv = np.zeros((rows, x.shape[1], F))  # its remainder steps stay +0.0
     dW = dK = db = sums = None
     for start, stop, keep, scale in blocks:
         y, g = y_buffer[:stop - start], g_buffer[:stop - start]
-        pool_cache = _form_block(sp, cfg, x, pooled, start, stop, y, "train")
+        block_products = _form_block(terms, start, stop, y, products)
         # dropout is linear, so with the forward's keep mask its backward is its forward
         layers.dropout_backward((keep, scale), y)
         _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)
         dW = _accumulate(dW, part)
         layers.dropout_backward((None, scale), layers.relu_backward(y, g))
-        if pooled is not None:
+        if pooled:
             g2 = g.reshape(-1, F)
             db = _accumulate(db, g2.sum(axis=0))
             sums = _accumulate(sums, winners[:, start * T_out:stop * T_out] @ g2)
         else:
-            d = layers.maxpool1d_backward(pool_cache, g, out=d_conv[:stop - start])
+            d = d_conv[:stop - start]
+            _route_to_winners(block_products, g, d)
             part_K, part_b = layers.conv1d_backward((x[start:stop], conv), d)
             dK = _accumulate(dK, part_K)
             db = _accumulate(db, part_b)
-    if pooled is not None:
+    if pooled:
         K = conv.W[0]
         dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.W.shape)
     return StreamParams(sp.kind, DenseParams(dK, db), recurrent.CellParams(W=dW, **cell_grads))

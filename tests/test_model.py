@@ -372,11 +372,11 @@ class TestTrainStepMemory:
         assert peak < cell_bytes + n * cfg.recurrent_timesteps * cfg.conv_filters * 8
 
 
-def relu_then_pool_stream_forward(sp, cfg, x, extremes, mode, rng):
+def relu_then_pool_stream_forward(sp, cfg, x, windows, mode, rng):
     """Stream forward in the textbook order conv1d -> ReLU -> maxpool over
     the whole batch, the cell given one GEMM over its whole input, and the
     ReLU's own strict positive mask kept for the backward; the forward's
-    window extremes go unread."""
+    windows go unread."""
     y, conv_cache = layers.conv1d_forward(x, sp.conv)
     y, act_cache = np.maximum(y, 0.0), y > 0
     y, pool_cache = layers.maxpool1d_forward(y, cfg.pool_size)
@@ -400,36 +400,62 @@ def relu_then_pool_stream_backward(sp, cfg, cache, d_out):
 
 
 class TestStreamOrder:
-    # "-relu" ends each id as it did when the activation was a setting
-    @pytest.mark.parametrize("channels", [1, 2], ids=lambda channels: f"{channels}-relu")
-    @pytest.mark.parametrize("pool", [2, 3])
-    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, channels, pool):
-        """The general path, on one channel too, equals the textbook order
-        bit for bit; the pooled path sums its kernel gradient in another
-        order (``TestPooledFrontEnd``)."""
+    """The general path, on one channel too, equals the textbook order bit
+    for bit; the pooled path sums its kernel gradient in another order
+    (``TestPooledFrontEnd``)."""
+
+    @staticmethod
+    def assert_matches_relu_then_pool(monkeypatch, net, x):
         monkeypatch.setattr(model_mod, "_pools_first", lambda cfg: False)
+        onehot = np.eye(2)[[0, 1, 1, 0, 1]]
+
+        def step():
+            probs, trace = forward(net, x, mode="train", rng=Rng(83))
+            _, dlogits = optim.cce_loss(probs, onehot)
+            return probs, backward(net, trace, dlogits), forward(net, x, mode="eval")[0]
+
+        probs, grads, eval_probs = step()
+        monkeypatch.setattr(model_mod, "_stream_forward", relu_then_pool_stream_forward)
+        monkeypatch.setattr(model_mod, "_stream_backward", relu_then_pool_stream_backward)
+        ref_probs, ref_grads, ref_eval = step()
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert eval_probs.tobytes() == ref_eval.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    @staticmethod
+    def instance(channels, pool):
         cfg = radar_config(input_channels=channels, conv_filters=6, pool_size=pool,
                            dense_sizes=(8,))
         net = build(cfg, Rng(80).derive("init"))
         for name, arr in net.parameters().items():
             if name.endswith(".b"):
                 arr += Rng(81).derive(name).uniform(arr.shape) - 0.5
-        x = Rng(82).uniform((5, 17, channels)) * 2 - 1
-        onehot = np.eye(2)[[0, 1, 1, 0, 1]]
+        return net, Rng(82).uniform((5, 17, channels)) * 2 - 1
 
-        def step():
-            probs, trace = forward(net, x, mode="train", rng=Rng(83))
-            _, dlogits = optim.cce_loss(probs, onehot)
-            return probs, backward(net, trace, dlogits)
+    # "-relu" ends each id as it did when the activation was a setting
+    @pytest.mark.parametrize("channels", [1, 2, 3], ids=lambda channels: f"{channels}-relu")
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_pool_then_relu_matches_relu_then_pool_bitwise(self, monkeypatch, channels, pool):
+        self.assert_matches_relu_then_pool(monkeypatch, *self.instance(channels, pool))
 
-        probs, grads = step()
-        monkeypatch.setattr(model_mod, "_stream_forward", relu_then_pool_stream_forward)
-        monkeypatch.setattr(model_mod, "_stream_backward", relu_then_pool_stream_backward)
-        ref_probs, ref_grads = step()
-        assert probs.tobytes() == ref_probs.tobytes()
-        assert grads.keys() == ref_grads.keys()
-        for name, g in grads.items():
-            assert g.tobytes() == ref_grads[name].tobytes(), name
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_tied_windows_match_relu_then_pool_bitwise(self, monkeypatch, channels, pool):
+        """Windows of equal steps, of +-0.0 and of a step that ties a later
+        one, and a bias of -0.0: the first slot holding a window's max wins,
+        and the bias folded into the product adds as the textbook's does."""
+        net, x = self.instance(channels, pool)
+        for sp in net.streams:
+            sp.conv.b[:2] = (-0.0, 0.0)
+        x[0, :3 * pool] = x[0, 0]  # windows of exact ties
+        x[1, :2 * pool] = 0.0
+        x[1, :2 * pool:2] = -0.0  # +-0.0 steps, in every channel
+        x[2, pool - 1] = x[2, 0]  # a window's first step ties its last
+        x[3] = x[3, 5]  # a whole row of one step
+        x[4, :, 0] = -0.0
+        self.assert_matches_relu_then_pool(monkeypatch, net, x)
 
     def test_eval_forward_keeps_no_cell_cache(self):
         net = build(radar_config(), Rng(84))
@@ -455,6 +481,12 @@ def assert_same_gradients(grads, want):
             assert np.max(np.abs(g - want[name])) <= 1e-13 * scale, name
         else:
             assert g.tobytes() == want[name].tobytes(), name
+
+
+def took_pooled_path(cache) -> bool:
+    """Whether a stream's cache holds the pooled path's terms, whose bias is
+    added after the product; the general path folds it into the product."""
+    return cache[3][2] is not None
 
 
 class TestBlockedFrontEnd:
@@ -507,7 +539,7 @@ class TestBlockedFrontEnd:
         monkeypatch.setattr(model_mod, "_block_bounds",
                             lambda n, width, cfg: [(0, 3), (3, 6), (6, 7)])
         _, trace = forward(net, x, mode="train", rng=Rng(96))
-        assert [cache[3] is not None for cache in trace.stream_caches] == [pooled, pooled]
+        assert [took_pooled_path(cache) for cache in trace.stream_caches] == [pooled, pooled]
         T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
         keep_masks = []
         for cache in trace.stream_caches:
@@ -633,7 +665,7 @@ class TestPooledFrontEnd:
                             or project(y, Ws, bs, out=out))
         probs, trace = forward(net, x, mode="train", rng=rng)
         monkeypatch.setattr(recurrent, "project", project)
-        pooled = [(cache[3] is not None, len(cache[1])) for cache in trace.stream_caches]
+        pooled = [(took_pooled_path(cache), len(cache[1])) for cache in trace.stream_caches]
         cell_ins = [np.concatenate(blocks[:3]), np.concatenate(blocks[3:])]
         labels = np.arange(x.shape[0]) % net.config.num_classes
         _, dlogits = optim.cce_loss(probs, np.eye(net.config.num_classes)[labels])
@@ -676,7 +708,8 @@ class TestPooledFrontEnd:
     def test_window_extremes_match_the_reductions_bitwise(self, pool):
         """The pairwise max and min equal ``max(axis)`` and ``min(axis)``
         over the windows bit for bit, signed zeros in ties included, and the
-        third row is each window's first step."""
+        third row, which only a train forward forms, is each window's first
+        step."""
         cfg = heartbeat_config(pool_size=pool)
         assert pool == 1 or cfg.input_timesteps % pool  # a remainder step is dropped
         x = self.awkward_instance(cfg)[1]
@@ -688,7 +721,8 @@ class TestPooledFrontEnd:
         T_out = cfg.recurrent_timesteps
         windows = x[:, :T_out * pool, 0].reshape(-1, T_out, pool)
         want = np.stack((windows.max(axis=2), windows.min(axis=2), windows[..., 0]))
-        assert model_mod._window_extremes(cfg, x).tobytes() == want.tobytes()
+        assert model_mod._window_extremes(cfg, x, "train").tobytes() == want.tobytes()
+        assert model_mod._window_extremes(cfg, x, "eval").tobytes() == want[:2].tobytes()
 
     def test_streams_share_one_extremes_array(self):
         """One train forward takes the window extremes once: both stream
@@ -698,6 +732,55 @@ class TestPooledFrontEnd:
         _, trace = forward(net, x, mode="train", rng=Rng(114))
         gru, lstm = (cache[3][0] for cache in trace.stream_caches)
         assert gru is lstm
+
+
+class TestGeneralFrontEnd:
+    """The general path's window slots and pool winners, against a loop over
+    the steps and ``layers.maxpool1d_*``."""
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("timesteps", [12, 13])  # 13 leaves a remainder but at pool 1
+    def test_window_slots_hold_each_windows_steps_bitwise(self, pool, timesteps):
+        cfg = radar_config(input_timesteps=timesteps, input_channels=3, pool_size=pool)
+        x = Rng(150).uniform((4, timesteps, 3)) * 2 - 1
+        x[0, 1], x[1, 2, 1], x[2, -1] = -0.0, np.nan, 9.0
+        T_out = cfg.recurrent_timesteps
+        want = np.empty((pool, 4, T_out, 4))
+        for j in range(pool):
+            for t in range(T_out):
+                want[j, :, t, :3] = x[:, t * pool + j]
+                want[j, :, t, 3] = 1.0
+        assert model_mod._window_slots(cfg, x).tobytes() == want.tobytes()
+
+    def test_streams_share_one_slots_array(self):
+        """One forward forms the window slots once: both stream caches hold
+        the same array."""
+        net = build(radar_config(), Rng(151))
+        _, trace = forward(net, Rng(152).uniform((5, 17, 2)), mode="train", rng=Rng(153))
+        gru, lstm = (cache[3][0] for cache in trace.stream_caches)
+        assert gru is lstm and gru.shape == (2, 5, 8, 3)
+
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    def test_winners_are_maxpool1d_winners_bitwise(self, pool):
+        """g's bits reach maxpool1d's winner of each window, the first slot
+        holding the max, ties and signed zeros included; a window holding
+        NaN routes no gradient, and every other slot holds +0.0."""
+        rows, T, F = 3, 13, 4
+        T_out = T // pool
+        conv_out = np.round(Rng(154).uniform((rows, T, F)) * 4 - 2)  # many ties
+        conv_out[0, :pool, :2] = (0.0, -0.0)
+        conv_out[1, pool:2 * pool, 1] = np.nan  # a window of NaN
+        conv_out[2, 2 * pool - 1, 2] = np.nan  # a window whose last step is NaN
+        g = Rng(155).uniform((rows, T_out, F)) - 0.5
+        g[0, 0, 3] = -0.0
+        products = np.stack([conv_out[:, j:T_out * pool:pool].reshape(-1, F)
+                             for j in range(pool)])
+        d = np.zeros((rows, T, F))
+        model_mod._route_to_winners(products, g, d)
+        want = layers.maxpool1d_backward(layers.maxpool1d_forward(conv_out, pool)[1], g)
+        assert d.tobytes() == want.tobytes()
+        assert not d[1, pool:2 * pool, 1].view(np.uint64).any()
+        assert not d[2, pool:2 * pool, 2].view(np.uint64).any()
 
 
 def arrays_in(obj):
