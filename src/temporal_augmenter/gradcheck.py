@@ -1,4 +1,5 @@
-"""Central finite-difference verification of every analytic backward pass.
+"""Central finite-difference verification of every analytic backward pass
+that the model runs.
 
 Each check builds random instances, evaluates a scalar objective (a fixed
 random projection of the outputs, or the cross-entropy loss for the whole
@@ -7,9 +8,9 @@ with h = 1e-5.  Relative error uses a small denominator floor so exactly-zero
 gradients compare cleanly.  Nondifferentiable points (ReLU kinks, pooling
 ties) are kept out of the sampled instances by construction.  ReLU and
 dropout write over their input, so they are given copies.  The one-tap
-``conv1d`` pair is checked on its own and, with the model's other layers,
-through both front-end paths: the general one on two input channels and
-the pooled one on one.
+conv and the max-pool are checked only as the model runs them, through
+``check_model``'s two front-end paths: the general one on two input
+channels and the pooled one on one.
 """
 
 from __future__ import annotations
@@ -73,50 +74,6 @@ def check_dense(seed: int = 0, trials: int = 5) -> float:
         dx, dW, db = layers.dense_backward(layers.dense_forward(x, p)[1], proj)
         worst = max(worst, _worst(lambda: layers.dense_forward(x, p), proj,
                                   ((dx, x), (dW, p.W), (db, p.b))))
-    return worst
-
-
-def check_conv1d(seed: int = 0, trials: int = 5) -> float:
-    rng = Rng(seed).derive("conv1d")
-    worst = 0.0
-    for _ in range(trials):
-        n = 2 + int(rng.uniform(()) * 2)
-        T = 3 + int(rng.uniform(()) * 4)
-        c = 1 + int(rng.uniform(()) * 3)
-        F = 1 + int(rng.uniform(()) * 4)
-        x = _uniform_pm(rng, (n, T, c))
-        p = layers.DenseParams(W=_uniform_pm(rng, (c, F)), b=_uniform_pm(rng, (F,)))
-        proj = _uniform_pm(rng, (n, T, F))
-        dW, db = layers.conv1d_backward(layers.conv1d_forward(x, p)[1], proj)
-        worst = max(worst, _worst(lambda: layers.conv1d_forward(x, p), proj,
-                                  ((dW, p.W), (db, p.b))))
-    return worst
-
-
-def _gapped_windows(rng: Rng, shape, pool: int) -> np.ndarray:
-    """Random input whose in-window values are separated by > 100*h."""
-    while True:
-        x = _uniform_pm(rng, shape)
-        n, T, c = shape
-        windows = x[:, :(T // pool) * pool, :].reshape(n, T // pool, pool, c)
-        sorted_w = np.sort(windows, axis=2)
-        if pool == 1 or np.min(np.diff(sorted_w, axis=2)) > 100 * _H:
-            return x
-
-
-def check_maxpool1d(seed: int = 0, trials: int = 5) -> float:
-    rng = Rng(seed).derive("maxpool")
-    worst = 0.0
-    for trial in range(trials):
-        n = 2 + int(rng.uniform(()) * 2)
-        pool = 1 + trial % 3
-        T = pool * (2 + int(rng.uniform(()) * 3)) + trial % 2
-        c = 1 + int(rng.uniform(()) * 3)
-        x = _gapped_windows(rng, (n, T, c), pool)
-        y, cache = layers.maxpool1d_forward(x, pool)
-        proj = _uniform_pm(rng, y.shape)
-        dx = layers.maxpool1d_backward(cache, proj)
-        worst = max(worst, _worst(lambda: layers.maxpool1d_forward(x, pool), proj, ((dx, x),)))
     return worst
 
 
@@ -215,7 +172,7 @@ def _instance_clean(net, x: np.ndarray, band: float = 1e-3) -> bool:
     _, trace = model_mod.forward(net, x, mode="train", rng=Rng(0))
     pool = net.config.pool_size
     for sp in net.streams:
-        pre, _ = layers.conv1d_forward(x, sp.conv)
+        pre = x @ sp.conv.W + sp.conv.b
         if np.min(np.abs(pre)) < band:
             return False
         if pool > 1:
@@ -282,8 +239,6 @@ def check_model(seed: int = 0, builds: int = 2) -> float:
 
 COMPONENTS = {
     "dense": check_dense,
-    "conv1d": check_conv1d,
-    "maxpool1d": check_maxpool1d,
     "relu": check_relu,
     "dropout": check_dropout,
     "lstm": check_lstm,

@@ -10,12 +10,12 @@ each timestep (Lin, Chen & Yan, *Network in Network*, arXiv:1312.4400),
 and its weights are a ``DenseParams`` like a dense layer's.
 
 ``conv1d_forward``, ``maxpool1d_forward`` and ``maxpool1d_backward`` are
-the textbook layers, and no workload's model path runs them: ``model``'s
+the textbook layers, and no code in this package calls them: ``model``'s
 stream front-end forms its pooled conv outputs and routes the pool
-gradient itself.  They stay as the oracle: the gradient check verifies
-them, the model's tests hold its front-end to them bit for bit, and
-``perfbench/tracer.py`` times them by name.  ``conv1d_backward`` is the
-model's own.
+gradient itself, and the gradient check verifies that front-end through
+the whole model, not these three.  They stay as the oracle the model's
+tests hold its front-end to bit for bit, and as the names that
+``perfbench/tracer.py`` times.  ``conv1d_backward`` is the model's own.
 
 ReLU and then dropout follow each stream's pooling and each hidden dense
 layer.  Both work in place, a forward over its input and a backward over
@@ -104,7 +104,7 @@ def conv1d_backward(cache, dy: Tensor):
 # max pooling over time
 # ---------------------------------------------------------------------------
 
-def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
+def maxpool1d_forward(x: Tensor, pool: int):
     """Non-overlapping window max over time; trailing remainder steps dropped.
 
     x [n, T, c] -> y [n, T // pool, c];  cache = (x.shape, mask) where mask is
@@ -112,13 +112,12 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
     index on ties (as ``argmax`` picks).  The max is a running ``np.maximum``
     over the strided window view; it keeps its second operand on ties, so a
     tie between -0.0 and +0.0 also keeps the first one.  A window holding NaN
-    gives NaN and marks no winner.  Eval mode builds no mask; its cache is None.
+    gives NaN and marks no winner.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d input must be [n, T, c], got {x.shape}")
-    train = is_train_mode(mode)
     n, T, c = x.shape
     if pool > T:
         raise ShapeError(f"pool window {pool} exceeds sequence length {T}")
@@ -128,8 +127,6 @@ def maxpool1d_forward(x: Tensor, pool: int, mode: str = "train"):
     y[...] = windows[:, :, 0]
     for j in range(1, pool):
         np.maximum(windows[:, :, j], y, out=y)
-    if not train:
-        return y, None
     mask = np.empty(windows.shape, dtype=bool)
     seen = np.zeros(y.shape, dtype=bool)
     for j in range(pool):

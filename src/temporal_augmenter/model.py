@@ -550,13 +550,13 @@ def param_count(model: TemporalAugmenterModel) -> int:
 #   when "scaler" is true, the standardization mean and std follow, each
 #   [input_timesteps, input_channels].
 # So the header's config gives every stored tensor's name and shape, and
-# the header restates none.  Every stored value is finite, and loading
-# reconstructs the model bitwise.  Every older version is refused: version 6
-# stored the same values, but its header also listed each tensor's name and
-# shape, the scaler's among them; versions 1-5 held other config fields,
-# run_config keys, or cell and conv tensors.  The `train` command writes
-# three extras, which `eval` reads (see cli.py): "run_config" (the run's
-# config text), "class_names" and "data_sha256".
+# the header restates none.  Every stored value is finite, the scaler's std
+# is > 0, and loading reconstructs the model bitwise.  Every older version
+# is refused: version 6 stored the same values, but its header also listed
+# each tensor's name and shape, the scaler's among them; versions 1-5 held
+# other config fields, run_config keys, or cell and conv tensors.  The
+# `train` command writes three extras, which `eval` reads (see cli.py):
+# "run_config" (the run's config text), "class_names" and "data_sha256".
 
 _MAGIC = b"TACKPT01"
 _VERSION = 7
@@ -595,7 +595,8 @@ def load_checkpoint(path):
     naming ``path``: no such file, bad magic or version, a cut or unreadable
     header, a config that lacks, adds or misstates a ModelConfig field, a
     "scaler" other than true or false, a length other than the header's
-    config describes, or a tensor holding a NaN or infinite value.
+    config describes, a tensor holding a NaN or infinite value, or a
+    scaler std holding a value that is not > 0.
     """
     blob = read_file(path, "checkpoint")
     if blob[:8] != _MAGIC:
@@ -637,6 +638,8 @@ def load_checkpoint(path):
     name = next((name for name, t in tensors.items() if not np.isfinite(t).all()), None)
     if name is not None:
         raise DataError(f"{path}: tensor {name!r} holds a NaN or infinite value")
+    if header["scaler"] and not (tensors["scaler.std"] > 0.0).all():
+        raise DataError(f"{path}: tensor 'scaler.std' holds a value that is not > 0")
     model = _allocate(config)
     for name, arr in model.parameters().items():
         arr[...] = tensors[name]

@@ -13,7 +13,6 @@ from temporal_augmenter.data import (
     DataError,
     Dataset,
     DataSource,
-    ScalerParams,
     SplitSpec,
     apply_scaler,
     fit_scaler,
@@ -408,23 +407,6 @@ class TestScaler:
                      labels=np.zeros(40, dtype=np.int64), class_names=["a"])
         scaled = apply_scaler(fit_scaler(ds), ds)
         assert np.max(np.abs(scaled.features.mean(axis=0))) < 1e-10
-
-    def test_shape_mismatch(self):
-        ds = Dataset(features=np.zeros((4, 3, 1)), labels=np.zeros(4, dtype=np.int64),
-                     class_names=["a"])
-        sp = fit_scaler(ds)
-        other = Dataset(features=np.zeros((4, 5, 1)), labels=np.zeros(4, dtype=np.int64),
-                        class_names=["a"])
-        with pytest.raises(DataError):
-            apply_scaler(sp, other)
-
-    def test_std_shape_mismatch(self):
-        ds = Dataset(features=np.zeros((4, 3, 1)), labels=np.zeros(4, dtype=np.int64),
-                     class_names=["a"])
-        sp = fit_scaler(ds)
-        for std in (sp.std.reshape(3), sp.std[:1], np.ones((3, 2))):
-            with pytest.raises(DataError, match="std shape"):
-                apply_scaler(ScalerParams(mean=sp.mean, std=std), ds)
 
 
 def source_of(ds: Dataset) -> DataSource:
