@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 configuration error (also used by argparse, and
 for an output file that cannot be written), 3 data error or missing
 artifact, 4 training divergence, 5 gradient-check failure.
 
+Inputs are checked where they enter: the files and arguments of a command,
+and the arguments of the names the package exports; the functions inside
+trust those checks and do not repeat them.
+
 A checkpoint's extras hold three keys: ``run_config``, the run's settings
 as the text ``format_config`` renders; ``class_names``, the trained classes
 in label order; and ``data_sha256``, the sha256 the loader took of the
@@ -163,7 +167,7 @@ def run_training(cfg: RunConfig):
         del source  # the data's bytes, not needed past the parsed parts
         scaler = None
         if cfg.standardize:
-            scaler = fit_scaler(train_set)
+            scaler = fit_scaler(train_set, data_path)
             train_set = apply_scaler(scaler, train_set)
             val_set = apply_scaler(scaler, val_set)
             test_set = apply_scaler(scaler, test_set)
@@ -283,9 +287,6 @@ def _evaluate(args) -> metrics.Report:
         raise DataError(f"{where}: standardize is {'on' if cfg.standardize else 'off'}, but the "
                         f"checkpoint holds {'no' if scaler is None else 'a'} scaler")
     source = _load_source(cfg, args.data)
-    if len(source.class_names) != k:
-        raise ConfigError(f"class-count mismatch: checkpoint expects {k} classes, "
-                          f"data has {len(source.class_names)}")
     if source.class_names != names:
         raise ConfigError(f"class-name mismatch: checkpoint has {names}, "
                           f"data has {source.class_names}")

@@ -117,13 +117,17 @@ def _parse_row(fields, row_idx: int, path) -> np.ndarray:
 
 
 def read_file(path, what: str) -> bytes:
-    """The bytes of the file at ``path``; a path that is missing or names no
-    regular file (a directory, say) is a DataError naming it as ``what``."""
+    """The bytes of the file at ``path``; a path that is missing, names no
+    regular file (a directory, say) or cannot be read is a DataError naming
+    it as ``what``."""
     if not os.path.isfile(path):
         state = "is not a regular file" if os.path.exists(path) else "not found"
         raise DataError(f"{what} {state}: {path}")
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"{what} cannot be read: {path}: {exc.strerror or exc}") from None
 
 
 def utf8_text(raw: bytes, path) -> str:
@@ -187,12 +191,9 @@ class DataSource:
 def load_csv_signals(path, schema: str, label_col: str | None = None) -> DataSource:
     """Read, hash and check a UTF-8 signal table; ``schema`` is 'generic' or
     a key of ``CSV_SCHEMAS``.  Every row's column count and label are
-    checked here, its features only when ``load`` parses the row."""
+    checked here, its features only when ``load`` parses the row.  A
+    generic table needs ``label_col``, which ``RunConfig.validate`` checks."""
     spec = CSV_SCHEMAS.get(schema)
-    if spec is None and schema != "generic":
-        raise DataError(f"unknown schema {schema!r}")
-    if spec is None and not label_col:
-        raise DataError("generic schema requires a label column name")
     raw = read_file(path, "data file")
     digest = _sha256(raw).hexdigest()
     text = utf8_text(raw, path)
@@ -250,12 +251,20 @@ def load_csv_signals(path, schema: str, label_col: str | None = None) -> DataSou
 # WAV directory loader
 # ---------------------------------------------------------------------------
 
+def _listdir(path) -> list:
+    """``os.listdir(path)``, whose OSError is a DataError naming ``path``."""
+    try:
+        return os.listdir(path)
+    except OSError as exc:
+        raise DataError(f"directory cannot be read: {path}: {exc.strerror or exc}") from None
+
+
 def _wav_files(root_path) -> tuple:
     """(class names, [(label, '/'-separated path under root_path)]) of a WAV
     tree, in the order ``load_wav_dir`` reads it."""
     if not os.path.isdir(root_path):
         raise DataError(f"not a directory: {root_path}")
-    class_names = sorted(d for d in os.listdir(root_path)
+    class_names = sorted(d for d in _listdir(root_path)
                          if os.path.isdir(os.path.join(root_path, d)))
     if not class_names:
         raise DataError(f"{root_path}: no class subdirectories")
@@ -268,7 +277,7 @@ def _wav_files(root_path) -> tuple:
     files = []
     for label, cls in enumerate(class_names):
         cls_dir = os.path.join(root_path, cls)
-        names = sorted(f for f in os.listdir(cls_dir) if f.lower().endswith(".wav"))
+        names = sorted(f for f in _listdir(cls_dir) if f.lower().endswith(".wav"))
         if not names:
             raise DataError(f"{cls_dir}: class directory contains no .wav files")
         files += [(label, f"{cls}/{name}") for name in names]
@@ -353,10 +362,18 @@ class ScalerParams:
     std: Tensor   # [T, d]
 
 
-def fit_scaler(ds: Dataset) -> ScalerParams:
-    """Fit on the training partition only."""
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)  # population std
+def fit_scaler(ds: Dataset, path) -> ScalerParams:
+    """Fit on the training partition only.  A mean or std that overflows
+    float64 is a DataError naming the data file ``path`` and the first
+    (step, channel) where it does, so every std is finite and > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ds.features.mean(axis=0)
+        std = ds.features.std(axis=0)  # population std
+    bad = np.argwhere(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        step, channel = bad[0]
+        raise DataError(f"{path}: step {step}, channel {channel}: the training split's mean "
+                        f"or std overflows float64")
     constant = std < 1e-12
     mean = np.where(constant, 0.0, mean)
     std = np.where(constant, 1.0, std)
@@ -364,8 +381,8 @@ def fit_scaler(ds: Dataset) -> ScalerParams:
 
 
 def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
-    if not (np.isfinite(sp.std) & (sp.std > 0)).all():
-        raise DataError("scaler std must be finite and positive")
+    """``ds`` standardized by ``sp``, whose stds ``fit_scaler`` or the
+    checkpoint loader checked to be finite and > 0."""
     return replace(ds, features=(ds.features - sp.mean) / sp.std)
 
 
@@ -398,8 +415,7 @@ def _partition_counts(n: int, spec: SplitSpec) -> tuple:
 def split_indices(labels: np.ndarray, num_classes: int, spec: SplitSpec, seed: int) -> tuple:
     """Shuffle-then-partition of the samples with ``labels``, shuffled by
     ``Rng(seed)``; returns the (train, val, test) row indices.  Of the data,
-    the labels alone decide them."""
-    spec.validate()
+    the labels alone decide them.  ``spec`` has passed ``SplitSpec.validate``."""
     rng = Rng(seed)
     n = labels.shape[0]
     if spec.stratified:
@@ -432,9 +448,8 @@ def split(source: DataSource, spec: SplitSpec, seed: int):
 
 
 def one_hot(labels, k: int) -> Tensor:
+    """[n, k] rows of labels in [0, k); ``fit`` checks the range."""
     y = np.asarray(labels, dtype=np.int64)
-    if y.size and (y.min() < 0 or y.max() >= k):
-        raise ValueError(f"label out of range [0, {k})")
     out = np.zeros((y.shape[0], k))
     out[np.arange(y.shape[0]), y] = 1.0
     return out

@@ -18,7 +18,7 @@ import numpy as np
 from . import model as model_mod
 from .data import DataError, one_hot, read_file, utf8_text
 from .settings import FINITE_POSITIVE, POSITIVE, check, one_of, setting
-from .tensor_core import Rng, ShapeError, Tensor
+from .tensor_core import Rng, Tensor
 
 EPSILON = 1e-7  # added to each update's denominator, outside the square root
 RHO = 0.9  # RMSProp's decay of the mean squared gradient
@@ -41,13 +41,9 @@ def cce_loss(probs: Tensor, onehot: Tensor):
     """Mean categorical cross-entropy over softmax probabilities.
 
     Returns (loss, dL/dlogits) where the gradient is the fused
-    softmax-plus-cross-entropy form (probs - onehot) / n.
+    softmax-plus-cross-entropy form (probs - onehot) / n.  ``onehot`` is
+    ``one_hot`` of labels that ``fit`` checked, at ``probs``' shape.
     """
-    if probs.shape != onehot.shape:
-        raise ShapeError(f"probs {probs.shape} and targets {onehot.shape} disagree")
-    is01 = (onehot == 0.0) | (onehot == 1.0)
-    if not is01.all() or not np.allclose(onehot.sum(axis=1), 1.0):
-        raise ValueError("targets must be one-hot rows")
     n = probs.shape[0]
     p = np.clip(probs, 1e-12, None)
     loss = float(-np.sum(onehot * np.log(p)) / n)
@@ -67,8 +63,6 @@ class RMSProp:
         cfg = self.cfg
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
             if name not in self.s:
                 self.s[name] = np.zeros_like(p)
             s = self.s[name]
@@ -94,8 +88,6 @@ class Adam:
         b2t = 1.0 - BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)

@@ -246,7 +246,7 @@ def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
     every per-step array is one block and the cache is None.
     """
     train = is_train_mode(mode)
-    n, T = _check_seq(px, p)
+    n, T = _check_seq(px)
     u = p.units
     H = _states(T, n, u, train)
     C = _states(T, n, u, train)
@@ -327,7 +327,7 @@ def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
     follows, so every per-step array is one block and the cache is None.
     """
     train = is_train_mode(mode)
-    n, T = _check_seq(px, p)
+    n, T = _check_seq(px)
     u = p.units
     H = _states(T, n, u, train)
     ZR = _per_step((T, 2, n, u), train)
@@ -405,11 +405,9 @@ def gru_backward(cache, d_h: Tensor):
     return da, {"U": dU, "b": da2.sum(axis=0)}
 
 
-def _check_seq(px: Tensor, p) -> tuple:
-    """(n, T) of a cell's input projection ``px`` [n, T, k]."""
-    width = p.W.shape[1]
-    if px.ndim != 3 or px.shape[2] != width:
-        raise ShapeError(f"input projection must be [n, T, {width}], got {px.shape}")
+def _check_seq(px: Tensor) -> tuple:
+    """(n, T) of a cell's input projection ``px`` [n, T, k]; T < 1, which a
+    model config changed after ``build`` can give, is a ShapeError."""
     n, T, _ = px.shape
     if T < 1:
         raise ShapeError("sequence length must be >= 1")

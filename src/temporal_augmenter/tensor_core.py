@@ -156,16 +156,12 @@ class Rng:
 
 def init_glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> Tensor:
     """[fan_in, fan_out] uniform on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fans must be positive, got fan_in={fan_in}, fan_out={fan_out}")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return (rng.uniform((fan_in, fan_out)) * 2.0 - 1.0) * limit
 
 
 def init_he_uniform(fan_in: int, fan_out: int, rng: Rng) -> Tensor:
     """[fan_in, fan_out] uniform on [-L, L] with L = sqrt(6 / fan_in)."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fans must be positive, got fan_in={fan_in}, fan_out={fan_out}")
     limit = np.sqrt(6.0 / fan_in)
     return (rng.uniform((fan_in, fan_out)) * 2.0 - 1.0) * limit
 
@@ -173,8 +169,6 @@ def init_he_uniform(fan_in: int, fan_out: int, rng: Rng) -> Tensor:
 def init_orthogonal(n: int, rng: Rng) -> Tensor:
     """An orthogonal [n, n]: the Q of a gaussian draw's QR, with the sign of
     R's diagonal folded into it so the factorization is unique."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
     q, r = np.linalg.qr(rng.normal((n, n)))
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0

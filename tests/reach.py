@@ -1,0 +1,191 @@
+"""Reach map: the code lines under ``src/temporal_augmenter/`` that no
+command of a fixed corpus runs.
+
+    PYTHONPATH=src python tests/reach.py
+
+The corpus is a list of ``cli.main`` invocations on small inputs written
+into a temporary directory: train, eval on each split and report on the
+three preset workloads (mitbih, ionosphere and tess), a generic-schema
+table, a WAV tree of 8-bit mono and 16-bit stereo clips, a radar run with
+``pool_size = 3`` and a ``clip_norm`` that fires, and ``gradcheck`` run as
+``python -m temporal_augmenter`` runs it.  Every invocation runs in this
+process under ``sys.settrace``, which is set before the package is imported,
+so the lines that run at import count; the input writers run untraced.
+
+It prints, per file, how many code lines no invocation ran and which, then
+the total.  A code line is one the compiler gives bytecode to.  An
+invocation that does not exit 0 stops the map with exit 1, since the lines
+it would have run are then unknown.  Uses the standard library and numpy
+only; pytest does not collect it.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+import runpy
+import sys
+import tempfile
+import wave
+
+PACKAGE = "temporal_augmenter"
+
+
+def code_lines(path: str) -> set:
+    """The line numbers of ``path`` that hold bytecode, in every code
+    object the module compiles to."""
+    with open(path, encoding="utf-8") as fh:
+        todo = [compile(fh.read(), path, "exec")]
+    lines = set()
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)  # 0: no source line
+        todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    return lines
+
+
+class Reach:
+    """The lines that ran, per file of the package, while ``tracing``."""
+
+    def __init__(self, files):
+        self.ran = {path: set() for path in files}
+
+    def _call(self, frame, event, arg):
+        lines = self.ran.get(frame.f_code.co_filename)
+        if lines is None:
+            return None  # no line events for code outside the package
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return local
+
+        return local(frame, event, arg)
+
+    @contextlib.contextmanager
+    def tracing(self):
+        sys.settrace(self._call)
+        try:
+            yield
+        finally:
+            sys.settrace(None)
+
+
+def spans(numbers) -> str:
+    """Sorted line numbers as comma-separated runs, such as '3-5, 9'."""
+    runs = []
+    for n in sorted(numbers):
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
+def write_wav_8bit(path, samples) -> None:
+    """Write float samples in [-1, 1) as 8-bit mono PCM, which is unsigned."""
+    with wave.open(path, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(1)
+        wf.setframerate(4000)
+        wf.writeframes((samples.clip(-1.0, 127 / 128) * 128 + 128).round().astype("u1").tobytes())
+
+
+def write_inputs(root: str) -> list:
+    """Write the corpus's data and configs under ``root``; returns its
+    invocations, each an argv list."""
+    import numpy as np  # after the package, which sets the BLAS thread count first
+
+    from temporal_augmenter import synth
+    from temporal_augmenter.tensor_core import Rng
+
+    def path(*parts):
+        return os.path.join(root, *parts)
+
+    def config(name, text):
+        with open(path(name), "w") as fh:
+            fh.write(text)
+        return path(name)
+
+    synth.write_heartbeat_csv(path("beats.csv"), synth.make_heartbeat_dataset(120, Rng(1)))
+    synth.write_radar_csv(path("radar.csv"), synth.make_radar_dataset(60, Rng(2)))
+    synth.write_tone_corpus(path("tones"), Rng(3), clips_per_class=6)
+
+    rng = Rng(4)  # a generic table, CRLF line ends and blank lines, the label second of four
+    with open(path("table.csv"), "w", newline="") as fh:
+        fh.write("f1,kind,f2,f3\r\n\r\n")
+        for i in range(30):
+            f1, f2, f3 = (repr(float(v)) for v in rng.uniform((3,)))
+            fh.write(f"{f1},{('cat', 'dog', 'eel')[i % 3]},{f2},{f3}\r\n")
+
+    for i in range(6):  # 80-frame clips, cropped to target_len
+        t = np.arange(80) / 4000
+        os.makedirs(path("mixed", "mono8"), exist_ok=True)
+        write_wav_8bit(path("mixed", "mono8", f"c{i}.wav"), 0.8 * np.sin(2e3 * np.pi * t + i))
+        stereo = np.stack([np.sin(4e3 * np.pi * t + i), np.cos(4e3 * np.pi * t)], axis=1)
+        os.makedirs(path("mixed", "stereo16"), exist_ok=True)
+        synth.write_wav(path("mixed", "stereo16", f"c{i}.wav"), 0.5 * stereo.ravel(), 4000,
+                        channels=2)
+
+    argv = []
+    for task, data in (("mitbih", "beats.csv"), ("ionosphere", "radar.csv"), ("tess", "tones")):
+        cfg = config(f"{task}.cfg", f"task = {task}\ndata = {path(data)}\nepochs = 1\n")
+        run = path(f"run-{task}")
+        argv.append(["train", "--config", cfg, "--out", run, "--seed", "1"])
+        ckpt = os.path.join(run, "checkpoint.tackpt")
+        argv += [["eval", ckpt, path(data), "--split", s] for s in ("train", "val")]
+        argv.append(["eval", ckpt, path(data), "--out", path(f"eval-{task}")])
+        argv.append(["report", run])
+    for name, text in (
+            ("custom", f"task = custom\nlabel_col = kind\ndata = {path('table.csv')}\n"
+                       f"epochs = 1\nout = {path('run-custom')}\n"),
+            ("mixed", f"task = tess\ntarget_len = 64\ndata = {path('mixed')}\nepochs = 1\n"
+                      f"out = {path('run-mixed')}\n"),
+            ("pool3", f"task = ionosphere\npool_size = 3\nclip_norm = 0.01\nepochs = 2\n"
+                      f"data = {path('radar.csv')}\nout = {path('run-pool3')}\n")):
+        argv.append(["train", "--config", config(f"{name}.cfg", text)])
+    return argv
+
+
+def run_module(argv) -> int:
+    """``python -m temporal_augmenter`` with ``argv``: its exit code."""
+    saved = sys.argv
+    sys.argv = [PACKAGE, *argv]
+    try:
+        runpy.run_module(PACKAGE, run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.argv = saved
+    return 0
+
+
+def main() -> int:
+    package_dir = os.path.dirname(importlib.util.find_spec(PACKAGE).origin)
+    files = sorted(os.path.join(package_dir, f) for f in os.listdir(package_dir)
+                   if f.endswith(".py"))
+    reach = Reach(files)
+    with reach.tracing():
+        from temporal_augmenter import cli
+    with tempfile.TemporaryDirectory() as root:
+        corpus = [(cli.main, argv) for argv in write_inputs(root)]
+        corpus.append((run_module, ["gradcheck"]))
+        for run, argv in corpus:
+            output = io.StringIO()
+            with reach.tracing(), contextlib.redirect_stdout(output), \
+                    contextlib.redirect_stderr(output):
+                code = run(argv)
+            if code != 0:
+                print(f"{' '.join(argv)} exited {code}:\n{output.getvalue()}", file=sys.stderr)
+                return 1
+    total = missed_total = 0
+    for path in files:
+        lines = code_lines(path)
+        missed = lines - reach.ran[path]
+        total, missed_total = total + len(lines), missed_total + len(missed)
+        print(f"{os.path.basename(path)}: {len(missed)}" + (f": {spans(missed)}" if missed else ""))
+    print(f"total: {missed_total} of {total} code lines not run")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

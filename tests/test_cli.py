@@ -1,3 +1,4 @@
+import errno
 import filecmp
 import hashlib
 import itertools
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -621,6 +623,28 @@ class TestTrainCommand:
         assert f"data error: {data}: class directory name b'tone\\xff440' is not UTF-8" in err
         assert not (tmp_path / "out").exists()
 
+    def test_feature_whose_std_overflows_exit_3_leaves_no_output(self, tmp_path, capsys):
+        """Column 0 of a radar row, step 0 and channel 0, alternates +-1e200:
+        finite values whose squares overflow float64.  The error names the
+        file, the step and the channel, and no warning is raised, so the
+        result is the same when warnings are errors."""
+        data = tmp_path / "radar.csv"
+        write_radar_csv(data, make_radar_dataset(40, Rng(406)))
+        rows = data.read_text().splitlines()
+        data.write_text("".join(f"{(-1) ** i * 1e200!r},{row.split(',', 1)[1]}\n"
+                                for i, row in enumerate(rows)))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = ionosphere\ndata = {data}\nout = {tmp_path / 'out'}\n"
+                            f"epochs = 1\n")
+        for action in ("always", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert cli.main(["train", "--config", str(cfg_path)]) == 3
+            assert caught == []
+            assert (f"data error: {data}: step 0, channel 0: the training split's mean or std "
+                    f"overflows float64" in capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
+
     def test_divergence_exit_4(self, tmp_path, radar_csv, monkeypatch):
         from temporal_augmenter import optim
 
@@ -648,8 +672,44 @@ class TestTrainCommand:
 
 
 class TestPathsOfTheWrongKind:
-    """A directory where a file belongs, or a file where the output
-    directory belongs, is a typed error, not a traceback."""
+    """A directory where a file belongs, a file where the output directory
+    belongs, or a file that cannot be read, is a typed error, not a
+    traceback."""
+
+    def test_input_that_cannot_be_read_exit_2_or_3_leaves_no_output(
+            self, tmp_path, radar_csv, capsys, monkeypatch):
+        """A config file, a data file, a WAV clip or a class directory that
+        exists but whose read fails (EIO) is an error naming it: a config
+        error for the config file, a data error for the others."""
+        tones = tmp_path / "tones"
+        write_tone_corpus(tones, Rng(407), clips_per_class=4, clip_len=80)
+        wav_cfg = tmp_path / "wav.txt"
+        wav_cfg.write_text(f"task = tess\ndata = {tones}\nout = {tmp_path / 'out'}\n"
+                           f"target_len = 64\nepochs = 1\n")
+        csv_cfg = tmp_path / "csv.txt"
+        csv_cfg.write_text(radar_config_text(radar_csv, tmp_path / "out", epochs=1))
+        clip = sorted((tones / "tone880").iterdir())[1]
+        patches = {"open": (data_mod, open), "listdir": (os, os.listdir)}
+
+        def failing(real, target):
+            def call(path, *args, **kwargs):
+                if os.fspath(path) == str(target):
+                    raise OSError(errno.EIO, os.strerror(errno.EIO), str(path))
+                return real(path, *args, **kwargs)
+            return call
+
+        for cfg, target, name, code, message in (
+                (csv_cfg, csv_cfg, "open", 2, "config error: config file"),
+                (csv_cfg, radar_csv, "open", 3, "data error: data file"),
+                (wav_cfg, clip, "open", 3, "data error: WAV clip"),
+                (wav_cfg, tones / "tone880", "listdir", 3, "data error: directory")):
+            module, real = patches[name]
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, failing(real, target), raising=False)
+                assert cli.main(["train", "--config", str(cfg)]) == code
+            assert (f"{message} cannot be read: {target}: {os.strerror(errno.EIO)}"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
 
     def test_checkpoint_directory_exit_3(self, tmp_path, radar_csv, capsys):
         assert cli.main(["eval", str(tmp_path), str(radar_csv)]) == 3
@@ -973,7 +1033,8 @@ class TestEvalCommand:
         two = tmp_path / "two.csv"
         write_generic_csv(two, ["c0", "c1"], rng)
         assert cli.main(["eval", checkpoint, str(two)]) == 2
-        assert "class-count mismatch" in capsys.readouterr().err
+        assert ("class-name mismatch: checkpoint has ['c0', 'c1', 'c2', 'c3', 'c4'], "
+                "data has ['c0', 'c1']" in capsys.readouterr().err)
 
     def test_class_name_mismatch_exit_2(self, tmp_path, capsys):
         # {cat, dog} evaluated on {ant, cat}: the counts agree, but cat

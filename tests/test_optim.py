@@ -53,13 +53,6 @@ class TestCCELoss:
             denom = max(abs(fd), abs(dlogits[idx]), 1e-8)
             assert abs(fd - dlogits[idx]) / denom < 1e-6
 
-    def test_non_onehot_rejected(self):
-        probs = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError):
-            cce_loss(probs, np.array([[0.5, 0.5], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            cce_loss(probs, np.array([[1.0, 1.0], [1.0, 0.0]]))
-
 
 class TestRMSProp:
     def test_zero_gradient_leaves_param(self):
