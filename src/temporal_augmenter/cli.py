@@ -55,6 +55,7 @@ from .config import ConfigError, RunConfig, format_config, load_config, parse_co
 from .data import (
     DataError,
     DataSource,
+    _listdir,
     apply_scaler,
     fit_scaler,
     load_csv_signals,
@@ -168,9 +169,9 @@ def run_training(cfg: RunConfig):
         scaler = None
         if cfg.standardize:
             scaler = fit_scaler(train_set, data_path)
-            train_set = apply_scaler(scaler, train_set)
-            val_set = apply_scaler(scaler, val_set)
-            test_set = apply_scaler(scaler, test_set)
+            train_set, val_set, test_set = (
+                apply_scaler(scaler, part, data_path, name)
+                for part, name in ((train_set, "train"), (val_set, "val"), (test_set, "test")))
         root_rng = Rng(cfg.seed)
         net = model_mod.build(model_cfg, root_rng.derive("init"))
         _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
@@ -301,7 +302,7 @@ def _evaluate(args) -> metrics.Report:
     part = source.load(rows[args.split])
     del source  # the data's bytes, not needed past the rows it scores
     if scaler is not None:
-        part = apply_scaler(scaler, part)
+        part = apply_scaler(scaler, part, args.data, args.split)
     probs = optim.predict_probs(net, part.features)
     return _score(part.labels, probs, part.class_names, args.split,
                   model_mod.param_count(net), path)
@@ -329,7 +330,7 @@ def cmd_report(args) -> int:
     trainlog = os.path.join(run_dir, "trainlog.csv")
     if not os.path.isdir(run_dir) or not os.path.isfile(trainlog):
         raise DataError(f"run directory missing training artifacts: {run_dir}")
-    report_txts = sorted(f for f in os.listdir(run_dir)
+    report_txts = sorted(f for f in _listdir(run_dir)
                          if f.startswith("report_") and f.endswith(".txt"))
     if not report_txts:
         raise DataError(f"run directory has no report files: {run_dir}")

@@ -380,10 +380,20 @@ def fit_scaler(ds: Dataset, path) -> ScalerParams:
     return ScalerParams(mean=mean, std=std)
 
 
-def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
-    """``ds`` standardized by ``sp``, whose stds ``fit_scaler`` or the
-    checkpoint loader checked to be finite and > 0."""
-    return replace(ds, features=(ds.features - sp.mean) / sp.std)
+def apply_scaler(sp: ScalerParams, ds: Dataset, path, split: str) -> Dataset:
+    """``ds``, the ``split`` split of the data file ``path``, standardized
+    by ``sp``, whose stds ``fit_scaler`` or the checkpoint loader checked
+    to be finite and > 0.  A std can still be tiny, so a scaled value that
+    overflows, or holds NaN, is a DataError naming ``path``, ``split`` and
+    the first (sample, step, channel) where it does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = (ds.features - sp.mean) / sp.std
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        sample, step, channel = bad[0]
+        raise DataError(f"{path}: {split} split, sample {sample}, step {step}, channel "
+                        f"{channel}: the standardized value is not finite")
+    return replace(ds, features=features)
 
 
 # ---------------------------------------------------------------------------

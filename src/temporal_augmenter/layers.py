@@ -170,21 +170,25 @@ def relu_backward(y: Tensor, dy: Tensor):
 def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
     """Inverted dropout: keep with probability 1-rate, scale kept values by 1/(1-rate).
 
-    Each element takes one 32-bit draw ``u`` (``rng.next_uint32``, two per
-    SplitMix64 word) and is kept when ``u >= t`` with
-    ``t = min(ceil(rate * 2**32), 2**32 - 1)``.  ``rate * 2**32`` is exact,
-    so for rate <= 1 - 2**-32 the drop probability ``t / 2**32`` lies in
-    ``[rate, rate + 2**-32)``; above that, t is capped so that the threshold
-    fits in 32 bits, and ``t / 2**32 = 1 - 2**-32`` lies within ``2**-32``
-    below rate.  At rate 0.5, the default stream rate, t is ``2**31`` and
-    the drop probability exactly 0.5.  Draws are taken in C order, one per
-    element, and ``Rng`` carries an odd call's unused half to its next
+    Each element takes one b-bit field ``u`` of the rng's bit stream
+    (``rng.next_bits``), b the smallest of 1, 8 and 16 for which
+    ``rate * 2**b`` is an integer, else 32, and is kept when ``u >= t``
+    with ``t = min(ceil(rate * 2**b), 2**b - 1)``.  ``rate * 2**b`` is
+    exact, so below 32 bits t is ``rate * 2**b`` and the drop probability
+    ``t / 2**b`` exactly rate; at 32 bits, for rate <= 1 - 2**-32 it lies in
+    ``[rate, rate + 2**-32)``, and above that t is capped so that the
+    threshold fits in 32 bits, and ``t / 2**32 = 1 - 2**-32`` lies within
+    ``2**-32`` below rate.  At rate 0.5, the default stream rate, b is 1:
+    an element is kept where its bit is set.  Fields are taken in C order,
+    one per element, and ``Rng`` carries a call's unused bits to its next
     call, so masks drawn block after block over consecutive rows equal one
     mask drawn for the whole array, whatever the block sizes.
 
     The result is written over ``x``, which is returned.  Eval mode and rate
     0 are the identity and consume no rng draws.
-    cache = (keep_mask | None, scale).
+    cache = (packed keep bits | None, scale): the keep decisions as
+    little-endian bits (``np.packbits(keep, bitorder="little")``), which
+    at b = 1 are the drawn bytes themselves.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -192,20 +196,27 @@ def dropout_forward(x: Tensor, rate: float, mode: str, rng: Rng | None = None):
         return x, (None, 1.0)
     if rng is None:
         raise ValueError("train-mode dropout with rate > 0 requires an rng")
-    threshold = np.uint32(min(math.ceil(rate * 2.0 ** 32), 2 ** 32 - 1))
-    keep = (rng.next_uint32(x.size) >= threshold).reshape(x.shape)
+    b = next((b for b in (1, 8, 16) if (rate * 2.0 ** b).is_integer()), 32)
+    drawn = rng.next_bits(x.size * b)
+    if b == 1:  # rate 0.5: the threshold is 1, so each drawn bit is its decision
+        packed, keep = drawn, np.unpackbits(drawn, count=x.size, bitorder="little").view(bool)
+    else:
+        keep = drawn.view(f"<u{b // 8}") >= min(math.ceil(rate * 2.0 ** b), 2 ** b - 1)
+        packed = np.packbits(keep, bitorder="little")
     scale = 1.0 / (1.0 - rate)
-    np.multiply(x, keep, out=x)
+    np.multiply(x, keep.reshape(x.shape), out=x)
     x *= scale
-    return x, (keep, scale)
+    return x, (packed, scale)
 
 
 def dropout_backward(cache, dy: Tensor):
-    """(dy * keep) * scale, written over dy, which is returned.  A keep mask
-    of None multiplies by the scale alone, as after ``relu_backward``."""
-    keep, scale = cache
-    if keep is not None:
-        np.multiply(dy, keep, out=dy)
+    """(dy * keep) * scale, written over dy, which is returned, the keep
+    mask unpacked from the forward's bits.  Bits of None multiply by the
+    scale alone, as after ``relu_backward``."""
+    packed, scale = cache
+    if packed is not None:
+        keep = np.unpackbits(packed, count=dy.size, bitorder="little").view(bool)
+        np.multiply(dy, keep.reshape(dy.shape), out=dy)
     if scale != 1.0:
         dy *= scale
     return dy

@@ -34,12 +34,18 @@ such sum is -0.0, and equal values have equal bits.  ``forward`` takes the
 window max and min of x once for both streams, by pairwise ``np.maximum``
 and ``np.minimum``, into one [2, n, T_out] array, which a train forward
 extends with each window's first step for the backward
-(``_window_extremes``).  Per block it forms that max as one product of an
-[rows * T_out, 2] view of the block's max and min with a [2, F] matrix: K
-with 0.0 where K < 0, over K with 0.0 where K > 0.  For finite x one of a
-filter's two terms is an exact zero (both are where K is +-0.0), so the
-product is the other term's rounded value.  No [n, T, F] conv output, pool
-winner mask or conv-output gradient exists on this path.
+(``_window_extremes``).  Per block it forms that max plus b' as one
+product of a [rows * T_out, 3] operand, the block's window max, min and a
+one, with the [3, F] matrix [K+; K-; b']: K with 0.0 where K < 0, K with
+0.0 where K > 0, and b'.  For finite x one of a filter's two K terms is an
+exact zero (both are where K is +-0.0), so their sum is the other term's
+rounded value, and b', the last term of the sum, adds to it as a
+separate ``+ b'`` would, while the BLAS kernel sums k in order (checked with
+OpenBLAS's SkylakeX, Haswell and Sandybridge kernels).  The forward writes
+the operand over 3 of the k >= 3 values of each of the block's rows of
+px, which the projection then writes, so it takes no memory of its own.
+No [n, T, F] conv output, pool winner mask or conv-output gradient exists
+on this path.
 
 The general path runs on more channels (ionosphere's two; ``width = T``)
 and is the oracle the pooled path is tested against.  ``forward`` forms
@@ -67,14 +73,15 @@ exactly zero can differ.
 
 The backward recomputes each block's cell input rather than keeping it
 (Chen et al., *Training Deep Nets with Sublinear Memory Cost*,
-arXiv:1604.06174): forming a block costs a two-column product or one
+arXiv:1604.06174): forming a block costs a three-column product or one
 narrow product per slot and a max, so it is cheaper to form again than to
-store.  A block's cache is its bool dropout keep mask (None without
-dropout) and its dropout scale.  The cell's backward returns the
+store.  A block's cache is its dropout keep mask as packed bits (None
+without dropout) and its dropout scale.  The cell's backward returns the
 pre-activation gradient da [n, T_out, k]; then, per block, the backward
 re-forms the cell input with ``_form_block`` and the keep mask into a
-reused buffer, bit for bit the forward's, the general path keeping the
-slot products formed there; adds x^T da into the cell's input-weight
+reused buffer, bit for bit the forward's, the pooled path forming its
+operand in a reused buffer and the general path keeping the slot products
+formed there; adds x^T da into the cell's input-weight
 gradient and forms da W^T in a second reused buffer
 (``recurrent.project_backward``); runs the ReLU and dropout backward,
 which read that cell input, not a mask (see ``layers``); and adds the
@@ -98,10 +105,10 @@ step changes none of them.
 
 Blocking changes no bit of the forward: each sample is filtered on its
 own, pooling, the ReLU and the dropout scaling are elementwise, and
-the dropout draws are 32-bit halves of counter-based SplitMix64 words taken
-in C order, the ``Rng`` keeping an odd block's unused half for the next
-block, so drawing block after block yields the values of one draw over the
-whole array.  Nor does blocking the projection for the default cells
+the dropout draws are fields of the bit stream of counter-based SplitMix64
+words taken in C order, the ``Rng`` carrying a block's unused bits to the
+next block, so drawing block after block yields the bits of one draw over
+the whole array.  Nor does blocking the projection for the default cells
 (k = 30 and 40, checked with OpenBLAS's SkylakeX kernels) while no block
 has a single row: numpy sends a one-row product to gemv, whose sums
 differ from gemm's.  Only T_out = 1 can make such a block, so then blocks
@@ -126,10 +133,11 @@ weights); then the head layers first-to-last (glorot-uniform).  Biases are
 zero.
 
 Train-mode forward consumes rng draws in the same stream order: one dropout
-mask per stream, one 32-bit half per element of the [n, T_out, F] cell
-input, two per SplitMix64 word (drawn block by block, the same values as
-one whole-array draw), then the head dropout.  Eval-mode forward consumes
-none.
+mask per stream, one field of the ``Rng``'s bit stream per element of the
+[n, T_out, F] cell input (one bit at the default rate 0.5, 64 to a
+SplitMix64 word; drawn block by block, the same bits as one whole-array
+draw), then the head dropout (32 bits per element at its default 0.3).
+Eval-mode forward consumes none.
 """
 
 from __future__ import annotations
@@ -318,43 +326,48 @@ def _window_slots(cfg: ModelConfig, x: Tensor) -> Tensor:
 
 
 def _stream_terms(sp: StreamParams, windows: Tensor):
-    """(windows, weights, b') that ``_form_block`` reads, given the
-    forward's windows (see the module docstring).  On the pooled path:
-    ``_window_extremes``, the [2, F] matrix the window max and min multiply,
-    and b' = b + 0.0.  On the general path: ``_window_slots``, [W; b] and
-    None, the bias folded into the product."""
+    """(windows, weights) that ``_form_block`` reads, given the forward's
+    windows (see the module docstring); on both paths the bias is the last
+    row of the weights.  On the pooled path: ``_window_extremes`` and the
+    [3, F] matrix [K+; K-; b + 0.0] that a block's window max, min and a
+    one multiply.  On the general path: ``_window_slots`` and [W; b]."""
     if windows.ndim == 4:
-        return windows, np.vstack((sp.conv.W, sp.conv.b)), None
+        return windows, np.vstack((sp.conv.W, sp.conv.b))
     K = sp.conv.W[0]
     # xmax * K where K > 0, xmin * K where K < 0, both terms where K is +-0 or NaN
-    weights = np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K)))
-    return windows, weights, sp.conv.b + 0.0
+    return windows, np.stack((np.where(K < 0, 0.0, K), np.where(K > 0, 0.0, K), sp.conv.b + 0.0))
 
 
-def _form_block(terms, start: int, stop: int, y: Tensor, products: Tensor | None):
+def _form_block(terms, start: int, stop: int, y: Tensor, scratch: Tensor) -> Tensor:
     """Write the activated, pooled pre-activation of batch rows start:stop
     into ``y`` [stop - start, T_out, F], by the path that ``terms``
-    (``_stream_terms``) selects.  The general path first writes each
-    slot's conv output into the block's rows of ``products``
-    [pool, >= (stop - start) * T_out, F] and returns them, for the
-    backward's pool winners; the pooled path takes and returns None.  The
+    (``_stream_terms``) selects, and return the block's part of
+    ``scratch``.  The pooled path writes the block's window max, min and
+    a one per window over the first 3 * (stop - start) * T_out values of
+    the C-contiguous ``scratch``, as the [3, rows * T_out] operand of its
+    product.  The general path writes each slot's conv output into the
+    block's rows of its [pool, >= (stop - start) * T_out, F] slot
+    products ``scratch``, which the backward's pool winners read.  The
     backward's re-form calls it too, so it sees the forward's bits."""
-    windows, weights, b = terms
-    if b is not None:
-        np.matmul(windows[:2, start:stop].reshape(2, -1).T, weights, out=y.reshape(-1, b.size))
-        y += b
+    windows, weights = terms
+    m = y.shape[0] * y.shape[1]
+    if windows.ndim == 3:
+        scratch = scratch.reshape(-1)[:3 * m].reshape(3, m)
+        scratch[:2] = windows[:2, start:stop].reshape(2, m)
+        scratch[2] = 1.0
+        np.matmul(scratch.T, weights, out=y.reshape(m, -1))
     else:
-        products = products[:, :y.shape[0] * y.shape[1]]
-        for slot, product in zip(windows[:, start:stop], products):
-            np.matmul(slot.reshape(product.shape[0], -1), weights, out=product)
+        scratch = scratch[:, :m]
+        for slot, product in zip(windows[:, start:stop], scratch):
+            np.matmul(slot.reshape(m, -1), weights, out=product)
         # maxpool1d_forward's running max, in its operand order; with one
         # slot, np.maximum(c, c) is c, NaN included
-        pooled = y.reshape(products.shape[1:])
-        np.maximum(products[min(1, len(products) - 1)], products[0], out=pooled)
-        for product in products[2:]:
+        pooled = y.reshape(scratch.shape[1:])
+        np.maximum(scratch[min(1, len(scratch) - 1)], scratch[0], out=pooled)
+        for product in scratch[2:]:
             np.maximum(product, pooled, out=pooled)
     layers.relu_forward(y)
-    return products
+    return scratch
 
 
 def _block_buffers(cfg: ModelConfig, rows: int, pooled: bool):
@@ -370,14 +383,17 @@ def _front_end(sp: StreamParams, cfg: ModelConfig, terms, mode: str, rng, px: Te
     writing every row of ``px``.  Returns one (start, stop, keep mask,
     dropout scale) per block."""
     Ws, bs = recurrent.scaled_input(sp.cell)
-    pooled = terms[2] is not None
+    pooled = _pools_first(cfg)
     width = cfg.recurrent_timesteps if pooled else cfg.input_timesteps
     bounds = _block_bounds(px.shape[0], width, cfg)
     buffer, products = _block_buffers(cfg, max(stop - start for start, stop in bounds), pooled)
     blocks = []
     for start, stop in bounds:
         y = buffer[:stop - start]
-        _form_block(terms, start, stop, y, products)
+        # the pooled path's operand takes 3 of the k >= 3 values of each of
+        # the block's rows of px, which the projection writes once the block
+        # is formed
+        _form_block(terms, start, stop, y, px[start:stop] if pooled else products)
         _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
         recurrent.project(y, Ws, bs, out=px[start:stop])
         blocks.append((start, stop, keep, scale))
@@ -463,10 +479,11 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
     da, cell_grads = run(cell_cache, d_out)
     rows = max(stop - start for start, stop, _, _ in blocks)
-    pooled = terms[2] is not None
+    pooled = _pools_first(cfg)
     y_buffer, products = _block_buffers(cfg, rows, pooled)
     g_buffer = np.empty_like(y_buffer)
     if pooled:
+        operand = np.empty(3 * rows * T_out)
         # per filter, the input value the general path's window winner holds
         winners = terms[0].reshape(3, -1)
     else:
@@ -474,7 +491,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     dW = dK = db = sums = None
     for start, stop, keep, scale in blocks:
         y, g = y_buffer[:stop - start], g_buffer[:stop - start]
-        block_products = _form_block(terms, start, stop, y, products)
+        block_products = _form_block(terms, start, stop, y, operand if pooled else products)
         # dropout is linear, so with the forward's keep mask its backward is its forward
         layers.dropout_backward((keep, scale), y)
         _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)

@@ -77,19 +77,20 @@ class Rng:
 
     The k-th word after seeding is a pure function of (seed, k) using only
     64-bit integer arithmetic, so sequences are identical across runs and
-    platforms for the same seed.  The state is the counter of words drawn
-    plus one pending 32-bit half: ``next_uint32`` splits each word into its
-    low and then its high half, and a call that takes an odd number of
-    halves leaves the last word's high half for the next ``next_uint32``
-    call, whatever other draws come between (as numpy's ``Generator`` keeps
-    its buffered half).  So any split of one ``next_uint32`` draw into
-    consecutive calls hands out the same values.
+    platforms for the same seed.  ``next_uint64``, ``uniform``, ``normal``
+    and ``permutation`` take whole fresh words.  ``next_bits`` reads the
+    words as one stream of bits, the low bits of each little-endian word
+    first, and carries the unused high bits of its last word to its next
+    call, whatever other draws come between (as numpy's ``Generator``
+    keeps its buffered half).  So the state is the counter of words drawn
+    plus those carried bits, and any split of one ``next_bits`` draw into
+    consecutive calls hands out the same bits.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
-        self._pending = None
+        self._carry = np.zeros(0, dtype=np.uint8)  # carried bits, one 0 or 1 each
 
     def next_uint64(self, n: int) -> np.ndarray:
         """Return the next ``n`` raw 64-bit draws; ``n`` < 0 raises ValueError."""
@@ -101,19 +102,24 @@ class Rng:
             z += np.uint64(self.seed)
         return _mix64(z)
 
-    def next_uint32(self, n: int) -> np.ndarray:
-        """Return the next ``n`` 32-bit draws: the pending half, if any, then
-        the low and high half of each further word, on every platform.  The
-        words come from ``next_uint64``; ``n`` < 0 raises ValueError."""
+    def next_bits(self, n: int) -> np.ndarray:
+        """Return the bit stream's next ``n`` bits, packed little-endian into
+        ceil(n / 8) uint8 bytes: bit i is bit i % 8 of byte i // 8, and a
+        last byte's bits past n are 0.  So n fields of b bits, for b of 8,
+        16 or 32, are the result viewed as little-endian unsigned ints of
+        b bits, and 32-bit fields are each word's low and then high half.
+        The words come from ``next_uint64``; ``n`` < 0 raises ValueError.
+        With no bits carried and n a multiple of 64, the bytes are a view
+        of the words drawn."""
         _check_count(n)
-        carried = []
-        if n > 0 and self._pending is not None:
-            carried, self._pending = [self._pending], None
-        words = self.next_uint64((n - len(carried) + 1) // 2)
-        halves = words.astype("<u8", copy=False).view("<u4")
-        if halves.size > n - len(carried):
-            self._pending, halves = halves[-1], halves[:-1]
-        return np.concatenate((carried, halves)) if carried else halves
+        carried = self._carry
+        words = self.next_uint64(-(-max(n - carried.size, 0) // 64))
+        stream = words.astype("<u8", copy=False).view(np.uint8)
+        if carried.size == 0 and n % 64 == 0:
+            return stream
+        bits = np.concatenate((carried, np.unpackbits(stream, bitorder="little")))
+        self._carry = bits[n:].copy()
+        return np.packbits(bits[:n], bitorder="little")
 
     def uniform(self, shape) -> Tensor:
         """I.i.d. uniform draws on [0, 1) using the top 53 bits of each word."""

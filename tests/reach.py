@@ -7,15 +7,16 @@ The corpus is a list of ``cli.main`` invocations on small inputs written
 into a temporary directory: train, eval on each split and report on the
 three preset workloads (mitbih, ionosphere and tess), a generic-schema
 table, a WAV tree of 8-bit mono and 16-bit stereo clips, a radar run with
-``pool_size = 3`` and a ``clip_norm`` that fires, and ``gradcheck`` run as
-``python -m temporal_augmenter`` runs it.  Every invocation runs in this
+``pool_size = 3`` and a ``clip_norm`` that fires, a radar run whose
+validation split scales to a value that is not finite (a data error, exit
+3), and ``gradcheck`` run as ``python -m temporal_augmenter`` runs it.  Every invocation runs in this
 process under ``sys.settrace``, which is set before the package is imported,
 so the lines that run at import count; the input writers run untraced.
 
 It prints, per file, how many code lines no invocation ran and which, then
 the total.  A code line is one the compiler gives bytecode to.  An
-invocation that does not exit 0 stops the map with exit 1, since the lines
-it would have run are then unknown.  Uses the standard library and numpy
+invocation that does not exit with its expected code stops the map with
+exit 1, since the lines it would have run are then unknown.  Uses the standard library and numpy
 only; pytest does not collect it.
 """
 
@@ -92,7 +93,7 @@ def write_wav_8bit(path, samples) -> None:
 
 def write_inputs(root: str) -> list:
     """Write the corpus's data and configs under ``root``; returns its
-    invocations, each an argv list."""
+    invocations, each an argv list and the exit code it must return."""
     import numpy as np  # after the package, which sets the BLAS thread count first
 
     from temporal_augmenter import synth
@@ -109,6 +110,12 @@ def write_inputs(root: str) -> list:
     synth.write_heartbeat_csv(path("beats.csv"), synth.make_heartbeat_dataset(120, Rng(1)))
     synth.write_radar_csv(path("radar.csv"), synth.make_radar_dataset(60, Rng(2)))
     synth.write_tone_corpus(path("tones"), Rng(3), clips_per_class=6)
+    # column 0 alternates 0 and 1e-10, so its training std is tiny, and a
+    # row that the split at seed 0 sends to validation holds 1e308 there
+    far = synth.make_radar_dataset(40, Rng(1))
+    far.features[:, 0, 0] = [1e-10 * (i % 2) for i in range(40)]
+    far.features[[0, 3, 7], 0, 0] = 1e308
+    synth.write_radar_csv(path("far.csv"), far)
 
     rng = Rng(4)  # a generic table, CRLF line ends and blank lines, the label second of four
     with open(path("table.csv"), "w", newline="") as fh:
@@ -143,7 +150,9 @@ def write_inputs(root: str) -> list:
             ("pool3", f"task = ionosphere\npool_size = 3\nclip_norm = 0.01\nepochs = 2\n"
                       f"data = {path('radar.csv')}\nout = {path('run-pool3')}\n")):
         argv.append(["train", "--config", config(f"{name}.cfg", text)])
-    return argv
+    far = config("far.cfg", f"task = ionosphere\nseed = 0\ndata = {path('far.csv')}\n"
+                            f"out = {path('run-far')}\n")
+    return [(args, 0) for args in argv] + [(["train", "--config", far], 3)]
 
 
 def run_module(argv) -> int:
@@ -167,15 +176,16 @@ def main() -> int:
     with reach.tracing():
         from temporal_augmenter import cli
     with tempfile.TemporaryDirectory() as root:
-        corpus = [(cli.main, argv) for argv in write_inputs(root)]
-        corpus.append((run_module, ["gradcheck"]))
-        for run, argv in corpus:
+        corpus = [(cli.main, argv, want) for argv, want in write_inputs(root)]
+        corpus.append((run_module, ["gradcheck"], 0))
+        for run, argv, want in corpus:
             output = io.StringIO()
             with reach.tracing(), contextlib.redirect_stdout(output), \
                     contextlib.redirect_stderr(output):
                 code = run(argv)
-            if code != 0:
-                print(f"{' '.join(argv)} exited {code}:\n{output.getvalue()}", file=sys.stderr)
+            if code != want:
+                print(f"{' '.join(argv)} exited {code}, not {want}:\n{output.getvalue()}",
+                      file=sys.stderr)
                 return 1
     total = missed_total = 0
     for path in files:

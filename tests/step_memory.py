@@ -12,7 +12,7 @@ keeping a mask or a float array again fails; when an eval peak is more than
 ``TOLERANCE`` above its figure in ``EVAL_PEAK_MIB``, as the benchmark's
 ``eval_peak_rss_mb`` has its tightest bound; or when the 64-bit words drawn
 (the ``Rng`` counter after the forward) exceed their figure in ``WORDS``, so
-a return to one word per dropout element fails.  pytest does not collect this
+a return to 32 bits per stream-dropout element at rate 0.5 fails.  pytest does not collect this
 file; run it from the repository root as
 
     PYTHONPATH=src python tests/step_memory.py
@@ -34,14 +34,15 @@ SHAPES = {
 }
 
 # workload -> the step peak in MiB, read with numpy 2.4 on CPython 3.11
-PEAK_MIB = {"mitbih": 20.6, "tess": 28.2, "ionosphere": 3.3}
+PEAK_MIB = {"mitbih": 18.1, "tess": 24.7, "ionosphere": 3.0}
 # workload -> the eval forward peak in MiB, read likewise
 EVAL_PEAK_MIB = {"mitbih": 4.39, "tess": 5.86, "ionosphere": 1.16}
 TOLERANCE = 0.10
 
-# workload -> the 64-bit words one train step draws: one 32-bit half per
-# stream- and head-dropout element, two halves to a word
-WORDS = {"mitbih": 1_527_808, "tess": 2_098_176, "ionosphere": 135_168}
+# workload -> the 64-bit words one train step draws: one bit per
+# stream-dropout element at rate 0.5 and 32 per head-dropout element at 0.3,
+# 64 bits to a word
+WORDS = {"mitbih": 51_712, "tess": 66_560, "ionosphere": 8_192}
 
 
 def step_peak(n: int, timesteps: int, channels: int, classes: int) -> tuple:

@@ -645,6 +645,30 @@ class TestTrainCommand:
                     f"overflows float64" in capsys.readouterr().err)
             assert not (tmp_path / "out").exists()
 
+    def test_scaled_value_that_overflows_exit_3_leaves_no_output(self, tmp_path, capsys):
+        """Column 0 of the radar rows alternates 0 and 1e-10, so its
+        training-split std is tiny, and three rows hold 1e308 there: the
+        one that the split sends to validation scales to inf.  The error
+        names the file, the split, the sample, the step and the channel,
+        and no warning is raised, so the result is the same when warnings
+        are errors; the run once went on to diverge (exit 4)."""
+        data = tmp_path / "radar.csv"
+        ds = make_radar_dataset(40, Rng(1))
+        ds.features[:, 0, 0] = [1e-10 * (i % 2) for i in range(40)]
+        ds.features[[0, 3, 7], 0, 0] = 1e308
+        write_radar_csv(data, ds)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = ionosphere\ndata = {data}\nout = {tmp_path / 'out'}\n"
+                            f"seed = 0\nepochs = 1\n")
+        for action in ("always", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert cli.main(["train", "--config", str(cfg_path)]) == 3
+            assert caught == []
+            assert (f"data error: {data}: val split, sample 5, step 0, channel 0: the "
+                    f"standardized value is not finite" in capsys.readouterr().err)
+            assert not (tmp_path / "out").exists()
+
     def test_divergence_exit_4(self, tmp_path, radar_csv, monkeypatch):
         from temporal_augmenter import optim
 
@@ -912,37 +936,37 @@ class TestPinnedDigests:
     # kernel -> run -> (payload, trainlog.csv, report_test.json) digests
     DIGESTS = {
         "SkylakeX": {
-            "heartbeat": ("24460b7c8afae46f47f22f8253293e36c053d730cdfc05dd11ac9e23128b235a",
-                          "292b6648a0efc191f647cc0aee1fe6108a3196c33c3d5e144e4dbf81661c14e5",
+            "heartbeat": ("15a9996fb70a649f7eb42354380d3adda1f6cc1b2e0d34874c19aba99105a4f8",
+                          "c721334e1a934146fe3eb832edff4f3dea29bb6ea24b316443c090dc2bc53730",
                           "a458bb7624552852b84e0e544943faeeeaa3063528ab4e825946e3f5ba8df08d"),
-            "tone": ("d8f73320414cf5e833d7b54eef144955a15518c279548a16cfd9f37c0b3dd5a0",
-                     "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
-                     "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2"),
-            "radar": ("1f2733a66329b323ed90158dcccca82f45882444b266833c9f0fd62d671a6d16",
-                      "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
-                      "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df"),
+            "tone": ("885f548fd6f46a0992140cf9f65bde3b072cc6ec73a6a96eada0ba16aec6725b",
+                     "7d9fd405794c8ff7a3c4f3ef8cfecbf5c5fb2c5bbc02befba98e18ebef3884eb",
+                     "8890f698499b37a20355ef3c84b4b939590ce14b6f32d698b255f2e9d2ae26e0"),
+            "radar": ("6a107904bfedddc551b0883e0fb1c02bff5a355baf8fe08ba35cd3000930a2fd",
+                      "5db5d38a8b983086ffa1788e70a95e59e66026571dc207d94b28248675e130df",
+                      "6c429787acae594cc0bc0a47155ccd544288640effbf0a11c83c4fbb8ebea48b"),
         },
         "Haswell": {
-            "heartbeat": ("7a8f904fb5692929f9ce5daf81502699a7b1305cb6ac0f58be9f5c847c5c827d",
-                          "29288ab3e914d1769fdcbd6d8fcfbb40ff6bf5d44b8f6e0bfaf2ac47fbf6ed3c",
+            "heartbeat": ("ecce66134143f82ea6a761d284127b73f8224a180e64cc140811f30a988b6d0b",
+                          "3e0e6f5c1326c2441b3292a0828343f8662caa5a07240a110045b77ce8235cf1",
                           "a458bb7624552852b84e0e544943faeeeaa3063528ab4e825946e3f5ba8df08d"),
-            "tone": ("1a4e54ad9ea6749e45dec9ac5bdb2dc354ba669e65e40a50defa89fe07bb3c24",
-                     "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
-                     "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2"),
-            "radar": ("87c782b7a536035861b7c01a12c569eff424f9dd1a8ee5b92f8cfa28ffd2c329",
-                      "26d2d48c50df85820d63ec682a09548f3ac90761c149c4089605b41b0a03edca",
-                      "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df"),
+            "tone": ("13c9ca54e14d1a73edd031f71617563673be7e926fb955f88354fae6cc690ba9",
+                     "7d9fd405794c8ff7a3c4f3ef8cfecbf5c5fb2c5bbc02befba98e18ebef3884eb",
+                     "8890f698499b37a20355ef3c84b4b939590ce14b6f32d698b255f2e9d2ae26e0"),
+            "radar": ("9cb1d801661a892cb34c8d6db8b9e815f4c940a9e143e1856ba66bcf2f0b248a",
+                      "5db5d38a8b983086ffa1788e70a95e59e66026571dc207d94b28248675e130df",
+                      "6c429787acae594cc0bc0a47155ccd544288640effbf0a11c83c4fbb8ebea48b"),
         },
         "Sandybridge": {
-            "heartbeat": ("8d0a6bd7ba85b6fb91709fc4646268c2bed30d2e1709810f0b298da4bd71b259",
-                          "292b6648a0efc191f647cc0aee1fe6108a3196c33c3d5e144e4dbf81661c14e5",
+            "heartbeat": ("6a0a3d5ad13e9190c42a3908f1a5ddfc1a94cd176685af6b567e86eb53bd5d61",
+                          "bbc972fef6778c1d3cf2513092a83fad02f989c6486774667e13e4885196247a",
                           "a458bb7624552852b84e0e544943faeeeaa3063528ab4e825946e3f5ba8df08d"),
-            "tone": ("8a60fbb8fd0e826d7e0824c62a84cf4d6c840217f6ef541fff87d3415a199941",
-                     "190c30d6c7ae00c0871b64dbba771a6733cba4b74947ba1020df2cad329e58c7",
-                     "a6d8b105662419c0421346bb79b0f5a445c42a6c72e1e4cc25b952e10f3430c2"),
-            "radar": ("791435ff6b6639eb7ccdd2ad2c8ebd7440be958c597b77a0b2517189c7ef3b0d",
-                      "2f5e320d876f57221287b6b67d2f39355a8f71e542ac5bc23c3fc9721db2ad97",
-                      "1b483dd9716b933593d5e135c9417cb52717b2f119679f0b84c0b0931ad930df"),
+            "tone": ("1ef66221c27ef5d227a1f99ae1b0407095ed701ec78e30f8575bc25e7bf69315",
+                     "7d9fd405794c8ff7a3c4f3ef8cfecbf5c5fb2c5bbc02befba98e18ebef3884eb",
+                     "8890f698499b37a20355ef3c84b4b939590ce14b6f32d698b255f2e9d2ae26e0"),
+            "radar": ("171cf9c7fd2de3818320e2c124144a3091bc150484fe5972cbf526c22df11b23",
+                      "7c98ddde1c59ae679ef22bbb071eb16b0279570e876a3156ba0c4f25321d5442",
+                      "6c429787acae594cc0bc0a47155ccd544288640effbf0a11c83c4fbb8ebea48b"),
         },
     }
 
@@ -1208,6 +1232,26 @@ class TestEvalCommand:
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         assert (f"data error: {path}: run_config: standardize is on, but the checkpoint holds "
                 f"no scaler" in capsys.readouterr().err)
+
+    def test_scaled_value_that_overflows_exit_3(self, trained_run, tmp_path, capsys):
+        """A checkpoint's scaler std that is finite and > 0 but tiny scales
+        the split's values to inf: eval names the data file, the split, the
+        sample, the step and the channel, and raises no warning."""
+        out, radar_csv = trained_run
+        net, extras, scaler = load_checkpoint(out / "checkpoint.tackpt")
+        scaler.std[3, 1] = 1e-320
+        path = tmp_path / "tiny.tackpt"
+        save_checkpoint(path, net, extras=extras, scaler=scaler)
+        eval_out = tmp_path / "evalout"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            assert cli.main(["eval", str(path), str(radar_csv), "--split", "val",
+                             "--out", str(eval_out)]) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert re.search(rf"data error: {re.escape(str(radar_csv))}: val split, sample 0, step 3, "
+                         rf"channel 1: the standardized value is not finite", err), err
+        assert not eval_out.exists()
 
     def test_non_finite_probabilities_exit_3(self, trained_run, tmp_path, capsys):
         """Head weights scaled by 1e300 are finite, but the logits overflow;
@@ -1530,6 +1574,26 @@ class TestReportCommand:
         assert cli.main(["report", str(run)]) == 3
         assert (f"data error: report file is not a regular file: {run / 'report_x.txt'}"
                 in capsys.readouterr().err)
+
+    def test_run_directory_that_cannot_be_listed_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A run directory whose listing fails (EIO) is a data error naming
+        it, not an OSError traceback."""
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "trainlog.csv").write_text(self.HEADER + "1,0.7,0.5,0.69,0.5\n")
+        (run / "report_test.txt").write_text("report\n")
+        listdir = os.listdir
+
+        def failing(path="."):
+            if os.fspath(path) == str(run):
+                raise OSError(errno.EIO, os.strerror(errno.EIO), str(path))
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", failing)
+        assert cli.main(["report", str(run)]) == 3
+        assert (f"data error: directory cannot be read: {run}: {os.strerror(errno.EIO)}"
+                in capsys.readouterr().err)
+        assert not (run / "summary.txt").exists() and not (run / "curves.csv").exists()
 
     @pytest.mark.parametrize("log,named", [
         (HEADER + "1,0.7,0.5,0.69,0.5\n2,abc,0.5,0.69,0.5\n", "row 2: could not convert"),

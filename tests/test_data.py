@@ -13,6 +13,7 @@ from temporal_augmenter.data import (
     DataError,
     Dataset,
     DataSource,
+    ScalerParams,
     SplitSpec,
     apply_scaler,
     fit_scaler,
@@ -391,13 +392,13 @@ class TestScaler:
         sp = fit_scaler(ds, "data.csv")
         assert abs(sp.mean[0, 0] - 2.0) < 1e-15
         assert abs(sp.std[0, 0] - math.sqrt(2.0 / 3.0)) < 1e-15
-        scaled = apply_scaler(sp, ds)
+        scaled = apply_scaler(sp, ds, "data.csv", "train")
         npt.assert_allclose(scaled.features[:, 0, 0], [-1.22474, 0.0, 1.22474], atol=1e-5)
 
     def test_constant_feature_unchanged(self):
         feats = np.column_stack([np.full(5, 3.0), np.arange(5.0)])[:, :, None]
         ds = Dataset(features=feats, labels=np.zeros(5, dtype=np.int64), class_names=["a"])
-        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds)
+        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds, "data.csv", "train")
         npt.assert_array_equal(scaled.features[:, 0, 0], np.full(5, 3.0))
         assert abs(scaled.features[:, 1, 0].mean()) < 1e-10
 
@@ -405,8 +406,23 @@ class TestScaler:
         rng = Rng(302)
         ds = Dataset(features=rng.uniform((40, 6, 2)) * 5 + 1,
                      labels=np.zeros(40, dtype=np.int64), class_names=["a"])
-        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds)
+        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds, "data.csv", "train")
         assert np.max(np.abs(scaled.features.mean(axis=0))) < 1e-10
+
+
+    def test_value_that_is_not_finite_once_scaled_names_where(self):
+        """A tiny std scales a far value to inf, and an inf input stays
+        one: each is a DataError naming the file, the split and the first
+        (sample, step, channel), and numpy warns of neither."""
+        sp = ScalerParams(mean=np.zeros((3, 2)), std=np.full((3, 2), 1e-300))
+        feats = np.zeros((4, 3, 2))
+        feats[2, 1, 0] = 1e10
+        feats[3, 0, 1] = np.inf
+        ds = Dataset(features=feats, labels=np.zeros(4, dtype=np.int64), class_names=["a"])
+        with np.errstate(all="raise"):
+            with pytest.raises(DataError, match=r"^data\.csv: test split, sample 2, step 1, "
+                                                r"channel 0: the standardized value is not finite"):
+                apply_scaler(sp, ds, "data.csv", "test")
 
 
 def source_of(ds: Dataset) -> DataSource:

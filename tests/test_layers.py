@@ -293,17 +293,33 @@ class TestMaxPool1D:
         assert maxpool1d_fd_err(seed=0, trials=20) < 1e-6
 
 
-def words_of(halves):
-    """The 64-bit words whose 32-bit halves, low half first, are ``halves``
-    (padded with a 0 to an even count)."""
-    padded = np.zeros(2 * ((len(halves) + 1) // 2), dtype="<u4")
-    padded[:len(halves)] = halves
+def words_of(values, b=32):
+    """The 64-bit words whose bit stream holds the b-bit fields ``values``,
+    low bits first, padded with zero bits to a whole word."""
+    if b == 1:
+        data = np.packbits(np.asarray(values, dtype=np.uint8), bitorder="little")
+    else:
+        data = np.asarray(values, dtype=f"<u{b // 8}").view(np.uint8)
+    padded = np.zeros(8 * -(-data.size // 8), dtype=np.uint8)
+    padded[:data.size] = data
     return padded.view("<u8").astype(np.uint64)
 
 
+def unpacked(cache, shape):
+    """The bool keep mask of a dropout cache's packed little-endian bits."""
+    n = math.prod(shape)
+    return np.unpackbits(cache[0], count=n, bitorder="little").view(bool).reshape(shape)
+
+
+# rate -> bits per keep decision: the fewest of 1, 8 and 16 for which
+# rate * 2**b is an integer, else 32
+FIELD_BITS = {0.5: 1, 0.25: 8, 3 / 2 ** 16: 16, 0.3: 32, 1 / 3: 32, 1e-9: 32,
+              float(np.nextafter(1.0, 0.0)): 32}
+
+
 class FixedWords(Rng):
-    """An Rng whose 64-bit words are the given ones, so that its 32-bit
-    draws are their halves."""
+    """An Rng whose 64-bit words are the given ones, so that its bit stream
+    is their bits."""
 
     def __init__(self, words):
         super().__init__(0)
@@ -337,9 +353,10 @@ class TestDropout:
         x = Rng(48).uniform((30, 20)) * 2 - 1
         dy = Rng(50).uniform((30, 20)) * 2 - 1
         x0, dy0 = x.copy(), dy.copy()
-        y, (keep, scale) = dropout_forward(x, 0.3, "train", Rng(49))
+        y, cache = dropout_forward(x, 0.3, "train", Rng(49))
+        keep, scale = unpacked(cache, x.shape), cache[1]
         assert y is x and y.tobytes() == ((x0 * keep) * scale).tobytes()
-        dx = dropout_backward((keep, scale), dy)
+        dx = dropout_backward(cache, dy)
         assert dx is dy and dx.tobytes() == ((dy0 * keep) * scale).tobytes()
 
     def test_expectation_preserved(self):
@@ -356,54 +373,75 @@ class TestDropout:
         npt.assert_array_equal(dx == 0.0, y == 0.0)
         assert np.allclose(dx[dx != 0], 1.0 / 0.7)
 
-    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0))])
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0)),
+                                      0.25, 3 / 2 ** 16])
     def test_word_threshold_equals_uniform_comparison(self, rate):
-        """An element is kept when its 32-bit uniform ``u * 2**-32`` is
-        >= rate; two elements take one word."""
+        """An element is kept when its b-bit field, as the uniform
+        ``u * 2**-b``, is >= rate; 64 / b elements take one word."""
+        b = FIELD_BITS[rate]
         x = np.ones((40, 25))
         rng = Rng(47)
-        _, (keep, _) = dropout_forward(x, rate, "train", rng)
-        assert rng._counter == x.size // 2
-        npt.assert_array_equal(keep, Rng(47).next_uint32(x.size).reshape(x.shape) * 2.0 ** -32
-                               >= rate)
-        assert keep.any() == (rate < 0.9)  # the largest rate below 1 keeps nothing
+        _, cache = dropout_forward(x, rate, "train", rng)
+        assert rng._counter == -(-x.size * b // 64)
+        drawn = Rng(47).next_bits(x.size * b)
+        u = (np.unpackbits(drawn, count=x.size, bitorder="little") if b == 1
+             else drawn.view(f"<u{b // 8}"))
+        npt.assert_array_equal(unpacked(cache, x.shape), u.reshape(x.shape) * 2.0 ** -b >= rate)
+        assert cache[0].tobytes() == np.packbits(u * 2.0 ** -b >= rate, bitorder="little").tobytes()
+        assert unpacked(cache, x.shape).any() == (rate < 0.9)  # the largest rate below 1 keeps nothing
 
-    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0))])
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3, 1e-9, float(np.nextafter(1.0, 0.0)),
+                                      0.25, 3 / 2 ** 16])
     def test_word_threshold_exact_at_the_boundary(self, rate):
-        """Values on either side of the cut, in both halves of a word: one at
-        the threshold keeps and one below it drops.  Above 1 - 2**-32 the
+        """Field values on either side of the cut, three of each in a row,
+        so that they sit at several places in a word: one at the threshold
+        keeps and one below it drops.  At 32 bits and above 1 - 2**-32 the
         threshold is capped at the largest 32-bit value, which keeps."""
-        t = min(math.ceil(rate * 2.0 ** 32), 2 ** 32 - 1)
-        # three of each in a row: each value in a low and in a high half
-        halves = np.repeat(np.array([v for v in (t - 2, t - 1, t, t + 1) if 0 <= v < 2 ** 32],
-                                    dtype=np.uint32), 3)
-        _, (keep, _) = dropout_forward(np.ones(halves.shape), rate, "train",
-                                       FixedWords(words_of(halves)))
-        want = halves * 2.0 ** -32 >= rate
+        b = FIELD_BITS[rate]
+        t = min(math.ceil(rate * 2.0 ** b), 2 ** b - 1)
+        values = np.repeat([v for v in (t - 2, t - 1, t, t + 1) if 0 <= v < 2 ** b], 3)
+        _, cache = dropout_forward(np.ones(values.shape), rate, "train",
+                                   FixedWords(words_of(values, b)))
+        keep = unpacked(cache, values.shape)
+        want = values * 2.0 ** -b >= rate
         if rate > 1 - 2.0 ** -32:
-            want |= halves == 2 ** 32 - 1
+            want |= values == 2 ** 32 - 1
         npt.assert_array_equal(keep, want)
-        npt.assert_array_equal(keep[halves == t], True)
-        npt.assert_array_equal(keep[halves == t - 1], False)
+        npt.assert_array_equal(keep[values == t], True)
+        npt.assert_array_equal(keep[values == t - 1], False)
 
-    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9, 0.25])
     def test_kept_fraction_is_one_minus_rate(self, rate):
-        n = 10 ** 6
-        _, (keep, _) = dropout_forward(np.ones(n), rate, "train", Rng(51))
+        n = 2 ** 20
+        _, cache = dropout_forward(np.ones(n), rate, "train", Rng(51))
         sigma = math.sqrt(rate * (1 - rate) / n)
-        assert abs(keep.mean() - (1 - rate)) < 5 * sigma
+        assert abs(unpacked(cache, (n,)).mean() - (1 - rate)) < 5 * sigma
+
+    @pytest.mark.parametrize("rate", [0.5, 0.25, 0.3])
+    def test_backward_unpacks_the_forwards_mask(self, rate):
+        """The backward reads the forward's packed bits: its gradient is
+        zero exactly where the forward dropped, and odd sizes leave no
+        stray bit."""
+        x = Rng(53).uniform((3, 7, 5)) + 0.5
+        y, cache = dropout_forward(x, rate, "train", Rng(54))
+        assert cache[0].dtype == np.uint8 and cache[0].size == -(-x.size // 8)
+        dx = dropout_backward(cache, np.ones(x.shape))
+        npt.assert_array_equal(dx == 0.0, y == 0.0)
+        npt.assert_array_equal(dx[dx != 0.0], 1.0 / (1.0 - rate))
 
     def test_odd_blocks_draw_the_whole_array_mask(self):
-        """Blocks of 15, 45 and 45 elements, so an unused half carries over
-        from one block to the next."""
+        """Blocks of 15, 45 and 45 elements, so that unused bits carry over
+        from one block to the next, at one, eight and 32 bits a decision."""
         x = np.ones((7, 5, 3))
-        rng = Rng(52)
-        blocks = [dropout_forward(x[a:b].copy(), 0.5, "train", rng)[1][0]
-                  for a, b in ((0, 1), (1, 4), (4, 7))]
-        whole = Rng(52)
-        _, (keep, _) = dropout_forward(x, 0.5, "train", whole)
-        npt.assert_array_equal(np.concatenate(blocks), keep)
-        assert rng._counter == whole._counter == (x.size + 1) // 2
+        for rate in (0.5, 0.25, 0.3):
+            rng = Rng(52)
+            blocks = [unpacked(dropout_forward(x[a:b].copy(), rate, "train", rng)[1],
+                               (b - a, 5, 3))
+                      for a, b in ((0, 1), (1, 4), (4, 7))]
+            whole = Rng(52)
+            _, cache = dropout_forward(x.copy(), rate, "train", whole)
+            npt.assert_array_equal(np.concatenate(blocks), unpacked(cache, x.shape))
+            assert rng._counter == whole._counter == -(-x.size * FIELD_BITS[rate] // 64)
 
     def test_finite_differences(self):
         assert gradcheck.check_dropout(seed=0, trials=10) < 1e-6
@@ -433,9 +471,10 @@ class TestReLU:
         assert gradcheck.check_relu(seed=0, trials=20) < 1e-6
 
 
-def keep_words(keep):
-    """Raw words that dropout at any rate keeps exactly where ``keep`` holds."""
-    return words_of(np.where(keep, np.uint32(2 ** 32 - 1), np.uint32(0)))
+def keep_words(keep, b):
+    """Raw words that dropout at any rate of b-bit decisions keeps exactly
+    where ``keep`` holds."""
+    return words_of(np.where(keep, 2 ** b - 1, 0), b)
 
 
 class TestReLUThenDropout:
@@ -450,15 +489,15 @@ class TestReLUThenDropout:
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 2.0 ** -1070])
         dy, x, keep = (a.ravel() for a in np.meshgrid(specials, specials, [False, True],
                                                       indexing="ij"))
-        for rate in (0.0, 0.5, 0.3):
+        for rate, b in ((0.0, 32), (0.5, 1), (0.3, 32)):
             with np.errstate(invalid="ignore"):  # inf * 0
                 y, _ = relu_forward(x.copy())
-                y, (_, scale) = dropout_forward(y, rate, "train", FixedWords(keep_words(keep)))
+                y, (_, scale) = dropout_forward(y, rate, "train", FixedWords(keep_words(keep, b)))
                 want = ((dy * keep) * scale) * (x > 0) if rate else dy * (x > 0)
                 got = dropout_backward((None, scale), relu_backward(y, dy.copy()))
             assert got.tobytes() == want.tobytes(), rate
         y, _ = relu_forward(np.array([-1.0, 2.0]))
-        y, (_, scale) = dropout_forward(y, 0.5, "train", FixedWords(keep_words([True, True])))
+        y, (_, scale) = dropout_forward(y, 0.5, "train", FixedWords(keep_words([True, True], 1)))
         dy = np.array([1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             want = (dy * scale) * np.array([0.0, 1.0])

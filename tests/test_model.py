@@ -484,9 +484,9 @@ def assert_same_gradients(grads, want):
 
 
 def took_pooled_path(cache) -> bool:
-    """Whether a stream's cache holds the pooled path's terms, whose bias is
-    added after the product; the general path folds it into the product."""
-    return cache[3][2] is not None
+    """Whether a stream's cache holds the pooled path's terms: its window
+    extremes [rows, n, T_out], not the general path's window slots."""
+    return cache[3][0].ndim == 3
 
 
 class TestBlockedFrontEnd:
@@ -516,9 +516,9 @@ class TestBlockedFrontEnd:
             eval_probs, _ = forward(net, x, mode="eval")
             runs.append((probs, grads, rng._counter, eval_probs))
         probs, grads, counter, eval_probs = runs[0]
-        # one 32-bit half per stream-dropout element, then one per
-        # head-dropout element, two halves to a word
-        assert counter == (7 * (2 * cfg.recurrent_timesteps * cfg.conv_filters + 8) + 1) // 2
+        # one bit per stream-dropout element at rate 0.5, then 32 per
+        # head-dropout element at 0.3, all from one stream of 64-bit words
+        assert counter == -(-7 * (2 * cfg.recurrent_timesteps * cfg.conv_filters + 8 * 32) // 64)
         for other_probs, other_grads, other_counter, other_eval in runs[1:]:
             assert other_probs.tobytes() == probs.tobytes()
             assert other_eval.tobytes() == eval_probs.tobytes()
@@ -528,10 +528,11 @@ class TestBlockedFrontEnd:
     # "-relu" ends each id as it did when the activation was a setting
     @pytest.mark.parametrize("pooled", [True, False], ids=lambda pooled: f"{pooled}-relu")
     def test_train_trace_keeps_only_the_stream_keep_masks(self, monkeypatch, pooled):
-        """A train trace's only bool arrays are the stream dropout keep
-        masks, one per block, which the backward needs to re-form the
-        block's cell input: no max-pool winner mask, no ReLU mask, and none
-        in the head's caches, though the head applies dropout too."""
+        """A train trace's only mask arrays are the stream dropout keep
+        masks, one per block as packed bits, which the backward needs to
+        re-form the block's cell input: no bool array at all, so no
+        max-pool winner mask, no ReLU mask, and none in the head's caches,
+        though the head applies dropout too."""
         make = heartbeat_config if pooled else radar_config
         cfg = make(conv_filters=6, dense_sizes=(8, 4))
         net = build(cfg, Rng(94))
@@ -544,11 +545,12 @@ class TestBlockedFrontEnd:
         keep_masks = []
         for cache in trace.stream_caches:
             assert [(start, stop, keep.dtype, keep.shape) for start, stop, keep, _ in cache[1]] == [
-                (start, stop, np.dtype(bool), (stop - start, T_out, F))
+                (start, stop, np.dtype(np.uint8), (-(-(stop - start) * T_out * F // 8),))
                 for start, stop in [(0, 3), (3, 6), (6, 7)]]
             keep_masks += [keep for _, _, keep, _ in cache[1]]
-        bools = [a for a in arrays_in([trace.stream_caches, trace.head_caches]) if a.dtype == bool]
-        assert [id(a) for a in bools] == [id(keep) for keep in keep_masks]
+        arrays = list(arrays_in([trace.stream_caches, trace.head_caches]))
+        assert not [a for a in arrays if a.dtype == bool]
+        assert [id(a) for a in arrays if a.dtype == np.uint8] == [id(keep) for keep in keep_masks]
 
 
 def heartbeat_config(**overrides) -> ModelConfig:

@@ -189,6 +189,45 @@ class SplitMix64Halves:
         return out
 
 
+class SplitMix64Bits:
+    """Pure-Python oracle of ``Rng``'s bit stream over Python ints: each
+    word's 64 bits, low bit first, with the bits that a draw leaves over
+    handed out first by the next one; whole-word draws leave them alone."""
+
+    def __init__(self, seed: int):
+        self.source = SplitMix64Halves(seed)
+        self.carry = self.count = 0  # the carried bits, stream order from bit 0
+
+    def bits(self, n: int) -> int:
+        """The stream's next n bits as one int, stream bit i at bit i."""
+        while self.count < n:
+            word, = self.source.uint64(1)
+            self.carry |= word << self.count
+            self.count += 64
+        out = self.carry & ((1 << n) - 1)
+        self.carry >>= n
+        self.count -= n
+        return out
+
+    def fields(self, n: int, b: int) -> list:
+        value = self.bits(n * b)
+        return [(value >> (i * b)) & ((1 << b) - 1) for i in range(n)]
+
+
+def fields(rng, n, b):
+    """n b-bit fields of ``rng``'s bit stream, as dropout reads them."""
+    drawn = rng.next_bits(n * b)
+    if b == 1:
+        return np.unpackbits(drawn, count=n, bitorder="little")
+    return drawn.view(f"<u{b // 8}")
+
+
+def uint32(rng, n):
+    """n 32-bit fields: the draw that ``Rng.next_uint32`` made before the
+    bit stream replaced it."""
+    return fields(rng, n, 32)
+
+
 class TestRngKnownAnswers:
     SEEDS = (0, 1, 7, 42, 0xDEADBEEF, 1 << 63, MASK64)
 
@@ -205,20 +244,22 @@ class TestRngKnownAnswers:
 
     def test_next_uint32_takes_the_low_half_first(self):
         words = splitmix64_words(0, 2)
-        halves = Rng(0).next_uint32(4)
+        halves = uint32(Rng(0), 4)
         assert halves.dtype == np.uint32
         assert [int(h) for h in halves] == [words[0] & 0xFFFFFFFF, words[0] >> 32,
                                             words[1] & 0xFFFFFFFF, words[1] >> 32]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_next_uint32_matches_pure_python(self, seed):
-        """The pending half outlives 64-bit draws and empty draws between
-        two 32-bit draws; the counter counts the words either kind took."""
+        """32-bit fields are the halves that ``next_uint32`` handed out, bit
+        for bit: the carried half outlives 64-bit draws and empty draws
+        between two 32-bit draws; the counter counts the words either kind
+        took."""
         calls = [(32, 5), (64, 2), (32, 3), (32, 0), (32, 1), (32, 1), (64, 1), (32, 7),
                  (64, 0), (32, 4), (32, 9)]
         rng, oracle = Rng(seed), SplitMix64Halves(seed)
         for bits, n in calls:
-            got = rng.next_uint32(n) if bits == 32 else rng.next_uint64(n)
+            got = uint32(rng, n) if bits == 32 else rng.next_uint64(n)
             assert got.dtype == (np.uint32 if bits == 32 else np.uint64)
             assert [int(v) for v in got] == (oracle.uint32(n) if bits == 32 else oracle.uint64(n))
             assert rng._counter == oracle.words
@@ -227,17 +268,17 @@ class TestRngKnownAnswers:
     @pytest.mark.parametrize("b", [0, 1, 2, 5, 11904])
     def test_next_uint32_split_equals_one_draw(self, a, b):
         rng = Rng(17)
-        parts = np.concatenate([rng.next_uint32(a), rng.next_uint32(b)])
+        parts = np.concatenate([uint32(rng, a), uint32(rng, b)])
         whole = Rng(17)
-        assert parts.tobytes() == whole.next_uint32(a + b).tobytes()
+        assert parts.tobytes() == uint32(whole, a + b).tobytes()
         assert rng._counter == whole._counter == (a + b + 1) // 2
 
-    @pytest.mark.parametrize("draw", ["next_uint64", "next_uint32"])
+    @pytest.mark.parametrize("draw", ["next_uint64", "next_bits"])
     def test_negative_count_raises_and_draws_nothing(self, draw):
         """A negative count once moved the counter back, so that later draws
         repeated words already handed out."""
         rng = Rng(42)
-        first = rng.next_uint32(3)  # one word and a pending half left over
+        first = uint32(rng, 3)  # one word and a carried half left over
         for n in (-1, -2):
             with pytest.raises(ValueError, match=str(n)):
                 getattr(rng, draw)(n)
@@ -245,8 +286,73 @@ class TestRngKnownAnswers:
         assert rng._counter == 2
         oracle = SplitMix64Halves(42)
         assert [int(v) for v in first] == oracle.uint32(3)
-        assert [int(v) for v in rng.next_uint32(2)] == oracle.uint32(2)
+        assert [int(v) for v in uint32(rng, 2)] == oracle.uint32(2)
         assert [int(w) for w in rng.next_uint64(2)] == oracle.uint64(2)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("b", [1, 8, 16, 32])
+    def test_fields_match_pure_python(self, seed, b):
+        """Draws of b-bit fields, whose bits often end inside a word, with
+        whole-word draws between them."""
+        rng, oracle = Rng(seed), SplitMix64Bits(seed)
+        for n in (3, 64, 0, 1, 130, 7, 41):
+            got = fields(rng, n, b)
+            assert [int(v) for v in got] == oracle.fields(n, b), n
+            assert rng._counter == oracle.source.words
+            assert [int(w) for w in rng.next_uint64(1)] == oracle.source.uint64(1)
+
+    @pytest.mark.parametrize("b", [1, 8, 16, 32])
+    def test_block_draws_equal_one_draw(self, b):
+        """Blocks of 1, 63, 65 and 59,521 fields, drawn one after another,
+        are the fields of one draw over all of them."""
+        sizes = (1, 63, 65, 59_521)
+        rng = Rng(18)
+        blocks = np.concatenate([fields(rng, n, b) for n in sizes])
+        whole = Rng(18)
+        assert blocks.tobytes() == fields(whole, sum(sizes), b).tobytes()
+        assert rng._counter == whole._counter == -(-sum(sizes) * b // 64)
+
+    def test_one_bit_field_i_is_bit_i_of_the_words(self):
+        words = splitmix64_words(19, 4)
+        got = fields(Rng(19), 256, 1)
+        assert got.tolist() == [(words[i // 64] >> (i % 64)) & 1 for i in range(256)]
+
+    def test_a_draw_of_whole_words_is_a_view_of_them(self):
+        """With no bits carried, 128 bits are two words' bytes, not a copy."""
+        rng = Rng(20)
+        drawn = rng.next_bits(128)
+        assert drawn.dtype == np.uint8 and drawn.size == 16 and drawn.base is not None
+        assert drawn.view("<u8").tolist() == splitmix64_words(20, 2)
+
+    def test_a_draw_clears_the_bits_past_its_end(self):
+        drawn = Rng(21).next_bits(13)
+        assert drawn.size == 2 and drawn[1] >> 5 == 0
+        assert int(drawn.view("<u2")[0]) == splitmix64_words(21, 1)[0] & 0x1FFF
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_carried_bits_survive_whole_word_draws(self, seed):
+        """``next_uint64``, ``uniform`` and ``permutation`` take fresh words
+        and leave the carried bits to the next field draw."""
+        rng, oracle = Rng(seed), SplitMix64Bits(seed)
+        assert [int(v) for v in fields(rng, 5, 8)] == oracle.fields(5, 8)  # 24 bits carried
+        assert [int(w) for w in rng.next_uint64(2)] == oracle.source.uint64(2)
+        words = oracle.source.uint64(3)
+        assert rng.uniform((3,)).tolist() == [(w >> 11) * 2.0 ** -53 for w in words]
+        words = oracle.source.uint64(4)
+        assert rng.permutation(4).tolist() == np.argsort([w >> 11 for w in words],
+                                                         kind="stable").tolist()
+        assert [int(v) for v in fields(rng, 3, 8)] == oracle.fields(3, 8)  # from the carry
+        assert [int(v) for v in fields(rng, 5, 8)] == oracle.fields(5, 8)
+        assert rng._counter == oracle.source.words
+
+    def test_a_32_bit_draw_after_5_carried_bits_reads_the_next_32(self):
+        words = splitmix64_words(22, 2)
+        stream = words[0] | words[1] << 64
+        rng = Rng(22)
+        rng.next_bits(59)  # 5 bits of the first word carried
+        assert [int(v) for v in uint32(rng, 2)] == [(stream >> 59) & 0xFFFFFFFF,
+                                                    (stream >> 91) & 0xFFFFFFFF]
+        assert rng._counter == 2
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uniform_is_top_53_bits_and_advances_by_n(self, seed):
