@@ -20,7 +20,8 @@ the checkpoint stores the training split's ``ScalerParams`` when
 data's sha256 and parses no features.  ``train`` sizes the model from it,
 so a model setting that the data's shape rules out is a config error
 (exit 2) naming the config file, before ``split`` parses each row once,
-into its part.  ``eval`` reads ``run_config`` back with
+into its part.  So is a size that the config sets, the model's or a WAV
+clip's ``target_len``, for which numpy cannot allocate or index an array.  ``eval`` reads ``run_config`` back with
 ``parse_config_text`` and builds the model config it describes for the
 header's input shape and class count with ``train``'s own
 ``_model_config``; a setting on which it and the header's config differ is
@@ -29,9 +30,10 @@ a data error (exit 3), as is a checkpoint that holds a scaler when
 ``run_config`` or ``data_sha256``.  Data whose classes, sample shape
 or sha256 differ from the checkpoint's is a config error (exit 2), the
 last naming both digests.  Only then does ``eval`` parse or decode the
-requested split's rows alone, which it scales and scores.  A model that
-gives a row a NaN or infinite probability is a data error, in ``eval``
-and in the scoring of ``train``'s test split alike.
+requested split's rows alone, which it scales and scores.  A value that
+scaling makes non-finite, or a model that gives a sample a NaN or
+infinite probability, is a data error naming the sample as the reader's
+own errors do (``Dataset.where``), in ``eval`` and in ``train`` alike.
 
 ``train``, ``eval --out`` and ``report`` write every file and make every
 directory through one ``_Outputs``, so a command that fails leaves no file
@@ -48,6 +50,8 @@ import os
 import shutil
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from . import metrics, model as model_mod, optim
@@ -139,14 +143,17 @@ def _write_report(out: _Outputs, report: metrics.Report, out_dir: str, stem: str
     out.write_text(os.path.join(out_dir, f"{stem}.txt"), metrics.format_report(report))
 
 
-def _score(labels, probs, class_names, split: str, total_params: int, where: str):
-    """``metrics.classification_report``, whose refusal of a NaN or infinite
-    probability is a DataError naming ``where``."""
+def _score(part, probs, split: str, total_params: int):
+    """``metrics.classification_report`` of ``probs`` on the Dataset
+    ``part``, whose refusal of a NaN or infinite probability is a DataError
+    naming the first such sample as ``part.where`` does."""
     try:
-        return metrics.classification_report(labels, probs, class_names, split=split,
+        return metrics.classification_report(part.labels, probs, part.class_names, split=split,
                                               total_params=total_params)
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from None
+    except ValueError:
+        sample = np.flatnonzero(~np.isfinite(probs).all(axis=1))[0]
+        raise DataError(f"{part.where(sample)}: the model gives this sample a NaN or infinite "
+                        f"class probability") from None
 
 
 def run_training(cfg: RunConfig):
@@ -154,8 +161,9 @@ def run_training(cfg: RunConfig):
     the written artifacts).  ``cfg`` is checked as a config file is
     (``RunConfig.validate``); then the output directory is created, before
     any data is read; if the run fails, the files it wrote and the
-    directories it made are removed.  The model is sized before any row is
-    parsed, and the test split is scored before any file is written."""
+    directories it made are removed.  The model is sized and built before
+    any row is parsed, and the test split is scored before any file is
+    written."""
     cfg.validate()
     data_path = cfg.resolved_data_path()
     with _Outputs() as out:
@@ -164,21 +172,23 @@ def run_training(cfg: RunConfig):
         model_cfg = _model_config(cfg, source.shape, len(source.class_names))
         extras = {"run_config": format_config(cfg), "class_names": list(source.class_names),
                   "data_sha256": source.sha256}
-        train_set, val_set, test_set = split(source, cfg.split, cfg.seed)
+        root_rng = Rng(cfg.seed)
+        try:  # the arrays whose sizes the config sets: the model's, and a WAV clip's
+            net = model_mod.build(model_cfg, root_rng.derive("init"))
+            train_set, val_set, test_set = split(source, cfg.split, cfg.seed)
+        except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or index, a size
+            raise ConfigError(f"{cfg.source}: the sizes it sets need an array that cannot be "
+                              f"allocated ({exc})") from None
         del source  # the data's bytes, not needed past the parsed parts
         scaler = None
         if cfg.standardize:
             scaler = fit_scaler(train_set, data_path)
-            train_set, val_set, test_set = (
-                apply_scaler(scaler, part, data_path, name)
-                for part, name in ((train_set, "train"), (val_set, "val"), (test_set, "test")))
-        root_rng = Rng(cfg.seed)
-        net = model_mod.build(model_cfg, root_rng.derive("init"))
+            train_set, val_set, test_set = (apply_scaler(scaler, part)
+                                            for part in (train_set, val_set, test_set))
         _, log = optim.fit(net, train_set, val_set, cfg.train, rng=root_rng.derive("train"))
 
         probs = optim.predict_probs(net, test_set.features)
-        report = _score(test_set.labels, probs, test_set.class_names, "test",
-                        model_mod.param_count(net), data_path)
+        report = _score(test_set, probs, "test", model_mod.param_count(net))
         paths = {
             "checkpoint": os.path.join(cfg.out, "checkpoint.tackpt"),
             "trainlog": os.path.join(cfg.out, "trainlog.csv"),
@@ -273,9 +283,6 @@ def _evaluate(args) -> metrics.Report:
     where = f"{path}: run_config"
     try:
         cfg = parse_config_text(text, source=where)
-    except ConfigError as exc:
-        raise DataError(str(exc)) from None
-    try:
         model_cfg = _model_config(cfg, shape, k)
     except ConfigError as exc:
         raise DataError(str(exc)) from None
@@ -302,10 +309,9 @@ def _evaluate(args) -> metrics.Report:
     part = source.load(rows[args.split])
     del source  # the data's bytes, not needed past the rows it scores
     if scaler is not None:
-        part = apply_scaler(scaler, part, args.data, args.split)
+        part = apply_scaler(scaler, part)
     probs = optim.predict_probs(net, part.features)
-    return _score(part.labels, probs, part.class_names, args.split,
-                  model_mod.param_count(net), path)
+    return _score(part, probs, args.split, model_mod.param_count(net))
 
 
 def cmd_gradcheck(args) -> int:

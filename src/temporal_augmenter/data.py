@@ -1,4 +1,4 @@
-"""Dataset ingestion, standardization, splits, and label encoding.
+"""Dataset ingestion, standardization and splits.
 
 Supported sources:
   * CSV tables, read by ``load_csv_signals``: the header-less ``mitbih`` and
@@ -9,7 +9,11 @@ Supported sources:
     its 0-based line index in the file, blank lines and header included,
     and a field by its 0-based column in the file.
   * WAV directories: one subdirectory per class (sorted alphabetically for
-    index stability) of RIFF PCM files, 8- or 16-bit, mono or stereo.
+    index stability) of RIFF PCM files, 8- or 16-bit, mono or stereo.  An
+    error names a clip by its path under the root.
+
+A ``Dataset`` that ``DataSource.load`` returns names each of its samples
+as the reader's errors do (``Dataset.where``).
 
 There is one reader per format, and ``train`` and ``eval`` both use it.
 ``load_csv_signals`` and ``load_wav_dir`` read each file once, hash its
@@ -48,11 +52,16 @@ class DataError(Exception):
     """Raised for malformed or missing input data."""
 
 
+def _by_index(i) -> str:
+    return f"sample {i}"
+
+
 @dataclass
 class Dataset:
     features: Tensor  # [n, T, d]
     labels: np.ndarray  # int64 [n]
     class_names: list
+    where: object = _by_index  # where(i) names sample i in an error, as its reader does
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -176,6 +185,7 @@ class DataSource:
     class_names: list
     shape: tuple  # one sample's features, [T, d]
     parse: object  # parse(indices) -> features [len(indices), ...]
+    where: object  # where(i) names sample i as the reader's errors do
 
     @property
     def n(self) -> int:
@@ -183,9 +193,10 @@ class DataSource:
 
     def load(self, indices) -> Dataset:
         """The samples at ``indices``, in that order."""
-        rows = np.asarray(indices)
+        rows, where = np.asarray(indices), self.where
         return Dataset(features=self.parse(rows).reshape((rows.shape[0],) + self.shape),
-                       labels=self.labels[rows], class_names=list(self.class_names))
+                       labels=self.labels[rows], class_names=list(self.class_names),
+                       where=lambda i: where(rows[i]))
 
 
 def load_csv_signals(path, schema: str, label_col: str | None = None) -> DataSource:
@@ -244,7 +255,8 @@ def load_csv_signals(path, schema: str, label_col: str | None = None) -> DataSou
         return np.stack(feats)
 
     return DataSource(sha256=digest, labels=np.array(labels, dtype=np.int64),
-                      class_names=list(spec.class_names), shape=shape, parse=parse)
+                      class_names=list(spec.class_names), shape=shape, parse=parse,
+                      where=lambda i: f"{path}: row {rows[i][0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +312,16 @@ def load_wav_dir(root_path, target_len: int) -> DataSource:
         digest.update(raw)
         raws.append(raw)
 
+    def where(i):
+        return os.path.join(root_path, files[i][1])
+
     def parse(indices):
-        clips = (_decode_wav(raws[i], os.path.join(root_path, files[i][1])) for i in indices)
+        clips = (_decode_wav(raws[i], where(i)) for i in indices)
         return np.stack([_fit_length(samples, target_len) for samples in clips])
 
     return DataSource(sha256=digest.hexdigest(),
                       labels=np.array([label for label, _ in files], dtype=np.int64),
-                      class_names=class_names, shape=(target_len, 1), parse=parse)
+                      class_names=class_names, shape=(target_len, 1), parse=parse, where=where)
 
 
 def _decode_wav(raw: bytes, path) -> np.ndarray:
@@ -380,19 +395,19 @@ def fit_scaler(ds: Dataset, path) -> ScalerParams:
     return ScalerParams(mean=mean, std=std)
 
 
-def apply_scaler(sp: ScalerParams, ds: Dataset, path, split: str) -> Dataset:
-    """``ds``, the ``split`` split of the data file ``path``, standardized
-    by ``sp``, whose stds ``fit_scaler`` or the checkpoint loader checked
-    to be finite and > 0.  A std can still be tiny, so a scaled value that
-    overflows, or holds NaN, is a DataError naming ``path``, ``split`` and
-    the first (sample, step, channel) where it does."""
+def apply_scaler(sp: ScalerParams, ds: Dataset) -> Dataset:
+    """``ds`` standardized by ``sp``, whose stds ``fit_scaler`` or the
+    checkpoint loader checked to be finite and > 0.  A std can still be
+    tiny, so a scaled value that overflows, or holds NaN, is a DataError
+    naming the first (sample, step, channel) where it does, the sample as
+    ``ds.where`` names it."""
     with np.errstate(over="ignore", invalid="ignore"):
         features = (ds.features - sp.mean) / sp.std
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         sample, step, channel = bad[0]
-        raise DataError(f"{path}: {split} split, sample {sample}, step {step}, channel "
-                        f"{channel}: the standardized value is not finite")
+        raise DataError(f"{ds.where(sample)}: step {step}, channel {channel}: the standardized "
+                        f"value is not finite")
     return replace(ds, features=features)
 
 
@@ -456,10 +471,3 @@ def split(source: DataSource, spec: SplitSpec, seed: int):
     return tuple(source.load(idx)
                  for idx in split_indices(source.labels, len(source.class_names), spec, seed))
 
-
-def one_hot(labels, k: int) -> Tensor:
-    """[n, k] rows of labels in [0, k); ``fit`` checks the range."""
-    y = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((y.shape[0], k))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out

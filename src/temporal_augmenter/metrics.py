@@ -24,27 +24,14 @@ import numpy as np
 _Z95 = 1.96  # conventional two-sided 95% normal quantile
 
 
-@dataclass
-class ConfusionMatrix:
-    """k x k counts; rows are true classes, columns predicted classes."""
-    counts: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(true_labels, predicted_labels, k: int) -> ConfusionMatrix:
-    """The counts of two label arrays of one length, each label in [0, k)."""
+def confusion(true_labels, predicted_labels, k: int) -> np.ndarray:
+    """The [k, k] int64 counts of two label arrays of one length, each label
+    in [0, k): rows are true classes, columns predicted classes."""
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted_labels, dtype=np.int64)
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
 @dataclass
@@ -86,12 +73,11 @@ def _ratio(num: float, den: float):
     return num / den, False
 
 
-def per_class_stats(cm: ConfusionMatrix) -> list:
-    """One-vs-rest statistics for every class."""
-    counts = cm.counts
-    n = cm.n
+def per_class_stats(counts: np.ndarray) -> list:
+    """One-vs-rest statistics for every class of the [k, k] ``counts``."""
+    n = int(counts.sum())
     out = []
-    for j in range(cm.k):
+    for j in range(counts.shape[0]):
         tp = float(counts[j, j])
         fn = float(counts[j].sum() - tp)
         fp = float(counts[:, j].sum() - tp)
@@ -125,10 +111,10 @@ def kappa_ci95(kappa: float, se: float) -> tuple:
     return (max(-1.0, kappa - _Z95 * se), min(1.0, kappa + _Z95 * se))
 
 
-def overall_stats(cm: ConfusionMatrix) -> OverallStats:
-    counts = cm.counts
-    n = cm.n
-    k = cm.k
+def overall_stats(counts: np.ndarray) -> OverallStats:
+    """Overall statistics of the [k, k] ``counts``."""
+    n = int(counts.sum())
+    k = counts.shape[0]
     p_o = float(counts.trace()) / n
     rows = counts.sum(axis=1).astype(np.float64)
     cols = counts.sum(axis=0).astype(np.float64)
@@ -208,12 +194,12 @@ def classification_report(true_labels, probs: np.ndarray, class_names,
         raise ValueError(f"the model gives {split} sample {bad[0]} a NaN or infinite "
                          f"class probability")
     k = len(class_names)
-    cm = confusion(true_labels, probs.argmax(axis=1), k)
-    per_class = per_class_stats(cm)
+    counts = confusion(true_labels, probs.argmax(axis=1), k)
+    per_class = per_class_stats(counts)
     for stats, auc in zip(per_class, auc_ovr(probs, true_labels)):
         stats.auc = auc
         stats.auc_defined = auc is not None
-    return Report(class_names=list(class_names), overall=overall_stats(cm),
+    return Report(class_names=list(class_names), overall=overall_stats(counts),
                   per_class=per_class, split=split, total_params=total_params)
 
 

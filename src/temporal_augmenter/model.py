@@ -41,9 +41,8 @@ one, with the [3, F] matrix [K+; K-; b']: K with 0.0 where K < 0, K with
 exact zero (both are where K is +-0.0), so their sum is the other term's
 rounded value, and b', the last term of the sum, adds to it as a
 separate ``+ b'`` would, while the BLAS kernel sums k in order (checked with
-OpenBLAS's SkylakeX, Haswell and Sandybridge kernels).  The forward writes
-the operand over 3 of the k >= 3 values of each of the block's rows of
-px, which the projection then writes, so it takes no memory of its own.
+OpenBLAS's SkylakeX, Haswell and Sandybridge kernels).  The operand lives
+in a reused buffer of its own, in the forward and the backward alike.
 No [n, T, F] conv output, pool winner mask or conv-output gradient exists
 on this path.
 
@@ -79,9 +78,8 @@ store.  A block's cache is its dropout keep mask as packed bits (None
 without dropout) and its dropout scale.  The cell's backward returns the
 pre-activation gradient da [n, T_out, k]; then, per block, the backward
 re-forms the cell input with ``_form_block`` and the keep mask into a
-reused buffer, bit for bit the forward's, the pooled path forming its
-operand in a reused buffer and the general path keeping the slot products
-formed there; adds x^T da into the cell's input-weight
+reused buffer, bit for bit the forward's, the general path keeping the
+slot products formed there; adds x^T da into the cell's input-weight
 gradient and forms da W^T in a second reused buffer
 (``recurrent.project_backward``); runs the ReLU and dropout backward,
 which read that cell input, not a mask (see ``layers``); and adds the
@@ -371,11 +369,12 @@ def _form_block(terms, start: int, stop: int, y: Tensor, scratch: Tensor) -> Ten
 
 
 def _block_buffers(cfg: ModelConfig, rows: int, pooled: bool):
-    """A block's reused [rows, T_out, F] buffer, and on the general path
-    its [pool, rows * T_out, F] slot products (None on the pooled path)."""
+    """A block's reused [rows, T_out, F] buffer, and the scratch that
+    ``_form_block`` writes: the pooled path's [3 * rows * T_out] operand,
+    or the general path's [pool, rows * T_out, F] slot products."""
     T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
     return (np.empty((rows, T_out, F)),
-            None if pooled else np.empty((cfg.pool_size, rows * T_out, F)))
+            np.empty(3 * rows * T_out) if pooled else np.empty((cfg.pool_size, rows * T_out, F)))
 
 
 def _front_end(sp: StreamParams, cfg: ModelConfig, terms, mode: str, rng, px: Tensor):
@@ -383,17 +382,14 @@ def _front_end(sp: StreamParams, cfg: ModelConfig, terms, mode: str, rng, px: Te
     writing every row of ``px``.  Returns one (start, stop, keep mask,
     dropout scale) per block."""
     Ws, bs = recurrent.scaled_input(sp.cell)
-    pooled = _pools_first(cfg)
+    pooled = terms[0].ndim == 3
     width = cfg.recurrent_timesteps if pooled else cfg.input_timesteps
     bounds = _block_bounds(px.shape[0], width, cfg)
-    buffer, products = _block_buffers(cfg, max(stop - start for start, stop in bounds), pooled)
+    buffer, scratch = _block_buffers(cfg, max(stop - start for start, stop in bounds), pooled)
     blocks = []
     for start, stop in bounds:
         y = buffer[:stop - start]
-        # the pooled path's operand takes 3 of the k >= 3 values of each of
-        # the block's rows of px, which the projection writes once the block
-        # is formed
-        _form_block(terms, start, stop, y, px[start:stop] if pooled else products)
+        _form_block(terms, start, stop, y, scratch)
         _, (keep, scale) = layers.dropout_forward(y, cfg.dropout_stream, mode, rng)
         recurrent.project(y, Ws, bs, out=px[start:stop])
         blocks.append((start, stop, keep, scale))
@@ -479,11 +475,10 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
     da, cell_grads = run(cell_cache, d_out)
     rows = max(stop - start for start, stop, _, _ in blocks)
-    pooled = _pools_first(cfg)
-    y_buffer, products = _block_buffers(cfg, rows, pooled)
+    pooled = terms[0].ndim == 3
+    y_buffer, scratch = _block_buffers(cfg, rows, pooled)
     g_buffer = np.empty_like(y_buffer)
     if pooled:
-        operand = np.empty(3 * rows * T_out)
         # per filter, the input value the general path's window winner holds
         winners = terms[0].reshape(3, -1)
     else:
@@ -491,7 +486,7 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     dW = dK = db = sums = None
     for start, stop, keep, scale in blocks:
         y, g = y_buffer[:stop - start], g_buffer[:stop - start]
-        block_products = _form_block(terms, start, stop, y, operand if pooled else products)
+        block_products = _form_block(terms, start, stop, y, scratch)
         # dropout is linear, so with the forward's keep mask its backward is its forward
         layers.dropout_backward((keep, scale), y)
         _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import model as model_mod
-from .data import DataError, one_hot, read_file, utf8_text
+from .data import DataError, read_file, utf8_text
 from .settings import FINITE_POSITIVE, POSITIVE, check, one_of, setting
 from .tensor_core import Rng, Tensor
 
@@ -37,14 +37,17 @@ class TrainingDivergenceError(RuntimeError):
         self.batch = batch
 
 
-def cce_loss(probs: Tensor, onehot: Tensor):
-    """Mean categorical cross-entropy over softmax probabilities.
+def cce_loss(probs: Tensor, labels: np.ndarray):
+    """Mean categorical cross-entropy of softmax ``probs`` [n, k] at the
+    class indices ``labels`` [n], which ``fit`` checked to lie in [0, k).
 
-    Returns (loss, dL/dlogits) where the gradient is the fused
-    softmax-plus-cross-entropy form (probs - onehot) / n.  ``onehot`` is
-    ``one_hot`` of labels that ``fit`` checked, at ``probs``' shape.
+    Returns (loss, dL/dlogits), the fused softmax-plus-cross-entropy form
+    (probs - onehot) / n.  The one-hot is the bool mask of the labels, which
+    multiplies and subtracts as 1.0 and 0.0 do, so the bits are a float
+    one-hot's.
     """
-    n = probs.shape[0]
+    n, k = probs.shape
+    onehot = labels[:, None] == np.arange(k)
     p = np.clip(probs, 1e-12, None)
     loss = float(-np.sum(onehot * np.log(p)) / n)
     dlogits = (probs - onehot) / n
@@ -176,7 +179,7 @@ def predict_probs(model, x: Tensor, batch_size: int = 256) -> Tensor:
 def evaluate(model, x: Tensor, labels: np.ndarray, batch_size: int = 256):
     """Eval-mode (loss, accuracy) over a dataset."""
     probs = predict_probs(model, x, batch_size)
-    loss, _ = cce_loss(probs, one_hot(labels, probs.shape[1]))
+    loss, _ = cce_loss(probs, labels)
     acc = float(np.mean(probs.argmax(axis=1) == labels))
     return float(loss), acc
 
@@ -213,7 +216,6 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng):
     params = model.parameters()
     optimizer = cfg.make_optimizer()
     n = x_train.shape[0]
-    onehot_all = one_hot(y_train, k)
     log = TrainLog()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
@@ -222,7 +224,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng):
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
             xb = x_train[sel]
-            yb = onehot_all[sel]
+            yb = y_train[sel]
             probs, trace = model_mod.forward(model, xb, mode="train", rng=rng)
             loss, dlogits = cce_loss(probs, yb)
             if not np.isfinite(loss):
@@ -232,7 +234,7 @@ def fit(model, train_set, val_set, cfg: TrainConfig, rng: Rng):
                 _clip_global_norm(grads, cfg.clip_norm)
             optimizer.step(params, grads)
             loss_sum += loss * sel.shape[0]
-            hit_sum += int(np.sum(probs.argmax(axis=1) == y_train[sel]))
+            hit_sum += int(np.sum(probs.argmax(axis=1) == yb))
         val_loss, val_acc = evaluate(model, x_val, y_val, batch_size=max(cfg.batch_size, 256))
         if not np.isfinite(val_loss):
             raise TrainingDivergenceError(epoch, None)

@@ -9,9 +9,11 @@ three preset workloads (mitbih, ionosphere and tess), a generic-schema
 table, a WAV tree of 8-bit mono and 16-bit stereo clips, a radar run with
 ``pool_size = 3`` and a ``clip_norm`` that fires, a radar run whose
 validation split scales to a value that is not finite (a data error, exit
-3), and ``gradcheck`` run as ``python -m temporal_augmenter`` runs it.  Every invocation runs in this
-process under ``sys.settrace``, which is set before the package is imported,
-so the lines that run at import count; the input writers run untraced.
+3), a radar run whose ``conv_filters = 10**15`` no machine can allocate (a
+config error, exit 2), and ``gradcheck`` run as ``python -m
+temporal_augmenter`` runs it.  Every invocation runs in this process under
+``sys.settrace``, which is set before the package is imported, so the lines
+that run at import count; the input writers run untraced.
 
 It prints, per file, how many code lines no invocation ran and which, then
 the total.  A code line is one the compiler gives bytecode to.  An
@@ -152,7 +154,10 @@ def write_inputs(root: str) -> list:
         argv.append(["train", "--config", config(f"{name}.cfg", text)])
     far = config("far.cfg", f"task = ionosphere\nseed = 0\ndata = {path('far.csv')}\n"
                             f"out = {path('run-far')}\n")
-    return [(args, 0) for args in argv] + [(["train", "--config", far], 3)]
+    huge = config("huge.cfg", f"task = ionosphere\nconv_filters = {10**15}\n"
+                              f"data = {path('radar.csv')}\nout = {path('run-huge')}\n")
+    return [(args, 0) for args in argv] + [(["train", "--config", far], 3),
+                                           (["train", "--config", huge], 2)]
 
 
 def run_module(argv) -> int:

@@ -79,6 +79,14 @@ def train_custom(tmp_path, classes, rng) -> str:
     return str(out / "checkpoint.tackpt")
 
 
+def radar_rows(path, seed: int) -> tuple:
+    """The (train, val, test) line indices of a radar CSV's default split at
+    ``seed``: the file has no header and no blank line, so a row's index
+    among the samples is its 0-based line index."""
+    return split_indices(load_csv_signals(path, "ionosphere").labels, 2, data_mod.SplitSpec(),
+                         seed)
+
+
 def radar_config_text(data_path, out_dir, epochs=3):
     return (f"task = ionosphere\n"
             f"data = {data_path}\n"
@@ -518,6 +526,34 @@ class TestTrainCommand:
             assert f"{key} must be positive" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [("conv_filters", 10**15), ("conv_filters", 10**20),
+                                           ("target_len", 10**15), ("target_len", 10**20)])
+    def test_size_that_cannot_be_allocated_exit_2(self, tmp_path, capsys, key, value):
+        """A model whose parameters, or a WAV clip length whose samples,
+        numpy cannot allocate (10**15 float64 values, more than any machine
+        maps) or index (10**20, more than an array's dimension holds) is a
+        config error naming the config file, with no warning; each once
+        ended in a traceback, the first two after every row was parsed."""
+        if key == "conv_filters":
+            data = tmp_path / "radar.csv"
+            write_radar_csv(data, make_radar_dataset(40, Rng(1)))
+            text = f"task = ionosphere\ndata = {data}\n"
+        else:
+            data = tmp_path / "tones"
+            write_tone_corpus(data, Rng(2))
+            text = f"task = tess\ndata = {data}\n"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text + f"out = {tmp_path / 'out'}\nepochs = 1\n{key} = {value}\n")
+        for action in ("always", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert cli.main(["train", "--config", str(cfg_path)]) == 2
+            assert caught == []
+            assert capsys.readouterr().err.startswith(
+                f"config error: {cfg_path}: the sizes it sets need an array that cannot be "
+                f"allocated (")
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [("conv_activation", "relu"),
                                            ("return_sequences", "false"),
                                            ("momentum", "0.0"), ("shuffle", "true"),
@@ -553,8 +589,9 @@ class TestTrainCommand:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, out, epochs=1))
         assert cli.main(["train", "--config", str(cfg_path)]) == 3
-        assert (f"data error: {radar_csv}: the model gives test sample 1 a NaN or infinite "
-                f"class probability" in capsys.readouterr().err)
+        row = radar_rows(radar_csv, 11)[2][1]
+        assert (f"data error: {radar_csv}: row {row}: the model gives this sample a NaN or "
+                f"infinite class probability" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_checkpoint_independent_of_paths(self, tmp_path, radar_csv):
@@ -647,11 +684,12 @@ class TestTrainCommand:
 
     def test_scaled_value_that_overflows_exit_3_leaves_no_output(self, tmp_path, capsys):
         """Column 0 of the radar rows alternates 0 and 1e-10, so its
-        training-split std is tiny, and three rows hold 1e308 there: the
-        one that the split sends to validation scales to inf.  The error
-        names the file, the split, the sample, the step and the channel,
-        and no warning is raised, so the result is the same when warnings
-        are errors; the run once went on to diverge (exit 4)."""
+        training-split std is tiny, and rows 0, 3 and 7 hold 1e308 there:
+        row 7, which the split sends to validation, scales to inf.  The
+        error names the file's row, the step and the channel, and no
+        warning is raised, so the result is the same when warnings are
+        errors; the run once went on to diverge (exit 4), and then named
+        the split's sample 5."""
         data = tmp_path / "radar.csv"
         ds = make_radar_dataset(40, Rng(1))
         ds.features[:, 0, 0] = [1e-10 * (i % 2) for i in range(40)]
@@ -665,14 +703,14 @@ class TestTrainCommand:
                 warnings.simplefilter(action)
                 assert cli.main(["train", "--config", str(cfg_path)]) == 3
             assert caught == []
-            assert (f"data error: {data}: val split, sample 5, step 0, channel 0: the "
-                    f"standardized value is not finite" in capsys.readouterr().err)
+            assert (f"data error: {data}: row 7: step 0, channel 0: the standardized value is "
+                    f"not finite" in capsys.readouterr().err)
             assert not (tmp_path / "out").exists()
 
     def test_divergence_exit_4(self, tmp_path, radar_csv, monkeypatch):
         from temporal_augmenter import optim
 
-        def poisoned(probs, onehot):
+        def poisoned(probs, labels):
             return float("nan"), np.zeros_like(probs)
 
         monkeypatch.setattr(optim, "cce_loss", poisoned)
@@ -1235,8 +1273,8 @@ class TestEvalCommand:
 
     def test_scaled_value_that_overflows_exit_3(self, trained_run, tmp_path, capsys):
         """A checkpoint's scaler std that is finite and > 0 but tiny scales
-        the split's values to inf: eval names the data file, the split, the
-        sample, the step and the channel, and raises no warning."""
+        the split's values to inf: eval names the data file's row, the step
+        and the channel, and raises no warning."""
         out, radar_csv = trained_run
         net, extras, scaler = load_checkpoint(out / "checkpoint.tackpt")
         scaler.std[3, 1] = 1e-320
@@ -1249,13 +1287,16 @@ class TestEvalCommand:
                              "--out", str(eval_out)]) == 3
         assert caught == []
         err = capsys.readouterr().err
-        assert re.search(rf"data error: {re.escape(str(radar_csv))}: val split, sample 0, step 3, "
-                         rf"channel 1: the standardized value is not finite", err), err
+        row = radar_rows(radar_csv, 11)[1][0]
+        assert (f"data error: {radar_csv}: row {row}: step 3, channel 1: the standardized value "
+                f"is not finite" in err), err
         assert not eval_out.exists()
 
     def test_non_finite_probabilities_exit_3(self, trained_run, tmp_path, capsys):
         """Head weights scaled by 1e300 are finite, but the logits overflow;
-        the split was once scored on the NaN probabilities that followed."""
+        the split was once scored on the NaN probabilities that followed.
+        The error names the data file's row, as in train; it once named
+        the checkpoint and the split's sample."""
         out, radar_csv = trained_run
         net, extras, scaler = load_checkpoint(out / "checkpoint.tackpt")
         for dp in net.head:
@@ -1265,8 +1306,9 @@ class TestEvalCommand:
         eval_out = tmp_path / "evalout"
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["eval", str(path), str(radar_csv), "--out", str(eval_out)]) == 3
-        assert (f"data error: {path}: the model gives test sample 0 a NaN or infinite class "
-                f"probability" in capsys.readouterr().err)
+        row = radar_rows(radar_csv, 11)[2][0]
+        assert (f"data error: {radar_csv}: row {row}: the model gives this sample a NaN or "
+                f"infinite class probability" in capsys.readouterr().err)
         assert not eval_out.exists()
 
     @pytest.mark.parametrize("key,value", [
@@ -1440,6 +1482,35 @@ class TestEvalReadsOnce:
             now = (load_wav_dir(path, 64).sha256 if kind == "wav"
                    else hashlib.sha256(path.read_bytes()).hexdigest())
             assert trained != now and trained in err and now in err and str(path) in err
+
+    def test_non_finite_probability_names_the_sample_as_its_reader_does(
+            self, eval_run, capsys, monkeypatch):
+        """A NaN probability names the scored sample as the reader's own
+        errors do: a CSV row by its 0-based line index in the file, header
+        and blank lines counted, and a WAV clip by its path under the root.
+        It once named the split's sample index, after the checkpoint."""
+        kind, checkpoint, data = eval_run
+        predict_probs = optim.predict_probs
+
+        def poisoned(model, x, *batch_size):
+            probs = predict_probs(model, x, *batch_size)
+            probs[1] = np.nan
+            return probs
+
+        monkeypatch.setattr(cli.optim, "predict_probs", poisoned)
+        assert cli.main(["eval", checkpoint, str(data)]) == 3
+        if kind == "wav":
+            source = load_wav_dir(data, 64)
+            names = [os.path.join(data, cls, name) for cls in sorted(os.listdir(data))
+                     for name in sorted(os.listdir(data / cls))]
+        else:
+            source = load_csv_signals(data, kind, label_col="kind")  # kind names the schema
+            lines = [i for i, line in enumerate(data.read_text().split("\n")) if line.strip()]
+            names = [f"{data}: row {i}" for i in lines[kind == "generic":]]
+        spec = parse_config_text(load_checkpoint(checkpoint)[1]["run_config"]).split
+        test = split_indices(source.labels, len(source.class_names), spec, 3)[2]
+        assert (f"data error: {names[test[1]]}: the model gives this sample a NaN or infinite "
+                f"class probability" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("kind", sorted(EVAL_DATASETS))

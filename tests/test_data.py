@@ -19,7 +19,6 @@ from temporal_augmenter.data import (
     fit_scaler,
     load_csv_signals,
     load_wav_dir,
-    one_hot,
     split,
     split_indices,
 )
@@ -392,13 +391,13 @@ class TestScaler:
         sp = fit_scaler(ds, "data.csv")
         assert abs(sp.mean[0, 0] - 2.0) < 1e-15
         assert abs(sp.std[0, 0] - math.sqrt(2.0 / 3.0)) < 1e-15
-        scaled = apply_scaler(sp, ds, "data.csv", "train")
+        scaled = apply_scaler(sp, ds)
         npt.assert_allclose(scaled.features[:, 0, 0], [-1.22474, 0.0, 1.22474], atol=1e-5)
 
     def test_constant_feature_unchanged(self):
         feats = np.column_stack([np.full(5, 3.0), np.arange(5.0)])[:, :, None]
         ds = Dataset(features=feats, labels=np.zeros(5, dtype=np.int64), class_names=["a"])
-        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds, "data.csv", "train")
+        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds)
         npt.assert_array_equal(scaled.features[:, 0, 0], np.full(5, 3.0))
         assert abs(scaled.features[:, 1, 0].mean()) < 1e-10
 
@@ -406,29 +405,32 @@ class TestScaler:
         rng = Rng(302)
         ds = Dataset(features=rng.uniform((40, 6, 2)) * 5 + 1,
                      labels=np.zeros(40, dtype=np.int64), class_names=["a"])
-        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds, "data.csv", "train")
+        scaled = apply_scaler(fit_scaler(ds, "data.csv"), ds)
         assert np.max(np.abs(scaled.features.mean(axis=0))) < 1e-10
 
 
     def test_value_that_is_not_finite_once_scaled_names_where(self):
         """A tiny std scales a far value to inf, and an inf input stays
-        one: each is a DataError naming the file, the split and the first
-        (sample, step, channel), and numpy warns of neither."""
+        one: each is a DataError naming the first (sample, step, channel),
+        the sample as the dataset's ``where`` names it, and numpy warns of
+        neither."""
         sp = ScalerParams(mean=np.zeros((3, 2)), std=np.full((3, 2), 1e-300))
         feats = np.zeros((4, 3, 2))
         feats[2, 1, 0] = 1e10
         feats[3, 0, 1] = np.inf
-        ds = Dataset(features=feats, labels=np.zeros(4, dtype=np.int64), class_names=["a"])
+        ds = Dataset(features=feats, labels=np.zeros(4, dtype=np.int64), class_names=["a"],
+                     where=lambda i: f"data.csv: row {2 * i}")
         with np.errstate(all="raise"):
-            with pytest.raises(DataError, match=r"^data\.csv: test split, sample 2, step 1, "
-                                                r"channel 0: the standardized value is not finite"):
-                apply_scaler(sp, ds, "data.csv", "test")
+            with pytest.raises(DataError, match=r"^data\.csv: row 4: step 1, channel 0: the "
+                                                r"standardized value is not finite"):
+                apply_scaler(sp, ds)
 
 
 def source_of(ds: Dataset) -> DataSource:
     """A source whose rows are the samples of an in-memory dataset."""
     return DataSource(sha256="", labels=ds.labels, class_names=ds.class_names,
-                      shape=ds.features.shape[1:], parse=lambda rows: ds.features[rows])
+                      shape=ds.features.shape[1:], parse=lambda rows: ds.features[rows],
+                      where=ds.where)
 
 
 def toy_dataset(n, k=2, seed=303):
@@ -527,16 +529,3 @@ class TestSplitIndices:
                 assert part.class_names == whole.class_names
             npt.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(source.n))
 
-
-class TestOneHot:
-    def test_basis_row(self):
-        npt.assert_array_equal(one_hot([2], 5)[0], [0, 0, 1, 0, 0])
-
-    def test_rows_sum_to_one(self):
-        y = (Rng(304).uniform((30,)) * 4).astype(np.int64)
-        oh = one_hot(y, 4)
-        npt.assert_array_equal(oh.sum(axis=1), np.ones(30))
-
-    def test_argmax_round_trip(self):
-        y = (Rng(305).uniform((30,)) * 6).astype(np.int64)
-        npt.assert_array_equal(one_hot(y, 6).argmax(axis=1), y)

@@ -222,9 +222,7 @@ class TestBackward:
         net.head[0].W[cfg.gru_units:, :] = 0.0
         x = Rng(21).uniform((4, 17, 2)) * 2 - 1
         probs, trace = forward(net, x, mode="train", rng=Rng(0))
-        onehot = np.zeros_like(probs)
-        onehot[:, 0] = 1.0
-        _, dlogits = optim.cce_loss(probs, onehot)
+        _, dlogits = optim.cce_loss(probs, np.zeros(4, dtype=np.int64))
         grads = backward(net, trace, dlogits)
         for name, g in grads.items():
             if name.startswith("lstm."):
@@ -246,9 +244,7 @@ class TestBackward:
         monkeypatch.setattr(model_mod, "_stream_backward", capture)
         probs, trace = forward(net, x, mode="train", rng=Rng(0))
         head_caches = list(trace.head_caches)  # the backward empties the trace
-        onehot = np.zeros_like(probs)
-        onehot[:, 1] = 1.0
-        _, dlogits = optim.cce_loss(probs, onehot)
+        _, dlogits = optim.cce_loss(probs, np.ones(4, dtype=np.int64))
         backward(net, trace, dlogits)
 
         # recompute the concat gradient independently from the head caches:
@@ -265,8 +261,6 @@ class TestBackward:
         cfg = radar_config(dropout_stream=0.0, dropout_head=0.0)
         x = Rng(30).uniform((8, 17, 2)) * 2 - 1
         labels = (Rng(31).uniform((8,)) * 2).astype(np.int64)
-        onehot = np.zeros((8, 2))
-        onehot[np.arange(8), labels] = 1.0
 
         def train_steps(cut_slice: bool):
             net = build(cfg, Rng(32).derive("init"))
@@ -283,7 +277,7 @@ class TestBackward:
                 monkeypatch.setattr(model_mod, "_stream_backward", cutting)
             for _ in range(3):
                 probs, trace = forward(net, x, mode="train", rng=Rng(0))
-                _, dlogits = optim.cce_loss(probs, onehot)
+                _, dlogits = optim.cce_loss(probs, labels)
                 grads = backward(net, trace, dlogits)
                 if not cut_slice:
                     for name in grads:
@@ -353,12 +347,12 @@ class TestTrainStepMemory:
         n = 64
         net = build(cfg, Rng(140))
         x = Rng(141).uniform((n, 187, 1)) * 2 - 1
-        onehot = np.eye(5)[np.arange(n) % 5]
+        labels = np.arange(n) % 5
 
         def step():
             probs, trace = forward(net, x, mode="train", rng=Rng(142))
             cell_bytes = sum(a.nbytes for a in cell_cache_arrays(trace))
-            _, dlogits = optim.cce_loss(probs, onehot)
+            _, dlogits = optim.cce_loss(probs, labels)
             backward(net, trace, dlogits)
             return cell_bytes
 
@@ -407,11 +401,11 @@ class TestStreamOrder:
     @staticmethod
     def assert_matches_relu_then_pool(monkeypatch, net, x):
         monkeypatch.setattr(model_mod, "_pools_first", lambda cfg: False)
-        onehot = np.eye(2)[[0, 1, 1, 0, 1]]
+        labels = np.array([0, 1, 1, 0, 1])
 
         def step():
             probs, trace = forward(net, x, mode="train", rng=Rng(83))
-            _, dlogits = optim.cce_loss(probs, onehot)
+            _, dlogits = optim.cce_loss(probs, labels)
             return probs, backward(net, trace, dlogits), forward(net, x, mode="eval")[0]
 
         probs, grads, eval_probs = step()
@@ -501,7 +495,7 @@ class TestBlockedFrontEnd:
             if name.endswith(".b"):
                 arr += Rng(91).derive(name).uniform(arr.shape) - 0.5
         x = Rng(92).uniform((7, 17, channels)) * 2 - 1
-        onehot = np.eye(2)[[0, 1, 1, 0, 1, 0, 0]]
+        labels = np.array([0, 1, 1, 0, 1, 0, 0])
         width = cfg.recurrent_timesteps if channels == 1 else 17
         row_bytes = width * cfg.conv_filters * 8
         runs = []
@@ -511,7 +505,7 @@ class TestBlockedFrontEnd:
             rng = Rng(93)
             probs, trace = forward(net, x, mode="train", rng=rng)
             assert [len(cache[1]) for cache in trace.stream_caches] == [blocks, blocks]
-            _, dlogits = optim.cce_loss(probs, onehot)
+            _, dlogits = optim.cce_loss(probs, labels)
             grads = backward(net, trace, dlogits)
             eval_probs, _ = forward(net, x, mode="eval")
             runs.append((probs, grads, rng._counter, eval_probs))
@@ -593,7 +587,7 @@ class TestBlockProjection:
         assert cfg.recurrent_timesteps == 1
         net = build(cfg, Rng(122).derive("init"))
         x = Rng(123).uniform((7, cfg.input_timesteps, cfg.input_channels)) * 2 - 1
-        onehot = np.eye(cfg.num_classes)[np.arange(7) % cfg.num_classes]
+        labels = np.arange(7) % cfg.num_classes
         width = 1 if pooled else cfg.input_timesteps
         runs = []
         # 3-row blocks would leave one row last (3, 3, 1); then one block
@@ -603,7 +597,7 @@ class TestBlockProjection:
             probs, trace = forward(net, x, mode="train", rng=Rng(124))
             for cache in trace.stream_caches:
                 assert [(start, stop) for start, stop, *_ in cache[1]] == bounds
-            _, dlogits = optim.cce_loss(probs, onehot)
+            _, dlogits = optim.cce_loss(probs, labels)
             grads = backward(net, trace, dlogits)
             eval_probs, _ = forward(net, x, mode="eval")
             runs.append((probs, grads, eval_probs))
@@ -670,7 +664,7 @@ class TestPooledFrontEnd:
         pooled = [(took_pooled_path(cache), len(cache[1])) for cache in trace.stream_caches]
         cell_ins = [np.concatenate(blocks[:3]), np.concatenate(blocks[3:])]
         labels = np.arange(x.shape[0]) % net.config.num_classes
-        _, dlogits = optim.cce_loss(probs, np.eye(net.config.num_classes)[labels])
+        _, dlogits = optim.cce_loss(probs, labels)
         grads = backward(net, trace, dlogits)
         eval_probs, _ = forward(net, x, mode="eval")
         return pooled, probs, cell_ins, grads, rng._counter, eval_probs
@@ -812,7 +806,7 @@ class TestRepeatedCalls:
 
         def train_step(net, n):
             probs, trace = forward(net, inputs(n), mode="train", rng=Rng(97))
-            _, dlogits = optim.cce_loss(probs, np.eye(2)[np.arange(n) % 2])
+            _, dlogits = optim.cce_loss(probs, np.arange(n) % 2)
             return [probs, *backward(net, trace, dlogits).values()]
 
         def eval_forward(net, n):

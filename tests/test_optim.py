@@ -23,35 +23,51 @@ from temporal_augmenter.tensor_core import Rng, softmax
 
 class TestCCELoss:
     def test_perfect_prediction(self):
-        y = np.eye(4)
-        loss, _ = cce_loss(y.copy(), y)
+        loss, _ = cce_loss(np.eye(4), np.arange(4))
         assert abs(loss) < 1e-10
 
     def test_uniform_probs_seven_classes(self):
         probs = np.full((3, 7), 1.0 / 7.0)
-        onehot = np.zeros((3, 7))
-        onehot[:, 2] = 1.0
-        loss, _ = cce_loss(probs, onehot)
+        loss, _ = cce_loss(probs, np.full(3, 2))
         assert abs(loss - math.log(7)) < 1e-12
         assert abs(loss - 1.94591) < 1e-5
 
     def test_fused_gradient_matches_fd_on_logits(self):
         rng = Rng(71)
         logits = rng.uniform((4, 5)) * 4 - 2
-        onehot = np.zeros((4, 5))
-        onehot[np.arange(4), (rng.uniform((4,)) * 5).astype(int)] = 1.0
-        _, dlogits = cce_loss(softmax(logits), onehot)
+        labels = (rng.uniform((4,)) * 5).astype(int)
+        _, dlogits = cce_loss(softmax(logits), labels)
         h = 1e-6
         for idx in np.ndindex(logits.shape):
             orig = logits[idx]
             logits[idx] = orig + h
-            lp, _ = cce_loss(softmax(logits), onehot)
+            lp, _ = cce_loss(softmax(logits), labels)
             logits[idx] = orig - h
-            lm, _ = cce_loss(softmax(logits), onehot)
+            lm, _ = cce_loss(softmax(logits), labels)
             logits[idx] = orig
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(dlogits[idx]), 1e-8)
             assert abs(fd - dlogits[idx]) / denom < 1e-6
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_the_float_one_hot_formula_bit_for_bit(self, k):
+        """The label mask multiplies and subtracts as a float one-hot does,
+        so the loss and dlogits keep every bit of the formula over one.
+        Rows 0 and 1 give their label probability 1.0 exactly, beside
+        zeros; rows 2 and 3 give it 1e-13 and 0.0, below the 1e-12 clip."""
+        rng = Rng(300 + k)
+        n = 9
+        labels = (rng.uniform((n,)) * k).astype(np.int64)
+        probs = softmax(rng.uniform((n, k)) * 6 - 3)
+        probs[:2] = 0.0
+        probs[[0, 1, 2, 3], labels[:4]] = [1.0, 1.0, 1e-13, 0.0]
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), labels] = 1.0
+        want_loss = float(-np.sum(onehot * np.log(np.clip(probs, 1e-12, None))) / n)
+        loss, dlogits = cce_loss(probs, labels)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert dlogits.tobytes() == ((probs - onehot) / n).tobytes()
 
 
 class TestRMSProp:
