@@ -21,16 +21,18 @@ data's sha256 and parses no features.  ``train`` sizes the model from it,
 so a model setting that the data's shape rules out is a config error
 (exit 2) naming the config file, before ``split`` parses each row once,
 into its part.  So is a size that the config sets, the model's or a WAV
-clip's ``target_len``, for which numpy cannot allocate or index an array.  ``eval`` reads ``run_config`` back with
-``parse_config_text`` and builds the model config it describes for the
-header's input shape and class count with ``train``'s own
-``_model_config``; a setting on which it and the header's config differ is
-a data error (exit 3), as is a checkpoint that holds a scaler when
-``standardize`` is off or none when it is on, or that lacks a valid
-``run_config`` or ``data_sha256``.  Data whose classes, sample shape
-or sha256 differ from the checkpoint's is a config error (exit 2), the
-last naming both digests.  Only then does ``eval`` parse or decode the
-requested split's rows alone, which it scales and scores.  A value that
+clip's ``target_len``, for which numpy cannot allocate or index an array.
+``eval`` reads ``run_config`` back with ``parse_config_text`` and builds
+the model config it describes for the header's input shape and class
+count with ``train``'s own ``_model_config``; a setting on which it and the
+header's config differ is a data error (exit 3), as is a checkpoint that
+holds a scaler when ``standardize`` is off or none when it is on, or that
+lacks a valid ``run_config`` or ``data_sha256``.  Data whose classes,
+sample shape or sha256 differ from the checkpoint's is a config error
+(exit 2), the last naming both digests.  Only then does ``eval`` parse or
+decode the requested split's rows alone, which it scales and scores; a
+``target_len`` in ``run_config`` for which numpy cannot allocate or index
+the clips is a data error naming the checkpoint's run_config.  A value that
 scaling makes non-finite, or a model that gives a sample a NaN or
 infinite probability, is a data error naming the sample as the reader's
 own errors do (``Dataset.where``), in ``eval`` and in ``train`` alike.
@@ -38,6 +40,11 @@ own errors do (``Dataset.where``), in ``eval`` and in ``train`` alike.
 ``train``, ``eval --out`` and ``report`` write every file and make every
 directory through one ``_Outputs``, so a command that fails leaves no file
 it wrote and no directory it made.
+
+Before any command runs, ``main`` asks the C library's malloc to keep the
+memory the command frees (``_keep_freed_memory``); ``eval`` hands the free
+pages back (``_release_freed_memory``) once its forward returns, before it
+scores.  A caller that does not go through ``main`` keeps the defaults.
 """
 
 from __future__ import annotations
@@ -210,29 +217,51 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_freed_memory() -> bool:
-    """Ask the C library's malloc to keep the memory a train step frees for
-    the next step; returns whether it took both settings.  Where the C
-    library has no mallopt (it is glibc's), nothing changes.
-
-    Each step frees its trace and its temporaries, then allocates the same
-    sizes again.  By default glibc maps every block above a threshold that
-    rises only to the largest mapped block freed so far, and hands the top
-    of its heap back once twice that threshold is free there, so at small
-    shapes each step faults its arrays in afresh: about 750 pages a step in
-    an ionosphere run, against 13 with these settings (``getrusage``).
-    Heap blocks up to 32 MiB (glibc's largest threshold) and a 256 MiB trim
-    threshold keep those pages in the process; the peak resident memory of
-    the benchmark's train runs did not move."""
+def _libc(name: str, *argtypes):
+    """The C library's function ``name``, which takes ``argtypes`` and returns
+    an int, or None where it has none."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        function = getattr(ctypes.CDLL(None), name)
     except (AttributeError, OSError, TypeError):
-        return False
-    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 256 << 20)])
+        return None
+    function.argtypes = argtypes
+    return function
+
+
+def _keep_freed_memory() -> bool:
+    """Ask the C library's malloc to keep the memory a command frees for
+    what it allocates next; returns whether it took both settings.  Where
+    the C library has no mallopt (it is glibc's), nothing changes.
+
+    A train step frees its trace and its temporaries, then allocates the
+    same sizes again; eval frees the data's bytes before its forward.  By
+    default glibc maps every block above a threshold that rises only to the
+    largest mapped block freed so far, and hands the top of its heap back
+    once twice that threshold is free there, so at small shapes each step
+    faults its arrays in afresh: about 750 pages a step in an ionosphere
+    run, against 13 with these settings (``getrusage``).  Heap blocks up to
+    32 MiB (glibc's largest threshold) and a 256 MiB trim threshold keep
+    those pages in the process; the peak resident memory of the benchmark's
+    train runs did not move, and eval's does not once it hands back what
+    its forward freed (``_release_freed_memory``)."""
+    mallopt = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+    return mallopt is not None and all([mallopt(_M_MMAP_THRESHOLD, 32 << 20),
+                                        mallopt(_M_TRIM_THRESHOLD, 256 << 20)])
+
+
+def _release_freed_memory() -> bool:
+    """Hand the free pages of malloc's heap back to the OS; returns whether
+    the C library has malloc_trim (glibc's), without which nothing changes.
+    ``eval`` calls it once its forward returns: the pages the forward freed
+    would otherwise stay resident while scoring allocates, and raise the
+    process's peak."""
+    trim = _libc("malloc_trim", ctypes.c_size_t)
+    if trim is not None:
+        trim(0)
+    return trim is not None
 
 
 def cmd_train(args) -> int:
-    _keep_freed_memory()
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.set("seed", args.seed)
@@ -306,11 +335,16 @@ def _evaluate(args) -> metrics.Report:
                           f"{digest}, {args.data} has sha256 {source.sha256}")
     rows = dict(zip(("train", "val", "test"),
                     split_indices(source.labels, k, cfg.split, cfg.seed)))
-    part = source.load(rows[args.split])
+    try:  # a WAV clip's target_len, which run_config sets
+        part = source.load(rows[args.split])
+    except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or index, a size
+        raise DataError(f"{where}: the sizes it sets need an array that cannot be "
+                        f"allocated ({exc})") from None
     del source  # the data's bytes, not needed past the rows it scores
     if scaler is not None:
         part = apply_scaler(scaler, part)
     probs = optim.predict_probs(net, part.features)
+    _release_freed_memory()
     return _score(part, probs, args.split, model_mod.param_count(net))
 
 
@@ -399,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -68,7 +68,13 @@ one step's block seen at every t through a zero stride (``_per_step``), so
 nothing per step is kept and the cache is None.  The backward's carried
 dh starts as dL/dh, and step t writes its da into the rows ``da[:, t]``
 of one batch-major [n, T, k] array, so the [n*T, k] operand of the dU
-GEMM and of ``project_backward`` is a free reshape of it.
+GEMM and of ``project_backward`` is a free reshape of it.  Each loop
+builds its per-step views once, before it starts, and ``zip``s them: px's
+and da's time-major views and their column slices, the states before and
+after each step (``H[:-1]`` and ``H[1:]``, C's too), each gate's rows and
+the cache's other arrays, reversed in the backward.  So a step indexes
+nothing in Python, where it once built about a dozen views, and each call
+gets the same operand, strides included, that indexing ``[t]`` gave it.
 
 The bits are those of one numpy expression per gate (the oracles in
 tests/test_recurrent.py), for four reasons:
@@ -179,13 +185,15 @@ def _per_step(shape: tuple, keep: bool) -> Tensor:
     if keep:
         return np.empty(shape)
     block = np.empty(shape[1:])
-    return np.lib.stride_tricks.as_strided(block, shape, (0,) + block.strides)
+    # made directly, not by ``as_strided``, whose ``__array_interface__``
+    # round trip costs several times as much a call
+    return np.ndarray(shape, block.dtype, block, 0, (0,) + block.strides)
 
 
 def _gate_major(a: Tensor, gates: int) -> Tensor:
-    """[gates, n, u] view of an [n, gates * u] block whose rows are contiguous."""
-    n, width = a.shape
-    return a.reshape(n, gates, width // gates).transpose(1, 0, 2)
+    """[..., gates, n, u] view of [..., n, gates * u] blocks whose rows are
+    contiguous."""
+    return a.reshape(*a.shape[:-1], gates, a.shape[-1] // gates).swapaxes(-3, -2)
 
 
 def _batch_major(a: Tensor) -> Tensor:
@@ -256,19 +264,19 @@ def lstm_forward(px: Tensor, p: CellParams, mode: str = "train"):
     a4 = _gate_major(a, 4)
     Us = p.U * _gate_scale(p)
     ig = np.empty((n, u))
-    for t in range(T):
-        g = G[t]
-        np.matmul(H[t], Us, out=a)
-        np.add(px[:, t], a, out=a)
+    for px_row, h, h_new, c_prev, c, g, sig, f, i, o, cand, tc in zip(
+            px.transpose(1, 0, 2), H[:-1], H[1:], C[:-1], C[1:], G, G[:, :3],
+            G[:, 0], G[:, 1], G[:, 2], G[:, 3], TC):
+        np.matmul(h, Us, out=a)
+        np.add(px_row, a, out=a)
         np.tanh(a4, out=g)
-        np.multiply(g[:3], 0.5, out=g[:3])
-        np.add(g[:3], 0.5, out=g[:3])
-        c = C[t + 1]
-        np.multiply(g[0], C[t], out=c)
-        np.multiply(g[1], g[3], out=ig)
+        np.multiply(sig, 0.5, out=sig)
+        np.add(sig, 0.5, out=sig)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, cand, out=ig)
         np.add(c, ig, out=c)
-        np.tanh(c, out=TC[t])
-        np.multiply(g[2], TC[t], out=H[t + 1])
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_new)
     return H[T], ((p, H, C, G, TC) if train else None)
 
 
@@ -292,24 +300,30 @@ def lstm_backward(cache, d_h: Tensor):
     dh = d_h.copy()  # carried from step to step
     dc = np.empty((n, u))
     m = np.empty((4, n, u))
+    m_f, m_i, m_o, m_cand = m
+    m_sig = m[:3]
     dc_carry = np.zeros((n, u))
     UT = p.U.T
-    for t in range(T - 1, -1, -1):
-        g = G[t]
-        np.multiply(dh, g[2], out=dc)
-        np.multiply(dc, K[t], out=dc)
+    da_rev = da.transpose(1, 0, 2)[::-1]  # time-major rows, the last step's first
+    for da_row, da4, c_prev, sig, f, i, o, cand, tc, r, k in zip(
+            da_rev, _gate_major(da_rev, 4), C[:T][::-1], G[::-1, :3], G[::-1, 0], G[::-1, 1],
+            G[::-1, 2], G[::-1, 3], TC[::-1], R[::-1], K[::-1]):
+        np.multiply(dh, o, out=dc)
+        np.multiply(dc, k, out=dc)
         np.add(dc_carry, dc, out=dc)
         # da = (first * second * gate) * R per slot: f (dc, c_prev), i (dc, g),
         # o (dh, tanh c); g is (dc * i) * (1 - g*g)
-        np.multiply(dc, C[t], out=m[0])
-        np.multiply(dc, g[3], out=m[1])
-        np.multiply(dh, TC[t], out=m[2])
-        np.multiply(dc, g[1], out=m[3])
-        np.multiply(m[:3], g[:3], out=m[:3])
-        np.multiply(m, R[t], out=_gate_major(da[:, t], 4))
-        np.multiply(dc, g[0], out=dc_carry)
-        np.matmul(da[:, t], UT, out=dh)
-    del R, K  # freed before the products' batch-major copy of the states
+        np.multiply(dc, c_prev, out=m_f)
+        np.multiply(dc, cand, out=m_i)
+        np.multiply(dh, tc, out=m_o)
+        np.multiply(dc, i, out=m_cand)
+        np.multiply(m_sig, sig, out=m_sig)
+        np.multiply(m, r, out=da4)
+        np.multiply(dc, f, out=dc_carry)
+        np.matmul(da_row, UT, out=dh)
+    # R and K, and the loop's last views of them, freed before the products'
+    # batch-major copy of the states
+    del R, K, r, k
     da2 = da.reshape(n * T, 4 * u)
     h_prev = _batch_major(H[:T])
     # np.dot of the [u, n*T] view gives tensordot's bits; ``@`` does not for u = 1
@@ -338,20 +352,21 @@ def gru_forward(px: Tensor, p: CellParams, mode: str = "train"):
     Us = p.U * _gate_scale(p)
     Uzr, Uh = Us[:, :2 * u], Us[:, 2 * u:]
     ah = np.empty((n, u))
-    for t in range(T):
-        h, zr, hc = H[t], ZR[t], HC[t]
+    px_tm = px.transpose(1, 0, 2)  # time-major
+    for px_zr, px_h, h, h_new, zr, z, r, hc, rh in zip(
+            px_tm[:, :, :2 * u], px_tm[:, :, 2 * u:], H[:-1], H[1:], ZR, ZR[:, 0], ZR[:, 1],
+            HC, RH):
         np.matmul(h, Uzr, out=a)
-        np.add(px[:, t, :2 * u], a, out=a)
+        np.add(px_zr, a, out=a)
         np.tanh(a2, out=zr)
         np.multiply(zr, 0.5, out=zr)
         np.add(zr, 0.5, out=zr)
-        np.multiply(zr[1], h, out=RH[t])
-        np.matmul(RH[t], Uh, out=ah)
-        np.add(px[:, t, 2 * u:], ah, out=hc)
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, Uh, out=ah)
+        np.add(px_h, ah, out=hc)
         np.tanh(hc, out=hc)
-        h_new = H[t + 1]
-        np.multiply(zr[0], h, out=h_new)
-        np.subtract(1.0, zr[0], out=ah)
+        np.multiply(z, h, out=h_new)
+        np.subtract(1.0, z, out=ah)
         np.multiply(ah, hc, out=ah)
         np.add(h_new, ah, out=h_new)
     return H[T], ((p, H, ZR, HC, RH) if train else None)
@@ -383,20 +398,26 @@ def gru_backward(cache, d_h: Tensor):
     np.multiply(P[:, 0], DH, out=P[:, 0])
     D = np.empty((2, n, u))  # dh and drh; row 0 holds the carried dh between steps
     D[0] = d_h
+    dh, drh = D
     S = np.empty((2, n, u))
+    s_z, s_r = S
     q = np.empty((n, u))
     UzrT, UhT = p.U[:, :2 * u].T, p.U[:, 2 * u:].T
-    for t in range(T - 1, -1, -1):
-        da_h = da[:, t, 2 * u:]
-        np.multiply(D[0], Q[t], out=da_h)
-        np.matmul(da_h, UhT, out=D[1])
-        da_zr = da[:, t, :2 * u]
-        np.multiply(D, P[t], out=_gate_major(da_zr, 2))
-        np.multiply(D, ZR[t], out=S)
-        np.add(S[0], S[1], out=S[0])
+    da_rev = da.transpose(1, 0, 2)[::-1]  # time-major rows, the last step's first
+    da_zr_rev = da_rev[:, :, :2 * u]
+    for da_h, da_zr, da_zr2, q_t, p_t, zr in zip(
+            da_rev[:, :, 2 * u:], da_zr_rev, _gate_major(da_zr_rev, 2), Q[::-1], P[::-1],
+            ZR[::-1]):
+        np.multiply(dh, q_t, out=da_h)
+        np.matmul(da_h, UhT, out=drh)
+        np.multiply(D, p_t, out=da_zr2)
+        np.multiply(D, zr, out=S)
+        np.add(s_z, s_r, out=s_z)
         np.matmul(da_zr, UzrT, out=q)
-        np.add(S[0], q, out=D[0])
-    del P, Q  # freed before the products' batch-major copies
+        np.add(s_z, q, out=dh)
+    # P and Q, and the loop's last views of them, freed before the products'
+    # batch-major copies
+    del P, Q, p_t, q_t
     da2 = da.reshape(n * T, 3 * u)
     h_prev = _batch_major(H[:T])
     rh = _batch_major(RH)

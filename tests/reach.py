@@ -10,10 +10,12 @@ table, a WAV tree of 8-bit mono and 16-bit stereo clips, a radar run with
 ``pool_size = 3`` and a ``clip_norm`` that fires, a radar run whose
 validation split scales to a value that is not finite (a data error, exit
 3), a radar run whose ``conv_filters = 10**15`` no machine can allocate (a
-config error, exit 2), and ``gradcheck`` run as ``python -m
-temporal_augmenter`` runs it.  Every invocation runs in this process under
-``sys.settrace``, which is set before the package is imported, so the lines
-that run at import count; the input writers run untraced.
+config error, exit 2), an eval of a WAV checkpoint whose ``run_config``
+sets a ``target_len`` of 10**15 (a data error, exit 3), and ``gradcheck``
+run as ``python -m temporal_augmenter`` runs it.  Every invocation runs in
+this process under ``sys.settrace``, which is set before the package is
+imported, so the lines that run at import count; the input writers, and
+the train that writes that checkpoint, run untraced.
 
 It prints, per file, how many code lines no invocation ran and which, then
 the total.  A code line is one the compiler gives bytecode to.  An
@@ -98,7 +100,7 @@ def write_inputs(root: str) -> list:
     invocations, each an argv list and the exit code it must return."""
     import numpy as np  # after the package, which sets the BLAS thread count first
 
-    from temporal_augmenter import synth
+    from temporal_augmenter import cli, model, synth
     from temporal_augmenter.tensor_core import Rng
 
     def path(*parts):
@@ -135,6 +137,18 @@ def write_inputs(root: str) -> list:
         synth.write_wav(path("mixed", "stereo16", f"c{i}.wav"), 0.5 * stereo.ravel(), 4000,
                         channels=2)
 
+    # a WAV checkpoint whose run_config's target_len, and its header's
+    # input_timesteps, no machine can allocate: no parameter's shape reads the
+    # length and standardize is off, so it loads
+    short = config("short.cfg", f"task = tess\ntarget_len = 64\nstandardize = false\nepochs = 1\n"
+                                f"data = {path('mixed')}\nout = {path('run-short')}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["train", "--config", short])
+    net, extras, _ = model.load_checkpoint(path("run-short", "checkpoint.tackpt"))
+    net.config.input_timesteps = 10**15
+    extras["run_config"] = extras["run_config"].replace("target_len = 64", f"target_len = {10**15}")
+    model.save_checkpoint(path("long.tackpt"), net, extras=extras)
+
     argv = []
     for task, data in (("mitbih", "beats.csv"), ("ionosphere", "radar.csv"), ("tess", "tones")):
         cfg = config(f"{task}.cfg", f"task = {task}\ndata = {path(data)}\nepochs = 1\n")
@@ -157,7 +171,8 @@ def write_inputs(root: str) -> list:
     huge = config("huge.cfg", f"task = ionosphere\nconv_filters = {10**15}\n"
                               f"data = {path('radar.csv')}\nout = {path('run-huge')}\n")
     return [(args, 0) for args in argv] + [(["train", "--config", far], 3),
-                                           (["train", "--config", huge], 2)]
+                                           (["train", "--config", huge], 2),
+                                           (["eval", path("long.tackpt"), path("mixed")], 3)]
 
 
 def run_module(argv) -> int:

@@ -905,27 +905,38 @@ def train_in_child(tmp_path, config_text: str, pin_threads: bool = True) -> dict
 
 
 class TestKeepFreedMemory:
-    def test_train_sets_it_and_eval_does_not(self, tmp_path, radar_csv, monkeypatch):
+    def test_each_command_keeps_it_once_and_eval_hands_it_back_before_scoring(
+            self, tmp_path, radar_csv, monkeypatch):
+        """``cli.main`` applies the policy before the command runs; eval
+        hands the pages its forward freed back after ``predict_probs`` and
+        before ``_score``; train keeps them for its steps."""
         calls = []
-        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+        predict, score = optim.predict_probs, cli._score
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("keep"))
+        monkeypatch.setattr(cli, "_release_freed_memory", lambda: calls.append("release"))
+        monkeypatch.setattr(optim, "predict_probs",
+                            lambda *args: calls.append("predict") or predict(*args))
+        monkeypatch.setattr(cli, "_score", lambda *args: calls.append("score") or score(*args))
         out = tmp_path / "run"
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(radar_config_text(radar_csv, out))
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
-        assert calls == [1]
+        assert calls[0] == "keep" and calls.count("keep") == 1 and "release" not in calls
+        calls.clear()
         assert cli.main(["eval", str(out / "checkpoint.tackpt"), str(radar_csv)]) == 0
-        assert calls == [1]
+        assert calls == ["keep", "predict", "release", "score"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_glibc_takes_both_settings(self):
-        """In a child process, so that this one's allocator is left as it is;
-        glibc refuses a mapping threshold above 32 MiB, for one."""
+        """And it has malloc_trim.  In a child process, so that this one's
+        allocator is left as it is; glibc refuses a mapping threshold above
+        32 MiB, for one."""
         src = os.path.dirname(os.path.dirname(temporal_augmenter.__file__))
         done = subprocess.run([sys.executable, "-c", "from temporal_augmenter import cli; "
-                               "print(cli._keep_freed_memory())"],
+                               "print(cli._keep_freed_memory(), cli._release_freed_memory())"],
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                               text=True, check=True, timeout=60)
-        assert done.stdout == "True\n"
+        assert done.stdout == "True True\n"
 
     def test_no_mallopt_changes_nothing(self, monkeypatch):
         def no_library(name):
@@ -933,8 +944,10 @@ class TestKeepFreedMemory:
 
         monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
         assert cli._keep_freed_memory() is False
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt symbol
+        assert cli._release_freed_memory() is False
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no such symbols
         assert cli._keep_freed_memory() is False
+        assert cli._release_freed_memory() is False
 
 
 class TestPinnedDigests:
@@ -1376,6 +1389,39 @@ class TestEvalCommand:
         assert cli.main(["eval", str(path), str(radar_csv)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and f"{path}: run_config" in err and named in err
+
+    @pytest.mark.parametrize("value", [10**15, 10**20])
+    def test_clip_length_that_cannot_be_allocated_exit_3(self, tmp_path, capsys, value):
+        """A WAV checkpoint whose run_config sets a ``target_len``, and whose
+        header sets the same ``input_timesteps``, that numpy cannot allocate
+        (10**15) or index (10**20): no parameter's shape reads the length,
+        and with standardize off there is no scaler, so it loads, and the
+        clips' decode once ended in a traceback.  It is a data error naming
+        the checkpoint's run_config, with no warning and no --out directory."""
+        data, out = tmp_path / "tones", tmp_path / "run"
+        write_tone_corpus(data, Rng(2))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"task = tess\ndata = {data}\nout = {out}\nepochs = 1\n"
+                            f"target_len = 64\nstandardize = false\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+
+        def edit(header):
+            header["config"]["input_timesteps"] = value
+            header["extras"]["run_config"] = header["extras"]["run_config"].replace(
+                "target_len = 64\n", f"target_len = {value}\n")
+
+        path = tmp_path / "long.tackpt"
+        path.write_bytes(self.rewrite_header((out / "checkpoint.tackpt").read_bytes(), edit))
+        eval_out = tmp_path / "evalout"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            assert cli.main(["eval", str(path), str(data), "--out", str(eval_out)]) == 3
+        assert caught == []
+        assert capsys.readouterr().err.startswith(
+            f"data error: {path}: run_config: the sizes it sets need an array that cannot be "
+            f"allocated (")
+        assert not eval_out.exists()
 
 
 def write_generic_blank_lines(path, rng):
