@@ -152,15 +152,15 @@ def _write_report(out: _Outputs, report: metrics.Report, out_dir: str, stem: str
 
 def _score(part, probs, split: str, total_params: int):
     """``metrics.classification_report`` of ``probs`` on the Dataset
-    ``part``, whose refusal of a NaN or infinite probability is a DataError
-    naming the first such sample as ``part.where`` does."""
-    try:
-        return metrics.classification_report(part.labels, probs, part.class_names, split=split,
-                                              total_params=total_params)
-    except ValueError:
-        sample = np.flatnonzero(~np.isfinite(probs).all(axis=1))[0]
-        raise DataError(f"{part.where(sample)}: the model gives this sample a NaN or infinite "
-                        f"class probability") from None
+    ``part``.  A NaN or infinite probability, whose row's argmax would
+    score its sample as class 0, is a DataError naming the first such
+    sample as ``part.where`` does."""
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise DataError(f"{part.where(bad[0])}: the model gives this sample a NaN or infinite "
+                        f"class probability")
+    return metrics.classification_report(part.labels, probs, part.class_names, split=split,
+                                          total_params=total_params)
 
 
 def run_training(cfg: RunConfig):

@@ -65,11 +65,6 @@ class Dataset:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(set(self.class_names)) != len(self.class_names):
-            raise DataError(f"duplicate class names: {self.class_names}")
-        k = len(self.class_names)
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= k):
-            raise DataError(f"label out of range [0, {k})")
 
     @property
     def n(self) -> int:

@@ -15,7 +15,10 @@ stream front-end forms its pooled conv outputs and routes the pool
 gradient itself, and the gradient check verifies that front-end through
 the whole model, not these three.  They stay as the oracle the model's
 tests hold its front-end to bit for bit, and as the names that
-``perfbench/tracer.py`` times.  ``conv1d_backward`` is the model's own.
+``perfbench/tracer.py`` times.  ``conv1d_backward`` is the model's own:
+both front-end paths form their kernel gradient with it, each from the
+inputs it pooled and their gradient, and sum their bias gradient
+themselves.
 
 ReLU and then dropout follow each stream's pooling and each hidden dense
 layer.  Both work in place, a forward over its input and a backward over
@@ -91,13 +94,16 @@ def conv1d_forward(x: Tensor, p: DenseParams):
     return y, (x, p)
 
 
-def conv1d_backward(cache, dy: Tensor):
-    """Return (dW, db) given dL/dy of shape [n, T, out].
+def conv1d_backward(x: Tensor, dy: Tensor) -> Tensor:
+    """Return dL/dW [in, out], x^T dy summed over every row, as one 2-D
+    product, given the input x [..., in] and dL/dy [..., out]: each
+    array's leading indices, flattened in C order, number its rows, and
+    x's row i pairs with dy's row i.
 
-    There is no dx: conv1d is only ever the network's first layer.
+    There is no dx: conv1d is only ever the network's first layer.  Nor is
+    there a db, dy summed over its rows, which ``model`` forms itself.
     """
-    x, _ = cache
-    return np.tensordot(x, dy, axes=([0, 1], [0, 1])), dy.sum(axis=(0, 1))
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
 # ---------------------------------------------------------------------------

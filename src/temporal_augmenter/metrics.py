@@ -186,13 +186,8 @@ class Report:
 
 def classification_report(true_labels, probs: np.ndarray, class_names,
                           split: str, total_params: int) -> Report:
-    """The report of ``probs`` [n, k] against ``true_labels``; a ValueError
-    naming the first sample with a NaN or infinite probability, whose argmax
-    would score it as class 0."""
-    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
-    if bad.size:
-        raise ValueError(f"the model gives {split} sample {bad[0]} a NaN or infinite "
-                         f"class probability")
+    """The report of ``probs`` [n, k], every one finite (``cli._score``
+    checks), against ``true_labels``."""
     k = len(class_names)
     counts = confusion(true_labels, probs.argmax(axis=1), k)
     per_class = per_class_stats(counts)

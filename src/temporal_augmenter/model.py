@@ -43,8 +43,7 @@ rounded value, and b', the last term of the sum, adds to it as a
 separate ``+ b'`` would, while the BLAS kernel sums k in order (checked with
 OpenBLAS's SkylakeX, Haswell and Sandybridge kernels).  The operand lives
 in a reused buffer of its own, in the forward and the backward alike.
-No [n, T, F] conv output, pool winner mask or conv-output gradient exists
-on this path.
+No [n, T, F] conv output or pool winner mask exists on this path.
 
 The general path runs on more channels (ionosphere's two; ``width = T``)
 and is the oracle the pooled path is tested against.  ``forward`` forms
@@ -81,25 +80,30 @@ re-forms the cell input with ``_form_block`` and the keep mask into a
 reused buffer, bit for bit the forward's, the general path keeping the
 slot products formed there; adds x^T da into the cell's input-weight
 gradient and forms da W^T in a second reused buffer
-(``recurrent.project_backward``); runs the ReLU and dropout backward,
-which read that cell input, not a mask (see ``layers``); and adds the
-block's share of the kernel and bias gradients.  The general path sends
-each window's gradient to its winner in a reused [rows, T, F] conv-output
-gradient, +0.0 at every other step (``_route_to_winners``).  The winner is
-``maxpool1d``'s, the first slot whose product holds the window max, and a
-window holding NaN has none, so this gradient is ``maxpool1d_backward``'s,
-bit for bit, with no mask built; ``conv1d_backward`` runs on it.  The
-pooled path's kernel gradient takes, per filter, the input value that the
+(``recurrent.project_backward``); and runs the ReLU and dropout backward,
+which read that cell input, not a mask (see ``layers``), into the pooled
+gradient g [rows, T_out, F].  Both paths then add g summed over its rows
+to the bias gradient, and one ``layers.conv1d_backward`` product of the
+block's front-end inputs with their gradient to the kernel gradient; no
+conv-output gradient exists.  The general path's inputs are its window
+slots without the ones column, and their gradient its slot products, over
+which ``_route_to_winners`` writes g's bits at each window's winner and
++0.0 at its other slots: ``maxpool1d_backward``'s gradient bit for bit,
+in slot order and with no mask built, as the winner is ``maxpool1d``'s,
+the first slot whose product holds the window max, and a window holding
+NaN has none.  The product is the forward's slot product, transposed; it
+sums over slots, not over the textbook's steps, so its last bits may
+differ from the textbook's.  The pooled path's inputs are the block's
+[rows * T_out, 3] columns of ``_window_extremes`` and their gradient g; of
+each filter's three sums it keeps the one over the input value that the
 general path's window winner holds: the window max of x where K[f] > 0,
 the min where K[f] < 0, and the window's first step where K[f] is +-0.0
-and every step ties, as one product of the block's [3, rows * T_out]
-columns of ``_window_extremes`` with its [rows * T_out, F] gradient.  Its
-summation order differs from the general path's, so its last bits may
-move; so may its value where rounding makes two window values equal while
-their x differ.  Over the same blocks, the pooled path's bias gradient is
-bit for bit the general path's: numpy's sum starts at +0.0, so no partial
-sum is -0.0 and the +0.0 that the general path adds for each non-winning
-step changes none of them.
+and every step ties.  Its last bits may differ from the general path's,
+as may its value where rounding makes two window values equal while
+their x differ.  Over the same blocks, the bias gradient is the
+textbook's bit for bit: numpy's sum starts at +0.0, so no partial sum is
+-0.0 and the +0.0 that the textbook adds for each non-winning step
+changes none of them.
 
 Blocking changes no bit of the forward: each sample is filtered on its
 own, pooling, the ReLU and the dropout scaling are elementwise, and
@@ -339,23 +343,21 @@ def _stream_terms(sp: StreamParams, windows: Tensor):
 def _form_block(terms, start: int, stop: int, y: Tensor, scratch: Tensor) -> Tensor:
     """Write the activated, pooled pre-activation of batch rows start:stop
     into ``y`` [stop - start, T_out, F], by the path that ``terms``
-    (``_stream_terms``) selects, and return the block's part of
-    ``scratch``.  The pooled path writes the block's window max, min and
-    a one per window over the first 3 * (stop - start) * T_out values of
-    the C-contiguous ``scratch``, as the [3, rows * T_out] operand of its
-    product.  The general path writes each slot's conv output into the
-    block's rows of its [pool, >= (stop - start) * T_out, F] slot
-    products ``scratch``, which the backward's pool winners read.  The
-    backward's re-form calls it too, so it sees the forward's bits."""
+    (``_stream_terms``) selects, and return the first values of the flat
+    ``scratch``, where the pooled path writes the block's window max, min
+    and a one per window as the [3, rows * T_out] operand of its product,
+    and the general path each slot's conv output as the block's
+    [pool, rows * T_out, F] slot products.  The backward's re-form calls
+    it too, so it sees the forward's bits."""
     windows, weights = terms
     m = y.shape[0] * y.shape[1]
     if windows.ndim == 3:
-        scratch = scratch.reshape(-1)[:3 * m].reshape(3, m)
+        scratch = scratch[:3 * m].reshape(3, m)
         scratch[:2] = windows[:2, start:stop].reshape(2, m)
         scratch[2] = 1.0
         np.matmul(scratch.T, weights, out=y.reshape(m, -1))
     else:
-        scratch = scratch[:, :m]
+        scratch = scratch[:len(windows) * y.size].reshape(len(windows), m, -1)
         for slot, product in zip(windows[:, start:stop], scratch):
             np.matmul(slot.reshape(m, -1), weights, out=product)
         # maxpool1d_forward's running max, in its operand order; with one
@@ -369,12 +371,11 @@ def _form_block(terms, start: int, stop: int, y: Tensor, scratch: Tensor) -> Ten
 
 
 def _block_buffers(cfg: ModelConfig, rows: int, pooled: bool):
-    """A block's reused [rows, T_out, F] buffer, and the scratch that
-    ``_form_block`` writes: the pooled path's [3 * rows * T_out] operand,
-    or the general path's [pool, rows * T_out, F] slot products."""
+    """A block's reused [rows, T_out, F] buffer, and the flat scratch that
+    ``_form_block`` writes: the pooled path's [3, rows * T_out] operand, or
+    the general path's [pool, rows * T_out, F] slot products."""
     T_out, F = cfg.recurrent_timesteps, cfg.conv_filters
-    return (np.empty((rows, T_out, F)),
-            np.empty(3 * rows * T_out) if pooled else np.empty((cfg.pool_size, rows * T_out, F)))
+    return np.empty((rows, T_out, F)), np.empty((3 if pooled else cfg.pool_size * F) * rows * T_out)
 
 
 def _front_end(sp: StreamParams, cfg: ModelConfig, terms, mode: str, rng, px: Tensor):
@@ -398,16 +399,17 @@ def _front_end(sp: StreamParams, cfg: ModelConfig, terms, mode: str, rng, px: Te
 
 def _stream_forward(sp: StreamParams, cfg: ModelConfig, x: Tensor, windows: Tensor, mode: str,
                     rng):
-    """One stream over the batch, given the forward's ``_window_extremes``
-    or ``_window_slots``.  Its front-end writes every row of the cell's
-    input projection px, block by block; no [n, T_out, F] cell input exists
-    in either mode.  cache = (x, blocks, cell cache, stream terms)."""
+    """One stream over the batch x, given the forward's ``_window_extremes``
+    or ``_window_slots``, all that the front-end reads of x.  It writes every
+    row of the cell's input projection px, block by block; no [n, T_out, F]
+    cell input exists in either mode.  cache = (blocks, cell cache, stream
+    terms)."""
     px = np.empty((x.shape[0], cfg.recurrent_timesteps, sp.cell.W.shape[1]))
     terms = _stream_terms(sp, windows)
     blocks = _front_end(sp, cfg, terms, mode, rng, px)
     run = recurrent.gru_forward if sp.kind == "gru" else recurrent.lstm_forward
     h, cell_cache = run(px, sp.cell, mode=mode)
-    return h, (x, blocks, cell_cache, terms)
+    return h, (blocks, cell_cache, terms)
 
 
 def forward(model: TemporalAugmenterModel, x: Tensor, mode: str = "eval", rng: Rng | None = None):
@@ -448,21 +450,24 @@ def _accumulate(total: Tensor | None, part: Tensor) -> Tensor:
     return total
 
 
-def _route_to_winners(products: Tensor, g: Tensor, d: Tensor) -> None:
-    """``maxpool1d_backward`` of g [rows, T_out, F] into ``d`` [rows, T, F]
-    with no mask, given the block's slot ``products`` from ``_form_block``:
-    each window's winner gets g's bits, and the window's other steps +0.0.
-    The winner is ``maxpool1d``'s, the first slot holding the window max:
-    above every slot before it and not below any after it.  Every
-    comparison with NaN is False, so a window holding NaN has none.  The
-    remainder steps of ``d`` are left as they are."""
-    pool, T_out = products.shape[0], g.shape[1]
-    # multiplying g's float64 bit patterns by the 0/1 winners copies its bits
-    bits = g.view(np.uint64)
+def _route_to_winners(products: Tensor, g: Tensor) -> Tensor:
+    """``maxpool1d_backward`` of g [rows, T_out, F], in the slot-major
+    layout of the block's slot ``products`` [pool, rows * T_out, F] from
+    ``_form_block``, written over them and returned: each window's winner
+    gets g's bits, and the window's other slots +0.0.  The winner is
+    ``maxpool1d``'s, the first slot holding the window max: above every
+    slot before it and not below any after it.  Every comparison with NaN
+    is False, so a window holding NaN has none.  Every slot's winners are
+    found before any slot is written."""
+    wins = []
     for j, c in enumerate(products):
         tests = [c > other if k < j else c >= other for k, other in enumerate(products) if k != j]
-        win = functools.reduce(np.logical_and, tests) if tests else c == c
-        np.multiply(bits, win.reshape(g.shape), out=d[:, j:T_out * pool:pool].view(np.uint64))
+        wins.append(functools.reduce(np.logical_and, tests) if tests else c == c)
+    # multiplying g's float64 bit patterns by the 0/1 winners copies its bits
+    bits = g.view(np.uint64).reshape(wins[0].shape)
+    for win, product in zip(wins, products):
+        np.multiply(bits, win, out=product.view(np.uint64))
+    return products
 
 
 def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -> StreamParams:
@@ -470,20 +475,15 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
     cell's BPTT, then one loop over the forward's blocks that re-forms each
     block's cell input and sums the input-weight, kernel and bias gradients
     block by block (see the module docstring)."""
-    x, blocks, cell_cache, terms = cache
-    T_out, F, conv = cfg.recurrent_timesteps, cfg.conv_filters, sp.conv
+    blocks, cell_cache, terms = cache
+    windows, F = terms[0], cfg.conv_filters
     run = recurrent.gru_backward if sp.kind == "gru" else recurrent.lstm_backward
     da, cell_grads = run(cell_cache, d_out)
     rows = max(stop - start for start, stop, _, _ in blocks)
-    pooled = terms[0].ndim == 3
+    pooled = windows.ndim == 3
     y_buffer, scratch = _block_buffers(cfg, rows, pooled)
     g_buffer = np.empty_like(y_buffer)
-    if pooled:
-        # per filter, the input value the general path's window winner holds
-        winners = terms[0].reshape(3, -1)
-    else:
-        d_conv = np.zeros((rows, x.shape[1], F))  # its remainder steps stay +0.0
-    dW = dK = db = sums = None
+    dW = dK = db = None
     for start, stop, keep, scale in blocks:
         y, g = y_buffer[:stop - start], g_buffer[:stop - start]
         block_products = _form_block(terms, start, stop, y, scratch)
@@ -492,19 +492,17 @@ def _stream_backward(sp: StreamParams, cfg: ModelConfig, cache, d_out: Tensor) -
         _, part = recurrent.project_backward(y, da[start:stop], sp.cell, out=g)
         dW = _accumulate(dW, part)
         layers.dropout_backward((None, scale), layers.relu_backward(y, g))
+        db = _accumulate(db, g.reshape(-1, F).sum(axis=0))
         if pooled:
-            g2 = g.reshape(-1, F)
-            db = _accumulate(db, g2.sum(axis=0))
-            sums = _accumulate(sums, winners[:, start * T_out:stop * T_out] @ g2)
+            # the window max, min and first step: per filter, one of them is
+            # the input value that the general path's window winner holds
+            x, dy = windows[:, start:stop].reshape(3, -1).T, g
         else:
-            d = d_conv[:stop - start]
-            _route_to_winners(block_products, g, d)
-            part_K, part_b = layers.conv1d_backward((x[start:stop], conv), d)
-            dK = _accumulate(dK, part_K)
-            db = _accumulate(db, part_b)
+            x, dy = windows[:, start:stop, :, :-1], _route_to_winners(block_products, g)
+        dK = _accumulate(dK, layers.conv1d_backward(x, dy))
     if pooled:
-        K = conv.W[0]
-        dK = np.where(K > 0, sums[0], np.where(K < 0, sums[1], sums[2])).reshape(conv.W.shape)
+        K = sp.conv.W[0]
+        dK = np.where(K > 0, dK[0], np.where(K < 0, dK[1], dK[2])).reshape(sp.conv.W.shape)
     return StreamParams(sp.kind, DenseParams(dK, db), recurrent.CellParams(W=dW, **cell_grads))
 
 

@@ -10,9 +10,12 @@ table, a WAV tree of 8-bit mono and 16-bit stereo clips, a radar run with
 ``pool_size = 3`` and a ``clip_norm`` that fires, a radar run whose
 validation split scales to a value that is not finite (a data error, exit
 3), a radar run whose ``conv_filters = 10**15`` no machine can allocate (a
-config error, exit 2), an eval of a WAV checkpoint whose ``run_config``
-sets a ``target_len`` of 10**15 (a data error, exit 3), and ``gradcheck``
-run as ``python -m temporal_augmenter`` runs it.  Every invocation runs in
+config error, exit 2), a radar run whose config names no data (a config
+error, exit 2), a radar run whose relative ``data`` resolves under
+``TEMPORAL_AUGMENTER_DATA``, which is set for that one invocation and then
+restored, an eval of a WAV checkpoint whose ``run_config`` sets a
+``target_len`` of 10**15 (a data error, exit 3), and ``gradcheck`` run as
+``python -m temporal_augmenter`` runs it.  Every invocation runs in
 this process under ``sys.settrace``, which is set before the package is
 imported, so the lines that run at import count; the input writers, and
 the train that writes that checkpoint, run untraced.
@@ -32,6 +35,7 @@ import runpy
 import sys
 import tempfile
 import wave
+from unittest import mock
 
 PACKAGE = "temporal_augmenter"
 
@@ -97,7 +101,8 @@ def write_wav_8bit(path, samples) -> None:
 
 def write_inputs(root: str) -> list:
     """Write the corpus's data and configs under ``root``; returns its
-    invocations, each an argv list and the exit code it must return."""
+    invocations, each an argv list, the exit code it must return and the
+    environment variables it runs with."""
     import numpy as np  # after the package, which sets the BLAS thread count first
 
     from temporal_augmenter import cli, model, synth
@@ -170,9 +175,15 @@ def write_inputs(root: str) -> list:
                             f"out = {path('run-far')}\n")
     huge = config("huge.cfg", f"task = ionosphere\nconv_filters = {10**15}\n"
                               f"data = {path('radar.csv')}\nout = {path('run-huge')}\n")
-    return [(args, 0) for args in argv] + [(["train", "--config", far], 3),
-                                           (["train", "--config", huge], 2),
-                                           (["eval", path("long.tackpt"), path("mixed")], 3)]
+    nodata = config("nodata.cfg", f"task = ionosphere\nout = {path('run-nodata')}\n")
+    rooted = config("rooted.cfg", f"task = ionosphere\ndata = radar.csv\nepochs = 1\n"
+                                  f"out = {path('run-rooted')}\n")
+    return [(args, 0, {}) for args in argv] + [
+        (["train", "--config", far], 3, {}),
+        (["train", "--config", huge], 2, {}),
+        (["train", "--config", nodata], 2, {}),
+        (["train", "--config", rooted], 0, {"TEMPORAL_AUGMENTER_DATA": root}),
+        (["eval", path("long.tackpt"), path("mixed")], 3, {})]
 
 
 def run_module(argv) -> int:
@@ -196,12 +207,12 @@ def main() -> int:
     with reach.tracing():
         from temporal_augmenter import cli
     with tempfile.TemporaryDirectory() as root:
-        corpus = [(cli.main, argv, want) for argv, want in write_inputs(root)]
-        corpus.append((run_module, ["gradcheck"], 0))
-        for run, argv, want in corpus:
+        corpus = [(cli.main, argv, want, env) for argv, want, env in write_inputs(root)]
+        corpus.append((run_module, ["gradcheck"], 0, {}))
+        for run, argv, want, env in corpus:
             output = io.StringIO()
-            with reach.tracing(), contextlib.redirect_stdout(output), \
-                    contextlib.redirect_stderr(output):
+            with mock.patch.dict(os.environ, env), reach.tracing(), \
+                    contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
                 code = run(argv)
             if code != want:
                 print(f"{' '.join(argv)} exited {code}, not {want}:\n{output.getvalue()}",

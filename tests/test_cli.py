@@ -31,6 +31,7 @@ from temporal_augmenter.config import (
     preset_run_config,
 )
 from temporal_augmenter.data import (
+    DataError,
     Dataset,
     DataSource,
     load_csv_signals,
@@ -958,8 +959,11 @@ class TestPinnedDigests:
     Each run's checkpoint is pinned as two digests: its header, which
     holds the config and the extras, and its payload, the stored values.
     So a change to the header alone re-records only the header literals,
-    and the payload literals show that no stored value moved.  They last
-    did when the cells took each sigmoid gate from one tanh,
+    and the payload literals show that no stored value moved.  The radar
+    payload literals, and its trainlog literals under SkylakeX and
+    Sandybridge, last moved when the general front-end path summed its
+    kernel gradient over its window slots; the heartbeat and tone ones
+    when the cells took each sigmoid gate from one tanh,
     0.5 tanh(a / 2) + 0.5, and added the bias into the input projection
     before the recurrent term; the header literals when checkpoint version
     7 dropped the header's table of tensor names and shapes.
@@ -993,8 +997,8 @@ class TestPinnedDigests:
             "tone": ("885f548fd6f46a0992140cf9f65bde3b072cc6ec73a6a96eada0ba16aec6725b",
                      "7d9fd405794c8ff7a3c4f3ef8cfecbf5c5fb2c5bbc02befba98e18ebef3884eb",
                      "8890f698499b37a20355ef3c84b4b939590ce14b6f32d698b255f2e9d2ae26e0"),
-            "radar": ("6a107904bfedddc551b0883e0fb1c02bff5a355baf8fe08ba35cd3000930a2fd",
-                      "5db5d38a8b983086ffa1788e70a95e59e66026571dc207d94b28248675e130df",
+            "radar": ("bd2e1ffc838b661ed1211264c2970f4729a66c857f5b73c10786708a0273e910",
+                      "7c98ddde1c59ae679ef22bbb071eb16b0279570e876a3156ba0c4f25321d5442",
                       "6c429787acae594cc0bc0a47155ccd544288640effbf0a11c83c4fbb8ebea48b"),
         },
         "Haswell": {
@@ -1004,7 +1008,7 @@ class TestPinnedDigests:
             "tone": ("13c9ca54e14d1a73edd031f71617563673be7e926fb955f88354fae6cc690ba9",
                      "7d9fd405794c8ff7a3c4f3ef8cfecbf5c5fb2c5bbc02befba98e18ebef3884eb",
                      "8890f698499b37a20355ef3c84b4b939590ce14b6f32d698b255f2e9d2ae26e0"),
-            "radar": ("9cb1d801661a892cb34c8d6db8b9e815f4c940a9e143e1856ba66bcf2f0b248a",
+            "radar": ("8ec32165d730ff5128a75b54f907740d1cb1e9c3856a6465a6d63c3a66a3ae48",
                       "5db5d38a8b983086ffa1788e70a95e59e66026571dc207d94b28248675e130df",
                       "6c429787acae594cc0bc0a47155ccd544288640effbf0a11c83c4fbb8ebea48b"),
         },
@@ -1015,8 +1019,8 @@ class TestPinnedDigests:
             "tone": ("1ef66221c27ef5d227a1f99ae1b0407095ed701ec78e30f8575bc25e7bf69315",
                      "7d9fd405794c8ff7a3c4f3ef8cfecbf5c5fb2c5bbc02befba98e18ebef3884eb",
                      "8890f698499b37a20355ef3c84b4b939590ce14b6f32d698b255f2e9d2ae26e0"),
-            "radar": ("171cf9c7fd2de3818320e2c124144a3091bc150484fe5972cbf526c22df11b23",
-                      "7c98ddde1c59ae679ef22bbb071eb16b0279570e876a3156ba0c4f25321d5442",
+            "radar": ("aff0ba39f1b9c0fc6f98995760e516bc4eaf6791673bc8d24ea5f6f7c9eea214",
+                      "c2e3e6662731ec8c4a4710a19e38fd698ecaa5857becc79a7df42333d889928e",
                       "6c429787acae594cc0bc0a47155ccd544288640effbf0a11c83c4fbb8ebea48b"),
         },
     }
@@ -1557,6 +1561,20 @@ class TestEvalReadsOnce:
         test = split_indices(source.labels, len(source.class_names), spec, 3)[2]
         assert (f"data error: {names[test[1]]}: the model gives this sample a NaN or infinite "
                 f"class probability" in capsys.readouterr().err)
+
+
+class TestScore:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        """The argmax of a NaN row is 0, so without the check such a row
+        would be scored as a prediction of the first class."""
+        part = Dataset(features=np.zeros((4, 3, 1)), labels=np.array([0, 1, 0, 1]),
+                       class_names=["a", "b"], where=lambda i: f"row {i + 10}")
+        probs = np.full((4, 2), 0.5)
+        probs[2, 1] = bad
+        with pytest.raises(DataError, match="^row 12: the model gives this sample a NaN or "
+                                            "infinite class probability$"):
+            cli._score(part, probs, "val", 1)
 
 
 @pytest.mark.parametrize("kind", sorted(EVAL_DATASETS))

@@ -48,8 +48,8 @@ def conv1d_fd_err(seed=0, trials=5):
         x = uniform_pm(rng, (n, T, c))
         p = DenseParams(W=uniform_pm(rng, (c, F)), b=uniform_pm(rng, (F,)))
         proj = uniform_pm(rng, (n, T, F))
-        dW, db = conv1d_backward(conv1d_forward(x, p)[1], proj)
-        worst = max(worst, fd_err(lambda: conv1d_forward(x, p), proj, ((dW, p.W), (db, p.b))))
+        dW = conv1d_backward(x, proj)
+        worst = max(worst, fd_err(lambda: conv1d_forward(x, p), proj, ((dW, p.W),)))
     return worst
 
 
@@ -140,19 +140,33 @@ class TestConv1D:
     def test_matches_the_2d_product_forms_bitwise(self, n):
         """At the ionosphere shape, [n, T, d, F] = [n, 17, 2, 128], the
         layer pair gives the bits of one [n * T, d] product and its
-        transpose, so the general path trains the same bits as those forms."""
+        transpose."""
         rng = Rng(30).derive(str(n))
         T, d, F = 17, 2, 128
         x = rng.uniform((n, T, d)) * 2 - 1
         p = DenseParams(W=rng.uniform((d, F)) * 2 - 1, b=rng.uniform((F,)) * 2 - 1)
         dy = rng.uniform((n, T, F)) * 2 - 1
-        y, cache = conv1d_forward(x, p)
+        y, _ = conv1d_forward(x, p)
         ref = x.reshape(-1, d) @ p.W
         ref += p.b
         assert y.tobytes() == ref.reshape(n, T, F).tobytes()
-        dW, db = conv1d_backward(cache, dy)
+        dW = conv1d_backward(x, dy)
         assert dW.tobytes() == (x.reshape(-1, d).T @ dy.reshape(-1, F)).tobytes()
-        assert db.tobytes() == dy.sum(axis=(0, 1)).tobytes()
+
+    # a block of the mitbih and of the tess shape, [rows, T_out] = [5, 93]
+    # and [1, 512], with F = 128
+    @pytest.mark.parametrize("rows,T_out", [(5, 93), (1, 512)])
+    def test_pooled_operand_matches_its_product_bitwise(self, rows, T_out):
+        """The pooled path's kernel gradient, x the transposed view
+        [rows * T_out, 3] of a block's columns of the window extremes
+        [3, n * T_out], gives the bits of the product of those columns with
+        dy [rows * T_out, F]."""
+        rng = Rng(31).derive(str(T_out))
+        extremes = rng.uniform((3, 3 * rows * T_out)) * 2 - 1
+        columns = extremes[:, rows * T_out:2 * rows * T_out]
+        dy = rng.uniform((rows, T_out, 128)) * 2 - 1
+        dW = conv1d_backward(columns.T, dy)
+        assert dW.tobytes() == (columns @ dy.reshape(-1, 128)).tobytes()
 
     def test_one_channel_matches_matmul_form_with_signed_zeros(self):
         # one input channel: the product has an inner dimension of 1; the
@@ -170,13 +184,9 @@ class TestConv1D:
 
     def test_backward_hand_calculation(self):
         # y_t = x_t W + b; with dy = 1 everywhere dW sums the x rows over
-        # batch and time and db counts the outputs; there is no dx
+        # batch and time; there is no dx
         x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]).reshape(1, 3, 2)
-        p = DenseParams(W=np.array([[1.0], [-1.0]]), b=np.zeros(1))
-        _, cache = conv1d_forward(x, p)
-        dW, db = conv1d_backward(cache, np.ones((1, 3, 1)))
-        npt.assert_array_equal(dW[:, 0], [6.0, 60.0])
-        npt.assert_array_equal(db, [3.0])
+        npt.assert_array_equal(conv1d_backward(x, np.ones((1, 3, 1)))[:, 0], [6.0, 60.0])
 
     def test_channel_mismatch(self):
         p = DenseParams(W=np.zeros((2, 4)), b=np.zeros(4))
